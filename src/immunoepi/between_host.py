@@ -61,6 +61,7 @@ __all__ = [
     "kernel_total_integral",
     "simulate_renewal",
     "endemic_char_residual",
+    "ResidualScan",
     "endemic_spectrum_scan",
 ]
 
@@ -255,6 +256,22 @@ def _cumulative_ratio(params: BetweenHostParams, uppers: np.ndarray, quad: Quadr
     return (vals * coeff).sum(axis=1) * scale
 
 
+def _transmission_table(
+    params: BetweenHostParams, quad: QuadratureSpec, clock: StatusClock
+) -> Callable[[float], tuple[float, float]]:
+    """(J_P, J_xi) of _transmission_integrals as a function of lam, with
+    the lam-independent node values (P/g, M, G, xi) tabulated once."""
+    nodes = np.linspace(0.0, params.omega0, quad.n + 1)
+    p_over_g = params.P(nodes) / params.g(nodes)
+    decay, elapsed, xi = clock.decay_at(nodes), clock.time_of(nodes), params.xi(nodes)
+
+    def integrals(lam):
+        weight = p_over_g * np.exp(-decay - lam * elapsed)
+        return _apply_rule(weight, params.omega0, quad), _apply_rule(weight * xi, params.omega0, quad)
+
+    return integrals
+
+
 def _transmission_integrals(
     params: BetweenHostParams,
     lam: float,
@@ -270,12 +287,7 @@ def _transmission_integrals(
     integrals that make up the reproduction number.
     """
     clock = clock or build_clock(params)
-    nodes = np.linspace(0.0, params.omega0, quad.n + 1)
-    g_vals = params.g(nodes)
-    weight = params.P(nodes) / g_vals * np.exp(-clock.decay_at(nodes) - lam * clock.time_of(nodes))
-    j_p = _apply_rule(weight, params.omega0, quad)
-    j_xi = _apply_rule(weight * params.xi(nodes), params.omega0, quad)
-    return j_p, j_xi
+    return _transmission_table(params, quad, clock)(lam)
 
 
 def _apply_rule(values: np.ndarray, length: float, quad: QuadratureSpec) -> float:
@@ -314,14 +326,18 @@ def dfe_char_G(
     return value
 
 
-def r0(params: BetweenHostParams, quad: QuadratureSpec | None = None) -> float:
+def r0(
+    params: BetweenHostParams,
+    quad: QuadratureSpec | None = None,
+    clock: StatusClock | None = None,
+) -> float:
     """Reproduction number: expected secondary infections at the
     infection-free state, direct plus environmental routes.
 
     Shares the evaluation path with dfe_char_G at lam = 0, so the
     identity r0 == dfe_char_G(0) is exact.
     """
-    return dfe_char_G(0.0, params, quad)
+    return dfe_char_G(0.0, params, quad, clock)
 
 
 def r0_terms(params: BetweenHostParams, quad: QuadratureSpec | None = None) -> tuple[float, float]:
@@ -338,6 +354,7 @@ def dfe_lambda_hat(
     params: BetweenHostParams,
     quad: QuadratureSpec | None = None,
     lam_max: float = 1e6,
+    clock: StatusClock | None = None,
 ) -> float:
     """Real root of the infection-free characteristic equation G(lam) = 1.
 
@@ -346,7 +363,7 @@ def dfe_lambda_hat(
     G stays below 1 on the admissible interval (lam > -sigma).
     """
     quad = quad or QuadratureSpec()
-    clock = build_clock(params)
+    clock = clock or build_clock(params)
 
     def f(lam):
         return dfe_char_G(lam, params, quad, clock) - 1.0
@@ -381,6 +398,7 @@ def endemic_equilibrium(
     params: BetweenHostParams,
     n_omega: int = 400,
     quad: QuadratureSpec | None = None,
+    clock: StatusClock | None = None,
 ) -> EndemicEquilibrium | None:
     """Closed-form stationary state with disease present.
 
@@ -389,7 +407,7 @@ def endemic_equilibrium(
     grid of n_omega+1 nodes.
     """
     quad = quad or QuadratureSpec()
-    j_p, j_xi = _transmission_integrals(params, 0.0, quad)
+    j_p, j_xi = _transmission_integrals(params, 0.0, quad, clock)
     s0 = params.r / params.mu1
     basic = s0 * (params.beta_h * j_p + params.beta_e / params.sigma * j_xi)
     if basic <= 1.0:
@@ -781,6 +799,7 @@ def simulate_renewal(
     t_max: float,
     dt: float,
     quad: QuadratureSpec | None = None,
+    clock: StatusClock | None = None,
 ) -> RenewalRun:
     """Advance the renewal pair S' = r - mu1*S - S*F,
     F(t) = int_0^Theta A(w) S(t-w) F(t-w) dw.
@@ -793,7 +812,7 @@ def simulate_renewal(
     a Heun predictor-corrector.
     """
     quad = quad or QuadratureSpec()
-    clock = build_clock(params)
+    clock = clock or build_clock(params)
     window = params.a_bar + clock.total_time
     m = int(round(window / dt))
     if m < 2 or abs(m * dt - window) > 1e-9 * max(1.0, window):
@@ -851,6 +870,49 @@ def _is_unit_constant(coefficient: Coefficient) -> bool:
     return coefficient.family == "constant" and coefficient.constant_value == 1.0
 
 
+def _endemic_characteristic(
+    params: BetweenHostParams,
+    eq: EndemicEquilibrium,
+    quad: QuadratureSpec,
+    clock: StatusClock,
+) -> Callable[[float], float]:
+    """The endemic characteristic residual as a function of lam.
+
+    Everything that does not depend on lam (K, the transmission table, the
+    recovery-status survival factor) is computed here once, so each trial
+    rate costs one exponential over the quadrature nodes and two rule
+    applications. See endemic_char_residual for the equation.
+    """
+    step = eq.omega[1] - eq.omega[0]
+    K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
+    integrals = _transmission_table(params, quad, clock)
+    direct = eq.S * params.beta_h
+
+    if params.rho == 0.0 and params.beta_e == 0.0 and _is_unit_constant(params.g):
+
+        def reduced(lam):
+            j_p, _ = integrals(lam)
+            lhs = (lam + params.mu1 + K) / (lam + params.mu1)
+            return lhs - direct * j_p
+
+        return reduced
+
+    recovery = params.rho * params.g(params.omega0) * survival_pi(params.omega0, params, quad)
+    total = clock.total_time
+
+    def general(lam):
+        j_p, j_xi = integrals(lam)
+        boundary_factor = recovery * np.exp(-lam * total) / (lam + params.rho + params.mu3)
+        bracket = (boundary_factor - 1.0) / (lam + params.mu1)
+        rhs = direct * j_p + bracket * K
+        if params.beta_e > 0:
+            rhs += params.beta_e * eq.S * j_xi / (lam + params.sigma)
+            rhs += params.beta_e * eq.B * bracket
+        return rhs - 1.0
+
+    return general
+
+
 def endemic_char_residual(
     lam: float,
     params: BetweenHostParams,
@@ -882,32 +944,20 @@ def endemic_char_residual(
     if abs(lam + params.rho + params.mu3) < POLE_GUARD:
         raise ValueError("lam too close to the pole at -(rho+mu3)")
     if eq is None:
-        eq = endemic_equilibrium(params, quad=quad)
+        eq = endemic_equilibrium(params, quad=quad, clock=clock)
     if eq is None:
         raise ValueError("endemic residuals need a reproduction number above 1")
-    step = eq.omega[1] - eq.omega[0]
-    K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
+    return _endemic_characteristic(params, eq, quad, clock)(lam)
 
-    reduced = params.rho == 0.0 and params.beta_e == 0.0 and _is_unit_constant(params.g)
-    j_p, j_xi = _transmission_integrals(params, lam, quad, clock)
-    if reduced:
-        lhs = (lam + params.mu1 + K) / (lam + params.mu1)
-        return lhs - eq.S * params.beta_h * j_p
 
-    pi_end = survival_pi(params.omega0, params, quad)
-    boundary_factor = (
-        params.rho
-        * params.g(params.omega0)
-        * pi_end
-        * np.exp(-lam * clock.total_time)
-        / (lam + params.rho + params.mu3)
-    )
-    bracket = (boundary_factor - 1.0) / (lam + params.mu1)
-    rhs = eq.S * params.beta_h * j_p + bracket * K
-    if params.beta_e > 0:
-        rhs += params.beta_e * eq.S * j_xi / (lam + params.sigma)
-        rhs += params.beta_e * eq.B * bracket
-    return rhs - 1.0
+@dataclass(frozen=True)
+class ResidualScan:
+    """Endemic characteristic residual on a uniform grid of real rates,
+    and the roots bracketed by its sign changes."""
+
+    lam: np.ndarray
+    residual: np.ndarray
+    roots: list[float]
 
 
 def endemic_spectrum_scan(
@@ -915,33 +965,28 @@ def endemic_spectrum_scan(
     lam_max: float = 50.0,
     step: float = 1e-2,
     quad: QuadratureSpec | None = None,
-) -> list[float]:
+    clock: StatusClock | None = None,
+) -> ResidualScan:
     """Real-axis root scan of the endemic characteristic residual on
-    [0, lam_max]: sign changes are bracketed and refined. An empty list
-    is the numerical witness that no real nonnegative growth rate exists;
-    complex roots are outside this check's scope.
+    [0, lam_max]: sign changes are bracketed and refined. An empty root
+    list is the numerical witness that no real nonnegative growth rate
+    exists; complex roots are outside this check's scope.
     """
     quad = quad or QuadratureSpec()
-    clock = build_clock(params)
-    eq = endemic_equilibrium(params, quad=quad)
+    clock = clock or build_clock(params)
+    eq = endemic_equilibrium(params, quad=quad, clock=clock)
     if eq is None:
         raise ValueError("spectrum scan needs a reproduction number above 1")
+    residual = _endemic_characteristic(params, eq, quad, clock)
     grid = np.arange(0.0, lam_max + 0.5 * step, step)
-    values = np.array(
-        [endemic_char_residual(lam, params, eq, quad, clock) for lam in grid]
-    )
+    values = np.array([residual(lam) for lam in grid])
     roots = []
     for i in range(len(grid) - 1):
         a, b = values[i], values[i + 1]
         if a == 0.0:
             roots.append(float(grid[i]))
         elif a * b < 0:
-            roots.append(
-                find_root(
-                    lambda lam: endemic_char_residual(lam, params, eq, quad, clock),
-                    RootBracket(float(grid[i]), float(grid[i + 1])),
-                )
-            )
+            roots.append(find_root(residual, RootBracket(float(grid[i]), float(grid[i + 1]))))
     if values[-1] == 0.0:
         roots.append(float(grid[-1]))
-    return roots
+    return ResidualScan(lam=grid, residual=values, roots=roots)

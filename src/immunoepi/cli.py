@@ -24,6 +24,7 @@ Exit codes: 0 success, 2 invalid config or arguments, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -174,7 +175,11 @@ def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
             which=spec.which, lo=spec.lo, hi=spec.hi,
             n=spec.n * args.grid_refine, W=spec.W,
         )
-    result = bifurcation.sweep_branch(params, spec)
+    try:
+        result = bifurcation.sweep_branch(params, spec)
+    except ValueError as exc:
+        # a sweep range with no infected equilibrium is a configuration error
+        raise ConfigError(f"sweep: {exc}") from exc
     events = bifurcation.detect_all_events(result)
     cycle_spec = bifurcation.SweepSpec(
         which=spec.which, lo=spec.lo, hi=spec.hi, n=cfg.cycle_n, W=spec.W
@@ -251,9 +256,10 @@ def _cmd_r0(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
 def _cmd_equilibria(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     cfg.require("between_host")
     params = cfg.between
-    basic = between_host.r0(params, QUAD_DEFAULT)
+    clock = between_host.build_clock(params)
+    basic = between_host.r0(params, QUAD_DEFAULT, clock)
     eq = between_host.endemic_equilibrium(
-        params, n_omega=400 * max(args.grid_refine, 1), quad=QUAD_DEFAULT
+        params, n_omega=400 * max(args.grid_refine, 1), quad=QUAD_DEFAULT, clock=clock
     )
     summary = {
         "subcommand": "equilibria",
@@ -378,6 +384,7 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         cfg.t_max,
         dt_renewal,
         quad=QUAD_DEFAULT,
+        clock=clock,
     )
     f_pde = np.interp(renewal.t, pde.t, pde.F)
     s_pde = np.interp(renewal.t, pde.t, pde.S)
@@ -397,10 +404,10 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         "max_abs_dF": float(np.max(np.abs(f_pde - renewal.F))),
         "max_abs_dS": float(np.max(np.abs(s_pde - renewal.S))),
     }
-    basic = between_host.r0(params, QUAD_DEFAULT)
+    basic = between_host.r0(params, QUAD_DEFAULT, clock)
     summary["r0"] = basic
     if basic > 1 and params.rho == 0:
-        eq = between_host.endemic_equilibrium(params, quad=QUAD_DEFAULT)
+        eq = between_host.endemic_equilibrium(params, quad=QUAD_DEFAULT, clock=clock)
         total_kernel = between_host.kernel_total_integral(params, clock=clock)
         summary["stationary_kernel_identity"] = eq.S * total_kernel
     return _finalize(out_dir, _jsonable(summary))
@@ -409,7 +416,8 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
 def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     cfg.require("between_host")
     params = cfg.between
-    basic = between_host.r0(params, QUAD_DEFAULT)
+    clock = between_host.build_clock(params)
+    basic = between_host.r0(params, QUAD_DEFAULT, clock)
     summary = {
         "subcommand": "spectral",
         "seed": args.seed,
@@ -422,25 +430,18 @@ def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         },
     }
     try:
-        summary["lambda_hat"] = between_host.dfe_lambda_hat(params, QUAD_DEFAULT)
+        summary["lambda_hat"] = between_host.dfe_lambda_hat(params, QUAD_DEFAULT, clock=clock)
     except NumericsError as exc:
         # no real crossing on the admissible interval; recorded, not fatal
         summary["lambda_hat"] = None
         summary["lambda_hat_note"] = str(exc)
     if basic > 1:
-        eq = between_host.endemic_equilibrium(params, quad=QUAD_DEFAULT)
-        clock = between_host.build_clock(params)
-        grid = np.arange(0.0, SPECTRAL_SCAN_MAX + 0.5 * SPECTRAL_SCAN_STEP, SPECTRAL_SCAN_STEP)
-        residuals = [
-            between_host.endemic_char_residual(lam, params, eq, QUAD_DEFAULT, clock)
-            for lam in grid
-        ]
-        _write_rows(out_dir / "scan.csv", "lambda,residual", zip(grid, residuals))
-        roots = between_host.endemic_spectrum_scan(
-            params, SPECTRAL_SCAN_MAX, SPECTRAL_SCAN_STEP, QUAD_DEFAULT
+        scan = between_host.endemic_spectrum_scan(
+            params, SPECTRAL_SCAN_MAX, SPECTRAL_SCAN_STEP, QUAD_DEFAULT, clock=clock
         )
-        summary["endemic_scan_roots"] = roots
-        summary["endemic_residual_at_zero_plus"] = residuals[1]
+        _write_rows(out_dir / "scan.csv", "lambda,residual", zip(scan.lam, scan.residual))
+        summary["endemic_scan_roots"] = scan.roots
+        summary["endemic_residual_at_zero_plus"] = scan.residual[1]
     else:
         summary["endemic_scan_roots"] = None
     return _finalize(out_dir, _jsonable(summary))
@@ -561,11 +562,19 @@ def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> 
             raise ConfigError(f"{subcommand}: --config is required")
         cfg = load_scenario(config_path)
     out_dir = Path(out_dir)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    return handler(cfg, out_dir, args)
+    try:
+        return handler(cfg, out_dir, args)
+    except ConfigError:
+        # a rejected config writes nothing: remove the directories made above
+        with contextlib.suppress(OSError):
+            for directory in created:
+                directory.rmdir()
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:

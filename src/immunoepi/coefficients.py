@@ -102,14 +102,10 @@ def from_within_host(kind: str, params: wh.WithinHostParams) -> Coefficient:
     """
     if kind == "pathogen_load":
         def fn(w):
-            arr = np.atleast_1d(np.asarray(w, dtype=float))
-            flat = np.array([wh.upper_branch_P(x, params) for x in arr.ravel()])
-            return flat.reshape(arr.shape)
+            return wh.upper_branch_P(w, params)
     elif kind == "immune_growth":
         def fn(w):
-            arr = np.atleast_1d(np.asarray(w, dtype=float))
-            flat = np.atleast_1d(wh.immune_growth_g(arr.ravel(), params))
-            return flat.reshape(arr.shape)
+            return wh.immune_growth_g(w, params)
     else:
         raise ValueError(f"unknown within-host coefficient kind {kind!r}")
     describe = {

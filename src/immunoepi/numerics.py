@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "NumericsError",
@@ -405,6 +404,10 @@ def find_root(
     tol: float = 1e-12,
 ) -> float:
     """Bracketed scalar root of ``f`` to interval width ``tol`` (Brent)."""
+    # scipy.optimize costs most of the package's import time; only root
+    # solves need it
+    from scipy.optimize import brentq
+
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = f(lo), f(hi)
     if not (np.isfinite(flo) and np.isfinite(fhi)):

@@ -42,7 +42,6 @@ __all__ = [
     "rhs_full",
     "vector_field",
     "fast_rhs",
-    "fast_vector_field",
     "equilibria_fast",
     "jacobian_fast",
     "critical_loci",
@@ -155,13 +154,6 @@ def fast_rhs(tp: Sequence[float], params: WithinHostParams, W: float) -> np.ndar
     )
 
 
-def fast_vector_field(params: WithinHostParams, W: float):
-    def f(t, y):
-        return fast_rhs(y, params, W)
-
-    return f
-
-
 # ---------------------------------------------------------------------------
 # fast-subsystem equilibria and Jacobian
 # ---------------------------------------------------------------------------
@@ -183,22 +175,34 @@ class FastEquilibria:
     upper: tuple[float, float] | None
 
 
+def _nontrivial_pair(params: WithinHostParams, W):
+    """Closed form of the nontrivial pair at immune status W, elementwise.
+
+    Returns (disc, P_lo, P_hi) with the shape of W. The pair solves
+    alpha*Gamma*P^2 - alpha*Lambda*P + mu*Gamma = 0; a discriminant within
+    rounding of zero is clamped to the double root, and where it stays
+    negative no pair exists and both loads are NaN.
+    """
+    a, mu, lam = params.alpha, params.mu, params.Lambda
+    Gamma = params.gamma_eff(W)
+    disc = a * a * lam * lam - 4.0 * a * mu * Gamma * Gamma
+    # double root lost to rounding exactly at the threshold
+    disc = np.where((-1e-13 * max(a * a * lam * lam, 1.0) < disc) & (disc < 0.0), 0.0, disc)
+    root = np.sqrt(np.where(disc < 0.0, np.nan, disc))
+    P_hi = (a * lam + root) / (2.0 * Gamma * a)
+    P_lo = (a * lam - root) / (2.0 * Gamma * a)
+    return disc, P_lo, P_hi
+
+
 def equilibria_fast(params: WithinHostParams, W: float) -> FastEquilibria:
     """All fast-subsystem equilibria at immune status W >= 0."""
     if W < 0:
         raise ValueError(f"immune status must be nonnegative, got {W}")
     a, mu, lam = params.alpha, params.mu, params.Lambda
-    Gamma = params.gamma_eff(W)
     trivial = (lam / mu, 0.0)
-    disc = a * a * lam * lam - 4.0 * a * mu * Gamma * Gamma
-    if -1e-13 * max(a * a * lam * lam, 1.0) < disc < 0.0:
-        # double root lost to rounding exactly at the threshold
-        disc = 0.0
+    disc, P_lo, P_hi = _nontrivial_pair(params, W)
     if disc < 0:
         return FastEquilibria(W=W, trivial=trivial, exists=False, lower=None, upper=None)
-    root = np.sqrt(disc)
-    P_hi = (a * lam + root) / (2.0 * Gamma * a)
-    P_lo = (a * lam - root) / (2.0 * Gamma * a)
 
     def T_of(P):
         return lam / (mu + a * P * P)
@@ -363,20 +367,30 @@ def w_nullcline(P, params: WithinHostParams):
     return float(out) if out.ndim == 0 else out
 
 
-def upper_branch_P(W: float, params: WithinHostParams) -> float:
+def upper_branch_P(W, params: WithinHostParams):
     """Pathogen load on the upper (infected) manifold branch at status W.
 
-    Defined for W up to the fold value; a hair of rounding slack is allowed
-    at the tip itself.
+    Accepts a scalar or an array of statuses. Defined for W in [0, W_fold];
+    a hair of rounding slack is allowed at the tip itself, where the load
+    is sqrt(mu/alpha). A negative status or one past the fold raises
+    ValueError naming the first such node.
     """
-    eq = equilibria_fast(params, W)
-    if eq.exists:
-        return eq.upper[1]
+    W_arr = np.asarray(W, dtype=float)
+    disc, _, P_hi = _nontrivial_pair(params, W_arr)
     _, W_max = manifold_tip(params)
-    if W <= W_max * (1.0 + 1e-12) + 1e-12:
-        # discriminant lost to rounding exactly at the tip
-        return float(np.sqrt(params.mu / params.alpha))
-    raise ValueError(f"no infected branch at W={W} (fold at W={W_max})")
+    missing = disc < 0.0
+    negative = W_arr < 0.0
+    # discriminant lost to rounding exactly at the tip
+    beyond = missing & ~(W_arr <= W_max * (1.0 + 1e-12) + 1e-12)
+    bad = np.flatnonzero(negative | beyond)
+    if bad.size:
+        first = bad[0]
+        w = W_arr.flat[first]
+        if negative.flat[first]:
+            raise ValueError(f"immune status must be nonnegative, got {w}")
+        raise ValueError(f"no infected branch at W={w} (fold at W={W_max})")
+    out = np.where(missing, np.sqrt(params.mu / params.alpha), P_hi)
+    return float(out) if out.ndim == 0 else out
 
 
 def immune_growth_g(omega, params: WithinHostParams):
@@ -384,15 +398,12 @@ def immune_growth_g(omega, params: WithinHostParams):
 
     g(omega) = kappa*P_plus(omega) - c*omega, the slow W dynamics restricted
     to the upper manifold branch. Defined on [0, W_fold]. g(0) > 0 always;
-    positivity further along the branch depends on kappa/c.
+    positivity further along the branch depends on kappa/c. Accepts a
+    scalar or an array of statuses.
     """
-    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.empty_like(omega_arr)
-    for i, w in enumerate(omega_arr):
-        if w < 0:
-            raise ValueError(f"immune status must be nonnegative, got {w}")
-        out[i] = params.kappa * upper_branch_P(w, params) - params.c * w
-    return float(out[0]) if np.ndim(omega) == 0 else out
+    omega_arr = np.asarray(omega, dtype=float)
+    out = params.kappa * upper_branch_P(omega_arr, params) - params.c * omega_arr
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def integrate_slow_reduced(

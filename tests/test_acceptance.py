@@ -289,7 +289,7 @@ def test_renewal_reformulation_matches_the_transport_solver(tmp_path):
 
 def test_no_unstable_real_modes_at_the_endemic_state():
     direct = make_between(0.2, 0.0)
-    roots = bh.endemic_spectrum_scan(direct, lam_max=50.0, step=1e-2)
+    roots = bh.endemic_spectrum_scan(direct, lam_max=50.0, step=1e-2).roots
     assert roots == []
     print("[PASS] endemic characteristic residual has no real roots on [0, 50] "
           "at scan step 0.01 (5001 sign checks)")

@@ -15,7 +15,9 @@ from immunoepi import between_host as bh
 from immunoepi import coefficients as coef
 from immunoepi.numerics import BracketError, QuadratureSpec
 
-from conftest import make_between
+from immunoepi.within_host import WithinHostParams, manifold_tip
+
+from conftest import REFERENCE_WITHIN, make_between
 
 J_REF = (1.0 - np.exp(-0.5)) / 0.1  # 3.9346934028736658
 R0_DIRECT_REF = 7.8693868057473315  # (r beta_h / mu1) * J
@@ -403,5 +405,75 @@ class TestEndemicSpectrum:
             bh.endemic_char_residual(0.5, make_between(0.5 * 0.1 / J_REF, 0.0))
 
     def test_no_nonnegative_real_roots_at_the_reference_sets(self, direct_params, env_params):
-        assert bh.endemic_spectrum_scan(direct_params, lam_max=10.0, step=0.05) == []
-        assert bh.endemic_spectrum_scan(env_params, lam_max=10.0, step=0.05) == []
+        assert bh.endemic_spectrum_scan(direct_params, lam_max=10.0, step=0.05).roots == []
+        assert bh.endemic_spectrum_scan(env_params, lam_max=10.0, step=0.05).roots == []
+
+
+def unhoisted_residual(lam, params, quad):
+    """The endemic residual with every factor evaluated at lam, in the same
+    operation order as the scan's hoisted form."""
+    clock = bh.build_clock(params)
+    eq = bh.endemic_equilibrium(params, quad=quad)
+    step = eq.omega[1] - eq.omega[0]
+    K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
+    nodes = np.linspace(0.0, params.omega0, quad.n + 1)
+    weight = params.P(nodes) / params.g(nodes) * np.exp(
+        -clock.decay_at(nodes) - lam * clock.time_of(nodes)
+    )
+    j_p = bh._apply_rule(weight, params.omega0, quad)
+    j_xi = bh._apply_rule(weight * params.xi(nodes), params.omega0, quad)
+    if params.rho == 0.0 and params.beta_e == 0.0 and bh._is_unit_constant(params.g):
+        lhs = (lam + params.mu1 + K) / (lam + params.mu1)
+        return lhs - eq.S * params.beta_h * j_p
+    pi_end = bh.survival_pi(params.omega0, params, quad)
+    boundary_factor = (
+        params.rho * params.g(params.omega0) * pi_end
+        * np.exp(-lam * clock.total_time) / (lam + params.rho + params.mu3)
+    )
+    bracket = (boundary_factor - 1.0) / (lam + params.mu1)
+    rhs = eq.S * params.beta_h * j_p + bracket * K
+    if params.beta_e > 0:
+        rhs += params.beta_e * eq.S * j_xi / (lam + params.sigma)
+        rhs += params.beta_e * eq.B * bracket
+    return rhs - 1.0
+
+
+def linked_params(rho=0.0):
+    """P and g from the within-host branch up to the fold, as in a linked run."""
+    within = WithinHostParams(**dict(REFERENCE_WITHIN, kappa=10.0))
+    return make_between(
+        0.4, 0.05, rho=rho, mu3=0.23, omega0=manifold_tip(within)[1],
+        P=coef.from_within_host("pathogen_load", within),
+        g=coef.from_within_host("immune_growth", within),
+    )
+
+
+class TestHoistedResidual:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            make_between(0.2, 0.0),
+            make_between(0.2, 0.05),
+            make_between(0.2, 0.05, rho=0.1, g=coef.linear(1.0, 0.1)),
+            linked_params(),
+            linked_params(rho=0.07),
+        ],
+        ids=["reduced", "environmental", "recycling", "linked", "linked-recycling"],
+    )
+    def test_scan_equals_pointwise_residuals_exactly(self, params, quad64):
+        scan = bh.endemic_spectrum_scan(params, lam_max=5.0, step=0.125, quad=quad64)
+        assert scan.lam.size == 41
+        for lam, value in zip(scan.lam, scan.residual):
+            assert value == bh.endemic_char_residual(lam, params, quad=quad64)
+            assert value == unhoisted_residual(lam, params, quad64)
+
+    def test_shared_clock_changes_nothing(self, env_params, quad64):
+        clock = bh.build_clock(env_params)
+        assert bh.r0(env_params, quad64, clock) == bh.r0(env_params, quad64)
+        shared = bh.endemic_equilibrium(env_params, quad=quad64, clock=clock)
+        own = bh.endemic_equilibrium(env_params, quad=quad64)
+        assert (shared.S, shared.V, shared.B, shared.I0) == (own.S, own.V, own.B, own.I0)
+        assert np.array_equal(shared.I, own.I)
+        assert bh.dfe_lambda_hat(env_params, quad64, clock=clock) == bh.dfe_lambda_hat(
+            env_params, quad64
+        )

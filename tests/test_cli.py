@@ -4,12 +4,16 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from immunoepi import cli
+from immunoepi import between_host, cli
+from immunoepi.config import load_scenario
 from immunoepi.numerics import NumericsError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 R0_DIRECT_QUAD = 7.869386805910196  # Simpson n=64 value at the direct set
 
@@ -106,6 +110,15 @@ class TestExitCodes:
         assert code == 3
         assert "synthetic failure" in capsys.readouterr().err
 
+    def test_bifurcate_sweep_past_the_fold_returns_two(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "within_fig2.json").read_text())
+        doc["sweep"].update(lo=10.0, hi=20.0)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["bifurcate", "--config", config, "--out", str(out)]) == 2
+        assert "no nontrivial equilibrium" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
     def test_unknown_subcommand_is_a_parser_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate", "--out", str(tmp_path / "out")])
@@ -161,6 +174,56 @@ class TestSummaryAndManifest:
         lam = read_summary(out_a)["lambda_hat"]
         assert isinstance(lam, float)
         assert read_summary(out_b)["lambda_hat"] == lam
+
+
+class TestSpectralScan:
+    def test_scan_csv_holds_the_values_the_root_search_brackets_on(self, tmp_path):
+        config = write_config(tmp_path, bh_doc())
+        out = tmp_path / "out"
+        assert cli.main(["spectral", "--config", config, "--out", str(out)]) == 0
+        rows = (out / "scan.csv").read_text().splitlines()
+        assert rows[0] == "lambda,residual"
+        lam, residual = np.array([[float(x) for x in row.split(",")] for row in rows[1:]]).T
+        scan = between_host.endemic_spectrum_scan(
+            load_scenario(config).between,
+            cli.SPECTRAL_SCAN_MAX, cli.SPECTRAL_SCAN_STEP, cli.QUAD_DEFAULT,
+        )
+        assert np.array_equal(lam, scan.lam)
+        assert np.array_equal(residual, scan.residual)
+        summary = read_summary(out)
+        assert summary["endemic_scan_roots"] == scan.roots == []
+        assert summary["endemic_residual_at_zero_plus"] == residual[1]
+        assert np.all(residual[:-1] * residual[1:] > 0.0)
+
+    @pytest.mark.parametrize("command", ["equilibria", "spectral", "renewal-check"])
+    def test_status_clock_is_built_once_per_run(self, tmp_path, monkeypatch, command):
+        calls = []
+        build = between_host.build_clock
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return build(*a, **kw)
+
+        monkeypatch.setattr(between_host, "build_clock", counting)
+        doc = bh_doc(
+            grid={"n_omega": 50, "dt": 0.05},
+            run={"t_max": 1.0, "output_stride": 1, "snapshot_stride": 0,
+                 "initial": {"S": 10.0, "I": {"family": "constant", "value": 0.1}}},
+        )
+        config = write_config(tmp_path, doc)
+        assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
+
+class TestImportCost:
+    def test_cli_import_leaves_root_finding_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, immunoepi.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDeterminism:

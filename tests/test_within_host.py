@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import immunoepi.within_host as wh
@@ -198,6 +198,60 @@ class TestImmuneGrowth:
         vals = wh.immune_growth_g(omega, paper_within)
         assert vals.shape == omega.shape
         assert vals[0] == pytest.approx(wh.immune_growth_g(0.0, paper_within))
+
+
+def scalar_branch_load(params, W):
+    """The branch load node by node: the upper fast equilibrium, or the
+    tip load where the pair is lost to rounding at the fold."""
+    eq = wh.equilibria_fast(params, W)
+    return eq.upper[1] if eq.exists else float(np.sqrt(params.mu / params.alpha))
+
+
+class TestVectorizedBranch:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+    )
+    def test_array_matches_the_scalar_closed_form_bit_for_bit(self, seed, fractions):
+        p = random_within(np.random.default_rng(seed))
+        w_fold = wh.manifold_tip(p)[1]
+        assume(w_fold > 0.0)
+        W = np.array([*(f * w_fold for f in fractions), 0.0, w_fold, w_fold * (1.0 + 1e-13)])
+        expected = np.array([scalar_branch_load(p, float(w)) for w in W])
+        loads = wh.upper_branch_P(W, p)
+        assert np.array_equal(loads, expected)
+        growth = wh.immune_growth_g(W, p)
+        assert np.array_equal(growth, p.kappa * expected - p.c * W)
+        assert wh.upper_branch_P(float(W[0]), p) == expected[0]
+
+    def test_scalar_in_gives_float_out(self, paper_within):
+        assert type(wh.upper_branch_P(0.5, paper_within)) is float
+        assert type(wh.immune_growth_g(0.5, paper_within)) is float
+
+    def test_shape_follows_the_input(self, paper_within):
+        W = np.linspace(0.0, 3.0, 6).reshape(2, 3)
+        assert wh.upper_branch_P(W, paper_within).shape == (2, 3)
+        assert wh.immune_growth_g(W, paper_within).shape == (2, 3)
+
+    def test_negative_node_rejected(self, paper_within):
+        W = np.array([0.0, 1.0, -0.25, -0.5])
+        with pytest.raises(ValueError, match="nonnegative, got -0.25"):
+            wh.upper_branch_P(W, paper_within)
+        with pytest.raises(ValueError, match="nonnegative, got -0.25"):
+            wh.immune_growth_g(W, paper_within)
+
+    def test_node_past_the_fold_rejected(self, paper_within):
+        W = np.array([0.0, 1.0, 4.0, 5.0])
+        with pytest.raises(ValueError, match="no infected branch at W=4.0"):
+            wh.upper_branch_P(W, paper_within)
+        with pytest.raises(ValueError, match="no infected branch at W=4.0"):
+            wh.immune_growth_g(W, paper_within)
+
+    def test_first_offending_node_is_reported(self, paper_within):
+        with pytest.raises(ValueError, match="no infected branch at W=4.0"):
+            wh.upper_branch_P(np.array([0.5, 4.0, -1.0]), paper_within)
+        with pytest.raises(ValueError, match="nonnegative, got -1.0"):
+            wh.upper_branch_P(np.array([0.5, -1.0, 4.0]), paper_within)
 
 
 class TestSimulateInfection:
