@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* ``numerics`` -- shared integration / quadrature / root-finding / continuation kernel
+* ``numerics`` -- shared integration / quadrature / root-finding kernel
 * ``within_host`` -- slow-fast immune-pathogen ODE model and infection runs
 * ``bifurcation`` -- equilibrium branch sweeps, fold/Hopf detection, cycle sampling
 * ``coefficients`` -- named coefficient-function families for the structured model

@@ -288,15 +288,16 @@ def detect_all_events(result: SweepResult) -> list[BifurcationEvent]:
 # ---------------------------------------------------------------------------
 
 
-def _batched_rk4(rhs, y, t_len, h):
-    n = int(round(t_len / h))
-    for _ in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def _rk4_step(rhs, T, P, h):
+    """One classic RK4 step of a planar field over a batch of orbits."""
+    kT1, kP1 = rhs(T, P)
+    kT2, kP2 = rhs(T + 0.5 * h * kT1, P + 0.5 * h * kP1)
+    kT3, kP3 = rhs(T + 0.5 * h * kT2, P + 0.5 * h * kP2)
+    kT4, kP4 = rhs(T + h * kT3, P + h * kP3)
+    return (
+        T + (h / 6.0) * (kT1 + 2.0 * kT2 + 2.0 * kT3 + kT4),
+        P + (h / 6.0) * (kP1 + 2.0 * kP2 + 2.0 * kP3 + kP4),
+    )
 
 
 def cycle_amplitude(
@@ -327,32 +328,25 @@ def cycle_amplitude(
         rows.append((float(value), p.gamma_eff(W), T0, P0))
 
     Gam = np.array([r[1] for r in rows])
-    y = np.array([[r[2], r[3]] for r in rows])
+    T = np.array([r[2] for r in rows])
+    P = np.array([r[3] for r in rows])
     lam, mu, a = params.Lambda, params.mu, params.alpha
 
-    def rhs(state):
-        T, P = state[:, 0], state[:, 1]
+    def rhs(T, P):
         infection = a * P * P * T
-        return np.stack([lam - mu * T - infection, infection - Gam * P], axis=1)
+        return lam - mu * T - infection, infection - Gam * P
 
-    y = _batched_rk4(rhs, y, transient, step)
+    for _ in range(int(round(transient / step))):
+        T, P = _rk4_step(rhs, T, P, step)
 
     n_steps = int(round(window / step))
     m = len(rows)
-    p_min = y[:, 1].copy()
-    p_max = y[:, 1].copy()
+    p_min = p_max = prev2 = prev1 = P
     max_count = np.zeros(m, dtype=int)
     first_max_t = np.full(m, np.nan)
     last_max_t = np.full(m, np.nan)
-    prev2 = y[:, 1].copy()
-    prev1 = y[:, 1].copy()
     for i in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * step * k1)
-        k3 = rhs(y + 0.5 * step * k2)
-        k4 = rhs(y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        P = y[:, 1]
+        T, P = _rk4_step(rhs, T, P, step)
         p_min = np.minimum(p_min, P)
         p_max = np.maximum(p_max, P)
         if i >= 2:
@@ -362,7 +356,7 @@ def cycle_amplitude(
             first_max_t[fresh] = t_here
             last_max_t[is_max] = t_here
             max_count += is_max.astype(int)
-        prev2, prev1 = prev1, P.copy()
+        prev2, prev1 = prev1, P
 
     samples: list[CycleSample] = []
     for j, (value, _, _, _) in enumerate(rows):

@@ -283,8 +283,14 @@ def _cmd_equilibria(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
 
 
 def _apply_refine(cfg: ScenarioConfig, k: int) -> tuple[int, float]:
+    """Transport grid refined by k; a horizon shorter than one step is refused."""
     n_omega = cfg.n_omega * k
     dt = cfg.dt / k
+    if cfg.t_max < dt:
+        raise ConfigError(
+            f"run.t_max: {cfg.t_max!r} is shorter than one transport step "
+            f"(dt = {dt!r}); the run would take no steps"
+        )
     return n_omega, dt
 
 
@@ -366,6 +372,11 @@ def _matched_history(cfg: ScenarioConfig, clock: between_host.StatusClock):
 def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     cfg.require("between_host", "grid", "run")
     params = cfg.between
+    if params.rho > 0:
+        # the renewal form has no return flow from the recovered pool
+        raise ConfigError(
+            f"between_host.rho: renewal-check requires rho = 0, got {params.rho!r}"
+        )
     n_omega, dt = _apply_refine(cfg, max(args.grid_refine, 1))
     clock = between_host.build_clock(params)
     window = params.a_bar + clock.total_time
@@ -406,7 +417,7 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     }
     basic = between_host.r0(params, QUAD_DEFAULT, clock)
     summary["r0"] = basic
-    if basic > 1 and params.rho == 0:
+    if basic > 1:
         eq = between_host.endemic_equilibrium(params, quad=QUAD_DEFAULT, clock=clock)
         total_kernel = between_host.kernel_total_integral(params, clock=clock)
         summary["stationary_kernel_identity"] = eq.S * total_kernel

@@ -1,8 +1,7 @@
-"""Shared numerical kernel: ODE integration, quadrature, root finding, continuation.
+"""Shared numerical kernel: ODE integration, quadrature, root finding.
 
 Everything downstream (within-host simulation, bifurcation sweeps, the
-structured epidemic solver) is built on the four operations in this module so
-that accuracy knobs live in one place:
+structured epidemic solver) is built on the three operations in this module:
 
 * ``integrate_ode`` -- fixed-step classic RK4 or an adaptive embedded
   Dormand-Prince 5(4) pair, with optional scalar event localization by
@@ -10,14 +9,11 @@ that accuracy knobs live in one place:
 * ``quadrature`` -- composite trapezoid / Simpson rules over [a, b].
 * ``find_root`` -- bracketed scalar root solve (Brent) with explicit
   bracket validation.
-* ``continue_branch`` -- natural-parameter continuation of ``F(x, p) = 0``
-  with Newton correction and finite-difference Jacobians, switching to
-  pseudo-arclength steps so fold points are traversed rather than lost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,15 +32,7 @@ __all__ = [
     "quadrature",
     "quadrature_nodes",
     "find_root",
-    "ContinuationPoint",
-    "FoldEvent",
-    "ContinuationResult",
-    "continue_branch",
-    "fd_jacobian",
 ]
-
-# Relative perturbation for all finite-difference Jacobians in this module.
-FD_RELATIVE_STEP = 1e-6
 
 # Event times are bisected to this relative tolerance on the bracketing step.
 EVENT_RELATIVE_TOL = 1e-10
@@ -162,38 +150,46 @@ def _rk4_step(rhs, t, y, h):
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince 5(4) tableau as Python floats: _A<i><j> weights stage j in
+# the input of stage i, _B<j> is the fourth-order weight of stage j. The
+# fifth-order weights equal the seventh stage's row (first same as last).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A72, _A73, _A74, _A75, _A76 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_B1, _B3, _B4, _B5, _B6, _B7 = (
+    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
 )
 
 
 def _dp45_step(rhs, t, y, h, k1=None):
     """One embedded step; returns (y5, error_estimate, k_last) with FSAL reuse.
 
+    Stage inputs sum their terms left to right, zero weights of the seventh
+    stage included, so results match a loop over the tableau bit for bit.
     Trial steps may overshoot into overflow; the caller rejects non-finite
     results, so numpy warnings are silenced here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        k = [None] * 7
-        k[0] = rhs(t, y) if k1 is None else k1
-        for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = rhs(t + _DP_C[i] * h, yi)
-        y5 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
-        y4 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B4) if b != 0.0)
-        return y5, y5 - y4, k[6]
+        if k1 is None:
+            k1 = rhs(t, y)
+        k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
+        k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
+        k4 = rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = rhs(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        k6 = rhs(
+            t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+        )
+        k7 = rhs(
+            t + h,
+            y + h * (_A71 * k1 + _A72 * k2 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6),
+        )
+        y5 = y + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
+        y4 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6 + _B7 * k7)
+        return y5, y5 - y4, k7
 
 
 def _substepped(rhs, t_lo, y_lo, dt, pieces=8):
@@ -425,230 +421,3 @@ def find_root(
     except (RuntimeError, ValueError) as exc:  # pragma: no cover - scipy internal
         raise ConvergenceError(f"bracketed solve failed: {exc}") from exc
     return float(min(max(root, lo), hi))
-
-
-# ---------------------------------------------------------------------------
-# continuation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ContinuationPoint:
-    """One corrected solution of F(x, p) = 0 along a branch."""
-
-    p: float
-    x: np.ndarray
-    eigenvalues: np.ndarray
-    det: float
-
-
-@dataclass
-class FoldEvent:
-    """Parameter fold: det dF/dx crosses zero along the branch."""
-
-    p: float
-    x: np.ndarray
-
-
-@dataclass
-class ContinuationResult:
-    points: list[ContinuationPoint] = field(default_factory=list)
-    folds: list[FoldEvent] = field(default_factory=list)
-
-
-def fd_jacobian(
-    F: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    rel_step: float = FD_RELATIVE_STEP,
-) -> np.ndarray:
-    """Central-difference Jacobian of a vector map at x."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    f0 = np.asarray(F(x), dtype=float)
-    J = np.empty((f0.size, n))
-    for j in range(n):
-        h = rel_step * max(abs(x[j]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (np.asarray(F(xp), dtype=float) - np.asarray(F(xm), dtype=float)) / (2 * h)
-    return J
-
-
-def _newton(F, x0, tol=1e-11, max_iter=20):
-    """Damped Newton on F(x) = 0 with finite-difference Jacobian."""
-    x = np.asarray(x0, dtype=float).copy()
-    for _ in range(max_iter):
-        f = np.asarray(F(x), dtype=float)
-        if not np.all(np.isfinite(f)):
-            raise NonFiniteError("non-finite residual in Newton solve")
-        if np.max(np.abs(f)) < tol:
-            return x
-        J = fd_jacobian(F, x)
-        try:
-            dx = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular Jacobian in Newton solve") from exc
-        # backtracking keeps steps from overshooting near folds
-        lam = 1.0
-        f_norm = np.max(np.abs(f))
-        for _ in range(8):
-            x_try = x + lam * dx
-            f_try = np.asarray(F(x_try), dtype=float)
-            if np.all(np.isfinite(f_try)) and np.max(np.abs(f_try)) < f_norm:
-                x = x_try
-                break
-            lam *= 0.5
-        else:
-            raise ConvergenceError("Newton line search stalled")
-    f = np.asarray(F(x), dtype=float)
-    if np.max(np.abs(f)) < tol * 100:
-        return x
-    raise ConvergenceError("Newton iteration did not converge")
-
-
-def _branch_point(F, x, p):
-    J = fd_jacobian(lambda z: F(z, p), x)
-    eigs = np.linalg.eigvals(J)
-    return ContinuationPoint(p=float(p), x=x.copy(), eigenvalues=eigs, det=float(np.linalg.det(J)))
-
-
-def _refine_fold(F, x0, p0) -> FoldEvent:
-    """Solve the extended system [F(x, p); det dF/dx] = 0 for the fold point."""
-    n = np.asarray(x0).size
-
-    def ext(z):
-        x, p = z[:n], z[n]
-        f = np.asarray(F(x, p), dtype=float)
-        d = np.linalg.det(fd_jacobian(lambda q: F(q, p), x))
-        return np.concatenate([f, [d]])
-
-    z = _newton(ext, np.concatenate([np.asarray(x0, float), [p0]]), tol=1e-12, max_iter=40)
-    return FoldEvent(p=float(z[n]), x=z[:n].copy())
-
-
-def continue_branch(
-    F: Callable[[np.ndarray, float], np.ndarray],
-    x0: Sequence[float] | np.ndarray | float,
-    p_range: tuple[float, float],
-    n_steps: int = 100,
-    *,
-    newton_tol: float = 1e-11,
-    max_points: int | None = None,
-) -> ContinuationResult:
-    """Trace the solution branch of ``F(x, p) = 0`` across ``p_range``.
-
-    Stepping is natural in p; when a Newton correction fails (the usual
-    symptom of an approaching fold) the tracer switches to pseudo-arclength
-    steps in (x, p) so the branch is followed around the turning point.
-    Determinant sign changes along the branch are refined into FoldEvents
-    with an extended-system Newton solve.
-    """
-    p0, p1 = float(p_range[0]), float(p_range[1])
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    direction = 1.0 if p1 >= p0 else -1.0
-    dp = (p1 - p0) / n_steps
-    p_lo, p_hi = min(p0, p1), max(p0, p1)
-    margin = 2.0 * abs(dp)
-    max_points = max_points or 8 * n_steps
-
-    result = ContinuationResult()
-    x = _newton(lambda q: F(q, p0), x, tol=newton_tol)
-    result.points.append(_branch_point(F, x, p0))
-
-    def record(pt_prev, pt_new):
-        if pt_prev is not None and pt_prev.det * pt_new.det < 0.0:
-            mid_x = 0.5 * (pt_prev.x + pt_new.x)
-            mid_p = 0.5 * (pt_prev.p + pt_new.p)
-            try:
-                result.folds.append(_refine_fold(F, mid_x, mid_p))
-            except NumericsError:
-                # fall back to the sign-change midpoint
-                result.folds.append(FoldEvent(p=mid_p, x=mid_x))
-        result.points.append(pt_new)
-
-    p = p0
-    arclength_mode = False
-    while len(result.points) < max_points:
-        prev = result.points[-1]
-        if not arclength_mode:
-            if direction * (p1 - p) <= 1e-12 * max(1.0, abs(p1)):
-                break
-            p_next = p + dp
-            if direction * (p_next - p1) > 0:
-                p_next = p1
-            try:
-                x_next = _newton(lambda q: F(q, p_next), prev.x, tol=newton_tol)
-                p = p_next
-                record(prev, _branch_point(F, x_next, p_next))
-                continue
-            except NumericsError:
-                arclength_mode = True
-
-        # pseudo-arclength stepping
-        if len(result.points) >= 2:
-            older = result.points[-2]
-            tangent = np.concatenate([prev.x - older.x, [prev.p - older.p]])
-        else:
-            tangent = np.concatenate([np.zeros_like(prev.x), [direction]])
-        norm = np.linalg.norm(tangent)
-        if norm == 0.0:
-            tangent = np.concatenate([np.zeros_like(prev.x), [direction]])
-            norm = 1.0
-        tangent /= norm
-        ds = max(abs(dp), norm) if len(result.points) >= 2 else abs(dp)
-        ds = min(ds, 4.0 * abs(dp))
-
-        n = prev.x.size
-
-        def arc_residual(z, z_prev, tan, step):
-            xx, pp = z[:n], z[n]
-            f = np.asarray(F(xx, pp), dtype=float)
-            cons = tan @ (z - z_prev) - step
-            return np.concatenate([f, [cons]])
-
-        z_prev = np.concatenate([prev.x, [prev.p]])
-        stepped = False
-        for _ in range(12):
-            z_pred = z_prev + ds * tangent
-            try:
-                z_new = _newton(
-                    lambda z: arc_residual(z, z_prev, tangent, ds), z_pred, tol=newton_tol
-                )
-                pt = _branch_point(F, z_new[:n], z_new[n])
-                record(prev, pt)
-                stepped = True
-                break
-            except NumericsError:
-                ds *= 0.5
-                if ds < 1e-12 * max(1.0, abs(dp)):
-                    break
-        if not stepped:
-            break
-        p = result.points[-1].p
-        if p < p_lo - margin or p > p_hi + margin:
-            break
-
-    # A fold sitting exactly at the end of the range produces no determinant
-    # sign change to record; a near-singular terminal point is refined here.
-    if result.points:
-        last = result.points[-1]
-        det_scale = max(abs(pt.det) for pt in result.points)
-        if det_scale > 0.0 and abs(last.det) < 1e-3 * det_scale:
-            try:
-                fold = _refine_fold(F, last.x, last.p)
-            except NumericsError:
-                fold = None
-            if (
-                fold is not None
-                and p_lo - margin <= fold.p <= p_hi + margin
-                and all(
-                    abs(fold.p - known.p) > 1e-8 * (1.0 + abs(fold.p))
-                    for known in result.folds
-                )
-            ):
-                result.folds.append(fold)
-    return result

@@ -59,6 +59,13 @@ __all__ = [
 # Pathogen level below which an infection counts as cleared.
 P_CLEAR_DEFAULT = 1e-6
 
+# Samples of the closed-form cleared branch after its start. They are spaced
+# geometrically in elapsed time, starting at this fraction of the fastest
+# relaxation time 1/max(mu, epsilon*c), so both the target-cell relaxation
+# and the slow antibody decay are resolved.
+CLEARED_BRANCH_SAMPLES = 256
+CLEARED_BRANCH_FIRST = 1e-3
+
 
 @dataclass(frozen=True)
 class WithinHostParams:
@@ -470,6 +477,28 @@ class InfectionRun:
         return self.states[:, 2]
 
 
+def _cleared_branch(
+    params: WithinHostParams, t0: float, state0: np.ndarray, t_end: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact solution on the P = 0 branch from (t0, state0) up to t_end.
+
+    With no pathogen the system is linear: T relaxes to Lambda/mu at rate mu
+    and W decays at rate epsilon*c. Returns CLEARED_BRANCH_SAMPLES times
+    after t0, the last one exactly t_end, and the states (T, 0, W) there.
+    """
+    span = t_end - t0
+    rate = max(params.mu, params.epsilon * params.c)
+    first = min(CLEARED_BRANCH_FIRST / rate, span / CLEARED_BRANCH_SAMPLES)
+    s = np.geomspace(first, span, CLEARED_BRANCH_SAMPLES)
+    t = t0 + s
+    t[-1] = t_end
+    T_inf = params.Lambda / params.mu
+    states = np.zeros((CLEARED_BRANCH_SAMPLES, 3))
+    states[:, 0] = T_inf + (state0[0] - T_inf) * np.exp(-params.mu * s)
+    states[:, 2] = state0[2] * np.exp(-params.epsilon * params.c * s)
+    return t, states
+
+
 def simulate_infection(
     params: WithinHostParams,
     initial: WithinHostState,
@@ -480,20 +509,21 @@ def simulate_infection(
     """Integrate the full system, stopping the infected phase at clearance.
 
     After the pathogen falls below ``p_clear`` the trajectory continues on
-    the P = 0 branch, where W decays as W' = -epsilon*c*W and target cells
-    relax to Lambda/mu. Zero initial load short-circuits to that branch.
+    the P = 0 branch, evaluated in closed form: W decays as
+    W' = -epsilon*c*W and target cells relax to Lambda/mu. Zero initial load
+    starts on that branch.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     spec = spec or IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10)
     w_fold = manifold_tip(params)[1]
-    f = vector_field(params)
 
     if initial.P == 0.0:
-        traj = integrate_ode(f, initial.as_array(), (0.0, t_max), spec)
+        y0 = initial.as_array()
+        tail_t, tail_y = _cleared_branch(params, 0.0, y0, t_max)
         return InfectionRun(
-            t=traj.t,
-            states=traj.y,
+            t=np.concatenate([[0.0], tail_t]),
+            states=np.vstack([y0, tail_y]),
             recovery_time=None,
             recovery_state=None,
             fold_crossed=initial.W > w_fold,
@@ -504,7 +534,9 @@ def simulate_infection(
     def cleared(t, y):
         return y[1] - p_clear
 
-    traj = integrate_ode(f, initial.as_array(), (0.0, t_max), spec, event=cleared)
+    traj = integrate_ode(
+        vector_field(params), initial.as_array(), (0.0, t_max), spec, event=cleared
+    )
     if traj.event_time is None:
         return InfectionRun(
             t=traj.t,
@@ -519,14 +551,11 @@ def simulate_infection(
     t_rec = traj.event_time
     state_rec = traj.event_state.copy()
     fold_crossed = bool(np.max(traj.y[:, 2]) >= w_fold or initial.W >= w_fold)
-    # continue on the cleared branch; P = 0 is exactly invariant under RK stages
     ts, ys = traj.t, traj.y
     if t_rec < t_max:
-        y_branch = state_rec.copy()
-        y_branch[1] = 0.0
-        tail = integrate_ode(f, y_branch, (t_rec, t_max), spec)
-        ts = np.concatenate([ts, tail.t[1:]])
-        ys = np.vstack([ys, tail.y[1:]])
+        tail_t, tail_y = _cleared_branch(params, t_rec, state_rec, t_max)
+        ts = np.concatenate([ts, tail_t])
+        ys = np.vstack([ys, tail_y])
     return InfectionRun(
         t=ts,
         states=ys,

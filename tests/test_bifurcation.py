@@ -251,6 +251,70 @@ class TestCycleAmplitude:
         assert s0.p_max == pytest.approx(wh.upper_branch_P(0.0, paper_within), abs=1e-3)
 
 
+def reference_orbit_extremes(params, spec, transient, window, step):
+    """Cycle sampling as it was with a stacked (T, P) state: P extremes,
+    maximum counts and first/last maximum times per sweep value."""
+    rows = []
+    for value in spec.values():
+        p, W = spec.resolve(params, max(value, 1e-12) if spec.which == "delta" else value)
+        eq = wh.equilibria_fast(p, W)
+        if eq.exists:
+            T0, P0 = eq.upper[0], eq.upper[1] * 1.05
+        else:
+            T0, P0 = 0.5 * params.Lambda / params.mu, 2.0 * np.sqrt(params.mu / params.alpha)
+        rows.append((p.gamma_eff(W), T0, P0))
+    Gam = np.array([r[0] for r in rows])
+    y = np.array([[r[1], r[2]] for r in rows])
+    lam, mu, a = params.Lambda, params.mu, params.alpha
+
+    def rhs(state):
+        T, P = state[:, 0], state[:, 1]
+        infection = a * P * P * T
+        return np.stack([lam - mu * T - infection, infection - Gam * P], axis=1)
+
+    def rk4(y):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * step * k1)
+        k3 = rhs(y + 0.5 * step * k2)
+        k4 = rhs(y + step * k3)
+        return y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    for _ in range(int(round(transient / step))):
+        y = rk4(y)
+    m = len(rows)
+    p_min, p_max = y[:, 1].copy(), y[:, 1].copy()
+    count = np.zeros(m, dtype=int)
+    first, last = np.full(m, np.nan), np.full(m, np.nan)
+    prev2, prev1 = y[:, 1].copy(), y[:, 1].copy()
+    for i in range(int(round(window / step))):
+        y = rk4(y)
+        P = y[:, 1]
+        p_min, p_max = np.minimum(p_min, P), np.maximum(p_max, P)
+        if i >= 2:
+            is_max = (prev1 > prev2) & (prev1 > P)
+            first[is_max & np.isnan(first)] = (i - 1) * step
+            last[is_max] = (i - 1) * step
+            count += is_max.astype(int)
+        prev2, prev1 = prev1, P.copy()
+    return p_min, p_max, count, first, last
+
+
+class TestCycleStepper:
+    @pytest.mark.parametrize(
+        "spec",
+        [delta_sweep(n=9, lo=0.3, hi=1.3), bif.SweepSpec(which="W", lo=0.0, hi=3.5, n=8)],
+    )
+    def test_split_state_matches_the_stacked_state_bit_for_bit(self, paper_within, spec):
+        kwargs = dict(transient=60.0, window=120.0, step=0.04)
+        samples = bif.cycle_amplitude(paper_within, spec, **kwargs)
+        p_min, p_max, count, first, last = reference_orbit_extremes(paper_within, spec, **kwargs)
+        assert any(s.oscillatory for s in samples)
+        for j, s in enumerate(samples):
+            assert (s.p_min, s.p_max, s.n_maxima) == (p_min[j], p_max[j], count[j])
+            if s.period is not None:
+                assert s.period == (last[j] - first[j]) / (count[j] - 1)
+
+
 class TestExports:
     def test_branch_csv_shape_and_round_trip(self, paper_within, tmp_path):
         res = bif.sweep_branch(paper_within, delta_sweep(n=12, lo=0.2, hi=0.4))

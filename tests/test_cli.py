@@ -119,6 +119,25 @@ class TestExitCodes:
         assert "no nontrivial equilibrium" in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
+    def test_horizon_shorter_than_one_step_returns_two(self, tmp_path, capsys, command):
+        doc = sim_doc()
+        doc["run"]["t_max"] = 0.01  # dt is 0.04: the run would take no steps
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        assert "run.t_max" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    def test_renewal_check_with_recovered_return_returns_two(self, tmp_path, capsys):
+        doc = sim_doc()
+        doc["between_host"]["rho"] = 0.1
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["renewal-check", "--config", config, "--out", str(out)]) == 2
+        assert "requires rho = 0" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
     def test_unknown_subcommand_is_a_parser_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate", "--out", str(tmp_path / "out")])

@@ -12,12 +12,14 @@ from immunoepi.numerics import (
     QuadratureSpec,
     RootBracket,
     StepLimitError,
-    continue_branch,
-    fd_jacobian,
     find_root,
     integrate_ode,
     quadrature,
 )
+from immunoepi.numerics import _dp45_step
+from immunoepi.within_host import WithinHostParams, vector_field
+
+from conftest import random_within
 
 
 def decay(t, y):
@@ -71,6 +73,61 @@ class TestIntegrateOde:
             IntegratorSpec(method="rk4")
         with pytest.raises(ValueError):
             IntegratorSpec(method="leapfrog")
+
+
+# Dormand-Prince 5(4) tableau and the stage loop the explicit step replaced;
+# the explicit stages must reproduce it bit for bit.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+
+
+def reference_dp45_step(rhs, t, y, h, k1=None):
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = [None] * 7
+        k[0] = rhs(t, y) if k1 is None else k1
+        for i in range(1, 7):
+            yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
+            k[i] = rhs(t + _DP_C[i] * h, yi)
+        y5 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
+        y4 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B4) if b != 0.0)
+        return y5, y5 - y4, k[6]
+
+
+class TestDormandPrinceStep:
+    def test_explicit_stages_match_the_tableau_loop_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            rhs = vector_field(random_within(rng))
+            y = rng.uniform(0.0, 3.0, size=3)
+            t = float(rng.uniform(0.0, 100.0))
+            h = float(10.0 ** rng.uniform(-4.0, 1.0))
+            k1 = rhs(t, y) if rng.random() < 0.5 else None
+            got = _dp45_step(rhs, t, y, h, k1)
+            want = reference_dp45_step(rhs, t, y, h, k1)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_overflowing_trial_step_matches_the_tableau_loop(self):
+        # a huge step overflows the stages; inf and nan must land alike
+        rhs = vector_field(WithinHostParams(Lambda=1.0, mu=0.1, alpha=1.0, gamma=0.5, delta=0.3))
+        y = np.array([5.0, 40.0, 0.0])
+        got = _dp45_step(rhs, 0.0, y, 50.0)
+        want = reference_dp45_step(rhs, 0.0, y, 50.0)
+        assert not np.all(np.isfinite(got[0]))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestQuadrature:
@@ -136,56 +193,3 @@ class TestFindRoot:
         root = find_root(lambda x: scale * (x - shift), RootBracket(-1.0, 1.0))
         assert -1.0 <= root <= 1.0
         assert root == pytest.approx(shift, abs=1e-9)
-
-
-class TestContinuation:
-    def test_fold_normal_form(self):
-        # x^2 - p = 0 from (1, 1) toward p = 0 turns at the origin
-        result = continue_branch(
-            lambda x, p: np.array([x[0] * x[0] - p]), [1.0], (1.0, 0.0), n_steps=50
-        )
-        assert result.folds, "turning point was not detected"
-        assert abs(result.folds[0].p) < 1e-6
-
-    def test_straight_branch_has_no_folds(self):
-        result = continue_branch(
-            lambda x, p: np.array([x[0] - p]), [1.0], (1.0, 2.0), n_steps=20
-        )
-        assert not result.folds
-        ps = [pt.p for pt in result.points]
-        xs = [pt.x[0] for pt in result.points]
-        assert np.allclose(ps, xs, atol=1e-9)
-
-    def test_fast_system_fold_location(self, paper_within):
-        # equilibrium pathogen branch over the clearance-rate parameter:
-        # the turning point is the known fold at delta ~ 1.20127 (W frozen at 0.9)
-        import immunoepi.within_host as wh
-
-        W = 0.9
-
-        def F(x, delta):
-            params = WithinHostParamsReplace(paper_within, delta=delta)
-            return wh.fast_rhs((x[0], x[1]), params, W)
-
-        eq = wh.equilibria_fast(paper_within, W)
-        x0 = list(eq.upper)
-        result = continue_branch(F, x0, (0.3, 1.4), n_steps=200)
-        assert result.folds
-        # finite-difference det refinement; the sharp locus check lives in
-        # the dedicated sweep module
-        assert result.folds[0].p == pytest.approx(1.201265366760211, abs=5e-4)
-
-    def test_fd_jacobian_matches_analytic(self):
-        def F(x):
-            return np.array([x[0] ** 2 + x[1], 3.0 * x[0] - x[1] ** 3])
-
-        x = np.array([1.3, -0.4])
-        J = fd_jacobian(F, x)
-        expected = np.array([[2.6, 1.0], [3.0, -3.0 * 0.16]])
-        assert np.allclose(J, expected, atol=1e-6)
-
-
-def WithinHostParamsReplace(params, **changes):
-    from dataclasses import replace
-
-    return replace(params, **changes)

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import immunoepi.within_host as wh
-from immunoepi.numerics import IntegratorSpec, RootBracket, find_root
+from immunoepi.numerics import IntegratorSpec, RootBracket, find_root, integrate_ode
 
 from conftest import REFERENCE_WITHIN, random_within
 
@@ -325,6 +325,73 @@ class TestSimulateInfection:
         assert lines[0] == "t,T,P,W"
         first = [float(x) for x in lines[1].split(",")]
         assert first == [0.0, 0.5, 0.9, 0.0]
+
+
+class TestClearedBranch:
+    SLOW = dict(Lambda=4.0, mu=2.0, alpha=4.0, gamma=1.2, delta=1.2,
+                epsilon=0.001, kappa=1.0, c=0.3)
+
+    @pytest.mark.parametrize("rates", [REFERENCE_WITHIN, SLOW])
+    def test_closed_form_matches_integration_of_the_zero_load_system(self, rates):
+        params = wh.WithinHostParams(**rates)
+        state0 = np.array([0.7, 0.0, 2.5])
+        t0, t_end = 3.0, 1503.0
+        t, states = wh._cleared_branch(params, t0, state0, t_end)
+        spec = IntegratorSpec(rel_tol=1e-12, abs_tol=1e-14)
+        y, t_prev = state0, t0
+        for t_k, expected in zip(t, states):
+            y = integrate_ode(wh.vector_field(params), y, (t_prev, t_k), spec).final_state
+            t_prev = t_k
+            assert y[1] == 0.0
+            assert np.allclose(expected, y, rtol=1e-9, atol=0.0)
+
+    def test_tail_ends_at_t_max_with_no_pathogen(self, paper_within):
+        t_max = 200.0
+        run = wh.simulate_infection(
+            paper_within, wh.WithinHostState(1.0, 0.5, W_FOLD_REF + 0.5), t_max
+        )
+        tail = run.t > run.recovery_time
+        assert np.count_nonzero(tail) == wh.CLEARED_BRANCH_SAMPLES
+        assert run.t[-1] == t_max
+        assert np.all(np.diff(run.t) > 0.0)
+        assert np.all(run.P[tail] == 0.0)
+        # the infected phase ends on the event sample itself
+        assert run.t[~tail][-1] == run.recovery_time
+        assert np.array_equal(run.states[~tail][-1], run.recovery_state)
+
+    def test_clearing_run_integrates_the_infected_phase_only(self, paper_within, monkeypatch):
+        calls = []
+        integrate = wh.integrate_ode
+
+        def counting(*a, **kw):
+            calls.append(a[2])
+            return integrate(*a, **kw)
+
+        monkeypatch.setattr(wh, "integrate_ode", counting)
+        run = wh.simulate_infection(
+            paper_within, wh.WithinHostState(1.0, 0.5, W_FOLD_REF + 0.5), 200.0
+        )
+        assert run.recovery_time is not None
+        assert calls == [(0.0, 200.0)]
+
+    def test_zero_load_runs_on_the_same_closed_form(self, paper_within, monkeypatch):
+        calls = []
+        branch = wh._cleared_branch
+
+        def spy(params, t0, state0, t_end):
+            calls.append((t0, tuple(state0), t_end))
+            return branch(params, t0, state0, t_end)
+
+        def no_integration(*a, **kw):
+            raise AssertionError("the P = 0 branch is not integrated")
+
+        monkeypatch.setattr(wh, "_cleared_branch", spy)
+        monkeypatch.setattr(wh, "integrate_ode", no_integration)
+        run = wh.simulate_infection(paper_within, wh.WithinHostState(2.0, 0.0, 1.0), 400.0)
+        assert calls == [(0.0, (2.0, 0.0, 1.0), 400.0)]
+        assert run.t.size == wh.CLEARED_BRANCH_SAMPLES + 1
+        assert run.t[0] == 0.0 and run.t[-1] == 400.0
+        assert list(run.states[0]) == [2.0, 0.0, 1.0]
 
 
 class TestSlowFastConsistency:
