@@ -45,12 +45,12 @@ def main() -> int:
 
         summary = run("spectral", config, root / scenario / "spectral")
         lam = summary["lambda_hat"]
-        lam_text = f"{lam:.6f}" if lam is not None else f"none ({summary['note']})"
+        lam_text = f"{lam:.6f}" if lam is not None else f"none ({summary['lambda_hat_note']})"
         print(f"{scenario}: infection-free growth rate = {lam_text}, "
               f"endemic scan roots = {summary.get('endemic_scan_roots', [])}")
 
         summary = run("equilibria", config, root / scenario / "equilibria")
-        endemic = summary["endemic"]
+        endemic = summary.get("endemic")
         if endemic is None:
             print(f"{scenario}: no endemic state (R0 <= 1)")
         else:

@@ -37,6 +37,8 @@ from .numerics import (
     RootBracket,
     find_root,
     quadrature,
+    rk4_step,
+    simpson_coefficients,
 )
 
 __all__ = [
@@ -238,22 +240,13 @@ def survival_pi(omega, params: BetweenHostParams, quad: QuadratureSpec | None = 
 
 
 def _cumulative_ratio(params: BetweenHostParams, uppers: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """int_0^u mu2/g for each u, one vectorized Simpson/trapezoid pass per row."""
+    """int_0^u mu2/g for each u, one vectorized Simpson pass per row."""
     uppers = np.asarray(uppers, dtype=float)
     n = quad.n
     unit = np.linspace(0.0, 1.0, n + 1)
     nodes = np.outer(uppers, unit)
     vals = params.mu2(nodes) / params.g(nodes)
-    if quad.rule == "simpson":
-        coeff = np.ones(n + 1)
-        coeff[1:-1:2] = 4.0
-        coeff[2:-1:2] = 2.0
-        scale = uppers / (3.0 * n)
-    else:
-        coeff = np.ones(n + 1)
-        coeff[0] = coeff[-1] = 0.5
-        scale = uppers / n
-    return (vals * coeff).sum(axis=1) * scale
+    return (vals * simpson_coefficients(n)).sum(axis=1) * (uppers / (3.0 * n))
 
 
 def _transmission_table(
@@ -291,15 +284,9 @@ def _transmission_integrals(
 
 
 def _apply_rule(values: np.ndarray, length: float, quad: QuadratureSpec) -> float:
+    """Simpson sum of node values spread evenly over [0, length]."""
     n = quad.n
-    if quad.rule == "simpson":
-        coeff = np.ones(n + 1)
-        coeff[1:-1:2] = 4.0
-        coeff[2:-1:2] = 2.0
-        return float(np.dot(values, coeff) * length / (3.0 * n))
-    coeff = np.ones(n + 1)
-    coeff[0] = coeff[-1] = 0.5
-    return float(np.dot(values, coeff) * length / n)
+    return float(np.dot(values, simpson_coefficients(n)) * length / (3.0 * n))
 
 
 def dfe_char_G(
@@ -620,7 +607,7 @@ def simulate_epidemic(
         outflux = g_end * density[-1]
 
         # scalar pools: RK4 with the I-coupling frozen over the step
-        def scalar_rhs(y):
+        def scalar_rhs(t, y):
             s, v, b = y
             ds = params.r - params.mu1 * s - s * (params.beta_h * direct_now + params.beta_e * b) + params.rho * v
             dv = outflux - (params.rho + params.mu3) * v
@@ -628,11 +615,7 @@ def simulate_epidemic(
             return np.array([ds, dv, db])
 
         y = np.array([s_now, v_now, b_now])
-        k1 = scalar_rhs(y)
-        k2 = scalar_rhs(y + 0.5 * dt * k1)
-        k3 = scalar_rhs(y + 0.5 * dt * k2)
-        k4 = scalar_rhs(y + dt * k3)
-        s_new, v_new, b_new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        s_new, v_new, b_new = rk4_step(scalar_rhs, t_now, y, dt)
 
         # upwind transport then exact removal decay
         np.multiply(g_vals, density, out=flux)
@@ -759,7 +742,7 @@ def kernel_total_integral(
     quadrature order. At the endemic state S* times this integral is 1,
     up to the exponential age-cap truncation.
     """
-    quad = quad or QuadratureSpec(rule="simpson", n=256)
+    quad = quad or QuadratureSpec(n=256)
     clock = clock or build_clock(params)
     total = clock.total_time
     value = 0.0

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import within_host as wh
-from .numerics import BracketError, RootBracket, find_root
+from .numerics import BracketError, RootBracket, find_root, rk4_step
 
 __all__ = [
     "SweepSpec",
@@ -39,6 +39,10 @@ __all__ = [
 CYCLE_AMPLITUDE_TOL = 1e-4
 # Periods beyond this flag an approach to the homoclinic collision.
 HOMOCLINIC_PERIOD = 1e3
+# Cycle sampling: transient and sampling-window lengths and the RK4 step.
+CYCLE_TRANSIENT = 400.0
+CYCLE_WINDOW = 400.0
+CYCLE_STEP = 0.02
 
 
 @dataclass(frozen=True)
@@ -288,25 +292,13 @@ def detect_all_events(result: SweepResult) -> list[BifurcationEvent]:
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(rhs, T, P, h):
-    """One classic RK4 step of a planar field over a batch of orbits."""
-    kT1, kP1 = rhs(T, P)
-    kT2, kP2 = rhs(T + 0.5 * h * kT1, P + 0.5 * h * kP1)
-    kT3, kP3 = rhs(T + 0.5 * h * kT2, P + 0.5 * h * kP2)
-    kT4, kP4 = rhs(T + h * kT3, P + h * kP3)
-    return (
-        T + (h / 6.0) * (kT1 + 2.0 * kT2 + 2.0 * kT3 + kT4),
-        P + (h / 6.0) * (kP1 + 2.0 * kP2 + 2.0 * kP3 + kP4),
-    )
-
-
 def cycle_amplitude(
     params: wh.WithinHostParams,
     spec: SweepSpec,
     *,
-    transient: float = 400.0,
-    window: float = 400.0,
-    step: float = 0.02,
+    transient: float = CYCLE_TRANSIENT,
+    window: float = CYCLE_WINDOW,
+    step: float = CYCLE_STEP,
     collapse_level: float = 1e-6,
 ) -> list[CycleSample]:
     """Sample the frozen-W fast flow at each sweep value.
@@ -314,7 +306,8 @@ def cycle_amplitude(
     Orbits start slightly off the upper equilibrium (5% in P), run past the
     transient window, then min/max P, strict local maxima, and the mean
     maximum-to-maximum period are recorded over the sampling window. All
-    sweep values are integrated together with a batched fixed-step RK4.
+    sweep values are integrated together as one (2, m) state of (T, P)
+    rows, advanced by fixed RK4 steps.
     """
     values = spec.values()
     rows: list[tuple[float, float, float, float]] = []  # value, Gamma, T0, P0
@@ -328,25 +321,26 @@ def cycle_amplitude(
         rows.append((float(value), p.gamma_eff(W), T0, P0))
 
     Gam = np.array([r[1] for r in rows])
-    T = np.array([r[2] for r in rows])
-    P = np.array([r[3] for r in rows])
+    y = np.array([[r[2] for r in rows], [r[3] for r in rows]])
     lam, mu, a = params.Lambda, params.mu, params.alpha
 
-    def rhs(T, P):
+    def rhs(t, y):
+        T, P = y[0], y[1]
         infection = a * P * P * T
-        return lam - mu * T - infection, infection - Gam * P
+        return np.array((lam - mu * T - infection, infection - Gam * P))
 
     for _ in range(int(round(transient / step))):
-        T, P = _rk4_step(rhs, T, P, step)
+        y = rk4_step(rhs, 0.0, y, step)
 
     n_steps = int(round(window / step))
     m = len(rows)
-    p_min = p_max = prev2 = prev1 = P
+    p_min = p_max = prev2 = prev1 = y[1]
     max_count = np.zeros(m, dtype=int)
     first_max_t = np.full(m, np.nan)
     last_max_t = np.full(m, np.nan)
     for i in range(n_steps):
-        T, P = _rk4_step(rhs, T, P, step)
+        y = rk4_step(rhs, 0.0, y, step)
+        P = y[1]
         p_min = np.minimum(p_min, P)
         p_max = np.maximum(p_max, P)
         if i >= 2:

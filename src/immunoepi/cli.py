@@ -45,7 +45,7 @@ log = logging.getLogger("immunoepi")
 
 SPECTRAL_SCAN_MAX = 50.0
 SPECTRAL_SCAN_STEP = 1e-2
-QUAD_DEFAULT = QuadratureSpec(rule="simpson", n=64)
+QUAD_DEFAULT = QuadratureSpec(n=64)
 
 
 @dataclass
@@ -125,7 +125,7 @@ def _between_echo(cfg: ScenarioConfig) -> dict:
             name: {"family": fn.family, **_jsonable(fn.describe)}
             for name, fn in (("mu2", p.mu2), ("xi", p.xi), ("P", p.P), ("g", p.g))
         },
-        "quadrature": {"rule": QUAD_DEFAULT.rule, "n": QUAD_DEFAULT.n},
+        "quadrature": {"rule": "simpson", "n": QUAD_DEFAULT.n},
     }
 
 
@@ -200,9 +200,9 @@ def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         },
         "defaults": {
             "cycle_n": cfg.cycle_n,
-            "cycle_transient": 400.0,
-            "cycle_window": 400.0,
-            "cycle_step": 0.02,
+            "cycle_transient": bifurcation.CYCLE_TRANSIENT,
+            "cycle_window": bifurcation.CYCLE_WINDOW,
+            "cycle_step": bifurcation.CYCLE_STEP,
         },
         "parameters": _within_echo(cfg),
         "events": bifurcation.events_to_json(events),
@@ -294,14 +294,25 @@ def _apply_refine(cfg: ScenarioConfig, k: int) -> tuple[int, float]:
     return n_omega, dt
 
 
+def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **strides) -> between_host.EpidemicRun:
+    """Transport run on the refined grid; a grid the solver refuses (the CFL
+    bound on its own nodes) is a configuration error."""
+    s0, i0, v0, b0 = cfg.initial_state_arrays(n_omega)
+    initial = between_host.StructuredState(S=s0, I=i0, V=v0, B=b0)
+    try:
+        return between_host.simulate_epidemic(
+            cfg.between, initial, cfg.t_max, n_omega, dt, **strides
+        )
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
+
+
 def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     cfg.require("between_host", "grid", "run")
     params = cfg.between
     n_omega, dt = _apply_refine(cfg, max(args.grid_refine, 1))
-    s0, i0, v0, b0 = cfg.initial_state_arrays(n_omega)
-    initial = between_host.StructuredState(S=s0, I=i0, V=v0, B=b0)
-    run_rec = between_host.simulate_epidemic(
-        params, initial, cfg.t_max, n_omega, dt,
+    run_rec = _transport(
+        cfg, n_omega, dt,
         output_stride=cfg.output_stride,
         snapshot_stride=cfg.snapshot_stride,
     )
@@ -383,15 +394,11 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     steps = max(int(round(window / dt)), 1)
     dt_renewal = window / steps
 
-    s0, i0, v0, b0 = cfg.initial_state_arrays(n_omega)
-    initial = between_host.StructuredState(S=s0, I=i0, V=v0, B=b0)
-    pde = between_host.simulate_epidemic(
-        params, initial, cfg.t_max, n_omega, dt, output_stride=1
-    )
+    pde = _transport(cfg, n_omega, dt, output_stride=1)
     renewal = between_host.simulate_renewal(
         params,
         _matched_history(cfg, clock),
-        s0,
+        cfg.initial_S,
         cfg.t_max,
         dt_renewal,
         quad=QUAD_DEFAULT,

@@ -312,8 +312,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     Resolution order matters: the within-host section is parsed first so
     derived coefficient families and the 'fold' recovery status can refer
-    to it. When both a grid and the population model are present the CFL
-    bound is checked here, before any run starts.
+    to it. The grid's CFL bound is not checked here: it depends on the
+    refinement, so the transport solver checks it on its own nodes.
     """
     path = Path(path)
     try:
@@ -339,13 +339,4 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         _parse_grid(_require_mapping(raw["grid"], "grid"), cfg)
     if "run" in raw:
         _parse_run(_require_mapping(raw["run"], "run"), cfg)
-    if cfg.between is not None and cfg.n_omega is not None and cfg.dt is not None:
-        step_w = cfg.between.omega0 / cfg.n_omega
-        probe = np.linspace(0.0, cfg.between.omega0, 4 * cfg.n_omega + 1)
-        g_max = float(np.max(cfg.between.g(probe)))
-        if cfg.dt * g_max > step_w * (1.0 + 1e-12):
-            raise ConfigError(
-                f"grid: CFL violation, dt*max(g) = {cfg.dt * g_max:.6g} exceeds "
-                f"domega = {step_w:.6g}"
-            )
     return cfg

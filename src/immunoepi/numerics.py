@@ -1,18 +1,22 @@
 """Shared numerical kernel: ODE integration, quadrature, root finding.
 
 Everything downstream (within-host simulation, bifurcation sweeps, the
-structured epidemic solver) is built on the three operations in this module:
+structured epidemic solver) is built on the operations in this module:
 
-* ``integrate_ode`` -- fixed-step classic RK4 or an adaptive embedded
-  Dormand-Prince 5(4) pair, with optional scalar event localization by
-  bisection on the bracketing step.
-* ``quadrature`` -- composite trapezoid / Simpson rules over [a, b].
+* ``integrate_ode`` -- adaptive embedded Dormand-Prince 5(4) pair, with
+  optional scalar event localization by bisection on the bracketing step.
+* ``rk4_step`` -- one classic RK4 step; the event localizer, the batched
+  cycle sampler and the epidemic solver's scalar pools all take it.
+* ``quadrature`` -- composite Simpson rule over [a, b]; its 1, 4, 2, ...,
+  4, 1 coefficients (``simpson_coefficients``) also weight the epidemic
+  model's transmission integrals.
 * ``find_root`` -- bracketed scalar root solve (Brent) with explicit
   bracket validation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,13 +33,17 @@ __all__ = [
     "RootBracket",
     "Trajectory",
     "integrate_ode",
+    "rk4_step",
     "quadrature",
     "quadrature_nodes",
+    "simpson_coefficients",
     "find_root",
 ]
 
 # Event times are bisected to this relative tolerance on the bracketing step.
 EVENT_RELATIVE_TOL = 1e-10
+# Step budget of one integrate_ode call, rejected steps included.
+MAX_STEPS = 1_000_000
 
 
 class NumericsError(Exception):
@@ -67,47 +75,31 @@ class ConvergenceError(NumericsError):
 class IntegratorSpec:
     """Configuration for ``integrate_ode``.
 
-    method "rk4" takes fixed steps of size ``step``; "adaptive" uses an
-    embedded 5(4) pair controlled by ``rel_tol``/``abs_tol``. ``max_step``
-    caps the adaptive step so output stays dense enough to resolve
+    The embedded 5(4) pair is controlled by ``rel_tol``/``abs_tol``.
+    ``max_step`` caps the step so output stays dense enough to resolve
     oscillations when the caller needs that.
     """
 
-    method: str = "adaptive"
-    step: float | None = None
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_steps: int = 1_000_000
     max_step: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk4", "adaptive"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.method == "rk4":
-            if self.step is None or not self.step > 0:
-                raise ValueError("fixed-step integration requires step > 0")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
         if self.max_step is not None and not self.max_step > 0:
             raise ValueError("max_step must be positive when given")
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite quadrature rule: ``rule`` in {"trapezoid", "simpson"}, ``n`` panels."""
+    """Composite Simpson rule on ``n`` panels (even, at least 2)."""
 
-    rule: str = "simpson"
     n: int = 64
 
     def __post_init__(self) -> None:
-        if self.rule not in ("trapezoid", "simpson"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-        if self.n < 1:
-            raise ValueError("panel count must be >= 1")
-        if self.rule == "simpson" and self.n % 2 != 0:
-            raise ValueError("Simpson rule requires an even panel count")
+        if self.n < 2 or self.n % 2 != 0:
+            raise ValueError(f"Simpson rule requires an even panel count >= 2, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -141,13 +133,18 @@ class Trajectory:
         return self.y[-1]
 
 
-def _rk4_step(rhs, t, y, h):
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(rhs, t, y, h):
+    """One classic RK4 step of ``y' = rhs(t, y)`` from t to t + h.
+
+    Every operation is elementwise, so ``y`` may stack any number of
+    independent states (a batch of orbits, say) as long as ``rhs`` returns
+    an array of the same shape.
+    """
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # Dormand-Prince 5(4) tableau as Python floats: _A<i><j> weights stage j in
@@ -199,7 +196,7 @@ def _substepped(rhs, t_lo, y_lo, dt, pieces=8):
     h = dt / pieces
     y = y_lo
     for k in range(pieces):
-        y = _rk4_step(rhs, t_lo + k * h, y, h)
+        y = rk4_step(rhs, t_lo + k * h, y, h)
     return y
 
 
@@ -237,10 +234,11 @@ def integrate_ode(
 ) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` over ``t_span``, stopping at an event zero.
 
-    The event, when given, is a scalar function of (t, y); integration stops
-    at its first sign change, localized by bisection on the bracketing step.
-    Raises NonFiniteError if the state leaves the finite range and
-    StepLimitError if ``spec.max_steps`` is exhausted.
+    ``rhs`` must return a float ndarray shaped like ``y``. The event, when
+    given, is a scalar function of (t, y); integration stops at its first
+    sign change, localized by bisection on the bracketing step. Raises
+    NonFiniteError if the state leaves the finite range and StepLimitError
+    after MAX_STEPS steps.
     """
     spec = spec or IntegratorSpec()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -254,51 +252,18 @@ def integrate_ode(
     ys = [y.copy()]
     e_prev = event(t0, y) if event is not None else None
 
-    def wrapped(t, state):
-        out = np.asarray(rhs(t, state), dtype=float)
-        return out
-
-    def check_finite(state):
-        if not np.all(np.isfinite(state)):
-            raise NonFiniteError(f"non-finite state at t={ts[-1]:.6g}")
-
     t = t0
-    if spec.method == "rk4":
-        h = spec.step
-        steps = 0
-        while t < t1 - 1e-14 * max(1.0, abs(t1)):
-            if steps >= spec.max_steps:
-                raise StepLimitError(f"exceeded {spec.max_steps} steps")
-            h_eff = min(h, t1 - t)
-            y_new = _rk4_step(wrapped, t, y, h_eff)
-            check_finite(y_new)
-            t_new = t + h_eff
-            if event is not None:
-                e_new = event(t_new, y_new)
-                if _crossed(e_prev, e_new):
-                    t_ev, y_ev = _locate_event(wrapped, event, t, y, t_new, e_prev, e_new)
-                    ts.append(t_ev)
-                    ys.append(y_ev)
-                    return Trajectory(np.array(ts), np.array(ys), t_ev, y_ev)
-                e_prev = e_new
-            t, y = t_new, y_new
-            ts.append(t)
-            ys.append(y.copy())
-            steps += 1
-        return Trajectory(np.array(ts), np.array(ys))
-
-    # adaptive embedded pair
     h = (t1 - t0) / 100.0
     if spec.max_step is not None:
         h = min(h, spec.max_step)
     k_carry = None
     steps = 0
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        if steps >= spec.max_steps:
-            raise StepLimitError(f"exceeded {spec.max_steps} steps")
+        if steps >= MAX_STEPS:
+            raise StepLimitError(f"exceeded {MAX_STEPS} steps")
         steps += 1
         h = min(h, t1 - t)
-        y_new, err, k_last = _dp45_step(wrapped, t, y, h, k_carry)
+        y_new, err, k_last = _dp45_step(rhs, t, y, h, k_carry)
         if not np.all(np.isfinite(y_new)):
             h *= 0.5
             k_carry = None
@@ -317,7 +282,7 @@ def integrate_ode(
             if event is not None:
                 e_new = event(t_new, y_new)
                 if _crossed(e_prev, e_new):
-                    t_ev, y_ev = _locate_event(wrapped, event, t, y, t_new, e_prev, e_new)
+                    t_ev, y_ev = _locate_event(rhs, event, t, y, t_new, e_prev, e_new)
                     ts.append(t_ev)
                     ys.append(y_ev)
                     return Trajectory(np.array(ts), np.array(ys), t_ev, y_ev)
@@ -348,20 +313,25 @@ def _crossed(e_prev, e_new):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def simpson_coefficients(n: int) -> np.ndarray:
+    """Composite Simpson coefficients 1, 4, 2, ..., 2, 4, 1 on n panels.
+
+    The weights on a panel of width h are these times h/3. The array is
+    cached per n and shared, so it is read-only.
+    """
+    coeff = np.ones(n + 1)
+    coeff[1:-1:2] = 4.0
+    coeff[2:-1:2] = 2.0
+    coeff.flags.writeable = False
+    return coeff
+
+
 def quadrature_nodes(a: float, b: float, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule on [a, b]."""
-    n = spec.n
-    nodes = np.linspace(a, b, n + 1)
-    h = (b - a) / n
-    if spec.rule == "trapezoid":
-        w = np.full(n + 1, h)
-        w[0] = w[-1] = 0.5 * h
-    else:
-        w = np.empty(n + 1)
-        w[0] = w[-1] = h / 3.0
-        w[1:-1:2] = 4.0 * h / 3.0
-        w[2:-1:2] = 2.0 * h / 3.0
-    return nodes, w
+    """Nodes and weights of the composite Simpson rule on [a, b]."""
+    nodes = np.linspace(a, b, spec.n + 1)
+    h = (b - a) / spec.n
+    return nodes, simpson_coefficients(spec.n) * (h / 3.0)
 
 
 def quadrature(

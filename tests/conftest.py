@@ -65,7 +65,7 @@ def matched_params() -> BetweenHostParams:
 
 @pytest.fixture
 def quad64() -> QuadratureSpec:
-    return QuadratureSpec(rule="simpson", n=64)
+    return QuadratureSpec(n=64)
 
 
 def random_within(rng: np.random.Generator) -> WithinHostParams:

@@ -179,7 +179,7 @@ def test_clearance_is_finite_and_scales_with_the_slow_rate():
 
 
 def test_reproduction_number_matches_closed_forms():
-    quad = QuadratureSpec(rule="simpson", n=64)
+    quad = QuadratureSpec(n=64)
     direct = make_between(0.2, 0.0)
     env = make_between(0.2, 0.05)
     err_direct = abs(bh.r0(direct, quad) - R0_DIRECT_CLOSED)

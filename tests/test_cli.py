@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, and output formats."""
 
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from immunoepi import between_host, cli
+from immunoepi import between_host, bifurcation, cli
 from immunoepi.config import load_scenario
 from immunoepi.numerics import NumericsError
 
@@ -150,6 +151,53 @@ class TestExitCodes:
         assert "immunoepi" in capsys.readouterr().out
 
 
+def peaked_speed_doc():
+    """Speed 1 except a peak of 1.5 at omega = 0.0125: the CFL bound holds on
+    the base grid (domega 0.1, dt 0.096) and 4x refinement, whose nodes step
+    over the peak, and breaks at 8x refinement, which lands a node on it."""
+    doc = sim_doc()
+    doc["between_host"]["omega0"] = 1.0
+    doc["functions"]["g"] = {
+        "family": "table", "omega": [0.0, 0.0125, 0.025, 1.0], "value": [1.0, 1.5, 1.0, 1.0],
+    }
+    doc["grid"] = {"n_omega": 10, "dt": 0.096}
+    doc["run"].update(t_max=0.192, output_stride=1, snapshot_stride=0)
+    return doc
+
+
+class TestCourantBound:
+    """The transport solver checks the CFL bound on its own (refined) grid;
+    subcommands that never build that grid ignore it."""
+
+    @pytest.mark.parametrize("command", ["r0", "equilibria", "spectral"])
+    def test_gridless_subcommands_ignore_the_transport_grid(self, tmp_path, command):
+        doc = sim_doc()
+        doc["grid"]["dt"] = 0.2  # domega = 0.1 with speed 1
+        config = write_config(tmp_path, doc)
+        assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
+    def test_violation_returns_two_and_writes_nothing(self, tmp_path, capsys, command):
+        doc = sim_doc()
+        doc["grid"]["dt"] = 0.2
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        assert "CFL violation" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
+    def test_violation_on_the_refined_grid_returns_two(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, peaked_speed_doc())
+        for k in ("1", "4"):
+            out = tmp_path / f"refine{k}"
+            assert cli.main([command, "--config", config, "--out", str(out), "--grid-refine", k]) == 0
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out), "--grid-refine", "8"]) == 2
+        assert "CFL violation" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+
 class TestSummaryAndManifest:
     def test_reproduction_number_summary(self, tmp_path):
         config = write_config(tmp_path, bh_doc())
@@ -163,6 +211,19 @@ class TestSummaryAndManifest:
         assert summary["parameters"]["beta_h"] == 0.2
         assert summary["parameters"]["functions"]["g"]["family"] == "constant"
         assert summary["parameters"]["quadrature"] == {"rule": "simpson", "n": 64}
+
+    def test_cycle_defaults_echo_the_sampler_constants(self, tmp_path):
+        doc = json.loads((CONFIGS / "within_fig1.json").read_text())
+        doc["sweep"].update(n=20, cycle_n=2)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["bifurcate", "--config", config, "--out", str(out)]) == 0
+        defaults = read_summary(out)["defaults"]
+        echoed = (defaults["cycle_transient"], defaults["cycle_window"], defaults["cycle_step"])
+        constants = (bifurcation.CYCLE_TRANSIENT, bifurcation.CYCLE_WINDOW, bifurcation.CYCLE_STEP)
+        assert echoed == constants == (400.0, 400.0, 0.02)
+        signature = inspect.signature(bifurcation.cycle_amplitude).parameters
+        assert tuple(signature[k].default for k in ("transient", "window", "step")) == constants
 
     def test_arguments_are_echoed(self, tmp_path):
         config = write_config(tmp_path, bh_doc())

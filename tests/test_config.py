@@ -246,12 +246,6 @@ class TestSectionCoupling:
         cfg = load(tmp_path, doc)
         assert cfg.between.g(0.0) == pytest.approx(1.9486832980505138, abs=1e-12)
 
-    def test_courant_bound_checked_at_load_time(self, tmp_path):
-        doc = base_doc()
-        doc["grid"]["dt"] = 0.1  # domega = 0.05 with speed 1
-        with pytest.raises(ConfigError, match="CFL"):
-            load(tmp_path, doc)
-
 
 class TestScenarioAccessors:
     def test_require_names_the_missing_section(self, tmp_path):
