@@ -70,6 +70,8 @@ __all__ = [
 NEGATIVITY_ABORT = -1e-8
 POLE_GUARD = 1e-8
 CLOCK_NODES = 16384
+# delays per block of renewal-kernel Simpson rows
+KERNEL_BLOCK = 1024
 
 
 class TransportBlowupError(NumericsError):
@@ -120,7 +122,12 @@ class BetweenHostParams:
             fn = getattr(self, name)
             if not isinstance(fn, Coefficient):
                 raise TypeError(f"{name} must be a Coefficient, got {type(fn).__name__}")
-            vals = fn(probe)
+            nodes = probe
+            if fn.family == "table":
+                # piecewise linear: its knots inside [0, omega0] decide the sign exactly
+                knots = np.asarray(fn.describe["omega"])
+                nodes = np.union1d(probe, knots[(knots >= 0.0) & (knots <= self.omega0)])
+            vals = fn(nodes)
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"{name}(omega) is not finite on [0, omega0]")
             if name == "g":
@@ -180,7 +187,10 @@ class StatusClock:
 
     g > 0 makes G strictly increasing, so status <-> elapsed-time conversion
     is a monotone interpolation both ways. M is the accumulated removal
-    exposure along the same path.
+    exposure along the same path. The clock is the one source of G, M and
+    the survival density pi = exp(-M)/g: the reproduction number, both
+    characteristic equations, the endemic profile and the renewal kernel
+    all read them from here.
     """
 
     omega: np.ndarray
@@ -223,37 +233,33 @@ def build_clock(params: BetweenHostParams, n: int = CLOCK_NODES) -> StatusClock:
 # survival and threshold quantities
 
 
-def survival_pi(omega, params: BetweenHostParams, quad: QuadratureSpec | None = None):
-    """Status-survival density pi(omega) = (1/g)*exp(-int_0^omega mu2/g).
+def survival_pi(omega, params: BetweenHostParams, clock: StatusClock | None = None):
+    """Status-survival density pi(omega) = (1/g)*exp(-M(omega)), M from the clock.
 
     pi(omega) d omega is the chance an entrant is still infected while
     passing status omega, weighted by the time spent there. Accepts scalar
     or array omega in [0, omega0].
     """
-    quad = quad or QuadratureSpec()
+    clock = clock or build_clock(params)
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr < 0) or np.any(omega_arr > params.omega0 * (1 + 1e-12)):
         raise ValueError("omega must lie in [0, omega0]")
-    exponent = _cumulative_ratio(params, omega_arr, quad)
-    out = np.exp(-exponent) / params.g(omega_arr)
+    out = np.exp(-clock.decay_at(omega_arr)) / params.g(omega_arr)
     return float(out[0]) if np.ndim(omega) == 0 else out
-
-
-def _cumulative_ratio(params: BetweenHostParams, uppers: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """int_0^u mu2/g for each u, one vectorized Simpson pass per row."""
-    uppers = np.asarray(uppers, dtype=float)
-    n = quad.n
-    unit = np.linspace(0.0, 1.0, n + 1)
-    nodes = np.outer(uppers, unit)
-    vals = params.mu2(nodes) / params.g(nodes)
-    return (vals * simpson_coefficients(n)).sum(axis=1) * (uppers / (3.0 * n))
 
 
 def _transmission_table(
     params: BetweenHostParams, quad: QuadratureSpec, clock: StatusClock
 ) -> Callable[[float], tuple[float, float]]:
-    """(J_P, J_xi) of _transmission_integrals as a function of lam, with
-    the lam-independent node values (P/g, M, G, xi) tabulated once."""
+    """The two weighted status integrals behind every spectral quantity,
+    as a function of lam:
+
+      J_P  = int_0^omega0 P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
+      J_xi = int_0^omega0 xi(w)*P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
+
+    with G, M the clock integrals. The lam-independent node values (P/g,
+    M, G, xi) are tabulated once.
+    """
     nodes = np.linspace(0.0, params.omega0, quad.n + 1)
     p_over_g = params.P(nodes) / params.g(nodes)
     decay, elapsed, xi = clock.decay_at(nodes), clock.time_of(nodes), params.xi(nodes)
@@ -265,28 +271,34 @@ def _transmission_table(
     return integrals
 
 
-def _transmission_integrals(
-    params: BetweenHostParams,
-    lam: float,
-    quad: QuadratureSpec,
-    clock: StatusClock | None = None,
-) -> tuple[float, float]:
-    """The two weighted status integrals behind every spectral quantity.
+def _threshold_characteristic(
+    params: BetweenHostParams, quad: QuadratureSpec | None, clock: StatusClock | None = None
+) -> Callable[[float], tuple[float, float, float]]:
+    """G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)]
+    by route, from one transmission table.
 
-    Returns (J_P, J_xi) with
-      J_P  = int_0^omega0 P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
-      J_xi = int_0^omega0 xi(w)*P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
-    where G, M are the clock integrals. lam = 0 gives the generation
-    integrals that make up the reproduction number.
+    Returns lam -> (direct, environmental, J_xi); G is direct +
+    environmental, and J_xi is the shedding integral the endemic
+    reservoir needs.
     """
-    clock = clock or build_clock(params)
-    return _transmission_table(params, quad, clock)(lam)
+    integrals = _transmission_table(params, quad or QuadratureSpec(), clock or build_clock(params))
+    s0 = params.r / params.mu1
+
+    def routes(lam):
+        j_p, j_xi = integrals(lam)
+        direct = s0 * params.beta_h * j_p
+        environmental = s0 * params.beta_e / (lam + params.sigma) * j_xi if params.beta_e > 0 else 0.0
+        return direct, environmental, j_xi
+
+    return routes
 
 
-def _apply_rule(values: np.ndarray, length: float, quad: QuadratureSpec) -> float:
-    """Simpson sum of node values spread evenly over [0, length]."""
+def _apply_rule(values: np.ndarray, length, quad: QuadratureSpec):
+    """Simpson sum of node values spread evenly over [0, length]; a 2-D
+    block gives one sum per row, with one length per row."""
     n = quad.n
-    return float(np.dot(values, simpson_coefficients(n)) * length / (3.0 * n))
+    sums = np.dot(values, simpson_coefficients(n)) * length / (3.0 * n)
+    return sums if isinstance(sums, np.ndarray) else float(sums)
 
 
 def dfe_char_G(
@@ -304,13 +316,8 @@ def dfe_char_G(
     """
     if lam <= -params.sigma:
         raise ValueError(f"lam must exceed -sigma = {-params.sigma}")
-    quad = quad or QuadratureSpec()
-    j_p, j_xi = _transmission_integrals(params, lam, quad, clock)
-    s0 = params.r / params.mu1
-    value = s0 * params.beta_h * j_p
-    if params.beta_e > 0:
-        value += s0 * params.beta_e / (lam + params.sigma) * j_xi
-    return value
+    direct, environmental, _ = _threshold_characteristic(params, quad, clock)(lam)
+    return direct + environmental
 
 
 def r0(
@@ -329,11 +336,7 @@ def r0(
 
 def r0_terms(params: BetweenHostParams, quad: QuadratureSpec | None = None) -> tuple[float, float]:
     """(direct, environmental) additive parts of the reproduction number."""
-    quad = quad or QuadratureSpec()
-    j_p, j_xi = _transmission_integrals(params, 0.0, quad)
-    s0 = params.r / params.mu1
-    direct = s0 * params.beta_h * j_p
-    environmental = s0 * params.beta_e / params.sigma * j_xi if params.beta_e > 0 else 0.0
+    direct, environmental, _ = _threshold_characteristic(params, quad)(0.0)
     return direct, environmental
 
 
@@ -349,11 +352,11 @@ def dfe_lambda_hat(
     exists; its sign matches the sign of r0 - 1. Raises BracketError when
     G stays below 1 on the admissible interval (lam > -sigma).
     """
-    quad = quad or QuadratureSpec()
-    clock = clock or build_clock(params)
+    characteristic = _threshold_characteristic(params, quad, clock)
 
     def f(lam):
-        return dfe_char_G(lam, params, quad, clock) - 1.0
+        direct, environmental, _ = characteristic(lam)
+        return direct + environmental - 1.0
 
     at_zero = f(0.0)
     if at_zero == 0.0:
@@ -393,21 +396,21 @@ def endemic_equilibrium(
     infected profile is I*(omega) = I*(0)*g(0)*pi(omega) on a uniform
     grid of n_omega+1 nodes.
     """
-    quad = quad or QuadratureSpec()
-    j_p, j_xi = _transmission_integrals(params, 0.0, quad, clock)
-    s0 = params.r / params.mu1
-    basic = s0 * (params.beta_h * j_p + params.beta_e / params.sigma * j_xi)
+    clock = clock or build_clock(params)
+    direct, environmental, j_xi = _threshold_characteristic(params, quad, clock)(0.0)
+    basic = direct + environmental
     if basic <= 1.0:
         return None
     g0 = params.g(0.0)
-    pi_end = survival_pi(params.omega0, params, quad)
+    pi_end = survival_pi(params.omega0, params, clock)
     recycle = params.rho * params.g(params.omega0) * pi_end / (params.rho + params.mu3)
     i0 = params.r * (1.0 - 1.0 / basic) / (g0 * (1.0 - recycle))
     omega = np.linspace(0.0, params.omega0, n_omega + 1)
-    profile = i0 * g0 * survival_pi(omega, params, quad)
+    profile = i0 * g0 * survival_pi(omega, params, clock)
     b_star = i0 * g0 * j_xi / params.sigma
     v_star = params.g(params.omega0) * i0 * g0 * pi_end / (params.rho + params.mu3)
-    s_star = 1.0 / (params.beta_h * j_p + params.beta_e / params.sigma * j_xi)
+    # S* = 1/(beta_h*J_P + beta_e*J_xi/sigma) = (r/mu1)/R0
+    s_star = params.r / params.mu1 / basic
     return EndemicEquilibrium(
         S=s_star,
         omega=omega,
@@ -698,8 +701,7 @@ def renewal_kernel_A(
     if params.beta_h > 0 and np.any(direct):
         out[direct] = _kernel_direct(omega_arr[direct], params, clock)
     if params.beta_e > 0:
-        for i, theta in enumerate(omega_arr):
-            out[i] += _kernel_env(theta, params, quad, clock)
+        out += _kernel_env(omega_arr, params, quad, clock)
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
@@ -709,25 +711,31 @@ def _kernel_direct(theta, params: BetweenHostParams, clock: StatusClock) -> np.n
     return params.beta_h * params.P(w_here) * np.exp(-clock.decay_at(w_here))
 
 
-def _kernel_env(theta: float, params: BetweenHostParams, quad: QuadratureSpec, clock: StatusClock) -> float:
-    """Environmental-route kernel value at one delay theta."""
-    lo = max(0.0, theta - clock.total_time)
-    hi = min(params.a_bar, theta)
-    if hi <= lo:
-        return 0.0
+def _kernel_env(
+    theta: np.ndarray, params: BetweenHostParams, quad: QuadratureSpec, clock: StatusClock
+) -> np.ndarray:
+    """Environmental-route kernel values at a 1-d array of delays theta.
 
-    def integrand(a):
-        ages = np.asarray(a, dtype=float)
-        w = clock.status_at(theta - ages)
-        return (
+    Each delay is one Simpson row over its age interval; rows go through
+    the rule in blocks of KERNEL_BLOCK delays to bound the temporaries.
+    """
+    lo = np.maximum(0.0, theta - clock.total_time)
+    hi = np.minimum(params.a_bar, theta)
+    out = np.zeros_like(theta)
+    rows = np.flatnonzero(hi > lo)
+    for start in range(0, rows.size, KERNEL_BLOCK):
+        block = rows[start : start + KERNEL_BLOCK]
+        ages = np.linspace(lo[block], hi[block], quad.n + 1, axis=1)
+        w = clock.status_at(theta[block, None] - ages)
+        values = (
             params.beta_e
             * np.exp(-params.sigma * ages)
             * params.xi(w)
             * params.P(w)
             * np.exp(-clock.decay_at(w))
         )
-
-    return quadrature(integrand, lo, hi, quad)
+        out[block] = _apply_rule(values, hi[block] - lo[block], quad)
+    return out
 
 
 def kernel_total_integral(
@@ -755,14 +763,8 @@ def kernel_total_integral(
         # integration limits switch; integrate each smooth piece separately
         cuts = sorted({0.0, min(total, params.a_bar), max(total, params.a_bar), params.a_bar + total})
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi <= lo:
-                continue
-
-            def piece(theta):
-                flat = np.asarray(theta, dtype=float).ravel()
-                return np.array([_kernel_env(x, params, quad, clock) for x in flat])
-
-            value += quadrature(piece, lo, hi, quad)
+            if hi > lo:
+                value += quadrature(lambda theta: _kernel_env(theta, params, quad, clock), lo, hi, quad)
     return value
 
 
@@ -880,7 +882,7 @@ def _endemic_characteristic(
 
         return reduced
 
-    recovery = params.rho * params.g(params.omega0) * survival_pi(params.omega0, params, quad)
+    recovery = params.rho * params.g(params.omega0) * survival_pi(params.omega0, params, clock)
     total = clock.total_time
 
     def general(lam):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import within_host as wh
-from .numerics import BracketError, RootBracket, find_root, rk4_step
+from .numerics import rk4_step
 
 __all__ = [
     "SweepSpec",
@@ -179,7 +179,7 @@ def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
 
     Upper/lower branches hold only the sweep values where the nontrivial
     pair exists; the trivial (infection-free) branch covers every value.
-    Raises BracketError-free ValueError if no point of the range admits a
+    Raises ValueError if no point of the range admits a
     nontrivial equilibrium.
     """
     upper: list[BranchPoint] = []
@@ -222,8 +222,9 @@ def detect_events(
 
     Folds are determinant sign changes; Hopf points are trace sign changes
     with positive determinant. Event parameters are refined on the analytic
-    critical loci (closed-form fold, bisected trace-vanishing root) rather
-    than interpolated from the sampled branch.
+    critical loci (closed-form fold, the polished trace-vanishing root of
+    within_host.critical_loci) rather than interpolated from the sampled
+    branch.
     """
     events: list[BifurcationEvent] = []
     loci = wh.critical_loci(params)
@@ -239,21 +240,12 @@ def detect_events(
         return None
 
     def refine_hopf(p_lo: float, p_hi: float) -> float | None:
-        # pick the analytic trace-zero root inside the bracketing interval
-        a, lam, mu = params.alpha, params.Lambda, params.mu
-
-        def trace_cond(G):
-            return G - G ** 4 / (a * lam * lam) - mu
-
+        # the analytic trace-zero root inside the bracketing interval
         g_lo = _gamma_of(params, spec, min(p_lo, p_hi) - grid_step)
         g_hi = _gamma_of(params, spec, max(p_lo, p_hi) + grid_step)
         for h in loci.hopf:
-            if g_lo - 1e-9 <= h.Gamma <= g_hi + 1e-9 and h.valid:
-                try:
-                    G = find_root(trace_cond, RootBracket(g_lo - 1e-9, g_hi + 1e-9), tol=1e-14)
-                except BracketError:
-                    G = h.Gamma
-                return _param_from_gamma(params, spec, G)
+            if h.valid and g_lo - 1e-9 <= h.Gamma <= g_hi + 1e-9:
+                return _param_from_gamma(params, spec, h.Gamma)
         return None
 
     for a_pt, b_pt in zip(branch[:-1], branch[1:]):

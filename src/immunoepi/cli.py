@@ -373,8 +373,7 @@ def _matched_history(cfg: ScenarioConfig, clock: between_host.StatusClock):
         s = np.asarray(s, dtype=float)
         theta = np.clip(-s, 0.0, None)
         w = clock.status_at(np.minimum(theta, total))
-        pi_w = np.exp(-clock.decay_at(w)) / params.g(w)
-        vals = phi(w) / (pi_w * s0)
+        vals = phi(w) / (between_host.survival_pi(w, params, clock) * s0)
         return np.where(theta <= total, vals, 0.0)
 
     return history

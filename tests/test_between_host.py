@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from immunoepi import between_host as bh
 from immunoepi import coefficients as coef
-from immunoepi.numerics import BracketError, QuadratureSpec
+from immunoepi.numerics import BracketError, QuadratureSpec, quadrature
 
 from immunoepi.within_host import WithinHostParams, manifold_tip
 
@@ -68,6 +68,12 @@ class TestParamsValidation:
     def test_rejects_nonpositive_growth_speed(self):
         with pytest.raises(ValueError, match="strictly positive"):
             make_between(0.2, 0.0, g=coef.linear(1.0, -0.3))
+
+    def test_rejects_a_table_speed_that_vanishes_between_probe_nodes(self):
+        # the knot at omega = 2 is not one of the 65 uniform probe nodes
+        g = coef.table([0.0, 2.0, 5.0], [1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="strictly positive"):
+            make_between(0.2, 0.0, g=g)
 
     def test_rejects_negative_coefficient_values(self):
         with pytest.raises(ValueError, match="xi"):
@@ -124,6 +130,14 @@ class TestSurvival:
         p = make_between(0.2, 0.0, mu2=coef.constant(0.0), g=coef.constant(2.0))
         w = np.linspace(0.0, 5.0, 6)
         np.testing.assert_allclose(bh.survival_pi(w, p), 0.5, atol=1e-13)
+
+    def test_survival_is_read_off_the_clock(self):
+        p = make_between(0.2, 0.0, mu2=coef.linear(0.1, 0.05), g=coef.linear(1.0, 0.2))
+        clock = bh.build_clock(p)
+        w = np.linspace(0.0, 5.0, 37)
+        expected = np.exp(-clock.decay_at(w)) / p.g(w)
+        assert np.array_equal(bh.survival_pi(w, p, clock), expected)
+        assert np.array_equal(bh.survival_pi(w, p), expected)
 
     def test_rejects_status_outside_the_domain(self, direct_params):
         with pytest.raises(ValueError, match="omega"):
@@ -425,7 +439,7 @@ def unhoisted_residual(lam, params, quad):
     if params.rho == 0.0 and params.beta_e == 0.0 and bh._is_unit_constant(params.g):
         lhs = (lam + params.mu1 + K) / (lam + params.mu1)
         return lhs - eq.S * params.beta_h * j_p
-    pi_end = bh.survival_pi(params.omega0, params, quad)
+    pi_end = bh.survival_pi(params.omega0, params, clock)
     boundary_factor = (
         params.rho * params.g(params.omega0) * pi_end
         * np.exp(-lam * clock.total_time) / (lam + params.rho + params.mu3)
@@ -477,3 +491,60 @@ class TestHoistedResidual:
         assert bh.dfe_lambda_hat(env_params, quad64, clock=clock) == bh.dfe_lambda_hat(
             env_params, quad64
         )
+
+
+def per_delay_kernel_env(theta, params, quad, clock):
+    """The environmental kernel at one delay, one quadrature call per delay:
+    the reference for the batched rows of _kernel_env."""
+    lo = max(0.0, theta - clock.total_time)
+    hi = min(params.a_bar, theta)
+    if hi <= lo:
+        return 0.0
+
+    def integrand(a):
+        ages = np.asarray(a, dtype=float)
+        w = clock.status_at(theta - ages)
+        return (
+            params.beta_e
+            * np.exp(-params.sigma * ages)
+            * params.xi(w)
+            * params.P(w)
+            * np.exp(-clock.decay_at(w))
+        )
+
+    return quadrature(integrand, lo, hi, quad)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize(
+        "params", [make_between(0.2, 0.05), linked_params()], ids=["bh_env", "linked"]
+    )
+    def test_rows_match_the_per_delay_quadrature(self, params, quad64):
+        clock = bh.build_clock(params)
+        total = clock.total_time
+        corners = [0.0, total, params.a_bar, params.a_bar + total]
+        # more delays than one block, so block edges are crossed
+        delays = np.concatenate([corners, np.linspace(0.0, params.a_bar + total, 2 * bh.KERNEL_BLOCK + 7)])
+        batched = bh._kernel_env(delays, params, quad64, clock)
+        reference = np.array([per_delay_kernel_env(x, params, quad64, clock) for x in delays])
+        np.testing.assert_allclose(batched, reference, rtol=1e-14, atol=0.0)
+        assert batched[0] == 0.0 and batched[3] == 0.0
+        assert batched[1] > 0.0 and batched[2] > 0.0
+
+        direct = np.where(delays <= total, bh._kernel_direct(np.minimum(delays, total), params, clock), 0.0)
+        kernel = bh.renewal_kernel_A(delays, params, quad64, clock)
+        np.testing.assert_allclose(kernel, direct + reference, rtol=1e-14, atol=0.0)
+        scalar = bh.renewal_kernel_A(float(delays[5]), params, quad64, clock)
+        assert scalar == pytest.approx(kernel[5], rel=1e-14)
+
+
+class TestLinkedEndemicProfile:
+    def test_transport_residual_falls_under_refinement(self):
+        # the profile reads M off the clock, so only the central differences
+        # depend on n_omega and the residual shrinks as they refine
+        params = linked_params()
+        coarse, fine = (
+            bh.endemic_residuals(bh.endemic_equilibrium(params, n_omega=n), params)["transport"]
+            for n in (400, 3200)
+        )
+        assert fine < coarse

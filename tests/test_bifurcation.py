@@ -163,6 +163,17 @@ class TestDetectEvents:
         assert fold.param == pytest.approx(W_FOLD_REF, abs=1e-6)
         assert hopf.param == pytest.approx(W_HOPF_REF, abs=1e-6)
 
+    def test_hopf_event_is_the_polished_critical_locus_root(self, paper_within):
+        # no second root solve: the event parameter is the locus root mapped
+        # to the sweep parameter
+        loci = wh.critical_loci(paper_within)
+        for spec, expected in (
+            (delta_sweep(), loci.delta_hopf(0.9)[0]),
+            (bif.SweepSpec(which="W", lo=0.0, hi=4.0, n=200), loci.W_hopf(paper_within.delta)[0]),
+        ):
+            events = bif.detect_all_events(bif.sweep_branch(paper_within, spec))
+            assert [e.param for e in events if e.kind == "hopf"] == [expected]
+
     def test_quiet_range_reports_no_events(self, paper_within):
         spec = delta_sweep(n=60, lo=0.1, hi=0.4)
         res = bif.sweep_branch(paper_within, spec)

@@ -139,6 +139,16 @@ class TestExitCodes:
         assert "requires rho = 0" in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("command", ["r0", "spectral"])
+    def test_table_speed_vanishing_at_a_knot_returns_two(self, tmp_path, capsys, command):
+        doc = bh_doc()
+        doc["functions"]["g"] = {"family": "table", "omega": [0.0, 2.0, 5.0], "value": [1.0, 0.0, 1.0]}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        assert "strictly positive" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
     def test_unknown_subcommand_is_a_parser_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate", "--out", str(tmp_path / "out")])
