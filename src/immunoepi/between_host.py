@@ -572,78 +572,85 @@ def simulate_epidemic(
     n_steps = int(round(t_max / dt))
     density = initial.I.copy()
     s_now, v_now, b_now = float(initial.S), float(initial.V), float(initial.B)
+    r, mu1, rho, mu3, sigma = params.r, params.mu1, params.rho, params.mu3, params.sigma
+    beta_h, beta_e = params.beta_h, params.beta_e
 
     boundary_t = np.empty(n_steps + 1)
     boundary_flux = np.empty(n_steps + 1)
     rec_t, rec_s, rec_mass, rec_v, rec_b, rec_f = [], [], [], [], [], []
     snap_t, snap_rows = [], []
+    # per-step temporaries: p*I, xi*P*I and the g*I flux with its difference
+    weighted = np.empty_like(density)
+    flux = np.empty_like(density)
+    flux_diff = np.empty(n_omega)
 
-    def force_of(density_row, b_val):
-        direct = float(np.dot(trap, p_vals * density_row))
-        return params.beta_h * direct + params.beta_e * b_val, direct
+    def direct_integral():
+        np.multiply(p_vals, density, out=weighted)
+        return float(np.dot(trap, weighted))
 
-    def record(t_now, f_now):
+    def record(t_now, direct):
         rec_t.append(t_now)
         rec_s.append(s_now)
         rec_mass.append(float(np.dot(trap, density)))
         rec_v.append(v_now)
         rec_b.append(b_now)
-        rec_f.append(f_now)
+        rec_f.append(beta_h * direct + beta_e * b_now)
 
     def snapshot(t_now):
         snap_t.append(t_now)
         snap_rows.append(density.copy())
 
-    f_now, _ = force_of(density, b_now)
+    direct_now = direct_integral()
     boundary_t[0] = 0.0
     boundary_flux[0] = g0 * density[0]
-    record(0.0, f_now)
+    record(0.0, direct_now)
     if snapshot_stride:
         snapshot(0.0)
 
     courant = dt / step_w
-    flux = np.empty_like(density)
     for n in range(n_steps):
         t_now = n * dt
-        f_now, direct_now = force_of(density, b_now)
-        shed_now = float(np.dot(trap, shed_weight * density))
-        outflux = g_end * density[-1]
+        np.multiply(shed_weight, density, out=weighted)
+        shed_now = float(np.dot(trap, weighted))
+        outflux = g_end * float(density[-1])
 
         # scalar pools: RK4 with the I-coupling frozen over the step
         def scalar_rhs(t, y):
             s, v, b = y
-            ds = params.r - params.mu1 * s - s * (params.beta_h * direct_now + params.beta_e * b) + params.rho * v
-            dv = outflux - (params.rho + params.mu3) * v
-            db = shed_now - params.sigma * b
-            return np.array([ds, dv, db])
+            ds = r - mu1 * s - s * (beta_h * direct_now + beta_e * b) + rho * v
+            dv = outflux - (rho + mu3) * v
+            db = shed_now - sigma * b
+            return ds, dv, db
 
-        y = np.array([s_now, v_now, b_now])
-        s_new, v_new, b_new = rk4_step(scalar_rhs, t_now, y, dt)
+        s_new, v_new, b_new = rk4_step(scalar_rhs, t_now, (s_now, v_now, b_now), dt)
 
         # upwind transport then exact removal decay
         np.multiply(g_vals, density, out=flux)
-        density[1:] -= courant * (flux[1:] - flux[:-1])
+        np.subtract(flux[1:], flux[:-1], out=flux_diff)
+        flux_diff *= courant
+        density[1:] -= flux_diff
         density[1:] *= decay_factor[1:]
 
         # nonlocal boundary, explicit: fresh interior and pools; slot 0 still
         # holds the lagged previous boundary value inside the quadrature
-        direct_mix = float(np.dot(trap, p_vals * density))
-        density[0] = s_new * (params.beta_h * direct_mix + params.beta_e * b_new) / g0
+        direct_mix = direct_integral()
+        density[0] = s_new * (beta_h * direct_mix + beta_e * b_new) / g0
 
         low = min(float(density.min()), s_new, v_new, b_new)
         if low < NEGATIVITY_ABORT:
             raise TransportBlowupError(
                 f"negative density {low:.3e} at t = {t_now + dt:.6g}; grid too coarse"
             )
-        np.clip(density, 0.0, None, out=density)
+        np.maximum(density, 0.0, out=density)
         s_now, v_now, b_now = max(s_new, 0.0), max(v_new, 0.0), max(b_new, 0.0)
+        # the next step's direct force and the recorded F share this integral
+        direct_now = direct_integral()
 
         t_next = (n + 1) * dt
         boundary_t[n + 1] = t_next
         boundary_flux[n + 1] = g0 * density[0]
         if (n + 1) % output_stride == 0 or n + 1 == n_steps:
-            f_next, _ = force_of(density, b_now)
-            record(t_next, f_next)
+            record(t_next, direct_now)
         if snapshot_stride and (n + 1) % snapshot_stride == 0:
             snapshot(t_next)
 

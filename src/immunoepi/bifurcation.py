@@ -313,26 +313,28 @@ def cycle_amplitude(
         rows.append((float(value), p.gamma_eff(W), T0, P0))
 
     Gam = np.array([r[1] for r in rows])
-    y = np.array([[r[2] for r in rows], [r[3] for r in rows]])
+    # the (2, m) block of (T, P) rows is rk4_step's one component
+    state = [np.array([[r[2] for r in rows], [r[3] for r in rows]])]
     lam, mu, a = params.Lambda, params.mu, params.alpha
 
-    def rhs(t, y):
+    def rhs(t, state):
+        y = state[0]
         T, P = y[0], y[1]
         infection = a * P * P * T
-        return np.array((lam - mu * T - infection, infection - Gam * P))
+        return (np.array((lam - mu * T - infection, infection - Gam * P)),)
 
     for _ in range(int(round(transient / step))):
-        y = rk4_step(rhs, 0.0, y, step)
+        state = rk4_step(rhs, 0.0, state, step)
 
     n_steps = int(round(window / step))
     m = len(rows)
-    p_min = p_max = prev2 = prev1 = y[1]
+    p_min = p_max = prev2 = prev1 = state[0][1]
     max_count = np.zeros(m, dtype=int)
     first_max_t = np.full(m, np.nan)
     last_max_t = np.full(m, np.nan)
     for i in range(n_steps):
-        y = rk4_step(rhs, 0.0, y, step)
-        P = y[1]
+        state = rk4_step(rhs, 0.0, state, step)
+        P = state[0][1]
         p_min = np.minimum(p_min, P)
         p_max = np.maximum(p_max, P)
         if i >= 2:

@@ -61,17 +61,15 @@ class RunOutput:
 # deterministic writers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _write_rows(path: Path, header: str, table: np.ndarray) -> None:
+    """Write a 2-D float table as CSV, one shortest round-trip repr per value.
 
-
-def _write_rows(path: Path, header: str, rows) -> None:
+    Rows are converted one at a time, so no whole-table list is built.
+    """
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -224,7 +222,7 @@ def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     _write_rows(
         out_dir / "manifold.csv",
         "P,manifold_W,nullcline_W",
-        zip(p_grid, phi, null),
+        np.column_stack((p_grid, phi, null)),
     )
     summary = {
         "subcommand": "manifold",
@@ -273,7 +271,7 @@ def _cmd_equilibria(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         _write_rows(
             out_dir / "equilibrium_profile.csv",
             "omega,I_star",
-            zip(eq.omega, eq.I),
+            np.column_stack((eq.omega, eq.I)),
         )
         summary["endemic"] = {
             "S": eq.S, "I0": eq.I0, "V": eq.V, "B": eq.B,
@@ -319,17 +317,14 @@ def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     _write_rows(
         out_dir / "timeseries.csv",
         "t,S,I_total,V,B,F",
-        zip(run_rec.t, run_rec.S, run_rec.I_total, run_rec.V, run_rec.B, run_rec.F),
+        np.column_stack((run_rec.t, run_rec.S, run_rec.I_total, run_rec.V, run_rec.B, run_rec.F)),
     )
     if cfg.snapshot_stride:
         header = "t," + ",".join(repr(float(w)) for w in run_rec.omega)
         _write_rows(
             out_dir / "snapshots.csv",
             header,
-            (
-                [t, *row]
-                for t, row in zip(run_rec.snapshot_t, run_rec.snapshots)
-            ),
+            np.column_stack((run_rec.snapshot_t, run_rec.snapshots)),
         )
     summary = {
         "subcommand": "epi-sim",
@@ -408,7 +403,7 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     _write_rows(
         out_dir / "renewal.csv",
         "t,S_pde,F_pde,S_renewal,F_renewal",
-        zip(renewal.t, s_pde, f_pde, renewal.S, renewal.F),
+        np.column_stack((renewal.t, s_pde, f_pde, renewal.S, renewal.F)),
     )
     summary = {
         "subcommand": "renewal-check",
@@ -456,7 +451,9 @@ def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         scan = between_host.endemic_spectrum_scan(
             params, SPECTRAL_SCAN_MAX, SPECTRAL_SCAN_STEP, QUAD_DEFAULT, clock=clock
         )
-        _write_rows(out_dir / "scan.csv", "lambda,residual", zip(scan.lam, scan.residual))
+        _write_rows(
+            out_dir / "scan.csv", "lambda,residual", np.column_stack((scan.lam, scan.residual))
+        )
         summary["endemic_scan_roots"] = scan.roots
         summary["endemic_residual_at_zero_plus"] = scan.residual[1]
     else:

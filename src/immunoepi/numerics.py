@@ -5,18 +5,22 @@ structured epidemic solver) is built on the operations in this module:
 
 * ``integrate_ode`` -- adaptive embedded Dormand-Prince 5(4) pair, with
   optional scalar event localization by bisection on the bracketing step.
-* ``rk4_step`` -- one classic RK4 step; the event localizer, the batched
-  cycle sampler and the epidemic solver's scalar pools all take it.
+* ``rk4_step`` -- one classic RK4 step over a sequence of components
+  (Python floats or ndarrays); the epidemic solver's scalar pools pass
+  three floats, the batched cycle sampler and the event localizer pass one
+  ndarray each.
 * ``quadrature`` -- composite Simpson rule over [a, b]; its 1, 4, 2, ...,
   4, 1 coefficients (``simpson_coefficients``) also weight the epidemic
   model's transmission integrals.
-* ``find_root`` -- bracketed scalar root solve (Brent) with explicit
-  bracket validation.
+* ``find_root`` -- bracketed scalar root solve by Brent's method, in the
+  form and with the stopping rule of scipy's ``brentq``, plus explicit
+  bracket validation. The package needs numpy only.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,6 +48,10 @@ __all__ = [
 EVENT_RELATIVE_TOL = 1e-10
 # Step budget of one integrate_ode call, rejected steps included.
 MAX_STEPS = 1_000_000
+# Brent's stopping width is xtol plus this relative part (scipy's brentq
+# default), and a solve may take this many iterations.
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+BRENT_MAXITER = 200
 
 
 class NumericsError(Exception):
@@ -136,15 +144,22 @@ class Trajectory:
 def rk4_step(rhs, t, y, h):
     """One classic RK4 step of ``y' = rhs(t, y)`` from t to t + h.
 
-    Every operation is elementwise, so ``y`` may stack any number of
-    independent states (a batch of orbits, say) as long as ``rhs`` returns
-    an array of the same shape.
+    ``y`` is a sequence of components and ``rhs`` returns one derivative
+    per component, in order; the step comes back as a list. A component is
+    a Python float or an ndarray (every operation is elementwise, so one
+    array may stack a batch of independent orbits). Scalar states pass
+    floats, which keeps numpy out of the per-step arithmetic.
     """
+    half = 0.5 * h
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + half, [a + half * k for a, k in zip(y, k1)])
+    k3 = rhs(t + half, [a + half * k for a, k in zip(y, k2)])
+    k4 = rhs(t + h, [a + h * k for a, k in zip(y, k3)])
+    sixth = h / 6.0
+    return [
+        a + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
+    ]
 
 
 # Dormand-Prince 5(4) tableau as Python floats: _A<i><j> weights stage j in
@@ -194,10 +209,14 @@ def _substepped(rhs, t_lo, y_lo, dt, pieces=8):
     if dt == 0.0:
         return y_lo
     h = dt / pieces
-    y = y_lo
+    y = [y_lo]
+
+    def one_component(t, y):
+        return (rhs(t, y[0]),)
+
     for k in range(pieces):
-        y = rk4_step(rhs, t_lo + k * h, y, h)
-    return y
+        y = rk4_step(one_component, t_lo + k * h, y, h)
+    return y[0]
 
 
 def _locate_event(rhs, event, t_lo, y_lo, t_hi, e_lo, e_hi):
@@ -369,11 +388,12 @@ def find_root(
     bracket: RootBracket,
     tol: float = 1e-12,
 ) -> float:
-    """Bracketed scalar root of ``f`` to interval width ``tol`` (Brent)."""
-    # scipy.optimize costs most of the package's import time; only root
-    # solves need it
-    from scipy.optimize import brentq
+    """Bracketed scalar root of ``f`` to interval width ``tol`` (Brent).
 
+    Raises NonFiniteError on a non-finite endpoint value, BracketError when
+    the endpoints share a sign, and ConvergenceError when a value turns NaN
+    mid-solve or the iteration budget runs out.
+    """
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = f(lo), f(hi)
     if not (np.isfinite(flo) and np.isfinite(fhi)):
@@ -382,12 +402,67 @@ def find_root(
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if (flo < 0.0) == (fhi < 0.0):
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
         )
-    try:
-        root = brentq(f, lo, hi, xtol=tol, maxiter=200)
-    except (RuntimeError, ValueError) as exc:  # pragma: no cover - scipy internal
-        raise ConvergenceError(f"bracketed solve failed: {exc}") from exc
+    root = _brent(f, lo, hi, float(flo), float(fhi), tol)
     return float(min(max(root, lo), hi))
+
+
+def _brent(f, xpre, xcur, fpre, fcur, xtol):
+    """Brent's method (Brent 1973, ch. 4) on a bracket with a sign change.
+
+    A line-by-line port of scipy's ``brentq`` C kernel, so roots agree bit
+    for bit; the endpoint values come from the caller instead of being
+    evaluated again. Inverse quadratic or secant steps are taken when they
+    stay well inside the bracket, bisection otherwise; the solve stops once
+    half the bracket is below (xtol + BRENT_RTOL*|x|)/2.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # inverse quadratic
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ConvergenceError(f"bracketed solve failed: f({xcur}) is NaN")
+    raise ConvergenceError(f"bracketed solve failed to converge after {BRENT_MAXITER} iterations")
+
+
+def _div(num, den):
+    """``num / den`` with the IEEE result (inf or NaN) where Python raises."""
+    try:
+        return num / den
+    except ZeroDivisionError:
+        if num == 0.0 or math.isnan(num):
+            return math.nan
+        return math.copysign(math.inf, num) * math.copysign(1.0, den)

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 from immunoepi import coefficients
 from immunoepi.between_host import BetweenHostParams
 from immunoepi.numerics import QuadratureSpec
-from immunoepi.within_host import WithinHostParams
+from immunoepi.within_host import WithinHostParams, manifold_tip
 
 settings.register_profile(
     "suite",
@@ -43,6 +43,16 @@ def make_between(beta_h: float, beta_e: float, **overrides) -> BetweenHostParams
     )
     kwargs.update(overrides)
     return BetweenHostParams(**kwargs)
+
+
+def linked_params(rho=0.0):
+    """P and g from the within-host branch up to the fold, as in a linked run."""
+    within = WithinHostParams(**dict(REFERENCE_WITHIN, kappa=10.0))
+    return make_between(
+        0.4, 0.05, rho=rho, mu3=0.23, omega0=manifold_tip(within)[1],
+        P=coefficients.from_within_host("pathogen_load", within),
+        g=coefficients.from_within_host("immune_growth", within),
+    )
 
 
 @pytest.fixture

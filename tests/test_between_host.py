@@ -15,9 +15,8 @@ from immunoepi import between_host as bh
 from immunoepi import coefficients as coef
 from immunoepi.numerics import BracketError, QuadratureSpec, quadrature
 
-from immunoepi.within_host import WithinHostParams, manifold_tip
-
-from conftest import REFERENCE_WITHIN, make_between
+from conftest import linked_params, make_between
+from reference_loops import simulate_epidemic_array
 
 J_REF = (1.0 - np.exp(-0.5)) / 0.1  # 3.9346934028736658
 R0_DIRECT_REF = 7.8693868057473315  # (r beta_h / mu1) * J
@@ -361,6 +360,53 @@ class TestSimulateEpidemic:
         assert run.snapshots.shape == (3, 51)  # steps 0, 10, 20
 
 
+def reference_cases():
+    """bh_env, table-valued g and P, and the linked set with P and g from the
+    within-host branch up to the fold, each with an initial state."""
+    table = make_between(
+        0.2, 0.05, rho=0.1,
+        g=coef.table([0.0, 2.0, 5.0], [1.0, 0.6, 1.3]),
+        P=coef.table([0.0, 2.5, 5.0], [0.5, 1.5, 1.0]),
+        mu2=coef.linear(0.1, 0.02),
+    )
+    cases = {}
+    for name, params, v0, b0 in [
+        ("bh_env", make_between(0.2, 0.05), 0.0, 0.0),
+        ("table", table, 0.3, 0.2),
+        ("linked", linked_params(), 0.1, 0.05),
+    ]:
+        n_omega = 100
+        w = np.linspace(0.0, params.omega0, n_omega + 1)
+        dt = 0.8 * (params.omega0 / n_omega) / float(np.max(params.g(w)))
+        init = bh.StructuredState(S=10.0, I=0.5 * np.exp(-w), V=v0, B=b0)
+        cases[name] = (params, init, n_omega, dt)
+    return cases
+
+
+class TestArrayReference:
+    """The float-pool RK4 and buffered upwind step reproduce the array-form
+    loop bit for bit; a reordered product would show on table and linked
+    coefficients, where P and g vary with status."""
+
+    @pytest.mark.parametrize("stride", [1, 80])
+    @pytest.mark.parametrize("case", ["bh_env", "table", "linked"])
+    def test_runs_match_the_array_loop_bit_for_bit(self, case, stride):
+        params, init, n_omega, dt = reference_cases()[case]
+        t_max = 400 * dt
+        kwargs = dict(output_stride=stride, snapshot_stride=stride)
+        run = bh.simulate_epidemic(params, init, t_max, n_omega, dt, **kwargs)
+        ref = simulate_epidemic_array(params, init, t_max, n_omega, dt, **kwargs)
+        for name in ("t", "S", "I_total", "V", "B", "F", "boundary_t", "boundary_flux",
+                     "snapshot_t", "snapshots"):
+            got, want = getattr(run, name), getattr(ref, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert run.final.I.tobytes() == ref.final.I.tobytes()
+        for pool in ("S", "V", "B"):
+            got, want = getattr(run.final, pool), getattr(ref.final, pool)
+            assert float(got).hex() == float(want).hex(), pool
+        assert run.I_total[-1] > 0.0
+
+
 class TestRenewalForm:
     def test_kernel_value_closed_form(self, direct_params):
         assert bh.renewal_kernel_A(2.0, direct_params) == pytest.approx(A_AT_2_REF, abs=1e-12)
@@ -450,16 +496,6 @@ def unhoisted_residual(lam, params, quad):
         rhs += params.beta_e * eq.S * j_xi / (lam + params.sigma)
         rhs += params.beta_e * eq.B * bracket
     return rhs - 1.0
-
-
-def linked_params(rho=0.0):
-    """P and g from the within-host branch up to the fold, as in a linked run."""
-    within = WithinHostParams(**dict(REFERENCE_WITHIN, kappa=10.0))
-    return make_between(
-        0.4, 0.05, rho=rho, mu3=0.23, omega0=manifold_tip(within)[1],
-        P=coef.from_within_host("pathogen_load", within),
-        g=coef.from_within_host("immune_growth", within),
-    )
 
 
 class TestHoistedResidual:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from immunoepi import between_host, bifurcation, cli
+from immunoepi import between_host, bifurcation, cli, numerics
 from immunoepi.config import load_scenario
 from immunoepi.numerics import NumericsError
 
@@ -314,6 +314,31 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_root_solving_runs_never_load_scipy(self, tmp_path):
+        # spectral solves lambda-hat; bifurcate solves the Hopf loci
+        script = (
+            "import sys\n"
+            "from immunoepi import cli\n"
+            f"codes = [cli.main(['spectral', '--config', {str(CONFIGS / 'bh_env.json')!r},"
+            f" '--out', {str(tmp_path / 'spectral')!r}]),"
+            f" cli.main(['bifurcate', '--config', {str(CONFIGS / 'within_fig1.json')!r},"
+            f" '--out', {str(tmp_path / 'bifurcate')!r}])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0] []"
+        assert read_summary(tmp_path / "spectral")["lambda_hat"] is not None
+        assert read_summary(tmp_path / "bifurcate")["analytic_hopf_clearance"]
+
+    def test_unconverged_root_solve_exits_three(self, tmp_path, monkeypatch, capsys):
+        doc = json.loads((CONFIGS / "within_fig1.json").read_text())
+        doc["sweep"].update(n=10, cycle_n=2)
+        config = write_config(tmp_path, doc)
+        monkeypatch.setattr(numerics, "BRENT_MAXITER", 1)
+        assert cli.main(["bifurcate", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert "failed to converge after 1 iterations" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from immunoepi import numerics
 from immunoepi.numerics import (
     BracketError,
+    ConvergenceError,
     IntegratorSpec,
     NonFiniteError,
     QuadratureSpec,
@@ -25,6 +26,7 @@ from immunoepi.numerics import _dp45_step
 from immunoepi.within_host import WithinHostParams, vector_field
 
 from conftest import random_within
+from reference_loops import rk4_step_array
 
 
 def decay(t, y):
@@ -44,10 +46,10 @@ class TestIntegrateOde:
         errors = []
         for n in (10, 20):
             h = 1.0 / n
-            y = np.array([1.0])
+            y = [np.array([1.0])]
             for k in range(n):
-                y = rk4_step(decay, k * h, y, h)
-            errors.append(abs(y[0] - math.exp(-1.0)))
+                y = rk4_step(lambda t, c: (decay(t, c[0]),), k * h, y, h)
+            errors.append(abs(y[0][0] - math.exp(-1.0)))
         assert errors[0] / errors[1] >= 8.0
 
     def test_event_time_bisection(self):
@@ -115,6 +117,59 @@ def reference_dp45_step(rhs, t, y, h, k1=None):
         y5 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
         y4 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B4) if b != 0.0)
         return y5, y5 - y4, k[6]
+
+
+def pools_rhs(rates, outflux, shed):
+    """A pools-shaped field (S, V, B) with frozen couplings, over floats."""
+    r, mu1, force, beta_e, rho, mu3, sigma = rates
+
+    def rhs(t, y):
+        s, v, b = y
+        return (
+            r - mu1 * s - s * (force + beta_e * b) + rho * v,
+            outflux - (rho + mu3) * v,
+            shed - sigma * b,
+        )
+
+    return rhs
+
+
+positive = st.floats(min_value=1e-3, max_value=5.0)
+
+
+class TestRk4Step:
+    @given(
+        state=st.tuples(*[st.floats(min_value=0.0, max_value=20.0)] * 3),
+        rates=st.tuples(*[positive] * 7),
+        outflux=positive,
+        shed=positive,
+        h=st.floats(min_value=1e-4, max_value=0.5),
+    )
+    def test_float_pools_match_the_array_step_bit_for_bit(self, state, rates, outflux, shed, h):
+        rhs = pools_rhs(rates, outflux, shed)
+        got = rk4_step(rhs, 0.0, state, h)
+        want = rk4_step_array(lambda t, y: np.array(rhs(t, y)), 0.0, np.array(state), h)
+        assert all(isinstance(x, float) for x in got)
+        assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_one_block_component_matches_the_array_step_bit_for_bit(self):
+        # the cycle sampler's (2, m) block of (T, P) rows as one component
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            m = int(rng.integers(1, 40))
+            gam = rng.uniform(0.1, 2.0, size=m)
+            lam, mu, a = rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.5), rng.uniform(0.5, 2.0)
+
+            def field(y):
+                T, P = y
+                infection = a * P * P * T
+                return np.array((lam - mu * T - infection, infection - gam * P))
+
+            y = rng.uniform(0.0, 5.0, size=(2, m))
+            h = float(rng.uniform(0.001, 0.1))
+            (got,) = rk4_step(lambda t, c: (field(c[0]),), 0.0, [y], h)
+            want = rk4_step_array(lambda t, y: field(y), 0.0, y, h)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDormandPrinceStep:
@@ -224,3 +279,56 @@ class TestFindRoot:
         root = find_root(lambda x: scale * (x - shift), RootBracket(-1.0, 1.0))
         assert -1.0 <= root <= 1.0
         assert root == pytest.approx(shift, abs=1e-9)
+
+    @given(
+        shift=st.floats(min_value=-0.95, max_value=0.95),
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+        curve=st.floats(min_value=0.0, max_value=5.0),
+        power=st.sampled_from([1, 3, 5]),
+        tol=st.sampled_from([1e-12, 1e-14, 1e-6, 5e-324]),
+    )
+    def test_matches_scipy_brentq_bit_for_bit(self, shift, scale, curve, power, tol):
+        optimize = pytest.importorskip("scipy.optimize")
+
+        def f(x):
+            return scale * (x - shift) ** power + curve * math.sin(x - shift)
+
+        want, info = optimize.brentq(
+            f, -1.0, 1.0, xtol=tol, maxiter=200, full_output=True, disp=False
+        )
+        if not info.converged:
+            # a subnormal tol on a flat root can outlast the budget in both
+            with pytest.raises(ConvergenceError, match="200 iterations"):
+                find_root(f, RootBracket(-1.0, 1.0), tol)
+            return
+        root = find_root(f, RootBracket(-1.0, 1.0), tol)
+        assert root.hex() == float(want).hex()
+
+    def test_endpoint_values_are_not_evaluated_again(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x * x - 2.0
+
+        find_root(f, RootBracket(1.0, 2.0))
+        assert seen[:2] == [1.0, 2.0]
+        assert 1.0 not in seen[2:] and 2.0 not in seen[2:]
+
+    def test_nan_mid_solve_raises_convergence_error(self):
+        def f(x):
+            return x - 0.3 if x in (0.0, 1.0) else math.nan
+
+        with pytest.raises(ConvergenceError, match="NaN"):
+            find_root(f, RootBracket(0.0, 1.0))
+
+    def test_exhausted_iteration_budget_raises_convergence_error(self):
+        # a jump at 0 with a subnormal width tolerance: every step halves
+        # the bracket towards 0, far beyond the 200-iteration budget
+        with pytest.raises(ConvergenceError, match="200 iterations"):
+            find_root(lambda x: 1.0 if x > 0.0 else -1.0, RootBracket(-1.0, 1.0), 5e-324)
+
+    def test_underflowing_sign_product_is_still_a_bracket_error(self):
+        # f(lo)*f(hi) underflows to 0 although both values are positive
+        with pytest.raises(BracketError):
+            find_root(lambda x: 1e-200, RootBracket(0.0, 1.0))
