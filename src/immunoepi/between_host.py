@@ -505,9 +505,10 @@ class EpidemicRun:
     """Recorded output of simulate_epidemic.
 
     t, S, I_total, V, B, F sample the scalar time series at the output
-    stride; boundary_t/boundary_flux record g(0)*I(t,0) at every step for
-    use as a characteristics history; snapshots hold full I rows when a
-    snapshot stride was requested.
+    stride (and at the last step); they are the rows of one preallocated
+    (6, n_rec) block. boundary_t/boundary_flux record g(0)*I(t,0) at every
+    step for use as a characteristics history; snapshots hold full I rows,
+    one preallocated block, when a snapshot stride was requested.
     """
 
     omega: np.ndarray
@@ -552,6 +553,11 @@ def simulate_epidemic(
         raise ValueError(f"initial.I must have n_omega+1 = {n_omega + 1} nodes")
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be positive")
+    if output_stride < 1 or snapshot_stride < 0:
+        raise ValueError(
+            f"output_stride must be >= 1 and snapshot_stride >= 0, "
+            f"got {output_stride!r} and {snapshot_stride!r}"
+        )
     omega = np.linspace(0.0, params.omega0, n_omega + 1)
     step_w = params.omega0 / n_omega
     g_vals = params.g(omega)
@@ -577,8 +583,15 @@ def simulate_epidemic(
 
     boundary_t = np.empty(n_steps + 1)
     boundary_flux = np.empty(n_steps + 1)
-    rec_t, rec_s, rec_mass, rec_v, rec_b, rec_f = [], [], [], [], [], []
-    snap_t, snap_rows = [], []
+    # one column per recorded step: t, S, I_total, V, B, F; the last step is
+    # recorded even when the stride does not divide n_steps
+    n_rec = n_steps // output_stride + 1 + (n_steps % output_stride != 0)
+    series = np.empty((6, n_rec))
+    t_rec, s_rec, mass_rec, v_rec, b_rec, f_rec = series
+    n_snap = n_steps // snapshot_stride + 1 if snapshot_stride else 0
+    snap_t = np.empty(n_snap)
+    snaps = np.empty((n_snap, n_omega + 1))
+    n_recorded = n_snapped = 0
     # per-step temporaries: p*I, xi*P*I and the g*I flux with its difference
     weighted = np.empty_like(density)
     flux = np.empty_like(density)
@@ -589,16 +602,21 @@ def simulate_epidemic(
         return float(np.dot(trap, weighted))
 
     def record(t_now, direct):
-        rec_t.append(t_now)
-        rec_s.append(s_now)
-        rec_mass.append(float(np.dot(trap, density)))
-        rec_v.append(v_now)
-        rec_b.append(b_now)
-        rec_f.append(beta_h * direct + beta_e * b_now)
+        nonlocal n_recorded
+        k = n_recorded
+        t_rec[k] = t_now
+        s_rec[k] = s_now
+        mass_rec[k] = np.dot(trap, density)
+        v_rec[k] = v_now
+        b_rec[k] = b_now
+        f_rec[k] = beta_h * direct + beta_e * b_now
+        n_recorded += 1
 
     def snapshot(t_now):
-        snap_t.append(t_now)
-        snap_rows.append(density.copy())
+        nonlocal n_snapped
+        snap_t[n_snapped] = t_now
+        snaps[n_snapped] = density
+        n_snapped += 1
 
     direct_now = direct_integral()
     boundary_t[0] = 0.0
@@ -657,16 +675,16 @@ def simulate_epidemic(
     final = StructuredState(S=s_now, I=density.copy(), V=v_now, B=b_now)
     return EpidemicRun(
         omega=omega,
-        t=np.asarray(rec_t),
-        S=np.asarray(rec_s),
-        I_total=np.asarray(rec_mass),
-        V=np.asarray(rec_v),
-        B=np.asarray(rec_b),
-        F=np.asarray(rec_f),
+        t=t_rec,
+        S=s_rec,
+        I_total=mass_rec,
+        V=v_rec,
+        B=b_rec,
+        F=f_rec,
         boundary_t=boundary_t,
         boundary_flux=boundary_flux,
-        snapshot_t=np.asarray(snap_t),
-        snapshots=np.asarray(snap_rows) if snap_rows else np.empty((0, n_omega + 1)),
+        snapshot_t=snap_t,
+        snapshots=snaps,
         final=final,
     )
 

@@ -46,6 +46,10 @@ log = logging.getLogger("immunoepi")
 SPECTRAL_SCAN_MAX = 50.0
 SPECTRAL_SCAN_STEP = 1e-2
 QUAD_DEFAULT = QuadratureSpec(n=64)
+# rows stacked per CSV block and bytes per manifest read: a writer's or a
+# hash's working memory is bounded by these, not by the file size
+CSV_BLOCK = 4096
+HASH_CHUNK = 1 << 20
 
 
 @dataclass
@@ -61,20 +65,32 @@ class RunOutput:
 # deterministic writers
 
 
-def _write_rows(path: Path, header: str, table: np.ndarray) -> None:
-    """Write a 2-D float table as CSV, one shortest round-trip repr per value.
+def _write_rows(path: Path, header: str, *columns: np.ndarray) -> None:
+    """Write float columns side by side as CSV, one shortest round-trip repr
+    per value.
 
-    Rows are converted one at a time, so no whole-table list is built.
+    Each column is a 1-D array or a 2-D block of columns, all with the same
+    number of rows. CSV_BLOCK rows are stacked at a time and converted one
+    row at a time, so no whole-table array or list is built.
     """
+    n_rows = len(columns[0])
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in table:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK):
+            block = np.column_stack([col[start:start + CSV_BLOCK] for col in columns])
+            for row in block:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _sha256(path: Path) -> str:
+    """sha256 of a file, read through one buffer of at most HASH_CHUNK bytes
+    (a small file gets a buffer of its own size)."""
     digest = hashlib.sha256()
-    digest.update(path.read_bytes())
+    buf = bytearray(min(HASH_CHUNK, path.stat().st_size))
+    view = memoryview(buf)
+    with open(path, "rb") as fh:
+        while n_read := fh.readinto(buf):
+            digest.update(view[:n_read])
     return digest.hexdigest()
 
 
@@ -219,11 +235,7 @@ def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     p_grid = np.linspace(1e-6, p_max, n)
     phi = within_host.slow_manifold_W(p_grid, params)
     null = within_host.w_nullcline(p_grid, params)
-    _write_rows(
-        out_dir / "manifold.csv",
-        "P,manifold_W,nullcline_W",
-        np.column_stack((p_grid, phi, null)),
-    )
+    _write_rows(out_dir / "manifold.csv", "P,manifold_W,nullcline_W", p_grid, phi, null)
     summary = {
         "subcommand": "manifold",
         "seed": args.seed,
@@ -268,11 +280,7 @@ def _cmd_equilibria(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         "endemic_exists": eq is not None,
     }
     if eq is not None:
-        _write_rows(
-            out_dir / "equilibrium_profile.csv",
-            "omega,I_star",
-            np.column_stack((eq.omega, eq.I)),
-        )
+        _write_rows(out_dir / "equilibrium_profile.csv", "omega,I_star", eq.omega, eq.I)
         summary["endemic"] = {
             "S": eq.S, "I0": eq.I0, "V": eq.V, "B": eq.B,
             "residuals": between_host.endemic_residuals(eq, params),
@@ -317,15 +325,11 @@ def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     _write_rows(
         out_dir / "timeseries.csv",
         "t,S,I_total,V,B,F",
-        np.column_stack((run_rec.t, run_rec.S, run_rec.I_total, run_rec.V, run_rec.B, run_rec.F)),
+        run_rec.t, run_rec.S, run_rec.I_total, run_rec.V, run_rec.B, run_rec.F,
     )
     if cfg.snapshot_stride:
         header = "t," + ",".join(repr(float(w)) for w in run_rec.omega)
-        _write_rows(
-            out_dir / "snapshots.csv",
-            header,
-            np.column_stack((run_rec.snapshot_t, run_rec.snapshots)),
-        )
+        _write_rows(out_dir / "snapshots.csv", header, run_rec.snapshot_t, run_rec.snapshots)
     summary = {
         "subcommand": "epi-sim",
         "seed": args.seed,
@@ -403,7 +407,7 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     _write_rows(
         out_dir / "renewal.csv",
         "t,S_pde,F_pde,S_renewal,F_renewal",
-        np.column_stack((renewal.t, s_pde, f_pde, renewal.S, renewal.F)),
+        renewal.t, s_pde, f_pde, renewal.S, renewal.F,
     )
     summary = {
         "subcommand": "renewal-check",
@@ -451,9 +455,7 @@ def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         scan = between_host.endemic_spectrum_scan(
             params, SPECTRAL_SCAN_MAX, SPECTRAL_SCAN_STEP, QUAD_DEFAULT, clock=clock
         )
-        _write_rows(
-            out_dir / "scan.csv", "lambda,residual", np.column_stack((scan.lam, scan.residual))
-        )
+        _write_rows(out_dir / "scan.csv", "lambda,residual", scan.lam, scan.residual)
         summary["endemic_scan_roots"] = scan.roots
         summary["endemic_residual_at_zero_plus"] = scan.residual[1]
     else:

@@ -1,10 +1,14 @@
-"""Array-form references for the component-wise RK4 and the transport loop.
+"""Earlier implementations kept as references for the package's faster ones.
 
 ``rk4_step_array`` and ``simulate_epidemic_array`` are the earlier array
 implementations: the pools travel as a 3-element ndarray, the rhs builds a
-new array per stage, and every step allocates its own temporaries. The
-package's float-pool RK4 and buffered upwind step keep the same operation
-order, so the tests hold them to these references bit for bit.
+new array per stage, every step allocates its own temporaries, and records
+grow as Python lists. The package's float-pool RK4, buffered upwind step and
+preallocated records keep the same operation order, so the tests hold them
+to these references bit for bit.
+
+``write_rows_table`` is the earlier whole-table CSV writer; the package's
+block-streamed writer must produce the same bytes.
 """
 
 import numpy as np
@@ -133,3 +137,12 @@ def simulate_epidemic_array(
         snapshots=np.asarray(snap_rows) if snap_rows else np.empty((0, n_omega + 1)),
         final=final,
     )
+
+
+def write_rows_table(path, header, table):
+    """Write a whole 2-D float table as CSV, one shortest round-trip repr per
+    value."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

@@ -359,6 +359,16 @@ class TestSimulateEpidemic:
         assert run.boundary_t.size == 21  # every step
         assert run.snapshots.shape == (3, 51)  # steps 0, 10, 20
 
+    @pytest.mark.parametrize("strides", [(0, 0), (-1, 0), (1, -1)])
+    def test_rejects_invalid_strides(self, direct_params, strides):
+        output_stride, snapshot_stride = strides
+        init = bh.StructuredState(S=10.0, I=np.zeros(51), V=0.0, B=0.0)
+        with pytest.raises(ValueError, match="stride"):
+            bh.simulate_epidemic(
+                direct_params, init, t_max=1.0, n_omega=50, dt=0.05,
+                output_stride=output_stride, snapshot_stride=snapshot_stride,
+            )
+
 
 def reference_cases():
     """bh_env, table-valued g and P, and the linked set with P and g from the
@@ -388,7 +398,8 @@ class TestArrayReference:
     loop bit for bit; a reordered product would show on table and linked
     coefficients, where P and g vary with status."""
 
-    @pytest.mark.parametrize("stride", [1, 80])
+    # 400 steps: stride 7 leaves a trailing record of the last step
+    @pytest.mark.parametrize("stride", [1, 7, 80])
     @pytest.mark.parametrize("case", ["bh_env", "table", "linked"])
     def test_runs_match_the_array_loop_bit_for_bit(self, case, stride):
         params, init, n_omega, dt = reference_cases()[case]

@@ -14,6 +14,8 @@ from immunoepi import between_host, bifurcation, cli, numerics
 from immunoepi.config import load_scenario
 from immunoepi.numerics import NumericsError
 
+from reference_loops import write_rows_table
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 R0_DIRECT_QUAD = 7.869386805910196  # Simpson n=64 value at the direct set
@@ -391,6 +393,29 @@ class TestEpiSimOutputs:
         summary = read_summary(out)
         assert summary["grid"]["n_omega"] == 100
         assert summary["grid"]["dt"] == 0.02
+
+
+class TestCsvWriter:
+    """The block-streamed writer reproduces the whole-table writer byte for
+    byte on both sides of every block boundary."""
+
+    SPECIAL = np.array([-0.0, 5e-324, 1e308, 3.0, -2.0, 0.0, 0.1, 1.0 / 3.0, -1e-300, 1e16])
+
+    BLOCK = cli.CSV_BLOCK
+
+    @pytest.mark.parametrize("n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_matches_the_whole_table_writer(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        first = np.resize(self.SPECIAL, n_rows)
+        block = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+        block[::5, 1] = np.round(block[::5, 1] % 1000.0)  # integral floats
+        last = np.resize(self.SPECIAL[::-1], n_rows)
+        header = "a,b0,b1,b2,c"
+        cli._write_rows(tmp_path / "streamed.csv", header, first, block, last)
+        write_rows_table(tmp_path / "whole.csv", header, np.column_stack((first, block, last)))
+        streamed = (tmp_path / "streamed.csv").read_bytes()
+        assert streamed == (tmp_path / "whole.csv").read_bytes()
+        assert streamed.count(b"\n") == n_rows + 1
 
 
 class TestPlotData:
