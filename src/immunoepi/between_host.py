@@ -15,11 +15,10 @@ when they reach omega0. New infections enter at omega = 0 through the
 nonlocal boundary condition, driven by direct (beta_h) and environmental
 (beta_e) transmission.
 
-This module provides the transport solver, a closed-form characteristics
-oracle, the reproduction number and its spectral refinement, the endemic
-equilibrium with residual checks, stability residuals of the endemic
-linearization, and an equivalent renewal-equation formulation used for
-cross-checking.
+This module provides the transport solver, the reproduction number and its
+spectral refinement, the endemic equilibrium with residual checks,
+stability residuals of the endemic linearization, and an equivalent
+renewal-equation formulation used for cross-checking.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "dfe_lambda_hat",
     "endemic_equilibrium",
     "endemic_residuals",
-    "characteristics_eval",
     "simulate_epidemic",
     "renewal_kernel_A",
     "kernel_total_integral",
@@ -157,11 +155,6 @@ class StructuredState:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
         if not np.all(np.isfinite(self.I)) or np.any(self.I < 0):
             raise ValueError("I must be nonnegative and finite")
-
-    def infected_mass(self, omega0: float) -> float:
-        """Trapezoid mass of the infected density."""
-        step = omega0 / (self.I.size - 1)
-        return float(np.trapezoid(self.I, dx=step))
 
 
 @dataclass(frozen=True)
@@ -448,55 +441,6 @@ def endemic_residuals(eq: EndemicEquilibrium, params: BetweenHostParams) -> dict
 
 
 # ---------------------------------------------------------------------------
-# characteristics oracle
-
-
-def characteristics_eval(
-    t: float,
-    omega,
-    params: BetweenHostParams,
-    initial_density: Callable[[np.ndarray], np.ndarray],
-    boundary_history: Callable[[np.ndarray], np.ndarray],
-    clock: StatusClock | None = None,
-):
-    """Closed-form transport solution along characteristics.
-
-    For points whose backward characteristic reaches the initial line
-    (travel time G(omega) > t) the value is carried from the initial
-    density; otherwise it is carried from the boundary-flux history
-    H(s) = g(0)*I(s, 0):
-
-      I(t,w) = phi(w_b) * g(w_b)/g(w) * exp(-(M(w)-M(w_b)))   if G(w) >= t
-      I(t,w) = H(t - G(w)) * (1/g(w)) * exp(-M(w))            otherwise
-
-    On the dividing characteristic G(w) = t both branches agree whenever
-    the data are compatible (H(0) = g(0)*phi(0)); the initial branch is
-    used there so t = 0 reproduces phi exactly.
-
-    with w_b the status at time 0 of the characteristic through (t, w).
-    Accepts scalar or array omega.
-    """
-    clock = clock or build_clock(params)
-    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    travel = clock.time_of(omega_arr)
-    g_here = params.g(omega_arr)
-    decay_here = clock.decay_at(omega_arr)
-    out = np.empty_like(omega_arr)
-    from_initial = travel >= t
-    if np.any(from_initial):
-        w_back = clock.status_at(travel[from_initial] - t)
-        carried = np.asarray(initial_density(w_back), dtype=float)
-        ratio = params.g(w_back) / g_here[from_initial]
-        fade = np.exp(-(decay_here[from_initial] - clock.decay_at(w_back)))
-        out[from_initial] = carried * ratio * fade
-    from_boundary = ~from_initial
-    if np.any(from_boundary):
-        h_vals = np.asarray(boundary_history(t - travel[from_boundary]), dtype=float)
-        out[from_boundary] = h_vals / g_here[from_boundary] * np.exp(-decay_here[from_boundary])
-    return float(out[0]) if np.ndim(omega) == 0 else out
-
-
-# ---------------------------------------------------------------------------
 # transport simulation
 
 
@@ -506,9 +450,8 @@ class EpidemicRun:
 
     t, S, I_total, V, B, F sample the scalar time series at the output
     stride (and at the last step); they are the rows of one preallocated
-    (6, n_rec) block. boundary_t/boundary_flux record g(0)*I(t,0) at every
-    step for use as a characteristics history; snapshots hold full I rows,
-    one preallocated block, when a snapshot stride was requested.
+    (6, n_rec) block. snapshots hold full I rows, one preallocated block,
+    when a snapshot stride was requested.
     """
 
     omega: np.ndarray
@@ -518,15 +461,9 @@ class EpidemicRun:
     V: np.ndarray
     B: np.ndarray
     F: np.ndarray
-    boundary_t: np.ndarray
-    boundary_flux: np.ndarray
     snapshot_t: np.ndarray
     snapshots: np.ndarray
     final: StructuredState = field(repr=False)
-
-    def boundary_history(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Linear interpolant of the recorded boundary flux g(0)*I(t,0)."""
-        return lambda s: np.interp(s, self.boundary_t, self.boundary_flux)
 
 
 def simulate_epidemic(
@@ -581,8 +518,6 @@ def simulate_epidemic(
     r, mu1, rho, mu3, sigma = params.r, params.mu1, params.rho, params.mu3, params.sigma
     beta_h, beta_e = params.beta_h, params.beta_e
 
-    boundary_t = np.empty(n_steps + 1)
-    boundary_flux = np.empty(n_steps + 1)
     # one column per recorded step: t, S, I_total, V, B, F; the last step is
     # recorded even when the stride does not divide n_steps
     n_rec = n_steps // output_stride + 1 + (n_steps % output_stride != 0)
@@ -619,8 +554,6 @@ def simulate_epidemic(
         n_snapped += 1
 
     direct_now = direct_integral()
-    boundary_t[0] = 0.0
-    boundary_flux[0] = g0 * density[0]
     record(0.0, direct_now)
     if snapshot_stride:
         snapshot(0.0)
@@ -665,8 +598,6 @@ def simulate_epidemic(
         direct_now = direct_integral()
 
         t_next = (n + 1) * dt
-        boundary_t[n + 1] = t_next
-        boundary_flux[n + 1] = g0 * density[0]
         if (n + 1) % output_stride == 0 or n + 1 == n_steps:
             record(t_next, direct_now)
         if snapshot_stride and (n + 1) % snapshot_stride == 0:
@@ -681,8 +612,6 @@ def simulate_epidemic(
         V=v_rec,
         B=b_rec,
         F=f_rec,
-        boundary_t=boundary_t,
-        boundary_flux=boundary_flux,
         snapshot_t=snap_t,
         snapshots=snaps,
         final=final,
@@ -912,8 +841,8 @@ def _endemic_characteristic(
 
     def general(lam):
         j_p, j_xi = integrals(lam)
-        boundary_factor = recovery * np.exp(-lam * total) / (lam + params.rho + params.mu3)
-        bracket = (boundary_factor - 1.0) / (lam + params.mu1)
+        returned = recovery * np.exp(-lam * total) / (lam + params.rho + params.mu3)
+        bracket = (returned - 1.0) / (lam + params.mu1)
         rhs = direct * j_p + bracket * K
         if params.beta_e > 0:
             rhs += params.beta_e * eq.S * j_xi / (lam + params.sigma)

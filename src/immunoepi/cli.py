@@ -30,7 +30,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +46,9 @@ log = logging.getLogger("immunoepi")
 SPECTRAL_SCAN_MAX = 50.0
 SPECTRAL_SCAN_STEP = 1e-2
 QUAD_DEFAULT = QuadratureSpec(n=64)
-# rows stacked per CSV block and bytes per manifest read: a writer's or a
+# values stacked per CSV block and bytes per manifest read: a writer's or a
 # hash's working memory is bounded by these, not by the file size
-CSV_BLOCK = 4096
+CSV_BLOCK = 16384
 HASH_CHUNK = 1 << 20
 
 
@@ -70,14 +70,17 @@ def _write_rows(path: Path, header: str, *columns: np.ndarray) -> None:
     per value.
 
     Each column is a 1-D array or a 2-D block of columns, all with the same
-    number of rows. CSV_BLOCK rows are stacked at a time and converted one
-    row at a time, so no whole-table array or list is built.
+    number of rows. Blocks of at most CSV_BLOCK values (at least one row)
+    are stacked at a time and converted one row at a time, so no
+    whole-table array or list is built, however wide the table.
     """
     n_rows = len(columns[0])
+    width = sum(1 if np.ndim(col) == 1 else np.shape(col)[1] for col in columns)
+    rows = max(1, CSV_BLOCK // width)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, n_rows, CSV_BLOCK):
-            block = np.column_stack([col[start:start + CSV_BLOCK] for col in columns])
+        for start in range(0, n_rows, rows):
+            block = np.column_stack([col[start:start + rows] for col in columns])
             for row in block:
                 fh.write(",".join(map(repr, row.tolist())) + "\n")
 
@@ -143,14 +146,6 @@ def _between_echo(cfg: ScenarioConfig) -> dict:
     }
 
 
-def _within_echo(cfg: ScenarioConfig) -> dict:
-    p = cfg.within
-    return {
-        "Lambda": p.Lambda, "mu": p.mu, "alpha": p.alpha, "gamma": p.gamma,
-        "delta": p.delta, "epsilon": p.epsilon, "kappa": p.kappa, "c": p.c,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -166,7 +161,7 @@ def _cmd_within_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     run_rec = within_host.simulate_infection(
         params, initial, t_max, p_clear=cfg.p_clear
     )
-    within_host.write_trajectory_csv(run_rec, out_dir / "trajectory.csv")
+    _write_rows(out_dir / "trajectory.csv", "t,T,P,W", run_rec.t, run_rec.states)
     summary = {
         "subcommand": "within-sim",
         "seed": args.seed,
@@ -185,20 +180,14 @@ def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     cfg.require("within_host", "sweep")
     params, spec = cfg.within, cfg.sweep
     if args.grid_refine > 1:
-        spec = bifurcation.SweepSpec(
-            which=spec.which, lo=spec.lo, hi=spec.hi,
-            n=spec.n * args.grid_refine, W=spec.W,
-        )
+        spec = replace(spec, n=spec.n * args.grid_refine)
     try:
         result = bifurcation.sweep_branch(params, spec)
     except ValueError as exc:
         # a sweep range with no infected equilibrium is a configuration error
         raise ConfigError(f"sweep: {exc}") from exc
     events = bifurcation.detect_all_events(result)
-    cycle_spec = bifurcation.SweepSpec(
-        which=spec.which, lo=spec.lo, hi=spec.hi, n=cfg.cycle_n, W=spec.W
-    )
-    cycles = bifurcation.cycle_amplitude(params, cycle_spec)
+    cycles = bifurcation.cycle_amplitude(params, replace(spec, n=cfg.cycle_n))
     bifurcation.branch_to_csv(result.fold_path, out_dir / "branches.csv")
     bifurcation.branch_to_csv(result.trivial, out_dir / "trivial.csv")
     bifurcation.cycles_to_csv(cycles, out_dir / "cycles.csv")
@@ -208,17 +197,14 @@ def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         "subcommand": "bifurcate",
         "seed": args.seed,
         "grid_refine": args.grid_refine,
-        "sweep": {
-            "which": spec.which, "lo": spec.lo, "hi": spec.hi, "n": spec.n,
-            "W": spec.W,
-        },
+        "sweep": asdict(spec),
         "defaults": {
             "cycle_n": cfg.cycle_n,
             "cycle_transient": bifurcation.CYCLE_TRANSIENT,
             "cycle_window": bifurcation.CYCLE_WINDOW,
             "cycle_step": bifurcation.CYCLE_STEP,
         },
-        "parameters": _within_echo(cfg),
+        "parameters": asdict(params),
         "events": bifurcation.events_to_json(events),
         "analytic_fold_clearance": loci.Gamma_fold,
         "analytic_hopf_clearance": [root.Gamma for root in loci.hopf if root.valid],
@@ -241,7 +227,7 @@ def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         "seed": args.seed,
         "grid_refine": args.grid_refine,
         "defaults": {"n_points": n, "p_max": p_max},
-        "parameters": _within_echo(cfg),
+        "parameters": asdict(params),
         "tip": {"P": tip_P, "W": tip_W},
         "nullcline_slope": params.kappa / params.c,
     }
@@ -301,10 +287,15 @@ def _apply_refine(cfg: ScenarioConfig, k: int) -> tuple[int, float]:
 
 
 def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **strides) -> between_host.EpidemicRun:
-    """Transport run on the refined grid; a grid the solver refuses (the CFL
-    bound on its own nodes) is a configuration error."""
-    s0, i0, v0, b0 = cfg.initial_state_arrays(n_omega)
-    initial = between_host.StructuredState(S=s0, I=i0, V=v0, B=b0)
+    """Transport run on the refined grid; an initial density the state
+    refuses (negative, or undefined past a derived coefficient's fold) and
+    a grid the solver refuses (the CFL bound on its own nodes) are
+    configuration errors."""
+    try:
+        s0, i0, v0, b0 = cfg.initial_state_arrays(n_omega)
+        initial = between_host.StructuredState(S=s0, I=i0, V=v0, B=b0)
+    except ValueError as exc:
+        raise ConfigError(f"run.initial: {exc}") from exc
     try:
         return between_host.simulate_epidemic(
             cfg.between, initial, cfg.t_max, n_omega, dt, **strides

@@ -19,7 +19,7 @@ Callables are vectorized over ndarray inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -108,17 +108,5 @@ def from_within_host(kind: str, params: wh.WithinHostParams) -> Coefficient:
             return wh.immune_growth_g(w, params)
     else:
         raise ValueError(f"unknown within-host coefficient kind {kind!r}")
-    describe = {
-        "kind": kind,
-        "within_host": {
-            "Lambda": params.Lambda,
-            "mu": params.mu,
-            "alpha": params.alpha,
-            "gamma": params.gamma,
-            "delta": params.delta,
-            "epsilon": params.epsilon,
-            "kappa": params.kappa,
-            "c": params.c,
-        },
-    }
+    describe = {"kind": kind, "within_host": asdict(params)}
     return Coefficient(family="within_host", describe=describe, fn=fn)

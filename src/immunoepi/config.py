@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,11 +69,9 @@ def _reject_unknown(node: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}: unknown key {sorted(unknown)[0]!r}")
 
 
-def _number(node: dict, key: str, path: str, default=None) -> float:
+def _number(node: dict, key: str, path: str) -> float:
     if key not in node:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: required number is missing")
-        return float(default)
+        raise ConfigError(f"{path}.{key}: required number is missing")
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
@@ -82,11 +80,9 @@ def _number(node: dict, key: str, path: str, default=None) -> float:
     return float(value)
 
 
-def _integer(node: dict, key: str, path: str, default=None) -> int:
+def _integer(node: dict, key: str, path: str) -> int:
     if key not in node:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: required integer is missing")
-        return int(default)
+        raise ConfigError(f"{path}.{key}: required integer is missing")
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
@@ -192,11 +188,12 @@ class ScenarioConfig:
 
 def _parse_within(node: dict, cfg: ScenarioConfig) -> None:
     _reject_unknown(node, _WITHIN_KEYS, "within_host")
-    kwargs = {}
-    for key in ("Lambda", "mu", "alpha", "gamma", "delta"):
-        kwargs[key] = _number(node, key, "within_host")
-    for key, default in (("epsilon", 0.01), ("kappa", 1.0), ("c", 0.5)):
-        kwargs[key] = _number(node, key, "within_host", default)
+    # a rate without a dataclass default is required
+    kwargs = {
+        f.name: _number(node, f.name, "within_host")
+        for f in fields(within_host.WithinHostParams)
+        if f.default is MISSING or f.name in node
+    }
     try:
         cfg.within = within_host.WithinHostParams(**kwargs)
     except ValueError as exc:
@@ -208,7 +205,8 @@ def _parse_within(node: dict, cfg: ScenarioConfig) -> None:
         if any(x < 0 for x in triple):
             raise ConfigError("within_host.initial: components must be nonnegative")
         cfg.within_initial = tuple(triple)
-    cfg.p_clear = _number(node, "p_clear", "within_host", within_host.P_CLEAR_DEFAULT)
+    if "p_clear" in node:
+        cfg.p_clear = _number(node, "p_clear", "within_host")
     if cfg.p_clear <= 0:
         raise ConfigError("within_host.p_clear: must be positive")
 
@@ -222,15 +220,18 @@ def _parse_sweep(node: dict, cfg: ScenarioConfig) -> None:
         which=which,
         lo=_number(node, "lo", "sweep"),
         hi=_number(node, "hi", "sweep"),
-        n=_integer(node, "n", "sweep", 200),
     )
+    # absent optional keys keep the SweepSpec defaults
+    if "n" in node:
+        kwargs["n"] = _integer(node, "n", "sweep")
     if "W" in node:
         kwargs["W"] = _number(node, "W", "sweep")
     try:
         cfg.sweep = bifurcation.SweepSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
-    cfg.cycle_n = _integer(node, "cycle_n", "sweep", 40)
+    if "cycle_n" in node:
+        cfg.cycle_n = _integer(node, "cycle_n", "sweep")
     if cfg.cycle_n < 2:
         raise ConfigError("sweep.cycle_n: must be at least 2")
 
@@ -265,8 +266,9 @@ def _parse_between(raw: dict, cfg: ScenarioConfig) -> None:
         rho=_number(node, "rho", "between_host"),
         sigma=_number(node, "sigma", "between_host"),
         omega0=omega0,
-        a_bar=_number(node, "a_bar", "between_host", 30.0),
     )
+    if "a_bar" in node:
+        kwargs["a_bar"] = _number(node, "a_bar", "between_host")
     try:
         cfg.between = BetweenHostParams(**kwargs, **resolved)
     except (TypeError, ValueError) as exc:
@@ -288,8 +290,10 @@ def _parse_run(node: dict, cfg: ScenarioConfig) -> None:
     cfg.t_max = _number(node, "t_max", "run")
     if cfg.t_max <= 0:
         raise ConfigError("run.t_max: must be positive")
-    cfg.output_stride = _integer(node, "output_stride", "run", 1)
-    cfg.snapshot_stride = _integer(node, "snapshot_stride", "run", 0)
+    if "output_stride" in node:
+        cfg.output_stride = _integer(node, "output_stride", "run")
+    if "snapshot_stride" in node:
+        cfg.snapshot_stride = _integer(node, "snapshot_stride", "run")
     if cfg.output_stride < 1:
         raise ConfigError("run.output_stride: must be at least 1")
     if cfg.snapshot_stride < 0:
@@ -298,8 +302,10 @@ def _parse_run(node: dict, cfg: ScenarioConfig) -> None:
         init = _require_mapping(node["initial"], "run.initial")
         _reject_unknown(init, _INITIAL_KEYS, "run.initial")
         cfg.initial_S = _number(init, "S", "run.initial")
-        cfg.initial_V = _number(init, "V", "run.initial", 0.0)
-        cfg.initial_B = _number(init, "B", "run.initial", 0.0)
+        if "V" in init:
+            cfg.initial_V = _number(init, "V", "run.initial")
+        if "B" in init:
+            cfg.initial_B = _number(init, "B", "run.initial")
         if cfg.initial_S < 0 or cfg.initial_V < 0 or cfg.initial_B < 0:
             raise ConfigError("run.initial: state components must be nonnegative")
         if "I" not in init:

@@ -136,10 +136,6 @@ class Trajectory:
     event_time: float | None = None
     event_state: np.ndarray | None = None
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.y[-1]
-
 
 def rk4_step(rhs, t, y, h):
     """One classic RK4 step of ``y' = rhs(t, y)`` from t to t + h.

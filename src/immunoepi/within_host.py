@@ -18,7 +18,7 @@ cleared after the fold) are all computed here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .numerics import (
     BracketError,
     IntegratorSpec,
     RootBracket,
-    Trajectory,
     find_root,
     integrate_ode,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "InfectionRun",
     "rhs_full",
     "vector_field",
-    "fast_rhs",
     "equilibria_fast",
     "jacobian_fast",
     "critical_loci",
@@ -50,9 +48,7 @@ __all__ = [
     "w_nullcline",
     "upper_branch_P",
     "immune_growth_g",
-    "integrate_slow_reduced",
     "simulate_infection",
-    "write_trajectory_csv",
     "run_metadata",
 ]
 
@@ -127,12 +123,9 @@ class WithinHostState:
         return np.array([self.T, self.P, self.W], dtype=float)
 
 
-def rhs_full(state: WithinHostState | Sequence[float], params: WithinHostParams) -> np.ndarray:
+def rhs_full(state: Sequence[float], params: WithinHostParams) -> np.ndarray:
     """Time derivative of (T, P, W)."""
-    if isinstance(state, WithinHostState):
-        T, P, W = state.T, state.P, state.W
-    else:
-        T, P, W = state
+    T, P, W = state
     infection = params.alpha * P * P * T
     dT = params.Lambda - params.mu * T - infection
     dP = infection - params.gamma * P - params.delta * P * W
@@ -147,18 +140,6 @@ def vector_field(params: WithinHostParams):
         return rhs_full(y, params)
 
     return f
-
-
-def fast_rhs(tp: Sequence[float], params: WithinHostParams, W: float) -> np.ndarray:
-    """Planar fast subsystem at frozen immune status W."""
-    T, P = tp
-    infection = params.alpha * P * P * T
-    return np.array(
-        [
-            params.Lambda - params.mu * T - infection,
-            infection - params.gamma_eff(W) * P,
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +224,14 @@ def jacobian_fast(tp: Sequence[float], params: WithinHostParams, W: float) -> np
 
 @dataclass(frozen=True)
 class HopfRoot:
-    """A root Gamma of the trace-vanishing condition, with validity gates.
+    """A root Gamma of the trace-vanishing condition, with its validity gate.
 
-    ``det_gate_strict`` is Gamma > 2*mu (determinant positive at the
-    trace-zero equilibrium, so the root is an actual Hopf point);
-    ``det_gate_weak`` is the looser Gamma > mu. Both are reported, only the
-    strict gate marks the root usable.
+    ``det_gate_strict`` is Gamma > 2*mu: the determinant is positive at the
+    trace-zero equilibrium, so the root is an actual Hopf point and usable.
     """
 
     Gamma: float
-    P_star: float
     det_gate_strict: bool
-    det_gate_weak: bool
 
     @property
     def valid(self) -> bool:
@@ -267,33 +244,6 @@ class CriticalLoci:
 
     Gamma_fold: float
     hopf: tuple[HopfRoot, ...]
-    gamma: float
-
-    def delta_fold(self, W: float) -> float:
-        """Fold position delta at fixed immune status W (requires W > 0)."""
-        if W <= 0:
-            raise ValueError("fold position in delta needs W > 0")
-        return (self.Gamma_fold - self.gamma) / W
-
-    def W_fold(self, delta: float) -> float:
-        """Fold position W at fixed clearance coefficient delta."""
-        return (self.Gamma_fold - self.gamma) / delta
-
-    def delta_hopf(self, W: float, valid_only: bool = True) -> list[float]:
-        if W <= 0:
-            raise ValueError("Hopf position in delta needs W > 0")
-        return [
-            (h.Gamma - self.gamma) / W
-            for h in self.hopf
-            if (h.valid or not valid_only) and h.Gamma > self.gamma
-        ]
-
-    def W_hopf(self, delta: float, valid_only: bool = True) -> list[float]:
-        return [
-            (h.Gamma - self.gamma) / delta
-            for h in self.hopf
-            if (h.valid or not valid_only) and h.Gamma > self.gamma
-        ]
 
 
 def critical_loci(params: WithinHostParams) -> CriticalLoci:
@@ -331,16 +281,9 @@ def critical_loci(params: WithinHostParams) -> CriticalLoci:
             G = find_root(trace_condition, RootBracket(lo, max(hi, lo + 1e-12)), tol=1e-14)
         except BracketError:
             G = g0
-        hopf.append(
-            HopfRoot(
-                Gamma=G,
-                P_star=G * G / (a * lam),
-                det_gate_strict=G > 2.0 * mu,
-                det_gate_weak=G > mu,
-            )
-        )
+        hopf.append(HopfRoot(Gamma=G, det_gate_strict=G > 2.0 * mu))
     hopf.sort(key=lambda h: h.Gamma)
-    return CriticalLoci(Gamma_fold=float(Gamma_fold), hopf=tuple(hopf), gamma=params.gamma)
+    return CriticalLoci(Gamma_fold=float(Gamma_fold), hopf=tuple(hopf))
 
 
 # ---------------------------------------------------------------------------
@@ -411,33 +354,6 @@ def immune_growth_g(omega, params: WithinHostParams):
     omega_arr = np.asarray(omega, dtype=float)
     out = params.kappa * upper_branch_P(omega_arr, params) - params.c * omega_arr
     return float(out) if np.ndim(out) == 0 else out
-
-
-def integrate_slow_reduced(
-    params: WithinHostParams,
-    W0: float,
-    tau_span: tuple[float, float],
-    spec: IntegratorSpec | None = None,
-) -> Trajectory:
-    """Reduced slow flow on the infected branch, dW/dtau = kappa*P_plus(W) - c*W.
-
-    tau is slow time (tau = epsilon * t). Stops early at the fold if the
-    branch is left. Used as the singular-limit oracle for full simulations.
-    """
-    _, W_max = manifold_tip(params)
-
-    def f(tau, y):
-        W = min(y[0], W_max)
-        return np.array([params.kappa * upper_branch_P(W, params) - params.c * W])
-
-    def at_fold(tau, y):
-        return W_max - y[0]
-
-    if spec is None:
-        # dense samples: callers interpolate this trajectory linearly
-        span = tau_span[1] - tau_span[0]
-        spec = IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12, max_step=max(1e-3, 0.002 * span))
-    return integrate_ode(f, [W0], tau_span, spec, event=at_fold)
 
 
 # ---------------------------------------------------------------------------
@@ -567,27 +483,10 @@ def simulate_infection(
     )
 
 
-def write_trajectory_csv(run: InfectionRun, path) -> None:
-    """Write the run as CSV with header ``t,T,P,W`` (full float precision)."""
-    with open(path, "w") as fh:
-        fh.write("t,T,P,W\n")
-        for ti, (T, P, W) in zip(run.t, run.states):
-            fh.write(f"{float(ti)!r},{float(T)!r},{float(P)!r},{float(W)!r}\n")
-
-
 def run_metadata(run: InfectionRun, params: WithinHostParams) -> dict:
     """JSON-ready metadata for a run: parameters, thresholds, clearance record."""
     return {
-        "parameters": {
-            "Lambda": params.Lambda,
-            "mu": params.mu,
-            "alpha": params.alpha,
-            "gamma": params.gamma,
-            "delta": params.delta,
-            "epsilon": params.epsilon,
-            "kappa": params.kappa,
-            "c": params.c,
-        },
+        "parameters": asdict(params),
         "p_clear": run.p_clear,
         "w_fold": run.w_fold,
         "recovery_time": run.recovery_time,

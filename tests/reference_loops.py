@@ -50,8 +50,6 @@ def simulate_epidemic_array(
     density = initial.I.copy()
     s_now, v_now, b_now = float(initial.S), float(initial.V), float(initial.B)
 
-    boundary_t = np.empty(n_steps + 1)
-    boundary_flux = np.empty(n_steps + 1)
     rec_t, rec_s, rec_mass, rec_v, rec_b, rec_f = [], [], [], [], [], []
     snap_t, snap_rows = [], []
 
@@ -72,8 +70,6 @@ def simulate_epidemic_array(
         snap_rows.append(density.copy())
 
     f_now, _ = force_of(density, b_now)
-    boundary_t[0] = 0.0
-    boundary_flux[0] = g0 * density[0]
     record(0.0, f_now)
     if snapshot_stride:
         snapshot(0.0)
@@ -114,8 +110,6 @@ def simulate_epidemic_array(
         s_now, v_now, b_now = max(s_new, 0.0), max(v_new, 0.0), max(b_new, 0.0)
 
         t_next = (n + 1) * dt
-        boundary_t[n + 1] = t_next
-        boundary_flux[n + 1] = g0 * density[0]
         if (n + 1) % output_stride == 0 or n + 1 == n_steps:
             f_next, _ = force_of(density, b_now)
             record(t_next, f_next)
@@ -131,8 +125,6 @@ def simulate_epidemic_array(
         V=np.asarray(rec_v),
         B=np.asarray(rec_b),
         F=np.asarray(rec_f),
-        boundary_t=boundary_t,
-        boundary_flux=boundary_flux,
         snapshot_t=np.asarray(snap_t),
         snapshots=np.asarray(snap_rows) if snap_rows else np.empty((0, n_omega + 1)),
         final=final,

@@ -16,6 +16,7 @@ from immunoepi import coefficients as coef
 from immunoepi.numerics import BracketError, QuadratureSpec, quadrature
 
 from conftest import linked_params, make_between
+from oracles import boundary_history, characteristics_eval, infected_mass
 from reference_loops import simulate_epidemic_array
 
 J_REF = (1.0 - np.exp(-0.5)) / 0.1  # 3.9346934028736658
@@ -86,7 +87,7 @@ class TestParamsValidation:
 class TestStructuredState:
     def test_infected_mass_is_the_trapezoid_integral(self):
         state = bh.StructuredState(S=1.0, I=np.ones(101), V=0.0, B=0.0)
-        assert state.infected_mass(5.0) == pytest.approx(5.0, abs=1e-14)
+        assert infected_mass(state, 5.0) == pytest.approx(5.0, abs=1e-14)
 
     def test_rejects_negative_density(self):
         bad = np.ones(11)
@@ -260,18 +261,18 @@ class TestCharacteristics:
     def test_time_zero_returns_the_initial_density(self, matched_params):
         phi = lambda x: 0.1 * np.exp(-0.5 * np.asarray(x, dtype=float))
         w = np.linspace(0.0, 5.0, 7)
-        got = bh.characteristics_eval(0.0, w, matched_params, phi, zero_history)
+        got = characteristics_eval(0.0, w, matched_params, phi, zero_history)
         np.testing.assert_allclose(got, phi(w), rtol=1e-12)
 
     def test_initial_branch_translates_and_decays(self, direct_params):
         # constant speed 1 and removal 0.1: I(t,w) = phi(w-t) e^{-0.1 t}
         phi = lambda x: 0.1 * np.exp(-0.5 * np.asarray(x, dtype=float))
-        got = bh.characteristics_eval(1.0, 3.0, direct_params, phi, zero_history)
+        got = characteristics_eval(1.0, 3.0, direct_params, phi, zero_history)
         assert got == pytest.approx(0.1 * np.exp(-1.0) * np.exp(-0.1), rel=1e-10)
 
     def test_boundary_branch_carries_the_history(self, direct_params):
         history = lambda s: 0.3 + 0.1 * np.asarray(s, dtype=float)
-        got = bh.characteristics_eval(1.0, 0.5, direct_params, zero_history, history)
+        got = characteristics_eval(1.0, 0.5, direct_params, zero_history, history)
         assert got == pytest.approx((0.3 + 0.1 * 0.5) * np.exp(-0.05), rel=1e-10)
 
     def test_nonconstant_speed_matches_the_exact_pullback(self):
@@ -281,16 +282,16 @@ class TestCharacteristics:
         t, w = 1.0, 3.0
         w_back = ((1.0 + 0.2 * w) * np.exp(-0.2 * t) - 1.0) / 0.2
         exact = phi(w_back) * (1.0 + 0.2 * w_back) / (1.0 + 0.2 * w)
-        got = bh.characteristics_eval(t, w, p, phi, zero_history)
+        got = characteristics_eval(t, w, p, phi, zero_history)
         assert got == pytest.approx(exact, rel=1e-8)
 
     def test_scalar_and_array_evaluation_agree(self, direct_params):
         phi = lambda x: 0.1 * np.exp(-0.5 * np.asarray(x, dtype=float))
         history = lambda s: 0.2 * np.ones_like(np.asarray(s, dtype=float))
         w = np.array([0.3, 2.0, 4.5])
-        arr = bh.characteristics_eval(1.0, w, direct_params, phi, history)
+        arr = characteristics_eval(1.0, w, direct_params, phi, history)
         for i, x in enumerate(w):
-            assert bh.characteristics_eval(1.0, float(x), direct_params, phi, history) == arr[i]
+            assert characteristics_eval(1.0, float(x), direct_params, phi, history) == arr[i]
 
 
 class TestSimulateEpidemic:
@@ -307,7 +308,7 @@ class TestSimulateEpidemic:
         w = np.linspace(0.0, 5.0, 201)
         init = bh.StructuredState(S=10.0, I=0.1 * np.exp(-w), V=0.0, B=0.01)
         run = bh.simulate_epidemic(sub, init, t_max=200.0, n_omega=200, dt=0.02)
-        assert run.final.infected_mass(5.0) + run.final.B < 1e-12
+        assert infected_mass(run.final, 5.0) + run.final.B < 1e-12
         assert run.final.S == pytest.approx(10.0, rel=1e-3)
 
     def test_population_balance_with_equal_removal_rates(self):
@@ -317,8 +318,8 @@ class TestSimulateEpidemic:
         w = np.linspace(0.0, 5.0, 201)
         init = bh.StructuredState(S=8.0, I=0.5 * np.exp(-w), V=0.2, B=0.1)
         run = bh.simulate_epidemic(p, init, t_max=10.0, n_omega=200, dt=0.02)
-        n0 = 8.0 + init.infected_mass(5.0) + 0.2
-        n_end = run.final.S + run.final.infected_mass(5.0) + run.final.V
+        n0 = 8.0 + infected_mass(init, 5.0) + 0.2
+        n_end = run.final.S + infected_mass(run.final, 5.0) + run.final.V
         analytic = 10.0 + (n0 - 10.0) * np.exp(-1.0)
         assert n_end == pytest.approx(analytic, rel=1e-2)
 
@@ -326,8 +327,11 @@ class TestSimulateEpidemic:
         phi = lambda x: 0.1 * np.exp(-0.5 * np.asarray(x, dtype=float))
         w = np.linspace(0.0, 5.0, 201)
         init = bh.StructuredState(S=10.71638821965096, I=phi(w), V=0.0, B=0.0)
-        run = bh.simulate_epidemic(matched_params, init, t_max=2.0, n_omega=200, dt=0.0125)
-        pred = bh.characteristics_eval(2.0, w, matched_params, phi, run.boundary_history())
+        run = bh.simulate_epidemic(
+            matched_params, init, t_max=2.0, n_omega=200, dt=0.0125, snapshot_stride=1
+        )
+        history = boundary_history(run, matched_params.g(0.0))
+        pred = characteristics_eval(2.0, w, matched_params, phi, history)
         assert np.max(np.abs(run.final.I - pred)) < 1e-3
 
     def test_rejects_courant_violation(self, direct_params):
@@ -356,7 +360,6 @@ class TestSimulateEpidemic:
         )
         assert len(run.t) == 6  # 0, 0.2, ..., 1.0
         assert run.t[-1] == pytest.approx(1.0)
-        assert run.boundary_t.size == 21  # every step
         assert run.snapshots.shape == (3, 51)  # steps 0, 10, 20
 
     @pytest.mark.parametrize("strides", [(0, 0), (-1, 0), (1, -1)])
@@ -407,8 +410,7 @@ class TestArrayReference:
         kwargs = dict(output_stride=stride, snapshot_stride=stride)
         run = bh.simulate_epidemic(params, init, t_max, n_omega, dt, **kwargs)
         ref = simulate_epidemic_array(params, init, t_max, n_omega, dt, **kwargs)
-        for name in ("t", "S", "I_total", "V", "B", "F", "boundary_t", "boundary_flux",
-                     "snapshot_t", "snapshots"):
+        for name in ("t", "S", "I_total", "V", "B", "F", "snapshot_t", "snapshots"):
             got, want = getattr(run, name), getattr(ref, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         assert run.final.I.tobytes() == ref.final.I.tobytes()

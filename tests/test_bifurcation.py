@@ -12,6 +12,7 @@ from immunoepi import within_host as wh
 from immunoepi.numerics import IntegratorSpec, integrate_ode
 
 from conftest import random_within
+from oracles import fast_rhs
 
 # Frozen closed-form loci for the reference parameter set, W frozen at 0.9
 # for the delta sweep and delta = 0.3 for the W sweep.
@@ -25,6 +26,16 @@ T_FOLD_REF = 5.0  # Lambda / (2 mu)
 
 def delta_sweep(n=200, lo=0.05, hi=1.4, W=0.9):
     return bif.SweepSpec(which="delta", lo=lo, hi=hi, n=n, W=W)
+
+
+def analytic_events(params, spec):
+    """The fold and the one valid Hopf locus, mapped to the sweep parameter."""
+    loci = wh.critical_loci(params)
+    (hopf,) = [h for h in loci.hopf if h.valid]
+    return (
+        bif._param_from_gamma(params, spec, loci.Gamma_fold),
+        bif._param_from_gamma(params, spec, hopf.Gamma),
+    )
 
 
 class TestSweepSpec:
@@ -129,11 +140,11 @@ class TestDetectEvents:
         events = bif.detect_all_events(res)
         kinds = sorted(e.kind for e in events)
         assert kinds == ["fold", "hopf"]
-        loci = wh.critical_loci(paper_within)
+        fold_at, hopf_at = analytic_events(paper_within, res.spec)
         fold = next(e for e in events if e.kind == "fold")
         hopf = next(e for e in events if e.kind == "hopf")
-        assert fold.param == pytest.approx(loci.delta_fold(0.9), abs=1e-6)
-        assert hopf.param == pytest.approx(loci.delta_hopf(0.9)[0], abs=1e-6)
+        assert fold.param == pytest.approx(fold_at, abs=1e-6)
+        assert hopf.param == pytest.approx(hopf_at, abs=1e-6)
         assert fold.param == pytest.approx(DELTA_FOLD_REF, abs=1e-6)
         assert hopf.param == pytest.approx(DELTA_HOPF_REF, abs=1e-6)
 
@@ -155,22 +166,19 @@ class TestDetectEvents:
         spec = bif.SweepSpec(which="W", lo=0.0, hi=4.0, n=200)
         res = bif.sweep_branch(paper_within, spec)
         events = bif.detect_all_events(res)
-        loci = wh.critical_loci(paper_within)
+        fold_at, hopf_at = analytic_events(paper_within, spec)
         fold = next(e for e in events if e.kind == "fold")
         hopf = next(e for e in events if e.kind == "hopf")
-        assert fold.param == pytest.approx(loci.W_fold(paper_within.delta), abs=1e-6)
-        assert hopf.param == pytest.approx(loci.W_hopf(paper_within.delta)[0], abs=1e-6)
+        assert fold.param == pytest.approx(fold_at, abs=1e-6)
+        assert hopf.param == pytest.approx(hopf_at, abs=1e-6)
         assert fold.param == pytest.approx(W_FOLD_REF, abs=1e-6)
         assert hopf.param == pytest.approx(W_HOPF_REF, abs=1e-6)
 
     def test_hopf_event_is_the_polished_critical_locus_root(self, paper_within):
         # no second root solve: the event parameter is the locus root mapped
         # to the sweep parameter
-        loci = wh.critical_loci(paper_within)
-        for spec, expected in (
-            (delta_sweep(), loci.delta_hopf(0.9)[0]),
-            (bif.SweepSpec(which="W", lo=0.0, hi=4.0, n=200), loci.W_hopf(paper_within.delta)[0]),
-        ):
+        for spec in (delta_sweep(), bif.SweepSpec(which="W", lo=0.0, hi=4.0, n=200)):
+            _, expected = analytic_events(paper_within, spec)
             events = bif.detect_all_events(bif.sweep_branch(paper_within, spec))
             assert [e.param for e in events if e.kind == "hopf"] == [expected]
 
@@ -212,7 +220,7 @@ class TestStabilityAgainstFlow:
             p, W = spec.resolve(paper_within, pt.param)
             eq = np.array([pt.T, pt.P])
             traj = integrate_ode(
-                lambda t, y: wh.fast_rhs(y, p, W),
+                lambda t, y: fast_rhs(y, p, W),
                 eq + 1e-3,
                 (0.0, 300.0),
                 IntegratorSpec(max_step=0.5),

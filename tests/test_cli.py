@@ -16,7 +16,8 @@ from immunoepi.numerics import NumericsError
 
 from reference_loops import write_rows_table
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 R0_DIRECT_QUAD = 7.869386805910196  # Simpson n=64 value at the direct set
 
@@ -139,6 +140,27 @@ class TestExitCodes:
         out = tmp_path / "nested" / "out"
         assert cli.main(["renewal-check", "--config", config, "--out", str(out)]) == 2
         assert "requires rho = 0" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
+    @pytest.mark.parametrize(
+        "density",
+        [
+            # negative on (1, omega0]
+            {"family": "linear", "intercept": 1, "slope": -1},
+            # the infected branch ends at the fold, W = 3.60 < omega0 = 5
+            {"family": "within_host", "kind": "pathogen_load"},
+        ],
+        ids=["negative", "past_the_fold"],
+    )
+    def test_bad_initial_density_returns_two(self, tmp_path, capsys, command, density):
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        doc["within_host"] = {"Lambda": 1.0, "mu": 0.1, "alpha": 1.0, "gamma": 0.5, "delta": 0.3}
+        doc["run"]["initial"]["I"] = density
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        assert "error: run.initial: " in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
     @pytest.mark.parametrize("command", ["r0", "spectral"])
@@ -397,25 +419,38 @@ class TestEpiSimOutputs:
 
 class TestCsvWriter:
     """The block-streamed writer reproduces the whole-table writer byte for
-    byte on both sides of every block boundary."""
+    byte, on both sides of every block boundary. A block holds
+    CSV_BLOCK // width rows, at least one."""
 
     SPECIAL = np.array([-0.0, 5e-324, 1e308, 3.0, -2.0, 0.0, 0.1, 1.0 / 3.0, -1e-300, 1e16])
 
-    BLOCK = cli.CSV_BLOCK
-
-    @pytest.mark.parametrize("n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-    def test_matches_the_whole_table_writer(self, tmp_path, n_rows):
+    def check(self, tmp_path, n_rows, width):
+        """A 1-D column, a 2-D block and a 1-D column, width values a row."""
         rng = np.random.default_rng(n_rows)
         first = np.resize(self.SPECIAL, n_rows)
-        block = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+        shape = (n_rows, width - 2)
+        block = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
         block[::5, 1] = np.round(block[::5, 1] % 1000.0)  # integral floats
         last = np.resize(self.SPECIAL[::-1], n_rows)
-        header = "a,b0,b1,b2,c"
+        header = ",".join(f"c{i}" for i in range(width))
         cli._write_rows(tmp_path / "streamed.csv", header, first, block, last)
         write_rows_table(tmp_path / "whole.csv", header, np.column_stack((first, block, last)))
         streamed = (tmp_path / "streamed.csv").read_bytes()
         assert streamed == (tmp_path / "whole.csv").read_bytes()
         assert streamed.count(b"\n") == n_rows + 1
+
+    # row counts spanning up to three blocks of the five-column table
+    @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 8193])
+    def test_matches_the_whole_table_writer(self, tmp_path, n_rows):
+        self.check(tmp_path, n_rows, 5)
+
+    # five columns (3 276 rows a block), the epi-sim snapshot table (t and
+    # 401 nodes, 40 rows a block) and a row wider than a whole block
+    @pytest.mark.parametrize("width", [5, 402, cli.CSV_BLOCK + 1])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_block_edges_match_the_whole_table_writer(self, tmp_path, width, blocks, extra):
+        rows = max(1, cli.CSV_BLOCK // width)
+        self.check(tmp_path, blocks * rows + extra, width)
 
 
 class TestPlotData:
@@ -433,6 +468,23 @@ class TestPlotData:
         code = cli.main(["plot-data", "--out", str(out), "--figure", "fig1"])
         assert code == 2
         assert not (out / "fig1.dat").exists()
+
+
+class TestBenchmarkBindings:
+    def test_traced_benchmark_finds_every_layer(self):
+        # the benchmark's tracer rebinds named functions in every module and
+        # calls cli.load_scenario; removing one of them breaks traced runs
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+            "import tracer\n"
+            "tracer.install(tracer.Tracer())\n"
+            "from immunoepi import cli\n"
+            "print(callable(cli.load_scenario))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
 
 class TestModuleEntryPoint:

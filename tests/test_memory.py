@@ -38,8 +38,7 @@ def test_transport_records_cost_about_the_returned_arrays():
     assert run.t.size == 4001
     returned = sum(
         getattr(run, name).nbytes
-        for name in ("omega", "t", "S", "I_total", "V", "B", "F", "boundary_t",
-                     "boundary_flux", "snapshot_t", "snapshots")
+        for name in ("omega", "t", "S", "I_total", "V", "B", "F", "snapshot_t", "snapshots")
     ) + run.final.I.nbytes
     assert peak < 1.5 * returned
 
@@ -66,3 +65,14 @@ def test_csv_writer_streams_a_large_table(tmp_path):
     _, peak = traced_peak(cli._write_rows, tmp_path / "table.csv", "a,b,c,d,e", *columns)
     assert peak < 2 * MIB
     assert sum(1 for _ in open(tmp_path / "table.csv")) == 100_001
+
+
+def test_csv_writer_streams_a_wide_table(tmp_path):
+    # the epi-sim snapshot layout: a time column beside 401 density columns,
+    # 3.2 MB in all; blocks are bounded by values, not rows
+    rng = np.random.default_rng(2)
+    t, snapshots = rng.standard_normal(1001), rng.standard_normal((1001, 401))
+    header = "t," + ",".join(f"w{i}" for i in range(401))
+    _, peak = traced_peak(cli._write_rows, tmp_path / "wide.csv", header, t, snapshots)
+    assert peak < 2 * MIB
+    assert sum(1 for _ in open(tmp_path / "wide.csv")) == 1002

@@ -36,7 +36,7 @@ def decay(t, y):
 class TestIntegrateOde:
     def test_linear_decay_closed_form(self):
         run = integrate_ode(decay, [1.0], (0.0, 1.0))
-        assert run.final_state[0] == pytest.approx(math.exp(-1.0), abs=1e-8)
+        assert run.y[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_constant_field_is_identity(self):
         run = integrate_ode(lambda t, y: 0.0 * y, [7.0], (0.0, 3.0))

@@ -6,9 +6,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import immunoepi.within_host as wh
+from immunoepi import cli
 from immunoepi.numerics import IntegratorSpec, RootBracket, find_root, integrate_ode
 
 from conftest import REFERENCE_WITHIN, random_within
+from oracles import fast_rhs, integrate_slow_reduced
 
 GAMMA_FOLD_REF = 1.5811388300841898
 GAMMA_HOPF_REF = 0.9641582450344705
@@ -66,10 +68,10 @@ class TestFastEquilibria:
     @given(W=st.floats(min_value=0.0, max_value=10.0))
     def test_returned_equilibria_are_stationary(self, paper_within, W):
         eq = wh.equilibria_fast(paper_within, W)
-        assert np.allclose(wh.fast_rhs(eq.trivial, paper_within, W), 0.0, atol=1e-10)
+        assert np.allclose(fast_rhs(eq.trivial, paper_within, W), 0.0, atol=1e-10)
         if eq.exists:
             for point in (eq.lower, eq.upper):
-                res = wh.fast_rhs(point, paper_within, W)
+                res = fast_rhs(point, paper_within, W)
                 assert np.max(np.abs(res)) < 1e-10
 
 
@@ -95,8 +97,8 @@ class TestJacobianFast:
             h = 1e-6
             fd = np.empty((2, 2))
             for j, dv in enumerate(((h, 0.0), (0.0, h))):
-                up = wh.fast_rhs((T + dv[0], P + dv[1]), paper_within, W)
-                dn = wh.fast_rhs((T - dv[0], P - dv[1]), paper_within, W)
+                up = fast_rhs((T + dv[0], P + dv[1]), paper_within, W)
+                dn = fast_rhs((T - dv[0], P - dv[1]), paper_within, W)
                 fd[:, j] = (up - dn) / (2 * h)
             assert np.allclose(J, fd, rtol=1e-5, atol=1e-7)
 
@@ -105,16 +107,18 @@ class TestCriticalLoci:
     def test_fold_rate_closed_form(self, paper_within):
         loci = wh.critical_loci(paper_within)
         assert loci.Gamma_fold == pytest.approx(GAMMA_FOLD_REF, abs=1e-12)
-        assert loci.delta_fold(0.9) == pytest.approx(1.201265366760211, abs=1e-9)
-        assert loci.W_fold(0.3) == pytest.approx(W_FOLD_REF, abs=1e-9)
+        span = loci.Gamma_fold - paper_within.gamma
+        assert span / 0.9 == pytest.approx(1.201265366760211, abs=1e-9)
+        assert span / 0.3 == pytest.approx(W_FOLD_REF, abs=1e-9)
 
     def test_oscillation_onset_roots(self, paper_within):
         loci = wh.critical_loci(paper_within)
         valid = [h for h in loci.hopf if h.valid]
         assert len(valid) == 1
         assert valid[0].Gamma == pytest.approx(GAMMA_HOPF_REF, abs=1e-9)
-        assert loci.delta_hopf(0.9) == pytest.approx([0.5157313833716338], abs=1e-9)
-        assert loci.W_hopf(0.3) == pytest.approx([1.5471941501149016], abs=1e-9)
+        span = valid[0].Gamma - paper_within.gamma
+        assert span / 0.9 == pytest.approx(0.5157313833716338, abs=1e-9)
+        assert span / 0.3 == pytest.approx(1.5471941501149016, abs=1e-9)
 
     def test_trace_vanishes_at_onset_roots(self, paper_within):
         p = paper_within
@@ -131,9 +135,11 @@ class TestCriticalLoci:
                 assert np.linalg.det(J) > 0.0
 
     def test_gate_flags_are_consistent(self, paper_within):
-        for root in wh.critical_loci(paper_within).hopf:
-            if root.det_gate_strict:
-                assert root.det_gate_weak
+        roots = wh.critical_loci(paper_within).hopf
+        assert len(roots) == 2
+        for root in roots:
+            assert root.det_gate_strict == (root.Gamma > 2.0 * paper_within.mu)
+            assert root.valid == root.det_gate_strict
 
 
 class TestSlowManifold:
@@ -154,7 +160,7 @@ class TestSlowManifold:
         # the manifold maximum and the fold locus are the same number
         loci = wh.critical_loci(paper_within)
         _, W_max = wh.manifold_tip(paper_within)
-        assert abs(W_max - loci.W_fold(paper_within.delta)) < 1e-10
+        assert abs(W_max - (loci.Gamma_fold - paper_within.gamma) / paper_within.delta) < 1e-10
 
     def test_nullcline(self, paper_within):
         assert wh.w_nullcline(0.0, paper_within) == 0.0
@@ -320,7 +326,7 @@ class TestSimulateInfection:
         assert meta["p_clear"] == wh.P_CLEAR_DEFAULT
         assert meta["parameters"] == REFERENCE_WITHIN
         path = tmp_path / "run.csv"
-        wh.write_trajectory_csv(run, path)
+        cli._write_rows(path, "t,T,P,W", run.t, run.states)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,T,P,W"
         first = [float(x) for x in lines[1].split(",")]
@@ -340,7 +346,7 @@ class TestClearedBranch:
         spec = IntegratorSpec(rel_tol=1e-12, abs_tol=1e-14)
         y, t_prev = state0, t0
         for t_k, expected in zip(t, states):
-            y = integrate_ode(wh.vector_field(params), y, (t_prev, t_k), spec).final_state
+            y = integrate_ode(wh.vector_field(params), y, (t_prev, t_k), spec).y[-1]
             t_prev = t_k
             assert y[1] == 0.0
             assert np.allclose(expected, y, rtol=1e-9, atol=0.0)
@@ -407,7 +413,7 @@ class TestSlowFastConsistency:
             tau_end / eps,
             spec=IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12),
         )
-        reduced = wh.integrate_slow_reduced(params, W0, (0.0, tau_end))
+        reduced = integrate_slow_reduced(params, W0, (0.0, tau_end))
         w_red = np.interp(full.t * eps, reduced.t, reduced.y[:, 0])
         mask = full.t * eps <= reduced.t[-1]
         return float(np.max(np.abs(full.W[mask] - w_red[mask])))
