@@ -18,12 +18,17 @@ nonlocal boundary condition, driven by direct (beta_h) and environmental
 This module provides the transport solver, the reproduction number and its
 spectral refinement, the endemic equilibrium with residual checks,
 stability residuals of the endemic linearization, and an equivalent
-renewal-equation formulation used for cross-checking.
+renewal-equation formulation used for cross-checking. All of them read
+G, M and the survival density pi = exp(-M)/g from one StatusClock per
+parameter set, `BetweenHostParams.clock`, and take their status integrals
+by Simpson's rule on a fixed panel count (TABLE_PANELS, and
+KERNEL_TOTAL_PANELS for the kernel's total integral).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -68,6 +73,10 @@ __all__ = [
 NEGATIVITY_ABORT = -1e-8
 POLE_GUARD = 1e-8
 CLOCK_NODES = 16384
+# Simpson panels of the transmission table and of each renewal-kernel row
+TABLE_PANELS = 64
+# Simpson panels of each smooth piece of the kernel's total integral
+KERNEL_TOTAL_PANELS = 256
 # delays per block of renewal-kernel Simpson rows
 KERNEL_BLOCK = 1024
 
@@ -80,7 +89,7 @@ class TransportBlowupError(NumericsError):
 # parameters and states
 
 
-@dataclass
+@dataclass(frozen=True)
 class BetweenHostParams:
     """Rates and functional coefficients of the structured epidemic model.
 
@@ -89,7 +98,9 @@ class BetweenHostParams:
     coefficients are `Coefficient` instances over [0, omega0]: mu2 (extra
     removal of infecteds), xi (environmental shedding), P (infectiousness
     weight), and g (status growth speed, strictly positive). a_bar caps the
-    age of environmental bacteria in the renewal formulation.
+    age of environmental bacteria in the renewal formulation. The set is
+    frozen, so its status clock is built once, on first use, and every
+    between-host quantity reads that one clock.
     """
 
     r: float
@@ -116,7 +127,7 @@ class BetweenHostParams:
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
         probe = np.linspace(0.0, self.omega0, 65)
-        for name in ("mu2", "xi", "P", "g"):
+        for name in COEFFICIENT_FIELDS:
             fn = getattr(self, name)
             if not isinstance(fn, Coefficient):
                 raise TypeError(f"{name} must be a Coefficient, got {type(fn).__name__}")
@@ -133,6 +144,15 @@ class BetweenHostParams:
                     raise ValueError("g(omega) must be strictly positive on [0, omega0]")
             elif np.any(vals < 0):
                 raise ValueError(f"{name}(omega) must be nonnegative on [0, omega0]")
+
+    @functools.cached_property
+    def clock(self) -> StatusClock:
+        """The status clock of this parameter set."""
+        return build_clock(self)
+
+
+# the functional coefficients, read off the field annotations
+COEFFICIENT_FIELDS = tuple(f.name for f in fields(BetweenHostParams) if f.type == "Coefficient")
 
 
 @dataclass
@@ -183,7 +203,8 @@ class StatusClock:
     exposure along the same path. The clock is the one source of G, M and
     the survival density pi = exp(-M)/g: the reproduction number, both
     characteristic equations, the endemic profile and the renewal kernel
-    all read them from here.
+    all read them from `BetweenHostParams.clock`, the one clock of each
+    parameter set.
     """
 
     omega: np.ndarray
@@ -205,16 +226,17 @@ class StatusClock:
         return np.interp(omega, self.omega, self.decay)
 
 
-def build_clock(params: BetweenHostParams, n: int = CLOCK_NODES) -> StatusClock:
+def build_clock(params: BetweenHostParams) -> StatusClock:
     """Tabulate the travel-time and removal-exposure integrals on [0, omega0].
 
-    Cumulative trapezoid on n+1 uniform nodes; exact for constant ratios.
+    Cumulative trapezoid on CLOCK_NODES+1 uniform nodes; exact for constant
+    ratios.
     """
-    nodes = np.linspace(0.0, params.omega0, n + 1)
+    nodes = np.linspace(0.0, params.omega0, CLOCK_NODES + 1)
     g_vals = params.g(nodes)
     if np.any(g_vals <= 0):
         raise ValueError("g(omega) must be strictly positive on [0, omega0]")
-    step = params.omega0 / n
+    step = params.omega0 / CLOCK_NODES
     inv_g = 1.0 / g_vals
     ratio = params.mu2(nodes) * inv_g
     elapsed = np.concatenate([[0.0], np.cumsum(0.5 * (inv_g[1:] + inv_g[:-1]) * step)])
@@ -226,47 +248,44 @@ def build_clock(params: BetweenHostParams, n: int = CLOCK_NODES) -> StatusClock:
 # survival and threshold quantities
 
 
-def survival_pi(omega, params: BetweenHostParams, clock: StatusClock | None = None):
+def survival_pi(omega, params: BetweenHostParams):
     """Status-survival density pi(omega) = (1/g)*exp(-M(omega)), M from the clock.
 
     pi(omega) d omega is the chance an entrant is still infected while
     passing status omega, weighted by the time spent there. Accepts scalar
     or array omega in [0, omega0].
     """
-    clock = clock or build_clock(params)
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr < 0) or np.any(omega_arr > params.omega0 * (1 + 1e-12)):
         raise ValueError("omega must lie in [0, omega0]")
-    out = np.exp(-clock.decay_at(omega_arr)) / params.g(omega_arr)
+    out = np.exp(-params.clock.decay_at(omega_arr)) / params.g(omega_arr)
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
-def _transmission_table(
-    params: BetweenHostParams, quad: QuadratureSpec, clock: StatusClock
-) -> Callable[[float], tuple[float, float]]:
+def _transmission_table(params: BetweenHostParams) -> Callable[[float], tuple[float, float]]:
     """The two weighted status integrals behind every spectral quantity,
     as a function of lam:
 
       J_P  = int_0^omega0 P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
       J_xi = int_0^omega0 xi(w)*P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
 
-    with G, M the clock integrals. The lam-independent node values (P/g,
-    M, G, xi) are tabulated once.
+    with G, M the clock integrals, by Simpson's rule on TABLE_PANELS
+    panels. The lam-independent node values (P/g, M, G, xi) are tabulated
+    once.
     """
-    nodes = np.linspace(0.0, params.omega0, quad.n + 1)
+    nodes = np.linspace(0.0, params.omega0, TABLE_PANELS + 1)
     p_over_g = params.P(nodes) / params.g(nodes)
+    clock = params.clock
     decay, elapsed, xi = clock.decay_at(nodes), clock.time_of(nodes), params.xi(nodes)
 
     def integrals(lam):
         weight = p_over_g * np.exp(-decay - lam * elapsed)
-        return _apply_rule(weight, params.omega0, quad), _apply_rule(weight * xi, params.omega0, quad)
+        return _apply_rule(weight, params.omega0), _apply_rule(weight * xi, params.omega0)
 
     return integrals
 
 
-def _threshold_characteristic(
-    params: BetweenHostParams, quad: QuadratureSpec | None, clock: StatusClock | None = None
-) -> Callable[[float], tuple[float, float, float]]:
+def _threshold_characteristic(params: BetweenHostParams) -> Callable[[float], tuple[float, float, float]]:
     """G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)]
     by route, from one transmission table.
 
@@ -274,7 +293,7 @@ def _threshold_characteristic(
     environmental, and J_xi is the shedding integral the endemic
     reservoir needs.
     """
-    integrals = _transmission_table(params, quad or QuadratureSpec(), clock or build_clock(params))
+    integrals = _transmission_table(params)
     s0 = params.r / params.mu1
 
     def routes(lam):
@@ -286,20 +305,16 @@ def _threshold_characteristic(
     return routes
 
 
-def _apply_rule(values: np.ndarray, length, quad: QuadratureSpec):
+def _apply_rule(values: np.ndarray, length):
     """Simpson sum of node values spread evenly over [0, length]; a 2-D
-    block gives one sum per row, with one length per row."""
-    n = quad.n
+    block gives one sum per row, with one length per row. The panel count
+    is one less than the row length."""
+    n = np.shape(values)[-1] - 1
     sums = np.dot(values, simpson_coefficients(n)) * length / (3.0 * n)
     return sums if isinstance(sums, np.ndarray) else float(sums)
 
 
-def dfe_char_G(
-    lam: float,
-    params: BetweenHostParams,
-    quad: QuadratureSpec | None = None,
-    clock: StatusClock | None = None,
-) -> float:
+def dfe_char_G(lam: float, params: BetweenHostParams) -> float:
     """Characteristic function of the infection-free linearization.
 
     G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)].
@@ -309,43 +324,34 @@ def dfe_char_G(
     """
     if lam <= -params.sigma:
         raise ValueError(f"lam must exceed -sigma = {-params.sigma}")
-    direct, environmental, _ = _threshold_characteristic(params, quad, clock)(lam)
+    direct, environmental, _ = _threshold_characteristic(params)(lam)
     return direct + environmental
 
 
-def r0(
-    params: BetweenHostParams,
-    quad: QuadratureSpec | None = None,
-    clock: StatusClock | None = None,
-) -> float:
+def r0(params: BetweenHostParams) -> float:
     """Reproduction number: expected secondary infections at the
     infection-free state, direct plus environmental routes.
 
     Shares the evaluation path with dfe_char_G at lam = 0, so the
     identity r0 == dfe_char_G(0) is exact.
     """
-    return dfe_char_G(0.0, params, quad, clock)
+    return dfe_char_G(0.0, params)
 
 
-def r0_terms(params: BetweenHostParams, quad: QuadratureSpec | None = None) -> tuple[float, float]:
+def r0_terms(params: BetweenHostParams) -> tuple[float, float]:
     """(direct, environmental) additive parts of the reproduction number."""
-    direct, environmental, _ = _threshold_characteristic(params, quad)(0.0)
+    direct, environmental, _ = _threshold_characteristic(params)(0.0)
     return direct, environmental
 
 
-def dfe_lambda_hat(
-    params: BetweenHostParams,
-    quad: QuadratureSpec | None = None,
-    lam_max: float = 1e6,
-    clock: StatusClock | None = None,
-) -> float:
+def dfe_lambda_hat(params: BetweenHostParams, lam_max: float = 1e6) -> float:
     """Real root of the infection-free characteristic equation G(lam) = 1.
 
     G is strictly decreasing with limit 0, so the root is unique when it
     exists; its sign matches the sign of r0 - 1. Raises BracketError when
     G stays below 1 on the admissible interval (lam > -sigma).
     """
-    characteristic = _threshold_characteristic(params, quad, clock)
+    characteristic = _threshold_characteristic(params)
 
     def f(lam):
         direct, environmental, _ = characteristic(lam)
@@ -377,29 +383,23 @@ def dfe_lambda_hat(
 # endemic equilibrium
 
 
-def endemic_equilibrium(
-    params: BetweenHostParams,
-    n_omega: int = 400,
-    quad: QuadratureSpec | None = None,
-    clock: StatusClock | None = None,
-) -> EndemicEquilibrium | None:
+def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> EndemicEquilibrium | None:
     """Closed-form stationary state with disease present.
 
     Returns None when the reproduction number is at or below 1. The
     infected profile is I*(omega) = I*(0)*g(0)*pi(omega) on a uniform
     grid of n_omega+1 nodes.
     """
-    clock = clock or build_clock(params)
-    direct, environmental, j_xi = _threshold_characteristic(params, quad, clock)(0.0)
+    direct, environmental, j_xi = _threshold_characteristic(params)(0.0)
     basic = direct + environmental
     if basic <= 1.0:
         return None
     g0 = params.g(0.0)
-    pi_end = survival_pi(params.omega0, params, clock)
+    pi_end = survival_pi(params.omega0, params)
     recycle = params.rho * params.g(params.omega0) * pi_end / (params.rho + params.mu3)
     i0 = params.r * (1.0 - 1.0 / basic) / (g0 * (1.0 - recycle))
     omega = np.linspace(0.0, params.omega0, n_omega + 1)
-    profile = i0 * g0 * survival_pi(omega, params, clock)
+    profile = i0 * g0 * survival_pi(omega, params)
     b_star = i0 * g0 * j_xi / params.sigma
     v_star = params.g(params.omega0) * i0 * g0 * pi_end / (params.rho + params.mu3)
     # S* = 1/(beta_h*J_P + beta_e*J_xi/sigma) = (r/mu1)/R0
@@ -622,12 +622,7 @@ def simulate_epidemic(
 # renewal-equation reformulation
 
 
-def renewal_kernel_A(
-    omega,
-    params: BetweenHostParams,
-    quad: QuadratureSpec | None = None,
-    clock: StatusClock | None = None,
-):
+def renewal_kernel_A(omega, params: BetweenHostParams):
     """Infectivity kernel of the renewal form, at time-since-infection omega.
 
     Direct part: transmission weight of a host infected omega time units
@@ -642,44 +637,44 @@ def renewal_kernel_A(
         w = w(theta - a),  a in [max(0, theta - T0), min(a_bar, theta)],
 
     where T0 is the travel time to recovery. The kernel is K_h + K_e,
-    supported on [0, a_bar + T0]. Accepts scalar or array omega.
+    supported on [0, a_bar + T0]. Accepts scalar or array omega; each K_e
+    value is a Simpson sum on TABLE_PANELS panels.
     """
-    quad = quad or QuadratureSpec()
-    clock = clock or build_clock(params)
-    total = clock.total_time
+    total = params.clock.total_time
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr < 0) or np.any(omega_arr > (params.a_bar + total) * (1 + 1e-12)):
         raise ValueError("omega must lie in [0, a_bar + travel time to recovery]")
     out = np.zeros_like(omega_arr)
     direct = omega_arr <= total
     if params.beta_h > 0 and np.any(direct):
-        out[direct] = _kernel_direct(omega_arr[direct], params, clock)
+        out[direct] = _kernel_direct(omega_arr[direct], params)
     if params.beta_e > 0:
-        out += _kernel_env(omega_arr, params, quad, clock)
+        out += _kernel_env(omega_arr, params, TABLE_PANELS)
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
-def _kernel_direct(theta, params: BetweenHostParams, clock: StatusClock) -> np.ndarray:
+def _kernel_direct(theta, params: BetweenHostParams) -> np.ndarray:
     """Direct-route kernel values; callers restrict theta to [0, total_time]."""
+    clock = params.clock
     w_here = clock.status_at(np.asarray(theta, dtype=float))
     return params.beta_h * params.P(w_here) * np.exp(-clock.decay_at(w_here))
 
 
-def _kernel_env(
-    theta: np.ndarray, params: BetweenHostParams, quad: QuadratureSpec, clock: StatusClock
-) -> np.ndarray:
+def _kernel_env(theta: np.ndarray, params: BetweenHostParams, panels: int) -> np.ndarray:
     """Environmental-route kernel values at a 1-d array of delays theta.
 
-    Each delay is one Simpson row over its age interval; rows go through
-    the rule in blocks of KERNEL_BLOCK delays to bound the temporaries.
+    Each delay is one Simpson row of `panels` panels over its age interval;
+    rows go through the rule in blocks of KERNEL_BLOCK delays to bound the
+    temporaries.
     """
+    clock = params.clock
     lo = np.maximum(0.0, theta - clock.total_time)
     hi = np.minimum(params.a_bar, theta)
     out = np.zeros_like(theta)
     rows = np.flatnonzero(hi > lo)
     for start in range(0, rows.size, KERNEL_BLOCK):
         block = rows[start : start + KERNEL_BLOCK]
-        ages = np.linspace(lo[block], hi[block], quad.n + 1, axis=1)
+        ages = np.linspace(lo[block], hi[block], panels + 1, axis=1)
         w = clock.status_at(theta[block, None] - ages)
         values = (
             params.beta_e
@@ -688,37 +683,34 @@ def _kernel_env(
             * params.P(w)
             * np.exp(-clock.decay_at(w))
         )
-        out[block] = _apply_rule(values, hi[block] - lo[block], quad)
+        out[block] = _apply_rule(values, hi[block] - lo[block])
     return out
 
 
-def kernel_total_integral(
-    params: BetweenHostParams,
-    quad: QuadratureSpec | None = None,
-    clock: StatusClock | None = None,
-) -> float:
+def kernel_total_integral(params: BetweenHostParams) -> float:
     """Integral of the renewal kernel over its full support.
 
     Split at the kernel's corner points (travel time to recovery and the
     bacterial age cap) so the piecewise-smooth integrand keeps full
-    quadrature order. At the endemic state S* times this integral is 1,
-    up to the exponential age-cap truncation.
+    quadrature order; every piece, and each kernel row inside the
+    environmental pieces, is a Simpson sum on KERNEL_TOTAL_PANELS panels.
+    At the endemic state S* times this integral is 1, up to the
+    exponential age-cap truncation.
     """
-    quad = quad or QuadratureSpec(n=256)
-    clock = clock or build_clock(params)
-    total = clock.total_time
+    quad = QuadratureSpec(n=KERNEL_TOTAL_PANELS)
+    total = params.clock.total_time
     value = 0.0
     if params.beta_h > 0:
-        value += quadrature(
-            lambda theta: _kernel_direct(theta, params, clock), 0.0, total, quad
-        )
+        value += quadrature(lambda theta: _kernel_direct(theta, params), 0.0, total, quad)
     if params.beta_e > 0:
         # the environmental part is continuous but kinked where its
         # integration limits switch; integrate each smooth piece separately
         cuts = sorted({0.0, min(total, params.a_bar), max(total, params.a_bar), params.a_bar + total})
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi > lo:
-                value += quadrature(lambda theta: _kernel_env(theta, params, quad, clock), lo, hi, quad)
+                value += quadrature(
+                    lambda theta: _kernel_env(theta, params, KERNEL_TOTAL_PANELS), lo, hi, quad
+                )
     return value
 
 
@@ -737,8 +729,6 @@ def simulate_renewal(
     S0: float,
     t_max: float,
     dt: float,
-    quad: QuadratureSpec | None = None,
-    clock: StatusClock | None = None,
 ) -> RenewalRun:
     """Advance the renewal pair S' = r - mu1*S - S*F,
     F(t) = int_0^Theta A(w) S(t-w) F(t-w) dw.
@@ -750,9 +740,7 @@ def simulate_renewal(
     scalar linear equation solved in closed form each step; S advances by
     a Heun predictor-corrector.
     """
-    quad = quad or QuadratureSpec()
-    clock = clock or build_clock(params)
-    window = params.a_bar + clock.total_time
+    window = params.a_bar + params.clock.total_time
     m = int(round(window / dt))
     if m < 2 or abs(m * dt - window) > 1e-9 * max(1.0, window):
         raise ValueError(
@@ -760,7 +748,7 @@ def simulate_renewal(
         )
     n_steps = int(round(t_max / dt))
     ages = dt * np.arange(m + 1)
-    kernel = renewal_kernel_A(ages, params, quad, clock)
+    kernel = renewal_kernel_A(ages, params)
     weights = np.full(m + 1, dt)
     weights[0] = weights[-1] = 0.5 * dt
     tail = (kernel * weights)[1:][::-1]  # aligned with SF[j-m+1 .. j]
@@ -805,16 +793,7 @@ def simulate_renewal(
 # endemic spectral residuals
 
 
-def _is_unit_constant(coefficient: Coefficient) -> bool:
-    return coefficient.family == "constant" and coefficient.constant_value == 1.0
-
-
-def _endemic_characteristic(
-    params: BetweenHostParams,
-    eq: EndemicEquilibrium,
-    quad: QuadratureSpec,
-    clock: StatusClock,
-) -> Callable[[float], float]:
+def _endemic_characteristic(params: BetweenHostParams, eq: EndemicEquilibrium) -> Callable[[float], float]:
     """The endemic characteristic residual as a function of lam.
 
     Everything that does not depend on lam (K, the transmission table, the
@@ -824,22 +803,12 @@ def _endemic_characteristic(
     """
     step = eq.omega[1] - eq.omega[0]
     K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
-    integrals = _transmission_table(params, quad, clock)
+    integrals = _transmission_table(params)
     direct = eq.S * params.beta_h
+    recovery = params.rho * params.g(params.omega0) * survival_pi(params.omega0, params)
+    total = params.clock.total_time
 
-    if params.rho == 0.0 and params.beta_e == 0.0 and _is_unit_constant(params.g):
-
-        def reduced(lam):
-            j_p, _ = integrals(lam)
-            lhs = (lam + params.mu1 + K) / (lam + params.mu1)
-            return lhs - direct * j_p
-
-        return reduced
-
-    recovery = params.rho * params.g(params.omega0) * survival_pi(params.omega0, params, clock)
-    total = clock.total_time
-
-    def general(lam):
+    def residual(lam):
         j_p, j_xi = integrals(lam)
         returned = recovery * np.exp(-lam * total) / (lam + params.rho + params.mu3)
         bracket = (returned - 1.0) / (lam + params.mu1)
@@ -849,33 +818,21 @@ def _endemic_characteristic(
             rhs += params.beta_e * eq.B * bracket
         return rhs - 1.0
 
-    return general
+    return residual
 
 
 def endemic_char_residual(
-    lam: float,
-    params: BetweenHostParams,
-    eq: EndemicEquilibrium | None = None,
-    quad: QuadratureSpec | None = None,
-    clock: StatusClock | None = None,
+    lam: float, params: BetweenHostParams, eq: EndemicEquilibrium | None = None
 ) -> float:
     """Residual of the endemic-linearization characteristic equation at a
     real trial rate lam; a root means a mode growing like e^{lam*t}.
 
-    General case: the equation reads 1 = RHS(lam) and the residual is
-    RHS - 1, with the boundary-sourced exponential factors evaluated at
-    the recovery status (the only status where the recovered pool is fed).
-    In the reduced case (rho = 0, beta_e = 0, g constant 1) the equation
-    collapses to
-
-        (lam + mu1 + K)/(lam + mu1) = S* int beta_h P e^{-M} e^{-lam w} dw
-
-    and the residual is LHS - RHS of that form. K is the direct
-    transmission integral against the endemic profile. Rates within
-    1e-8 of a pole (-mu1, -sigma, -(rho+mu3)) are rejected.
+    The equation reads 1 = RHS(lam) and the residual is RHS - 1, with the
+    boundary-sourced exponential factors evaluated at the recovery status
+    (the only status where the recovered pool is fed). K is the direct
+    transmission integral against the endemic profile. Rates within 1e-8
+    of a pole (-mu1, -sigma, -(rho+mu3)) are rejected.
     """
-    quad = quad or QuadratureSpec()
-    clock = clock or build_clock(params)
     if abs(lam + params.mu1) < POLE_GUARD:
         raise ValueError("lam too close to the pole at -mu1")
     if params.beta_e > 0 and abs(lam + params.sigma) < POLE_GUARD:
@@ -883,10 +840,10 @@ def endemic_char_residual(
     if abs(lam + params.rho + params.mu3) < POLE_GUARD:
         raise ValueError("lam too close to the pole at -(rho+mu3)")
     if eq is None:
-        eq = endemic_equilibrium(params, quad=quad, clock=clock)
+        eq = endemic_equilibrium(params)
     if eq is None:
         raise ValueError("endemic residuals need a reproduction number above 1")
-    return _endemic_characteristic(params, eq, quad, clock)(lam)
+    return _endemic_characteristic(params, eq)(lam)
 
 
 @dataclass(frozen=True)
@@ -900,23 +857,17 @@ class ResidualScan:
 
 
 def endemic_spectrum_scan(
-    params: BetweenHostParams,
-    lam_max: float = 50.0,
-    step: float = 1e-2,
-    quad: QuadratureSpec | None = None,
-    clock: StatusClock | None = None,
+    params: BetweenHostParams, lam_max: float = 50.0, step: float = 1e-2
 ) -> ResidualScan:
     """Real-axis root scan of the endemic characteristic residual on
     [0, lam_max]: sign changes are bracketed and refined. An empty root
     list is the numerical witness that no real nonnegative growth rate
     exists; complex roots are outside this check's scope.
     """
-    quad = quad or QuadratureSpec()
-    clock = clock or build_clock(params)
-    eq = endemic_equilibrium(params, quad=quad, clock=clock)
+    eq = endemic_equilibrium(params)
     if eq is None:
         raise ValueError("spectrum scan needs a reproduction number above 1")
-    residual = _endemic_characteristic(params, eq, quad, clock)
+    residual = _endemic_characteristic(params, eq)
     grid = np.arange(0.0, lam_max + 0.5 * step, step)
     values = np.array([residual(lam) for lam in grid])
     roots = []

@@ -30,14 +30,14 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, bifurcation, between_host, within_host
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .numerics import NumericsError, QuadratureSpec
+from .numerics import NumericsError
 
 __all__ = ["main", "run", "emit_plot_data", "RunOutput"]
 
@@ -45,7 +45,6 @@ log = logging.getLogger("immunoepi")
 
 SPECTRAL_SCAN_MAX = 50.0
 SPECTRAL_SCAN_STEP = 1e-2
-QUAD_DEFAULT = QuadratureSpec(n=64)
 # values stacked per CSV block and bytes per manifest read: a writer's or a
 # hash's working memory is bounded by these, not by the file size
 CSV_BLOCK = 16384
@@ -133,17 +132,13 @@ def _jsonable(obj):
 
 
 def _between_echo(cfg: ScenarioConfig) -> dict:
-    p = cfg.between
-    return {
-        "r": p.r, "mu1": p.mu1, "mu3": p.mu3, "beta_h": p.beta_h,
-        "beta_e": p.beta_e, "rho": p.rho, "sigma": p.sigma,
-        "omega0": p.omega0, "a_bar": p.a_bar,
-        "functions": {
-            name: {"family": fn.family, **_jsonable(fn.describe)}
-            for name, fn in (("mu2", p.mu2), ("xi", p.xi), ("P", p.P), ("g", p.g))
-        },
-        "quadrature": {"rule": "simpson", "n": QUAD_DEFAULT.n},
+    echo = {f.name: getattr(cfg.between, f.name) for f in fields(cfg.between)}
+    functions = {name: echo.pop(name) for name in between_host.COEFFICIENT_FIELDS}
+    echo["functions"] = {
+        name: {"family": fn.family, **_jsonable(fn.describe)} for name, fn in functions.items()
     }
+    echo["quadrature"] = {"rule": "simpson", "n": between_host.TABLE_PANELS}
+    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +231,7 @@ def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
 
 def _cmd_r0(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     cfg.require("between_host")
-    direct, environmental = between_host.r0_terms(cfg.between, QUAD_DEFAULT)
+    direct, environmental = between_host.r0_terms(cfg.between)
     summary = {
         "subcommand": "r0",
         "seed": args.seed,
@@ -252,11 +247,8 @@ def _cmd_r0(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
 def _cmd_equilibria(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     cfg.require("between_host")
     params = cfg.between
-    clock = between_host.build_clock(params)
-    basic = between_host.r0(params, QUAD_DEFAULT, clock)
-    eq = between_host.endemic_equilibrium(
-        params, n_omega=400 * max(args.grid_refine, 1), quad=QUAD_DEFAULT, clock=clock
-    )
+    basic = between_host.r0(params)
+    eq = between_host.endemic_equilibrium(params, n_omega=400 * max(args.grid_refine, 1))
     summary = {
         "subcommand": "equilibria",
         "seed": args.seed,
@@ -333,7 +325,7 @@ def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
             "negativity_tolerance": between_host.NEGATIVITY_ABORT,
         },
         "t_max": cfg.t_max,
-        "r0": between_host.r0(params, QUAD_DEFAULT),
+        "r0": between_host.r0(params),
         "final": {
             "S": run_rec.final.S,
             "I_total": run_rec.I_total[-1],
@@ -345,7 +337,7 @@ def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     return _finalize(out_dir, _jsonable(summary))
 
 
-def _matched_history(cfg: ScenarioConfig, clock: between_host.StatusClock):
+def _matched_history(cfg: ScenarioConfig):
     """Force-of-infection history encoding the initial infected density.
 
     The renewal form carries I(0, omega) as past boundary input: entrants
@@ -355,6 +347,7 @@ def _matched_history(cfg: ScenarioConfig, clock: between_host.StatusClock):
     travel time to recovery, zero earlier.
     """
     params = cfg.between
+    clock = params.clock
     s0 = cfg.initial_S
     phi = cfg.initial_I
     total = clock.total_time
@@ -363,7 +356,7 @@ def _matched_history(cfg: ScenarioConfig, clock: between_host.StatusClock):
         s = np.asarray(s, dtype=float)
         theta = np.clip(-s, 0.0, None)
         w = clock.status_at(np.minimum(theta, total))
-        vals = phi(w) / (between_host.survival_pi(w, params, clock) * s0)
+        vals = phi(w) / (between_host.survival_pi(w, params) * s0)
         return np.where(theta <= total, vals, 0.0)
 
     return history
@@ -377,21 +370,19 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         raise ConfigError(
             f"between_host.rho: renewal-check requires rho = 0, got {params.rho!r}"
         )
+    if cfg.initial_S is not None and cfg.initial_S <= 0:
+        # the matched history divides the initial density by S0
+        raise ConfigError(
+            f"run.initial.S: renewal-check requires S > 0, got {cfg.initial_S!r}"
+        )
     n_omega, dt = _apply_refine(cfg, max(args.grid_refine, 1))
-    clock = between_host.build_clock(params)
-    window = params.a_bar + clock.total_time
+    window = params.a_bar + params.clock.total_time
     steps = max(int(round(window / dt)), 1)
     dt_renewal = window / steps
 
     pde = _transport(cfg, n_omega, dt, output_stride=1)
     renewal = between_host.simulate_renewal(
-        params,
-        _matched_history(cfg, clock),
-        cfg.initial_S,
-        cfg.t_max,
-        dt_renewal,
-        quad=QUAD_DEFAULT,
-        clock=clock,
+        params, _matched_history(cfg), cfg.initial_S, cfg.t_max, dt_renewal
     )
     f_pde = np.interp(renewal.t, pde.t, pde.F)
     s_pde = np.interp(renewal.t, pde.t, pde.S)
@@ -411,11 +402,11 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         "max_abs_dF": float(np.max(np.abs(f_pde - renewal.F))),
         "max_abs_dS": float(np.max(np.abs(s_pde - renewal.S))),
     }
-    basic = between_host.r0(params, QUAD_DEFAULT, clock)
+    basic = between_host.r0(params)
     summary["r0"] = basic
     if basic > 1:
-        eq = between_host.endemic_equilibrium(params, quad=QUAD_DEFAULT, clock=clock)
-        total_kernel = between_host.kernel_total_integral(params, clock=clock)
+        eq = between_host.endemic_equilibrium(params)
+        total_kernel = between_host.kernel_total_integral(params)
         summary["stationary_kernel_identity"] = eq.S * total_kernel
     return _finalize(out_dir, _jsonable(summary))
 
@@ -423,8 +414,7 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
 def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     cfg.require("between_host")
     params = cfg.between
-    clock = between_host.build_clock(params)
-    basic = between_host.r0(params, QUAD_DEFAULT, clock)
+    basic = between_host.r0(params)
     summary = {
         "subcommand": "spectral",
         "seed": args.seed,
@@ -437,15 +427,13 @@ def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         },
     }
     try:
-        summary["lambda_hat"] = between_host.dfe_lambda_hat(params, QUAD_DEFAULT, clock=clock)
+        summary["lambda_hat"] = between_host.dfe_lambda_hat(params)
     except NumericsError as exc:
         # no real crossing on the admissible interval; recorded, not fatal
         summary["lambda_hat"] = None
         summary["lambda_hat_note"] = str(exc)
     if basic > 1:
-        scan = between_host.endemic_spectrum_scan(
-            params, SPECTRAL_SCAN_MAX, SPECTRAL_SCAN_STEP, QUAD_DEFAULT, clock=clock
-        )
+        scan = between_host.endemic_spectrum_scan(params, SPECTRAL_SCAN_MAX, SPECTRAL_SCAN_STEP)
         _write_rows(out_dir / "scan.csv", "lambda,residual", scan.lam, scan.residual)
         summary["endemic_scan_roots"] = scan.roots
         summary["endemic_residual_at_zero_plus"] = scan.residual[1]

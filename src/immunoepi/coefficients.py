@@ -44,13 +44,6 @@ class Coefficient:
             return float(out.reshape(-1)[0])
         return out.reshape(arr.shape)
 
-    @property
-    def constant_value(self) -> float | None:
-        """The value if this is a constant family, else None."""
-        if self.family == "constant":
-            return self.describe["value"]
-        return None
-
 
 def constant(value: float) -> Coefficient:
     value = float(value)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bifurcation, coefficients, within_host
-from .between_host import BetweenHostParams
+from .between_host import COEFFICIENT_FIELDS, BetweenHostParams
 from .coefficients import Coefficient
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "resolve_coefficient"]
@@ -41,10 +41,8 @@ _WITHIN_KEYS = {
     "initial", "p_clear",
 }
 _SWEEP_KEYS = {"which", "lo", "hi", "n", "W", "cycle_n"}
-_BETWEEN_KEYS = {
-    "r", "mu1", "mu3", "beta_h", "beta_e", "rho", "sigma", "omega0", "a_bar",
-}
-_FUNCTION_KEYS = {"mu2", "xi", "P", "g"}
+_FUNCTION_KEYS = set(COEFFICIENT_FIELDS)
+_BETWEEN_KEYS = {f.name for f in fields(BetweenHostParams)} - _FUNCTION_KEYS
 _GRID_KEYS = {"n_omega", "dt"}
 _RUN_KEYS = {"t_max", "output_stride", "snapshot_stride", "initial"}
 _INITIAL_KEYS = {"S", "I", "V", "B"}
@@ -145,10 +143,8 @@ def resolve_coefficient(
 
 @dataclass
 class ScenarioConfig:
-    """Resolved scenario: parsed sections plus the raw document for echoing."""
+    """Resolved scenario: the parsed sections, absent ones left at None."""
 
-    path: str
-    raw: dict
     within: within_host.WithinHostParams | None = None
     within_initial: tuple[float, float, float] | None = None
     p_clear: float = within_host.P_CLEAR_DEFAULT
@@ -246,7 +242,7 @@ def _parse_between(raw: dict, cfg: ScenarioConfig) -> None:
         raise ConfigError(f"functions.{sorted(missing)[0]}: descriptor is missing")
     resolved = {
         name: resolve_coefficient(functions[name], f"functions.{name}", cfg.within)
-        for name in ("mu2", "xi", "P", "g")
+        for name in COEFFICIENT_FIELDS
     }
     omega0 = node.get("omega0")
     if omega0 == "fold":
@@ -257,20 +253,14 @@ def _parse_between(raw: dict, cfg: ScenarioConfig) -> None:
         omega0 = within_host.manifold_tip(cfg.within)[1]
     else:
         omega0 = _number(node, "omega0", "between_host")
-    kwargs = dict(
-        r=_number(node, "r", "between_host"),
-        mu1=_number(node, "mu1", "between_host"),
-        mu3=_number(node, "mu3", "between_host"),
-        beta_h=_number(node, "beta_h", "between_host"),
-        beta_e=_number(node, "beta_e", "between_host"),
-        rho=_number(node, "rho", "between_host"),
-        sigma=_number(node, "sigma", "between_host"),
-        omega0=omega0,
-    )
-    if "a_bar" in node:
-        kwargs["a_bar"] = _number(node, "a_bar", "between_host")
+    # a rate without a dataclass default is required
+    kwargs = {
+        f.name: _number(node, f.name, "between_host")
+        for f in fields(BetweenHostParams)
+        if f.name in _BETWEEN_KEYS and f.name != "omega0" and (f.default is MISSING or f.name in node)
+    }
     try:
-        cfg.between = BetweenHostParams(**kwargs, **resolved)
+        cfg.between = BetweenHostParams(**kwargs, omega0=omega0, **resolved)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"between_host: {exc}") from exc
 
@@ -330,7 +320,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     _require_mapping(raw, str(path))
     _reject_unknown(raw, _SECTIONS, "document")
-    cfg = ScenarioConfig(path=str(path), raw=raw)
+    cfg = ScenarioConfig()
     if "within_host" in raw:
         _parse_within(_require_mapping(raw["within_host"], "within_host"), cfg)
     if "sweep" in raw:

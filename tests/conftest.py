@@ -4,7 +4,6 @@ from hypothesis import HealthCheck, settings
 
 from immunoepi import coefficients
 from immunoepi.between_host import BetweenHostParams
-from immunoepi.numerics import QuadratureSpec
 from immunoepi.within_host import WithinHostParams, manifold_tip
 
 settings.register_profile(
@@ -71,11 +70,6 @@ def env_params() -> BetweenHostParams:
 def matched_params() -> BetweenHostParams:
     # direct-only set rescaled so R0 = 2 exactly (up to quadrature)
     return make_between(0.050829881649683994, 0.0)
-
-
-@pytest.fixture
-def quad64() -> QuadratureSpec:
-    return QuadratureSpec(n=64)
 
 
 def random_within(rng: np.random.Generator) -> WithinHostParams:

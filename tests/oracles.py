@@ -2,7 +2,8 @@
 
 ``characteristics_eval`` solves the transport equation along
 characteristics, with the boundary-flux history rebuilt from a run's
-snapshots by ``boundary_history``. ``integrate_slow_reduced`` is the
+snapshots by ``boundary_history``. ``reduced_endemic_residual`` is the
+paper's reduced endemic characteristic equation. ``integrate_slow_reduced`` is the
 singular limit of a full within-host run, and ``fast_rhs`` the frozen-W
 fast vector field. ``infected_mass`` is the trapezoid mass of a density.
 """
@@ -35,7 +36,6 @@ def characteristics_eval(
     params: bh.BetweenHostParams,
     initial_density: Callable[[np.ndarray], np.ndarray],
     boundary_history: Callable[[np.ndarray], np.ndarray],
-    clock: bh.StatusClock | None = None,
 ):
     """Closed-form transport solution along characteristics.
 
@@ -53,7 +53,7 @@ def characteristics_eval(
     used there so t = 0 reproduces phi exactly. Accepts scalar or array
     omega.
     """
-    clock = clock or bh.build_clock(params)
+    clock = params.clock
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     travel = clock.time_of(omega_arr)
     g_here = params.g(omega_arr)
@@ -71,6 +71,27 @@ def characteristics_eval(
         h_vals = np.asarray(boundary_history(t - travel[from_boundary]), dtype=float)
         out[from_boundary] = h_vals / g_here[from_boundary] * np.exp(-decay_here[from_boundary])
     return float(out[0]) if np.ndim(omega) == 0 else out
+
+
+def reduced_endemic_residual(lam: float, params: bh.BetweenHostParams, eq: bh.EndemicEquilibrium) -> float:
+    """The endemic characteristic residual in the paper's reduced form.
+
+    Without immunity loss or environmental transmission and with g = 1
+    (rho = 0, beta_e = 0), the endemic characteristic equation collapses to
+
+        (lam + mu1 + K)/(lam + mu1) = S* int beta_h P e^{-M} e^{-lam w} dw
+
+    and this is LHS - RHS, with K the direct transmission integral against
+    the endemic profile and the status integral read off the package's
+    transmission table.
+    """
+    unit_speed = params.g.family == "constant" and params.g.describe["value"] == 1.0
+    if params.rho != 0.0 or params.beta_e != 0.0 or not unit_speed:
+        raise ValueError("the reduced form needs rho = 0, beta_e = 0 and g = 1")
+    step = eq.omega[1] - eq.omega[0]
+    K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
+    j_p, _ = bh._transmission_table(params)(lam)
+    return (lam + params.mu1 + K) / (lam + params.mu1) - eq.S * params.beta_h * j_p
 
 
 def fast_rhs(tp: Sequence[float], params: wh.WithinHostParams, W: float) -> np.ndarray:

@@ -18,7 +18,6 @@ from immunoepi import between_host as bh
 from immunoepi import cli
 from immunoepi import coefficients as coef
 from immunoepi import within_host as wh
-from immunoepi.numerics import QuadratureSpec
 
 from conftest import make_between
 from oracles import boundary_history, characteristics_eval, fast_rhs, infected_mass
@@ -180,15 +179,14 @@ def test_clearance_is_finite_and_scales_with_the_slow_rate():
 
 
 def test_reproduction_number_matches_closed_forms():
-    quad = QuadratureSpec(n=64)
     direct = make_between(0.2, 0.0)
     env = make_between(0.2, 0.05)
-    err_direct = abs(bh.r0(direct, quad) - R0_DIRECT_CLOSED)
-    err_env = abs(bh.r0(env, quad) - R0_ENV_CLOSED)
+    err_direct = abs(bh.r0(direct) - R0_DIRECT_CLOSED)
+    err_env = abs(bh.r0(env) - R0_ENV_CLOSED)
     assert err_direct < 1e-8
     assert err_env < 1e-8
-    id_direct = abs(bh.dfe_char_G(0.0, direct, quad) - bh.r0(direct, quad))
-    id_env = abs(bh.dfe_char_G(0.0, env, quad) - bh.r0(env, quad))
+    id_direct = abs(bh.dfe_char_G(0.0, direct) - bh.r0(direct))
+    id_env = abs(bh.dfe_char_G(0.0, env) - bh.r0(env))
     assert max(id_direct, id_env) < 1e-10
     print(f"[PASS] reproduction number vs closed forms: direct off {err_direct:.2e}, "
           f"with environment off {err_env:.2e}; zero-rate evaluation identity "

@@ -16,7 +16,7 @@ from immunoepi import coefficients as coef
 from immunoepi.numerics import BracketError, QuadratureSpec, quadrature
 
 from conftest import linked_params, make_between
-from oracles import boundary_history, characteristics_eval, infected_mass
+from oracles import boundary_history, characteristics_eval, infected_mass, reduced_endemic_residual
 from reference_loops import simulate_epidemic_array
 
 J_REF = (1.0 - np.exp(-0.5)) / 0.1  # 3.9346934028736658
@@ -120,6 +120,28 @@ class TestStatusClock:
         clock = bh.build_clock(p)
         assert clock.time_of(3.0) == pytest.approx(5.0 * np.log(1.6), rel=1e-8)
 
+    def test_one_clock_per_parameter_set(self, monkeypatch):
+        calls = []
+        build = bh.build_clock
+
+        def counting(params):
+            calls.append(params)
+            return build(params)
+
+        monkeypatch.setattr(bh, "build_clock", counting)
+        p = make_between(0.2, 0.0)
+        bh.r0(p)
+        bh.endemic_equilibrium(p)
+        bh.endemic_spectrum_scan(p, lam_max=1.0, step=0.25)
+        # memory window a_bar + travel time = 35 is 70 steps of 0.5
+        bh.simulate_renewal(p, lambda s: np.full_like(s, 0.01), 10.0, 1.0, 0.5)
+        assert calls == [p]
+        assert p.clock is p.clock
+
+    def test_parameter_sets_are_frozen(self, direct_params):
+        with pytest.raises(AttributeError):
+            direct_params.beta_h = 0.3
+
 
 class TestSurvival:
     def test_weighted_survival_closed_form(self, direct_params):
@@ -133,10 +155,8 @@ class TestSurvival:
 
     def test_survival_is_read_off_the_clock(self):
         p = make_between(0.2, 0.0, mu2=coef.linear(0.1, 0.05), g=coef.linear(1.0, 0.2))
-        clock = bh.build_clock(p)
         w = np.linspace(0.0, 5.0, 37)
-        expected = np.exp(-clock.decay_at(w)) / p.g(w)
-        assert np.array_equal(bh.survival_pi(w, p, clock), expected)
+        expected = np.exp(-p.clock.decay_at(w)) / p.g(w)
         assert np.array_equal(bh.survival_pi(w, p), expected)
 
     def test_rejects_status_outside_the_domain(self, direct_params):
@@ -147,11 +167,11 @@ class TestSurvival:
 
 
 class TestReproductionNumber:
-    def test_direct_route_closed_form(self, direct_params, quad64):
-        assert bh.r0(direct_params, quad64) == pytest.approx(R0_DIRECT_REF, abs=1e-8)
+    def test_direct_route_closed_form(self, direct_params):
+        assert bh.r0(direct_params) == pytest.approx(R0_DIRECT_REF, abs=1e-8)
 
-    def test_both_routes_closed_form(self, env_params, quad64):
-        assert bh.r0(env_params, quad64) == pytest.approx(R0_ENV_REF, abs=1e-8)
+    def test_both_routes_closed_form(self, env_params):
+        assert bh.r0(env_params) == pytest.approx(R0_ENV_REF, abs=1e-8)
 
     def test_terms_split_and_sum(self, env_params, direct_params):
         direct, environmental = bh.r0_terms(env_params)
@@ -463,7 +483,17 @@ class TestRenewalForm:
 class TestEndemicSpectrum:
     def test_residual_at_zero_is_the_force_ratio(self, direct_params):
         got = bh.endemic_char_residual(0.0, direct_params)
-        assert got == pytest.approx(K_DIRECT_REF / 0.1, abs=1e-8)
+        assert got == pytest.approx(-K_DIRECT_REF / 0.1, abs=1e-8)
+
+    @pytest.mark.parametrize("beta_h", [0.2, 0.050829881649683994], ids=["direct", "matched"])
+    def test_residual_is_minus_the_reduced_form(self, beta_h):
+        # rho = 0, beta_e = 0, g = 1: the paper's reduced equation, LHS - RHS
+        params = make_between(beta_h, 0.0)
+        eq = bh.endemic_equilibrium(params)
+        for lam in np.linspace(0.0, 50.0, 201):
+            general = bh.endemic_char_residual(lam, params, eq)
+            reduced = reduced_endemic_residual(lam, params, eq)
+            assert general == pytest.approx(-reduced, rel=1e-13, abs=1e-15)
 
     def test_residual_settles_at_minus_one_for_fast_rates(self, env_params):
         assert bh.endemic_char_residual(50.0, env_params) == pytest.approx(-1.0, abs=0.05)
@@ -482,23 +512,20 @@ class TestEndemicSpectrum:
         assert bh.endemic_spectrum_scan(env_params, lam_max=10.0, step=0.05).roots == []
 
 
-def unhoisted_residual(lam, params, quad):
+def unhoisted_residual(lam, params):
     """The endemic residual with every factor evaluated at lam, in the same
     operation order as the scan's hoisted form."""
     clock = bh.build_clock(params)
-    eq = bh.endemic_equilibrium(params, quad=quad)
+    eq = bh.endemic_equilibrium(params)
     step = eq.omega[1] - eq.omega[0]
     K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
-    nodes = np.linspace(0.0, params.omega0, quad.n + 1)
+    nodes = np.linspace(0.0, params.omega0, bh.TABLE_PANELS + 1)
     weight = params.P(nodes) / params.g(nodes) * np.exp(
         -clock.decay_at(nodes) - lam * clock.time_of(nodes)
     )
-    j_p = bh._apply_rule(weight, params.omega0, quad)
-    j_xi = bh._apply_rule(weight * params.xi(nodes), params.omega0, quad)
-    if params.rho == 0.0 and params.beta_e == 0.0 and bh._is_unit_constant(params.g):
-        lhs = (lam + params.mu1 + K) / (lam + params.mu1)
-        return lhs - eq.S * params.beta_h * j_p
-    pi_end = bh.survival_pi(params.omega0, params, clock)
+    j_p = bh._apply_rule(weight, params.omega0)
+    j_xi = bh._apply_rule(weight * params.xi(nodes), params.omega0)
+    pi_end = bh.survival_pi(params.omega0, params)
     boundary_factor = (
         params.rho * params.g(params.omega0) * pi_end
         * np.exp(-lam * clock.total_time) / (lam + params.rho + params.mu3)
@@ -523,28 +550,18 @@ class TestHoistedResidual:
         ],
         ids=["reduced", "environmental", "recycling", "linked", "linked-recycling"],
     )
-    def test_scan_equals_pointwise_residuals_exactly(self, params, quad64):
-        scan = bh.endemic_spectrum_scan(params, lam_max=5.0, step=0.125, quad=quad64)
+    def test_scan_equals_pointwise_residuals_exactly(self, params):
+        scan = bh.endemic_spectrum_scan(params, lam_max=5.0, step=0.125)
         assert scan.lam.size == 41
         for lam, value in zip(scan.lam, scan.residual):
-            assert value == bh.endemic_char_residual(lam, params, quad=quad64)
-            assert value == unhoisted_residual(lam, params, quad64)
-
-    def test_shared_clock_changes_nothing(self, env_params, quad64):
-        clock = bh.build_clock(env_params)
-        assert bh.r0(env_params, quad64, clock) == bh.r0(env_params, quad64)
-        shared = bh.endemic_equilibrium(env_params, quad=quad64, clock=clock)
-        own = bh.endemic_equilibrium(env_params, quad=quad64)
-        assert (shared.S, shared.V, shared.B, shared.I0) == (own.S, own.V, own.B, own.I0)
-        assert np.array_equal(shared.I, own.I)
-        assert bh.dfe_lambda_hat(env_params, quad64, clock=clock) == bh.dfe_lambda_hat(
-            env_params, quad64
-        )
+            assert value == bh.endemic_char_residual(lam, params)
+            assert value == unhoisted_residual(lam, params)
 
 
-def per_delay_kernel_env(theta, params, quad, clock):
+def per_delay_kernel_env(theta, params):
     """The environmental kernel at one delay, one quadrature call per delay:
     the reference for the batched rows of _kernel_env."""
+    clock = params.clock
     lo = max(0.0, theta - clock.total_time)
     hi = min(params.a_bar, theta)
     if hi <= lo:
@@ -561,29 +578,29 @@ def per_delay_kernel_env(theta, params, quad, clock):
             * np.exp(-clock.decay_at(w))
         )
 
-    return quadrature(integrand, lo, hi, quad)
+    return quadrature(integrand, lo, hi, QuadratureSpec(n=bh.TABLE_PANELS))
 
 
 class TestBatchedKernel:
     @pytest.mark.parametrize(
         "params", [make_between(0.2, 0.05), linked_params()], ids=["bh_env", "linked"]
     )
-    def test_rows_match_the_per_delay_quadrature(self, params, quad64):
-        clock = bh.build_clock(params)
+    def test_rows_match_the_per_delay_quadrature(self, params):
+        clock = params.clock
         total = clock.total_time
         corners = [0.0, total, params.a_bar, params.a_bar + total]
         # more delays than one block, so block edges are crossed
         delays = np.concatenate([corners, np.linspace(0.0, params.a_bar + total, 2 * bh.KERNEL_BLOCK + 7)])
-        batched = bh._kernel_env(delays, params, quad64, clock)
-        reference = np.array([per_delay_kernel_env(x, params, quad64, clock) for x in delays])
+        batched = bh._kernel_env(delays, params, bh.TABLE_PANELS)
+        reference = np.array([per_delay_kernel_env(x, params) for x in delays])
         np.testing.assert_allclose(batched, reference, rtol=1e-14, atol=0.0)
         assert batched[0] == 0.0 and batched[3] == 0.0
         assert batched[1] > 0.0 and batched[2] > 0.0
 
-        direct = np.where(delays <= total, bh._kernel_direct(np.minimum(delays, total), params, clock), 0.0)
-        kernel = bh.renewal_kernel_A(delays, params, quad64, clock)
+        direct = np.where(delays <= total, bh._kernel_direct(np.minimum(delays, total), params), 0.0)
+        kernel = bh.renewal_kernel_A(delays, params)
         np.testing.assert_allclose(kernel, direct + reference, rtol=1e-14, atol=0.0)
-        scalar = bh.renewal_kernel_A(float(delays[5]), params, quad64, clock)
+        scalar = bh.renewal_kernel_A(float(delays[5]), params)
         assert scalar == pytest.approx(kernel[5], rel=1e-14)
 
 

@@ -142,6 +142,17 @@ class TestExitCodes:
         assert "requires rho = 0" in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
+    def test_renewal_check_without_susceptibles_returns_two(self, tmp_path, capsys):
+        # the matched history divides by S0; at S0 = 0 it would be inf/nan
+        doc = json.loads((CONFIGS / "bh_matched.json").read_text())
+        doc["run"]["initial"]["S"] = 0.0
+        doc["run"]["t_max"] = 2.0
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["renewal-check", "--config", config, "--out", str(out)]) == 2
+        assert "error: run.initial.S: " in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
     @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
     @pytest.mark.parametrize(
         "density",
@@ -300,7 +311,7 @@ class TestSpectralScan:
         lam, residual = np.array([[float(x) for x in row.split(",")] for row in rows[1:]]).T
         scan = between_host.endemic_spectrum_scan(
             load_scenario(config).between,
-            cli.SPECTRAL_SCAN_MAX, cli.SPECTRAL_SCAN_STEP, cli.QUAD_DEFAULT,
+            cli.SPECTRAL_SCAN_MAX, cli.SPECTRAL_SCAN_STEP,
         )
         assert np.array_equal(lam, scan.lam)
         assert np.array_equal(residual, scan.residual)

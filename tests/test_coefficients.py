@@ -41,13 +41,13 @@ class TestFamilies:
         f = coef.constant(0.1)
         assert f(0.0) == 0.1 and f(17.3) == 0.1
         assert f.family == "constant"
-        assert f.constant_value == 0.1
+        assert f.describe == {"value": 0.1}
 
     def test_linear(self):
         f = coef.linear(0.2, 0.05)
         assert f(0.0) == 0.2
         assert f(10.0) == pytest.approx(0.7)
-        assert f.constant_value is None
+        assert f.family == "linear" and f.describe == {"intercept": 0.2, "slope": 0.05}
 
     def test_exponential(self):
         f = coef.exponential(2.0, 0.3)
@@ -112,7 +112,6 @@ class TestWithinHostDerived:
         assert f.describe["kind"] == "immune_growth"
         assert f.describe["within_host"]["Lambda"] == paper_within.Lambda
         assert f.describe["within_host"]["c"] == paper_within.c
-        assert f.constant_value is None
 
 
 class TestDescribeMetadata:

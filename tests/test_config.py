@@ -49,7 +49,7 @@ class TestFullDocument:
         assert cfg.within.Lambda == 1.0 and cfg.within.delta == 0.3
         assert cfg.sweep.which == "delta" and cfg.sweep.W == 0.9
         assert cfg.between.beta_e == 0.05 and cfg.between.omega0 == 5.0
-        assert cfg.between.g.constant_value == 1.0
+        assert cfg.between.g.family == "constant" and cfg.between.g.describe == {"value": 1.0}
         assert cfg.n_omega == 100 and cfg.dt == 0.025
         assert cfg.t_max == 10.0
 
@@ -69,11 +69,6 @@ class TestFullDocument:
         assert cfg.within is not None
         assert cfg.sweep is None and cfg.between is None
         assert cfg.t_max is None
-
-    def test_raw_document_is_preserved_for_echoing(self, tmp_path):
-        doc = base_doc()
-        cfg = load(tmp_path, doc)
-        assert cfg.raw == doc
 
     def test_table_family_resolves(self, tmp_path):
         doc = base_doc()
