@@ -20,9 +20,10 @@ spectral refinement, the endemic equilibrium with residual checks,
 stability residuals of the endemic linearization, and an equivalent
 renewal-equation formulation used for cross-checking. All of them read
 G, M and the survival density pi = exp(-M)/g from one StatusClock per
-parameter set, `BetweenHostParams.clock`, and take their status integrals
-by Simpson's rule on a fixed panel count (TABLE_PANELS, and
-KERNEL_TOTAL_PANELS for the kernel's total integral).
+parameter set, `BetweenHostParams.clock`, and sum their status integrals
+with the guarded Simpson rule `numerics.quadrature` on a fixed panel
+count (TABLE_PANELS, and KERNEL_TOTAL_PANELS for the kernel's total
+integral), so a non-finite integral raises NonFiniteError.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ from .coefficients import Coefficient
 from .numerics import (
     BracketError,
     NumericsError,
-    QuadratureSpec,
     RootBracket,
     find_root,
     quadrature,
     rk4_step,
-    simpson_coefficients,
 )
 
 __all__ = [
@@ -52,12 +51,12 @@ __all__ = [
     "EpidemicRun",
     "RenewalRun",
     "StatusClock",
+    "PoleError",
     "TransportBlowupError",
     "build_clock",
     "survival_pi",
     "r0",
     "r0_terms",
-    "dfe_char_G",
     "dfe_lambda_hat",
     "endemic_equilibrium",
     "endemic_residuals",
@@ -82,7 +81,11 @@ KERNEL_BLOCK = 1024
 
 
 class TransportBlowupError(NumericsError):
-    """A simulation produced a density below the negativity tolerance."""
+    """A simulation state fell below the negativity tolerance or went non-finite."""
+
+
+class PoleError(NumericsError, ValueError):
+    """A trial rate lies within POLE_GUARD of a characteristic pole."""
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,7 @@ def _transmission_table(params: BetweenHostParams) -> Callable[[float], tuple[fl
 
     def integrals(lam):
         weight = p_over_g * np.exp(-decay - lam * elapsed)
-        return _apply_rule(weight, params.omega0), _apply_rule(weight * xi, params.omega0)
+        return quadrature(weight, params.omega0), quadrature(weight * xi, params.omega0)
 
     return integrals
 
@@ -305,37 +308,10 @@ def _threshold_characteristic(params: BetweenHostParams) -> Callable[[float], tu
     return routes
 
 
-def _apply_rule(values: np.ndarray, length):
-    """Simpson sum of node values spread evenly over [0, length]; a 2-D
-    block gives one sum per row, with one length per row. The panel count
-    is one less than the row length."""
-    n = np.shape(values)[-1] - 1
-    sums = np.dot(values, simpson_coefficients(n)) * length / (3.0 * n)
-    return sums if isinstance(sums, np.ndarray) else float(sums)
-
-
-def dfe_char_G(lam: float, params: BetweenHostParams) -> float:
-    """Characteristic function of the infection-free linearization.
-
-    G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)].
-    Strictly decreasing in lam; G(0) is the reproduction number and the
-    root of G(lam) = 1 is the leading growth rate near the infection-free
-    state. Requires lam > -sigma.
-    """
-    if lam <= -params.sigma:
-        raise ValueError(f"lam must exceed -sigma = {-params.sigma}")
-    direct, environmental, _ = _threshold_characteristic(params)(lam)
-    return direct + environmental
-
-
 def r0(params: BetweenHostParams) -> float:
-    """Reproduction number: expected secondary infections at the
-    infection-free state, direct plus environmental routes.
-
-    Shares the evaluation path with dfe_char_G at lam = 0, so the
-    identity r0 == dfe_char_G(0) is exact.
-    """
-    return dfe_char_G(0.0, params)
+    """Reproduction number G(0): expected secondary infections at the
+    infection-free state, direct plus environmental routes."""
+    return sum(r0_terms(params))
 
 
 def r0_terms(params: BetweenHostParams) -> tuple[float, float]:
@@ -483,8 +459,8 @@ def simulate_epidemic(
     exact per-step decay factor so densities stay nonnegative. The scalar
     pools (S, V, B) advance by a classical 4th-order step with the coupling
     integrals frozen over the step, and the nonlocal boundary value is
-    filled explicitly afterwards. Densities below the negativity tolerance
-    abort with TransportBlowupError.
+    filled explicitly afterwards. A state below the negativity tolerance
+    or a non-finite one aborts with TransportBlowupError.
     """
     if initial.I.size != n_omega + 1:
         raise ValueError(f"initial.I must have n_omega+1 = {n_omega + 1} nodes")
@@ -587,10 +563,11 @@ def simulate_epidemic(
         direct_mix = direct_integral()
         density[0] = s_new * (beta_h * direct_mix + beta_e * b_new) / g0
 
+        # NaN fails this test; a NaN pool reaches density[0] within a step
         low = min(float(density.min()), s_new, v_new, b_new)
-        if low < NEGATIVITY_ABORT:
+        if not low >= NEGATIVITY_ABORT:
             raise TransportBlowupError(
-                f"negative density {low:.3e} at t = {t_now + dt:.6g}; grid too coarse"
+                f"negative or non-finite state {low:.3e} at t = {t_now + dt:.6g}"
             )
         np.maximum(density, 0.0, out=density)
         s_now, v_now, b_now = max(s_new, 0.0), max(v_new, 0.0), max(b_new, 0.0)
@@ -603,7 +580,11 @@ def simulate_epidemic(
         if snapshot_stride and (n + 1) % snapshot_stride == 0:
             snapshot(t_next)
 
-    final = StructuredState(S=s_now, I=density.copy(), V=v_now, B=b_now)
+    try:
+        final = StructuredState(S=s_now, I=density.copy(), V=v_now, B=b_now)
+    except ValueError as exc:
+        # the clip leaves every value nonnegative: only a non-finite one is left
+        raise TransportBlowupError(f"non-finite state at t = {n_steps * dt:.6g}: {exc}") from exc
     return EpidemicRun(
         omega=omega,
         t=t_rec,
@@ -683,7 +664,7 @@ def _kernel_env(theta: np.ndarray, params: BetweenHostParams, panels: int) -> np
             * params.P(w)
             * np.exp(-clock.decay_at(w))
         )
-        out[block] = _apply_rule(values, hi[block] - lo[block])
+        out[block] = quadrature(values, hi[block] - lo[block])
     return out
 
 
@@ -697,20 +678,18 @@ def kernel_total_integral(params: BetweenHostParams) -> float:
     At the endemic state S* times this integral is 1, up to the
     exponential age-cap truncation.
     """
-    quad = QuadratureSpec(n=KERNEL_TOTAL_PANELS)
     total = params.clock.total_time
+    nodes = KERNEL_TOTAL_PANELS + 1
     value = 0.0
     if params.beta_h > 0:
-        value += quadrature(lambda theta: _kernel_direct(theta, params), 0.0, total, quad)
+        value += quadrature(_kernel_direct(np.linspace(0.0, total, nodes), params), total)
     if params.beta_e > 0:
         # the environmental part is continuous but kinked where its
         # integration limits switch; integrate each smooth piece separately
-        cuts = sorted({0.0, min(total, params.a_bar), max(total, params.a_bar), params.a_bar + total})
+        cuts = sorted({0.0, total, params.a_bar, params.a_bar + total})
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi > lo:
-                value += quadrature(
-                    lambda theta: _kernel_env(theta, params, KERNEL_TOTAL_PANELS), lo, hi, quad
-                )
+            theta = np.linspace(lo, hi, nodes)
+            value += quadrature(_kernel_env(theta, params, KERNEL_TOTAL_PANELS), hi - lo)
     return value
 
 
@@ -779,8 +758,8 @@ def simulate_renewal(
         drift_pred = params.r - params.mu1 * s_pred - s_pred * f_next
         s_next = s_j + 0.5 * dt * (drift + drift_pred)
         f_next = solve_f(s_next)
-        if s_next < NEGATIVITY_ABORT or f_next < NEGATIVITY_ABORT:
-            raise TransportBlowupError("renewal state went negative")
+        if not (s_next >= NEGATIVITY_ABORT and f_next >= NEGATIVITY_ABORT):
+            raise TransportBlowupError("renewal state went negative or non-finite")
         s_arr[j + 1] = max(s_next, 0.0)
         f_arr[j + 1] = max(f_next, 0.0)
         sf_arr[j + 1] = s_arr[j + 1] * f_arr[j + 1]
@@ -793,13 +772,17 @@ def simulate_renewal(
 # endemic spectral residuals
 
 
-def _endemic_characteristic(params: BetweenHostParams, eq: EndemicEquilibrium) -> Callable[[float], float]:
-    """The endemic characteristic residual as a function of lam.
+def endemic_char_residual(params: BetweenHostParams, eq: EndemicEquilibrium) -> Callable[[float], float]:
+    """The endemic-linearization characteristic residual at eq, as a
+    function of a real trial rate lam; a root means a mode growing like
+    e^{lam*t}.
 
-    Everything that does not depend on lam (K, the transmission table, the
-    recovery-status survival factor) is computed here once, so each trial
-    rate costs one exponential over the quadrature nodes and two rule
-    applications. See endemic_char_residual for the equation.
+    The equation reads 1 = RHS(lam) and the residual is RHS - 1, with the
+    boundary-sourced exponential factors evaluated at the recovery status
+    (the only status where the recovered pool is fed). K, the transmission
+    table and the recovery survival factor are computed once, so a trial
+    rate costs one exponential and two Simpson sums. Rates within
+    POLE_GUARD of a pole (-mu1, -sigma, -(rho+mu3)) raise PoleError.
     """
     step = eq.omega[1] - eq.omega[0]
     K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
@@ -809,6 +792,12 @@ def _endemic_characteristic(params: BetweenHostParams, eq: EndemicEquilibrium) -
     total = params.clock.total_time
 
     def residual(lam):
+        if abs(lam + params.mu1) < POLE_GUARD:
+            raise PoleError("lam too close to the pole at -mu1")
+        if params.beta_e > 0 and abs(lam + params.sigma) < POLE_GUARD:
+            raise PoleError("lam too close to the pole at -sigma")
+        if abs(lam + params.rho + params.mu3) < POLE_GUARD:
+            raise PoleError("lam too close to the pole at -(rho+mu3)")
         j_p, j_xi = integrals(lam)
         returned = recovery * np.exp(-lam * total) / (lam + params.rho + params.mu3)
         bracket = (returned - 1.0) / (lam + params.mu1)
@@ -819,31 +808,6 @@ def _endemic_characteristic(params: BetweenHostParams, eq: EndemicEquilibrium) -
         return rhs - 1.0
 
     return residual
-
-
-def endemic_char_residual(
-    lam: float, params: BetweenHostParams, eq: EndemicEquilibrium | None = None
-) -> float:
-    """Residual of the endemic-linearization characteristic equation at a
-    real trial rate lam; a root means a mode growing like e^{lam*t}.
-
-    The equation reads 1 = RHS(lam) and the residual is RHS - 1, with the
-    boundary-sourced exponential factors evaluated at the recovery status
-    (the only status where the recovered pool is fed). K is the direct
-    transmission integral against the endemic profile. Rates within 1e-8
-    of a pole (-mu1, -sigma, -(rho+mu3)) are rejected.
-    """
-    if abs(lam + params.mu1) < POLE_GUARD:
-        raise ValueError("lam too close to the pole at -mu1")
-    if params.beta_e > 0 and abs(lam + params.sigma) < POLE_GUARD:
-        raise ValueError("lam too close to the pole at -sigma")
-    if abs(lam + params.rho + params.mu3) < POLE_GUARD:
-        raise ValueError("lam too close to the pole at -(rho+mu3)")
-    if eq is None:
-        eq = endemic_equilibrium(params)
-    if eq is None:
-        raise ValueError("endemic residuals need a reproduction number above 1")
-    return _endemic_characteristic(params, eq)(lam)
 
 
 @dataclass(frozen=True)
@@ -867,16 +831,13 @@ def endemic_spectrum_scan(
     eq = endemic_equilibrium(params)
     if eq is None:
         raise ValueError("spectrum scan needs a reproduction number above 1")
-    residual = _endemic_characteristic(params, eq)
+    residual = endemic_char_residual(params, eq)
     grid = np.arange(0.0, lam_max + 0.5 * step, step)
     values = np.array([residual(lam) for lam in grid])
     roots = []
-    for i in range(len(grid) - 1):
-        a, b = values[i], values[i + 1]
-        if a == 0.0:
+    for i in range(len(grid)):
+        if values[i] == 0.0:
             roots.append(float(grid[i]))
-        elif a * b < 0:
+        elif i + 1 < len(grid) and values[i] * values[i + 1] < 0:
             roots.append(find_root(residual, RootBracket(float(grid[i]), float(grid[i + 1]))))
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
     return ResidualScan(lam=grid, residual=values, roots=roots)

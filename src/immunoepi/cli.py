@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, bifurcation, between_host, within_host
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .numerics import NumericsError
+from .numerics import NonFiniteError, NumericsError
 
 __all__ = ["main", "run", "emit_plot_data", "RunOutput"]
 
@@ -97,10 +97,13 @@ def _sha256(path: Path) -> str:
 
 
 def _finalize(out_dir: Path, summary: dict) -> RunOutput:
-    """Write summary.json, then manifest.json over everything else."""
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write summary.json, then manifest.json over everything else. A NaN
+    or infinite summary value is refused before anything is written."""
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"summary.json: {exc}") from exc
+    (out_dir / "summary.json").write_text(text + "\n")
     files = {
         p.name: _sha256(p)
         for p in sorted(out_dir.iterdir())
@@ -211,7 +214,11 @@ def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     cfg.require("within_host")
     params = cfg.within
     tip_P, tip_W = within_host.manifold_tip(params)
-    p_max = within_host.upper_branch_P(0.0, params) * 1.2
+    try:
+        p_max = within_host.upper_branch_P(0.0, params) * 1.2
+    except ValueError as exc:
+        # the fold lies below W = 0: no infected branch to draw
+        raise ConfigError(f"within_host: {exc}") from exc
     n = 400 * max(args.grid_refine, 1)
     p_grid = np.linspace(1e-6, p_max, n)
     phi = within_host.slow_manifold_W(p_grid, params)
@@ -281,8 +288,9 @@ def _apply_refine(cfg: ScenarioConfig, k: int) -> tuple[int, float]:
 def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **strides) -> between_host.EpidemicRun:
     """Transport run on the refined grid; an initial density the state
     refuses (negative, or undefined past a derived coefficient's fold) and
-    a grid the solver refuses (the CFL bound on its own nodes) are
-    configuration errors."""
+    a grid the solver refuses up front (the CFL bound on its own nodes,
+    the strides, dt and t_max) are configuration errors; a blow-up during
+    the run is a numerical failure."""
     try:
         s0, i0, v0, b0 = cfg.initial_state_arrays(n_omega)
         initial = between_host.StructuredState(S=s0, I=i0, V=v0, B=b0)

@@ -9,9 +9,8 @@ structured epidemic solver) is built on the operations in this module:
   (Python floats or ndarrays); the epidemic solver's scalar pools pass
   three floats, the batched cycle sampler and the event localizer pass one
   ndarray each.
-* ``quadrature`` -- composite Simpson rule over [a, b]; its 1, 4, 2, ...,
-  4, 1 coefficients (``simpson_coefficients``) also weight the epidemic
-  model's transmission integrals.
+* ``quadrature`` -- the package's one composite Simpson rule: a guarded
+  sum of evenly spaced node values over [0, length], one per row.
 * ``find_root`` -- bracketed scalar root solve by Brent's method, in the
   form and with the stopping rule of scipy's ``brentq``, plus explicit
   bracket validation. The package needs numpy only.
@@ -19,6 +18,7 @@ structured epidemic solver) is built on the operations in this module:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -33,13 +33,11 @@ __all__ = [
     "BracketError",
     "ConvergenceError",
     "IntegratorSpec",
-    "QuadratureSpec",
     "RootBracket",
     "Trajectory",
     "integrate_ode",
     "rk4_step",
     "quadrature",
-    "quadrature_nodes",
     "simpson_coefficients",
     "find_root",
 ]
@@ -97,17 +95,6 @@ class IntegratorSpec:
             raise ValueError("tolerances must be positive")
         if self.max_step is not None and not self.max_step > 0:
             raise ValueError("max_step must be positive when given")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite Simpson rule on ``n`` panels (even, at least 2)."""
-
-    n: int = 64
-
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"Simpson rule requires an even panel count >= 2, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -333,8 +320,10 @@ def simpson_coefficients(n: int) -> np.ndarray:
     """Composite Simpson coefficients 1, 4, 2, ..., 2, 4, 1 on n panels.
 
     The weights on a panel of width h are these times h/3. The array is
-    cached per n and shared, so it is read-only.
+    cached per n and shared, so it is read-only. n must be even.
     """
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"Simpson rule requires an even panel count >= 2, got {n}")
     coeff = np.ones(n + 1)
     coeff[1:-1:2] = 4.0
     coeff[2:-1:2] = 2.0
@@ -342,36 +331,25 @@ def simpson_coefficients(n: int) -> np.ndarray:
     return coeff
 
 
-def quadrature_nodes(a: float, b: float, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Simpson rule on [a, b]."""
-    nodes = np.linspace(a, b, spec.n + 1)
-    h = (b - a) / spec.n
-    return nodes, simpson_coefficients(spec.n) * (h / 3.0)
+def quadrature(values, length):
+    """Composite Simpson sum of node values spread evenly over [0, length].
 
-
-def quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Integrate ``f`` over [a, b]. ``f`` must accept an ndarray of nodes.
-
-    Degenerate intervals (a == b) integrate to zero. Raises NonFiniteError on
-    non-finite integrand values.
+    The last axis holds the n + 1 values of n panels (n even). A 1-D row
+    gives one scalar (a Python float or complex for a Python length); a
+    2-D block gives one sum per row, with one length per row or one for
+    all. A complex dtype is kept. Raises NonFiniteError on a non-finite sum.
     """
-    spec = spec or QuadratureSpec()
-    if not a <= b:
-        raise ValueError(f"quadrature requires a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0
-    nodes, w = quadrature_nodes(a, b, spec)
-    vals = np.asarray(f(nodes), dtype=float)
-    if vals.shape != nodes.shape:
-        raise ValueError("integrand must return one value per node")
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteError("non-finite integrand evaluation")
-    return float(w @ vals)
+    n = np.shape(values)[-1] - 1
+    sums = np.dot(values, simpson_coefficients(n))
+    if isinstance(sums, np.ndarray):
+        sums = sums * length / (3.0 * n)
+        if not np.isfinite(sums).all():
+            raise NonFiniteError("non-finite quadrature sum")
+        return sums
+    total = sums.item() * length / (3.0 * n)
+    if not cmath.isfinite(total):
+        raise NonFiniteError("non-finite quadrature sum")
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 ``characteristics_eval`` solves the transport equation along
 characteristics, with the boundary-flux history rebuilt from a run's
 snapshots by ``boundary_history``. ``reduced_endemic_residual`` is the
-paper's reduced endemic characteristic equation. ``integrate_slow_reduced`` is the
+paper's reduced endemic characteristic equation, and ``dfe_char_G`` the
+infection-free characteristic function whose unit level ``dfe_lambda_hat``
+solves for. ``integrate_slow_reduced`` is the
 singular limit of a full within-host run, and ``fast_rhs`` the frozen-W
 fast vector field. ``infected_mass`` is the trapezoid mass of a density.
 """
@@ -71,6 +73,22 @@ def characteristics_eval(
         h_vals = np.asarray(boundary_history(t - travel[from_boundary]), dtype=float)
         out[from_boundary] = h_vals / g_here[from_boundary] * np.exp(-decay_here[from_boundary])
     return float(out[0]) if np.ndim(omega) == 0 else out
+
+
+def dfe_char_G(lam: float, params: bh.BetweenHostParams) -> float:
+    """Characteristic function of the infection-free linearization,
+
+        G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)],
+
+    read off the package's transmission table. Strictly decreasing in lam;
+    G(0) is the reproduction number and the root of G(lam) = 1 is the
+    leading growth rate near the infection-free state. Requires
+    lam > -sigma.
+    """
+    if lam <= -params.sigma:
+        raise ValueError(f"lam must exceed -sigma = {-params.sigma}")
+    direct, environmental, _ = bh._threshold_characteristic(params)(lam)
+    return direct + environmental
 
 
 def reduced_endemic_residual(lam: float, params: bh.BetweenHostParams, eq: bh.EndemicEquilibrium) -> float:

@@ -20,7 +20,7 @@ from immunoepi import coefficients as coef
 from immunoepi import within_host as wh
 
 from conftest import make_between
-from oracles import boundary_history, characteristics_eval, fast_rhs, infected_mass
+from oracles import boundary_history, characteristics_eval, dfe_char_G, fast_rhs, infected_mass
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -185,8 +185,8 @@ def test_reproduction_number_matches_closed_forms():
     err_env = abs(bh.r0(env) - R0_ENV_CLOSED)
     assert err_direct < 1e-8
     assert err_env < 1e-8
-    id_direct = abs(bh.dfe_char_G(0.0, direct) - bh.r0(direct))
-    id_env = abs(bh.dfe_char_G(0.0, env) - bh.r0(env))
+    id_direct = abs(dfe_char_G(0.0, direct) - bh.r0(direct))
+    id_env = abs(dfe_char_G(0.0, env) - bh.r0(env))
     assert max(id_direct, id_env) < 1e-10
     print(f"[PASS] reproduction number vs closed forms: direct off {err_direct:.2e}, "
           f"with environment off {err_env:.2e}; zero-rate evaluation identity "

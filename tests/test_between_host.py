@@ -6,6 +6,8 @@ every status integral collapses to elementary functions:
     J = int_0^5 e^{-0.1 w} dw = (1 - e^{-0.5}) / 0.1
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,10 +15,16 @@ from hypothesis import strategies as st
 
 from immunoepi import between_host as bh
 from immunoepi import coefficients as coef
-from immunoepi.numerics import BracketError, QuadratureSpec, quadrature
+from immunoepi.numerics import BracketError, NumericsError, quadrature
 
 from conftest import linked_params, make_between
-from oracles import boundary_history, characteristics_eval, infected_mass, reduced_endemic_residual
+from oracles import (
+    boundary_history,
+    characteristics_eval,
+    dfe_char_G,
+    infected_mass,
+    reduced_endemic_residual,
+)
 from reference_loops import simulate_epidemic_array
 
 J_REF = (1.0 - np.exp(-0.5)) / 0.1  # 3.9346934028736658
@@ -181,22 +189,22 @@ class TestReproductionNumber:
         assert bh.r0_terms(direct_params)[1] == 0.0
 
     def test_characteristic_function_at_zero_is_the_reproduction_number(self, env_params):
-        assert bh.dfe_char_G(0.0, env_params) == pytest.approx(bh.r0(env_params), abs=1e-10)
+        assert dfe_char_G(0.0, env_params) == pytest.approx(bh.r0(env_params), abs=1e-10)
 
     def test_characteristic_function_is_strictly_decreasing(self, env_params):
         grid = [-0.4, -0.1, 0.0, 0.5, 1.0, 2.0, 5.0]
-        vals = [bh.dfe_char_G(x, env_params) for x in grid]
+        vals = [dfe_char_G(x, env_params) for x in grid]
         assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
 
     def test_characteristic_function_respects_the_pole(self, env_params):
         with pytest.raises(ValueError, match="-sigma"):
-            bh.dfe_char_G(-0.5, env_params)
+            dfe_char_G(-0.5, env_params)
 
     @given(st.randoms(use_true_random=False))
     def test_zero_evaluation_identity_on_random_sets(self, rng):
         p = random_between(rng)
-        assert bh.dfe_char_G(0.0, p) == pytest.approx(bh.r0(p), abs=1e-10)
-        assert bh.dfe_char_G(0.5, p) < bh.dfe_char_G(0.2, p) < bh.r0(p)
+        assert dfe_char_G(0.0, p) == pytest.approx(bh.r0(p), abs=1e-10)
+        assert dfe_char_G(0.5, p) < dfe_char_G(0.2, p) < bh.r0(p)
 
 
 class TestGrowthRate:
@@ -206,7 +214,7 @@ class TestGrowthRate:
 
     def test_root_satisfies_the_characteristic_equation(self, env_params):
         lam = bh.dfe_lambda_hat(env_params)
-        assert bh.dfe_char_G(lam, env_params) == pytest.approx(1.0, abs=1e-10)
+        assert dfe_char_G(lam, env_params) == pytest.approx(1.0, abs=1e-10)
 
     def test_sign_matches_the_threshold(self, direct_params):
         assert bh.dfe_lambda_hat(direct_params) > 0
@@ -372,6 +380,17 @@ class TestSimulateEpidemic:
         assert min(run.final.S, run.final.V, run.final.B) >= 0.0
         assert np.all(run.I_total >= 0.0)
 
+    @pytest.mark.parametrize(
+        "r, t_max", [(1.7e308, 0.05), (1.7e308, 0.5)], ids=["last_step", "mid_run"]
+    )
+    def test_overflow_is_a_blowup(self, r, t_max):
+        # a recruitment rate near the float maximum overflows S: the final
+        # state (one step) or the step check (later NaN) refuses the run
+        params = make_between(0.2, 0.05, r=r)
+        init = bh.StructuredState(S=1.0, I=np.exp(-0.5 * np.linspace(0.0, 5.0, 51)), V=0.0, B=0.0)
+        with pytest.raises(bh.TransportBlowupError, match="non-finite"), np.errstate(all="ignore"):
+            bh.simulate_epidemic(params, init, t_max=t_max, n_omega=50, dt=0.05)
+
     def test_records_follow_the_output_stride(self, direct_params):
         init = bh.StructuredState(S=10.0, I=np.zeros(51), V=0.0, B=0.0)
         run = bh.simulate_epidemic(
@@ -474,6 +493,11 @@ class TestRenewalForm:
         assert abs(run.F[-1] - force) / force < 5e-3
         assert abs(run.S[-1] - eq.S) / eq.S < 5e-3
 
+    def test_non_finite_history_is_a_blowup(self, direct_params):
+        nan_history = lambda s: np.full_like(np.asarray(s, dtype=float), np.nan)
+        with pytest.raises(bh.TransportBlowupError, match="non-finite"):
+            bh.simulate_renewal(direct_params, nan_history, S0=10.0, t_max=1.0, dt=0.5)
+
     def test_rejects_misaligned_memory_window(self, direct_params):
         # window = a_bar + travel time = 35, not a multiple of 0.3
         with pytest.raises(ValueError, match="memory window"):
@@ -482,7 +506,7 @@ class TestRenewalForm:
 
 class TestEndemicSpectrum:
     def test_residual_at_zero_is_the_force_ratio(self, direct_params):
-        got = bh.endemic_char_residual(0.0, direct_params)
+        got = bh.endemic_char_residual(direct_params, bh.endemic_equilibrium(direct_params))(0.0)
         assert got == pytest.approx(-K_DIRECT_REF / 0.1, abs=1e-8)
 
     @pytest.mark.parametrize("beta_h", [0.2, 0.050829881649683994], ids=["direct", "matched"])
@@ -490,22 +514,39 @@ class TestEndemicSpectrum:
         # rho = 0, beta_e = 0, g = 1: the paper's reduced equation, LHS - RHS
         params = make_between(beta_h, 0.0)
         eq = bh.endemic_equilibrium(params)
+        residual = bh.endemic_char_residual(params, eq)
         for lam in np.linspace(0.0, 50.0, 201):
-            general = bh.endemic_char_residual(lam, params, eq)
+            general = residual(lam)
             reduced = reduced_endemic_residual(lam, params, eq)
             assert general == pytest.approx(-reduced, rel=1e-13, abs=1e-15)
 
     def test_residual_settles_at_minus_one_for_fast_rates(self, env_params):
-        assert bh.endemic_char_residual(50.0, env_params) == pytest.approx(-1.0, abs=0.05)
+        residual = bh.endemic_char_residual(env_params, bh.endemic_equilibrium(env_params))
+        assert residual(50.0) == pytest.approx(-1.0, abs=0.05)
 
     def test_pole_guards(self, env_params):
+        residual = bh.endemic_char_residual(env_params, bh.endemic_equilibrium(env_params))
         for lam in (-0.1, -0.5, -0.2):
             with pytest.raises(ValueError, match="pole"):
-                bh.endemic_char_residual(lam, env_params)
+                residual(lam)
+            # a numerical failure, so the CLI exits 3 if a scan meets a pole
+            with pytest.raises(NumericsError, match="pole"):
+                residual(lam + 0.5 * bh.POLE_GUARD)
+
+    def test_residual_accepts_complex_rates(self, env_params):
+        # the Simpson sums keep a complex dtype: no cast, no ComplexWarning
+        residual = bh.endemic_char_residual(env_params, bh.endemic_equilibrium(env_params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            upper, lower = residual(0.5 + 0.1j), residual(0.5 - 0.1j)
+            on_axis = residual(0.5 + 0.0j)
+        assert isinstance(upper, complex) and upper.imag != 0.0
+        assert upper == lower.conjugate()
+        assert on_axis == pytest.approx(residual(0.5), rel=1e-14)
 
     def test_needs_a_supercritical_state(self):
         with pytest.raises(ValueError, match="reproduction"):
-            bh.endemic_char_residual(0.5, make_between(0.5 * 0.1 / J_REF, 0.0))
+            bh.endemic_spectrum_scan(make_between(0.5 * 0.1 / J_REF, 0.0))
 
     def test_no_nonnegative_real_roots_at_the_reference_sets(self, direct_params, env_params):
         assert bh.endemic_spectrum_scan(direct_params, lam_max=10.0, step=0.05).roots == []
@@ -523,8 +564,8 @@ def unhoisted_residual(lam, params):
     weight = params.P(nodes) / params.g(nodes) * np.exp(
         -clock.decay_at(nodes) - lam * clock.time_of(nodes)
     )
-    j_p = bh._apply_rule(weight, params.omega0)
-    j_xi = bh._apply_rule(weight * params.xi(nodes), params.omega0)
+    j_p = quadrature(weight, params.omega0)
+    j_xi = quadrature(weight * params.xi(nodes), params.omega0)
     pi_end = bh.survival_pi(params.omega0, params)
     boundary_factor = (
         params.rho * params.g(params.omega0) * pi_end
@@ -553,8 +594,9 @@ class TestHoistedResidual:
     def test_scan_equals_pointwise_residuals_exactly(self, params):
         scan = bh.endemic_spectrum_scan(params, lam_max=5.0, step=0.125)
         assert scan.lam.size == 41
+        residual = bh.endemic_char_residual(params, bh.endemic_equilibrium(params))
         for lam, value in zip(scan.lam, scan.residual):
-            assert value == bh.endemic_char_residual(lam, params)
+            assert value == residual(lam)
             assert value == unhoisted_residual(lam, params)
 
 
@@ -566,19 +608,16 @@ def per_delay_kernel_env(theta, params):
     hi = min(params.a_bar, theta)
     if hi <= lo:
         return 0.0
-
-    def integrand(a):
-        ages = np.asarray(a, dtype=float)
-        w = clock.status_at(theta - ages)
-        return (
-            params.beta_e
-            * np.exp(-params.sigma * ages)
-            * params.xi(w)
-            * params.P(w)
-            * np.exp(-clock.decay_at(w))
-        )
-
-    return quadrature(integrand, lo, hi, QuadratureSpec(n=bh.TABLE_PANELS))
+    ages = np.linspace(lo, hi, bh.TABLE_PANELS + 1)
+    w = clock.status_at(theta - ages)
+    values = (
+        params.beta_e
+        * np.exp(-params.sigma * ages)
+        * params.xi(w)
+        * params.P(w)
+        * np.exp(-clock.decay_at(w))
+    )
+    return quadrature(values, hi - lo)
 
 
 class TestBatchedKernel:

@@ -184,6 +184,49 @@ class TestExitCodes:
         assert "strictly positive" in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("command", ["r0", "equilibria", "spectral", "epi-sim", "renewal-check"])
+    def test_overflowing_shedding_returns_three(self, tmp_path, capsys, command):
+        # a finite xi knot of 1e308 overflows the shedding integral: the
+        # guarded Simpson sum and the transport run refuse the result
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        doc["functions"]["xi"] = {"family": "table", "omega": [0.0, 2.5, 5.0], "value": [0.4, 1e308, 0.4]}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert cli.main([command, "--config", config, "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
+    def test_state_overflow_during_the_run_returns_three(self, tmp_path, capsys, command):
+        # the grid is valid; the state overflows during the run
+        doc = json.loads((CONFIGS / "bh_matched.json").read_text())
+        doc["run"]["initial"]["S"] = 1e308
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert cli.main([command, "--config", config, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "grid:" not in err
+        assert not (out / "summary.json").exists()
+
+    def test_manifold_without_an_infected_branch_returns_two(self, tmp_path, capsys):
+        # gamma = 1e308 puts the fold at W = -inf: no infected branch at W = 0
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        doc["within_host"]["gamma"] = 1e308
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        with np.errstate(all="ignore"):
+            assert cli.main(["manifold", "--config", config, "--out", str(out)]) == 2
+        assert "error: within_host: no infected branch" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_summary_is_refused_before_writing(self, tmp_path, value):
+        with pytest.raises(numerics.NonFiniteError, match="summary.json"):
+            cli._finalize(tmp_path, {"r0": value})
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_subcommand_is_a_parser_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate", "--out", str(tmp_path / "out")])

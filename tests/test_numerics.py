@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,11 @@ from immunoepi.numerics import (
     ConvergenceError,
     IntegratorSpec,
     NonFiniteError,
-    QuadratureSpec,
     RootBracket,
     StepLimitError,
     find_root,
     integrate_ode,
     quadrature,
-    quadrature_nodes,
     rk4_step,
     simpson_coefficients,
 )
@@ -86,7 +85,6 @@ class TestIntegrateOde:
         assert [f.name for f in dataclasses.fields(IntegratorSpec)] == [
             "rel_tol", "abs_tol", "max_step"
         ]
-        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["n"]
 
 
 # Dormand-Prince 5(4) tableau and the stage loop the explicit step replaced;
@@ -207,47 +205,95 @@ def reference_simpson_weights(a, b, n):
     return w
 
 
+def cubic_rows(coeffs, lengths, n):
+    """Node values of one cubic per row on [0, length] and their exact
+    integrals; coeffs[:, k] multiplies x**k."""
+    x = lengths[:, None] * np.linspace(0.0, 1.0, n + 1)
+    values = sum(coeffs[:, [k]] * x**k for k in range(4))
+    exact = sum(coeffs[:, k] * lengths ** (k + 1) / (k + 1) for k in range(4))
+    scale = sum(np.abs(coeffs[:, k]) * lengths ** (k + 1) / (k + 1) for k in range(4))
+    return values, exact, scale
+
+
 class TestQuadrature:
-    def test_shared_coefficients_give_the_explicit_weights_bit_for_bit(self):
+    def test_rule_weights_are_the_explicit_simpson_weights(self):
+        # one unit vector per row reads off the rule's weight at each node
         rng = np.random.default_rng(7)
-        for n in [2, 4, 6, 8, 64, 256, *(2 * int(k) for k in rng.integers(1, 600, 40))]:
-            for _ in range(10):
-                a = float(rng.uniform(-50.0, 50.0))
-                b = a + float(10.0 ** rng.uniform(-6.0, 3.0))
-                nodes, w = quadrature_nodes(a, b, QuadratureSpec(n=n))
-                assert w.tobytes() == reference_simpson_weights(a, b, n).tobytes()
-                assert np.array_equal(nodes, np.linspace(a, b, n + 1))
+        for n in [2, 4, 6, 8, 64, 256, *(2 * int(k) for k in rng.integers(1, 300, 20))]:
+            length = float(10.0 ** rng.uniform(-6.0, 3.0))
+            weights = quadrature(np.eye(n + 1), length)
+            np.testing.assert_allclose(
+                weights, reference_simpson_weights(0.0, length, n), rtol=1e-15, atol=0.0
+            )
         # the cached coefficients are shared between callers
         assert not simpson_coefficients(64).flags.writeable
 
     def test_exponential_closed_form(self):
-        val = quadrature(lambda x: np.exp(-0.1 * x), 0.0, 5.0)
+        val = quadrature(np.exp(-0.1 * np.linspace(0.0, 5.0, 65)), 5.0)
+        assert type(val) is float
         assert val == pytest.approx(10.0 * (1.0 - math.exp(-0.5)), abs=1e-9)
 
     def test_degenerate_interval(self):
-        assert quadrature(lambda x: np.exp(x), 2.0, 2.0) == 0.0
+        assert quadrature(np.full(65, math.e**2), 0.0) == 0.0
 
     def test_simpson_fourth_order_convergence(self):
         exact = 10.0 * (1.0 - math.exp(-0.5))
         errs = []
         for n in (4, 8):
-            spec = QuadratureSpec(n=n)
-            errs.append(abs(quadrature(lambda x: np.exp(-0.1 * x), 0.0, 5.0, spec) - exact))
+            values = np.exp(-0.1 * np.linspace(0.0, 5.0, n + 1))
+            errs.append(abs(quadrature(values, 5.0) - exact))
         assert errs[0] / errs[1] >= 8.0
 
     def test_simpson_requires_even_panels(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(n=3)
-        with pytest.raises(ValueError):
-            QuadratureSpec(n=0)
+        with pytest.raises(ValueError, match="even"):
+            quadrature(np.ones(4), 1.0)
+        with pytest.raises(ValueError, match="even"):
+            quadrature(np.ones(1), 1.0)
 
     def test_nonfinite_integrand(self):
         with pytest.raises(NonFiniteError), np.errstate(divide="ignore"):
-            quadrature(lambda x: 1.0 / x, 0.0, 1.0)
+            quadrature(1.0 / np.linspace(0.0, 1.0, 65), 1.0)
 
-    def test_reversed_interval_rejected(self):
-        with pytest.raises(ValueError):
-            quadrature(lambda x: x, 1.0, 0.0)
+    def test_negative_length_gives_the_oriented_integral(self):
+        # nodes run from 0 down to -1: the integral of x from 0 to -1 is 1/2
+        assert quadrature(np.linspace(0.0, -1.0, 65), -1.0) == pytest.approx(0.5, rel=1e-15)
+
+    @given(
+        half=st.integers(1, 40),
+        coeffs=st.lists(
+            st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4), min_size=1, max_size=5
+        ),
+        log_lengths=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+        bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+        where=st.integers(0, 10**6),
+    )
+    def test_rows_are_exact_on_cubics_and_guarded(self, half, coeffs, log_lengths, bad, where):
+        n = 2 * half
+        coeffs = np.array(coeffs)
+        lengths = 10.0 ** np.array(log_lengths[: len(coeffs)])
+        values, exact, scale = cubic_rows(coeffs, lengths, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # even n: exact on cubics up to rounding, one length per row
+            sums = quadrature(values, lengths)
+            assert sums.shape == (len(coeffs),)
+            assert np.all(np.abs(sums - exact) <= 1e-12 * scale + 1e-300)
+            # one row alone gives the same sum as a Python float
+            first = quadrature(values[0], float(lengths[0]))
+            assert type(first) is float
+            assert abs(first - exact[0]) <= 1e-12 * scale[0] + 1e-300
+            # a complex dtype is kept, with no cast and no ComplexWarning
+            rotated = quadrature(values * (1.0 - 2.0j), lengths)
+            assert rotated.dtype == np.complex128
+            np.testing.assert_allclose(rotated, exact * (1.0 - 2.0j), rtol=0.0, atol=3e-12 * scale.max())
+            assert type(quadrature(values[0] * 1j, float(lengths[0]))) is complex
+        # one non-finite node poisons its row's sum
+        row, node = divmod(where % values.size, n + 1)
+        values[row, node] = bad
+        with pytest.raises(NonFiniteError):
+            quadrature(values, lengths)
+        with pytest.raises(NonFiniteError):
+            quadrature(values[row], lengths[row])
 
 
 class TestFindRoot:
