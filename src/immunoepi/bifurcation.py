@@ -3,10 +3,10 @@
 The fast subsystem's nontrivial equilibria form a closed-form pair of
 branches in any parameter that only enters through the effective clearance
 rate Gamma = gamma + delta*W. Sweeps therefore evaluate the quadratic
-directly; event detection scans the branch for determinant / trace sign
-changes and refines the event parameter against the analytic loci. Cycle
-amplitudes come from batched fixed-step integration of the frozen-W fast
-system past a transient.
+directly, and the fold and Hopf events are the closed-form critical loci
+of within_host mapped to the sweep parameter. Cycle amplitudes come from
+batched fixed-step integration of the frozen-W fast system past a
+transient.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import within_host as wh
-from .numerics import rk4_step
+from .numerics import NonFiniteError, rk4_step
 
 __all__ = [
     "SweepSpec",
@@ -27,7 +27,6 @@ __all__ = [
     "CycleSample",
     "SweepResult",
     "sweep_branch",
-    "detect_events",
     "detect_all_events",
     "cycle_amplitude",
     "branch_to_csv",
@@ -201,80 +200,33 @@ def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, params=params, upper=upper, lower=lower, trivial=trivial)
 
 
-def _gamma_of(params: wh.WithinHostParams, spec: SweepSpec, value: float) -> float:
-    if spec.which == "delta":
-        return params.gamma + value * spec.W
-    return params.gamma + params.delta * value
-
-
 def _param_from_gamma(params: wh.WithinHostParams, spec: SweepSpec, Gamma: float) -> float:
     if spec.which == "delta":
         return (Gamma - params.gamma) / spec.W
     return (Gamma - params.gamma) / params.delta
 
 
-def detect_events(
-    branch: Sequence[BranchPoint],
-    params: wh.WithinHostParams,
-    spec: SweepSpec,
-) -> list[BifurcationEvent]:
-    """Scan a branch for fold and Hopf crossings.
-
-    Folds are determinant sign changes; Hopf points are trace sign changes
-    with positive determinant. Event parameters are refined on the analytic
-    critical loci (closed-form fold, the polished trace-vanishing root of
-    within_host.critical_loci) rather than interpolated from the sampled
-    branch.
-    """
-    events: list[BifurcationEvent] = []
-    loci = wh.critical_loci(params)
-    # the true event can sit up to one grid step beyond the bracketing pair
-    # (the branch vanishes past the fold, so the last sampled points straddle
-    # the fold only to grid resolution)
-    grid_step = (spec.hi - spec.lo) / (spec.n - 1)
-
-    def refine_fold(p_lo: float, p_hi: float) -> float | None:
-        p_star = _param_from_gamma(params, spec, loci.Gamma_fold)
-        if min(p_lo, p_hi) - grid_step <= p_star <= max(p_lo, p_hi) + grid_step:
-            return p_star
-        return None
-
-    def refine_hopf(p_lo: float, p_hi: float) -> float | None:
-        # the analytic trace-zero root inside the bracketing interval
-        g_lo = _gamma_of(params, spec, min(p_lo, p_hi) - grid_step)
-        g_hi = _gamma_of(params, spec, max(p_lo, p_hi) + grid_step)
-        for h in loci.hopf:
-            if h.valid and g_lo - 1e-9 <= h.Gamma <= g_hi + 1e-9:
-                return _param_from_gamma(params, spec, h.Gamma)
-        return None
-
-    for a_pt, b_pt in zip(branch[:-1], branch[1:]):
-        if a_pt.det * b_pt.det < 0.0:
-            p_star = refine_fold(a_pt.param, b_pt.param)
-            if p_star is not None:
-                # double root of the equilibrium quadratic at the fold
-                P_fold = float(np.sqrt(params.mu / params.alpha))
-                T_fold = float(params.Lambda / (2.0 * params.mu))
-                events.append(BifurcationEvent(kind="fold", param=p_star, T=T_fold, P=P_fold))
-        if a_pt.trace * b_pt.trace < 0.0 and min(a_pt.det, b_pt.det) > 0.0:
-            p_star = refine_hopf(a_pt.param, b_pt.param)
-            if p_star is not None:
-                p, W = spec.resolve(params, p_star)
-                eq = wh.equilibria_fast(p, W)
-                T, P = eq.upper
-                events.append(BifurcationEvent(kind="hopf", param=p_star, T=float(T), P=float(P)))
-    return events
-
-
 def detect_all_events(result: SweepResult) -> list[BifurcationEvent]:
-    """Events over the fold-traversing path plus the upper branch."""
-    events = detect_events(result.fold_path, result.params, result.spec)
-    seen = {(e.kind, round(e.param, 12)) for e in events}
-    for e in detect_events(result.upper, result.params, result.spec):
-        key = (e.kind, round(e.param, 12))
-        if key not in seen:
-            events.append(e)
-            seen.add(key)
+    """The fold and Hopf points of the sweep range, ordered by parameter.
+
+    Each event is a closed-form critical locus (within_host.critical_loci)
+    mapped to the sweep parameter and kept when it lies in [lo, hi], so the
+    list does not depend on the sweep's grid. The fold carries the double
+    root of the equilibrium quadratic, a Hopf point its upper-branch state.
+    """
+    params, spec = result.params, result.spec
+    loci = wh.critical_loci(params)
+    events: list[BifurcationEvent] = []
+    fold_at = _param_from_gamma(params, spec, loci.Gamma_fold)
+    if spec.lo <= fold_at <= spec.hi:
+        P_fold = float(np.sqrt(params.mu / params.alpha))
+        T_fold = float(params.Lambda / (2.0 * params.mu))
+        events.append(BifurcationEvent(kind="fold", param=fold_at, T=T_fold, P=P_fold))
+    for Gamma in loci.hopf:
+        hopf_at = _param_from_gamma(params, spec, Gamma)
+        if spec.lo <= hopf_at <= spec.hi:
+            T, P = wh.equilibria_fast(*spec.resolve(params, hopf_at)).upper
+            events.append(BifurcationEvent(kind="hopf", param=hopf_at, T=float(T), P=float(P)))
     events.sort(key=lambda e: e.param)
     return events
 
@@ -299,7 +251,8 @@ def cycle_amplitude(
     transient window, then min/max P, strict local maxima, and the mean
     maximum-to-maximum period are recorded over the sampling window. All
     sweep values are integrated together as one (2, m) state of (T, P)
-    rows, advanced by fixed RK4 steps.
+    rows, advanced by fixed RK4 steps. Raises NonFiniteError when an
+    orbit's sampled load is not finite.
     """
     values = spec.values()
     rows: list[tuple[float, float, float, float]] = []  # value, Gamma, T0, P0
@@ -346,6 +299,10 @@ def cycle_amplitude(
             max_count += is_max.astype(int)
         prev2, prev1 = prev1, P
 
+    finite = np.isfinite(p_min) & np.isfinite(p_max)
+    if not finite.all():
+        value = rows[int(np.argmin(finite))][0]
+        raise NonFiniteError(f"cycle orbit at {spec.which}={value!r} is not finite")
     samples: list[CycleSample] = []
     for j, (value, _, _, _) in enumerate(rows):
         amp = p_max[j] - p_min[j]

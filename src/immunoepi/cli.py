@@ -205,7 +205,7 @@ def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         "parameters": asdict(params),
         "events": bifurcation.events_to_json(events),
         "analytic_fold_clearance": loci.Gamma_fold,
-        "analytic_hopf_clearance": [root.Gamma for root in loci.hopf if root.valid],
+        "analytic_hopf_clearance": list(loci.hopf),
     }
     return _finalize(out_dir, _jsonable(summary))
 
@@ -572,8 +572,9 @@ def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> 
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     try:
         return handler(cfg, out_dir, args)
-    except ConfigError:
-        # a rejected config writes nothing: remove the directories made above
+    except (ConfigError, NumericsError):
+        # a failed run leaves no empty output directory: remove the ones made
+        # above (rmdir refuses a directory that holds files)
         with contextlib.suppress(OSError):
             for directory in created:
                 directory.rmdir()

@@ -4,11 +4,11 @@ Everything downstream (within-host simulation, bifurcation sweeps, the
 structured epidemic solver) is built on the operations in this module:
 
 * ``integrate_ode`` -- adaptive embedded Dormand-Prince 5(4) pair, with
-  optional scalar event localization by bisection on the bracketing step.
+  optional scalar event location: ``find_root`` on the event along one
+  Dormand-Prince step from the left end of the bracketing step.
 * ``rk4_step`` -- one classic RK4 step over a sequence of components
   (Python floats or ndarrays); the epidemic solver's scalar pools pass
-  three floats, the batched cycle sampler and the event localizer pass one
-  ndarray each.
+  three floats and the batched cycle sampler one ndarray.
 * ``quadrature`` -- the package's one composite Simpson rule: a guarded
   sum of evenly spaced node values over [0, length], one per row.
 * ``find_root`` -- bracketed scalar root solve by Brent's method, in the
@@ -42,7 +42,7 @@ __all__ = [
     "find_root",
 ]
 
-# Event times are bisected to this relative tolerance on the bracketing step.
+# Event times are located to this relative tolerance on the bracketing step.
 EVENT_RELATIVE_TOL = 1e-10
 # Step budget of one integrate_ode call, rejected steps included.
 MAX_STEPS = 1_000_000
@@ -187,44 +187,22 @@ def _dp45_step(rhs, t, y, h, k1=None):
         return y5, y5 - y4, k7
 
 
-def _substepped(rhs, t_lo, y_lo, dt, pieces=8):
-    """State at t_lo + dt by composed RK4 sub-steps (tighter than one step)."""
-    if dt == 0.0:
-        return y_lo
-    h = dt / pieces
-    y = [y_lo]
+def _locate_event(rhs, event, t_lo, y_lo, t_hi, y_hi):
+    """Event crossing time on the bracketing step, by find_root.
 
-    def one_component(t, y):
-        return (rhs(t, y[0]),)
-
-    for k in range(pieces):
-        y = rk4_step(one_component, t_lo + k * h, y, h)
-    return y[0]
-
-
-def _locate_event(rhs, event, t_lo, y_lo, t_hi, e_lo, e_hi):
-    """Bisect the bracketing step for the event crossing time.
-
-    Candidate states are produced by composed RK4 sub-steps from the left
-    end of the bracketing step. Width tolerance is relative
-    (EVENT_RELATIVE_TOL).
+    The state at a trial time is one Dormand-Prince step from the left end
+    of the bracketing step. The right end keeps its accepted state, so the
+    bracket keeps the sign change the step detected. Width tolerance is
+    relative (EVENT_RELATIVE_TOL).
     """
-    a, b = t_lo, t_hi
-    ea = e_lo
+    k1 = rhs(t_lo, y_lo)
+
+    def state_at(t):
+        return y_hi if t == t_hi else _dp45_step(rhs, t_lo, y_lo, t - t_lo, k1)[0]
+
     tol = EVENT_RELATIVE_TOL * max(1.0, abs(t_hi))
-    for _ in range(200):
-        if (b - a) <= tol:
-            break
-        mid = 0.5 * (a + b)
-        y_mid = _substepped(rhs, t_lo, y_lo, mid - t_lo)
-        e_mid = event(mid, y_mid)
-        if ea * e_mid <= 0.0 and not (ea == 0.0 and e_mid == 0.0):
-            b = mid
-        else:
-            a, ea = mid, e_mid
-    t_ev = 0.5 * (a + b)
-    y_ev = _substepped(rhs, t_lo, y_lo, t_ev - t_lo)
-    return t_ev, y_ev
+    t_ev = find_root(lambda t: event(t, state_at(t)), RootBracket(t_lo, t_hi), tol=tol)
+    return t_ev, state_at(t_ev)
 
 
 def integrate_ode(
@@ -238,7 +216,7 @@ def integrate_ode(
 
     ``rhs`` must return a float ndarray shaped like ``y``. The event, when
     given, is a scalar function of (t, y); integration stops at its first
-    sign change, localized by bisection on the bracketing step. Raises
+    sign change, located by find_root on the bracketing step. Raises
     NonFiniteError if the state leaves the finite range and StepLimitError
     after MAX_STEPS steps.
     """
@@ -284,7 +262,7 @@ def integrate_ode(
             if event is not None:
                 e_new = event(t_new, y_new)
                 if _crossed(e_prev, e_new):
-                    t_ev, y_ev = _locate_event(rhs, event, t, y, t_new, e_prev, e_new)
+                    t_ev, y_ev = _locate_event(rhs, event, t, y, t_new, y_new)
                     ts.append(t_ev)
                     ys.append(y_ev)
                     return Trajectory(np.array(ts), np.array(ys), t_ev, y_ev)

@@ -23,19 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import (
-    BracketError,
-    IntegratorSpec,
-    RootBracket,
-    find_root,
-    integrate_ode,
-)
+from .numerics import IntegratorSpec, RootBracket, find_root, integrate_ode
 
 __all__ = [
     "WithinHostParams",
     "WithinHostState",
     "FastEquilibria",
-    "HopfRoot",
     "CriticalLoci",
     "InfectionRun",
     "rhs_full",
@@ -223,67 +216,45 @@ def jacobian_fast(tp: Sequence[float], params: WithinHostParams, W: float) -> np
 
 
 @dataclass(frozen=True)
-class HopfRoot:
-    """A root Gamma of the trace-vanishing condition, with its validity gate.
+class CriticalLoci:
+    """Fold and Hopf loci in terms of the effective clearance rate Gamma.
 
-    ``det_gate_strict`` is Gamma > 2*mu: the determinant is positive at the
-    trace-zero equilibrium, so the root is an actual Hopf point and usable.
+    ``hopf`` holds the Hopf points: the roots of the trace condition with
+    Gamma > 2*mu, where the determinant is positive.
     """
 
-    Gamma: float
-    det_gate_strict: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.det_gate_strict
-
-
-@dataclass(frozen=True)
-class CriticalLoci:
-    """Fold and Hopf loci in terms of the effective clearance rate Gamma."""
-
     Gamma_fold: float
-    hopf: tuple[HopfRoot, ...]
+    hopf: tuple[float, ...]
 
 
 def critical_loci(params: WithinHostParams) -> CriticalLoci:
     """Fold and Hopf conditions of the fast subsystem.
 
     The fold sits where the nontrivial pair collides:
-    Gamma_fold = (Lambda/2)*sqrt(alpha/mu). Hopf candidates are positive
-    roots Gamma of mu = Gamma - Gamma^4/(alpha*Lambda^2) (trace of the
-    Jacobian vanishing at P* = Gamma^2/(alpha*Lambda)); each is gated by the
-    determinant condition Gamma > 2*mu.
+    Gamma_fold = (Lambda/2)*sqrt(alpha/mu). The trace of the Jacobian
+    vanishes at the equilibrium P* = Gamma^2/(alpha*Lambda) where
+    h(Gamma) = Gamma - Gamma^4/k - mu = 0, k = alpha*Lambda^2, and the
+    determinant there is Gamma*(Gamma - 2*mu). h is strictly concave with
+    h(0) = -mu, its peak at (k/4)^(1/3) and h(2*k^(1/3)) < 0, so it has
+    roots iff the peak value is positive, one on each side of the peak.
+    The root below the peak always lies below 2*mu (a neutral saddle), so
+    only the root above it can be a Hopf point.
     """
     a, mu, lam = params.alpha, params.mu, params.Lambda
     Gamma_fold = 0.5 * lam * np.sqrt(a / mu)
-
-    # positive roots of -G^4/(a lam^2) + G - mu = 0, polished by bisection
-    coeffs = [-1.0 / (a * lam * lam), 0.0, 0.0, 1.0, -mu]
-    raw = np.roots(coeffs)
-    hopf: list[HopfRoot] = []
+    # k^(1/3), and Gamma^4/k as Gamma*(Gamma/k^(1/3))^3, stay finite for
+    # any finite rates
+    k3 = float(np.cbrt(a) * np.cbrt(lam) ** 2)
 
     def trace_condition(G):
-        return G - G ** 4 / (a * lam * lam) - mu
+        return G - G * (G / k3) ** 3 - mu
 
-    for z in raw:
-        if abs(z.imag) > 1e-9 * max(1.0, abs(z.real)) or z.real <= 0:
-            continue
-        g0 = float(z.real)
-        width = max(1e-6, 1e-6 * g0)
-        lo, hi = g0 - width, g0 + width
-        for _ in range(60):
-            if trace_condition(lo) * trace_condition(hi) <= 0:
-                break
-            width *= 2.0
-            lo, hi = g0 - width, g0 + width
-        try:
-            G = find_root(trace_condition, RootBracket(lo, max(hi, lo + 1e-12)), tol=1e-14)
-        except BracketError:
-            G = g0
-        hopf.append(HopfRoot(Gamma=G, det_gate_strict=G > 2.0 * mu))
-    hopf.sort(key=lambda h: h.Gamma)
-    return CriticalLoci(Gamma_fold=float(Gamma_fold), hopf=tuple(hopf))
+    peak = k3 / float(np.cbrt(4.0))
+    hopf: tuple[float, ...] = ()
+    if trace_condition(peak) > 0.0:
+        G = find_root(trace_condition, RootBracket(peak, 2.0 * k3), tol=1e-14)
+        hopf = (G,) if G > 2.0 * mu else ()
+    return CriticalLoci(Gamma_fold=float(Gamma_fold), hopf=hopf)
 
 
 # ---------------------------------------------------------------------------

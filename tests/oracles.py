@@ -7,7 +7,9 @@ paper's reduced endemic characteristic equation, and ``dfe_char_G`` the
 infection-free characteristic function whose unit level ``dfe_lambda_hat``
 solves for. ``integrate_slow_reduced`` is the
 singular limit of a full within-host run, and ``fast_rhs`` the frozen-W
-fast vector field. ``infected_mass`` is the trapezoid mass of a density.
+fast vector field. ``trace_roots_np`` solves the trace condition of the
+critical loci as a polynomial. ``infected_mass`` is the trapezoid mass of a
+density.
 """
 
 from typing import Callable, Sequence
@@ -16,7 +18,14 @@ import numpy as np
 
 from immunoepi import between_host as bh
 from immunoepi import within_host as wh
-from immunoepi.numerics import IntegratorSpec, Trajectory, integrate_ode
+from immunoepi.numerics import (
+    BracketError,
+    IntegratorSpec,
+    RootBracket,
+    Trajectory,
+    find_root,
+    integrate_ode,
+)
 
 
 def infected_mass(state: bh.StructuredState, omega0: float) -> float:
@@ -122,6 +131,36 @@ def fast_rhs(tp: Sequence[float], params: wh.WithinHostParams, W: float) -> np.n
             infection - params.gamma_eff(W) * P,
         ]
     )
+
+
+def trace_roots_np(params: wh.WithinHostParams) -> list[float]:
+    """Positive roots of Gamma - Gamma^4/(alpha*Lambda^2) - mu, ascending.
+
+    The real positive companion-matrix roots of the quartic (np.roots),
+    each polished by Brent's method on a bracket widened around it until it
+    holds a sign change.
+    """
+    a, mu, lam = params.alpha, params.mu, params.Lambda
+
+    def trace_condition(G):
+        return G - G**4 / (a * lam * lam) - mu
+
+    roots = []
+    for z in np.roots([-1.0 / (a * lam * lam), 0.0, 0.0, 1.0, -mu]):
+        if abs(z.imag) > 1e-9 * max(1.0, abs(z.real)) or z.real <= 0:
+            continue
+        g0 = float(z.real)
+        width = max(1e-6, 1e-6 * g0)
+        for _ in range(60):
+            if trace_condition(g0 - width) * trace_condition(g0 + width) <= 0:
+                break
+            width *= 2.0
+        try:
+            G = find_root(trace_condition, RootBracket(g0 - width, g0 + width), tol=1e-14)
+        except BracketError:
+            G = g0
+        roots.append(G)
+    return sorted(roots)
 
 
 def integrate_slow_reduced(

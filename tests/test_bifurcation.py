@@ -31,10 +31,10 @@ def delta_sweep(n=200, lo=0.05, hi=1.4, W=0.9):
 def analytic_events(params, spec):
     """The fold and the one valid Hopf locus, mapped to the sweep parameter."""
     loci = wh.critical_loci(params)
-    (hopf,) = [h for h in loci.hopf if h.valid]
+    (hopf,) = loci.hopf
     return (
         bif._param_from_gamma(params, spec, loci.Gamma_fold),
-        bif._param_from_gamma(params, spec, hopf.Gamma),
+        bif._param_from_gamma(params, spec, hopf),
     )
 
 
@@ -188,12 +188,29 @@ class TestDetectEvents:
         assert bif.detect_all_events(res) == []
 
     def test_events_agree_across_grid_resolutions(self, paper_within):
-        coarse = bif.detect_all_events(bif.sweep_branch(paper_within, delta_sweep(n=80)))
-        fine = bif.detect_all_events(bif.sweep_branch(paper_within, delta_sweep(n=400)))
-        assert len(coarse) == len(fine) == 2
-        for a, b in zip(coarse, fine):
-            assert a.kind == b.kind
-            assert a.param == pytest.approx(b.param, abs=1e-9)
+        # the events are the loci inside [lo, hi], whatever the grid
+        for spec in (delta_sweep(), bif.SweepSpec(which="W", lo=0.0, hi=4.0)):
+            events = [
+                bif.detect_all_events(
+                    bif.sweep_branch(paper_within, dataclasses.replace(spec, n=n))
+                )
+                for n in (2, 3, 80, 400)
+            ]
+            assert [e.kind for e in events[0]] == ["hopf", "fold"]
+            assert all(other == events[0] for other in events[1:])
+
+    def test_hopf_within_one_grid_step_of_the_fold_is_reported(self, paper_within):
+        # one sampled infected point lies below the Hopf point and the next
+        # sample is already past the fold, so no sampled pair brackets the
+        # trace sign change
+        fold_at, hopf_at = analytic_events(paper_within, bif.SweepSpec("W", 0.0, 4.0))
+        step = 2.0 * (fold_at - hopf_at)
+        lo = hopf_at - step / 3.0
+        spec = bif.SweepSpec(which="W", lo=lo, hi=lo + 2.0 * step, n=3)
+        res = bif.sweep_branch(paper_within, spec)
+        assert [pt.param for pt in res.upper] == [lo]
+        events = bif.detect_all_events(res)
+        assert [(e.kind, e.param) for e in events] == [("hopf", hopf_at), ("fold", fold_at)]
 
     @given(st.randoms(use_true_random=False))
     def test_fold_event_matches_the_closed_form_locus(self, rng):

@@ -195,7 +195,7 @@ class TestExitCodes:
         with np.errstate(all="ignore"):
             assert cli.main([command, "--config", config, "--out", str(out)]) == 3
         assert "numerical failure" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
     def test_state_overflow_during_the_run_returns_three(self, tmp_path, capsys, command):
@@ -208,7 +208,7 @@ class TestExitCodes:
             assert cli.main([command, "--config", config, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "grid:" not in err
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_manifold_without_an_infected_branch_returns_two(self, tmp_path, capsys):
         # gamma = 1e308 puts the fold at W = -inf: no infected branch at W = 0
@@ -219,6 +219,21 @@ class TestExitCodes:
         with np.errstate(all="ignore"):
             assert cli.main(["manifold", "--config", config, "--out", str(out)]) == 2
         assert "error: within_host: no infected branch" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("Lambda", [1e100, 1e150, 1e200])
+    def test_overflowing_within_host_rates_return_three(self, tmp_path, capsys, Lambda):
+        # 1e150 used to overflow Gamma**4 in the Hopf condition (exit 1), and
+        # 1e100 and 1e200 wrote NaN cycle orbits (exit 0); the failed run
+        # removes the fresh nested --out again
+        doc = json.loads((CONFIGS / "within_fig1.json").read_text())
+        doc["within_host"]["Lambda"] = Lambda
+        doc["sweep"].update(n=4, cycle_n=2)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        with np.errstate(all="ignore"):
+            assert cli.main(["bifurcate", "--config", config, "--out", str(out)]) == 3
+        assert "numerical failure: cycle orbit at delta=0.05" in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

@@ -10,7 +10,7 @@ from immunoepi import cli
 from immunoepi.numerics import IntegratorSpec, RootBracket, find_root, integrate_ode
 
 from conftest import REFERENCE_WITHIN, random_within
-from oracles import fast_rhs, integrate_slow_reduced
+from oracles import fast_rhs, integrate_slow_reduced, trace_roots_np
 
 GAMMA_FOLD_REF = 1.5811388300841898
 GAMMA_HOPF_REF = 0.9641582450344705
@@ -112,34 +112,47 @@ class TestCriticalLoci:
         assert span / 0.3 == pytest.approx(W_FOLD_REF, abs=1e-9)
 
     def test_oscillation_onset_roots(self, paper_within):
-        loci = wh.critical_loci(paper_within)
-        valid = [h for h in loci.hopf if h.valid]
-        assert len(valid) == 1
-        assert valid[0].Gamma == pytest.approx(GAMMA_HOPF_REF, abs=1e-9)
-        span = valid[0].Gamma - paper_within.gamma
+        (Gamma,) = wh.critical_loci(paper_within).hopf
+        assert Gamma == pytest.approx(GAMMA_HOPF_REF, abs=1e-9)
+        span = Gamma - paper_within.gamma
         assert span / 0.9 == pytest.approx(0.5157313833716338, abs=1e-9)
         assert span / 0.3 == pytest.approx(1.5471941501149016, abs=1e-9)
 
     def test_trace_vanishes_at_onset_roots(self, paper_within):
         p = paper_within
         loci = wh.critical_loci(p)
-        for root in loci.hopf:
-            P_star = root.Gamma**2 / (p.alpha * p.Lambda)
-            T_star = root.Gamma / (p.alpha * P_star)
-            W = (root.Gamma - p.gamma) / p.delta
+        for Gamma in loci.hopf:
+            P_star = Gamma**2 / (p.alpha * p.Lambda)
+            T_star = Gamma / (p.alpha * P_star)
+            W = (Gamma - p.gamma) / p.delta
             if W <= 0:
                 continue
             J = wh.jacobian_fast((T_star, P_star), p, W)
             assert abs(np.trace(J)) < 1e-8
-            if root.valid:
-                assert np.linalg.det(J) > 0.0
+            assert np.linalg.det(J) > 0.0
 
     def test_gate_flags_are_consistent(self, paper_within):
-        roots = wh.critical_loci(paper_within).hopf
-        assert len(roots) == 2
-        for root in roots:
-            assert root.det_gate_strict == (root.Gamma > 2.0 * paper_within.mu)
-            assert root.valid == root.det_gate_strict
+        # the trace condition has two positive roots; only the one above
+        # 2*mu, where the determinant is positive, is a Hopf point
+        low, high = trace_roots_np(paper_within)
+        assert low < 2.0 * paper_within.mu < high
+        assert wh.critical_loci(paper_within).hopf == (pytest.approx(high, rel=1e-12),)
+
+    @given(st.randoms(use_true_random=False))
+    def test_bracketed_roots_match_the_polynomial_roots(self, rng):
+        p = random_within(rng)
+        roots = trace_roots_np(p)
+        k3 = np.cbrt(p.alpha * p.Lambda**2)
+        peak = k3 / np.cbrt(4.0)
+        # near a double root or the gate the roots are ill-conditioned
+        assume(abs(0.75 * peak - p.mu) > 1e-6 * p.mu)
+        assume(all(abs(G - 2.0 * p.mu) > 1e-9 * p.mu for G in roots))
+        # the root below the peak never passes the gate
+        assert all(G < 2.0 * p.mu for G in roots if G < peak)
+        expected = [G for G in roots if G > 2.0 * p.mu]
+        got = wh.critical_loci(p).hopf
+        assert all(isinstance(G, float) for G in got)
+        assert got == pytest.approx(tuple(expected), rel=1e-12)
 
 
 class TestSlowManifold:
@@ -291,7 +304,7 @@ class TestSimulateInfection:
             Lambda=4.0, mu=2.0, alpha=4.0, gamma=1.2, delta=1.2,
             epsilon=0.01, kappa=1.0, c=0.3,
         )
-        assert not [h for h in wh.critical_loci(params).hopf if h.valid]
+        assert wh.critical_loci(params).hopf == ()
         run = wh.simulate_infection(params, wh.WithinHostState(1.0, 1.0, 0.0), 400.0)
         assert run.recovery_time is not None
         assert run.fold_crossed
