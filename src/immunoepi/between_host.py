@@ -78,6 +78,9 @@ TABLE_PANELS = 64
 KERNEL_TOTAL_PANELS = 256
 # delays per block of renewal-kernel Simpson rows
 KERNEL_BLOCK = 1024
+# real-axis endemic residual scan: rates on [0, SPECTRUM_SCAN_MAX], this far apart
+SPECTRUM_SCAN_MAX = 50.0
+SPECTRUM_SCAN_STEP = 1e-2
 
 
 class TransportBlowupError(NumericsError):
@@ -821,7 +824,7 @@ class ResidualScan:
 
 
 def endemic_spectrum_scan(
-    params: BetweenHostParams, lam_max: float = 50.0, step: float = 1e-2
+    params: BetweenHostParams, lam_max: float = SPECTRUM_SCAN_MAX, step: float = SPECTRUM_SCAN_STEP
 ) -> ResidualScan:
     """Real-axis root scan of the endemic characteristic residual on
     [0, lam_max]: sign changes are bracketed and refined. An empty root

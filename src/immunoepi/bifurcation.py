@@ -91,8 +91,6 @@ class BranchPoint:
     T: float
     P: float
     eigenvalues: tuple[complex, complex]
-    trace: float
-    det: float
     stability: str
 
 
@@ -167,8 +165,6 @@ def _point(param: float, T: float, P: float, params: wh.WithinHostParams, W: flo
         T=T,
         P=P,
         eigenvalues=_eig_pair(trace, det),
-        trace=trace,
-        det=det,
         stability=_classify(trace, det),
     )
 
@@ -184,14 +180,18 @@ def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
     upper: list[BranchPoint] = []
     lower: list[BranchPoint] = []
     trivial: list[BranchPoint] = []
-    for value in spec.values():
-        p, W = spec.resolve(params, max(value, 1e-12) if spec.which == "delta" else value)
-        eq = wh.equilibria_fast(p, W)
-        T0, P0 = eq.trivial
-        trivial.append(_point(float(value), T0, P0, p, W))
-        if eq.exists:
-            upper.append(_point(float(value), eq.upper[0], eq.upper[1], p, W))
-            lower.append(_point(float(value), eq.lower[0], eq.lower[1], p, W))
+    # rates past the float range give infinite equilibria and NaN
+    # linearisations here, unwarned: cycle_amplitude starts its orbits on
+    # the same branch and refuses them with NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for value in spec.values():
+            p, W = spec.resolve(params, max(value, 1e-12) if spec.which == "delta" else value)
+            eq = wh.equilibria_fast(p, W)
+            T0, P0 = eq.trivial
+            trivial.append(_point(float(value), T0, P0, p, W))
+            if eq.exists:
+                upper.append(_point(float(value), eq.upper[0], eq.upper[1], p, W))
+                lower.append(_point(float(value), eq.lower[0], eq.lower[1], p, W))
     if not upper:
         raise ValueError(
             "no nontrivial equilibrium anywhere on the sweep range "
@@ -252,7 +252,8 @@ def cycle_amplitude(
     maximum-to-maximum period are recorded over the sampling window. All
     sweep values are integrated together as one (2, m) state of (T, P)
     rows, advanced by fixed RK4 steps. Raises NonFiniteError when an
-    orbit's sampled load is not finite.
+    orbit is not finite at the end of the transient (before the window is
+    sampled) or its sampled load is not finite.
     """
     values = spec.values()
     rows: list[tuple[float, float, float, float]] = []  # value, Gamma, T0, P0
@@ -276,33 +277,39 @@ def cycle_amplitude(
         infection = a * P * P * T
         return (np.array((lam - mu * T - infection, infection - Gam * P)),)
 
-    for _ in range(int(round(transient / step))):
-        state = rk4_step(rhs, 0.0, state, step)
+    def refuse_non_finite(finite: np.ndarray) -> None:
+        if not finite.all():
+            value = rows[int(np.argmin(finite))][0]
+            raise NonFiniteError(f"cycle orbit at {spec.which}={value!r} is not finite")
 
-    n_steps = int(round(window / step))
-    m = len(rows)
-    p_min = p_max = prev2 = prev1 = state[0][1]
-    max_count = np.zeros(m, dtype=int)
-    first_max_t = np.full(m, np.nan)
-    last_max_t = np.full(m, np.nan)
-    for i in range(n_steps):
-        state = rk4_step(rhs, 0.0, state, step)
-        P = state[0][1]
-        p_min = np.minimum(p_min, P)
-        p_max = np.maximum(p_max, P)
-        if i >= 2:
-            is_max = (prev1 > prev2) & (prev1 > P)
-            t_here = (i - 1) * step
-            fresh = is_max & np.isnan(first_max_t)
-            first_max_t[fresh] = t_here
-            last_max_t[is_max] = t_here
-            max_count += is_max.astype(int)
-        prev2, prev1 = prev1, P
+    # overflow is checked explicitly rather than warned about: once after the
+    # transient, so a lost orbit is not sampled, and once after the window
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(round(transient / step))):
+            state = rk4_step(rhs, 0.0, state, step)
+        refuse_non_finite(np.isfinite(state[0]).all(axis=0))
 
-    finite = np.isfinite(p_min) & np.isfinite(p_max)
-    if not finite.all():
-        value = rows[int(np.argmin(finite))][0]
-        raise NonFiniteError(f"cycle orbit at {spec.which}={value!r} is not finite")
+        n_steps = int(round(window / step))
+        m = len(rows)
+        p_min = p_max = prev2 = prev1 = state[0][1]
+        max_count = np.zeros(m, dtype=int)
+        first_max_t = np.full(m, np.nan)
+        last_max_t = np.full(m, np.nan)
+        for i in range(n_steps):
+            state = rk4_step(rhs, 0.0, state, step)
+            P = state[0][1]
+            p_min = np.minimum(p_min, P)
+            p_max = np.maximum(p_max, P)
+            if i >= 2:
+                is_max = (prev1 > prev2) & (prev1 > P)
+                t_here = (i - 1) * step
+                fresh = is_max & np.isnan(first_max_t)
+                first_max_t[fresh] = t_here
+                last_max_t[is_max] = t_here
+                max_count += is_max.astype(int)
+            prev2, prev1 = prev1, P
+
+    refuse_non_finite(np.isfinite(p_min) & np.isfinite(p_max))
     samples: list[CycleSample] = []
     for j, (value, _, _, _) in enumerate(rows):
         amp = p_max[j] - p_min[j]

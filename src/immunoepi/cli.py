@@ -16,8 +16,11 @@ deterministic CSV/JSON outputs:
 
 Every run writes ``summary.json`` (all defaults echoed, full-precision
 numbers) and ``manifest.json`` (sha256 of each written file; the manifest
-itself is not self-listed). Identical configs produce byte-identical
-outputs. The ``IMMUNOEPI_LOG`` environment variable sets log verbosity.
+itself is not self-listed). ``run`` adds one envelope (``subcommand``,
+``seed``, ``grid_refine``, ``parameters``) to the summary body that a
+config subcommand's handler returns; ``plot-data`` appends to the upstream
+summary. Identical configs produce byte-identical outputs. The
+``IMMUNOEPI_LOG`` environment variable sets log verbosity.
 Exit codes: 0 success, 2 invalid config or arguments, 3 numerical failure.
 """
 
@@ -43,8 +46,6 @@ __all__ = ["main", "run", "emit_plot_data", "RunOutput"]
 
 log = logging.getLogger("immunoepi")
 
-SPECTRAL_SCAN_MAX = 50.0
-SPECTRAL_SCAN_STEP = 1e-2
 # values stacked per CSV block and bytes per manifest read: a writer's or a
 # hash's working memory is bounded by these, not by the file size
 CSV_BLOCK = 16384
@@ -96,11 +97,19 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _json_default(obj):
+    """An ndarray as a list, a numpy scalar as its Python number (np.float64
+    is a float subclass and never reaches this hook)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _finalize(out_dir: Path, summary: dict) -> RunOutput:
     """Write summary.json, then manifest.json over everything else. A NaN
     or infinite summary value is refused before anything is written."""
     try:
-        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
     except ValueError as exc:
         raise NonFiniteError(f"summary.json: {exc}") from exc
     (out_dir / "summary.json").write_text(text + "\n")
@@ -122,23 +131,11 @@ def _finalize(out_dir: Path, summary: dict) -> RunOutput:
     return RunOutput(out_dir=out_dir, files=files, summary=summary)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
-
-
 def _between_echo(cfg: ScenarioConfig) -> dict:
     echo = {f.name: getattr(cfg.between, f.name) for f in fields(cfg.between)}
     functions = {name: echo.pop(name) for name in between_host.COEFFICIENT_FIELDS}
     echo["functions"] = {
-        name: {"family": fn.family, **_jsonable(fn.describe)} for name, fn in functions.items()
+        name: {"family": fn.family, **fn.describe} for name, fn in functions.items()
     }
     echo["quadrature"] = {"rule": "simpson", "n": between_host.TABLE_PANELS}
     return echo
@@ -148,8 +145,7 @@ def _between_echo(cfg: ScenarioConfig) -> dict:
 # subcommands
 
 
-def _cmd_within_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
-    cfg.require("within_host")
+def _cmd_within_sim(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
     params = cfg.within
     t_max = cfg.t_max if cfg.t_max is not None else 400.0
     if cfg.within_initial is not None:
@@ -160,25 +156,15 @@ def _cmd_within_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         params, initial, t_max, p_clear=cfg.p_clear
     )
     _write_rows(out_dir / "trajectory.csv", "t,T,P,W", run_rec.t, run_rec.states)
-    summary = {
-        "subcommand": "within-sim",
-        "seed": args.seed,
-        "grid_refine": args.grid_refine,
-        "defaults": {
-            "t_max": t_max,
-            "initial": list(initial.as_array()),
-            "p_clear": cfg.p_clear,
-        },
+    return {
+        "defaults": {"t_max": t_max, "initial": list(initial.as_array()), "p_clear": cfg.p_clear},
         **within_host.run_metadata(run_rec, params),
     }
-    return _finalize(out_dir, _jsonable(summary))
 
 
-def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
-    cfg.require("within_host", "sweep")
-    params, spec = cfg.within, cfg.sweep
-    if args.grid_refine > 1:
-        spec = replace(spec, n=spec.n * args.grid_refine)
+def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+    params = cfg.within
+    spec = replace(cfg.sweep, n=cfg.sweep.n * args.grid_refine)
     try:
         result = bifurcation.sweep_branch(params, spec)
     except ValueError as exc:
@@ -191,10 +177,7 @@ def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     bifurcation.cycles_to_csv(cycles, out_dir / "cycles.csv")
     bifurcation.events_json_dump(events, out_dir / "events.json")
     loci = within_host.critical_loci(params)
-    summary = {
-        "subcommand": "bifurcate",
-        "seed": args.seed,
-        "grid_refine": args.grid_refine,
+    return {
         "sweep": asdict(spec),
         "defaults": {
             "cycle_n": cfg.cycle_n,
@@ -202,16 +185,13 @@ def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
             "cycle_window": bifurcation.CYCLE_WINDOW,
             "cycle_step": bifurcation.CYCLE_STEP,
         },
-        "parameters": asdict(params),
         "events": bifurcation.events_to_json(events),
         "analytic_fold_clearance": loci.Gamma_fold,
         "analytic_hopf_clearance": list(loci.hopf),
     }
-    return _finalize(out_dir, _jsonable(summary))
 
 
-def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
-    cfg.require("within_host")
+def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
     params = cfg.within
     tip_P, tip_W = within_host.manifold_tip(params)
     try:
@@ -219,58 +199,39 @@ def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     except ValueError as exc:
         # the fold lies below W = 0: no infected branch to draw
         raise ConfigError(f"within_host: {exc}") from exc
-    n = 400 * max(args.grid_refine, 1)
+    n = 400 * args.grid_refine
     p_grid = np.linspace(1e-6, p_max, n)
     phi = within_host.slow_manifold_W(p_grid, params)
     null = within_host.w_nullcline(p_grid, params)
     _write_rows(out_dir / "manifold.csv", "P,manifold_W,nullcline_W", p_grid, phi, null)
-    summary = {
-        "subcommand": "manifold",
-        "seed": args.seed,
-        "grid_refine": args.grid_refine,
+    return {
         "defaults": {"n_points": n, "p_max": p_max},
-        "parameters": asdict(params),
         "tip": {"P": tip_P, "W": tip_W},
         "nullcline_slope": params.kappa / params.c,
     }
-    return _finalize(out_dir, _jsonable(summary))
 
 
-def _cmd_r0(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
-    cfg.require("between_host")
+def _cmd_r0(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
     direct, environmental = between_host.r0_terms(cfg.between)
-    summary = {
-        "subcommand": "r0",
-        "seed": args.seed,
-        "grid_refine": args.grid_refine,
-        "parameters": _between_echo(cfg),
+    return {
         "r0": direct + environmental,
         "direct_term": direct,
         "environmental_term": environmental,
     }
-    return _finalize(out_dir, _jsonable(summary))
 
 
-def _cmd_equilibria(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
-    cfg.require("between_host")
+def _cmd_equilibria(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
     params = cfg.between
     basic = between_host.r0(params)
-    eq = between_host.endemic_equilibrium(params, n_omega=400 * max(args.grid_refine, 1))
-    summary = {
-        "subcommand": "equilibria",
-        "seed": args.seed,
-        "grid_refine": args.grid_refine,
-        "parameters": _between_echo(cfg),
-        "r0": basic,
-        "endemic_exists": eq is not None,
-    }
+    eq = between_host.endemic_equilibrium(params, n_omega=400 * args.grid_refine)
+    summary = {"r0": basic, "endemic_exists": eq is not None}
     if eq is not None:
         _write_rows(out_dir / "equilibrium_profile.csv", "omega,I_star", eq.omega, eq.I)
         summary["endemic"] = {
             "S": eq.S, "I0": eq.I0, "V": eq.V, "B": eq.B,
             "residuals": between_host.endemic_residuals(eq, params),
         }
-    return _finalize(out_dir, _jsonable(summary))
+    return summary
 
 
 def _apply_refine(cfg: ScenarioConfig, k: int) -> tuple[int, float]:
@@ -304,10 +265,9 @@ def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **strides) -> betwe
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
-    cfg.require("between_host", "grid", "run")
+def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
     params = cfg.between
-    n_omega, dt = _apply_refine(cfg, max(args.grid_refine, 1))
+    n_omega, dt = _apply_refine(cfg, args.grid_refine)
     run_rec = _transport(
         cfg, n_omega, dt,
         output_stride=cfg.output_stride,
@@ -321,11 +281,7 @@ def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
     if cfg.snapshot_stride:
         header = "t," + ",".join(repr(float(w)) for w in run_rec.omega)
         _write_rows(out_dir / "snapshots.csv", header, run_rec.snapshot_t, run_rec.snapshots)
-    summary = {
-        "subcommand": "epi-sim",
-        "seed": args.seed,
-        "grid_refine": args.grid_refine,
-        "parameters": _between_echo(cfg),
+    return {
         "grid": {"n_omega": n_omega, "dt": dt},
         "defaults": {
             "output_stride": cfg.output_stride,
@@ -342,7 +298,6 @@ def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
             "B": run_rec.final.B,
         },
     }
-    return _finalize(out_dir, _jsonable(summary))
 
 
 def _matched_history(cfg: ScenarioConfig):
@@ -370,8 +325,7 @@ def _matched_history(cfg: ScenarioConfig):
     return history
 
 
-def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
-    cfg.require("between_host", "grid", "run")
+def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
     params = cfg.between
     if params.rho > 0:
         # the renewal form has no return flow from the recovered pool
@@ -383,7 +337,7 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         raise ConfigError(
             f"run.initial.S: renewal-check requires S > 0, got {cfg.initial_S!r}"
         )
-    n_omega, dt = _apply_refine(cfg, max(args.grid_refine, 1))
+    n_omega, dt = _apply_refine(cfg, args.grid_refine)
     window = params.a_bar + params.clock.total_time
     steps = max(int(round(window / dt)), 1)
     dt_renewal = window / steps
@@ -399,39 +353,30 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         "t,S_pde,F_pde,S_renewal,F_renewal",
         renewal.t, s_pde, f_pde, renewal.S, renewal.F,
     )
+    basic = between_host.r0(params)
     summary = {
-        "subcommand": "renewal-check",
-        "seed": args.seed,
-        "grid_refine": args.grid_refine,
-        "parameters": _between_echo(cfg),
         "grid": {"n_omega": n_omega, "dt": dt, "dt_renewal": dt_renewal},
         "memory_window": window,
         "t_max": cfg.t_max,
         "max_abs_dF": float(np.max(np.abs(f_pde - renewal.F))),
         "max_abs_dS": float(np.max(np.abs(s_pde - renewal.S))),
+        "r0": basic,
     }
-    basic = between_host.r0(params)
-    summary["r0"] = basic
     if basic > 1:
         eq = between_host.endemic_equilibrium(params)
         total_kernel = between_host.kernel_total_integral(params)
         summary["stationary_kernel_identity"] = eq.S * total_kernel
-    return _finalize(out_dir, _jsonable(summary))
+    return summary
 
 
-def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
-    cfg.require("between_host")
+def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
     params = cfg.between
     basic = between_host.r0(params)
     summary = {
-        "subcommand": "spectral",
-        "seed": args.seed,
-        "grid_refine": args.grid_refine,
-        "parameters": _between_echo(cfg),
         "r0": basic,
         "defaults": {
-            "scan_max": SPECTRAL_SCAN_MAX,
-            "scan_step": SPECTRAL_SCAN_STEP,
+            "scan_max": between_host.SPECTRUM_SCAN_MAX,
+            "scan_step": between_host.SPECTRUM_SCAN_STEP,
         },
     }
     try:
@@ -441,13 +386,13 @@ def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> RunOutput:
         summary["lambda_hat"] = None
         summary["lambda_hat_note"] = str(exc)
     if basic > 1:
-        scan = between_host.endemic_spectrum_scan(params, SPECTRAL_SCAN_MAX, SPECTRAL_SCAN_STEP)
+        scan = between_host.endemic_spectrum_scan(params)
         _write_rows(out_dir / "scan.csv", "lambda,residual", scan.lam, scan.residual)
         summary["endemic_scan_roots"] = scan.roots
         summary["endemic_residual_at_zero_plus"] = scan.residual[1]
     else:
         summary["endemic_scan_roots"] = None
-    return _finalize(out_dir, _jsonable(summary))
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -530,40 +475,51 @@ def emit_plot_data(out_dir: Path, figure: str) -> list[str]:
     return written
 
 
-def _cmd_plot_data(cfg: ScenarioConfig | None, out_dir: Path, args) -> RunOutput:
+def _cmd_plot_data(cfg: None, out_dir: Path, args) -> dict:
+    """The upstream summary with the written files appended to plot_data."""
     written = emit_plot_data(out_dir, args.figure)
     summary_path = out_dir / "summary.json"
     summary = json.loads(summary_path.read_text()) if summary_path.is_file() else {}
     summary.setdefault("plot_data", []).extend(
         name for name in written if name not in summary.get("plot_data", [])
     )
-    return _finalize(out_dir, summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
+# subcommand -> (handler, required config sections); plot-data takes no config
 _COMMANDS = {
-    "within-sim": (_cmd_within_sim, True),
-    "bifurcate": (_cmd_bifurcate, True),
-    "manifold": (_cmd_manifold, True),
-    "r0": (_cmd_r0, True),
-    "equilibria": (_cmd_equilibria, True),
-    "epi-sim": (_cmd_epi_sim, True),
-    "renewal-check": (_cmd_renewal_check, True),
-    "spectral": (_cmd_spectral, True),
-    "plot-data": (_cmd_plot_data, False),
+    "within-sim": (_cmd_within_sim, ("within_host",)),
+    "bifurcate": (_cmd_bifurcate, ("within_host", "sweep")),
+    "manifold": (_cmd_manifold, ("within_host",)),
+    "r0": (_cmd_r0, ("between_host",)),
+    "equilibria": (_cmd_equilibria, ("between_host",)),
+    "epi-sim": (_cmd_epi_sim, ("between_host", "grid", "run")),
+    "renewal-check": (_cmd_renewal_check, ("between_host", "grid", "run")),
+    "spectral": (_cmd_spectral, ("between_host",)),
+    "plot-data": (_cmd_plot_data, None),
 }
 
 
 def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> RunOutput:
-    """Dispatch one subcommand; raises ConfigError / NumericsError on failure."""
-    handler, needs_config = _COMMANDS[subcommand]
+    """Dispatch one subcommand; raises ConfigError / NumericsError on failure.
+
+    The one place that knows what every run shares: the --grid-refine
+    check, the required config sections, the output directory, the summary
+    envelope and the manifest. Handlers compute, write their data files and
+    return their summary body.
+    """
+    handler, sections = _COMMANDS[subcommand]
+    if args.grid_refine < 1:
+        raise ConfigError("--grid-refine must be a positive integer")
     cfg = None
-    if needs_config:
+    if sections is not None:
         if config_path is None:
             raise ConfigError(f"{subcommand}: --config is required")
         cfg = load_scenario(config_path)
+        cfg.require(*sections)
     out_dir = Path(out_dir)
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
@@ -571,7 +527,15 @@ def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> 
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     try:
-        return handler(cfg, out_dir, args)
+        summary = handler(cfg, out_dir, args)
+        if cfg is not None:
+            summary.update(
+                subcommand=subcommand,
+                seed=args.seed,
+                grid_refine=args.grid_refine,
+                parameters=_between_echo(cfg) if "between_host" in sections else asdict(cfg.within),
+            )
+        return _finalize(out_dir, summary)
     except (ConfigError, NumericsError):
         # a failed run leaves no empty output directory: remove the ones made
         # above (rmdir refuses a directory that holds files)
@@ -614,9 +578,6 @@ def main(argv=None) -> int:
     )
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.grid_refine < 1:
-        print("error: --grid-refine must be a positive integer", file=sys.stderr)
-        return 2
     try:
         output = run(args.command, args.config, args.out, args)
     except ConfigError as exc:

@@ -18,7 +18,7 @@ cleared after the fold) are all computed here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -455,9 +455,8 @@ def simulate_infection(
 
 
 def run_metadata(run: InfectionRun, params: WithinHostParams) -> dict:
-    """JSON-ready metadata for a run: parameters, thresholds, clearance record."""
+    """JSON-ready metadata for a run: thresholds and clearance record."""
     return {
-        "parameters": asdict(params),
         "p_clear": run.p_clear,
         "w_fold": run.w_fold,
         "recovery_time": run.recovery_time,

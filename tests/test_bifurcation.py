@@ -98,7 +98,8 @@ class TestSweepBranch:
     def test_lower_branch_is_a_saddle_throughout(self, paper_within):
         res = bif.sweep_branch(paper_within, delta_sweep())
         assert all(pt.stability == "saddle" for pt in res.lower)
-        assert all(pt.det < 0 for pt in res.lower)
+        # real eigenvalues of opposite sign: a negative determinant
+        assert all((pt.eigenvalues[0] * pt.eigenvalues[1]).real < 0 for pt in res.lower)
 
     def test_upper_branch_loses_stability_at_the_trace_root(self, paper_within):
         res = bif.sweep_branch(paper_within, delta_sweep())
@@ -109,11 +110,13 @@ class TestSweepBranch:
                 assert pt.stability.startswith("unstable")
 
     def test_eigenvalues_reproduce_trace_and_det(self, paper_within):
-        res = bif.sweep_branch(paper_within, delta_sweep(n=40))
+        spec = delta_sweep(n=40)
+        res = bif.sweep_branch(paper_within, spec)
         for pt in res.upper[::7]:
+            J = wh.jacobian_fast((pt.T, pt.P), *spec.resolve(paper_within, pt.param))
             e1, e2 = pt.eigenvalues
-            assert (e1 + e2).real == pytest.approx(pt.trace, abs=1e-10)
-            assert (e1 * e2).real == pytest.approx(pt.det, abs=1e-10)
+            assert (e1 + e2).real == pytest.approx(np.trace(J), abs=1e-10)
+            assert (e1 * e2).real == pytest.approx(np.linalg.det(J), abs=1e-10)
             assert abs((e1 + e2).imag) < 1e-12
 
     def test_range_without_a_pair_raises(self, paper_within):

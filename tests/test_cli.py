@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, and output formats."""
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from immunoepi import between_host, bifurcation, cli, numerics
-from immunoepi.config import load_scenario
+from immunoepi.config import ConfigError, load_scenario
 from immunoepi.numerics import NumericsError
 
 from reference_loops import write_rows_table
@@ -222,17 +223,18 @@ class TestExitCodes:
         assert not (tmp_path / "nested").exists()
 
     @pytest.mark.parametrize("Lambda", [1e100, 1e150, 1e200])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_within_host_rates_return_three(self, tmp_path, capsys, Lambda):
         # 1e150 used to overflow Gamma**4 in the Hopf condition (exit 1), and
-        # 1e100 and 1e200 wrote NaN cycle orbits (exit 0); the failed run
-        # removes the fresh nested --out again
+        # 1e100 and 1e200 wrote NaN cycle orbits (exit 0); the orbits are
+        # refused after the transient without a numpy warning, and the failed
+        # run removes the fresh nested --out again
         doc = json.loads((CONFIGS / "within_fig1.json").read_text())
         doc["within_host"]["Lambda"] = Lambda
         doc["sweep"].update(n=4, cycle_n=2)
         config = write_config(tmp_path, doc)
         out = tmp_path / "nested" / "out"
-        with np.errstate(all="ignore"):
-            assert cli.main(["bifurcate", "--config", config, "--out", str(out)]) == 3
+        assert cli.main(["bifurcate", "--config", config, "--out", str(out)]) == 3
         assert "numerical failure: cycle orbit at delta=0.05" in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
@@ -266,6 +268,55 @@ def peaked_speed_doc():
     doc["grid"] = {"n_omega": 10, "dt": 0.096}
     doc["run"].update(t_max=0.192, output_stride=1, snapshot_stride=0)
     return doc
+
+
+CONFIG_COMMANDS = [name for name, (_, sections) in cli._COMMANDS.items() if sections is not None]
+
+
+def shipped_config_for(command):
+    """The first shipped config holding every section the subcommand requires."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        try:
+            load_scenario(path).require(*cli._COMMANDS[command][1])
+        except ConfigError:
+            continue
+        return path
+    raise AssertionError(f"no shipped config serves {command}")
+
+
+class TestCommandTable:
+    """Every subcommand in the table gets the shared run: its required
+    sections are checked before anything is written, and a config
+    subcommand's summary carries the run envelope."""
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [(name, section) for name in CONFIG_COMMANDS for section in cli._COMMANDS[name][1]],
+    )
+    def test_each_missing_section_returns_two(self, tmp_path, capsys, command, section):
+        doc = json.loads(shipped_config_for(command).read_text())
+        # the coefficient functions belong to the between-host section
+        for key in ("between_host", "functions") if section == "between_host" else (section,):
+            del doc[key]
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        assert f"section {section!r} is required" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_summary_carries_the_run_envelope(self, tmp_path, command):
+        config = shipped_config_for(command)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config), "--out", str(out), "--seed", "5"]) == 0
+        summary = read_summary(out)
+        assert (summary["subcommand"], summary["seed"], summary["grid_refine"]) == (command, 5, 1)
+        cfg = load_scenario(config)
+        if "between_host" in cli._COMMANDS[command][1]:
+            assert summary["parameters"]["beta_h"] == cfg.between.beta_h
+            assert set(summary["parameters"]["functions"]) == set(between_host.COEFFICIENT_FIELDS)
+        else:
+            assert summary["parameters"] == dataclasses.asdict(cfg.within)
 
 
 class TestCourantBound:
@@ -367,16 +418,23 @@ class TestSpectralScan:
         rows = (out / "scan.csv").read_text().splitlines()
         assert rows[0] == "lambda,residual"
         lam, residual = np.array([[float(x) for x in row.split(",")] for row in rows[1:]]).T
-        scan = between_host.endemic_spectrum_scan(
-            load_scenario(config).between,
-            cli.SPECTRAL_SCAN_MAX, cli.SPECTRAL_SCAN_STEP,
-        )
+        scan = between_host.endemic_spectrum_scan(load_scenario(config).between)
         assert np.array_equal(lam, scan.lam)
         assert np.array_equal(residual, scan.residual)
         summary = read_summary(out)
         assert summary["endemic_scan_roots"] == scan.roots == []
         assert summary["endemic_residual_at_zero_plus"] == residual[1]
         assert np.all(residual[:-1] * residual[1:] > 0.0)
+
+    def test_scan_defaults_echo_the_scan_constants(self, tmp_path):
+        config = write_config(tmp_path, bh_doc())
+        out = tmp_path / "out"
+        assert cli.main(["spectral", "--config", config, "--out", str(out)]) == 0
+        defaults = read_summary(out)["defaults"]
+        constants = (between_host.SPECTRUM_SCAN_MAX, between_host.SPECTRUM_SCAN_STEP)
+        assert (defaults["scan_max"], defaults["scan_step"]) == constants == (50.0, 1e-2)
+        signature = inspect.signature(between_host.endemic_spectrum_scan).parameters
+        assert (signature["lam_max"].default, signature["step"].default) == constants
 
     @pytest.mark.parametrize("command", ["equilibria", "spectral", "renewal-check"])
     def test_status_clock_is_built_once_per_run(self, tmp_path, monkeypatch, command):
