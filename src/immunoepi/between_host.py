@@ -41,7 +41,6 @@ from .numerics import (
     RootBracket,
     find_root,
     quadrature,
-    rk4_step,
 )
 
 __all__ = [
@@ -460,10 +459,13 @@ def simulate_epidemic(
     The status flux g*I is differenced one-sidedly (flow is rightward since
     g > 0) under the CFL condition dt*max(g) <= domega; removal acts as an
     exact per-step decay factor so densities stay nonnegative. The scalar
-    pools (S, V, B) advance by a classical 4th-order step with the coupling
-    integrals frozen over the step, and the nonlocal boundary value is
-    filled explicitly afterwards. A state below the negativity tolerance
-    or a non-finite one aborts with TransportBlowupError.
+    pools (S, V, B) advance by the classic RK4 tableau, written out over
+    three Python floats in numerics.rk4_step's operation order, with the
+    coupling integrals frozen over the step; the nonlocal boundary value is
+    filled explicitly afterwards. The step's array work runs in fixed
+    buffers and views, and the clip to zero only runs when some density is
+    at or below zero. A state below the negativity tolerance or a
+    non-finite one aborts with TransportBlowupError.
     """
     if initial.I.size != n_omega + 1:
         raise ValueError(f"initial.I must have n_omega+1 = {n_omega + 1} nodes")
@@ -506,21 +508,22 @@ def simulate_epidemic(
     snap_t = np.empty(n_snap)
     snaps = np.empty((n_snap, n_omega + 1))
     n_recorded = n_snapped = 0
-    # per-step temporaries: p*I, xi*P*I and the g*I flux with its difference
+    # per-step temporaries: p*I, xi*P*I and the g*I flux with its difference,
+    # plus the fixed views of the buffers that the upwind step reads and writes
     weighted = np.empty_like(density)
     flux = np.empty_like(density)
     flux_diff = np.empty(n_omega)
-
-    def direct_integral():
-        np.multiply(p_vals, density, out=weighted)
-        return float(np.dot(trap, weighted))
+    flux_hi, flux_lo = flux[1:], flux[:-1]
+    interior, decay_interior = density[1:], decay_factor[1:]
+    multiply, subtract, dot = np.multiply, np.subtract, np.dot
+    maximum, min_reduce = np.maximum, np.minimum.reduce
 
     def record(t_now, direct):
         nonlocal n_recorded
         k = n_recorded
         t_rec[k] = t_now
         s_rec[k] = s_now
-        mass_rec[k] = np.dot(trap, density)
+        mass_rec[k] = dot(trap, density)
         v_rec[k] = v_now
         b_rec[k] = b_now
         f_rec[k] = beta_h * direct + beta_e * b_now
@@ -532,50 +535,71 @@ def simulate_epidemic(
         snaps[n_snapped] = density
         n_snapped += 1
 
-    direct_now = direct_integral()
+    multiply(p_vals, density, out=weighted)
+    direct_now = float(dot(trap, weighted))
     record(0.0, direct_now)
     if snapshot_stride:
         snapshot(0.0)
 
     courant = dt / step_w
+    # the classic RK4 tableau of numerics.rk4_step, written out over the
+    # three pool floats in the same operation order
+    half, sixth = 0.5 * dt, dt / 6.0
+    v_loss = rho + mu3
     for n in range(n_steps):
-        t_now = n * dt
-        np.multiply(shed_weight, density, out=weighted)
-        shed_now = float(np.dot(trap, weighted))
+        multiply(shed_weight, density, out=weighted)
+        shed_now = float(dot(trap, weighted))
         outflux = g_end * float(density[-1])
 
         # scalar pools: RK4 with the I-coupling frozen over the step
-        def scalar_rhs(t, y):
-            s, v, b = y
-            ds = r - mu1 * s - s * (beta_h * direct_now + beta_e * b) + rho * v
-            dv = outflux - (rho + mu3) * v
-            db = shed_now - sigma * b
-            return ds, dv, db
-
-        s_new, v_new, b_new = rk4_step(scalar_rhs, t_now, (s_now, v_now, b_now), dt)
+        direct_force = beta_h * direct_now
+        s1, v1, b1 = s_now, v_now, b_now
+        ds1 = r - mu1 * s1 - s1 * (direct_force + beta_e * b1) + rho * v1
+        dv1 = outflux - v_loss * v1
+        db1 = shed_now - sigma * b1
+        s2, v2, b2 = s1 + half * ds1, v1 + half * dv1, b1 + half * db1
+        ds2 = r - mu1 * s2 - s2 * (direct_force + beta_e * b2) + rho * v2
+        dv2 = outflux - v_loss * v2
+        db2 = shed_now - sigma * b2
+        s3, v3, b3 = s1 + half * ds2, v1 + half * dv2, b1 + half * db2
+        ds3 = r - mu1 * s3 - s3 * (direct_force + beta_e * b3) + rho * v3
+        dv3 = outflux - v_loss * v3
+        db3 = shed_now - sigma * b3
+        s4, v4, b4 = s1 + dt * ds3, v1 + dt * dv3, b1 + dt * db3
+        ds4 = r - mu1 * s4 - s4 * (direct_force + beta_e * b4) + rho * v4
+        dv4 = outflux - v_loss * v4
+        db4 = shed_now - sigma * b4
+        s_new = s1 + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
+        v_new = v1 + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+        b_new = b1 + sixth * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
 
         # upwind transport then exact removal decay
-        np.multiply(g_vals, density, out=flux)
-        np.subtract(flux[1:], flux[:-1], out=flux_diff)
-        flux_diff *= courant
-        density[1:] -= flux_diff
-        density[1:] *= decay_factor[1:]
+        multiply(g_vals, density, out=flux)
+        subtract(flux_hi, flux_lo, out=flux_diff)
+        multiply(flux_diff, courant, out=flux_diff)
+        subtract(interior, flux_diff, out=interior)
+        multiply(interior, decay_interior, out=interior)
 
         # nonlocal boundary, explicit: fresh interior and pools; slot 0 still
         # holds the lagged previous boundary value inside the quadrature
-        direct_mix = direct_integral()
+        multiply(p_vals, density, out=weighted)
+        direct_mix = float(dot(trap, weighted))
         density[0] = s_new * (beta_h * direct_mix + beta_e * b_new) / g0
 
         # NaN fails this test; a NaN pool reaches density[0] within a step
-        low = min(float(density.min()), s_new, v_new, b_new)
+        density_low = float(min_reduce(density))
+        low = min(density_low, s_new, v_new, b_new)
         if not low >= NEGATIVITY_ABORT:
             raise TransportBlowupError(
-                f"negative or non-finite state {low:.3e} at t = {t_now + dt:.6g}"
+                f"negative or non-finite state {low:.3e} at t = {n * dt + dt:.6g}"
             )
-        np.maximum(density, 0.0, out=density)
+        # max(x, +0.0) is x for every x > 0: the clip only matters at or below 0
+        if density_low <= 0.0:
+            maximum(density, 0.0, out=density)
         s_now, v_now, b_now = max(s_new, 0.0), max(v_new, 0.0), max(b_new, 0.0)
         # the next step's direct force and the recorded F share this integral
-        direct_now = direct_integral()
+        multiply(p_vals, density, out=weighted)
+        direct_now = float(dot(trap, weighted))
 
         t_next = (n + 1) * dt
         if (n + 1) % output_stride == 0 or n + 1 == n_steps:
@@ -720,7 +744,9 @@ def simulate_renewal(
     supplies F on [-Theta, 0]; S is held at S0 before time zero. The new
     F value appears inside its own convolution through the w = 0 node, a
     scalar linear equation solved in closed form each step; S advances by
-    a Heun predictor-corrector.
+    a Heun predictor-corrector. The state travels as Python floats and the
+    arrays only record it. A lost diagonal dominance or a negative or
+    non-finite state aborts with TransportBlowupError.
     """
     window = params.a_bar + params.clock.total_time
     m = int(round(window / dt))
@@ -734,7 +760,7 @@ def simulate_renewal(
     weights = np.full(m + 1, dt)
     weights[0] = weights[-1] = 0.5 * dt
     tail = (kernel * weights)[1:][::-1]  # aligned with SF[j-m+1 .. j]
-    anchor = 0.5 * dt * kernel[0]
+    anchor = float(0.5 * dt * kernel[0])
 
     size = m + 1 + n_steps
     f_arr = np.empty(size)
@@ -745,27 +771,30 @@ def simulate_renewal(
     sf_arr = np.empty(size)
     sf_arr[: m + 1] = sf
 
+    r, mu1, dot = params.r, params.mu1, np.dot
+    s_j, f_j = float(s_arr[m]), float(f_arr[m])
     for j in range(m, size - 1):
-        s_j, f_j = s_arr[j], f_arr[j]
-        drift = params.r - params.mu1 * s_j - s_j * f_j
+        drift = r - mu1 * s_j - s_j * f_j
         s_pred = s_j + dt * drift
-        past = float(np.dot(tail, sf_arr[j - m + 1 : j + 1]))
-
-        def solve_f(s_val):
-            denom = 1.0 - anchor * s_val
-            if denom <= 1e-12:
-                raise TransportBlowupError("renewal step lost diagonal dominance")
-            return past / denom
-
-        f_next = solve_f(s_pred)
-        drift_pred = params.r - params.mu1 * s_pred - s_pred * f_next
+        past = float(dot(tail, sf_arr[j - m + 1 : j + 1]))
+        # the new F sits in its own convolution through the w = 0 node:
+        # F = past / (1 - anchor*S), solved at the predicted then the new S
+        denom = 1.0 - anchor * s_pred
+        if denom <= 1e-12:
+            raise TransportBlowupError("renewal step lost diagonal dominance")
+        f_next = past / denom
+        drift_pred = r - mu1 * s_pred - s_pred * f_next
         s_next = s_j + 0.5 * dt * (drift + drift_pred)
-        f_next = solve_f(s_next)
+        denom = 1.0 - anchor * s_next
+        if denom <= 1e-12:
+            raise TransportBlowupError("renewal step lost diagonal dominance")
+        f_next = past / denom
         if not (s_next >= NEGATIVITY_ABORT and f_next >= NEGATIVITY_ABORT):
             raise TransportBlowupError("renewal state went negative or non-finite")
-        s_arr[j + 1] = max(s_next, 0.0)
-        f_arr[j + 1] = max(f_next, 0.0)
-        sf_arr[j + 1] = s_arr[j + 1] * f_arr[j + 1]
+        s_j, f_j = max(s_next, 0.0), max(f_next, 0.0)
+        s_arr[j + 1] = s_j
+        f_arr[j + 1] = f_j
+        sf_arr[j + 1] = s_j * f_j
 
     t = dt * np.arange(n_steps + 1)
     return RenewalRun(t=t, S=s_arr[m:], F=f_arr[m:])

@@ -42,6 +42,8 @@ HOMOCLINIC_PERIOD = 1e3
 CYCLE_TRANSIENT = 400.0
 CYCLE_WINDOW = 400.0
 CYCLE_STEP = 0.02
+# Transient steps between two finiteness checks of the cycle orbits.
+CYCLE_CHECK_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -252,8 +254,9 @@ def cycle_amplitude(
     maximum-to-maximum period are recorded over the sampling window. All
     sweep values are integrated together as one (2, m) state of (T, P)
     rows, advanced by fixed RK4 steps. Raises NonFiniteError when an
-    orbit is not finite at the end of the transient (before the window is
-    sampled) or its sampled load is not finite.
+    orbit is not finite at one of the checks every CYCLE_CHECK_STEPS
+    transient steps (before the window is sampled) or its sampled load is
+    not finite.
     """
     values = spec.values()
     rows: list[tuple[float, float, float, float]] = []  # value, Gamma, T0, P0
@@ -267,37 +270,38 @@ def cycle_amplitude(
         rows.append((float(value), p.gamma_eff(W), T0, P0))
 
     Gam = np.array([r[1] for r in rows])
-    # the (2, m) block of (T, P) rows is rk4_step's one component
-    state = [np.array([[r[2] for r in rows], [r[3] for r in rows]])]
+    state = np.array([[r[2] for r in rows], [r[3] for r in rows]])
     lam, mu, a = params.Lambda, params.mu, params.alpha
 
-    def rhs(t, state):
-        y = state[0]
+    def rhs(t, y):
         T, P = y[0], y[1]
         infection = a * P * P * T
-        return (np.array((lam - mu * T - infection, infection - Gam * P)),)
+        return np.array((lam - mu * T - infection, infection - Gam * P))
 
     def refuse_non_finite(finite: np.ndarray) -> None:
         if not finite.all():
             value = rows[int(np.argmin(finite))][0]
             raise NonFiniteError(f"cycle orbit at {spec.which}={value!r} is not finite")
 
-    # overflow is checked explicitly rather than warned about: once after the
-    # transient, so a lost orbit is not sampled, and once after the window
+    # overflow is checked explicitly rather than warned about: every
+    # CYCLE_CHECK_STEPS transient steps, so a lost orbit ends the run early
+    # and is never sampled, and once after the window
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(int(round(transient / step))):
-            state = rk4_step(rhs, 0.0, state, step)
-        refuse_non_finite(np.isfinite(state[0]).all(axis=0))
+        n_transient = int(round(transient / step))
+        for start in range(0, n_transient, CYCLE_CHECK_STEPS):
+            for _ in range(min(CYCLE_CHECK_STEPS, n_transient - start)):
+                state = rk4_step(rhs, 0.0, state, step)
+            refuse_non_finite(np.isfinite(state).all(axis=0))
 
         n_steps = int(round(window / step))
         m = len(rows)
-        p_min = p_max = prev2 = prev1 = state[0][1]
+        p_min = p_max = prev2 = prev1 = state[1]
         max_count = np.zeros(m, dtype=int)
         first_max_t = np.full(m, np.nan)
         last_max_t = np.full(m, np.nan)
         for i in range(n_steps):
             state = rk4_step(rhs, 0.0, state, step)
-            P = state[0][1]
+            P = state[1]
             p_min = np.minimum(p_min, P)
             p_max = np.maximum(p_max, P)
             if i >= 2:

@@ -54,11 +54,10 @@ HASH_CHUNK = 1 << 20
 
 @dataclass
 class RunOutput:
-    """What a subcommand produced: directory, file checksums, summary."""
+    """What a subcommand produced: directory and file checksums."""
 
     out_dir: Path
     files: dict[str, str]
-    summary: dict
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def _finalize(out_dir: Path, summary: dict) -> RunOutput:
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return RunOutput(out_dir=out_dir, files=files, summary=summary)
+    return RunOutput(out_dir=out_dir, files=files)
 
 
 def _between_echo(cfg: ScenarioConfig) -> dict:

@@ -6,9 +6,10 @@ structured epidemic solver) is built on the operations in this module:
 * ``integrate_ode`` -- adaptive embedded Dormand-Prince 5(4) pair, with
   optional scalar event location: ``find_root`` on the event along one
   Dormand-Prince step from the left end of the bracketing step.
-* ``rk4_step`` -- one classic RK4 step over a sequence of components
-  (Python floats or ndarrays); the epidemic solver's scalar pools pass
-  three floats and the batched cycle sampler one ndarray.
+* ``rk4_step`` -- one classic RK4 step on a single state, a float or an
+  ndarray; the batched cycle sampler passes its (2, m) block of orbits.
+  The epidemic solver's three scalar pools run the same tableau written
+  out over Python floats.
 * ``quadrature`` -- the package's one composite Simpson rule: a guarded
   sum of evenly spaced node values over [0, length], one per row.
 * ``find_root`` -- bracketed scalar root solve by Brent's method, in the
@@ -127,22 +128,16 @@ class Trajectory:
 def rk4_step(rhs, t, y, h):
     """One classic RK4 step of ``y' = rhs(t, y)`` from t to t + h.
 
-    ``y`` is a sequence of components and ``rhs`` returns one derivative
-    per component, in order; the step comes back as a list. A component is
-    a Python float or an ndarray (every operation is elementwise, so one
-    array may stack a batch of independent orbits). Scalar states pass
-    floats, which keeps numpy out of the per-step arithmetic.
+    ``y`` is one state, a float or an ndarray, and ``rhs`` returns its
+    derivative in the same form. Every operation is elementwise, so one
+    array may stack a batch of independent orbits.
     """
     half = 0.5 * h
     k1 = rhs(t, y)
-    k2 = rhs(t + half, [a + half * k for a, k in zip(y, k1)])
-    k3 = rhs(t + half, [a + half * k for a, k in zip(y, k2)])
-    k4 = rhs(t + h, [a + h * k for a, k in zip(y, k3)])
-    sixth = h / 6.0
-    return [
-        a + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
-    ]
+    k2 = rhs(t + half, y + half * k1)
+    k3 = rhs(t + half, y + half * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # Dormand-Prince 5(4) tableau as Python floats: _A<i><j> weights stage j in

@@ -3,9 +3,15 @@
 ``rk4_step_array`` and ``simulate_epidemic_array`` are the earlier array
 implementations: the pools travel as a 3-element ndarray, the rhs builds a
 new array per stage, every step allocates its own temporaries, and records
-grow as Python lists. The package's float-pool RK4, buffered upwind step and
-preallocated records keep the same operation order, so the tests hold them
-to these references bit for bit.
+grow as Python lists. The package's single-state RK4, the transport loop's
+written-out pool RK4, buffered upwind step and preallocated records keep
+the same operation order, so the tests hold them to these references bit
+for bit.
+
+``simulate_renewal_array`` is the earlier renewal loop: it re-reads the
+state from the record arrays as numpy scalars each step and solves for F
+through a per-step closure. The package's loop carries the state as Python
+floats with the same operations in the same order.
 
 ``write_rows_table`` is the earlier whole-table CSV writer; the package's
 block-streamed writer must produce the same bytes.
@@ -16,8 +22,10 @@ import numpy as np
 from immunoepi.between_host import (
     NEGATIVITY_ABORT,
     EpidemicRun,
+    RenewalRun,
     StructuredState,
     TransportBlowupError,
+    renewal_kernel_A,
 )
 
 
@@ -129,6 +137,58 @@ def simulate_epidemic_array(
         snapshots=np.asarray(snap_rows) if snap_rows else np.empty((0, n_omega + 1)),
         final=final,
     )
+
+
+def simulate_renewal_array(params, history, S0, t_max, dt):
+    """The renewal loop that re-reads numpy scalars and solves each F
+    through a per-step closure."""
+    window = params.a_bar + params.clock.total_time
+    m = int(round(window / dt))
+    if m < 2 or abs(m * dt - window) > 1e-9 * max(1.0, window):
+        raise ValueError(
+            f"memory window {window:.12g} is not an integer multiple of dt = {dt:.12g}"
+        )
+    n_steps = int(round(t_max / dt))
+    ages = dt * np.arange(m + 1)
+    kernel = renewal_kernel_A(ages, params)
+    weights = np.full(m + 1, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    tail = (kernel * weights)[1:][::-1]  # aligned with SF[j-m+1 .. j]
+    anchor = 0.5 * dt * kernel[0]
+
+    size = m + 1 + n_steps
+    f_arr = np.empty(size)
+    s_arr = np.empty(size)
+    f_arr[: m + 1] = history(-window + dt * np.arange(m + 1))
+    s_arr[: m + 1] = S0
+    sf = s_arr[: m + 1] * f_arr[: m + 1]
+    sf_arr = np.empty(size)
+    sf_arr[: m + 1] = sf
+
+    for j in range(m, size - 1):
+        s_j, f_j = s_arr[j], f_arr[j]
+        drift = params.r - params.mu1 * s_j - s_j * f_j
+        s_pred = s_j + dt * drift
+        past = float(np.dot(tail, sf_arr[j - m + 1 : j + 1]))
+
+        def solve_f(s_val):
+            denom = 1.0 - anchor * s_val
+            if denom <= 1e-12:
+                raise TransportBlowupError("renewal step lost diagonal dominance")
+            return past / denom
+
+        f_next = solve_f(s_pred)
+        drift_pred = params.r - params.mu1 * s_pred - s_pred * f_next
+        s_next = s_j + 0.5 * dt * (drift + drift_pred)
+        f_next = solve_f(s_next)
+        if not (s_next >= NEGATIVITY_ABORT and f_next >= NEGATIVITY_ABORT):
+            raise TransportBlowupError("renewal state went negative or non-finite")
+        s_arr[j + 1] = max(s_next, 0.0)
+        f_arr[j + 1] = max(f_next, 0.0)
+        sf_arr[j + 1] = s_arr[j + 1] * f_arr[j + 1]
+
+    t = dt * np.arange(n_steps + 1)
+    return RenewalRun(t=t, S=s_arr[m:], F=f_arr[m:])
 
 
 def write_rows_table(path, header, table):

@@ -25,7 +25,7 @@ from oracles import (
     infected_mass,
     reduced_endemic_residual,
 )
-from reference_loops import simulate_epidemic_array
+from reference_loops import simulate_epidemic_array, simulate_renewal_array
 
 J_REF = (1.0 - np.exp(-0.5)) / 0.1  # 3.9346934028736658
 R0_DIRECT_REF = 7.8693868057473315  # (r beta_h / mu1) * J
@@ -457,6 +457,52 @@ class TestArrayReference:
             got, want = getattr(run.final, pool), getattr(ref.final, pool)
             assert float(got).hex() == float(want).hex(), pool
         assert run.I_total[-1] > 0.0
+
+
+def decaying_history(params, s0):
+    """F history that encodes the initial density 0.5*e^{-w}: entrants at
+    -theta that survived to status w(theta), zero before the travel time."""
+    clock = params.clock
+    total = clock.total_time
+
+    def history(s):
+        theta = np.clip(-np.asarray(s, dtype=float), 0.0, None)
+        w = clock.status_at(np.minimum(theta, total))
+        vals = 0.5 * np.exp(-w) / (bh.survival_pi(w, params) * s0)
+        return np.where(theta <= total, vals, 0.0)
+
+    return history
+
+
+class TestRenewalReference:
+    """The float-state renewal loop reproduces the numpy-scalar loop with
+    its per-step closure bit for bit, and fails on the same inputs."""
+
+    @pytest.mark.parametrize("route", ["direct", "env"])
+    @pytest.mark.parametrize("s0", [3.0, 10.0])
+    def test_runs_match_the_array_loop_bit_for_bit(self, route, s0, direct_params, env_params):
+        params = direct_params if route == "direct" else env_params
+        history = decaying_history(params, s0)
+        assert history(np.array([-1.0]))[0] > 0.0
+        run = bh.simulate_renewal(params, history, S0=s0, t_max=20.0, dt=0.05)
+        ref = simulate_renewal_array(params, history, S0=s0, t_max=20.0, dt=0.05)
+        for name in ("t", "S", "F"):
+            got, want = getattr(run, name), getattr(ref, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert run.F.max() > 0.0
+
+    def test_non_finite_history_fails_in_both_loops(self, direct_params):
+        nan_history = lambda s: np.full_like(np.asarray(s, dtype=float), np.nan)
+        for loop in (bh.simulate_renewal, simulate_renewal_array):
+            with pytest.raises(bh.TransportBlowupError, match="non-finite"):
+                loop(direct_params, nan_history, S0=10.0, t_max=1.0, dt=0.5)
+
+    def test_lost_diagonal_dominance_fails_in_both_loops(self, direct_params):
+        # anchor = 0.5*dt*A(0) = 0.05: S near 100 makes 1 - anchor*S negative
+        history = decaying_history(direct_params, 100.0)
+        for loop in (bh.simulate_renewal, simulate_renewal_array):
+            with pytest.raises(bh.TransportBlowupError, match="diagonal dominance"):
+                loop(direct_params, history, S0=100.0, t_max=1.0, dt=0.5)
 
 
 class TestRenewalForm:

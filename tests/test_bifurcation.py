@@ -275,6 +275,22 @@ class TestCycleAmplitude:
         assert all(p is not None and 5.0 < p < 20.0 for p in periods)
         assert periods == sorted(periods)
 
+    def test_overflowing_orbit_ends_at_the_first_check(self, paper_within, monkeypatch):
+        # at Lambda 1e100 the orbits overflow within the first steps; the
+        # sampler stops at the first finiteness check, not after the transient
+        steps = []
+        stepper = bif.rk4_step
+
+        def counting(rhs, t, y, h):
+            steps.append(t)
+            return stepper(rhs, t, y, h)
+
+        monkeypatch.setattr(bif, "rk4_step", counting)
+        params = dataclasses.replace(paper_within, Lambda=1e100)
+        with pytest.raises(bif.NonFiniteError, match="delta=0.1"):
+            bif.cycle_amplitude(params, delta_sweep(n=2, lo=0.1, hi=0.45))
+        assert len(steps) == bif.CYCLE_CHECK_STEPS
+
     def test_collapse_beyond_the_cycle_window(self, paper_within):
         spec = delta_sweep(n=4, lo=0.7, hi=1.35)
         for s in bif.cycle_amplitude(paper_within, spec):

@@ -45,10 +45,10 @@ class TestIntegrateOde:
         errors = []
         for n in (10, 20):
             h = 1.0 / n
-            y = [np.array([1.0])]
+            y = np.array([1.0])
             for k in range(n):
-                y = rk4_step(lambda t, c: (decay(t, c[0]),), k * h, y, h)
-            errors.append(abs(y[0][0] - math.exp(-1.0)))
+                y = rk4_step(decay, k * h, y, h)
+            errors.append(abs(y[0] - math.exp(-1.0)))
         assert errors[0] / errors[1] >= 8.0
 
     def test_event_time_bisection(self):
@@ -117,56 +117,43 @@ def reference_dp45_step(rhs, t, y, h, k1=None):
         return y5, y5 - y4, k[6]
 
 
-def pools_rhs(rates, outflux, shed):
-    """A pools-shaped field (S, V, B) with frozen couplings, over floats."""
-    r, mu1, force, beta_e, rho, mu3, sigma = rates
-
-    def rhs(t, y):
-        s, v, b = y
-        return (
-            r - mu1 * s - s * (force + beta_e * b) + rho * v,
-            outflux - (rho + mu3) * v,
-            shed - sigma * b,
-        )
-
-    return rhs
-
-
-positive = st.floats(min_value=1e-3, max_value=5.0)
-
-
 class TestRk4Step:
     @given(
-        state=st.tuples(*[st.floats(min_value=0.0, max_value=20.0)] * 3),
-        rates=st.tuples(*[positive] * 7),
-        outflux=positive,
-        shed=positive,
+        y=st.floats(min_value=-20.0, max_value=20.0),
+        rate=st.floats(min_value=-5.0, max_value=5.0),
+        source=st.floats(min_value=-5.0, max_value=5.0),
         h=st.floats(min_value=1e-4, max_value=0.5),
     )
-    def test_float_pools_match_the_array_step_bit_for_bit(self, state, rates, outflux, shed, h):
-        rhs = pools_rhs(rates, outflux, shed)
-        got = rk4_step(rhs, 0.0, state, h)
-        want = rk4_step_array(lambda t, y: np.array(rhs(t, y)), 0.0, np.array(state), h)
-        assert all(isinstance(x, float) for x in got)
-        assert [x.hex() for x in got] == [float(x).hex() for x in want]
+    def test_float_state_matches_the_array_step_bit_for_bit(self, y, rate, source, h):
+        # a time-dependent scalar field: the stage times must match too
+        def field(t, y):
+            return source * math.cos(t) - rate * y * y
+
+        got = rk4_step(field, 0.3, y, h)
+        want = rk4_step_array(
+            lambda t, y: np.array([field(t, float(y[0]))]), 0.3, np.array([y]), h
+        )
+        assert isinstance(got, float)
+        assert got.hex() == float(want[0]).hex()
 
     def test_one_block_component_matches_the_array_step_bit_for_bit(self):
-        # the cycle sampler's (2, m) block of (T, P) rows as one component
+        # the cycle sampler's (2, m) block of (T, P) rows as the state
         rng = np.random.default_rng(11)
         for _ in range(50):
             m = int(rng.integers(1, 40))
             gam = rng.uniform(0.1, 2.0, size=m)
             lam, mu, a = rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.5), rng.uniform(0.5, 2.0)
 
-            def field(y):
+            def field(t, y):
                 T, P = y
                 infection = a * P * P * T
                 return np.array((lam - mu * T - infection, infection - gam * P))
 
             y = rng.uniform(0.0, 5.0, size=(2, m))
             h = float(rng.uniform(0.001, 0.1))
-            (got,) = rk4_step(lambda t, c: (field(c[0]),), 0.0, [y], h)
-            want = rk4_step_array(lambda t, y: field(y), 0.0, y, h)
+            got = rk4_step(field, 0.0, y, h)
+            want = rk4_step_array(field, 0.0, y, h)
+            assert got.shape == (2, m)
             assert got.tobytes() == want.tobytes()
 
 
