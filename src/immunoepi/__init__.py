@@ -2,6 +2,7 @@
 
 Subpackages:
 
+* ``errors`` -- the package's exceptions (ConfigError, the NumericsError family), numpy-free
 * ``numerics`` -- shared integration / quadrature / root-finding kernel
 * ``within_host`` -- slow-fast immune-pathogen ODE model and infection runs
 * ``bifurcation`` -- equilibrium branch sweeps, fold/Hopf detection, cycle sampling

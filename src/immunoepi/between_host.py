@@ -35,13 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import Coefficient
-from .numerics import (
-    BracketError,
-    NumericsError,
-    RootBracket,
-    find_root,
-    quadrature,
-)
+from .errors import BracketError, PoleError, TransportBlowupError
+from .numerics import RootBracket, find_root, quadrature
 
 __all__ = [
     "BetweenHostParams",
@@ -80,14 +75,6 @@ KERNEL_BLOCK = 1024
 # real-axis endemic residual scan: rates on [0, SPECTRUM_SCAN_MAX], this far apart
 SPECTRUM_SCAN_MAX = 50.0
 SPECTRUM_SCAN_STEP = 1e-2
-
-
-class TransportBlowupError(NumericsError):
-    """A simulation state fell below the negativity tolerance or went non-finite."""
-
-
-class PoleError(NumericsError, ValueError):
-    """A trial rate lies within POLE_GUARD of a characteristic pole."""
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +746,9 @@ def simulate_renewal(
     kernel = renewal_kernel_A(ages, params)
     weights = np.full(m + 1, dt)
     weights[0] = weights[-1] = 0.5 * dt
-    tail = (kernel * weights)[1:][::-1]  # aligned with SF[j-m+1 .. j]
+    # aligned with SF[j-m+1 .. j]; contiguous, since a dot product over a
+    # reversed view is far slower at the window sizes of linked runs
+    tail = (kernel * weights)[:0:-1].copy()
     anchor = float(0.5 * dt * kernel[0])
 
     size = m + 1 + n_steps

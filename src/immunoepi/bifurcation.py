@@ -269,14 +269,25 @@ def cycle_amplitude(
             T0, P0 = 0.5 * params.Lambda / params.mu, 2.0 * np.sqrt(params.mu / params.alpha)
         rows.append((float(value), p.gamma_eff(W), T0, P0))
 
-    Gam = np.array([r[1] for r in rows])
+    m = len(rows)
     state = np.array([[r[2] for r in rows], [r[3] for r in rows]])
-    lam, mu, a = params.Lambda, params.mu, params.alpha
+    # (2, m) blocks: rates * (T, P) is (mu*T, Gam*P), and source holds
+    # (Lambda, infection), so the derivative is source - rates * (T, P)
+    # with the infection subtracted once more from the T row
+    rates = np.array([np.full(m, params.mu), [r[1] for r in rows]])
+    source = np.full((2, m), params.Lambda)
+    infection = source[1]
+    a, multiply, subtract = params.alpha, np.multiply, np.subtract
 
     def rhs(t, y):
-        T, P = y[0], y[1]
-        infection = a * P * P * T
-        return np.array((lam - mu * T - infection, infection - Gam * P))
+        P = y[1]
+        multiply(a, P, out=infection)
+        multiply(infection, P, out=infection)
+        multiply(infection, y[0], out=infection)
+        dy = rates * y
+        subtract(source, dy, out=dy)
+        dy[0] -= infection
+        return dy
 
     def refuse_non_finite(finite: np.ndarray) -> None:
         if not finite.all():
@@ -293,25 +304,35 @@ def cycle_amplitude(
                 state = rk4_step(rhs, 0.0, state, step)
             refuse_non_finite(np.isfinite(state).all(axis=0))
 
+        # window loads go into rows 2.. of one block and are reduced once it
+        # is full; rows 0 and 1 carry the two loads before the block (+inf
+        # before the window: its first load is never a strict maximum)
         n_steps = int(round(window / step))
-        m = len(rows)
-        p_min = p_max = prev2 = prev1 = state[1]
+        loads = np.empty((CYCLE_CHECK_STEPS + 2, m))
+        loads[:2] = np.inf
+        p_min = p_max = state[1]
         max_count = np.zeros(m, dtype=int)
-        first_max_t = np.full(m, np.nan)
-        last_max_t = np.full(m, np.nan)
-        for i in range(n_steps):
-            state = rk4_step(rhs, 0.0, state, step)
-            P = state[1]
-            p_min = np.minimum(p_min, P)
-            p_max = np.maximum(p_max, P)
-            if i >= 2:
-                is_max = (prev1 > prev2) & (prev1 > P)
-                t_here = (i - 1) * step
-                fresh = is_max & np.isnan(first_max_t)
-                first_max_t[fresh] = t_here
-                last_max_t[is_max] = t_here
-                max_count += is_max.astype(int)
-            prev2, prev1 = prev1, P
+        first_max = np.full(m, -1)
+        last_max = np.full(m, -1)
+        for start in range(0, n_steps, CYCLE_CHECK_STEPS):
+            size = min(CYCLE_CHECK_STEPS, n_steps - start)
+            for k in range(2, size + 2):
+                state = rk4_step(rhs, 0.0, state, step)
+                loads[k] = state[1]
+            block = loads[2:size + 2]
+            p_min = np.minimum(p_min, block.min(axis=0))
+            p_max = np.maximum(p_max, block.max(axis=0))
+            # row i of is_max is the load with index start - 1 + i
+            middle = loads[1:size + 1]
+            is_max = (middle > loads[:size]) & (middle > block)
+            hits = is_max.sum(axis=0)
+            found = hits > 0
+            first = start - 1 + is_max.argmax(axis=0)
+            first_max = np.where(found & (first_max < 0), first, first_max)
+            last = start + size - 2 - is_max[::-1].argmax(axis=0)
+            last_max = np.where(found, last, last_max)
+            max_count += hits
+            loads[:2] = loads[size:size + 2]
 
     refuse_non_finite(np.isfinite(p_min) & np.isfinite(p_max))
     samples: list[CycleSample] = []
@@ -323,7 +344,7 @@ def cycle_amplitude(
         collapsed = bool(p_max[j] < collapse_level)
         period = None
         if oscillatory and max_count[j] >= 2:
-            period = float((last_max_t[j] - first_max_t[j]) / (max_count[j] - 1))
+            period = float((last_max[j] * step - first_max[j] * step) / (max_count[j] - 1))
         homoclinic = bool(
             (period is not None and period > HOMOCLINIC_PERIOD)
             or (not oscillatory and not collapsed and amp > CYCLE_AMPLITUDE_TOL and max_count[j] < 3)

@@ -22,6 +22,10 @@ config subcommand's handler returns; ``plot-data`` appends to the upstream
 summary. Identical configs produce byte-identical outputs. The
 ``IMMUNOEPI_LOG`` environment variable sets log verbosity.
 Exit codes: 0 success, 2 invalid config or arguments, 3 numerical failure.
+
+At module level this imports only the standard library and ``errors``;
+each handler imports the numeric modules it uses, so ``plot-data``, which
+reads upstream text files, never loads numpy.
 """
 
 from __future__ import annotations
@@ -35,14 +39,18 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__
+from .errors import ConfigError, NonFiniteError, NumericsError
 
-from . import __version__, bifurcation, between_host, within_host
-from .config import ConfigError, ScenarioConfig, load_scenario
-from .numerics import NonFiniteError, NumericsError
+if TYPE_CHECKING:
+    import numpy as np
 
-__all__ = ["main", "run", "emit_plot_data", "RunOutput"]
+    from . import between_host
+    from .config import ScenarioConfig
+
+__all__ = ["main", "run", "load_scenario", "emit_plot_data", "RunOutput"]
 
 log = logging.getLogger("immunoepi")
 
@@ -73,6 +81,8 @@ def _write_rows(path: Path, header: str, *columns: np.ndarray) -> None:
     are stacked at a time and converted one row at a time, so no
     whole-table array or list is built, however wide the table.
     """
+    import numpy as np
+
     n_rows = len(columns[0])
     width = sum(1 if np.ndim(col) == 1 else np.shape(col)[1] for col in columns)
     rows = max(1, CSV_BLOCK // width)
@@ -99,6 +109,8 @@ def _sha256(path: Path) -> str:
 def _json_default(obj):
     """An ndarray as a list, a numpy scalar as its Python number (np.float64
     is a float subclass and never reaches this hook)."""
+    import numpy as np
+
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -130,7 +142,16 @@ def _finalize(out_dir: Path, summary: dict) -> RunOutput:
     return RunOutput(out_dir=out_dir, files=files)
 
 
+def load_scenario(path) -> ScenarioConfig:
+    """config.load_scenario, imported on first use."""
+    from .config import load_scenario as load
+
+    return load(path)
+
+
 def _between_echo(cfg: ScenarioConfig) -> dict:
+    from . import between_host
+
     echo = {f.name: getattr(cfg.between, f.name) for f in fields(cfg.between)}
     functions = {name: echo.pop(name) for name in between_host.COEFFICIENT_FIELDS}
     echo["functions"] = {
@@ -145,6 +166,8 @@ def _between_echo(cfg: ScenarioConfig) -> dict:
 
 
 def _cmd_within_sim(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+    from . import within_host
+
     params = cfg.within
     t_max = cfg.t_max if cfg.t_max is not None else 400.0
     if cfg.within_initial is not None:
@@ -162,6 +185,8 @@ def _cmd_within_sim(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
 
 
 def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+    from . import bifurcation, within_host
+
     params = cfg.within
     spec = replace(cfg.sweep, n=cfg.sweep.n * args.grid_refine)
     try:
@@ -191,6 +216,10 @@ def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
 
 
 def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+    import numpy as np
+
+    from . import within_host
+
     params = cfg.within
     tip_P, tip_W = within_host.manifold_tip(params)
     try:
@@ -211,6 +240,8 @@ def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
 
 
 def _cmd_r0(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+    from . import between_host
+
     direct, environmental = between_host.r0_terms(cfg.between)
     return {
         "r0": direct + environmental,
@@ -220,6 +251,8 @@ def _cmd_r0(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
 
 
 def _cmd_equilibria(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+    from . import between_host
+
     params = cfg.between
     basic = between_host.r0(params)
     eq = between_host.endemic_equilibrium(params, n_omega=400 * args.grid_refine)
@@ -251,6 +284,8 @@ def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **strides) -> betwe
     a grid the solver refuses up front (the CFL bound on its own nodes,
     the strides, dt and t_max) are configuration errors; a blow-up during
     the run is a numerical failure."""
+    from . import between_host
+
     try:
         s0, i0, v0, b0 = cfg.initial_state_arrays(n_omega)
         initial = between_host.StructuredState(S=s0, I=i0, V=v0, B=b0)
@@ -265,6 +300,8 @@ def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **strides) -> betwe
 
 
 def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+    from . import between_host
+
     params = cfg.between
     n_omega, dt = _apply_refine(cfg, args.grid_refine)
     run_rec = _transport(
@@ -308,6 +345,10 @@ def _matched_history(cfg: ScenarioConfig):
     F(-theta) = phi(w(theta)) / (pi(w(theta)) * S0) for theta within the
     travel time to recovery, zero earlier.
     """
+    import numpy as np
+
+    from . import between_host
+
     params = cfg.between
     clock = params.clock
     s0 = cfg.initial_S
@@ -325,6 +366,10 @@ def _matched_history(cfg: ScenarioConfig):
 
 
 def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+    import numpy as np
+
+    from . import between_host
+
     params = cfg.between
     if params.rho > 0:
         # the renewal form has no return flow from the recovered pool
@@ -369,6 +414,8 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
 
 
 def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+    from . import between_host
+
     params = cfg.between
     basic = between_host.r0(params)
     summary = {

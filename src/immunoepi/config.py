@@ -27,12 +27,9 @@ import numpy as np
 from . import bifurcation, coefficients, within_host
 from .between_host import COEFFICIENT_FIELDS, BetweenHostParams
 from .coefficients import Coefficient
+from .errors import ConfigError
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "resolve_coefficient"]
-
-
-class ConfigError(Exception):
-    """Invalid scenario document; the message names the offending field."""
 
 
 _SECTIONS = {"within_host", "sweep", "between_host", "functions", "grid", "run"}

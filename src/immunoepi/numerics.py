@@ -27,6 +27,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import (
+    BracketError,
+    ConvergenceError,
+    NonFiniteError,
+    NumericsError,
+    StepLimitError,
+)
+
 __all__ = [
     "NumericsError",
     "NonFiniteError",
@@ -51,26 +59,6 @@ MAX_STEPS = 1_000_000
 # default), and a solve may take this many iterations.
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 BRENT_MAXITER = 200
-
-
-class NumericsError(Exception):
-    """Base class for failures raised by the numerical kernel."""
-
-
-class NonFiniteError(NumericsError):
-    """A state vector or integrand evaluation became NaN or infinite."""
-
-
-class StepLimitError(NumericsError):
-    """The integrator exhausted its step budget before reaching t_end."""
-
-
-class BracketError(NumericsError):
-    """A root bracket does not enclose a sign change."""
-
-
-class ConvergenceError(NumericsError):
-    """An iterative solve (Newton, Brent) failed to converge."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Branch sweeps, event detection, and cycle sampling of the frozen-W fast flow."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ from hypothesis import strategies as st
 
 from immunoepi import bifurcation as bif
 from immunoepi import within_host as wh
+from immunoepi.config import load_scenario
 from immunoepi.numerics import IntegratorSpec, integrate_ode
 
 from conftest import random_within
 from oracles import fast_rhs
+from reference_loops import cycle_amplitude_loop
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Frozen closed-form loci for the reference parameter set, W frozen at 0.9
 # for the delta sweep and delta = 0.3 for the W sweep.
@@ -368,6 +373,61 @@ class TestCycleStepper:
             assert (s.p_min, s.p_max, s.n_maxima) == (p_min[j], p_max[j], count[j])
             if s.period is not None:
                 assert s.period == (last[j] - first[j]) / (count[j] - 1)
+
+
+def hexed(samples):
+    """Every CycleSample field, each float as float.hex."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(s))
+        for s in samples
+    ]
+
+
+class TestCycleReference:
+    """The block-reduced sampler returns the per-step loop's samples bit for
+    bit (reference_loops.cycle_amplitude_loop)."""
+
+    @pytest.mark.parametrize("cycle_n", [4, 40])
+    @pytest.mark.parametrize("config", ["within_fig1.json", "within_fig2.json"])
+    def test_figure_sweeps_match_the_loop(self, config, cycle_n):
+        cfg = load_scenario(CONFIGS / config)
+        spec = dataclasses.replace(cfg.sweep, n=cycle_n)
+        samples = bif.cycle_amplitude(cfg.within, spec)
+        assert hexed(samples) == hexed(cycle_amplitude_loop(cfg.within, spec))
+        if cycle_n == 40:
+            assert any(s.oscillatory for s in samples) and any(s.collapsed for s in samples)
+
+    # the window's last strict maximum sits at load CYCLE_CHECK_STEPS - 1 +
+    # edge: the first block's last candidate, whose right neighbour ends the
+    # block; the second block's first candidate, itself a carried load; or
+    # the next, whose left neighbour is carried. Windows of 1000, 1001 and
+    # 1002 steps make it the window's last candidate.
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_maximum_on_a_block_edge(self, paper_within, edge):
+        spec = delta_sweep(n=3, lo=0.52, hi=0.55)
+        step = bif.CYCLE_STEP
+        n_transient = 3000
+        kwargs = dict(transient=n_transient * step, window=2000 * step, step=step)
+        first = reference_orbit_extremes(paper_within, spec, **kwargs)[3]
+        target = bif.CYCLE_CHECK_STEPS - 1 + edge
+        # the flow is autonomous: a transient shorter by first - target steps
+        # moves column 0's first maximum to load index target
+        n_transient += round(first[0] / step) - target
+        kwargs = dict(transient=n_transient * step, window=(target + 2) * step, step=step)
+        last = reference_orbit_extremes(paper_within, spec, **kwargs)[4]
+        assert last[0] == target * step
+        samples = bif.cycle_amplitude(paper_within, spec, **kwargs)
+        assert hexed(samples) == hexed(cycle_amplitude_loop(paper_within, spec, **kwargs))
+
+    # a partial last block of 525 loads, and a window shorter than one block
+    @pytest.mark.parametrize("n_window", [1525, 999])
+    def test_partial_blocks_match_the_loop(self, paper_within, n_window):
+        spec = delta_sweep(n=5, lo=0.45, hi=1.3)
+        step = bif.CYCLE_STEP
+        kwargs = dict(transient=2000 * step, window=n_window * step, step=step)
+        samples = bif.cycle_amplitude(paper_within, spec, **kwargs)
+        assert any(s.n_maxima >= 2 for s in samples)
+        assert hexed(samples) == hexed(cycle_amplitude_loop(paper_within, spec, **kwargs))
 
 
 class TestExports:

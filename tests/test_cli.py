@@ -109,7 +109,7 @@ class TestExitCodes:
         def blow_up(*a, **kw):
             raise NumericsError("synthetic failure")
 
-        monkeypatch.setattr(cli.between_host, "r0_terms", blow_up)
+        monkeypatch.setattr(between_host, "r0_terms", blow_up)
         config = write_config(tmp_path, bh_doc())
         code = cli.main(["r0", "--config", config, "--out", str(tmp_path / "out")])
         assert code == 3
@@ -595,6 +595,30 @@ class TestPlotData:
         code = cli.main(["plot-data", "--out", str(out), "--figure", "fig1"])
         assert code == 2
         assert not (out / "fig1.dat").exists()
+
+    @pytest.mark.parametrize(
+        "figure, upstream",
+        [
+            ("fig1", [("bifurcate", "within_fig1.json")]),
+            ("fig3", [("within-sim", "within_sim.json"), ("manifold", "within_sim.json")]),
+        ],
+    )
+    def test_runs_without_numpy(self, tmp_path, figure, upstream):
+        # plot-data reads upstream text files only, so a fresh interpreter
+        # runs it without importing numpy
+        out = tmp_path / figure
+        for command, config in upstream:
+            assert cli.main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+        script = (
+            "import sys\n"
+            "from immunoepi import cli\n"
+            f"code = cli.main(['plot-data', '--out', {str(out)!r}, '--figure', {figure!r}])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+        assert f"{figure}.dat" in read_summary(out)["plot_data"]
 
 
 class TestBenchmarkBindings:
