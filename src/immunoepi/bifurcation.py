@@ -11,9 +11,7 @@ transient.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +27,6 @@ __all__ = [
     "sweep_branch",
     "detect_all_events",
     "cycle_amplitude",
-    "branch_to_csv",
-    "events_to_json",
-    "cycles_to_csv",
 ]
 
 # A sampled orbit counts as oscillatory only above this relative amplitude.
@@ -362,42 +357,3 @@ def cycle_amplitude(
             )
         )
     return samples
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-
-def branch_to_csv(points: Sequence[BranchPoint], path) -> None:
-    """CSV with header ``param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability``."""
-    with open(path, "w") as fh:
-        fh.write("param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability\n")
-        for pt in points:
-            e1, e2 = pt.eigenvalues
-            fh.write(
-                f"{float(pt.param)!r},{float(pt.T)!r},{float(pt.P)!r},"
-                f"{float(e1.real)!r},{float(e1.imag)!r},"
-                f"{float(e2.real)!r},{float(e2.imag)!r},{pt.stability}\n"
-            )
-
-
-def events_to_json(events: Sequence[BifurcationEvent]) -> list[dict]:
-    return [{"kind": e.kind, "param": e.param, "T": e.T, "P": e.P} for e in events]
-
-
-def cycles_to_csv(samples: Sequence[CycleSample], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("param,p_min,p_max,period,n_maxima,oscillatory,collapsed,homoclinic_flag\n")
-        for s in samples:
-            period = "" if s.period is None else repr(s.period)
-            fh.write(
-                f"{s.param!r},{s.p_min!r},{s.p_max!r},{period},"
-                f"{s.n_maxima},{int(s.oscillatory)},{int(s.collapsed)},{int(s.homoclinic_flag)}\n"
-            )
-
-
-def events_json_dump(events: Sequence[BifurcationEvent], path) -> None:
-    with open(path, "w") as fh:
-        json.dump(events_to_json(events), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -14,13 +14,17 @@ deterministic CSV/JSON outputs:
 * ``spectral``       infection-free growth rate and endemic residual scan
 * ``plot-data``      gnuplot-ready data blocks from earlier runs
 
-Every run writes ``summary.json`` (all defaults echoed, full-precision
-numbers) and ``manifest.json`` (sha256 of each written file; the manifest
-itself is not self-listed). ``run`` adds one envelope (``subcommand``,
-``seed``, ``grid_refine``, ``parameters``) to the summary body that a
-config subcommand's handler returns; ``plot-data`` appends to the upstream
-summary. Identical configs produce byte-identical outputs. The
-``IMMUNOEPI_LOG`` environment variable sets log verbosity.
+Handlers compute and return their summary body and their files as
+``{name: lines}``; ``run`` writes them all through one writer. It adds one
+envelope (``subcommand``, ``seed``, ``grid_refine``, ``parameters``) to a
+config subcommand's summary body (``plot-data`` appends to the upstream
+summary), serialises every JSON output, and only then creates ``--out``
+and writes the files, ``summary.json`` (all defaults echoed,
+full-precision numbers) and ``manifest.json`` (sha256 of every other file
+in ``--out``, an upstream run's included; the manifest itself is not
+self-listed). A run that fails has written nothing. Identical configs
+produce byte-identical outputs. The ``IMMUNOEPI_LOG`` environment
+variable sets log verbosity.
 Exit codes: 0 success, 2 invalid config or arguments, 3 numerical failure.
 
 At module level this imports only the standard library and ``errors``;
@@ -31,15 +35,15 @@ reads upstream text files, never loads numpy.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import __version__
 from .errors import ConfigError, NonFiniteError, NumericsError
@@ -47,10 +51,10 @@ from .errors import ConfigError, NonFiniteError, NumericsError
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import between_host
+    from . import between_host, bifurcation
     from .config import ScenarioConfig
 
-__all__ = ["main", "run", "load_scenario", "emit_plot_data", "RunOutput"]
+__all__ = ["main", "run", "load_scenario", "RunOutput"]
 
 log = logging.getLogger("immunoepi")
 
@@ -69,29 +73,31 @@ class RunOutput:
 
 
 # ---------------------------------------------------------------------------
-# deterministic writers
+# deterministic output text and the one writer
 
 
-def _write_rows(path: Path, header: str, *columns: np.ndarray) -> None:
-    """Write float columns side by side as CSV, one shortest round-trip repr
-    per value.
+def _csv_lines(
+    header: str, *columns: np.ndarray, tail: Sequence[str] | None = None
+) -> Iterator[str]:
+    """CSV lines of float columns side by side, one shortest round-trip repr
+    per value, each row ending in its text ``tail`` cells when given.
 
     Each column is a 1-D array or a 2-D block of columns, all with the same
     number of rows. Blocks of at most CSV_BLOCK values (at least one row)
-    are stacked at a time and converted one row at a time, so no
-    whole-table array or list is built, however wide the table.
+    are stacked as the lines are drawn and converted one row at a time, so
+    no whole-table array or list is built, however wide the table.
     """
     import numpy as np
 
+    yield header + "\n"
     n_rows = len(columns[0])
     width = sum(1 if np.ndim(col) == 1 else np.shape(col)[1] for col in columns)
     rows = max(1, CSV_BLOCK // width)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, n_rows, rows):
-            block = np.column_stack([col[start:start + rows] for col in columns])
-            for row in block:
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
+    ends = repeat("\n") if tail is None else (f",{text}\n" for text in tail)
+    for start in range(0, n_rows, rows):
+        block = np.column_stack([col[start:start + rows] for col in columns])
+        for row, end in zip(block, ends):
+            yield ",".join(map(repr, row.tolist())) + end
 
 
 def _sha256(path: Path) -> str:
@@ -116,30 +122,19 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _finalize(out_dir: Path, summary: dict) -> RunOutput:
-    """Write summary.json, then manifest.json over everything else. A NaN
-    or infinite summary value is refused before anything is written."""
+def _json_text(name: str, obj) -> str:
+    """The text of one JSON output file; a NaN or infinite value is refused."""
     try:
-        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
     except ValueError as exc:
-        raise NonFiniteError(f"summary.json: {exc}") from exc
-    (out_dir / "summary.json").write_text(text + "\n")
-    files = {
-        p.name: _sha256(p)
-        for p in sorted(out_dir.iterdir())
-        if p.is_file() and p.name != "manifest.json"
-    }
-    manifest = {
-        "files": [
-            {"name": name, "sha256": digest, "bytes": (out_dir / name).stat().st_size}
-            for name, digest in files.items()
-        ],
-        "note": "manifest.json is excluded from its own listing",
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return RunOutput(out_dir=out_dir, files=files)
+        raise NonFiniteError(f"{name}: {exc}") from exc
+    return text + "\n"
+
+
+def _write(path: Path, lines: Iterable[str]) -> None:
+    """The one place a file is opened for writing."""
+    with open(path, "w") as fh:
+        fh.writelines(lines)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -165,7 +160,7 @@ def _between_echo(cfg: ScenarioConfig) -> dict:
 # subcommands
 
 
-def _cmd_within_sim(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+def _cmd_within_sim(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     from . import within_host
 
     params = cfg.within
@@ -177,14 +172,29 @@ def _cmd_within_sim(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
     run_rec = within_host.simulate_infection(
         params, initial, t_max, p_clear=cfg.p_clear
     )
-    _write_rows(out_dir / "trajectory.csv", "t,T,P,W", run_rec.t, run_rec.states)
-    return {
+    summary = {
         "defaults": {"t_max": t_max, "initial": list(initial.as_array()), "p_clear": cfg.p_clear},
         **within_host.run_metadata(run_rec, params),
     }
+    return summary, {"trajectory.csv": _csv_lines("t,T,P,W", run_rec.t, run_rec.states)}
 
 
-def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+def _branch_csv(points: list[bifurcation.BranchPoint]) -> Iterator[str]:
+    import numpy as np
+
+    # a complex (n, 2) array viewed as floats is re_ev1, im_ev1, re_ev2, im_ev2
+    eigenvalues = np.array([pt.eigenvalues for pt in points]).view(float)
+    return _csv_lines(
+        "param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability",
+        np.array([(pt.param, pt.T, pt.P) for pt in points]),
+        eigenvalues,
+        tail=[pt.stability for pt in points],
+    )
+
+
+def _cmd_bifurcate(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
+    import numpy as np
+
     from . import bifurcation, within_host
 
     params = cfg.within
@@ -194,14 +204,10 @@ def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
     except ValueError as exc:
         # a sweep range with no infected equilibrium is a configuration error
         raise ConfigError(f"sweep: {exc}") from exc
-    events = bifurcation.detect_all_events(result)
+    events = [asdict(event) for event in bifurcation.detect_all_events(result)]
     cycles = bifurcation.cycle_amplitude(params, replace(spec, n=cfg.cycle_n))
-    bifurcation.branch_to_csv(result.fold_path, out_dir / "branches.csv")
-    bifurcation.branch_to_csv(result.trivial, out_dir / "trivial.csv")
-    bifurcation.cycles_to_csv(cycles, out_dir / "cycles.csv")
-    bifurcation.events_json_dump(events, out_dir / "events.json")
     loci = within_host.critical_loci(params)
-    return {
+    summary = {
         "sweep": asdict(spec),
         "defaults": {
             "cycle_n": cfg.cycle_n,
@@ -209,61 +215,81 @@ def _cmd_bifurcate(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
             "cycle_window": bifurcation.CYCLE_WINDOW,
             "cycle_step": bifurcation.CYCLE_STEP,
         },
-        "events": bifurcation.events_to_json(events),
+        "events": events,
         "analytic_fold_clearance": loci.Gamma_fold,
         "analytic_hopf_clearance": list(loci.hopf),
     }
+    files = {
+        "branches.csv": _branch_csv(result.fold_path),
+        "trivial.csv": _branch_csv(result.trivial),
+        "cycles.csv": _csv_lines(
+            "param,p_min,p_max,period,n_maxima,oscillatory,collapsed,homoclinic_flag",
+            np.array([(s.param, s.p_min, s.p_max) for s in cycles]),
+            tail=[
+                f"{'' if s.period is None else repr(s.period)},{s.n_maxima},"
+                f"{int(s.oscillatory)},{int(s.collapsed)},{int(s.homoclinic_flag)}"
+                for s in cycles
+            ],
+        ),
+        "events.json": [_json_text("events.json", events)],
+    }
+    return summary, files
 
 
-def _cmd_manifold(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+def _cmd_manifold(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     import numpy as np
 
     from . import within_host
 
     params = cfg.within
     tip_P, tip_W = within_host.manifold_tip(params)
-    try:
-        p_max = within_host.upper_branch_P(0.0, params) * 1.2
-    except ValueError as exc:
-        # the fold lies below W = 0: no infected branch to draw
-        raise ConfigError(f"within_host: {exc}") from exc
     n = 400 * args.grid_refine
-    p_grid = np.linspace(1e-6, p_max, n)
-    phi = within_host.slow_manifold_W(p_grid, params)
-    null = within_host.w_nullcline(p_grid, params)
-    _write_rows(out_dir / "manifold.csv", "P,manifold_W,nullcline_W", p_grid, phi, null)
-    return {
+    # rates past the float range are refused below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            p_max = within_host.upper_branch_P(0.0, params) * 1.2
+        except ValueError as exc:
+            # the fold lies below W = 0: no infected branch to draw
+            raise ConfigError(f"within_host: {exc}") from exc
+        p_grid = np.linspace(1e-6, p_max, n)
+        phi = within_host.slow_manifold_W(p_grid, params)
+        null = within_host.w_nullcline(p_grid, params)
+    if not (np.isfinite(p_max) and np.isfinite(phi).all() and np.isfinite(null).all()):
+        raise NonFiniteError(f"manifold: the curve up to P = {p_max!r} is not finite")
+    summary = {
         "defaults": {"n_points": n, "p_max": p_max},
         "tip": {"P": tip_P, "W": tip_W},
         "nullcline_slope": params.kappa / params.c,
     }
+    return summary, {"manifold.csv": _csv_lines("P,manifold_W,nullcline_W", p_grid, phi, null)}
 
 
-def _cmd_r0(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+def _cmd_r0(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     from . import between_host
 
     direct, environmental = between_host.r0_terms(cfg.between)
-    return {
+    summary = {
         "r0": direct + environmental,
         "direct_term": direct,
         "environmental_term": environmental,
     }
+    return summary, {}
 
 
-def _cmd_equilibria(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+def _cmd_equilibria(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     from . import between_host
 
     params = cfg.between
     basic = between_host.r0(params)
     eq = between_host.endemic_equilibrium(params, n_omega=400 * args.grid_refine)
     summary = {"r0": basic, "endemic_exists": eq is not None}
-    if eq is not None:
-        _write_rows(out_dir / "equilibrium_profile.csv", "omega,I_star", eq.omega, eq.I)
-        summary["endemic"] = {
-            "S": eq.S, "I0": eq.I0, "V": eq.V, "B": eq.B,
-            "residuals": between_host.endemic_residuals(eq, params),
-        }
-    return summary
+    if eq is None:
+        return summary, {}
+    summary["endemic"] = {
+        "S": eq.S, "I0": eq.I0, "V": eq.V, "B": eq.B,
+        "residuals": between_host.endemic_residuals(eq, params),
+    }
+    return summary, {"equilibrium_profile.csv": _csv_lines("omega,I_star", eq.omega, eq.I)}
 
 
 def _apply_refine(cfg: ScenarioConfig, k: int) -> tuple[int, float]:
@@ -299,7 +325,7 @@ def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **strides) -> betwe
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+def _cmd_epi_sim(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     from . import between_host
 
     params = cfg.between
@@ -309,15 +335,16 @@ def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
         output_stride=cfg.output_stride,
         snapshot_stride=cfg.snapshot_stride,
     )
-    _write_rows(
-        out_dir / "timeseries.csv",
-        "t,S,I_total,V,B,F",
-        run_rec.t, run_rec.S, run_rec.I_total, run_rec.V, run_rec.B, run_rec.F,
-    )
+    files = {
+        "timeseries.csv": _csv_lines(
+            "t,S,I_total,V,B,F",
+            run_rec.t, run_rec.S, run_rec.I_total, run_rec.V, run_rec.B, run_rec.F,
+        ),
+    }
     if cfg.snapshot_stride:
         header = "t," + ",".join(repr(float(w)) for w in run_rec.omega)
-        _write_rows(out_dir / "snapshots.csv", header, run_rec.snapshot_t, run_rec.snapshots)
-    return {
+        files["snapshots.csv"] = _csv_lines(header, run_rec.snapshot_t, run_rec.snapshots)
+    summary = {
         "grid": {"n_omega": n_omega, "dt": dt},
         "defaults": {
             "output_stride": cfg.output_stride,
@@ -334,6 +361,7 @@ def _cmd_epi_sim(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
             "B": run_rec.final.B,
         },
     }
+    return summary, files
 
 
 def _matched_history(cfg: ScenarioConfig):
@@ -365,7 +393,7 @@ def _matched_history(cfg: ScenarioConfig):
     return history
 
 
-def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+def _cmd_renewal_check(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     import numpy as np
 
     from . import between_host
@@ -387,16 +415,15 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
     dt_renewal = window / steps
 
     pde = _transport(cfg, n_omega, dt, output_stride=1)
-    renewal = between_host.simulate_renewal(
-        params, _matched_history(cfg), cfg.initial_S, cfg.t_max, dt_renewal
-    )
+    try:
+        renewal = between_host.simulate_renewal(
+            params, _matched_history(cfg), cfg.initial_S, cfg.t_max, dt_renewal
+        )
+    except ValueError as exc:
+        # a memory window too long to allocate is refused in the set-up
+        raise ConfigError(f"renewal: memory window {window!r}: {exc}") from exc
     f_pde = np.interp(renewal.t, pde.t, pde.F)
     s_pde = np.interp(renewal.t, pde.t, pde.S)
-    _write_rows(
-        out_dir / "renewal.csv",
-        "t,S_pde,F_pde,S_renewal,F_renewal",
-        renewal.t, s_pde, f_pde, renewal.S, renewal.F,
-    )
     basic = between_host.r0(params)
     summary = {
         "grid": {"n_omega": n_omega, "dt": dt, "dt_renewal": dt_renewal},
@@ -410,10 +437,13 @@ def _cmd_renewal_check(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
         eq = between_host.endemic_equilibrium(params)
         total_kernel = between_host.kernel_total_integral(params)
         summary["stationary_kernel_identity"] = eq.S * total_kernel
-    return summary
+    lines = _csv_lines(
+        "t,S_pde,F_pde,S_renewal,F_renewal", renewal.t, s_pde, f_pde, renewal.S, renewal.F
+    )
+    return summary, {"renewal.csv": lines}
 
 
-def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
+def _cmd_spectral(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     from . import between_host
 
     params = cfg.between
@@ -431,14 +461,13 @@ def _cmd_spectral(cfg: ScenarioConfig, out_dir: Path, args) -> dict:
         # no real crossing on the admissible interval; recorded, not fatal
         summary["lambda_hat"] = None
         summary["lambda_hat_note"] = str(exc)
-    if basic > 1:
-        scan = between_host.endemic_spectrum_scan(params)
-        _write_rows(out_dir / "scan.csv", "lambda,residual", scan.lam, scan.residual)
-        summary["endemic_scan_roots"] = scan.roots
-        summary["endemic_residual_at_zero_plus"] = scan.residual[1]
-    else:
+    if basic <= 1:
         summary["endemic_scan_roots"] = None
-    return summary
+        return summary, {}
+    scan = between_host.endemic_spectrum_scan(params)
+    summary["endemic_scan_roots"] = scan.roots
+    summary["endemic_residual_at_zero_plus"] = scan.residual[1]
+    return summary, {"scan.csv": _csv_lines("lambda,residual", scan.lam, scan.residual)}
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +482,9 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, [line.split(",") for line in lines[1:]]
 
 
-def emit_plot_data(out_dir: Path, figure: str) -> list[str]:
-    """Write gnuplot-ready whitespace-separated blocks from earlier runs.
+def _cmd_plot_data(cfg: None, args) -> tuple[dict, dict]:
+    """gnuplot-ready whitespace-separated blocks from earlier runs in --out,
+    and the upstream summary with the data file appended to plot_data.
 
     fig1/fig2: equilibrium branches and periodic-orbit extents from a
     `bifurcate` run (fig1 expects a delta sweep, fig2 a W sweep); columns
@@ -462,13 +492,12 @@ def emit_plot_data(out_dir: Path, figure: str) -> list[str]:
     status nullcline, and one trajectory from `manifold` + `within-sim`
     runs; columns are `P W kind`. Blocks are separated by blank lines.
     """
-    out_dir = Path(out_dir)
-    written: list[str] = []
+    out_dir, figure = Path(args.out), args.figure
+    summary_path = out_dir / "summary.json"
+    summary = json.loads(summary_path.read_text()) if summary_path.is_file() else {}
     if figure in ("fig1", "fig2"):
-        summary_path = out_dir / "summary.json"
         if not summary_path.is_file():
             raise ConfigError(f"plot-data: no summary.json in {out_dir}")
-        summary = json.loads(summary_path.read_text())
         which = summary.get("sweep", {}).get("which")
         expected = "delta" if figure == "fig1" else "W"
         if which != expected:
@@ -479,57 +508,39 @@ def emit_plot_data(out_dir: Path, figure: str) -> list[str]:
         _, branch_rows = _read_csv(out_dir / "branches.csv")
         _, trivial_rows = _read_csv(out_dir / "trivial.csv")
         _, cycle_rows = _read_csv(out_dir / "cycles.csv")
-        target = out_dir / f"{figure}.dat"
-        with open(target, "w") as fh:
-            fh.write("# param P stability kind\n")
-            for name, rows in (("branch", branch_rows), ("trivial", trivial_rows)):
-                previous = None
-                for row in rows:
-                    stability = row[7]
-                    stable = 1 if stability.startswith("stable") else 0
-                    if previous is not None and stable != previous:
-                        fh.write("\n")
-                    fh.write(f"{row[0]} {row[2]} {stable} {name}\n")
-                    previous = stable
-                fh.write("\n\n")
-            for idx, kind in ((1, "cycle_min"), (2, "cycle_max")):
-                wrote = False
-                for row in cycle_rows:
-                    if row[5] == "1":  # oscillatory column
-                        fh.write(f"{row[0]} {row[idx]} 1 {kind}\n")
-                        wrote = True
-                if wrote:
-                    fh.write("\n\n")
-        written.append(target.name)
+        lines = ["# param P stability kind\n"]
+        for name, rows in (("branch", branch_rows), ("trivial", trivial_rows)):
+            previous = None
+            for row in rows:
+                stable = 1 if row[7].startswith("stable") else 0
+                if previous is not None and stable != previous:
+                    lines.append("\n")
+                lines.append(f"{row[0]} {row[2]} {stable} {name}\n")
+                previous = stable
+            lines.append("\n\n")
+        for idx, kind in ((1, "cycle_min"), (2, "cycle_max")):
+            # oscillatory columns only
+            block = [f"{row[0]} {row[idx]} 1 {kind}\n" for row in cycle_rows if row[5] == "1"]
+            if block:
+                lines += [*block, "\n\n"]
     elif figure == "fig3":
         _, manifold_rows = _read_csv(out_dir / "manifold.csv")
         _, trajectory_rows = _read_csv(out_dir / "trajectory.csv")
-        target = out_dir / "fig3.dat"
-        with open(target, "w") as fh:
-            fh.write("# P W kind\n")
-            for row in manifold_rows:
-                fh.write(f"{row[0]} {row[1]} manifold\n")
-            fh.write("\n\n")
-            for row in manifold_rows:
-                fh.write(f"{row[0]} {row[2]} nullcline\n")
-            fh.write("\n\n")
-            for row in trajectory_rows:
-                fh.write(f"{row[2]} {row[3]} trajectory\n")
-        written.append(target.name)
+        lines = [
+            "# P W kind\n",
+            *(f"{row[0]} {row[1]} manifold\n" for row in manifold_rows),
+            "\n\n",
+            *(f"{row[0]} {row[2]} nullcline\n" for row in manifold_rows),
+            "\n\n",
+            *(f"{row[2]} {row[3]} trajectory\n" for row in trajectory_rows),
+        ]
     else:
         raise ConfigError(f"plot-data: unknown figure {figure!r}")
-    return written
-
-
-def _cmd_plot_data(cfg: None, out_dir: Path, args) -> dict:
-    """The upstream summary with the written files appended to plot_data."""
-    written = emit_plot_data(out_dir, args.figure)
-    summary_path = out_dir / "summary.json"
-    summary = json.loads(summary_path.read_text()) if summary_path.is_file() else {}
-    summary.setdefault("plot_data", []).extend(
-        name for name in written if name not in summary.get("plot_data", [])
-    )
-    return summary
+    target = f"{figure}.dat"
+    written = summary.setdefault("plot_data", [])
+    if target not in written:
+        written.append(target)
+    return summary, {target: lines}
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +564,13 @@ def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> 
     """Dispatch one subcommand; raises ConfigError / NumericsError on failure.
 
     The one place that knows what every run shares: the --grid-refine
-    check, the required config sections, the output directory, the summary
-    envelope and the manifest. Handlers compute, write their data files and
-    return their summary body.
+    check, the required config sections, the summary envelope, the output
+    directory and the manifest. Handlers compute and return their summary
+    body and their files as {name: lines}; they open nothing. Every JSON
+    output is serialised, and a NaN or infinite value refused, before
+    --out is created, so a run that fails writes nothing: only the CSV
+    float formatting is left to the writer. The data files go first, then
+    summary.json, then manifest.json over every other file in --out.
     """
     handler, sections = _COMMANDS[subcommand]
     if args.grid_refine < 1:
@@ -566,29 +581,36 @@ def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> 
             raise ConfigError(f"{subcommand}: --config is required")
         cfg = load_scenario(config_path)
         cfg.require(*sections)
+    summary, files = handler(cfg, args)
+    if cfg is not None:
+        summary.update(
+            subcommand=subcommand,
+            seed=args.seed,
+            grid_refine=args.grid_refine,
+            parameters=_between_echo(cfg) if "between_host" in sections else asdict(cfg.within),
+        )
+    files["summary.json"] = [_json_text("summary.json", summary)]
     out_dir = Path(out_dir)
-    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    try:
-        summary = handler(cfg, out_dir, args)
-        if cfg is not None:
-            summary.update(
-                subcommand=subcommand,
-                seed=args.seed,
-                grid_refine=args.grid_refine,
-                parameters=_between_echo(cfg) if "between_host" in sections else asdict(cfg.within),
-            )
-        return _finalize(out_dir, summary)
-    except (ConfigError, NumericsError):
-        # a failed run leaves no empty output directory: remove the ones made
-        # above (rmdir refuses a directory that holds files)
-        with contextlib.suppress(OSError):
-            for directory in created:
-                directory.rmdir()
-        raise
+    for name, lines in files.items():
+        _write(out_dir / name, lines)
+    digests = {
+        p.name: _sha256(p)
+        for p in sorted(out_dir.iterdir())
+        if p.is_file() and p.name != "manifest.json"
+    }
+    manifest = {
+        "files": [
+            {"name": name, "sha256": digest, "bytes": (out_dir / name).stat().st_size}
+            for name, digest in digests.items()
+        ],
+        "note": "manifest.json is excluded from its own listing",
+    }
+    _write(out_dir / "manifest.json", [_json_text("manifest.json", manifest)])
+    return RunOutput(out_dir=out_dir, files=digests)
 
 
 def _build_parser() -> argparse.ArgumentParser:

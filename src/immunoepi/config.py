@@ -91,6 +91,8 @@ def _number_list(value, path: str) -> list[float]:
     for i, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{path}[{i}]: expected a number, got {item!r}")
+        if not math.isfinite(item):
+            raise ConfigError(f"{path}[{i}]: must be finite")
         out.append(float(item))
     return out
 

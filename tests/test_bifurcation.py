@@ -1,6 +1,7 @@
 """Branch sweeps, event detection, and cycle sampling of the frozen-W fast flow."""
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from immunoepi import bifurcation as bif
+from immunoepi import cli
 from immunoepi import within_host as wh
 from immunoepi.config import load_scenario
 from immunoepi.numerics import IntegratorSpec, integrate_ode
@@ -430,35 +432,68 @@ class TestCycleReference:
         assert hexed(samples) == hexed(cycle_amplitude_loop(paper_within, spec, **kwargs))
 
 
-class TestExports:
-    def test_branch_csv_shape_and_round_trip(self, paper_within, tmp_path):
-        res = bif.sweep_branch(paper_within, delta_sweep(n=12, lo=0.2, hi=0.4))
-        path = tmp_path / "branch.csv"
-        bif.branch_to_csv(res.upper, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability"
-        assert len(lines) == 1 + len(res.upper)
-        first = lines[1].split(",")
-        assert float(first[0]) == res.upper[0].param
-        assert float(first[1]) == res.upper[0].T
-        assert first[7] == res.upper[0].stability
-        assert "np.float64" not in lines[1]
+# a delta sweep holding the fold and the Hopf point; its four cycle columns
+# are a stable focus, an oscillation (delta = 0.5346) and two collapses
+EXPORT_SWEEP = {"which": "delta", "lo": 0.1519, "hi": 1.3, "n": 12, "W": 0.9, "cycle_n": 4}
 
-    def test_cycles_csv_uses_integer_flags(self, paper_within, tmp_path):
-        spec = delta_sweep(n=3, lo=0.52, hi=0.55)
-        samples = bif.cycle_amplitude(paper_within, spec)
-        path = tmp_path / "cycles.csv"
-        bif.cycles_to_csv(samples, path)
-        lines = path.read_text().splitlines()
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    """The outputs of one `bifurcate` run on EXPORT_SWEEP, with the sweep it
+    traced and the cycles it sampled, computed here directly."""
+    root = tmp_path_factory.mktemp("exports")
+    doc = json.loads((CONFIGS / "within_fig1.json").read_text())
+    doc["sweep"] = EXPORT_SWEEP
+    (root / "scenario.json").write_text(json.dumps(doc))
+    out = root / "out"
+    assert cli.main(["bifurcate", "--config", str(root / "scenario.json"), "--out", str(out)]) == 0
+    cfg = load_scenario(root / "scenario.json")
+    result = bif.sweep_branch(cfg.within, cfg.sweep)
+    cycles = bif.cycle_amplitude(cfg.within, dataclasses.replace(cfg.sweep, n=cfg.cycle_n))
+    return out, result, cycles
+
+
+class TestExports:
+    """The branch, cycle and event files a `bifurcate` run writes."""
+
+    def test_branch_csv_shape_and_round_trip(self, exported):
+        out, result, _ = exported
+        for name, points in (("branches.csv", result.fold_path), ("trivial.csv", result.trivial)):
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == "param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability"
+            assert len(lines) == 1 + len(points)
+            for line, pt in zip(lines[1:], points):
+                cells = line.split(",")
+                e1, e2 = pt.eigenvalues
+                expected = [pt.param, pt.T, pt.P, e1.real, e1.imag, e2.real, e2.imag]
+                assert [float(c) for c in cells[:7]] == expected
+                assert cells[7] == pt.stability
+                assert "np.float64" not in line
+
+    def test_cycles_csv_uses_integer_flags(self, exported):
+        out, _, samples = exported
+        lines = (out / "cycles.csv").read_text().splitlines()
         assert lines[0] == (
             "param,p_min,p_max,period,n_maxima,oscillatory,collapsed,homoclinic_flag"
         )
-        row = lines[1].split(",")
-        assert row[5] in ("0", "1") and row[6] in ("0", "1") and row[7] in ("0", "1")
-        assert int(row[4]) == samples[0].n_maxima
+        assert len(lines) == 1 + len(samples)
+        for line, sample in zip(lines[1:], samples):
+            row = line.split(",")
+            assert [float(c) for c in row[:3]] == [sample.param, sample.p_min, sample.p_max]
+            assert row[3] == ("" if sample.period is None else repr(sample.period))
+            assert int(row[4]) == sample.n_maxima
+            flags = (sample.oscillatory, sample.collapsed, sample.homoclinic_flag)
+            assert row[5:] == [str(int(flag)) for flag in flags]
+        # both forms of the period cell and both values of each flag occur
+        assert [s.period is None for s in samples] == [True, False, True, True]
+        assert [s.collapsed for s in samples] == [False, False, True, True]
 
-    def test_events_serialize_to_plain_dicts(self, paper_within):
-        res = bif.sweep_branch(paper_within, delta_sweep())
-        out = bif.events_to_json(bif.detect_all_events(res))
-        assert [sorted(d) for d in out] == [["P", "T", "kind", "param"]] * 2
-        assert all(isinstance(d["param"], float) for d in out)
+    def test_events_serialize_to_plain_dicts(self, exported):
+        out, result, _ = exported
+        events = json.loads((out / "events.json").read_text())
+        assert [sorted(d) for d in events] == [["P", "T", "kind", "param"]] * 2
+        assert [d["kind"] for d in events] == ["hopf", "fold"]
+        assert all(isinstance(d["param"], float) for d in events)
+        assert events == [dataclasses.asdict(e) for e in bif.detect_all_events(result)]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["events"] == events

@@ -228,7 +228,7 @@ class TestExitCodes:
         # 1e150 used to overflow Gamma**4 in the Hopf condition (exit 1), and
         # 1e100 and 1e200 wrote NaN cycle orbits (exit 0); the orbits are
         # refused after the transient without a numpy warning, and the failed
-        # run removes the fresh nested --out again
+        # run writes nothing, so the fresh nested --out is never created
         doc = json.loads((CONFIGS / "within_fig1.json").read_text())
         doc["within_host"]["Lambda"] = Lambda
         doc["sweep"].update(n=4, cycle_n=2)
@@ -239,10 +239,71 @@ class TestExitCodes:
         assert not (tmp_path / "nested").exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_summary_is_refused_before_writing(self, tmp_path, value):
-        with pytest.raises(numerics.NonFiniteError, match="summary.json"):
-            cli._finalize(tmp_path, {"r0": value})
-        assert list(tmp_path.iterdir()) == []
+    def test_non_finite_summary_is_refused_before_writing(self, tmp_path, capsys, monkeypatch,
+                                                          value):
+        monkeypatch.setattr(between_host, "r0_terms", lambda params: (value, 0.0))
+        config = write_config(tmp_path, bh_doc())
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["r0", "--config", config, "--out", str(out)]) == 3
+        assert "numerical failure: summary.json: " in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_initial_state_returns_two(self, tmp_path, capsys, index, value):
+        # used to exit 1 from the integrator's own check of the state
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        doc["within_host"]["initial"][index] = value
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["within-sim", "--config", config, "--out", str(out)]) == 2
+        assert f"error: within_host.initial[{index}]: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    def test_renewal_window_too_long_to_allocate_returns_two(self, tmp_path, capsys):
+        # a_bar = 1e300 asks for more memory-window nodes than an array can
+        # index: refused in the renewal set-up before anything is allocated
+        doc = json.loads((CONFIGS / "bh_matched.json").read_text())
+        doc["between_host"]["a_bar"] = 1e300
+        doc["run"]["t_max"] = 1.0
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["renewal-check", "--config", config, "--out", str(out)]) == 2
+        assert "error: renewal: memory window 1e+300: " in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("rate", ["Lambda", "alpha"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_manifold_returns_three(self, tmp_path, capsys, rate):
+        # the upper branch overflows to P = inf: refused without a numpy
+        # warning, and no manifold.csv of nan/inf rows is written
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        doc["within_host"][rate] = 1e300
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["manifold", "--config", config, "--out", str(out)]) == 3
+        assert "numerical failure: manifold: " in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
+
+    def test_failed_run_leaves_a_populated_out_as_it_was(self, tmp_path):
+        out = tmp_path / "out"
+        shipped = str(CONFIGS / "within_sim.json")
+        assert cli.main(["within-sim", "--config", shipped, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        doc["within_host"]["Lambda"] = 1e300
+        config = write_config(tmp_path, doc)
+        assert cli.main(["manifold", "--config", config, "--out", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_out_that_cannot_be_created_returns_two(self, tmp_path, capsys):
+        # reported once the run has computed, before anything is written
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        config = write_config(tmp_path, bh_doc())
+        assert cli.main(["r0", "--config", config, "--out", str(blocker / "out")]) == 2
+        assert "error: cannot create output directory" in capsys.readouterr().err
+        assert blocker.read_text() == "kept\n"
 
     def test_unknown_subcommand_is_a_parser_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -317,6 +378,38 @@ class TestCommandTable:
             assert set(summary["parameters"]["functions"]) == set(between_host.COEFFICIENT_FIELDS)
         else:
             assert summary["parameters"] == dataclasses.asdict(cfg.within)
+
+
+def quick_doc(command):
+    """A small document serving the config subcommand."""
+    if command in ("within-sim", "manifold"):
+        return json.loads((CONFIGS / "within_sim.json").read_text())
+    if command == "bifurcate":
+        doc = json.loads((CONFIGS / "within_fig1.json").read_text())
+        doc["sweep"].update(n=4, cycle_n=2)
+        return doc
+    return sim_doc()
+
+
+class TestNothingWrittenOnFailure:
+    """Handlers return their files and `run` writes them only once every
+    check has passed, so a failure leaves --out as it was."""
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_failure_after_the_computation_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        handler, sections = cli._COMMANDS[command]
+
+        def fail_after(*args):
+            handler(*args)
+            raise NumericsError("synthetic failure after the computation")
+
+        config = write_config(tmp_path, quick_doc(command))
+        out = tmp_path / "nested" / "out"
+        monkeypatch.setitem(cli._COMMANDS, command, (fail_after, sections))
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 3
+        assert "synthetic failure" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
 
 
 class TestCourantBound:
@@ -560,11 +653,16 @@ class TestCsvWriter:
         block[::5, 1] = np.round(block[::5, 1] % 1000.0)  # integral floats
         last = np.resize(self.SPECIAL[::-1], n_rows)
         header = ",".join(f"c{i}" for i in range(width))
-        cli._write_rows(tmp_path / "streamed.csv", header, first, block, last)
+        cli._write(tmp_path / "streamed.csv", cli._csv_lines(header, first, block, last))
         write_rows_table(tmp_path / "whole.csv", header, np.column_stack((first, block, last)))
         streamed = (tmp_path / "streamed.csv").read_bytes()
         assert streamed == (tmp_path / "whole.csv").read_bytes()
         assert streamed.count(b"\n") == n_rows + 1
+        # a text tail stays with its row across the block edges
+        tail = [f"r{i},{i % 2}" for i in range(n_rows)]
+        tailed = "".join(cli._csv_lines(header + ",r,flag", first, block, last, tail=tail))
+        expected = [f"{row},{text}" for row, text in zip(streamed.decode().splitlines()[1:], tail)]
+        assert tailed.splitlines() == [header + ",r,flag", *expected]
 
     # row counts spanning up to three blocks of the five-column table
     @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 8193])

@@ -1,6 +1,7 @@
-"""Peak memory of the transport records, the CSV writer and the manifest
-hash, traced with tracemalloc (numpy reports its allocations to it), so the
-bounds do not depend on the allocator or the machine."""
+"""Peak memory of the transport records, the CSV lines drawn through the
+writer and the manifest hash, traced with tracemalloc (numpy reports its
+allocations to it), so the bounds do not depend on the allocator or the
+machine."""
 
 import hashlib
 import tracemalloc
@@ -62,7 +63,8 @@ def test_empty_file_hash(tmp_path):
 
 def test_csv_writer_streams_a_large_table(tmp_path):
     columns = list(np.random.default_rng(1).standard_normal((5, 100_000)))
-    _, peak = traced_peak(cli._write_rows, tmp_path / "table.csv", "a,b,c,d,e", *columns)
+    lines = cli._csv_lines("a,b,c,d,e", *columns)  # nothing is formatted yet
+    _, peak = traced_peak(cli._write, tmp_path / "table.csv", lines)
     assert peak < 2 * MIB
     assert sum(1 for _ in open(tmp_path / "table.csv")) == 100_001
 
@@ -73,6 +75,6 @@ def test_csv_writer_streams_a_wide_table(tmp_path):
     rng = np.random.default_rng(2)
     t, snapshots = rng.standard_normal(1001), rng.standard_normal((1001, 401))
     header = "t," + ",".join(f"w{i}" for i in range(401))
-    _, peak = traced_peak(cli._write_rows, tmp_path / "wide.csv", header, t, snapshots)
+    _, peak = traced_peak(cli._write, tmp_path / "wide.csv", cli._csv_lines(header, t, snapshots))
     assert peak < 2 * MIB
     assert sum(1 for _ in open(tmp_path / "wide.csv")) == 1002

@@ -330,7 +330,7 @@ class TestSimulateInfection:
             run = wh.simulate_infection(params, initial, 150.0)
             assert np.min(run.states) >= -1e-10
 
-    def test_metadata_and_csv_round_trip(self, paper_within, tmp_path):
+    def test_metadata_and_csv_round_trip(self, paper_within):
         run = wh.simulate_infection(
             paper_within, wh.WithinHostState(0.5, 0.9, 0.0), 50.0
         )
@@ -342,9 +342,7 @@ class TestSimulateInfection:
             "p_clear", "w_fold", "recovery_time", "recovery_time_slow",
             "fold_crossed", "t_end", "n_samples",
         }
-        path = tmp_path / "run.csv"
-        cli._write_rows(path, "t,T,P,W", run.t, run.states)
-        lines = path.read_text().splitlines()
+        lines = "".join(cli._csv_lines("t,T,P,W", run.t, run.states)).splitlines()
         assert lines[0] == "t,T,P,W"
         first = [float(x) for x in lines[1].split(",")]
         assert first == [0.0, 0.5, 0.9, 0.0]
