@@ -447,7 +447,7 @@ def simulate_epidemic(
     g > 0) under the CFL condition dt*max(g) <= domega; removal acts as an
     exact per-step decay factor so densities stay nonnegative. The scalar
     pools (S, V, B) advance by the classic RK4 tableau, written out over
-    three Python floats in numerics.rk4_step's operation order, with the
+    three Python floats in numerics.rk4_stepper's operation order, with the
     coupling integrals frozen over the step; the nonlocal boundary value is
     filled explicitly afterwards. The step's array work runs in fixed
     buffers and views, and the clip to zero only runs when some density is
@@ -529,7 +529,7 @@ def simulate_epidemic(
         snapshot(0.0)
 
     courant = dt / step_w
-    # the classic RK4 tableau of numerics.rk4_step, written out over the
+    # the classic RK4 tableau of numerics.rk4_stepper, written out over the
     # three pool floats in the same operation order
     half, sixth = 0.5 * dt, dt / 6.0
     v_loss = rho + mu3

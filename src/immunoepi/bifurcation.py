@@ -6,7 +6,7 @@ rate Gamma = gamma + delta*W. Sweeps therefore evaluate the quadratic
 directly, and the fold and Hopf events are the closed-form critical loci
 of within_host mapped to the sweep parameter. Cycle amplitudes come from
 batched fixed-step integration of the frozen-W fast system past a
-transient.
+transient, stepped in place by numerics.rk4_stepper.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import within_host as wh
-from .numerics import NonFiniteError, rk4_step
+from .numerics import NonFiniteError, rk4_stepper
 
 __all__ = [
     "SweepSpec",
@@ -248,7 +248,9 @@ def cycle_amplitude(
     transient window, then min/max P, strict local maxima, and the mean
     maximum-to-maximum period are recorded over the sampling window. All
     sweep values are integrated together as one (2, m) state of (T, P)
-    rows, advanced by fixed RK4 steps. Raises NonFiniteError when an
+    rows, advanced in place by fixed RK4 steps (numerics.rk4_stepper)
+    whose derivative writes into the stepper's buffers through row views
+    made once per buffer pair. Raises NonFiniteError when an
     orbit is not finite at one of the checks every CYCLE_CHECK_STEPS
     transient steps (before the window is sampled) or its sampled load is
     not finite.
@@ -272,17 +274,24 @@ def cycle_amplitude(
     rates = np.array([np.full(m, params.mu), [r[1] for r in rows]])
     source = np.full((2, m), params.Lambda)
     infection = source[1]
-    a, multiply, subtract = params.alpha, np.multiply, np.subtract
+    a, multiply, subtract = np.array(params.alpha), np.multiply, np.subtract
 
-    def rhs(t, y):
-        P = y[1]
-        multiply(a, P, out=infection)
-        multiply(infection, P, out=infection)
-        multiply(infection, y[0], out=infection)
-        dy = rates * y
-        subtract(source, dy, out=dy)
-        dy[0] -= infection
-        return dy
+    def rhs_into(y, k):
+        # row views made once per buffer pair, none inside a step
+        T, P, dT = y[0], y[1], k[0]
+
+        def rhs():
+            multiply(a, P, infection)
+            multiply(infection, P, infection)
+            multiply(infection, T, infection)
+            multiply(rates, y, k)
+            subtract(source, k, k)
+            subtract(dT, infection, dT)
+
+        return rhs
+
+    advance = rk4_stepper(rhs_into, state, step)
+    loads_now = state[1]
 
     def refuse_non_finite(finite: np.ndarray) -> None:
         if not finite.all():
@@ -296,7 +305,7 @@ def cycle_amplitude(
         n_transient = int(round(transient / step))
         for start in range(0, n_transient, CYCLE_CHECK_STEPS):
             for _ in range(min(CYCLE_CHECK_STEPS, n_transient - start)):
-                state = rk4_step(rhs, 0.0, state, step)
+                advance()
             refuse_non_finite(np.isfinite(state).all(axis=0))
 
         # window loads go into rows 2.. of one block and are reduced once it
@@ -305,15 +314,15 @@ def cycle_amplitude(
         n_steps = int(round(window / step))
         loads = np.empty((CYCLE_CHECK_STEPS + 2, m))
         loads[:2] = np.inf
-        p_min = p_max = state[1]
+        p_min = p_max = loads_now.copy()
         max_count = np.zeros(m, dtype=int)
         first_max = np.full(m, -1)
         last_max = np.full(m, -1)
         for start in range(0, n_steps, CYCLE_CHECK_STEPS):
             size = min(CYCLE_CHECK_STEPS, n_steps - start)
             for k in range(2, size + 2):
-                state = rk4_step(rhs, 0.0, state, step)
-                loads[k] = state[1]
+                advance()
+                loads[k] = loads_now
             block = loads[2:size + 2]
             p_min = np.minimum(p_min, block.min(axis=0))
             p_max = np.maximum(p_max, block.max(axis=0))

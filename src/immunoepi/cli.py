@@ -474,12 +474,39 @@ def _cmd_spectral(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
 # plot data
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path: Path, width: int) -> list[list[str]]:
+    """The data rows of an upstream CSV file, each with at least ``width``
+    cells; a missing file, or one without a header or with a short row, is
+    a configuration error naming it."""
     if not path.is_file():
         raise ConfigError(f"plot-data: missing upstream file {path.name} in {path.parent}")
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+    try:
+        lines = path.read_text().strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"plot-data: {path} is not text: {exc}") from exc
+    if not lines:
+        raise ConfigError(f"plot-data: upstream file {path} is empty")
+    rows = [line.split(",") for line in lines[1:]]
+    for number, row in enumerate(rows, start=2):
+        if len(row) < width:
+            raise ConfigError(
+                f"plot-data: {path} line {number} has {len(row)} cells, {width} are read"
+            )
+    return rows
+
+
+def _read_summary(path: Path) -> dict:
+    """The upstream summary.json, {} when there is none; a file that is not
+    a JSON object is a configuration error naming it."""
+    if not path.is_file():
+        return {}
+    try:
+        summary = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"plot-data: {path} is not JSON: {exc}") from exc
+    if not isinstance(summary, dict):
+        raise ConfigError(f"plot-data: {path} is not a JSON object")
+    return summary
 
 
 def _cmd_plot_data(cfg: None, args) -> tuple[dict, dict]:
@@ -494,20 +521,21 @@ def _cmd_plot_data(cfg: None, args) -> tuple[dict, dict]:
     """
     out_dir, figure = Path(args.out), args.figure
     summary_path = out_dir / "summary.json"
-    summary = json.loads(summary_path.read_text()) if summary_path.is_file() else {}
+    summary = _read_summary(summary_path)
     if figure in ("fig1", "fig2"):
         if not summary_path.is_file():
             raise ConfigError(f"plot-data: no summary.json in {out_dir}")
-        which = summary.get("sweep", {}).get("which")
+        sweep = summary.get("sweep")
+        which = sweep.get("which") if isinstance(sweep, dict) else None
         expected = "delta" if figure == "fig1" else "W"
         if which != expected:
             raise ConfigError(
                 f"plot-data: {figure} needs a bifurcate run sweeping {expected!r}, "
                 f"found {which!r}"
             )
-        _, branch_rows = _read_csv(out_dir / "branches.csv")
-        _, trivial_rows = _read_csv(out_dir / "trivial.csv")
-        _, cycle_rows = _read_csv(out_dir / "cycles.csv")
+        branch_rows = _read_csv(out_dir / "branches.csv", 8)
+        trivial_rows = _read_csv(out_dir / "trivial.csv", 8)
+        cycle_rows = _read_csv(out_dir / "cycles.csv", 6)
         lines = ["# param P stability kind\n"]
         for name, rows in (("branch", branch_rows), ("trivial", trivial_rows)):
             previous = None
@@ -524,8 +552,8 @@ def _cmd_plot_data(cfg: None, args) -> tuple[dict, dict]:
             if block:
                 lines += [*block, "\n\n"]
     elif figure == "fig3":
-        _, manifold_rows = _read_csv(out_dir / "manifold.csv")
-        _, trajectory_rows = _read_csv(out_dir / "trajectory.csv")
+        manifold_rows = _read_csv(out_dir / "manifold.csv", 3)
+        trajectory_rows = _read_csv(out_dir / "trajectory.csv", 4)
         lines = [
             "# P W kind\n",
             *(f"{row[0]} {row[1]} manifold\n" for row in manifold_rows),
@@ -538,6 +566,8 @@ def _cmd_plot_data(cfg: None, args) -> tuple[dict, dict]:
         raise ConfigError(f"plot-data: unknown figure {figure!r}")
     target = f"{figure}.dat"
     written = summary.setdefault("plot_data", [])
+    if not isinstance(written, list):
+        raise ConfigError(f"plot-data: plot_data in {summary_path} is not a list")
     if target not in written:
         written.append(target)
     return summary, {target: lines}

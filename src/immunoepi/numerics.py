@@ -3,13 +3,15 @@
 Everything downstream (within-host simulation, bifurcation sweeps, the
 structured epidemic solver) is built on the operations in this module:
 
-* ``integrate_ode`` -- adaptive embedded Dormand-Prince 5(4) pair, with
-  optional scalar event location: ``find_root`` on the event along one
-  Dormand-Prince step from the left end of the bracketing step.
-* ``rk4_step`` -- one classic RK4 step on a single state, a float or an
-  ndarray; the batched cycle sampler passes its (2, m) block of orbits.
-  The epidemic solver's three scalar pools run the same tableau written
-  out over Python floats.
+* ``integrate_ode`` -- adaptive embedded Dormand-Prince 5(4) pair over a
+  state carried as a tuple of Python floats (the rhs takes one and returns
+  a sequence of floats), with optional scalar event location:
+  ``find_root`` on the event along one Dormand-Prince step from the left
+  end of the bracketing step. The returned Trajectory holds arrays.
+* ``rk4_stepper`` -- classic RK4 steps in place on an ndarray state, over
+  stage buffers allocated once; the batched cycle sampler steps its (2, m)
+  block of orbits with it. The epidemic solver's three scalar pools run
+  the same tableau written out over Python floats.
 * ``quadrature`` -- the package's one composite Simpson rule: a guarded
   sum of evenly spaced node values over [0, length], one per row.
 * ``find_root`` -- bracketed scalar root solve by Brent's method, in the
@@ -45,7 +47,7 @@ __all__ = [
     "RootBracket",
     "Trajectory",
     "integrate_ode",
-    "rk4_step",
+    "rk4_stepper",
     "quadrature",
     "simpson_coefficients",
     "find_root",
@@ -113,19 +115,45 @@ class Trajectory:
     event_state: np.ndarray | None = None
 
 
-def rk4_step(rhs, t, y, h):
-    """One classic RK4 step of ``y' = rhs(t, y)`` from t to t + h.
+def rk4_stepper(rhs_into, y, h):
+    """Classic RK4 steps of the autonomous ``y' = f(y)``, in place on ``y``.
 
-    ``y`` is one state, a float or an ndarray, and ``rhs`` returns its
-    derivative in the same form. Every operation is elementwise, so one
-    array may stack a batch of independent orbits.
+    ``y`` is a float ndarray; every operation is elementwise, so one array
+    may stack a batch of independent orbits. ``rhs_into(x, k)`` is called
+    once per (input, output) buffer pair and returns a no-argument callable
+    that writes f(x) into k. Returns ``step()``, which advances ``y`` by h.
+    The buffers are allocated here once. Each ufunc gets its output
+    positionally and the step coefficients as 0-d arrays, because keyword
+    outputs and Python-float operands cost numpy more per call. ``2.0 * k``
+    is summed as ``k + k``, which is exact, so a step equals
+    ``y + (h/6)*(k1 + 2*k2 + 2*k3 + k4)`` with stage inputs
+    ``y + (h/2)*k1``, ``y + (h/2)*k2``, ``y + h*k3`` bit for bit.
     """
-    half = 0.5 * h
-    k1 = rhs(t, y)
-    k2 = rhs(t + half, y + half * k1)
-    k3 = rhs(t + half, y + half * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
+    f1, f2, f3, f4 = rhs_into(y, k1), rhs_into(stage, k2), rhs_into(stage, k3), rhs_into(stage, k4)
+    half, whole, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
+    add, multiply = np.add, np.multiply
+
+    def step():
+        f1()
+        multiply(half, k1, stage)
+        add(y, stage, stage)
+        f2()
+        multiply(half, k2, stage)
+        add(y, stage, stage)
+        f3()
+        multiply(whole, k3, stage)
+        add(y, stage, stage)
+        f4()
+        add(k2, k2, k2)
+        add(k1, k2, k1)
+        add(k3, k3, k3)
+        add(k1, k3, k1)
+        add(k1, k4, k1)
+        multiply(sixth, k1, k1)
+        add(y, k1, y)
+
+    return step
 
 
 # Dormand-Prince 5(4) tableau as Python floats: _A<i><j> weights stage j in
@@ -146,28 +174,41 @@ _B1, _B3, _B4, _B5, _B6, _B7 = (
 def _dp45_step(rhs, t, y, h, k1=None):
     """One embedded step; returns (y5, error_estimate, k_last) with FSAL reuse.
 
-    Stage inputs sum their terms left to right, zero weights of the seventh
-    stage included, so results match a loop over the tableau bit for bit.
-    Trial steps may overshoot into overflow; the caller rejects non-finite
-    results, so numpy warnings are silenced here.
+    ``y`` and every stage are tuples of Python floats. Stage inputs sum
+    their terms left to right, zero weights of the seventh stage included,
+    so results match a loop over the tableau on arrays bit for bit. Trial
+    steps may overshoot into overflow; float products and sums then turn
+    inf or NaN without raising, and the caller rejects non-finite results.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if k1 is None:
-            k1 = rhs(t, y)
-        k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
-        k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-        k4 = rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = rhs(
-            t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-        )
-        k7 = rhs(
-            t + h,
-            y + h * (_A71 * k1 + _A72 * k2 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6),
-        )
-        y5 = y + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
-        y4 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6 + _B7 * k7)
-        return y5, y5 - y4, k7
+    if k1 is None:
+        k1 = rhs(t, y)
+    k2 = rhs(t + _C2 * h, tuple([u + h * (_A21 * a) for u, a in zip(y, k1)]))
+    k3 = rhs(t + _C3 * h, tuple([u + h * (_A31 * a + _A32 * b) for u, a, b in zip(y, k1, k2)]))
+    k4 = rhs(t + _C4 * h, tuple([
+        u + h * (_A41 * a + _A42 * b + _A43 * c) for u, a, b, c in zip(y, k1, k2, k3)
+    ]))
+    k5 = rhs(t + _C5 * h, tuple([
+        u + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+        for u, a, b, c, d in zip(y, k1, k2, k3, k4)
+    ]))
+    k6 = rhs(t + h, tuple([
+        u + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+        for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+    ]))
+    k7 = rhs(t + h, tuple([
+        u + h * (_A71 * a + _A72 * b + _A73 * c + _A74 * d + _A75 * e + _A76 * f)
+        for u, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)
+    ]))
+    y5 = tuple([
+        u + h * (_A71 * a + _A73 * c + _A74 * d + _A75 * e + _A76 * f)
+        for u, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
+    ])
+    # the error is y5 - y4, with y4 from the fourth-order weights
+    err = [
+        v - (u + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f + _B7 * g))
+        for v, u, a, c, d, e, f, g in zip(y5, y, k1, k3, k4, k5, k6, k7)
+    ]
+    return y5, err, k7
 
 
 def _locate_event(rhs, event, t_lo, y_lo, t_hi, y_hi):
@@ -189,30 +230,37 @@ def _locate_event(rhs, event, t_lo, y_lo, t_hi, y_hi):
 
 
 def integrate_ode(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, tuple[float, ...]], Sequence[float]],
     y0: Sequence[float] | np.ndarray,
     t_span: tuple[float, float],
     spec: IntegratorSpec | None = None,
-    event: Callable[[float, np.ndarray], float] | None = None,
+    event: Callable[[float, tuple[float, ...]], float] | None = None,
 ) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` over ``t_span``, stopping at an event zero.
 
-    ``rhs`` must return a float ndarray shaped like ``y``. The event, when
-    given, is a scalar function of (t, y); integration stops at its first
-    sign change, located by find_root on the bracketing step. Raises
-    NonFiniteError if the state leaves the finite range and StepLimitError
-    after MAX_STEPS steps.
+    The state travels as a tuple of Python floats: ``rhs`` receives one and
+    returns the derivative as a sequence of floats of the same length, and
+    the event, when given, is a scalar function of (t, y); integration
+    stops at its first sign change, located by find_root on the bracketing
+    step. The returned Trajectory holds arrays. Raises NonFiniteError if
+    the state leaves the finite range and StepLimitError after MAX_STEPS
+    steps.
     """
     spec = spec or IntegratorSpec()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t_end > t_start")
-    y = np.asarray(y0, dtype=float).copy()
-    if y.ndim != 1:
-        raise ValueError("y0 must be one-dimensional")
+    y_arr = np.asarray(y0, dtype=float)
+    if y_arr.ndim != 1 or y_arr.size == 0:
+        raise ValueError("y0 must be one-dimensional and non-empty")
+    y = tuple(y_arr.tolist())
+    n = len(y)
+    abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
+    isfinite = math.isfinite
 
+    # accepted states, flattened: no tuple is kept per sample
     ts = [t0]
-    ys = [y.copy()]
+    ys = list(y)
     e_prev = event(t0, y) if event is not None else None
 
     t = t0
@@ -227,16 +275,20 @@ def integrate_ode(
         steps += 1
         h = min(h, t1 - t)
         y_new, err, k_last = _dp45_step(rhs, t, y, h, k_carry)
-        if not np.all(np.isfinite(y_new)):
+        if not all(map(isfinite, y_new)):
             h *= 0.5
             k_carry = None
             if h < 1e-15 * max(1.0, abs(t)):
                 raise NonFiniteError(f"state blew up near t={t:.6g}")
             continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = spec.abs_tol + spec.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if not np.isfinite(err_norm):
+        # root mean square of the scaled error, the squares summed left to
+        # right as numpy's mean sums fewer than eight values
+        total = 0.0
+        for e, u, v in zip(err, y, y_new):
+            q = e / (abs_tol + rel_tol * max(abs(u), abs(v)))
+            total += q * q
+        err_norm = math.sqrt(total / n)
+        if not isfinite(err_norm):
             h *= 0.5
             k_carry = None
             continue
@@ -247,12 +299,14 @@ def integrate_ode(
                 if _crossed(e_prev, e_new):
                     t_ev, y_ev = _locate_event(rhs, event, t, y, t_new, y_new)
                     ts.append(t_ev)
-                    ys.append(y_ev)
-                    return Trajectory(np.array(ts), np.array(ys), t_ev, y_ev)
+                    ys.extend(y_ev)
+                    return Trajectory(
+                        np.array(ts), np.array(ys).reshape(-1, n), t_ev, np.array(y_ev)
+                    )
                 e_prev = e_new
             t, y = t_new, y_new
             ts.append(t)
-            ys.append(y.copy())
+            ys.extend(y)
             k_carry = k_last
         else:
             k_carry = None
@@ -260,7 +314,7 @@ def integrate_ode(
         h *= min(5.0, max(0.2, factor))
         if spec.max_step is not None:
             h = min(h, spec.max_step)
-    return Trajectory(np.array(ts), np.array(ys))
+    return Trajectory(np.array(ts), np.array(ys).reshape(-1, n))
 
 
 def _crossed(e_prev, e_new):

@@ -116,18 +116,20 @@ class WithinHostState:
         return np.array([self.T, self.P, self.W], dtype=float)
 
 
-def rhs_full(state: Sequence[float], params: WithinHostParams) -> np.ndarray:
-    """Time derivative of (T, P, W)."""
+def rhs_full(state: Sequence[float], params: WithinHostParams) -> tuple[float, float, float]:
+    """Time derivative of (T, P, W), as a tuple of floats: the state form of
+    ``numerics.integrate_ode``."""
     T, P, W = state
     infection = params.alpha * P * P * T
     dT = params.Lambda - params.mu * T - infection
     dP = infection - params.gamma * P - params.delta * P * W
     dW = params.epsilon * (params.kappa * P - params.c * W)
-    return np.array([dT, dP, dW])
+    return (dT, dP, dW)
 
 
 def vector_field(params: WithinHostParams):
-    """rhs callable in integrator form f(t, y)."""
+    """rhs callable in integrator form f(t, y): y a tuple of floats, and the
+    derivative a tuple."""
 
     def f(t, y):
         return rhs_full(y, params)
@@ -395,10 +397,11 @@ def simulate_infection(
 ) -> InfectionRun:
     """Integrate the full system, stopping the infected phase at clearance.
 
-    After the pathogen falls below ``p_clear`` the trajectory continues on
-    the P = 0 branch, evaluated in closed form: W decays as
-    W' = -epsilon*c*W and target cells relax to Lambda/mu. Zero initial load
-    starts on that branch.
+    The infected phase runs numerics.integrate_ode on ``rhs_full``, with the
+    state a tuple of Python floats. After the pathogen falls below
+    ``p_clear`` the trajectory continues on the P = 0 branch, evaluated in
+    closed form: W decays as W' = -epsilon*c*W and target cells relax to
+    Lambda/mu. Zero initial load starts on that branch.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")

@@ -9,7 +9,9 @@ solves for. ``integrate_slow_reduced`` is the
 singular limit of a full within-host run, and ``fast_rhs`` the frozen-W
 fast vector field. ``trace_roots_np`` solves the trace condition of the
 critical loci as a polynomial. ``infected_mass`` is the trapezoid mass of a
-density.
+density. ``hopf_point`` and ``leading_eigenvalue`` give the Hopf point of a
+sweep and the linearisation on its upper branch: an oracle of the cycle
+sampler independent of its orbits.
 """
 
 from typing import Callable, Sequence
@@ -178,7 +180,7 @@ def integrate_slow_reduced(
 
     def f(tau, y):
         W = min(y[0], W_max)
-        return np.array([params.kappa * wh.upper_branch_P(W, params) - params.c * W])
+        return (params.kappa * wh.upper_branch_P(W, params) - params.c * W,)
 
     def at_fold(tau, y):
         return W_max - y[0]
@@ -188,3 +190,22 @@ def integrate_slow_reduced(
         span = tau_span[1] - tau_span[0]
         spec = IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12, max_step=max(1e-3, 0.002 * span))
     return integrate_ode(f, [W0], tau_span, spec, event=at_fold)
+
+
+def leading_eigenvalue(params: wh.WithinHostParams, spec, value: float) -> complex:
+    """The eigenvalue of ``within_host.jacobian_fast`` at the upper equilibrium
+    at one sweep value with the largest real part (of a complex pair, the
+    one with a positive imaginary part)."""
+    p, W = spec.resolve(params, value)
+    J = wh.jacobian_fast(wh.equilibria_fast(p, W).upper, p, W)
+    return complex(max(np.linalg.eigvals(J), key=lambda z: (z.real, z.imag)))
+
+
+def hopf_point(params: wh.WithinHostParams, spec) -> float:
+    """The sweep value of the closed-form Hopf locus. The frequency there is
+    omega_H = ``leading_eigenvalue(params, spec, hopf_point(params, spec)).imag``,
+    and small cycles born there have periods near 2*pi/omega_H."""
+    (Gamma,) = wh.critical_loci(params).hopf
+    if spec.which == "delta":
+        return (Gamma - params.gamma) / spec.W
+    return (Gamma - params.gamma) / params.delta

@@ -21,10 +21,19 @@ the same comparisons, and must return the same samples bit for bit.
 
 ``write_rows_table`` is the earlier whole-table CSV writer; the package's
 block-streamed writer must produce the same bytes.
+
+``integrate_ode_array`` (with ``dp45_step_array`` and its event locator)
+is the earlier Dormand-Prince integrator: the state is a 3-element
+ndarray, every stage runs a few ufuncs on it, and the error norm is numpy's
+root mean square. ``rhs_full_array`` is the earlier within-host field that
+returns a new ndarray. The package's integrator carries the state as a
+tuple of Python floats with the same operations in the same order, and
+must return the same trajectory, event time and event state bit for bit.
 """
 
 import numpy as np
 
+from immunoepi import numerics
 from immunoepi import within_host as wh
 from immunoepi.between_host import (
     NEGATIVITY_ABORT,
@@ -44,7 +53,19 @@ from immunoepi.bifurcation import (
     CycleSample,
     SweepSpec,
 )
-from immunoepi.numerics import NonFiniteError, rk4_step
+from immunoepi.numerics import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63,
+    _A64, _A65, _A71, _A72, _A73, _A74, _A75, _A76, _B1, _B3, _B4, _B5, _B6, _B7,
+    _C2, _C3, _C4, _C5,
+    EVENT_RELATIVE_TOL,
+    IntegratorSpec,
+    NonFiniteError,
+    RootBracket,
+    StepLimitError,
+    Trajectory,
+    _crossed,
+    find_root,
+)
 
 
 def rk4_step_array(rhs, t, y, h):
@@ -261,7 +282,7 @@ def cycle_amplitude_loop(
         n_transient = int(round(transient / step))
         for start in range(0, n_transient, CYCLE_CHECK_STEPS):
             for _ in range(min(CYCLE_CHECK_STEPS, n_transient - start)):
-                state = rk4_step(rhs, 0.0, state, step)
+                state = rk4_step_array(rhs, 0.0, state, step)
             refuse_non_finite(np.isfinite(state).all(axis=0))
 
         n_steps = int(round(window / step))
@@ -271,7 +292,7 @@ def cycle_amplitude_loop(
         first_max_t = np.full(m, np.nan)
         last_max_t = np.full(m, np.nan)
         for i in range(n_steps):
-            state = rk4_step(rhs, 0.0, state, step)
+            state = rk4_step_array(rhs, 0.0, state, step)
             P = state[1]
             p_min = np.minimum(p_min, P)
             p_max = np.maximum(p_max, P)
@@ -321,3 +342,127 @@ def write_rows_table(path, header, table):
         fh.write(header + "\n")
         for row in table:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def rhs_full_array(state, params):
+    """Time derivative of (T, P, W)."""
+    T, P, W = state
+    infection = params.alpha * P * P * T
+    dT = params.Lambda - params.mu * T - infection
+    dP = infection - params.gamma * P - params.delta * P * W
+    dW = params.epsilon * (params.kappa * P - params.c * W)
+    return np.array([dT, dP, dW])
+
+
+def dp45_step_array(rhs, t, y, h, k1=None):
+    """One embedded step; returns (y5, error_estimate, k_last) with FSAL reuse.
+
+    Stage inputs sum their terms left to right, zero weights of the seventh
+    stage included, so results match a loop over the tableau bit for bit.
+    Trial steps may overshoot into overflow; the caller rejects non-finite
+    results, so numpy warnings are silenced here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k1 is None:
+            k1 = rhs(t, y)
+        k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
+        k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
+        k4 = rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = rhs(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        k6 = rhs(
+            t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+        )
+        k7 = rhs(
+            t + h,
+            y + h * (_A71 * k1 + _A72 * k2 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6),
+        )
+        y5 = y + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
+        y4 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6 + _B7 * k7)
+        return y5, y5 - y4, k7
+
+
+def locate_event_array(rhs, event, t_lo, y_lo, t_hi, y_hi):
+    """Event crossing time on the bracketing step, by find_root.
+
+    The state at a trial time is one Dormand-Prince step from the left end
+    of the bracketing step. The right end keeps its accepted state, so the
+    bracket keeps the sign change the step detected. Width tolerance is
+    relative (EVENT_RELATIVE_TOL).
+    """
+    k1 = rhs(t_lo, y_lo)
+
+    def state_at(t):
+        return y_hi if t == t_hi else dp45_step_array(rhs, t_lo, y_lo, t - t_lo, k1)[0]
+
+    tol = EVENT_RELATIVE_TOL * max(1.0, abs(t_hi))
+    t_ev = find_root(lambda t: event(t, state_at(t)), RootBracket(t_lo, t_hi), tol=tol)
+    return t_ev, state_at(t_ev)
+
+
+def integrate_ode_array(rhs, y0, t_span, spec=None, event=None):
+    """Integrate ``y' = rhs(t, y)`` over ``t_span``, stopping at an event zero.
+
+    ``rhs`` must return a float ndarray shaped like ``y``. The event, when
+    given, is a scalar function of (t, y); integration stops at its first
+    sign change, located by find_root on the bracketing step. Raises
+    NonFiniteError if the state leaves the finite range and StepLimitError
+    after MAX_STEPS steps.
+    """
+    spec = spec or IntegratorSpec()
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError("t_span must satisfy t_end > t_start")
+    y = np.asarray(y0, dtype=float).copy()
+    if y.ndim != 1:
+        raise ValueError("y0 must be one-dimensional")
+
+    ts = [t0]
+    ys = [y.copy()]
+    e_prev = event(t0, y) if event is not None else None
+
+    t = t0
+    h = (t1 - t0) / 100.0
+    if spec.max_step is not None:
+        h = min(h, spec.max_step)
+    k_carry = None
+    steps = 0
+    while t < t1 - 1e-14 * max(1.0, abs(t1)):
+        if steps >= numerics.MAX_STEPS:
+            raise StepLimitError(f"exceeded {numerics.MAX_STEPS} steps")
+        steps += 1
+        h = min(h, t1 - t)
+        y_new, err, k_last = dp45_step_array(rhs, t, y, h, k_carry)
+        if not np.all(np.isfinite(y_new)):
+            h *= 0.5
+            k_carry = None
+            if h < 1e-15 * max(1.0, abs(t)):
+                raise NonFiniteError(f"state blew up near t={t:.6g}")
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = spec.abs_tol + spec.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        if not np.isfinite(err_norm):
+            h *= 0.5
+            k_carry = None
+            continue
+        if err_norm <= 1.0:
+            t_new = t + h
+            if event is not None:
+                e_new = event(t_new, y_new)
+                if _crossed(e_prev, e_new):
+                    t_ev, y_ev = locate_event_array(rhs, event, t, y, t_new, y_new)
+                    ts.append(t_ev)
+                    ys.append(y_ev)
+                    return Trajectory(np.array(ts), np.array(ys), t_ev, y_ev)
+                e_prev = e_new
+            t, y = t_new, y_new
+            ts.append(t)
+            ys.append(y.copy())
+            k_carry = k_last
+        else:
+            k_carry = None
+        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+        if spec.max_step is not None:
+            h = min(h, spec.max_step)
+    return Trajectory(np.array(ts), np.array(ys))

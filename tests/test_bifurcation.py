@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from immunoepi.config import load_scenario
 from immunoepi.numerics import IntegratorSpec, integrate_ode
 
 from conftest import random_within
-from oracles import fast_rhs
+from oracles import fast_rhs, hopf_point, leading_eigenvalue
 from reference_loops import cycle_amplitude_loop
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -247,7 +248,7 @@ class TestStabilityAgainstFlow:
             p, W = spec.resolve(paper_within, pt.param)
             eq = np.array([pt.T, pt.P])
             traj = integrate_ode(
-                lambda t, y: fast_rhs(y, p, W),
+                lambda t, y: fast_rhs(y, p, W).tolist(),
                 eq + 1e-3,
                 (0.0, 300.0),
                 IntegratorSpec(max_step=0.5),
@@ -286,13 +287,18 @@ class TestCycleAmplitude:
         # at Lambda 1e100 the orbits overflow within the first steps; the
         # sampler stops at the first finiteness check, not after the transient
         steps = []
-        stepper = bif.rk4_step
+        stepper = bif.rk4_stepper
 
-        def counting(rhs, t, y, h):
-            steps.append(t)
-            return stepper(rhs, t, y, h)
+        def counting(rhs_into, y, h):
+            step = stepper(rhs_into, y, h)
 
-        monkeypatch.setattr(bif, "rk4_step", counting)
+            def counted():
+                steps.append(h)
+                step()
+
+            return counted
+
+        monkeypatch.setattr(bif, "rk4_stepper", counting)
         params = dataclasses.replace(paper_within, Lambda=1e100)
         with pytest.raises(bif.NonFiniteError, match="delta=0.1"):
             bif.cycle_amplitude(params, delta_sweep(n=2, lo=0.1, hi=0.45))
@@ -430,6 +436,69 @@ class TestCycleReference:
         samples = bif.cycle_amplitude(paper_within, spec, **kwargs)
         assert any(s.n_maxima >= 2 for s in samples)
         assert hexed(samples) == hexed(cycle_amplitude_loop(paper_within, spec, **kwargs))
+
+
+class TestHopfOracle:
+    """The sampler against the linearisation at the closed-form Hopf point,
+    computed from within_host.jacobian_fast and not from any orbit."""
+
+    # relaxation times 1/|Re lambda| a transient must cover before a column's
+    # fate is read: the distance to the equilibrium or to the cycle then
+    # falls by e^-5 or more
+    RELAXATION_TIMES = 5.0
+
+    @pytest.mark.parametrize("config", ["within_fig1.json", "within_fig2.json"])
+    def test_cycles_appear_only_on_the_unstable_side(self, config):
+        cfg = load_scenario(CONFIGS / config)
+        spec = dataclasses.replace(cfg.sweep, n=cfg.cycle_n)
+        samples = bif.cycle_amplitude(cfg.within, spec)
+        hopf_at = hopf_point(cfg.within, spec)
+        # a stable column whose transient spans RELAXATION_TIMES decay times
+        # has settled on its equilibrium; closer to the Hopf point a
+        # decaying spiral may still oscillate in the window (fig2 has one
+        # at W = 1.5385, just below W_H = 1.5472)
+        settled = -self.RELAXATION_TIMES / bif.CYCLE_TRANSIENT
+        stable_checked = past_hopf = 0
+        for s in samples:
+            p, W = spec.resolve(cfg.within, s.param)
+            if not wh.equilibria_fast(p, W).exists:
+                assert not s.oscillatory, s
+                continue
+            growth = leading_eigenvalue(cfg.within, spec, s.param).real
+            assert (growth > 0.0) == (s.param > hopf_at), s
+            if growth <= settled:
+                assert not s.oscillatory, s
+                stable_checked += 1
+            # a supercritical Hopf point: cycles lie past it, where the
+            # upper equilibrium is unstable
+            past_hopf += s.oscillatory and growth > 0.0
+        assert stable_checked > 0 and past_hopf > 0
+
+    def test_periods_tend_to_the_linear_period_at_the_hopf_point(self):
+        cfg = load_scenario(CONFIGS / "within_fig1.json")
+        params, h = cfg.within, bif.CYCLE_STEP
+        hopf_at = hopf_point(params, cfg.sweep)
+        period_h = 2.0 * math.pi / leading_eigenvalue(params, cfg.sweep, hopf_at).imag
+        assert period_h == pytest.approx(7.32, abs=5e-3)
+        # columns d, 2d, 3d, 4d past the Hopf point, with a transient of
+        # RELAXATION_TIMES growth times of the slowest one
+        d = 0.002
+        spec = dataclasses.replace(cfg.sweep, lo=hopf_at + d, hi=hopf_at + 4.0 * d, n=4)
+        growth = leading_eigenvalue(params, spec, hopf_at + d).real
+        transient = math.ceil(self.RELAXATION_TIMES / growth / h) * h
+        samples = bif.cycle_amplitude(params, spec, transient=transient)
+        assert all(s.oscillatory for s in samples)
+        t1, t2, _, t4 = (s.period for s in samples)
+        # the period grows smoothly with the distance past the Hopf point
+        assert period_h < t1 < t2 < t4
+        # each maximum of the sampled load sits on the step grid, within h/2
+        # of the orbit's own, so a period averaged over n - 1 cycles is off
+        # by at most h/(n - 1); the quadratic Richardson extrapolation to
+        # d = 0 weighs the three periods by 8/3, -6/3 and 1/3, so its bound
+        # is 5h/(n - 1), with the O(d^3) remainder left out
+        quantum = h / (min(s.n_maxima for s in samples) - 1)
+        extrapolated = (8.0 * t1 - 6.0 * t2 + t4) / 3.0
+        assert abs(extrapolated - period_h) <= 5.0 * quantum
 
 
 # a delta sweep holding the fold and the Hopf point; its four cycle columns

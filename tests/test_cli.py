@@ -285,6 +285,19 @@ class TestExitCodes:
         assert "numerical failure: manifold: " in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("rate", ["Lambda", "alpha"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_infection_run_returns_three(self, tmp_path, capsys, rate):
+        # the float-state integrator overflows to inf without raising or
+        # warning, halves its step to nothing and refuses the run
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        doc["within_host"][rate] = 1e300
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["within-sim", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: state blew up near t=0\n"
+        assert not (tmp_path / "nested").exists()
+
     def test_failed_run_leaves_a_populated_out_as_it_was(self, tmp_path):
         out = tmp_path / "out"
         shipped = str(CONFIGS / "within_sim.json")
@@ -309,6 +322,39 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
+
+    def test_plot_data_on_a_summary_that_is_not_json_returns_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        shipped = str(CONFIGS / "within_sim.json")
+        for command in ("within-sim", "manifold"):
+            assert cli.main([command, "--config", shipped, "--out", str(out)]) == 0
+        for text, message in [
+            ('{"subcommand": "manifold", ', "summary.json is not JSON"),
+            ("[1, 2]", "summary.json is not a JSON object"),
+            ('{"plot_data": 5}', "plot_data in "),
+        ]:
+            (out / "summary.json").write_text(text)
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert cli.main(["plot-data", "--out", str(out), "--figure", "fig3"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: plot-data: ") and message in err
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_plot_data_on_a_short_csv_row_returns_two(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "within_fig1.json").read_text())
+        doc["sweep"].update(n=10, cycle_n=2)
+        out = tmp_path / "out"
+        assert cli.main(["bifurcate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        branches = out / "branches.csv"
+        lines = branches.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:7])
+        branches.write_text("\n".join(lines) + "\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert cli.main(["plot-data", "--out", str(out), "--figure", "fig1"]) == 2
+        err = capsys.readouterr().err
+        assert "branches.csv line 4 has 7 cells, 8 are read" in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,18 +18,18 @@ from immunoepi.numerics import (
     find_root,
     integrate_ode,
     quadrature,
-    rk4_step,
+    rk4_stepper,
     simpson_coefficients,
 )
 from immunoepi.numerics import _dp45_step
-from immunoepi.within_host import WithinHostParams, vector_field
+from immunoepi.within_host import WithinHostParams, WithinHostState, rhs_full, vector_field
 
 from conftest import random_within
-from reference_loops import rk4_step_array
+from reference_loops import integrate_ode_array, rhs_full_array, rk4_step_array
 
 
 def decay(t, y):
-    return -y
+    return (-y[0],)
 
 
 class TestIntegrateOde:
@@ -38,16 +38,16 @@ class TestIntegrateOde:
         assert run.y[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_constant_field_is_identity(self):
-        run = integrate_ode(lambda t, y: 0.0 * y, [7.0], (0.0, 3.0))
+        run = integrate_ode(lambda t, y: (0.0 * y[0],), [7.0], (0.0, 3.0))
         assert np.all(run.y == 7.0)
 
     def test_fixed_step_fourth_order_convergence(self):
         errors = []
         for n in (10, 20):
-            h = 1.0 / n
             y = np.array([1.0])
-            for k in range(n):
-                y = rk4_step(decay, k * h, y, h)
+            step = rk4_stepper(lambda x, k: lambda: np.negative(x, k), y, 1.0 / n)
+            for _ in range(n):
+                step()
             errors.append(abs(y[0] - math.exp(-1.0)))
         assert errors[0] / errors[1] >= 8.0
 
@@ -70,10 +70,15 @@ class TestIntegrateOde:
 
     def test_nonfinite_state_detected(self):
         def breaks_down(t, y):
-            return np.full_like(y, np.nan) if t > 0.5 else -y
+            return (math.nan,) if t > 0.5 else (-y[0],)
 
         with pytest.raises(NonFiniteError):
             integrate_ode(breaks_down, [1.0], (0.0, 1.0))
+
+    @pytest.mark.parametrize("y0", [[], [[1.0]]])
+    def test_state_must_be_a_non_empty_vector(self, y0):
+        with pytest.raises(ValueError, match="one-dimensional and non-empty"):
+            integrate_ode(lambda t, y: y, y0, (0.0, 1.0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -117,69 +122,230 @@ def reference_dp45_step(rhs, t, y, h, k1=None):
         return y5, y5 - y4, k[6]
 
 
+def rk4_steps_array(field, y, h, n):
+    """n steps of the earlier array RK4 on the autonomous field(y)."""
+    for _ in range(n):
+        y = rk4_step_array(lambda t, x: field(x), 0.0, y, h)
+    return y
+
+
 class TestRk4Step:
     @given(
         y=st.floats(min_value=-20.0, max_value=20.0),
         rate=st.floats(min_value=-5.0, max_value=5.0),
         source=st.floats(min_value=-5.0, max_value=5.0),
         h=st.floats(min_value=1e-4, max_value=0.5),
+        n=st.integers(min_value=1, max_value=4),
     )
-    def test_float_state_matches_the_array_step_bit_for_bit(self, y, rate, source, h):
-        # a time-dependent scalar field: the stage times must match too
-        def field(t, y):
-            return source * math.cos(t) - rate * y * y
+    def test_float_state_matches_the_array_step_bit_for_bit(self, y, rate, source, h, n):
+        # one float, in the stepper's one-element buffer
+        def field_into(x, k):
+            def rhs():
+                np.multiply(rate, x, k)
+                np.multiply(k, x, k)
+                np.subtract(source, k, k)
 
-        got = rk4_step(field, 0.3, y, h)
-        want = rk4_step_array(
-            lambda t, y: np.array([field(t, float(y[0]))]), 0.3, np.array([y]), h
-        )
-        assert isinstance(got, float)
-        assert got.hex() == float(want[0]).hex()
+            return rhs
 
-    def test_one_block_component_matches_the_array_step_bit_for_bit(self):
-        # the cycle sampler's (2, m) block of (T, P) rows as the state
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            m = int(rng.integers(1, 40))
-            gam = rng.uniform(0.1, 2.0, size=m)
-            lam, mu, a = rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.5), rng.uniform(0.5, 2.0)
+        # several steps may overflow; the sampler steps under this errstate too
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = np.array([y])
+            step = rk4_stepper(field_into, state, h)
+            for _ in range(n):
+                step()
+            want = rk4_steps_array(lambda x: source - rate * x * x, np.array([y]), h, n)
+        assert float(state[0]).hex() == float(want[0]).hex()
 
-            def field(t, y):
-                T, P = y
-                infection = a * P * P * T
-                return np.array((lam - mu * T - infection, infection - gam * P))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 4))
+    def test_one_block_component_matches_the_array_step_bit_for_bit(self, seed, n):
+        # the cycle sampler's (2, m) block of (T, P) rows as the state,
+        # stepped n times through the same buffers
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 40))
+        gam = rng.uniform(0.1, 2.0, size=m)
+        lam, mu, a = rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.5), rng.uniform(0.5, 2.0)
 
-            y = rng.uniform(0.0, 5.0, size=(2, m))
-            h = float(rng.uniform(0.001, 0.1))
-            got = rk4_step(field, 0.0, y, h)
-            want = rk4_step_array(field, 0.0, y, h)
-            assert got.shape == (2, m)
-            assert got.tobytes() == want.tobytes()
+        def field(y):
+            T, P = y
+            infection = a * P * P * T
+            return np.array((lam - mu * T - infection, infection - gam * P))
+
+        def field_into(x, k):
+            def rhs():
+                k[...] = field(x)
+
+            return rhs
+
+        y = rng.uniform(0.0, 5.0, size=(2, m))
+        h = float(rng.uniform(0.001, 0.1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = y.copy()
+            step = rk4_stepper(field_into, state, h)
+            for _ in range(n):
+                step()
+            want = rk4_steps_array(field, y, h, n)
+        assert state.shape == (2, m)
+        assert state.tobytes() == want.tobytes()
+
+    def test_overflow_lands_as_in_the_array_step(self):
+        # a field that overflows within the step: inf and nan must land alike
+        def field_into(x, k):
+            return lambda: np.multiply(x, x, k)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = np.array([1e100, -1e200, 3.0, 0.0])
+            step = rk4_stepper(field_into, state, 0.5)
+            step()
+            want = rk4_step_array(lambda t, x: x * x, 0.0, np.array([1e100, -1e200, 3.0, 0.0]), 0.5)
+        assert not np.all(np.isfinite(state))
+        assert state.tobytes() == want.tobytes()
+
+
+def as_array_field(field):
+    """The tuple field ``field`` in the earlier array form."""
+    return lambda t, y: np.array(field(t, tuple(y.tolist())))
 
 
 class TestDormandPrinceStep:
     def test_explicit_stages_match_the_tableau_loop_bit_for_bit(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
-            rhs = vector_field(random_within(rng))
+            field = vector_field(random_within(rng))
+            rhs = as_array_field(field)
             y = rng.uniform(0.0, 3.0, size=3)
             t = float(rng.uniform(0.0, 100.0))
             h = float(10.0 ** rng.uniform(-4.0, 1.0))
             k1 = rhs(t, y) if rng.random() < 0.5 else None
-            got = _dp45_step(rhs, t, y, h, k1)
+            got = _dp45_step(field, t, tuple(y.tolist()), h, None if k1 is None else tuple(k1.tolist()))
             want = reference_dp45_step(rhs, t, y, h, k1)
             for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes()
+                assert np.array(a).tobytes() == b.tobytes()
 
     def test_overflowing_trial_step_matches_the_tableau_loop(self):
         # a huge step overflows the stages; inf and nan must land alike
-        rhs = vector_field(WithinHostParams(Lambda=1.0, mu=0.1, alpha=1.0, gamma=0.5, delta=0.3))
+        field = vector_field(WithinHostParams(Lambda=1.0, mu=0.1, alpha=1.0, gamma=0.5, delta=0.3))
         y = np.array([5.0, 40.0, 0.0])
-        got = _dp45_step(rhs, 0.0, y, 50.0)
-        want = reference_dp45_step(rhs, 0.0, y, 50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _dp45_step(field, 0.0, tuple(y.tolist()), 50.0)
+        want = reference_dp45_step(as_array_field(field), 0.0, y, 50.0)
         assert not np.all(np.isfinite(got[0]))
         for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+            assert np.array(a).tobytes() == b.tobytes()
+
+
+# the slow-clearance run of the benchmark's fig3: many rejected steps, and
+# the clearance event located on the step that crosses P = 1e-6
+SLOW_CLEARANCE = dict(
+    Lambda=4.0, mu=2.0, alpha=4.0, gamma=1.2, delta=1.2, epsilon=0.01, kappa=1.0, c=0.3
+)
+
+
+def counted(field, calls):
+    def rhs(t, y):
+        calls.append(t)
+        return field(t, y)
+
+    return rhs
+
+
+def run_both(params, y0, t_max, spec=None, event=None):
+    """The float-state and the earlier array integrator on the same within-host
+    run, each with its list of rhs evaluation times."""
+    got_calls, want_calls = [], []
+    got = integrate_ode(
+        counted(lambda t, y: rhs_full(y, params), got_calls), y0, (0.0, t_max), spec, event
+    )
+    want = integrate_ode_array(
+        counted(lambda t, y: rhs_full_array(y, params), want_calls), y0, (0.0, t_max), spec, event
+    )
+    return got, want, got_calls, want_calls
+
+
+def assert_same_run(got, want, got_calls, want_calls):
+    assert got.t.tobytes() == want.t.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.y.dtype == want.y.dtype and got.y.shape == want.y.shape
+    # the same trial steps, rejected ones and event root iterations included
+    assert np.array(got_calls).tobytes() == np.array(want_calls).tobytes()
+    if want.event_time is None:
+        assert got.event_time is None and got.event_state is None
+    else:
+        assert got.event_time.hex() == want.event_time.hex()
+        assert isinstance(got.event_state, np.ndarray)
+        assert got.event_state.tobytes() == want.event_state.tobytes()
+
+
+class TestIntegratorReference:
+    """The float-state integrator returns the earlier array integrator's run
+    bit for bit (reference_loops.integrate_ode_array)."""
+
+    @given(
+        rng=st.randoms(use_true_random=False),
+        level=st.floats(min_value=0.05, max_value=1.9).filter(lambda f: abs(f - 1.0) > 0.01),
+        rel_tol=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4]),
+        max_step=st.sampled_from([None, 0.5, 3.0]),
+    )
+    def test_within_host_runs_match_the_array_integrator(self, rng, level, rel_tol, max_step):
+        params = random_within(rng)
+        y0 = [rng.uniform(0.1, 5.0), rng.uniform(0.05, 3.0), rng.uniform(0.0, 3.0)]
+        spec = IntegratorSpec(rel_tol=rel_tol, abs_tol=1e-2 * rel_tol, max_step=max_step)
+        p_event = level * y0[1]
+        runs = run_both(
+            params, y0, rng.uniform(5.0, 150.0), spec, event=lambda t, y: y[1] - p_event
+        )
+        assert_same_run(*runs)
+
+    def test_slow_clearance_run_matches_with_rejections_and_its_event(self):
+        params = WithinHostParams(**SLOW_CLEARANCE)
+        got, want, got_calls, want_calls = run_both(
+            params, [1.0, 1.0, 0.0], 8000.0, event=lambda t, y: y[1] - 1e-6
+        )
+        assert_same_run(got, want, got_calls, want_calls)
+        assert got.event_time is not None
+        # FSAL: six evaluations per accepted step and one to start; more means
+        # rejected steps and the event's root iterations
+        assert len(got_calls) > 6 * (got.t.size - 1) + 1 + 50
+
+    def test_blow_up_raises_as_the_array_integrator_does(self):
+        # y' = y^2 from y = 1 leaves the float range before t = 1
+        def square(t, y):
+            return (y[0] * y[0],)
+
+        with pytest.raises(NonFiniteError) as want:
+            with np.errstate(over="ignore", invalid="ignore"):
+                integrate_ode_array(lambda t, y: y * y, [1.0], (0.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as got:
+                integrate_ode(square, [1.0], (0.0, 2.0))
+        assert str(got.value) == str(want.value)
+
+    def test_nan_field_raises_as_the_array_integrator_does(self):
+        def breaks_down(t, y):
+            return (math.nan,) if t > 0.5 else (-y[0],)
+
+        with pytest.raises(NonFiniteError) as want:
+            integrate_ode_array(
+                lambda t, y: np.array(breaks_down(t, tuple(y))), [1.0], (0.0, 1.0)
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as got:
+                integrate_ode(breaks_down, [1.0], (0.0, 1.0))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("rate", ["Lambda", "alpha"])
+    def test_overflowing_rates_raise_as_the_array_integrator_does(self, rate):
+        params = WithinHostParams(**{**SLOW_CLEARANCE, rate: 1e300})
+        y0 = WithinHostState(10.0, 0.5, 0.0).as_array()
+        with pytest.raises(NonFiniteError) as want:
+            integrate_ode_array(lambda t, y: rhs_full_array(y, params), y0, (0.0, 300.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as got:
+                integrate_ode(vector_field(params), y0, (0.0, 300.0))
+        assert str(got.value) == str(want.value)
 
 
 def reference_simpson_weights(a, b, n):
