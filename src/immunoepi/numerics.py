@@ -241,10 +241,10 @@ def integrate_ode(
     The state travels as a tuple of Python floats: ``rhs`` receives one and
     returns the derivative as a sequence of floats of the same length, and
     the event, when given, is a scalar function of (t, y); integration
-    stops at its first sign change, located by find_root on the bracketing
-    step. The returned Trajectory holds arrays. Raises NonFiniteError if
-    the state leaves the finite range and StepLimitError after MAX_STEPS
-    steps.
+    stops where it first falls from positive to zero or below, located by
+    find_root on the bracketing step. The returned Trajectory holds arrays.
+    Raises NonFiniteError if the state leaves the finite range and
+    StepLimitError after MAX_STEPS steps.
     """
     spec = spec or IntegratorSpec()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -296,7 +296,7 @@ def integrate_ode(
             t_new = t + h
             if event is not None:
                 e_new = event(t_new, y_new)
-                if _crossed(e_prev, e_new):
+                if e_prev > 0.0 and e_new <= 0.0:
                     t_ev, y_ev = _locate_event(rhs, event, t, y, t_new, y_new)
                     ts.append(t_ev)
                     ys.extend(y_ev)
@@ -315,14 +315,6 @@ def integrate_ode(
         if spec.max_step is not None:
             h = min(h, spec.max_step)
     return Trajectory(np.array(ts), np.array(ys).reshape(-1, n))
-
-
-def _crossed(e_prev, e_new):
-    if e_prev is None:
-        return False
-    if e_prev == 0.0:
-        return False
-    return e_prev * e_new <= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "CriticalLoci",
     "InfectionRun",
     "rhs_full",
-    "vector_field",
     "equilibria_fast",
     "jacobian_fast",
     "critical_loci",
@@ -125,16 +124,6 @@ def rhs_full(state: Sequence[float], params: WithinHostParams) -> tuple[float, f
     dP = infection - params.gamma * P - params.delta * P * W
     dW = params.epsilon * (params.kappa * P - params.c * W)
     return (dT, dP, dW)
-
-
-def vector_field(params: WithinHostParams):
-    """rhs callable in integrator form f(t, y): y a tuple of floats, and the
-    derivative a tuple."""
-
-    def f(t, y):
-        return rhs_full(y, params)
-
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +327,11 @@ def immune_growth_g(omega, params: WithinHostParams):
 class InfectionRun:
     """A full within-host trajectory with clearance bookkeeping.
 
-    ``recovery_time`` is the first time the pathogen load drops below
-    ``p_clear`` (None if it never does within t_max). ``fold_crossed``
-    records whether the immune status exceeded the fold value W_fold before
-    clearance, i.e. whether the run ended through the recovery jump rather
-    than a subthreshold fizzle.
+    ``recovery_time`` is the first time the pathogen load falls through
+    ``p_clear`` (None if it never does within t_max, or if the run starts
+    cleared). ``fold_crossed`` records whether the immune status reached or
+    exceeded the fold value W_fold, i.e. whether the run ended through the
+    recovery jump rather than a subthreshold fizzle.
     """
 
     t: np.ndarray
@@ -398,60 +387,38 @@ def simulate_infection(
     """Integrate the full system, stopping the infected phase at clearance.
 
     The infected phase runs numerics.integrate_ode on ``rhs_full``, with the
-    state a tuple of Python floats. After the pathogen falls below
-    ``p_clear`` the trajectory continues on the P = 0 branch, evaluated in
-    closed form: W decays as W' = -epsilon*c*W and target cells relax to
-    Lambda/mu. Zero initial load starts on that branch.
+    state a tuple of Python floats, until the pathogen load falls through
+    ``p_clear``. From there the trajectory continues on the P = 0 branch,
+    evaluated in closed form: W decays as W' = -epsilon*c*W and target cells
+    relax to Lambda/mu. Zero initial load starts on that branch at t = 0.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     spec = spec or IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10)
     w_fold = manifold_tip(params)[1]
-
-    if initial.P == 0.0:
-        y0 = initial.as_array()
-        tail_t, tail_y = _cleared_branch(params, 0.0, y0, t_max)
-        return InfectionRun(
-            t=np.concatenate([[0.0], tail_t]),
-            states=np.vstack([y0, tail_y]),
-            recovery_time=None,
-            recovery_state=None,
-            fold_crossed=initial.W > w_fold,
-            w_fold=w_fold,
-            p_clear=p_clear,
+    y0 = initial.as_array()
+    # a cleared start skips the infected phase and clears at t = 0
+    t, states, t_rec, state_rec = np.zeros(1), y0[np.newaxis], None, None
+    t_clear, state_clear = 0.0, y0
+    if initial.P > 0.0:
+        traj = integrate_ode(
+            lambda t, y: rhs_full(y, params), y0, (0.0, t_max), spec,
+            event=lambda t, y: y[1] - p_clear,
         )
-
-    def cleared(t, y):
-        return y[1] - p_clear
-
-    traj = integrate_ode(
-        vector_field(params), initial.as_array(), (0.0, t_max), spec, event=cleared
-    )
-    if traj.event_time is None:
-        return InfectionRun(
-            t=traj.t,
-            states=traj.y,
-            recovery_time=None,
-            recovery_state=None,
-            fold_crossed=bool(np.max(traj.y[:, 2]) >= w_fold),
-            w_fold=w_fold,
-            p_clear=p_clear,
-        )
-
-    t_rec = traj.event_time
-    state_rec = traj.event_state.copy()
-    fold_crossed = bool(np.max(traj.y[:, 2]) >= w_fold or initial.W >= w_fold)
-    ts, ys = traj.t, traj.y
-    if t_rec < t_max:
-        tail_t, tail_y = _cleared_branch(params, t_rec, state_rec, t_max)
-        ts = np.concatenate([ts, tail_t])
-        ys = np.vstack([ys, tail_y])
+        t, states = traj.t, traj.y
+        t_rec = t_clear = traj.event_time
+        state_rec = state_clear = traj.event_state
+    if t_clear is not None and t_clear < t_max:
+        tail_t, tail_y = _cleared_branch(params, t_clear, state_clear, t_max)
+        t = np.concatenate([t, tail_t])
+        states = np.vstack([states, tail_y])
     return InfectionRun(
-        t=ts,
-        states=ys,
-        recovery_time=float(t_rec),
+        t=t,
+        states=states,
+        recovery_time=t_rec,
         recovery_state=state_rec,
-        fold_crossed=fold_crossed,
+        # the cleared branch only lowers W
+        fold_crossed=bool(np.max(states[:, 2]) >= w_fold),
         w_fold=w_fold,
         p_clear=p_clear,
     )

@@ -63,7 +63,6 @@ from immunoepi.numerics import (
     RootBracket,
     StepLimitError,
     Trajectory,
-    _crossed,
     find_root,
 )
 
@@ -399,14 +398,19 @@ def locate_event_array(rhs, event, t_lo, y_lo, t_hi, y_hi):
     return t_ev, state_at(t_ev)
 
 
+def _crossed(e_prev, e_new):
+    """The event test: a fall from positive to zero or below."""
+    return e_prev > 0.0 and e_new <= 0.0
+
+
 def integrate_ode_array(rhs, y0, t_span, spec=None, event=None):
     """Integrate ``y' = rhs(t, y)`` over ``t_span``, stopping at an event zero.
 
     ``rhs`` must return a float ndarray shaped like ``y``. The event, when
-    given, is a scalar function of (t, y); integration stops at its first
-    sign change, located by find_root on the bracketing step. Raises
-    NonFiniteError if the state leaves the finite range and StepLimitError
-    after MAX_STEPS steps.
+    given, is a scalar function of (t, y); integration stops where it
+    first falls from positive to zero or below, located by find_root on the
+    bracketing step. Raises NonFiniteError if the state leaves the finite
+    range and StepLimitError after MAX_STEPS steps.
     """
     spec = spec or IntegratorSpec()
     t0, t1 = float(t_span[0]), float(t_span[1])

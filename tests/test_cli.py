@@ -4,14 +4,18 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from immunoepi import between_host, bifurcation, cli, numerics
+from immunoepi import between_host, bifurcation, cli, numerics, within_host
 from immunoepi.config import ConfigError, load_scenario
 from immunoepi.numerics import NumericsError
 
@@ -458,6 +462,62 @@ class TestNothingWrittenOnFailure:
         assert not (tmp_path / "nested").exists()
 
 
+# The numeric leaves of configs/within_sim.json, with p_clear added at its
+# default, and the values the contract test sets one of them to.
+WITHIN_SIM_LEAVES = (
+    *(("within_host", key) for key in (
+        "Lambda", "mu", "alpha", "gamma", "delta", "epsilon", "kappa", "c", "p_clear",
+    )),
+    *(("initial", index) for index in range(3)),
+    ("run", "t_max"),
+)
+EXTREME_VALUES = (0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf)
+# The horizon of every case but those that set t_max itself. A run that never
+# clears stops there after a few thousand steps, far inside the integrator's
+# 10^6-step budget. t_max = 1e300 keeps the shipped rates, which clear at
+# t = 677 and then follow the closed-form cleared branch.
+CONTRACT_T_MAX_CAP = 300.0
+
+
+def not_strict_json(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+class TestContractProperty:
+    """The CLI contract of within-sim and manifold for any one extreme leaf:
+    exit 0, 2 or 3; nothing written on 2 or 3; on 0, a strict-JSON summary
+    that its manifest lists with the right digest."""
+
+    @settings(max_examples=400)
+    @given(
+        command=st.sampled_from(["within-sim", "manifold"]),
+        leaf=st.sampled_from(WITHIN_SIM_LEAVES),
+        value=st.sampled_from(EXTREME_VALUES),
+    )
+    def test_one_extreme_leaf_keeps_the_contract(self, tmp_path, command, leaf, value):
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        doc["within_host"]["p_clear"] = within_host.P_CLEAR_DEFAULT
+        doc["run"]["t_max"] = CONTRACT_T_MAX_CAP
+        section, key = leaf
+        (doc["within_host"]["initial"] if section == "initial" else doc[section])[key] = value
+        case = Path(tempfile.mkdtemp(dir=tmp_path))
+        out = case / "out"
+        code = cli.main([command, "--config", write_config(case, doc), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert not out.exists()
+            return
+        json.loads((out / "summary.json").read_text(), parse_constant=not_strict_json)
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = {entry["name"]: entry for entry in manifest["files"]}
+        assert set(listed) == {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert "summary.json" in listed
+        for name, entry in listed.items():
+            data = (out / name).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+            assert entry["bytes"] == len(data)
+
+
 class TestCourantBound:
     """The transport solver checks the CFL bound on its own (refined) grid;
     subcommands that never build that grid ignore it."""
@@ -681,6 +741,21 @@ class TestEpiSimOutputs:
         summary = read_summary(out)
         assert summary["grid"]["n_omega"] == 100
         assert summary["grid"]["dt"] == 0.02
+
+
+class TestWithinSimClearance:
+    def test_a_load_rising_through_p_clear_is_not_a_clearance(self, tmp_path):
+        # from P = 0.08 the load rises through p_clear = 0.1 toward a peak
+        # near 9.6 and stays infected to t_max; only a fall through p_clear
+        # ends the infected phase
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        doc["within_host"].update(p_clear=0.1, initial=[10.0, 0.08, 0.0])
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["within-sim", "--config", config, "--out", str(out)]) == 0
+        assert read_summary(out)["recovery_time"] is None
+        P = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 2]
+        assert P.max() > 9.0
 
 
 class TestCsvWriter:

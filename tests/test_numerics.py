@@ -22,7 +22,7 @@ from immunoepi.numerics import (
     simpson_coefficients,
 )
 from immunoepi.numerics import _dp45_step
-from immunoepi.within_host import WithinHostParams, WithinHostState, rhs_full, vector_field
+from immunoepi.within_host import WithinHostParams, WithinHostState, rhs_full
 
 from conftest import random_within
 from reference_loops import integrate_ode_array, rhs_full_array, rk4_step_array
@@ -210,7 +210,8 @@ class TestDormandPrinceStep:
     def test_explicit_stages_match_the_tableau_loop_bit_for_bit(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
-            field = vector_field(random_within(rng))
+            params = random_within(rng)
+            field = lambda t, y: rhs_full(y, params)
             rhs = as_array_field(field)
             y = rng.uniform(0.0, 3.0, size=3)
             t = float(rng.uniform(0.0, 100.0))
@@ -223,7 +224,8 @@ class TestDormandPrinceStep:
 
     def test_overflowing_trial_step_matches_the_tableau_loop(self):
         # a huge step overflows the stages; inf and nan must land alike
-        field = vector_field(WithinHostParams(Lambda=1.0, mu=0.1, alpha=1.0, gamma=0.5, delta=0.3))
+        params = WithinHostParams(Lambda=1.0, mu=0.1, alpha=1.0, gamma=0.5, delta=0.3)
+        field = lambda t, y: rhs_full(y, params)
         y = np.array([5.0, 40.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -344,7 +346,7 @@ class TestIntegratorReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError) as got:
-                integrate_ode(vector_field(params), y0, (0.0, 300.0))
+                integrate_ode(lambda t, y: rhs_full(y, params), y0, (0.0, 300.0))
         assert str(got.value) == str(want.value)
 
 

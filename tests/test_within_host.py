@@ -322,6 +322,19 @@ class TestSimulateInfection:
         assert run.W[-1] < 1.0
         assert run.T[-1] == pytest.approx(10.0, rel=1e-3)
 
+    def test_a_start_at_the_fold_has_crossed_it(self, paper_within):
+        # fold_crossed is max W >= w_fold, for a cleared start as for an
+        # infected one; one ulp below, a cleared start (its W only decays)
+        # stays short of the fold
+        w_fold = wh.manifold_tip(paper_within)[1]
+        for P in (0.0, 0.5):
+            run = wh.simulate_infection(paper_within, wh.WithinHostState(1.0, P, w_fold), 50.0)
+            assert run.fold_crossed
+        below = np.nextafter(w_fold, 0.0)
+        run = wh.simulate_infection(paper_within, wh.WithinHostState(1.0, 0.0, below), 50.0)
+        assert not run.fold_crossed
+        assert run.W.max() == below
+
     def test_trajectories_stay_nonnegative(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
@@ -361,7 +374,7 @@ class TestClearedBranch:
         spec = IntegratorSpec(rel_tol=1e-12, abs_tol=1e-14)
         y, t_prev = state0, t0
         for t_k, expected in zip(t, states):
-            y = integrate_ode(wh.vector_field(params), y, (t_prev, t_k), spec).y[-1]
+            y = integrate_ode(lambda t, y: wh.rhs_full(y, params), y, (t_prev, t_k), spec).y[-1]
             t_prev = t_k
             assert y[1] == 0.0
             assert np.allclose(expected, y, rtol=1e-9, atol=0.0)
