@@ -36,7 +36,7 @@ import numpy as np
 
 from .coefficients import Coefficient
 from .errors import BracketError, PoleError, TransportBlowupError
-from .numerics import RootBracket, find_root, quadrature
+from .numerics import find_root, quadrature
 
 __all__ = [
     "BetweenHostParams",
@@ -45,8 +45,6 @@ __all__ = [
     "EpidemicRun",
     "RenewalRun",
     "StatusClock",
-    "PoleError",
-    "TransportBlowupError",
     "build_clock",
     "survival_pi",
     "r0",
@@ -72,6 +70,8 @@ TABLE_PANELS = 64
 KERNEL_TOTAL_PANELS = 256
 # delays per block of renewal-kernel Simpson rows
 KERNEL_BLOCK = 1024
+# the infection-free growth rate is sought below this bound
+LAMBDA_HAT_MAX = 1e6
 # real-axis endemic residual scan: rates on [0, SPECTRUM_SCAN_MAX], this far apart
 SPECTRUM_SCAN_MAX = 50.0
 SPECTRUM_SCAN_STEP = 1e-2
@@ -309,12 +309,13 @@ def r0_terms(params: BetweenHostParams) -> tuple[float, float]:
     return direct, environmental
 
 
-def dfe_lambda_hat(params: BetweenHostParams, lam_max: float = 1e6) -> float:
+def dfe_lambda_hat(params: BetweenHostParams) -> float:
     """Real root of the infection-free characteristic equation G(lam) = 1.
 
     G is strictly decreasing with limit 0, so the root is unique when it
     exists; its sign matches the sign of r0 - 1. Raises BracketError when
-    G stays below 1 on the admissible interval (lam > -sigma).
+    G stays above 1 up to LAMBDA_HAT_MAX or below 1 on the admissible
+    interval (lam > -sigma).
     """
     characteristic = _threshold_characteristic(params)
 
@@ -329,7 +330,7 @@ def dfe_lambda_hat(params: BetweenHostParams, lam_max: float = 1e6) -> float:
         lo, hi = 0.0, 1.0
         while f(hi) > 0:
             hi *= 2.0
-            if hi > lam_max:
+            if hi > LAMBDA_HAT_MAX:
                 raise BracketError("characteristic function stays above 1")
     else:
         hi = 0.0
@@ -341,7 +342,7 @@ def dfe_lambda_hat(params: BetweenHostParams, lam_max: float = 1e6) -> float:
             lo = -params.sigma + gap
             if gap < 1e-12 * params.sigma:
                 raise BracketError("characteristic function stays below 1 on (-sigma, 0]")
-    return find_root(f, RootBracket(lo, hi))
+    return find_root(f, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -841,24 +842,25 @@ class ResidualScan:
     roots: list[float]
 
 
-def endemic_spectrum_scan(
-    params: BetweenHostParams, lam_max: float = SPECTRUM_SCAN_MAX, step: float = SPECTRUM_SCAN_STEP
-) -> ResidualScan:
+def endemic_spectrum_scan(params: BetweenHostParams) -> ResidualScan:
     """Real-axis root scan of the endemic characteristic residual on
-    [0, lam_max]: sign changes are bracketed and refined. An empty root
-    list is the numerical witness that no real nonnegative growth rate
-    exists; complex roots are outside this check's scope.
+    [0, SPECTRUM_SCAN_MAX] at SPECTRUM_SCAN_STEP: neighbours of opposite
+    sign bracket a root, which is refined. Only the signs of the values are
+    multiplied, so no product overflows. An empty root list is the
+    numerical witness that no real nonnegative growth rate exists; complex
+    roots are outside this check's scope.
     """
     eq = endemic_equilibrium(params)
     if eq is None:
         raise ValueError("spectrum scan needs a reproduction number above 1")
     residual = endemic_char_residual(params, eq)
-    grid = np.arange(0.0, lam_max + 0.5 * step, step)
+    grid = np.arange(0.0, SPECTRUM_SCAN_MAX + 0.5 * SPECTRUM_SCAN_STEP, SPECTRUM_SCAN_STEP)
     values = np.array([residual(lam) for lam in grid])
+    signs = np.sign(values)
     roots = []
     for i in range(len(grid)):
         if values[i] == 0.0:
             roots.append(float(grid[i]))
-        elif i + 1 < len(grid) and values[i] * values[i + 1] < 0:
-            roots.append(find_root(residual, RootBracket(float(grid[i]), float(grid[i + 1]))))
+        elif i + 1 < len(grid) and signs[i] * signs[i + 1] < 0:
+            roots.append(find_root(residual, float(grid[i]), float(grid[i + 1])))
     return ResidualScan(lam=grid, residual=values, roots=roots)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import within_host as wh
-from .numerics import NonFiniteError, rk4_stepper
+from .errors import NonFiniteError
+from .numerics import rk4_stepper
 
 __all__ = [
     "SweepSpec",
@@ -31,6 +32,8 @@ __all__ = [
 
 # A sampled orbit counts as oscillatory only above this relative amplitude.
 CYCLE_AMPLITUDE_TOL = 1e-4
+# Orbits whose load stays below this count as collapsed.
+CYCLE_COLLAPSE_LEVEL = 1e-6
 # Periods beyond this flag an approach to the homoclinic collision.
 HOMOCLINIC_PERIOD = 1e3
 # Cycle sampling: transient and sampling-window lengths and the RK4 step.
@@ -39,6 +42,8 @@ CYCLE_WINDOW = 400.0
 CYCLE_STEP = 0.02
 # Transient steps between two finiteness checks of the cycle orbits.
 CYCLE_CHECK_STEPS = 1000
+# A delta sweep evaluates delta = 0 at this floor.
+DELTA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,11 +77,10 @@ class SweepSpec:
         return np.linspace(self.lo, self.hi, self.n)
 
     def resolve(self, params: wh.WithinHostParams, value: float) -> tuple[wh.WithinHostParams, float]:
-        """Parameter set and frozen W for one sweep value."""
+        """Parameter set and frozen W for one sweep value; delta is floored
+        at DELTA_FLOOR."""
         if self.which == "delta":
-            if value <= 0:
-                raise ValueError("delta must be positive")
-            return replace(params, delta=float(value)), float(self.W)
+            return replace(params, delta=max(float(value), DELTA_FLOOR)), float(self.W)
         return params, float(value)
 
 
@@ -182,7 +186,7 @@ def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
     # the same branch and refuses them with NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
         for value in spec.values():
-            p, W = spec.resolve(params, max(value, 1e-12) if spec.which == "delta" else value)
+            p, W = spec.resolve(params, value)
             eq = wh.equilibria_fast(p, W)
             T0, P0 = eq.trivial
             trivial.append(_point(float(value), T0, P0, p, W))
@@ -240,7 +244,6 @@ def cycle_amplitude(
     transient: float = CYCLE_TRANSIENT,
     window: float = CYCLE_WINDOW,
     step: float = CYCLE_STEP,
-    collapse_level: float = 1e-6,
 ) -> list[CycleSample]:
     """Sample the frozen-W fast flow at each sweep value.
 
@@ -258,7 +261,7 @@ def cycle_amplitude(
     values = spec.values()
     rows: list[tuple[float, float, float, float]] = []  # value, Gamma, T0, P0
     for value in values:
-        p, W = spec.resolve(params, max(value, 1e-12) if spec.which == "delta" else value)
+        p, W = spec.resolve(params, value)
         eq = wh.equilibria_fast(p, W)
         if eq.exists:
             T0, P0 = eq.upper[0], eq.upper[1] * 1.05
@@ -345,7 +348,7 @@ def cycle_amplitude(
         oscillatory = bool(
             max_count[j] >= 3 and amp > CYCLE_AMPLITUDE_TOL * max(1.0, abs(p_max[j]))
         )
-        collapsed = bool(p_max[j] < collapse_level)
+        collapsed = bool(p_max[j] < CYCLE_COLLAPSE_LEVEL)
         period = None
         if oscillatory and max_count[j] >= 2:
             period = float((last_max[j] * step - first_max[j] * step) / (max_count[j] - 1))

@@ -40,7 +40,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -54,7 +54,7 @@ if TYPE_CHECKING:
     from . import between_host, bifurcation
     from .config import ScenarioConfig
 
-__all__ = ["main", "run", "load_scenario", "RunOutput"]
+__all__ = ["main", "run", "load_scenario"]
 
 log = logging.getLogger("immunoepi")
 
@@ -62,14 +62,6 @@ log = logging.getLogger("immunoepi")
 # hash's working memory is bounded by these, not by the file size
 CSV_BLOCK = 16384
 HASH_CHUNK = 1 << 20
-
-
-@dataclass
-class RunOutput:
-    """What a subcommand produced: directory and file checksums."""
-
-    out_dir: Path
-    files: dict[str, str]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +363,9 @@ def _matched_history(cfg: ScenarioConfig):
     at time -G(omega) that survived to status omega. Inverting the survival
     factor and holding S at its initial value before time zero gives
     F(-theta) = phi(w(theta)) / (pi(w(theta)) * S0) for theta within the
-    travel time to recovery, zero earlier.
+    travel time to recovery, zero earlier. Where the survival factor has
+    underflowed to zero the history is not finite, and NonFiniteError
+    refuses it before the renewal loop starts.
     """
     import numpy as np
 
@@ -387,8 +381,11 @@ def _matched_history(cfg: ScenarioConfig):
         s = np.asarray(s, dtype=float)
         theta = np.clip(-s, 0.0, None)
         w = clock.status_at(np.minimum(theta, total))
-        vals = phi(w) / (between_host.survival_pi(w, params) * s0)
-        return np.where(theta <= total, vals, 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = np.where(theta <= total, phi(w) / (between_host.survival_pi(w, params) * s0), 0.0)
+        if not np.isfinite(vals).all():
+            raise NonFiniteError("renewal: the history matched to run.initial.I is not finite")
+        return vals
 
     return history
 
@@ -590,7 +587,7 @@ _COMMANDS = {
 }
 
 
-def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> RunOutput:
+def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> None:
     """Dispatch one subcommand; raises ConfigError / NumericsError on failure.
 
     The one place that knows what every run shares: the --grid-refine
@@ -640,7 +637,7 @@ def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> 
         "note": "manifest.json is excluded from its own listing",
     }
     _write(out_dir / "manifest.json", [_json_text("manifest.json", manifest)])
-    return RunOutput(out_dir=out_dir, files=digests)
+    log.info("wrote %d files to %s", len(digests), out_dir)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -677,14 +674,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        output = run(args.command, args.config, args.out, args)
+        run(args.command, args.config, args.out, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    log.info("wrote %d files to %s", len(output.files), output.out_dir)
     return 0
 
 

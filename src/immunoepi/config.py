@@ -29,7 +29,7 @@ from .between_host import COEFFICIENT_FIELDS, BetweenHostParams
 from .coefficients import Coefficient
 from .errors import ConfigError
 
-__all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "resolve_coefficient"]
+__all__ = ["ScenarioConfig", "load_scenario", "resolve_coefficient"]
 
 
 _SECTIONS = {"within_host", "sweep", "between_host", "functions", "grid", "run"}

@@ -2,8 +2,9 @@
 
 ``ConfigError`` is an invalid scenario document or argument (CLI exit 2);
 ``NumericsError`` and its subclasses are numerical failures (CLI exit 3).
-The command line catches them without importing the numeric modules, and
-``config``, ``numerics`` and ``between_host`` raise them from here.
+The command line catches them without importing the numeric modules.
+Every module that raises or catches one imports it from here; no other
+module re-exports them.
 """
 
 __all__ = [

@@ -17,6 +17,10 @@ structured epidemic solver) is built on the operations in this module:
 * ``find_root`` -- bracketed scalar root solve by Brent's method, in the
   form and with the stopping rule of scipy's ``brentq``, plus explicit
   bracket validation. The package needs numpy only.
+
+The settings no caller changes are module constants: the integrator's
+tolerances RTOL and ATOL, its step budget, and Brent's stopping rule. The
+exceptions raised here are defined in ``errors``.
 """
 
 from __future__ import annotations
@@ -29,22 +33,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    NonFiniteError,
-    NumericsError,
-    StepLimitError,
-)
+from .errors import BracketError, ConvergenceError, NonFiniteError, StepLimitError
 
 __all__ = [
-    "NumericsError",
-    "NonFiniteError",
-    "StepLimitError",
-    "BracketError",
-    "ConvergenceError",
-    "IntegratorSpec",
-    "RootBracket",
     "Trajectory",
     "integrate_ode",
     "rk4_stepper",
@@ -53,6 +44,9 @@ __all__ = [
     "find_root",
 ]
 
+# Relative and absolute error tolerances of each integrate_ode step.
+RTOL = 1e-8
+ATOL = 1e-10
 # Event times are located to this relative tolerance on the bracketing step.
 EVENT_RELATIVE_TOL = 1e-10
 # Step budget of one integrate_ode call, rejected steps included.
@@ -61,43 +55,6 @@ MAX_STEPS = 1_000_000
 # default), and a solve may take this many iterations.
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 BRENT_MAXITER = 200
-
-
-# ---------------------------------------------------------------------------
-# specs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntegratorSpec:
-    """Configuration for ``integrate_ode``.
-
-    The embedded 5(4) pair is controlled by ``rel_tol``/``abs_tol``.
-    ``max_step`` caps the step so output stays dense enough to resolve
-    oscillations when the caller needs that.
-    """
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    max_step: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_step is not None and not self.max_step > 0:
-            raise ValueError("max_step must be positive when given")
-
-
-@dataclass(frozen=True)
-class RootBracket:
-    """An interval [lo, hi] expected to bracket a sign change."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +182,7 @@ def _locate_event(rhs, event, t_lo, y_lo, t_hi, y_hi):
         return y_hi if t == t_hi else _dp45_step(rhs, t_lo, y_lo, t - t_lo, k1)[0]
 
     tol = EVENT_RELATIVE_TOL * max(1.0, abs(t_hi))
-    t_ev = find_root(lambda t: event(t, state_at(t)), RootBracket(t_lo, t_hi), tol=tol)
+    t_ev = find_root(lambda t: event(t, state_at(t)), t_lo, t_hi, tol=tol)
     return t_ev, state_at(t_ev)
 
 
@@ -233,7 +190,6 @@ def integrate_ode(
     rhs: Callable[[float, tuple[float, ...]], Sequence[float]],
     y0: Sequence[float] | np.ndarray,
     t_span: tuple[float, float],
-    spec: IntegratorSpec | None = None,
     event: Callable[[float, tuple[float, ...]], float] | None = None,
 ) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` over ``t_span``, stopping at an event zero.
@@ -242,11 +198,11 @@ def integrate_ode(
     returns the derivative as a sequence of floats of the same length, and
     the event, when given, is a scalar function of (t, y); integration
     stops where it first falls from positive to zero or below, located by
-    find_root on the bracketing step. The returned Trajectory holds arrays.
+    find_root on the bracketing step. Steps are accepted to the tolerances
+    RTOL and ATOL, read at call time. The returned Trajectory holds arrays.
     Raises NonFiniteError if the state leaves the finite range and
     StepLimitError after MAX_STEPS steps.
     """
-    spec = spec or IntegratorSpec()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t_end > t_start")
@@ -255,7 +211,7 @@ def integrate_ode(
         raise ValueError("y0 must be one-dimensional and non-empty")
     y = tuple(y_arr.tolist())
     n = len(y)
-    abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
+    abs_tol, rel_tol = ATOL, RTOL
     isfinite = math.isfinite
 
     # accepted states, flattened: no tuple is kept per sample
@@ -265,8 +221,6 @@ def integrate_ode(
 
     t = t0
     h = (t1 - t0) / 100.0
-    if spec.max_step is not None:
-        h = min(h, spec.max_step)
     k_carry = None
     steps = 0
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
@@ -312,8 +266,6 @@ def integrate_ode(
             k_carry = None
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-        if spec.max_step is not None:
-            h = min(h, spec.max_step)
     return Trajectory(np.array(ts), np.array(ys).reshape(-1, n))
 
 
@@ -364,18 +316,16 @@ def quadrature(values, length):
 # ---------------------------------------------------------------------------
 
 
-def find_root(
-    f: Callable[[float], float],
-    bracket: RootBracket,
-    tol: float = 1e-12,
-) -> float:
-    """Bracketed scalar root of ``f`` to interval width ``tol`` (Brent).
+def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
+    """Root of ``f`` on the bracket [lo, hi] to interval width ``tol`` (Brent).
 
-    Raises NonFiniteError on a non-finite endpoint value, BracketError when
-    the endpoints share a sign, and ConvergenceError when a value turns NaN
-    mid-solve or the iteration budget runs out.
+    Raises ValueError unless lo < hi, NonFiniteError on a non-finite
+    endpoint value, BracketError when the endpoints share a sign, and
+    ConvergenceError when a value turns NaN mid-solve or the iteration
+    budget runs out.
     """
-    lo, hi = bracket.lo, bracket.hi
+    if not lo < hi:
+        raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
     if not (np.isfinite(flo) and np.isfinite(fhi)):
         raise NonFiniteError("non-finite endpoint evaluation")

@@ -17,13 +17,15 @@ cleared after the fold) are all computed here.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .numerics import IntegratorSpec, RootBracket, find_root, integrate_ode
+from .errors import NonFiniteError
+from .numerics import find_root, integrate_ode
 
 __all__ = [
     "WithinHostParams",
@@ -243,7 +245,7 @@ def critical_loci(params: WithinHostParams) -> CriticalLoci:
     peak = k3 / float(np.cbrt(4.0))
     hopf: tuple[float, ...] = ()
     if trace_condition(peak) > 0.0:
-        G = find_root(trace_condition, RootBracket(peak, 2.0 * k3), tol=1e-14)
+        G = find_root(trace_condition, peak, 2.0 * k3, tol=1e-14)
         hopf = (G,) if G > 2.0 * mu else ()
     return CriticalLoci(Gamma_fold=float(Gamma_fold), hopf=hopf)
 
@@ -267,9 +269,23 @@ def slow_manifold_W(P, params: WithinHostParams):
 
 
 def manifold_tip(params: WithinHostParams) -> tuple[float, float]:
-    """Fold point of the manifold: (P_tip, W_max) with P_tip = sqrt(mu/alpha)."""
-    P_tip = float(np.sqrt(params.mu / params.alpha))
-    return P_tip, float(slow_manifold_W(P_tip, params))
+    """Fold point of the manifold: (P_tip, W_max) with P_tip = sqrt(mu/alpha)
+    and W_max = phi(P_tip), in slow_manifold_W's operation order.
+
+    Python floats overflow to inf without a warning. W_max = -inf, a fold
+    below every status, is returned as it is; a tip load that is not finite
+    or a W_max that is NaN or +inf raises NonFiniteError.
+    """
+    a, mu, d = params.alpha, params.mu, params.delta
+    P_tip = math.sqrt(mu / a)
+    try:
+        W_max = -params.gamma / d + a * params.Lambda * P_tip / (d * (a * P_tip * P_tip + mu))
+    except ZeroDivisionError:
+        # the denominator underflowed to zero under a positive numerator
+        W_max = math.inf
+    if not (math.isfinite(P_tip) and W_max < math.inf):
+        raise NonFiniteError(f"manifold tip (P, W) = ({P_tip!r}, {W_max!r}) is not finite")
+    return P_tip, W_max
 
 
 def w_nullcline(P, params: WithinHostParams):
@@ -327,6 +343,7 @@ def immune_growth_g(omega, params: WithinHostParams):
 class InfectionRun:
     """A full within-host trajectory with clearance bookkeeping.
 
+    ``states`` holds one (T, P, W) row per time in ``t``.
     ``recovery_time`` is the first time the pathogen load falls through
     ``p_clear`` (None if it never does within t_max, or if the run starts
     cleared). ``fold_crossed`` records whether the immune status reached or
@@ -341,18 +358,6 @@ class InfectionRun:
     fold_crossed: bool
     w_fold: float
     p_clear: float
-
-    @property
-    def T(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def P(self) -> np.ndarray:
-        return self.states[:, 1]
-
-    @property
-    def W(self) -> np.ndarray:
-        return self.states[:, 2]
 
 
 def _cleared_branch(
@@ -381,7 +386,6 @@ def simulate_infection(
     params: WithinHostParams,
     initial: WithinHostState,
     t_max: float,
-    spec: IntegratorSpec | None = None,
     p_clear: float = P_CLEAR_DEFAULT,
 ) -> InfectionRun:
     """Integrate the full system, stopping the infected phase at clearance.
@@ -394,7 +398,6 @@ def simulate_infection(
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    spec = spec or IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10)
     w_fold = manifold_tip(params)[1]
     y0 = initial.as_array()
     # a cleared start skips the infected phase and clears at t = 0
@@ -402,7 +405,7 @@ def simulate_infection(
     t_clear, state_clear = 0.0, y0
     if initial.P > 0.0:
         traj = integrate_ode(
-            lambda t, y: rhs_full(y, params), y0, (0.0, t_max), spec,
+            lambda t, y: rhs_full(y, params), y0, (0.0, t_max),
             event=lambda t, y: y[1] - p_clear,
         )
         t, states = traj.t, traj.y

@@ -15,19 +15,15 @@ sampler independent of its orbits.
 """
 
 from typing import Callable, Sequence
+from unittest import mock
 
 import numpy as np
 
 from immunoepi import between_host as bh
+from immunoepi import numerics
 from immunoepi import within_host as wh
-from immunoepi.numerics import (
-    BracketError,
-    IntegratorSpec,
-    RootBracket,
-    Trajectory,
-    find_root,
-    integrate_ode,
-)
+from immunoepi.errors import BracketError
+from immunoepi.numerics import Trajectory, find_root, integrate_ode
 
 
 def infected_mass(state: bh.StructuredState, omega0: float) -> float:
@@ -158,7 +154,7 @@ def trace_roots_np(params: wh.WithinHostParams) -> list[float]:
                 break
             width *= 2.0
         try:
-            G = find_root(trace_condition, RootBracket(g0 - width, g0 + width), tol=1e-14)
+            G = find_root(trace_condition, g0 - width, g0 + width, tol=1e-14)
         except BracketError:
             G = g0
         roots.append(G)
@@ -169,12 +165,14 @@ def integrate_slow_reduced(
     params: wh.WithinHostParams,
     W0: float,
     tau_span: tuple[float, float],
-    spec: IntegratorSpec | None = None,
 ) -> Trajectory:
     """Reduced slow flow on the infected branch, dW/dtau = kappa*P_plus(W) - c*W.
 
     tau is slow time (tau = epsilon * t). Stops early at the fold if the
-    branch is left. The singular-limit oracle for full simulations.
+    branch is left. The singular-limit oracle for full simulations,
+    integrated at RTOL 1e-10 and ATOL 1e-12 piece by piece, each piece at
+    most max(1e-3, 0.002*span) long, so the samples are dense: callers
+    interpolate this trajectory linearly.
     """
     _, W_max = wh.manifold_tip(params)
 
@@ -185,11 +183,17 @@ def integrate_slow_reduced(
     def at_fold(tau, y):
         return W_max - y[0]
 
-    if spec is None:
-        # dense samples: callers interpolate this trajectory linearly
-        span = tau_span[1] - tau_span[0]
-        spec = IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12, max_step=max(1e-3, 0.002 * span))
-    return integrate_ode(f, [W0], tau_span, spec, event=at_fold)
+    span = tau_span[1] - tau_span[0]
+    ends = np.linspace(*tau_span, int(np.ceil(span / max(1e-3, 0.002 * span))) + 1)
+    ts, ws = [ends[0]], [W0]
+    with mock.patch.multiple(numerics, RTOL=1e-10, ATOL=1e-12):
+        for start, end in zip(ends[:-1], ends[1:]):
+            piece = integrate_ode(f, [ws[-1]], (start, end), event=at_fold)
+            ts.extend(piece.t[1:].tolist())
+            ws.extend(piece.y[1:, 0].tolist())
+            if piece.event_time is not None:
+                break
+    return Trajectory(np.array(ts), np.array(ws)[:, None], piece.event_time, piece.event_state)
 
 
 def leading_eigenvalue(params: wh.WithinHostParams, spec, value: float) -> complex:

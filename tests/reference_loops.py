@@ -40,12 +40,12 @@ from immunoepi.between_host import (
     EpidemicRun,
     RenewalRun,
     StructuredState,
-    TransportBlowupError,
     renewal_kernel_A,
 )
 from immunoepi.bifurcation import (
     CYCLE_AMPLITUDE_TOL,
     CYCLE_CHECK_STEPS,
+    CYCLE_COLLAPSE_LEVEL,
     CYCLE_STEP,
     CYCLE_TRANSIENT,
     CYCLE_WINDOW,
@@ -58,13 +58,10 @@ from immunoepi.numerics import (
     _A64, _A65, _A71, _A72, _A73, _A74, _A75, _A76, _B1, _B3, _B4, _B5, _B6, _B7,
     _C2, _C3, _C4, _C5,
     EVENT_RELATIVE_TOL,
-    IntegratorSpec,
-    NonFiniteError,
-    RootBracket,
-    StepLimitError,
     Trajectory,
     find_root,
 )
+from immunoepi.errors import NonFiniteError, StepLimitError, TransportBlowupError
 
 
 def rk4_step_array(rhs, t, y, h):
@@ -236,7 +233,6 @@ def cycle_amplitude_loop(
     transient: float = CYCLE_TRANSIENT,
     window: float = CYCLE_WINDOW,
     step: float = CYCLE_STEP,
-    collapse_level: float = 1e-6,
 ) -> list[CycleSample]:
     """Sample the frozen-W fast flow at each sweep value.
 
@@ -311,7 +307,7 @@ def cycle_amplitude_loop(
         oscillatory = bool(
             max_count[j] >= 3 and amp > CYCLE_AMPLITUDE_TOL * max(1.0, abs(p_max[j]))
         )
-        collapsed = bool(p_max[j] < collapse_level)
+        collapsed = bool(p_max[j] < CYCLE_COLLAPSE_LEVEL)
         period = None
         if oscillatory and max_count[j] >= 2:
             period = float((last_max_t[j] - first_max_t[j]) / (max_count[j] - 1))
@@ -394,7 +390,7 @@ def locate_event_array(rhs, event, t_lo, y_lo, t_hi, y_hi):
         return y_hi if t == t_hi else dp45_step_array(rhs, t_lo, y_lo, t - t_lo, k1)[0]
 
     tol = EVENT_RELATIVE_TOL * max(1.0, abs(t_hi))
-    t_ev = find_root(lambda t: event(t, state_at(t)), RootBracket(t_lo, t_hi), tol=tol)
+    t_ev = find_root(lambda t: event(t, state_at(t)), t_lo, t_hi, tol=tol)
     return t_ev, state_at(t_ev)
 
 
@@ -403,16 +399,17 @@ def _crossed(e_prev, e_new):
     return e_prev > 0.0 and e_new <= 0.0
 
 
-def integrate_ode_array(rhs, y0, t_span, spec=None, event=None):
+def integrate_ode_array(rhs, y0, t_span, event=None):
     """Integrate ``y' = rhs(t, y)`` over ``t_span``, stopping at an event zero.
 
     ``rhs`` must return a float ndarray shaped like ``y``. The event, when
     given, is a scalar function of (t, y); integration stops where it
     first falls from positive to zero or below, located by find_root on the
-    bracketing step. Raises NonFiniteError if the state leaves the finite
-    range and StepLimitError after MAX_STEPS steps.
+    bracketing step. Steps are accepted to the package's tolerances
+    numerics.RTOL and numerics.ATOL, read at call time. Raises
+    NonFiniteError if the state leaves the finite range and StepLimitError
+    after MAX_STEPS steps.
     """
-    spec = spec or IntegratorSpec()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t_end > t_start")
@@ -426,8 +423,6 @@ def integrate_ode_array(rhs, y0, t_span, spec=None, event=None):
 
     t = t0
     h = (t1 - t0) / 100.0
-    if spec.max_step is not None:
-        h = min(h, spec.max_step)
     k_carry = None
     steps = 0
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
@@ -443,7 +438,7 @@ def integrate_ode_array(rhs, y0, t_span, spec=None, event=None):
                 raise NonFiniteError(f"state blew up near t={t:.6g}")
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = spec.abs_tol + spec.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            scale = numerics.ATOL + numerics.RTOL * np.maximum(np.abs(y), np.abs(y_new))
             err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
         if not np.isfinite(err_norm):
             h *= 0.5
@@ -467,6 +462,4 @@ def integrate_ode_array(rhs, y0, t_span, spec=None, event=None):
             k_carry = None
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-        if spec.max_step is not None:
-            h = min(h, spec.max_step)
     return Trajectory(np.array(ts), np.array(ys))

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from immunoepi import between_host as bh
 from immunoepi import coefficients as coef
-from immunoepi.numerics import BracketError, NumericsError, quadrature
+from immunoepi.errors import BracketError, NumericsError, TransportBlowupError
+from immunoepi.numerics import quadrature
 
 from conftest import linked_params, make_between
 from oracles import (
@@ -140,7 +141,9 @@ class TestStatusClock:
         p = make_between(0.2, 0.0)
         bh.r0(p)
         bh.endemic_equilibrium(p)
-        bh.endemic_spectrum_scan(p, lam_max=1.0, step=0.25)
+        monkeypatch.setattr(bh, "SPECTRUM_SCAN_MAX", 1.0)
+        monkeypatch.setattr(bh, "SPECTRUM_SCAN_STEP", 0.25)
+        bh.endemic_spectrum_scan(p)
         # memory window a_bar + travel time = 35 is 70 steps of 0.5
         bh.simulate_renewal(p, lambda s: np.full_like(s, 0.01), 10.0, 1.0, 0.5)
         assert calls == [p]
@@ -388,7 +391,7 @@ class TestSimulateEpidemic:
         # state (one step) or the step check (later NaN) refuses the run
         params = make_between(0.2, 0.05, r=r)
         init = bh.StructuredState(S=1.0, I=np.exp(-0.5 * np.linspace(0.0, 5.0, 51)), V=0.0, B=0.0)
-        with pytest.raises(bh.TransportBlowupError, match="non-finite"), np.errstate(all="ignore"):
+        with pytest.raises(TransportBlowupError, match="non-finite"), np.errstate(all="ignore"):
             bh.simulate_epidemic(params, init, t_max=t_max, n_omega=50, dt=0.05)
 
     def test_records_follow_the_output_stride(self, direct_params):
@@ -494,14 +497,14 @@ class TestRenewalReference:
     def test_non_finite_history_fails_in_both_loops(self, direct_params):
         nan_history = lambda s: np.full_like(np.asarray(s, dtype=float), np.nan)
         for loop in (bh.simulate_renewal, simulate_renewal_array):
-            with pytest.raises(bh.TransportBlowupError, match="non-finite"):
+            with pytest.raises(TransportBlowupError, match="non-finite"):
                 loop(direct_params, nan_history, S0=10.0, t_max=1.0, dt=0.5)
 
     def test_lost_diagonal_dominance_fails_in_both_loops(self, direct_params):
         # anchor = 0.5*dt*A(0) = 0.05: S near 100 makes 1 - anchor*S negative
         history = decaying_history(direct_params, 100.0)
         for loop in (bh.simulate_renewal, simulate_renewal_array):
-            with pytest.raises(bh.TransportBlowupError, match="diagonal dominance"):
+            with pytest.raises(TransportBlowupError, match="diagonal dominance"):
                 loop(direct_params, history, S0=100.0, t_max=1.0, dt=0.5)
 
 
@@ -541,7 +544,7 @@ class TestRenewalForm:
 
     def test_non_finite_history_is_a_blowup(self, direct_params):
         nan_history = lambda s: np.full_like(np.asarray(s, dtype=float), np.nan)
-        with pytest.raises(bh.TransportBlowupError, match="non-finite"):
+        with pytest.raises(TransportBlowupError, match="non-finite"):
             bh.simulate_renewal(direct_params, nan_history, S0=10.0, t_max=1.0, dt=0.5)
 
     def test_rejects_misaligned_memory_window(self, direct_params):
@@ -594,9 +597,11 @@ class TestEndemicSpectrum:
         with pytest.raises(ValueError, match="reproduction"):
             bh.endemic_spectrum_scan(make_between(0.5 * 0.1 / J_REF, 0.0))
 
-    def test_no_nonnegative_real_roots_at_the_reference_sets(self, direct_params, env_params):
-        assert bh.endemic_spectrum_scan(direct_params, lam_max=10.0, step=0.05).roots == []
-        assert bh.endemic_spectrum_scan(env_params, lam_max=10.0, step=0.05).roots == []
+    def test_no_nonnegative_real_roots_at_the_reference_sets(self, direct_params, env_params, monkeypatch):
+        monkeypatch.setattr(bh, "SPECTRUM_SCAN_MAX", 10.0)
+        monkeypatch.setattr(bh, "SPECTRUM_SCAN_STEP", 0.05)
+        assert bh.endemic_spectrum_scan(direct_params).roots == []
+        assert bh.endemic_spectrum_scan(env_params).roots == []
 
 
 def unhoisted_residual(lam, params):
@@ -637,8 +642,10 @@ class TestHoistedResidual:
         ],
         ids=["reduced", "environmental", "recycling", "linked", "linked-recycling"],
     )
-    def test_scan_equals_pointwise_residuals_exactly(self, params):
-        scan = bh.endemic_spectrum_scan(params, lam_max=5.0, step=0.125)
+    def test_scan_equals_pointwise_residuals_exactly(self, params, monkeypatch):
+        monkeypatch.setattr(bh, "SPECTRUM_SCAN_MAX", 5.0)
+        monkeypatch.setattr(bh, "SPECTRUM_SCAN_STEP", 0.125)
+        scan = bh.endemic_spectrum_scan(params)
         assert scan.lam.size == 41
         residual = bh.endemic_char_residual(params, bh.endemic_equilibrium(params))
         for lam, value in zip(scan.lam, scan.residual):

@@ -14,7 +14,8 @@ from immunoepi import bifurcation as bif
 from immunoepi import cli
 from immunoepi import within_host as wh
 from immunoepi.config import load_scenario
-from immunoepi.numerics import IntegratorSpec, integrate_ode
+from immunoepi.errors import NonFiniteError
+from immunoepi.numerics import integrate_ode
 
 from conftest import random_within
 from oracles import fast_rhs, hopf_point, leading_eigenvalue
@@ -251,7 +252,6 @@ class TestStabilityAgainstFlow:
                 lambda t, y: fast_rhs(y, p, W).tolist(),
                 eq + 1e-3,
                 (0.0, 300.0),
-                IntegratorSpec(max_step=0.5),
             )
             dist = np.linalg.norm(traj.y - eq, axis=1)
             if pt.stability.startswith("stable"):
@@ -300,7 +300,7 @@ class TestCycleAmplitude:
 
         monkeypatch.setattr(bif, "rk4_stepper", counting)
         params = dataclasses.replace(paper_within, Lambda=1e100)
-        with pytest.raises(bif.NonFiniteError, match="delta=0.1"):
+        with pytest.raises(NonFiniteError, match="delta=0.1"):
             bif.cycle_amplitude(params, delta_sweep(n=2, lo=0.1, hi=0.45))
         assert len(steps) == bif.CYCLE_CHECK_STEPS
 

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from immunoepi import between_host, bifurcation, cli, numerics, within_host
-from immunoepi.config import ConfigError, load_scenario
-from immunoepi.numerics import NumericsError
+from immunoepi.config import load_scenario
+from immunoepi.errors import ConfigError, NumericsError
 
 from reference_loops import write_rows_table
 
@@ -67,6 +68,16 @@ def write_config(tmp_path, doc, name="scenario.json"):
 
 def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
+
+
+def set_bh_leaf(doc, leaf, value):
+    """Set one numeric leaf of a between-host document: a key of
+    between_host, or the value of a constant function."""
+    section, key = leaf
+    if section == "functions":
+        doc["functions"][key]["value"] = value
+    else:
+        doc[section][key] = value
 
 
 class TestExitCodes:
@@ -302,6 +313,64 @@ class TestExitCodes:
         assert capsys.readouterr().err == "numerical failure: state blew up near t=0\n"
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("command, rates, tip", [
+        ("within-sim", {"Lambda": 1e300, "mu": 1e-300}, "(1e-150, inf)"),
+        ("within-sim", {"mu": 1e300, "alpha": 1e-300}, "(inf, nan)"),
+        ("manifold", {"mu": 1e300, "alpha": 1e-300}, "(inf, nan)"),
+        # the tip's denominator underflows to zero
+        ("manifold", {"mu": 1e-300, "delta": 1e-300}, "(1e-150, inf)"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_manifold_tip_out_of_range_returns_three(self, tmp_path, capsys, command, rates, tip):
+        # the tip used to be computed with numpy scalars, which warned; the
+        # manifold case exited 2 with "fold at W=nan"
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        doc["within_host"].update(rates)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: manifold tip (P, W) = {tip} is not finite\n"
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_manifold_with_a_finite_tip_of_huge_rates_returns_zero(self, tmp_path):
+        # mu = delta = 1e300 overflows an intermediate product of the tip
+        # to inf, but the tip itself is finite
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        doc["within_host"].update(mu=1e300, delta=1e300)
+        out = tmp_path / "out"
+        assert cli.main(["manifold", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        tip = read_summary(out)["tip"]
+        assert math.isfinite(tip["P"]) and math.isfinite(tip["W"])
+
+    @pytest.mark.parametrize("leaf, value", [(("between_host", "r"), 1e300), (("functions", "g"), 1e-300)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spectral_scan_of_huge_residuals_returns_zero(self, tmp_path, leaf, value):
+        # residuals near -1e300 used to overflow the product of neighbours
+        # in the scan's sign test; only their signs are multiplied now
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        set_bh_leaf(doc, leaf, value)
+        out = tmp_path / "out"
+        assert cli.main(["spectral", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["endemic_scan_roots"] == []
+        assert summary["endemic_residual_at_zero_plus"] < -1e297
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_renewal_history_past_an_underflowed_survival_returns_three(self, tmp_path, capsys):
+        # mu2 = 1e300 underflows the survival factor that the matched history
+        # divides by: refused before the renewal loop, without a warning
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        doc["functions"]["mu2"]["value"] = 1e300
+        doc["run"]["t_max"] = 1.0
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["renewal-check", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: renewal: the history matched to run.initial.I is not finite\n"
+        )
+        assert not (tmp_path / "nested").exists()
+
     def test_failed_run_leaves_a_populated_out_as_it_was(self, tmp_path):
         out = tmp_path / "out"
         shipped = str(CONFIGS / "within_sim.json")
@@ -477,6 +546,21 @@ EXTREME_VALUES = (0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf)
 # 10^6-step budget. t_max = 1e300 keeps the shipped rates, which clear at
 # t = 677 and then follow the closed-form cleared branch.
 CONTRACT_T_MAX_CAP = 300.0
+# The numeric leaves of configs/bh_env.json: its between_host rates and the
+# values of its four constant functions.
+BH_ENV_LEAVES = (
+    *(("between_host", key) for key in (
+        "r", "mu1", "mu3", "beta_h", "beta_e", "rho", "sigma", "omega0", "a_bar",
+    )),
+    *(("functions", key) for key in ("mu2", "xi", "P", "g")),
+)
+# The between-host horizon: 80 transport steps of epi-sim and renewal-check
+# (r0, equilibria and spectral read no horizon). Neither break this test
+# found (a scan sign test that overflowed, a matched history past an
+# underflowed survival factor) depends on the horizon, so the cap hides
+# neither; at the shipped t_max = 1000 the transport cases keep the
+# contract too.
+CONTRACT_BH_T_MAX_CAP = 1.0
 
 
 def not_strict_json(constant):
@@ -484,9 +568,11 @@ def not_strict_json(constant):
 
 
 class TestContractProperty:
-    """The CLI contract of within-sim and manifold for any one extreme leaf:
-    exit 0, 2 or 3; nothing written on 2 or 3; on 0, a strict-JSON summary
-    that its manifest lists with the right digest."""
+    """The CLI contract for any one extreme leaf, of within_sim.json under
+    within-sim and manifold, or of bh_env.json under the between-host
+    subcommands: exit 0, 2 or 3 with no numpy RuntimeWarning; nothing
+    written on 2 or 3; on 0, a strict-JSON summary that its manifest lists
+    with the right digest."""
 
     @settings(max_examples=400)
     @given(
@@ -500,9 +586,27 @@ class TestContractProperty:
         doc["run"]["t_max"] = CONTRACT_T_MAX_CAP
         section, key = leaf
         (doc["within_host"]["initial"] if section == "initial" else doc[section])[key] = value
+        self.assert_contract(tmp_path, command, doc)
+
+    @settings(max_examples=1000)
+    @given(
+        command=st.sampled_from(["r0", "equilibria", "spectral", "epi-sim", "renewal-check"]),
+        leaf=st.sampled_from(BH_ENV_LEAVES),
+        value=st.sampled_from(EXTREME_VALUES),
+    )
+    def test_one_extreme_between_host_leaf_keeps_the_contract(self, tmp_path, command, leaf, value):
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        doc["run"]["t_max"] = CONTRACT_BH_T_MAX_CAP
+        set_bh_leaf(doc, leaf, value)
+        self.assert_contract(tmp_path, command, doc)
+
+    @staticmethod
+    def assert_contract(tmp_path, command, doc):
         case = Path(tempfile.mkdtemp(dir=tmp_path))
         out = case / "out"
-        code = cli.main([command, "--config", write_config(case, doc), "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([command, "--config", write_config(case, doc), "--out", str(out)])
         assert code in (0, 2, 3)
         if code != 0:
             assert not out.exists()
@@ -632,8 +736,10 @@ class TestSpectralScan:
         defaults = read_summary(out)["defaults"]
         constants = (between_host.SPECTRUM_SCAN_MAX, between_host.SPECTRUM_SCAN_STEP)
         assert (defaults["scan_max"], defaults["scan_step"]) == constants == (50.0, 1e-2)
-        signature = inspect.signature(between_host.endemic_spectrum_scan).parameters
-        assert (signature["lam_max"].default, signature["step"].default) == constants
+        # the scan runs on exactly that grid
+        rows = (out / "scan.csv").read_text().splitlines()[1:]
+        lam = [float(row.split(",")[0]) for row in rows]
+        assert len(lam) == 5001 and lam[0] == 0.0 and lam[-1] == constants[0]
 
     @pytest.mark.parametrize("command", ["equilibria", "spectral", "renewal-check"])
     def test_status_clock_is_built_once_per_run(self, tmp_path, monkeypatch, command):

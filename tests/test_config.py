@@ -7,7 +7,7 @@ import pytest
 
 from immunoepi import config
 from immunoepi import within_host as wh
-from immunoepi.config import ConfigError
+from immunoepi.errors import ConfigError
 
 
 def base_doc():

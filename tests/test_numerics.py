@@ -1,6 +1,6 @@
-import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,13 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from immunoepi import numerics
+from immunoepi.errors import BracketError, ConvergenceError, NonFiniteError, StepLimitError
 from immunoepi.numerics import (
-    BracketError,
-    ConvergenceError,
-    IntegratorSpec,
-    NonFiniteError,
-    RootBracket,
-    StepLimitError,
     find_root,
     integrate_ode,
     quadrature,
@@ -79,17 +74,6 @@ class TestIntegrateOde:
     def test_state_must_be_a_non_empty_vector(self, y0):
         with pytest.raises(ValueError, match="one-dimensional and non-empty"):
             integrate_ode(lambda t, y: y, y0, (0.0, 1.0))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            IntegratorSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            IntegratorSpec(max_step=-1.0)
-
-    def test_specs_expose_only_the_accuracy_knobs(self):
-        assert [f.name for f in dataclasses.fields(IntegratorSpec)] == [
-            "rel_tol", "abs_tol", "max_step"
-        ]
 
 
 # Dormand-Prince 5(4) tableau and the stage loop the explicit step replaced;
@@ -251,15 +235,15 @@ def counted(field, calls):
     return rhs
 
 
-def run_both(params, y0, t_max, spec=None, event=None):
+def run_both(params, y0, t_max, event=None):
     """The float-state and the earlier array integrator on the same within-host
     run, each with its list of rhs evaluation times."""
     got_calls, want_calls = [], []
     got = integrate_ode(
-        counted(lambda t, y: rhs_full(y, params), got_calls), y0, (0.0, t_max), spec, event
+        counted(lambda t, y: rhs_full(y, params), got_calls), y0, (0.0, t_max), event
     )
     want = integrate_ode_array(
-        counted(lambda t, y: rhs_full_array(y, params), want_calls), y0, (0.0, t_max), spec, event
+        counted(lambda t, y: rhs_full_array(y, params), want_calls), y0, (0.0, t_max), event
     )
     return got, want, got_calls, want_calls
 
@@ -286,16 +270,16 @@ class TestIntegratorReference:
         rng=st.randoms(use_true_random=False),
         level=st.floats(min_value=0.05, max_value=1.9).filter(lambda f: abs(f - 1.0) > 0.01),
         rel_tol=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4]),
-        max_step=st.sampled_from([None, 0.5, 3.0]),
     )
-    def test_within_host_runs_match_the_array_integrator(self, rng, level, rel_tol, max_step):
+    def test_within_host_runs_match_the_array_integrator(self, rng, level, rel_tol):
         params = random_within(rng)
         y0 = [rng.uniform(0.1, 5.0), rng.uniform(0.05, 3.0), rng.uniform(0.0, 3.0)]
-        spec = IntegratorSpec(rel_tol=rel_tol, abs_tol=1e-2 * rel_tol, max_step=max_step)
         p_event = level * y0[1]
-        runs = run_both(
-            params, y0, rng.uniform(5.0, 150.0), spec, event=lambda t, y: y[1] - p_event
-        )
+        # both integrators read the tolerances at call time
+        with mock.patch.multiple(numerics, RTOL=rel_tol, ATOL=1e-2 * rel_tol):
+            runs = run_both(
+                params, y0, rng.uniform(5.0, 150.0), event=lambda t, y: y[1] - p_event
+            )
         assert_same_run(*runs)
 
     def test_slow_clearance_run_matches_with_rejections_and_its_event(self):
@@ -453,31 +437,31 @@ class TestQuadrature:
 
 class TestFindRoot:
     def test_sqrt_two(self):
-        root = find_root(lambda x: x * x - 2.0, RootBracket(1.0, 2.0))
+        root = find_root(lambda x: x * x - 2.0, 1.0, 2.0)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_quartic_balance_point(self):
         # rate balance G - G^4 = 0.1 used by the oscillation-onset locus
-        root = find_root(lambda G: G - G**4 - 0.1, RootBracket(0.5, 1.0))
+        root = find_root(lambda G: G - G**4 - 0.1, 0.5, 1.0)
         assert root == pytest.approx(0.9641582450344705, abs=1e-10)
 
     def test_odd_function_zero(self):
-        assert find_root(lambda x: x, RootBracket(-1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+        assert find_root(lambda x: x, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, RootBracket(-1.0, 1.0))
+            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_bracket_orientation_validated(self):
-        with pytest.raises(ValueError):
-            RootBracket(2.0, 1.0)
+        with pytest.raises(ValueError, match="lo < hi"):
+            find_root(lambda x: x, 2.0, 1.0)
 
     @given(
         shift=st.floats(min_value=-0.9, max_value=0.9),
         scale=st.floats(min_value=0.1, max_value=10.0),
     )
     def test_root_stays_inside_bracket(self, shift, scale):
-        root = find_root(lambda x: scale * (x - shift), RootBracket(-1.0, 1.0))
+        root = find_root(lambda x: scale * (x - shift), -1.0, 1.0)
         assert -1.0 <= root <= 1.0
         assert root == pytest.approx(shift, abs=1e-9)
 
@@ -500,9 +484,9 @@ class TestFindRoot:
         if not info.converged:
             # a subnormal tol on a flat root can outlast the budget in both
             with pytest.raises(ConvergenceError, match="200 iterations"):
-                find_root(f, RootBracket(-1.0, 1.0), tol)
+                find_root(f, -1.0, 1.0, tol)
             return
-        root = find_root(f, RootBracket(-1.0, 1.0), tol)
+        root = find_root(f, -1.0, 1.0, tol)
         assert root.hex() == float(want).hex()
 
     def test_endpoint_values_are_not_evaluated_again(self):
@@ -512,7 +496,7 @@ class TestFindRoot:
             seen.append(x)
             return x * x - 2.0
 
-        find_root(f, RootBracket(1.0, 2.0))
+        find_root(f, 1.0, 2.0)
         assert seen[:2] == [1.0, 2.0]
         assert 1.0 not in seen[2:] and 2.0 not in seen[2:]
 
@@ -521,15 +505,15 @@ class TestFindRoot:
             return x - 0.3 if x in (0.0, 1.0) else math.nan
 
         with pytest.raises(ConvergenceError, match="NaN"):
-            find_root(f, RootBracket(0.0, 1.0))
+            find_root(f, 0.0, 1.0)
 
     def test_exhausted_iteration_budget_raises_convergence_error(self):
         # a jump at 0 with a subnormal width tolerance: every step halves
         # the bracket towards 0, far beyond the 200-iteration budget
         with pytest.raises(ConvergenceError, match="200 iterations"):
-            find_root(lambda x: 1.0 if x > 0.0 else -1.0, RootBracket(-1.0, 1.0), 5e-324)
+            find_root(lambda x: 1.0 if x > 0.0 else -1.0, -1.0, 1.0, 5e-324)
 
     def test_underflowing_sign_product_is_still_a_bracket_error(self):
         # f(lo)*f(hi) underflows to 0 although both values are positive
         with pytest.raises(BracketError):
-            find_root(lambda x: 1e-200, RootBracket(0.0, 1.0))
+            find_root(lambda x: 1e-200, 0.0, 1.0)

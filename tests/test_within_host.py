@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import immunoepi.within_host as wh
-from immunoepi import cli
-from immunoepi.numerics import IntegratorSpec, RootBracket, find_root, integrate_ode
+from immunoepi import cli, numerics
+from immunoepi.numerics import find_root, integrate_ode
 
 from conftest import REFERENCE_WITHIN, random_within
 from oracles import fast_rhs, integrate_slow_reduced, trace_roots_np
@@ -185,7 +186,7 @@ class TestSlowManifold:
         def gap(P):
             return wh.w_nullcline(P, p) - wh.slow_manifold_W(P, p)
 
-        P_cross = find_root(gap, RootBracket(0.5, 2.0))
+        P_cross = find_root(gap, 0.5, 2.0)
         assert abs(gap(P_cross)) < 1e-8
         assert P_cross > wh.manifold_tip(p)[0]  # crossing on the infected branch
 
@@ -294,7 +295,7 @@ class TestSimulateInfection:
         assert not run.fold_crossed
         assert run.recovery_state[2] < run.w_fold
         # after clearance the immune status decays on the recovered branch
-        assert run.W[-1] < run.recovery_state[2]
+        assert run.states[-1, 2] < run.recovery_state[2]
 
     def test_branch_riding_course_reaches_the_fold(self):
         # No oscillation onset exists for this set (the trace balance has no
@@ -310,7 +311,7 @@ class TestSimulateInfection:
         assert run.fold_crossed
         assert run.recovery_state[2] == pytest.approx(run.w_fold, rel=0.05)
         # clearance follows within a few fast time units of crossing the fold
-        near_fold = run.t[run.W >= 0.99 * run.w_fold]
+        near_fold = run.t[run.states[:, 2] >= 0.99 * run.w_fold]
         assert run.recovery_time - near_fold[0] < 50.0
 
     def test_zero_load_never_infects(self, paper_within):
@@ -318,9 +319,9 @@ class TestSimulateInfection:
             paper_within, wh.WithinHostState(2.0, 0.0, 1.0), 400.0
         )
         assert run.recovery_time is None
-        assert np.all(run.P == 0.0)
-        assert run.W[-1] < 1.0
-        assert run.T[-1] == pytest.approx(10.0, rel=1e-3)
+        assert np.all(run.states[:, 1] == 0.0)
+        assert run.states[-1, 2] < 1.0
+        assert run.states[-1, 0] == pytest.approx(10.0, rel=1e-3)
 
     def test_a_start_at_the_fold_has_crossed_it(self, paper_within):
         # fold_crossed is max W >= w_fold, for a cleared start as for an
@@ -333,7 +334,7 @@ class TestSimulateInfection:
         below = np.nextafter(w_fold, 0.0)
         run = wh.simulate_infection(paper_within, wh.WithinHostState(1.0, 0.0, below), 50.0)
         assert not run.fold_crossed
-        assert run.W.max() == below
+        assert run.states[:, 2].max() == below
 
     def test_trajectories_stay_nonnegative(self):
         rng = np.random.default_rng(11)
@@ -371,10 +372,10 @@ class TestClearedBranch:
         state0 = np.array([0.7, 0.0, 2.5])
         t0, t_end = 3.0, 1503.0
         t, states = wh._cleared_branch(params, t0, state0, t_end)
-        spec = IntegratorSpec(rel_tol=1e-12, abs_tol=1e-14)
         y, t_prev = state0, t0
         for t_k, expected in zip(t, states):
-            y = integrate_ode(lambda t, y: wh.rhs_full(y, params), y, (t_prev, t_k), spec).y[-1]
+            with mock.patch.multiple(numerics, RTOL=1e-12, ATOL=1e-14):
+                y = integrate_ode(lambda t, y: wh.rhs_full(y, params), y, (t_prev, t_k)).y[-1]
             t_prev = t_k
             assert y[1] == 0.0
             assert np.allclose(expected, y, rtol=1e-9, atol=0.0)
@@ -388,7 +389,7 @@ class TestClearedBranch:
         assert np.count_nonzero(tail) == wh.CLEARED_BRANCH_SAMPLES
         assert run.t[-1] == t_max
         assert np.all(np.diff(run.t) > 0.0)
-        assert np.all(run.P[tail] == 0.0)
+        assert np.all(run.states[tail, 1] == 0.0)
         # the infected phase ends on the event sample itself
         assert run.t[~tail][-1] == run.recovery_time
         assert np.array_equal(run.states[~tail][-1], run.recovery_state)
@@ -435,16 +436,12 @@ class TestSlowFastConsistency:
         P0 = wh.upper_branch_P(W0, params)
         T0 = params.Lambda / (params.mu + params.alpha * P0 * P0)
         tau_end = 1.5
-        full = wh.simulate_infection(
-            params,
-            wh.WithinHostState(T0, P0, W0),
-            tau_end / eps,
-            spec=IntegratorSpec(rel_tol=1e-10, abs_tol=1e-12),
-        )
+        with mock.patch.multiple(numerics, RTOL=1e-10, ATOL=1e-12):
+            full = wh.simulate_infection(params, wh.WithinHostState(T0, P0, W0), tau_end / eps)
         reduced = integrate_slow_reduced(params, W0, (0.0, tau_end))
         w_red = np.interp(full.t * eps, reduced.t, reduced.y[:, 0])
         mask = full.t * eps <= reduced.t[-1]
-        return float(np.max(np.abs(full.W[mask] - w_red[mask])))
+        return float(np.max(np.abs(full.states[mask, 2] - w_red[mask])))
 
     def test_reduced_flow_error_scales_with_epsilon(self):
         err_01 = self.slow_time_error(0.01)
