@@ -64,7 +64,7 @@ __all__ = [
 NEGATIVITY_ABORT = -1e-8
 POLE_GUARD = 1e-8
 CLOCK_NODES = 16384
-# Simpson panels of the transmission table and of each renewal-kernel row
+# Simpson panels of the status integrals J_P, J_xi and of each kernel row
 TABLE_PANELS = 64
 # Simpson panels of each smooth piece of the kernel's total integral
 KERNEL_TOTAL_PANELS = 256
@@ -179,7 +179,6 @@ class EndemicEquilibrium:
     V: float
     B: float
     I0: float
-    reproduction_number: float
 
 
 # ---------------------------------------------------------------------------
@@ -254,45 +253,32 @@ def survival_pi(omega, params: BetweenHostParams):
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
-def _transmission_table(params: BetweenHostParams) -> Callable[[float], tuple[float, float]]:
-    """The two weighted status integrals behind every spectral quantity,
-    as a function of lam:
+def _characteristic(params: BetweenHostParams) -> Callable[[float], tuple[float, float, float, float]]:
+    """The infection-free characteristic function by route, with the two
+    weighted status integrals behind every spectral quantity, as a function
+    of lam:
 
       J_P  = int_0^omega0 P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
       J_xi = int_0^omega0 xi(w)*P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
+      G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)]
 
     with G, M the clock integrals, by Simpson's rule on TABLE_PANELS
-    panels. The lam-independent node values (P/g, M, G, xi) are tabulated
-    once.
+    panels. Returns lam -> (direct, environmental, J_P, J_xi); G is direct
+    + environmental. The lam-independent node values (P/g, M, G, xi) are
+    tabulated once.
     """
     nodes = np.linspace(0.0, params.omega0, TABLE_PANELS + 1)
     p_over_g = params.P(nodes) / params.g(nodes)
     clock = params.clock
     decay, elapsed, xi = clock.decay_at(nodes), clock.time_of(nodes), params.xi(nodes)
-
-    def integrals(lam):
-        weight = p_over_g * np.exp(-decay - lam * elapsed)
-        return quadrature(weight, params.omega0), quadrature(weight * xi, params.omega0)
-
-    return integrals
-
-
-def _threshold_characteristic(params: BetweenHostParams) -> Callable[[float], tuple[float, float, float]]:
-    """G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)]
-    by route, from one transmission table.
-
-    Returns lam -> (direct, environmental, J_xi); G is direct +
-    environmental, and J_xi is the shedding integral the endemic
-    reservoir needs.
-    """
-    integrals = _transmission_table(params)
     s0 = params.r / params.mu1
 
     def routes(lam):
-        j_p, j_xi = integrals(lam)
+        weight = p_over_g * np.exp(-decay - lam * elapsed)
+        j_p, j_xi = quadrature(weight, params.omega0), quadrature(weight * xi, params.omega0)
         direct = s0 * params.beta_h * j_p
         environmental = s0 * params.beta_e / (lam + params.sigma) * j_xi if params.beta_e > 0 else 0.0
-        return direct, environmental, j_xi
+        return direct, environmental, j_p, j_xi
 
     return routes
 
@@ -305,7 +291,7 @@ def r0(params: BetweenHostParams) -> float:
 
 def r0_terms(params: BetweenHostParams) -> tuple[float, float]:
     """(direct, environmental) additive parts of the reproduction number."""
-    direct, environmental, _ = _threshold_characteristic(params)(0.0)
+    direct, environmental, _, _ = _characteristic(params)(0.0)
     return direct, environmental
 
 
@@ -317,10 +303,10 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
     G stays above 1 up to LAMBDA_HAT_MAX or below 1 on the admissible
     interval (lam > -sigma).
     """
-    characteristic = _threshold_characteristic(params)
+    characteristic = _characteristic(params)
 
     def f(lam):
-        direct, environmental, _ = characteristic(lam)
+        direct, environmental, _, _ = characteristic(lam)
         return direct + environmental - 1.0
 
     at_zero = f(0.0)
@@ -356,7 +342,7 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
     infected profile is I*(omega) = I*(0)*g(0)*pi(omega) on a uniform
     grid of n_omega+1 nodes.
     """
-    direct, environmental, j_xi = _threshold_characteristic(params)(0.0)
+    direct, environmental, _, j_xi = _characteristic(params)(0.0)
     basic = direct + environmental
     if basic <= 1.0:
         return None
@@ -377,7 +363,6 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
         V=v_star,
         B=b_star,
         I0=i0,
-        reproduction_number=basic,
     )
 
 
@@ -801,14 +786,15 @@ def endemic_char_residual(params: BetweenHostParams, eq: EndemicEquilibrium) -> 
 
     The equation reads 1 = RHS(lam) and the residual is RHS - 1, with the
     boundary-sourced exponential factors evaluated at the recovery status
-    (the only status where the recovered pool is fed). K, the transmission
-    table and the recovery survival factor are computed once, so a trial
-    rate costs one exponential and two Simpson sums. Rates within
-    POLE_GUARD of a pole (-mu1, -sigma, -(rho+mu3)) raise PoleError.
+    (the only status where the recovered pool is fed). K, the
+    characteristic's node table and the recovery survival factor are
+    computed once, so a trial rate costs one exponential and two Simpson
+    sums. Rates within POLE_GUARD of a pole (-mu1, -sigma, -(rho+mu3))
+    raise PoleError.
     """
     step = eq.omega[1] - eq.omega[0]
     K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
-    integrals = _transmission_table(params)
+    characteristic = _characteristic(params)
     direct = eq.S * params.beta_h
     recovery = params.rho * params.g(params.omega0) * survival_pi(params.omega0, params)
     total = params.clock.total_time
@@ -820,7 +806,7 @@ def endemic_char_residual(params: BetweenHostParams, eq: EndemicEquilibrium) -> 
             raise PoleError("lam too close to the pole at -sigma")
         if abs(lam + params.rho + params.mu3) < POLE_GUARD:
             raise PoleError("lam too close to the pole at -(rho+mu3)")
-        j_p, j_xi = integrals(lam)
+        _, _, j_p, j_xi = characteristic(lam)
         returned = recovery * np.exp(-lam * total) / (lam + params.rho + params.mu3)
         bracket = (returned - 1.0) / (lam + params.mu1)
         rhs = direct * j_p + bracket * K

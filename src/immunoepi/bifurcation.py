@@ -125,8 +125,6 @@ class CycleSample:
 
 @dataclass
 class SweepResult:
-    spec: SweepSpec
-    params: wh.WithinHostParams
     upper: list[BranchPoint]
     lower: list[BranchPoint]
     trivial: list[BranchPoint]
@@ -198,7 +196,7 @@ def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
             "no nontrivial equilibrium anywhere on the sweep range "
             f"({spec.which} in [{spec.lo}, {spec.hi}])"
         )
-    return SweepResult(spec=spec, params=params, upper=upper, lower=lower, trivial=trivial)
+    return SweepResult(upper=upper, lower=lower, trivial=trivial)
 
 
 def _param_from_gamma(params: wh.WithinHostParams, spec: SweepSpec, Gamma: float) -> float:
@@ -207,7 +205,7 @@ def _param_from_gamma(params: wh.WithinHostParams, spec: SweepSpec, Gamma: float
     return (Gamma - params.gamma) / params.delta
 
 
-def detect_all_events(result: SweepResult) -> list[BifurcationEvent]:
+def detect_all_events(params: wh.WithinHostParams, spec: SweepSpec) -> list[BifurcationEvent]:
     """The fold and Hopf points of the sweep range, ordered by parameter.
 
     Each event is a closed-form critical locus (within_host.critical_loci)
@@ -215,7 +213,6 @@ def detect_all_events(result: SweepResult) -> list[BifurcationEvent]:
     list does not depend on the sweep's grid. The fold carries the double
     root of the equilibrium quadratic, a Hopf point its upper-branch state.
     """
-    params, spec = result.params, result.spec
     loci = wh.critical_loci(params)
     events: list[BifurcationEvent] = []
     fold_at = _param_from_gamma(params, spec, loci.Gamma_fold)

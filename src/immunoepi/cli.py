@@ -157,16 +157,20 @@ def _cmd_within_sim(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
 
     params = cfg.within
     t_max = cfg.t_max if cfg.t_max is not None else 400.0
-    if cfg.within_initial is not None:
-        initial = within_host.WithinHostState(*cfg.within_initial)
-    else:
+    initial = cfg.within_initial
+    if initial is None:
         initial = within_host.WithinHostState(params.Lambda / params.mu, 0.5, 0.0)
-    run_rec = within_host.simulate_infection(
-        params, initial, t_max, p_clear=cfg.p_clear
-    )
+    run_rec = within_host.simulate_infection(params, initial, t_max, p_clear=cfg.p_clear)
+    t_rec = run_rec.recovery_time
     summary = {
         "defaults": {"t_max": t_max, "initial": list(initial.as_array()), "p_clear": cfg.p_clear},
-        **within_host.run_metadata(run_rec, params),
+        "p_clear": cfg.p_clear,
+        "w_fold": run_rec.w_fold,
+        "recovery_time": t_rec,
+        "recovery_time_slow": None if t_rec is None else t_rec * params.epsilon,
+        "fold_crossed": run_rec.fold_crossed,
+        "t_end": float(run_rec.t[-1]),
+        "n_samples": int(run_rec.t.size),
     }
     return summary, {"trajectory.csv": _csv_lines("t,T,P,W", run_rec.t, run_rec.states)}
 
@@ -196,7 +200,7 @@ def _cmd_bifurcate(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     except ValueError as exc:
         # a sweep range with no infected equilibrium is a configuration error
         raise ConfigError(f"sweep: {exc}") from exc
-    events = [asdict(event) for event in bifurcation.detect_all_events(result)]
+    events = [asdict(event) for event in bifurcation.detect_all_events(params, spec)]
     cycles = bifurcation.cycle_amplitude(params, replace(spec, n=cfg.cycle_n))
     loci = within_host.critical_loci(params)
     summary = {
@@ -297,16 +301,23 @@ def _apply_refine(cfg: ScenarioConfig, k: int) -> tuple[int, float]:
 
 
 def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **strides) -> between_host.EpidemicRun:
-    """Transport run on the refined grid; an initial density the state
-    refuses (negative, or undefined past a derived coefficient's fold) and
-    a grid the solver refuses up front (the CFL bound on its own nodes,
-    the strides, dt and t_max) are configuration errors; a blow-up during
-    the run is a numerical failure."""
+    """Transport run on the refined grid from run.initial on its nodes; a
+    missing run.initial, an initial density the state refuses (negative,
+    or undefined past a derived coefficient's fold) and a grid the solver
+    refuses up front (the CFL bound on its own nodes, the strides, dt and
+    t_max) are configuration errors; a blow-up during the run is a
+    numerical failure."""
+    import numpy as np
+
     from . import between_host
 
+    if cfg.initial_S is None:
+        raise ConfigError("run.initial with S and I is required for this subcommand")
+    omega = np.linspace(0.0, cfg.between.omega0, n_omega + 1)
     try:
-        s0, i0, v0, b0 = cfg.initial_state_arrays(n_omega)
-        initial = between_host.StructuredState(S=s0, I=i0, V=v0, B=b0)
+        initial = between_host.StructuredState(
+            S=cfg.initial_S, I=cfg.initial_I(omega), V=cfg.initial_V, B=cfg.initial_B
+        )
     except ValueError as exc:
         raise ConfigError(f"run.initial: {exc}") from exc
     try:

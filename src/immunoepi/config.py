@@ -22,8 +22,6 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import bifurcation, coefficients, within_host
 from .between_host import COEFFICIENT_FIELDS, BetweenHostParams
 from .coefficients import Coefficient
@@ -145,7 +143,7 @@ class ScenarioConfig:
     """Resolved scenario: the parsed sections, absent ones left at None."""
 
     within: within_host.WithinHostParams | None = None
-    within_initial: tuple[float, float, float] | None = None
+    within_initial: within_host.WithinHostState | None = None
     p_clear: float = within_host.P_CLEAR_DEFAULT
     sweep: bifurcation.SweepSpec | None = None
     cycle_n: int = 40
@@ -173,13 +171,6 @@ class ScenarioConfig:
             if not present[name]:
                 raise ConfigError(f"section {name!r} is required for this subcommand")
 
-    def initial_state_arrays(self, n_omega: int):
-        """Evaluate the configured initial population state on a grid."""
-        if self.between is None or self.initial_S is None or self.initial_I is None:
-            raise ConfigError("run.initial with S and I is required for this subcommand")
-        omega = np.linspace(0.0, self.between.omega0, n_omega + 1)
-        return self.initial_S, self.initial_I(omega), self.initial_V, self.initial_B
-
 
 def _parse_within(node: dict, cfg: ScenarioConfig) -> None:
     _reject_unknown(node, _WITHIN_KEYS, "within_host")
@@ -197,9 +188,10 @@ def _parse_within(node: dict, cfg: ScenarioConfig) -> None:
         triple = _number_list(node["initial"], "within_host.initial")
         if len(triple) != 3:
             raise ConfigError("within_host.initial: expected [T, P, W]")
-        if any(x < 0 for x in triple):
-            raise ConfigError("within_host.initial: components must be nonnegative")
-        cfg.within_initial = tuple(triple)
+        try:
+            cfg.within_initial = within_host.WithinHostState(*triple)
+        except ValueError as exc:
+            raise ConfigError(f"within_host.initial: {exc}") from exc
     if "p_clear" in node:
         cfg.p_clear = _number(node, "p_clear", "within_host")
     if cfg.p_clear <= 0:

@@ -43,7 +43,6 @@ __all__ = [
     "upper_branch_P",
     "immune_growth_g",
     "simulate_infection",
-    "run_metadata",
 ]
 
 # Pathogen level below which an infection counts as cleared.
@@ -142,7 +141,6 @@ class FastEquilibria:
     degenerates to a double root and ``lower == upper``.
     """
 
-    W: float
     trivial: tuple[float, float]
     exists: bool
     lower: tuple[float, float] | None
@@ -155,16 +153,19 @@ def _nontrivial_pair(params: WithinHostParams, W):
     Returns (disc, P_lo, P_hi) with the shape of W. The pair solves
     alpha*Gamma*P^2 - alpha*Lambda*P + mu*Gamma = 0; a discriminant within
     rounding of zero is clamped to the double root, and where it stays
-    negative no pair exists and both loads are NaN.
+    negative no pair exists and both loads are NaN. Rates past the float
+    range overflow here unwarned, and the inf or NaN reaches the callers'
+    checks.
     """
     a, mu, lam = params.alpha, params.mu, params.Lambda
-    Gamma = params.gamma_eff(W)
-    disc = a * a * lam * lam - 4.0 * a * mu * Gamma * Gamma
-    # double root lost to rounding exactly at the threshold
-    disc = np.where((-1e-13 * max(a * a * lam * lam, 1.0) < disc) & (disc < 0.0), 0.0, disc)
-    root = np.sqrt(np.where(disc < 0.0, np.nan, disc))
-    P_hi = (a * lam + root) / (2.0 * Gamma * a)
-    P_lo = (a * lam - root) / (2.0 * Gamma * a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Gamma = params.gamma_eff(W)
+        disc = a * a * lam * lam - 4.0 * a * mu * Gamma * Gamma
+        # double root lost to rounding exactly at the threshold
+        disc = np.where((-1e-13 * max(a * a * lam * lam, 1.0) < disc) & (disc < 0.0), 0.0, disc)
+        root = np.sqrt(np.where(disc < 0.0, np.nan, disc))
+        P_hi = (a * lam + root) / (2.0 * Gamma * a)
+        P_lo = (a * lam - root) / (2.0 * Gamma * a)
     return disc, P_lo, P_hi
 
 
@@ -176,18 +177,12 @@ def equilibria_fast(params: WithinHostParams, W: float) -> FastEquilibria:
     trivial = (lam / mu, 0.0)
     disc, P_lo, P_hi = _nontrivial_pair(params, W)
     if disc < 0:
-        return FastEquilibria(W=W, trivial=trivial, exists=False, lower=None, upper=None)
-
-    def T_of(P):
-        return lam / (mu + a * P * P)
-
-    return FastEquilibria(
-        W=W,
-        trivial=trivial,
-        exists=True,
-        lower=(T_of(P_lo), P_lo),
-        upper=(T_of(P_hi), P_hi),
-    )
+        return FastEquilibria(trivial=trivial, exists=False, lower=None, upper=None)
+    # an overflowing load gives T = 0, or NaN, unwarned as in _nontrivial_pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = (lam / (mu + a * P_lo * P_lo), P_lo)
+        upper = (lam / (mu + a * P_hi * P_hi), P_hi)
+    return FastEquilibria(trivial=trivial, exists=True, lower=lower, upper=upper)
 
 
 def jacobian_fast(tp: Sequence[float], params: WithinHostParams, W: float) -> np.ndarray:
@@ -345,19 +340,18 @@ class InfectionRun:
 
     ``states`` holds one (T, P, W) row per time in ``t``.
     ``recovery_time`` is the first time the pathogen load falls through
-    ``p_clear`` (None if it never does within t_max, or if the run starts
-    cleared). ``fold_crossed`` records whether the immune status reached or
-    exceeded the fold value W_fold, i.e. whether the run ended through the
-    recovery jump rather than a subthreshold fizzle.
+    the clearance level (None if it never does within t_max, or if the run
+    starts cleared); the state then is the row of ``states`` at that time.
+    ``fold_crossed`` records whether the immune status reached or exceeded
+    the fold value W_fold, i.e. whether the run ended through the recovery
+    jump rather than a subthreshold fizzle.
     """
 
     t: np.ndarray
     states: np.ndarray
     recovery_time: float | None
-    recovery_state: np.ndarray | None
     fold_crossed: bool
     w_fold: float
-    p_clear: float
 
 
 def _cleared_branch(
@@ -401,7 +395,7 @@ def simulate_infection(
     w_fold = manifold_tip(params)[1]
     y0 = initial.as_array()
     # a cleared start skips the infected phase and clears at t = 0
-    t, states, t_rec, state_rec = np.zeros(1), y0[np.newaxis], None, None
+    t, states, t_rec = np.zeros(1), y0[np.newaxis], None
     t_clear, state_clear = 0.0, y0
     if initial.P > 0.0:
         traj = integrate_ode(
@@ -410,7 +404,7 @@ def simulate_infection(
         )
         t, states = traj.t, traj.y
         t_rec = t_clear = traj.event_time
-        state_rec = state_clear = traj.event_state
+        state_clear = traj.event_state
     if t_clear is not None and t_clear < t_max:
         tail_t, tail_y = _cleared_branch(params, t_clear, state_clear, t_max)
         t = np.concatenate([t, tail_t])
@@ -419,24 +413,7 @@ def simulate_infection(
         t=t,
         states=states,
         recovery_time=t_rec,
-        recovery_state=state_rec,
         # the cleared branch only lowers W
         fold_crossed=bool(np.max(states[:, 2]) >= w_fold),
         w_fold=w_fold,
-        p_clear=p_clear,
     )
-
-
-def run_metadata(run: InfectionRun, params: WithinHostParams) -> dict:
-    """JSON-ready metadata for a run: thresholds and clearance record."""
-    return {
-        "p_clear": run.p_clear,
-        "w_fold": run.w_fold,
-        "recovery_time": run.recovery_time,
-        "recovery_time_slow": None
-        if run.recovery_time is None
-        else run.recovery_time * params.epsilon,
-        "fold_crossed": run.fold_crossed,
-        "t_end": float(run.t[-1]),
-        "n_samples": int(run.t.size),
-    }

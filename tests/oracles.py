@@ -10,8 +10,9 @@ singular limit of a full within-host run, and ``fast_rhs`` the frozen-W
 fast vector field. ``trace_roots_np`` solves the trace condition of the
 critical loci as a polynomial. ``infected_mass`` is the trapezoid mass of a
 density. ``hopf_point`` and ``leading_eigenvalue`` give the Hopf point of a
-sweep and the linearisation on its upper branch: an oracle of the cycle
-sampler independent of its orbits.
+sweep and the linearisation on its upper branch, and
+``lyapunov_coefficient`` and ``hopf_amplitude_slope`` the Hopf normal form
+there: oracles of the cycle sampler independent of its orbits.
 """
 
 from typing import Callable, Sequence
@@ -87,14 +88,14 @@ def dfe_char_G(lam: float, params: bh.BetweenHostParams) -> float:
 
         G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)],
 
-    read off the package's transmission table. Strictly decreasing in lam;
+    read off the package's characteristic function. Strictly decreasing in lam;
     G(0) is the reproduction number and the root of G(lam) = 1 is the
     leading growth rate near the infection-free state. Requires
     lam > -sigma.
     """
     if lam <= -params.sigma:
         raise ValueError(f"lam must exceed -sigma = {-params.sigma}")
-    direct, environmental, _ = bh._threshold_characteristic(params)(lam)
+    direct, environmental, _, _ = bh._characteristic(params)(lam)
     return direct + environmental
 
 
@@ -108,14 +109,14 @@ def reduced_endemic_residual(lam: float, params: bh.BetweenHostParams, eq: bh.En
 
     and this is LHS - RHS, with K the direct transmission integral against
     the endemic profile and the status integral read off the package's
-    transmission table.
+    characteristic function.
     """
     unit_speed = params.g.family == "constant" and params.g.describe["value"] == 1.0
     if params.rho != 0.0 or params.beta_e != 0.0 or not unit_speed:
         raise ValueError("the reduced form needs rho = 0, beta_e = 0 and g = 1")
     step = eq.omega[1] - eq.omega[0]
     K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
-    j_p, _ = bh._transmission_table(params)(lam)
+    _, _, j_p, _ = bh._characteristic(params)(lam)
     return (lam + params.mu1 + K) / (lam + params.mu1) - eq.S * params.beta_h * j_p
 
 
@@ -213,3 +214,63 @@ def hopf_point(params: wh.WithinHostParams, spec) -> float:
     if spec.which == "delta":
         return (Gamma - params.gamma) / spec.W
     return (Gamma - params.gamma) / params.delta
+
+
+def lyapunov_coefficient(params: wh.WithinHostParams, spec) -> tuple[float, np.ndarray]:
+    """First Lyapunov coefficient l1 at the closed-form Hopf point of a sweep,
+    with the critical eigenvector q it is normalised to (A q = i*omega_H*q,
+    |q| = 1), by Kuznetsov, *Elements of Applied Bifurcation Theory* (3rd
+    ed., 2004), §3.5:
+
+        l1 = Re(i*g20*g11 + omega_H*g21) / (2*omega_H^2),
+        g20 = <p, B(q, q)>, g11 = <p, B(q, conj q)>, g21 = <p, C(q, q, conj q)>,
+
+    with A the fast Jacobian at the Hopf equilibrium, p the adjoint
+    eigenvector (A^T p = -i*omega_H*p, <p, q> = 1) and B, C the second and
+    third derivatives of the fast field there. The only nonlinearity is the
+    incidence alpha*P^2*T, which leaves T' and enters P'; its nonzero
+    derivatives are 2*alpha*P in (T, P), 2*alpha*T in (P, P) and 2*alpha in
+    (T, P, P). l1 < 0 makes the Hopf point supercritical.
+    """
+    p, W = spec.resolve(params, hopf_point(params, spec))
+    T, P = wh.equilibria_fast(p, W).upper
+    A = wh.jacobian_fast((T, P), p, W)
+    values, vectors = np.linalg.eig(A)
+    k = int(np.argmax(values.imag))
+    omega = values[k].imag
+    q = vectors[:, k] / np.linalg.norm(vectors[:, k])
+    values, vectors = np.linalg.eig(A.T)
+    adjoint = vectors[:, int(np.argmin(values.imag))]
+    adjoint = adjoint / np.conj(np.vdot(adjoint, q))
+    a = p.alpha
+
+    def B(x, y):
+        b = 2.0 * a * P * (x[0] * y[1] + x[1] * y[0]) + 2.0 * a * T * x[1] * y[1]
+        return np.array([-b, b])
+
+    def C(x, y, z):
+        c = 2.0 * a * (x[0] * y[1] * z[1] + x[1] * y[0] * z[1] + x[1] * y[1] * z[0])
+        return np.array([-c, c])
+
+    g20 = np.vdot(adjoint, B(q, q))
+    g11 = np.vdot(adjoint, B(q, q.conj()))
+    g21 = np.vdot(adjoint, C(q, q, q.conj()))
+    return float((1j * g20 * g11 + omega * g21).real / (2.0 * omega**2)), q
+
+
+def hopf_amplitude_slope(params: wh.WithinHostParams, spec, step: float = 1e-6) -> float:
+    """The slope of (p_max - p_min)^2 against the distance Delta of the sweep
+    parameter past the Hopf point, at the point.
+
+    Near it the cycle is x_H + 2 Re(z q) with |z|^2 = -mu(Delta)/(omega_H*l1)
+    (``lyapunov_coefficient``) and mu(Delta) = mu'*Delta the real part of
+    the leading eigenvalue, so p_max - p_min = 4|z||q_P| and
+    (p_max - p_min)^2 = -16 |q_P|^2 mu' / (omega_H l1) * Delta + O(Delta^2).
+    mu' is the central difference of ``leading_eigenvalue`` over +-step.
+    """
+    hopf_at = hopf_point(params, spec)
+    l1, q = lyapunov_coefficient(params, spec)
+    omega = leading_eigenvalue(params, spec, hopf_at).imag
+    ahead = leading_eigenvalue(params, spec, hopf_at + step).real
+    behind = leading_eigenvalue(params, spec, hopf_at - step).real
+    return -16.0 * abs(q[1]) ** 2 * (ahead - behind) / (2.0 * step) / (omega * l1)

@@ -252,9 +252,9 @@ class TestEndemicEquilibrium:
     def test_direct_route_closed_forms(self, direct_params):
         eq = bh.endemic_equilibrium(direct_params)
         assert eq is not None
-        assert eq.reproduction_number == pytest.approx(R0_DIRECT_REF, abs=1e-8)
+        assert bh.r0(direct_params) == pytest.approx(R0_DIRECT_REF, abs=1e-8)
         assert eq.I0 == pytest.approx(I0_DIRECT_REF, abs=1e-8)
-        assert eq.S * eq.reproduction_number == pytest.approx(10.0, abs=1e-10)
+        assert eq.S * bh.r0(direct_params) == pytest.approx(10.0, abs=1e-10)
         assert eq.V == pytest.approx(eq.I0 * PI_END_REF / 0.2, abs=1e-8)
 
     def test_both_routes_closed_forms(self, env_params):

@@ -1,6 +1,7 @@
 """Branch sweeps, event detection, and cycle sampling of the frozen-W fast flow."""
 
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -18,7 +19,13 @@ from immunoepi.errors import NonFiniteError
 from immunoepi.numerics import integrate_ode
 
 from conftest import random_within
-from oracles import fast_rhs, hopf_point, leading_eigenvalue
+from oracles import (
+    fast_rhs,
+    hopf_amplitude_slope,
+    hopf_point,
+    leading_eigenvalue,
+    lyapunov_coefficient,
+)
 from reference_loops import cycle_amplitude_loop
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -148,11 +155,11 @@ class TestSweepBranch:
 
 class TestDetectEvents:
     def test_delta_sweep_finds_both_events(self, paper_within):
-        res = bif.sweep_branch(paper_within, delta_sweep())
-        events = bif.detect_all_events(res)
+        spec = delta_sweep()
+        events = bif.detect_all_events(paper_within, spec)
         kinds = sorted(e.kind for e in events)
         assert kinds == ["fold", "hopf"]
-        fold_at, hopf_at = analytic_events(paper_within, res.spec)
+        fold_at, hopf_at = analytic_events(paper_within, spec)
         fold = next(e for e in events if e.kind == "fold")
         hopf = next(e for e in events if e.kind == "hopf")
         assert fold.param == pytest.approx(fold_at, abs=1e-6)
@@ -161,23 +168,21 @@ class TestDetectEvents:
         assert hopf.param == pytest.approx(DELTA_HOPF_REF, abs=1e-6)
 
     def test_fold_event_carries_the_double_root_state(self, paper_within):
-        res = bif.sweep_branch(paper_within, delta_sweep())
-        fold = next(e for e in bif.detect_all_events(res) if e.kind == "fold")
+        fold = next(e for e in bif.detect_all_events(paper_within, delta_sweep()) if e.kind == "fold")
         assert fold.P == pytest.approx(P_FOLD_REF, abs=1e-12)
         assert fold.T == pytest.approx(T_FOLD_REF, abs=1e-12)
 
     def test_hopf_event_state_sits_on_the_upper_branch(self, paper_within):
-        res = bif.sweep_branch(paper_within, delta_sweep())
-        hopf = next(e for e in bif.detect_all_events(res) if e.kind == "hopf")
-        p, W = res.spec.resolve(paper_within, hopf.param)
+        spec = delta_sweep()
+        hopf = next(e for e in bif.detect_all_events(paper_within, spec) if e.kind == "hopf")
+        p, W = spec.resolve(paper_within, hopf.param)
         eq = wh.equilibria_fast(p, W)
         assert hopf.T == pytest.approx(eq.upper[0], rel=1e-9)
         assert hopf.P == pytest.approx(eq.upper[1], rel=1e-9)
 
     def test_immune_status_sweep_finds_both_events(self, paper_within):
         spec = bif.SweepSpec(which="W", lo=0.0, hi=4.0, n=200)
-        res = bif.sweep_branch(paper_within, spec)
-        events = bif.detect_all_events(res)
+        events = bif.detect_all_events(paper_within, spec)
         fold_at, hopf_at = analytic_events(paper_within, spec)
         fold = next(e for e in events if e.kind == "fold")
         hopf = next(e for e in events if e.kind == "hopf")
@@ -191,21 +196,17 @@ class TestDetectEvents:
         # to the sweep parameter
         for spec in (delta_sweep(), bif.SweepSpec(which="W", lo=0.0, hi=4.0, n=200)):
             _, expected = analytic_events(paper_within, spec)
-            events = bif.detect_all_events(bif.sweep_branch(paper_within, spec))
+            events = bif.detect_all_events(paper_within, spec)
             assert [e.param for e in events if e.kind == "hopf"] == [expected]
 
     def test_quiet_range_reports_no_events(self, paper_within):
-        spec = delta_sweep(n=60, lo=0.1, hi=0.4)
-        res = bif.sweep_branch(paper_within, spec)
-        assert bif.detect_all_events(res) == []
+        assert bif.detect_all_events(paper_within, delta_sweep(n=60, lo=0.1, hi=0.4)) == []
 
     def test_events_agree_across_grid_resolutions(self, paper_within):
         # the events are the loci inside [lo, hi], whatever the grid
         for spec in (delta_sweep(), bif.SweepSpec(which="W", lo=0.0, hi=4.0)):
             events = [
-                bif.detect_all_events(
-                    bif.sweep_branch(paper_within, dataclasses.replace(spec, n=n))
-                )
+                bif.detect_all_events(paper_within, dataclasses.replace(spec, n=n))
                 for n in (2, 3, 80, 400)
             ]
             assert [e.kind for e in events[0]] == ["hopf", "fold"]
@@ -221,7 +222,7 @@ class TestDetectEvents:
         spec = bif.SweepSpec(which="W", lo=lo, hi=lo + 2.0 * step, n=3)
         res = bif.sweep_branch(paper_within, spec)
         assert [pt.param for pt in res.upper] == [lo]
-        events = bif.detect_all_events(res)
+        events = bif.detect_all_events(paper_within, spec)
         assert [(e.kind, e.param) for e in events] == [("hopf", hopf_at), ("fold", fold_at)]
 
     @given(st.randoms(use_true_random=False))
@@ -231,7 +232,7 @@ class TestDetectEvents:
         w_fold = (loci.Gamma_fold - params.gamma) / params.delta
         assume(w_fold > 0.05)
         spec = bif.SweepSpec(which="W", lo=0.0, hi=1.2 * w_fold, n=60)
-        events = bif.detect_all_events(bif.sweep_branch(params, spec))
+        events = bif.detect_all_events(params, spec)
         folds = [e for e in events if e.kind == "fold"]
         assert len(folds) == 1
         assert folds[0].param == pytest.approx(w_fold, abs=1e-6)
@@ -446,6 +447,24 @@ class TestHopfOracle:
     # fate is read: the distance to the equilibrium or to the cycle then
     # falls by e^-5 or more
     RELAXATION_TIMES = 5.0
+    # the distance d of the first column past the Hopf point: the same step
+    # 0.0018 in Gamma = gamma + delta*W on both sweeps (W = 0.9 on fig1,
+    # delta = 0.3 on fig2)
+    HOPF_OFFSET = {"within_fig1.json": 0.002, "within_fig2.json": 0.006}
+
+    @classmethod
+    @functools.cache
+    def past_hopf(cls, config):
+        """The sweep of a figure config and its cycle samples at d, 2d, 3d
+        and 4d past the Hopf point, with a transient of RELAXATION_TIMES
+        growth times of the slowest column."""
+        cfg = load_scenario(CONFIGS / config)
+        hopf_at, d = hopf_point(cfg.within, cfg.sweep), cls.HOPF_OFFSET[config]
+        spec = dataclasses.replace(cfg.sweep, lo=hopf_at + d, hi=hopf_at + 4.0 * d, n=4)
+        growth = leading_eigenvalue(cfg.within, spec, hopf_at + d).real
+        h = bif.CYCLE_STEP
+        transient = math.ceil(cls.RELAXATION_TIMES / growth / h) * h
+        return cfg.within, spec, bif.cycle_amplitude(cfg.within, spec, transient=transient)
 
     @pytest.mark.parametrize("config", ["within_fig1.json", "within_fig2.json"])
     def test_cycles_appear_only_on_the_unstable_side(self, config):
@@ -453,6 +472,11 @@ class TestHopfOracle:
         spec = dataclasses.replace(cfg.sweep, n=cfg.cycle_n)
         samples = bif.cycle_amplitude(cfg.within, spec)
         hopf_at = hopf_point(cfg.within, spec)
+        # a negative first Lyapunov coefficient: a supercritical Hopf point,
+        # whose small cycles lie on its unstable side; both sweeps cross the
+        # same point Gamma_H of the same rates
+        l1, _ = lyapunov_coefficient(cfg.within, spec)
+        assert l1 == pytest.approx(-0.133, abs=5e-4)
         # a stable column whose transient spans RELAXATION_TIMES decay times
         # has settled on its equilibrium; closer to the Hopf point a
         # decaying spiral may still oscillate in the window (fig2 has one
@@ -475,18 +499,11 @@ class TestHopfOracle:
         assert stable_checked > 0 and past_hopf > 0
 
     def test_periods_tend_to_the_linear_period_at_the_hopf_point(self):
-        cfg = load_scenario(CONFIGS / "within_fig1.json")
-        params, h = cfg.within, bif.CYCLE_STEP
-        hopf_at = hopf_point(params, cfg.sweep)
-        period_h = 2.0 * math.pi / leading_eigenvalue(params, cfg.sweep, hopf_at).imag
+        params, spec, samples = self.past_hopf("within_fig1.json")
+        h = bif.CYCLE_STEP
+        hopf_at = hopf_point(params, spec)
+        period_h = 2.0 * math.pi / leading_eigenvalue(params, spec, hopf_at).imag
         assert period_h == pytest.approx(7.32, abs=5e-3)
-        # columns d, 2d, 3d, 4d past the Hopf point, with a transient of
-        # RELAXATION_TIMES growth times of the slowest one
-        d = 0.002
-        spec = dataclasses.replace(cfg.sweep, lo=hopf_at + d, hi=hopf_at + 4.0 * d, n=4)
-        growth = leading_eigenvalue(params, spec, hopf_at + d).real
-        transient = math.ceil(self.RELAXATION_TIMES / growth / h) * h
-        samples = bif.cycle_amplitude(params, spec, transient=transient)
         assert all(s.oscillatory for s in samples)
         t1, t2, _, t4 = (s.period for s in samples)
         # the period grows smoothly with the distance past the Hopf point
@@ -500,6 +517,30 @@ class TestHopfOracle:
         extrapolated = (8.0 * t1 - 6.0 * t2 + t4) / 3.0
         assert abs(extrapolated - period_h) <= 5.0 * quantum
 
+    @pytest.mark.parametrize("config", ["within_fig1.json", "within_fig2.json"])
+    def test_amplitudes_grow_at_the_normal_form_slope(self, config):
+        params, spec, samples = self.past_hopf(config)
+        h = bif.CYCLE_STEP
+        hopf_at = hopf_point(params, spec)
+        omega = leading_eigenvalue(params, spec, hopf_at).imag
+        slope = hopf_amplitude_slope(params, spec)
+        assert all(s.oscillatory for s in samples)
+        # s(D) = (p_max - p_min)^2 / D = slope + c1*D + c2*D^2 + O(D^3) at the
+        # distance D past the Hopf point. The quadratic Richardson
+        # extrapolation of s(d), s(2d), s(4d) to D = 0 removes the c1 and c2
+        # terms; its step past the linear one, 2 s(d) - s(2d), is the c2 term
+        # that the linear one leaves, and bounds what is left while the
+        # terms fall
+        s1, s2, _, s4 = ((s.p_max - s.p_min) ** 2 / (s.param - hopf_at) for s in samples)
+        linear = 2.0 * s1 - s2
+        extrapolated = (8.0 * s1 - 6.0 * s2 + s4) / 3.0
+        # each extremum on the step grid lies within h/2 of the orbit's own,
+        # low by at most omega^2*a*h^2/8 on a near-harmonic orbit of half
+        # amplitude a, so each s is low by a relative omega^2*h^2/4 at most,
+        # carried through the weights 8/3, 6/3 and 1/3
+        sampling = omega**2 * h**2 / 4.0 * (8.0 * s1 + 6.0 * s2 + s4) / 3.0
+        assert abs(extrapolated - slope) <= abs(extrapolated - linear) + sampling
+
 
 # a delta sweep holding the fold and the Hopf point; its four cycle columns
 # are a stable focus, an oscillation (delta = 0.5346) and two collapses
@@ -509,7 +550,8 @@ EXPORT_SWEEP = {"which": "delta", "lo": 0.1519, "hi": 1.3, "n": 12, "W": 0.9, "c
 @pytest.fixture(scope="module")
 def exported(tmp_path_factory):
     """The outputs of one `bifurcate` run on EXPORT_SWEEP, with the sweep it
-    traced and the cycles it sampled, computed here directly."""
+    traced and the cycles it sampled, computed here directly, and its
+    config."""
     root = tmp_path_factory.mktemp("exports")
     doc = json.loads((CONFIGS / "within_fig1.json").read_text())
     doc["sweep"] = EXPORT_SWEEP
@@ -519,14 +561,14 @@ def exported(tmp_path_factory):
     cfg = load_scenario(root / "scenario.json")
     result = bif.sweep_branch(cfg.within, cfg.sweep)
     cycles = bif.cycle_amplitude(cfg.within, dataclasses.replace(cfg.sweep, n=cfg.cycle_n))
-    return out, result, cycles
+    return out, result, cycles, cfg
 
 
 class TestExports:
     """The branch, cycle and event files a `bifurcate` run writes."""
 
     def test_branch_csv_shape_and_round_trip(self, exported):
-        out, result, _ = exported
+        out, result, _, _ = exported
         for name, points in (("branches.csv", result.fold_path), ("trivial.csv", result.trivial)):
             lines = (out / name).read_text().splitlines()
             assert lines[0] == "param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability"
@@ -540,7 +582,7 @@ class TestExports:
                 assert "np.float64" not in line
 
     def test_cycles_csv_uses_integer_flags(self, exported):
-        out, _, samples = exported
+        out, _, samples, _ = exported
         lines = (out / "cycles.csv").read_text().splitlines()
         assert lines[0] == (
             "param,p_min,p_max,period,n_maxima,oscillatory,collapsed,homoclinic_flag"
@@ -558,11 +600,11 @@ class TestExports:
         assert [s.collapsed for s in samples] == [False, False, True, True]
 
     def test_events_serialize_to_plain_dicts(self, exported):
-        out, result, _ = exported
+        out, _, _, cfg = exported
         events = json.loads((out / "events.json").read_text())
         assert [sorted(d) for d in events] == [["P", "T", "kind", "param"]] * 2
         assert [d["kind"] for d in events] == ["hopf", "fold"]
         assert all(isinstance(d["param"], float) for d in events)
-        assert events == [dataclasses.asdict(e) for e in bif.detect_all_events(result)]
+        assert events == [dataclasses.asdict(e) for e in bif.detect_all_events(cfg.within, cfg.sweep)]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["events"] == events

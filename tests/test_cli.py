@@ -60,6 +60,25 @@ def sim_doc():
     )
 
 
+BETWEEN_HOST_COMMANDS = ("r0", "equilibria", "spectral", "epi-sim", "renewal-check")
+
+
+def linked_doc():
+    """The benchmark's linked document: within_sim.json's rates with kappa
+    10, and bh_env.json with the fold as recovery status, beta_h 0.4, and P
+    and g derived from the within-host model, on a 60-node grid at dt
+    0.0025."""
+    within = json.loads((CONFIGS / "within_sim.json").read_text())["within_host"]
+    del within["initial"]
+    doc = json.loads((CONFIGS / "bh_env.json").read_text())
+    doc["within_host"] = dict(within, kappa=10.0)
+    doc["between_host"].update(omega0="fold", beta_h=0.4)
+    doc["functions"]["P"] = {"family": "within_host", "kind": "pathogen_load"}
+    doc["functions"]["g"] = {"family": "within_host", "kind": "immune_growth"}
+    doc["grid"] = {"n_omega": 60, "dt": 0.0025}
+    return doc
+
+
 def write_config(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -70,9 +89,9 @@ def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
 
-def set_bh_leaf(doc, leaf, value):
-    """Set one numeric leaf of a between-host document: a key of
-    between_host, or the value of a constant function."""
+def set_leaf(doc, leaf, value):
+    """Set one numeric leaf of a document: a key of a section, or the value
+    of a constant function."""
     section, key = leaf
     if section == "functions":
         doc["functions"][key]["value"] = value
@@ -275,6 +294,68 @@ class TestExitCodes:
         assert f"error: within_host.initial[{index}]: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("command", BETWEEN_HOST_COMMANDS)
+    @pytest.mark.parametrize("section, key", [
+        ("within_host", "Lambda"), ("within_host", "alpha"), ("between_host", "omega0"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_derived_coefficient_returns_two(self, tmp_path, capsys, command,
+                                                          section, key):
+        # the fast equilibria behind P and g overflowed with a numpy warning,
+        # a traceback under -W error::RuntimeWarning
+        doc = linked_doc()
+        doc["run"]["t_max"] = CONTRACT_LINKED_T_MAX_CAP
+        doc[section][key] = 1e300
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        message = "P(omega) is not finite on [0, omega0]"
+        if key == "omega0":
+            message = "no infected branch at W=1.5625e+298 (fold at W=3.6037961002806327)"
+        assert capsys.readouterr().err == f"error: between_host: {message}\n"
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_linked_load_with_the_fold_at_minus_infinity_returns_two(self, tmp_path, capsys):
+        # gamma = 1e308 puts the fold at W = -inf; the discriminant of the
+        # fast equilibria overflowed with a numpy warning before that
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        doc["within_host"] = json.loads((CONFIGS / "within_sim.json").read_text())["within_host"]
+        doc["within_host"]["gamma"] = 1e308
+        doc["between_host"]["omega0"] = 1.0
+        doc["functions"]["P"] = {"family": "within_host", "kind": "pathogen_load"}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["r0", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: between_host: no infected branch at W=0.0 (fold at W=-inf)\n"
+        )
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cycle_start_past_the_float_range_returns_three(self, tmp_path, capsys):
+        # gamma = 1e-300 gives the upper load 1e300 at W = 0, whose target
+        # cells T = Lambda/(mu + alpha*P^2) overflowed with a numpy warning
+        doc = json.loads((CONFIGS / "within_fig2.json").read_text())
+        doc["within_host"]["gamma"] = 1e-300
+        doc["sweep"].update(n=20, cycle_n=2)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["bifurcate", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: cycle orbit at W=0.0 is not finite\n"
+        assert not (tmp_path / "nested").exists()
+
+    def test_transport_without_an_initial_state_returns_two(self, tmp_path, capsys):
+        doc = sim_doc()
+        doc["run"] = {"t_max": 2.0}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["epi-sim", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: run.initial with S and I is required for this subcommand\n"
+        )
+        assert not (tmp_path / "nested").exists()
+
     def test_renewal_window_too_long_to_allocate_returns_two(self, tmp_path, capsys):
         # a_bar = 1e300 asks for more memory-window nodes than an array can
         # index: refused in the renewal set-up before anything is allocated
@@ -349,7 +430,7 @@ class TestExitCodes:
         # residuals near -1e300 used to overflow the product of neighbours
         # in the scan's sign test; only their signs are multiplied now
         doc = json.loads((CONFIGS / "bh_env.json").read_text())
-        set_bh_leaf(doc, leaf, value)
+        set_leaf(doc, leaf, value)
         out = tmp_path / "out"
         assert cli.main(["spectral", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         summary = read_summary(out)
@@ -531,12 +612,12 @@ class TestNothingWrittenOnFailure:
         assert not (tmp_path / "nested").exists()
 
 
+WITHIN_RATES = ("Lambda", "mu", "alpha", "gamma", "delta", "epsilon", "kappa", "c")
+BETWEEN_RATES = ("r", "mu1", "mu3", "beta_h", "beta_e", "rho", "sigma", "omega0", "a_bar")
 # The numeric leaves of configs/within_sim.json, with p_clear added at its
 # default, and the values the contract test sets one of them to.
 WITHIN_SIM_LEAVES = (
-    *(("within_host", key) for key in (
-        "Lambda", "mu", "alpha", "gamma", "delta", "epsilon", "kappa", "c", "p_clear",
-    )),
+    *(("within_host", key) for key in (*WITHIN_RATES, "p_clear")),
     *(("initial", index) for index in range(3)),
     ("run", "t_max"),
 )
@@ -544,14 +625,12 @@ EXTREME_VALUES = (0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf)
 # The horizon of every case but those that set t_max itself. A run that never
 # clears stops there after a few thousand steps, far inside the integrator's
 # 10^6-step budget. t_max = 1e300 keeps the shipped rates, which clear at
-# t = 677 and then follow the closed-form cleared branch.
+# t = 674.8 and then follow the closed-form cleared branch.
 CONTRACT_T_MAX_CAP = 300.0
 # The numeric leaves of configs/bh_env.json: its between_host rates and the
 # values of its four constant functions.
 BH_ENV_LEAVES = (
-    *(("between_host", key) for key in (
-        "r", "mu1", "mu3", "beta_h", "beta_e", "rho", "sigma", "omega0", "a_bar",
-    )),
+    *(("between_host", key) for key in BETWEEN_RATES),
     *(("functions", key) for key in ("mu2", "xi", "P", "g")),
 )
 # The between-host horizon: 80 transport steps of epi-sim and renewal-check
@@ -561,6 +640,27 @@ BH_ENV_LEAVES = (
 # neither; at the shipped t_max = 1000 the transport cases keep the
 # contract too.
 CONTRACT_BH_T_MAX_CAP = 1.0
+# The numeric leaves of configs/within_fig2.json under bifurcate, at sweep n
+# 20 and cycle_n 2: its rates and the sweep's range and sizes.
+FIG2_LEAVES = (
+    *(("within_host", key) for key in WITHIN_RATES),
+    *(("sweep", key) for key in ("lo", "hi", "n", "cycle_n")),
+)
+# The numeric leaves of linked_doc(): its within-host rates, its between_host
+# entries (omega0 "fold" among them) and the values of its two constant
+# functions; P and g are derived.
+LINKED_LEAVES = (
+    *(("within_host", key) for key in WITHIN_RATES),
+    *(("between_host", key) for key in BETWEEN_RATES),
+    ("functions", "mu2"),
+    ("functions", "xi"),
+)
+# The linked horizon: 4 transport steps of epi-sim and renewal-check. Every
+# break this test found (P or g overflowing on the fast equilibria) is
+# raised while the document loads, before the first step, so the cap hides
+# none; at t_max = 2 (800 steps) the transport cases give the same exit
+# codes.
+CONTRACT_LINKED_T_MAX_CAP = 0.01
 
 
 def not_strict_json(constant):
@@ -568,8 +668,9 @@ def not_strict_json(constant):
 
 
 class TestContractProperty:
-    """The CLI contract for any one extreme leaf, of within_sim.json under
-    within-sim and manifold, or of bh_env.json under the between-host
+    """The CLI contract for any one extreme leaf: of within_sim.json under
+    within-sim and manifold, of within_fig2.json under bifurcate, or of
+    bh_env.json or the linked document under the between-host
     subcommands: exit 0, 2 or 3 with no numpy RuntimeWarning; nothing
     written on 2 or 3; on 0, a strict-JSON summary that its manifest lists
     with the right digest."""
@@ -590,14 +691,34 @@ class TestContractProperty:
 
     @settings(max_examples=1000)
     @given(
-        command=st.sampled_from(["r0", "equilibria", "spectral", "epi-sim", "renewal-check"]),
+        command=st.sampled_from(BETWEEN_HOST_COMMANDS),
         leaf=st.sampled_from(BH_ENV_LEAVES),
         value=st.sampled_from(EXTREME_VALUES),
     )
     def test_one_extreme_between_host_leaf_keeps_the_contract(self, tmp_path, command, leaf, value):
         doc = json.loads((CONFIGS / "bh_env.json").read_text())
         doc["run"]["t_max"] = CONTRACT_BH_T_MAX_CAP
-        set_bh_leaf(doc, leaf, value)
+        set_leaf(doc, leaf, value)
+        self.assert_contract(tmp_path, command, doc)
+
+    @settings(max_examples=300)
+    @given(leaf=st.sampled_from(FIG2_LEAVES), value=st.sampled_from(EXTREME_VALUES))
+    def test_one_extreme_bifurcate_leaf_keeps_the_contract(self, tmp_path, leaf, value):
+        doc = json.loads((CONFIGS / "within_fig2.json").read_text())
+        doc["sweep"].update(n=20, cycle_n=2)
+        set_leaf(doc, leaf, value)
+        self.assert_contract(tmp_path, "bifurcate", doc)
+
+    @settings(max_examples=1500)
+    @given(
+        command=st.sampled_from(BETWEEN_HOST_COMMANDS),
+        leaf=st.sampled_from(LINKED_LEAVES),
+        value=st.sampled_from(EXTREME_VALUES),
+    )
+    def test_one_extreme_linked_leaf_keeps_the_contract(self, tmp_path, command, leaf, value):
+        doc = linked_doc()
+        doc["run"]["t_max"] = CONTRACT_LINKED_T_MAX_CAP
+        set_leaf(doc, leaf, value)
         self.assert_contract(tmp_path, command, doc)
 
     @staticmethod
@@ -840,6 +961,17 @@ class TestEpiSimOutputs:
         # snapshot stride 25 at 50 steps: rows at t = 0, 1, 2
         assert len(lines) == 4
 
+    def test_first_records_are_the_configured_initial_state(self, tmp_path):
+        config = write_config(tmp_path, sim_doc())
+        out = tmp_path / "out"
+        assert cli.main(["epi-sim", "--config", config, "--out", str(out)]) == 0
+        snapshots = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=1)
+        assert snapshots[0, 0] == 0.0
+        omega = np.linspace(0.0, 5.0, 51)
+        np.testing.assert_allclose(snapshots[0, 1:], 0.5 * np.exp(-omega), rtol=1e-13)
+        t, S, _, V, B, _ = np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1)[0]
+        assert (t, S, V, B) == (0.0, 10.0, 0.0, 0.0)
+
     def test_grid_refine_scales_the_grid(self, tmp_path):
         config = write_config(tmp_path, sim_doc())
         out = tmp_path / "out"
@@ -850,6 +982,26 @@ class TestEpiSimOutputs:
 
 
 class TestWithinSimClearance:
+    def test_summary_carries_the_clearance_record(self, tmp_path):
+        # the shipped rates clear at t = 674.8, after the shipped t_max = 300
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        doc["run"]["t_max"] = 1000.0
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["within-sim", "--config", config, "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert set(summary) == {
+            "p_clear", "w_fold", "recovery_time", "recovery_time_slow",
+            "fold_crossed", "t_end", "n_samples",
+            "defaults", "subcommand", "seed", "grid_refine", "parameters",
+        }
+        assert summary["p_clear"] == summary["defaults"]["p_clear"] == within_host.P_CLEAR_DEFAULT
+        assert summary["recovery_time"] == pytest.approx(674.8, abs=0.05)
+        assert summary["recovery_time_slow"] == summary["recovery_time"] * 0.01
+        assert summary["w_fold"] == within_host.manifold_tip(load_scenario(config).within)[1]
+        assert summary["t_end"] == 1000.0
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert summary["n_samples"] == len(rows) - 1
     def test_a_load_rising_through_p_clear_is_not_a_clearance(self, tmp_path):
         # from P = 0.08 the load rises through p_clear = 0.1 toward a peak
         # near 9.6 and stays infected to t_max; only a fall through p_clear

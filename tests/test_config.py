@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from immunoepi import config
@@ -250,21 +249,6 @@ class TestScenarioAccessors:
             cfg.require("between_host")
         with pytest.raises(ConfigError, match="'run' is required"):
             cfg.require("run")
-
-    def test_initial_state_arrays_evaluate_the_density(self, tmp_path):
-        cfg = load(tmp_path, base_doc())
-        S, I, V, B = cfg.initial_state_arrays(100)
-        assert S == 10.0 and V == 0.0 and B == 0.0
-        assert I.shape == (101,)
-        omega = np.linspace(0.0, 5.0, 101)
-        np.testing.assert_allclose(I, 0.5 * np.exp(-omega), rtol=1e-13)
-
-    def test_initial_state_arrays_require_the_initial_block(self, tmp_path):
-        doc = base_doc()
-        doc["run"] = {"t_max": 10.0}
-        cfg = load(tmp_path, doc)
-        with pytest.raises(ConfigError, match="run.initial"):
-            cfg.initial_state_arrays(100)
 
 
 class TestFileHandling:

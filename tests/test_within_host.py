@@ -1,4 +1,3 @@
-import json
 from unittest import mock
 
 import numpy as np
@@ -227,6 +226,12 @@ def scalar_branch_load(params, W):
     return eq.upper[1] if eq.exists else float(np.sqrt(params.mu / params.alpha))
 
 
+def recovery_state(run):
+    """The state of a run at its recovery time, which is one of its samples."""
+    (k,) = np.flatnonzero(run.t == run.recovery_time)
+    return run.states[k]
+
+
 class TestVectorizedBranch:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -293,9 +298,9 @@ class TestSimulateInfection:
         )
         assert run.recovery_time is not None
         assert not run.fold_crossed
-        assert run.recovery_state[2] < run.w_fold
+        assert recovery_state(run)[2] < run.w_fold
         # after clearance the immune status decays on the recovered branch
-        assert run.states[-1, 2] < run.recovery_state[2]
+        assert run.states[-1, 2] < recovery_state(run)[2]
 
     def test_branch_riding_course_reaches_the_fold(self):
         # No oscillation onset exists for this set (the trace balance has no
@@ -309,7 +314,7 @@ class TestSimulateInfection:
         run = wh.simulate_infection(params, wh.WithinHostState(1.0, 1.0, 0.0), 400.0)
         assert run.recovery_time is not None
         assert run.fold_crossed
-        assert run.recovery_state[2] == pytest.approx(run.w_fold, rel=0.05)
+        assert recovery_state(run)[2] == pytest.approx(run.w_fold, rel=0.05)
         # clearance follows within a few fast time units of crossing the fold
         near_fold = run.t[run.states[:, 2] >= 0.99 * run.w_fold]
         assert run.recovery_time - near_fold[0] < 50.0
@@ -344,18 +349,11 @@ class TestSimulateInfection:
             run = wh.simulate_infection(params, initial, 150.0)
             assert np.min(run.states) >= -1e-10
 
-    def test_metadata_and_csv_round_trip(self, paper_within):
+    def test_trajectory_csv_round_trip(self, paper_within):
+        # the run's summary keys are checked on the CLI's summary.json
         run = wh.simulate_infection(
             paper_within, wh.WithinHostState(0.5, 0.9, 0.0), 50.0
         )
-        meta = wh.run_metadata(run, paper_within)
-        assert json.loads(json.dumps(meta)) == meta
-        assert meta["p_clear"] == wh.P_CLEAR_DEFAULT
-        # the parameters are echoed by the CLI's run envelope, not here
-        assert set(meta) == {
-            "p_clear", "w_fold", "recovery_time", "recovery_time_slow",
-            "fold_crossed", "t_end", "n_samples",
-        }
         lines = "".join(cli._csv_lines("t,T,P,W", run.t, run.states)).splitlines()
         assert lines[0] == "t,T,P,W"
         first = [float(x) for x in lines[1].split(",")]
@@ -392,7 +390,6 @@ class TestClearedBranch:
         assert np.all(run.states[tail, 1] == 0.0)
         # the infected phase ends on the event sample itself
         assert run.t[~tail][-1] == run.recovery_time
-        assert np.array_equal(run.states[~tail][-1], run.recovery_state)
 
     def test_clearing_run_integrates_the_infected_phase_only(self, paper_within, monkeypatch):
         calls = []
