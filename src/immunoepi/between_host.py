@@ -29,6 +29,7 @@ integral), so a non-finite integral raises NonFiniteError.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -348,8 +349,11 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
         return None
     g0 = params.g(0.0)
     pi_end = survival_pi(params.omega0, params)
-    recycle = params.rho * params.g(params.omega0) * pi_end / (params.rho + params.mu3)
-    i0 = params.r * (1.0 - 1.0 / basic) / (g0 * (1.0 - recycle))
+    # the share of recovered-pool entrants that leave it for good: 1 minus
+    # rho*g*pi/(rho + mu3) with g*pi = exp(-M(omega0)), written without the
+    # cancellation that rounds it to 0 for rho >> mu3; exactly 1 at rho = 0
+    lost = params.mu3 + params.rho * -math.expm1(-float(params.clock.decay[-1]))
+    i0 = params.r * (1.0 - 1.0 / basic) / (g0 * (lost / (params.rho + params.mu3)))
     omega = np.linspace(0.0, params.omega0, n_omega + 1)
     profile = i0 * g0 * survival_pi(omega, params)
     b_star = i0 * g0 * j_xi / params.sigma

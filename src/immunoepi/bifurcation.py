@@ -1,17 +1,18 @@
 """Equilibrium branches, fold/Hopf events, and limit-cycle sampling.
 
-The fast subsystem's nontrivial equilibria form a closed-form pair of
-branches in any parameter that only enters through the effective clearance
-rate Gamma = gamma + delta*W. Sweeps therefore evaluate the quadratic
-directly, and the fold and Hopf events are the closed-form critical loci
-of within_host mapped to the sweep parameter. Cycle amplitudes come from
-batched fixed-step integration of the frozen-W fast system past a
-transient, stepped in place by numerics.rk4_stepper.
+Both sweep parameters, delta at a frozen immune status and W, enter the
+fast subsystem only through the effective clearance rate Gamma =
+gamma + delta*W, so a sweep is one array of clearance rates: the branches
+are within_host's closed forms evaluated on it in one vectorized pass, as
+columns, and the fold and Hopf events are the closed-form critical loci
+mapped back to the sweep parameter. Cycle amplitudes come from batched
+fixed-step integration of the frozen-W fast system past a transient,
+stepped in place by numerics.rk4_stepper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from .numerics import rk4_stepper
 
 __all__ = [
     "SweepSpec",
-    "BranchPoint",
+    "Branch",
     "BifurcationEvent",
-    "CycleSample",
+    "CycleTable",
     "SweepResult",
     "sweep_branch",
     "detect_all_events",
@@ -42,8 +43,6 @@ CYCLE_WINDOW = 400.0
 CYCLE_STEP = 0.02
 # Transient steps between two finiteness checks of the cycle orbits.
 CYCLE_CHECK_STEPS = 1000
-# A delta sweep evaluates delta = 0 at this floor.
-DELTA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,23 +75,30 @@ class SweepSpec:
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
 
-    def resolve(self, params: wh.WithinHostParams, value: float) -> tuple[wh.WithinHostParams, float]:
-        """Parameter set and frozen W for one sweep value; delta is floored
-        at DELTA_FLOOR."""
+    def to_gamma(self, params: wh.WithinHostParams, value):
+        """Clearance rate Gamma = gamma + delta*W at sweep values, elementwise."""
         if self.which == "delta":
-            return replace(params, delta=max(float(value), DELTA_FLOOR)), float(self.W)
-        return params, float(value)
+            return params.gamma + value * self.W
+        return params.gamma_eff(value)
+
+    def from_gamma(self, params: wh.WithinHostParams, Gamma: float) -> float:
+        """The sweep value at which the clearance rate is Gamma."""
+        if self.which == "delta":
+            return (Gamma - params.gamma) / self.W
+        return (Gamma - params.gamma) / params.delta
 
 
 @dataclass(frozen=True)
-class BranchPoint:
-    """An equilibrium on a branch with its local linearization."""
+class Branch:
+    """Equilibria along a sweep with their linearisation, one entry per
+    point; ``eigenvalues`` is the (n, 2) complex array of the fast
+    Jacobian's eigenvalue pairs."""
 
-    param: float
-    T: float
-    P: float
-    eigenvalues: tuple[complex, complex]
-    stability: str
+    param: np.ndarray
+    T: np.ndarray
+    P: np.ndarray
+    eigenvalues: np.ndarray
+    stability: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,68 +110,64 @@ class BifurcationEvent:
 
 
 @dataclass(frozen=True)
-class CycleSample:
-    """Amplitude record of the frozen-W fast flow at one sweep value.
+class CycleTable:
+    """Amplitude records of the frozen-W fast flow, one entry per sweep value.
 
     ``oscillatory`` requires at least three strict local maxima of P with
-    relative amplitude above CYCLE_AMPLITUDE_TOL in the sampling window.
-    ``collapsed`` marks orbits that fell to the infection-free state, where
-    amplitude is undefined. ``homoclinic_flag`` marks diverging periods.
+    relative amplitude above CYCLE_AMPLITUDE_TOL in the sampling window;
+    ``period`` is NaN where it does not hold. ``collapsed`` marks orbits
+    that fell to the infection-free state, where amplitude is undefined.
+    ``homoclinic_flag`` marks diverging periods.
     """
 
-    param: float
-    p_min: float
-    p_max: float
-    period: float | None
-    n_maxima: int
-    oscillatory: bool
-    collapsed: bool
-    homoclinic_flag: bool
+    param: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+    period: np.ndarray
+    n_maxima: np.ndarray
+    oscillatory: np.ndarray
+    collapsed: np.ndarray
+    homoclinic_flag: np.ndarray
 
 
 @dataclass
 class SweepResult:
-    upper: list[BranchPoint]
-    lower: list[BranchPoint]
-    trivial: list[BranchPoint]
+    upper: Branch
+    lower: Branch
+    trivial: Branch
 
     @property
-    def fold_path(self) -> list[BranchPoint]:
+    def fold_path(self) -> Branch:
         """Upper branch then lower branch reversed: ordered along the curve,
         so the fold sits between the two halves."""
-        return self.upper + list(reversed(self.lower))
+        return Branch(*(
+            np.concatenate([getattr(self.upper, f.name), getattr(self.lower, f.name)[::-1]])
+            for f in fields(Branch)
+        ))
 
 
-def _classify(trace: float, det: float, tol: float = 1e-9) -> str:
-    if det < -tol:
-        return "saddle"
+def _branch(param, T, P, params: wh.WithinHostParams, Gamma) -> Branch:
+    """The points (T, P) at clearance rates Gamma with the eigenvalues and
+    stability tag of the fast Jacobian there (trace and determinant within
+    1e-9 of zero count as zero)."""
+    J = wh.jacobian_fast((T, P), params, Gamma)
+    trace = J[0, 0] + J[1, 1]
+    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
     disc = trace * trace - 4.0 * det
-    kind = "focus" if disc < 0 else "node"
-    if abs(trace) <= tol:
-        return "marginal"
-    return ("stable-" if trace < 0 else "unstable-") + kind
-
-
-def _eig_pair(trace: float, det: float) -> tuple[complex, complex]:
-    disc = trace * trace - 4.0 * det
-    if disc >= 0:
-        r = np.sqrt(disc)
-        return (complex(0.5 * (trace - r)), complex(0.5 * (trace + r)))
-    r = np.sqrt(-disc)
-    return (complex(0.5 * trace, -0.5 * r), complex(0.5 * trace, 0.5 * r))
-
-
-def _point(param: float, T: float, P: float, params: wh.WithinHostParams, W: float) -> BranchPoint:
-    J = wh.jacobian_fast((T, P), params, W)
-    trace = float(J[0, 0] + J[1, 1])
-    det = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
-    return BranchPoint(
-        param=param,
-        T=T,
-        P=P,
-        eigenvalues=_eig_pair(trace, det),
-        stability=_classify(trace, det),
+    real = disc >= 0.0
+    root = np.sqrt(np.abs(disc))
+    eigenvalues = np.column_stack([
+        np.where(real, 0.5 * (trace - root), 0.5 * trace),
+        np.where(real, 0.0, -0.5 * root),
+        np.where(real, 0.5 * (trace + root), 0.5 * trace),
+        np.where(real, 0.0, 0.5 * root),
+    ]).view(complex)
+    stability = np.select(
+        [det < -1e-9, np.abs(trace) <= 1e-9, (trace < 0.0) & (disc < 0.0), trace < 0.0, disc < 0.0],
+        ["saddle", "marginal", "stable-focus", "stable-node", "unstable-focus"],
+        "unstable-node",
     )
+    return Branch(param, T, P, eigenvalues, stability)
 
 
 def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
@@ -176,33 +178,27 @@ def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
     Raises ValueError if no point of the range admits a
     nontrivial equilibrium.
     """
-    upper: list[BranchPoint] = []
-    lower: list[BranchPoint] = []
-    trivial: list[BranchPoint] = []
-    # rates past the float range give infinite equilibria and NaN
-    # linearisations here, unwarned: cycle_amplitude starts its orbits on
-    # the same branch and refuses them with NonFiniteError
+    values = spec.values()
+    # rates past the float range give infinite clearance rates, equilibria
+    # and NaN linearisations here, unwarned: cycle_amplitude starts its
+    # orbits on the same branch and refuses them with NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
-        for value in spec.values():
-            p, W = spec.resolve(params, value)
-            eq = wh.equilibria_fast(p, W)
-            T0, P0 = eq.trivial
-            trivial.append(_point(float(value), T0, P0, p, W))
-            if eq.exists:
-                upper.append(_point(float(value), eq.upper[0], eq.upper[1], p, W))
-                lower.append(_point(float(value), eq.lower[0], eq.lower[1], p, W))
-    if not upper:
+        Gamma = spec.to_gamma(params, values)
+        eq = wh.equilibria_fast(params, Gamma)
+        trivial = _branch(
+            values, np.full_like(values, eq.trivial[0]), np.zeros_like(values), params, Gamma
+        )
+        pair = eq.exists
+        upper, lower = (
+            _branch(values[pair], T[pair], P[pair], params, Gamma[pair])
+            for T, P in (eq.upper, eq.lower)
+        )
+    if not pair.any():
         raise ValueError(
             "no nontrivial equilibrium anywhere on the sweep range "
             f"({spec.which} in [{spec.lo}, {spec.hi}])"
         )
     return SweepResult(upper=upper, lower=lower, trivial=trivial)
-
-
-def _param_from_gamma(params: wh.WithinHostParams, spec: SweepSpec, Gamma: float) -> float:
-    if spec.which == "delta":
-        return (Gamma - params.gamma) / spec.W
-    return (Gamma - params.gamma) / params.delta
 
 
 def detect_all_events(params: wh.WithinHostParams, spec: SweepSpec) -> list[BifurcationEvent]:
@@ -215,15 +211,15 @@ def detect_all_events(params: wh.WithinHostParams, spec: SweepSpec) -> list[Bifu
     """
     loci = wh.critical_loci(params)
     events: list[BifurcationEvent] = []
-    fold_at = _param_from_gamma(params, spec, loci.Gamma_fold)
+    fold_at = spec.from_gamma(params, loci.Gamma_fold)
     if spec.lo <= fold_at <= spec.hi:
         P_fold = float(np.sqrt(params.mu / params.alpha))
         T_fold = float(params.Lambda / (2.0 * params.mu))
         events.append(BifurcationEvent(kind="fold", param=fold_at, T=T_fold, P=P_fold))
     for Gamma in loci.hopf:
-        hopf_at = _param_from_gamma(params, spec, Gamma)
+        hopf_at = spec.from_gamma(params, Gamma)
         if spec.lo <= hopf_at <= spec.hi:
-            T, P = wh.equilibria_fast(*spec.resolve(params, hopf_at)).upper
+            T, P = wh.equilibria_fast(params, spec.to_gamma(params, hopf_at)).upper
             events.append(BifurcationEvent(kind="hopf", param=hopf_at, T=float(T), P=float(P)))
     events.sort(key=lambda e: e.param)
     return events
@@ -241,7 +237,7 @@ def cycle_amplitude(
     transient: float = CYCLE_TRANSIENT,
     window: float = CYCLE_WINDOW,
     step: float = CYCLE_STEP,
-) -> list[CycleSample]:
+) -> CycleTable:
     """Sample the frozen-W fast flow at each sweep value.
 
     Orbits start slightly off the upper equilibrium (5% in P), run past the
@@ -256,52 +252,49 @@ def cycle_amplitude(
     not finite.
     """
     values = spec.values()
-    rows: list[tuple[float, float, float, float]] = []  # value, Gamma, T0, P0
-    for value in values:
-        p, W = spec.resolve(params, value)
-        eq = wh.equilibria_fast(p, W)
-        if eq.exists:
-            T0, P0 = eq.upper[0], eq.upper[1] * 1.05
-        else:
-            T0, P0 = 0.5 * params.Lambda / params.mu, 2.0 * np.sqrt(params.mu / params.alpha)
-        rows.append((float(value), p.gamma_eff(W), T0, P0))
-
-    m = len(rows)
-    state = np.array([[r[2] for r in rows], [r[3] for r in rows]])
-    # (2, m) blocks: rates * (T, P) is (mu*T, Gam*P), and source holds
-    # (Lambda, infection), so the derivative is source - rates * (T, P)
-    # with the infection subtracted once more from the T row
-    rates = np.array([np.full(m, params.mu), [r[1] for r in rows]])
-    source = np.full((2, m), params.Lambda)
-    infection = source[1]
-    a, multiply, subtract = np.array(params.alpha), np.multiply, np.subtract
-
-    def rhs_into(y, k):
-        # row views made once per buffer pair, none inside a step
-        T, P, dT = y[0], y[1], k[0]
-
-        def rhs():
-            multiply(a, P, infection)
-            multiply(infection, P, infection)
-            multiply(infection, T, infection)
-            multiply(rates, y, k)
-            subtract(source, k, k)
-            subtract(dT, infection, dT)
-
-        return rhs
-
-    advance = rk4_stepper(rhs_into, state, step)
-    loads_now = state[1]
+    m = values.size
 
     def refuse_non_finite(finite: np.ndarray) -> None:
         if not finite.all():
-            value = rows[int(np.argmin(finite))][0]
+            value = float(values[np.argmin(finite)])
             raise NonFiniteError(f"cycle orbit at {spec.which}={value!r} is not finite")
 
     # overflow is checked explicitly rather than warned about: every
     # CYCLE_CHECK_STEPS transient steps, so a lost orbit ends the run early
     # and is never sampled, and once after the window
     with np.errstate(over="ignore", invalid="ignore"):
+        Gamma = spec.to_gamma(params, values)
+        eq = wh.equilibria_fast(params, Gamma)
+        # without a pair, the orbit starts below the fold load
+        state = np.array([
+            np.where(eq.exists, eq.upper[0], 0.5 * params.Lambda / params.mu),
+            np.where(eq.exists, eq.upper[1] * 1.05, 2.0 * np.sqrt(params.mu / params.alpha)),
+        ])
+        # (2, m) blocks: rates * (T, P) is (mu*T, Gam*P), and source holds
+        # (Lambda, infection), so the derivative is source - rates * (T, P)
+        # with the infection subtracted once more from the T row
+        rates = np.array([np.full(m, params.mu), Gamma])
+        source = np.full((2, m), params.Lambda)
+        infection = source[1]
+        a, multiply, subtract = np.array(params.alpha), np.multiply, np.subtract
+
+        def rhs_into(y, k):
+            # row views made once per buffer pair, none inside a step
+            T, P, dT = y[0], y[1], k[0]
+
+            def rhs():
+                multiply(a, P, infection)
+                multiply(infection, P, infection)
+                multiply(infection, T, infection)
+                multiply(rates, y, k)
+                subtract(source, k, k)
+                subtract(dT, infection, dT)
+
+            return rhs
+
+        advance = rk4_stepper(rhs_into, state, step)
+        loads_now = state[1]
+
         n_transient = int(round(transient / step))
         for start in range(0, n_transient, CYCLE_CHECK_STEPS):
             for _ in range(min(CYCLE_CHECK_STEPS, n_transient - start)):
@@ -339,30 +332,13 @@ def cycle_amplitude(
             loads[:2] = loads[size:size + 2]
 
     refuse_non_finite(np.isfinite(p_min) & np.isfinite(p_max))
-    samples: list[CycleSample] = []
-    for j, (value, _, _, _) in enumerate(rows):
-        amp = p_max[j] - p_min[j]
-        oscillatory = bool(
-            max_count[j] >= 3 and amp > CYCLE_AMPLITUDE_TOL * max(1.0, abs(p_max[j]))
-        )
-        collapsed = bool(p_max[j] < CYCLE_COLLAPSE_LEVEL)
-        period = None
-        if oscillatory and max_count[j] >= 2:
-            period = float((last_max[j] * step - first_max[j] * step) / (max_count[j] - 1))
-        homoclinic = bool(
-            (period is not None and period > HOMOCLINIC_PERIOD)
-            or (not oscillatory and not collapsed and amp > CYCLE_AMPLITUDE_TOL and max_count[j] < 3)
-        )
-        samples.append(
-            CycleSample(
-                param=value,
-                p_min=float(p_min[j]),
-                p_max=float(p_max[j]),
-                period=period,
-                n_maxima=int(max_count[j]),
-                oscillatory=oscillatory,
-                collapsed=collapsed,
-                homoclinic_flag=homoclinic,
-            )
-        )
-    return samples
+    amp = p_max - p_min
+    oscillatory = (max_count >= 3) & (amp > CYCLE_AMPLITUDE_TOL * np.maximum(1.0, np.abs(p_max)))
+    collapsed = p_max < CYCLE_COLLAPSE_LEVEL
+    period = np.full(m, np.nan)
+    cycles = max_count[oscillatory] - 1
+    period[oscillatory] = (last_max[oscillatory] * step - first_max[oscillatory] * step) / cycles
+    homoclinic = (period > HOMOCLINIC_PERIOD) | (
+        ~oscillatory & ~collapsed & (amp > CYCLE_AMPLITUDE_TOL) & (max_count < 3)
+    )
+    return CycleTable(values, p_min, p_max, period, max_count, oscillatory, collapsed, homoclinic)

@@ -38,6 +38,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -159,7 +160,13 @@ def _cmd_within_sim(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     t_max = cfg.t_max if cfg.t_max is not None else 400.0
     initial = cfg.within_initial
     if initial is None:
-        initial = within_host.WithinHostState(params.Lambda / params.mu, 0.5, 0.0)
+        T0 = params.Lambda / params.mu
+        if not math.isfinite(T0):
+            raise ConfigError(
+                f"within_host.initial is required: the default start T = Lambda/mu = {T0!r} "
+                "is not finite"
+            )
+        initial = within_host.WithinHostState(T0, 0.5, 0.0)
     run_rec = within_host.simulate_infection(params, initial, t_max, p_clear=cfg.p_clear)
     t_rec = run_rec.recovery_time
     summary = {
@@ -175,22 +182,16 @@ def _cmd_within_sim(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     return summary, {"trajectory.csv": _csv_lines("t,T,P,W", run_rec.t, run_rec.states)}
 
 
-def _branch_csv(points: list[bifurcation.BranchPoint]) -> Iterator[str]:
-    import numpy as np
-
+def _branch_csv(branch: bifurcation.Branch) -> Iterator[str]:
     # a complex (n, 2) array viewed as floats is re_ev1, im_ev1, re_ev2, im_ev2
-    eigenvalues = np.array([pt.eigenvalues for pt in points]).view(float)
+    eigenvalues = branch.eigenvalues.view(float)
     return _csv_lines(
         "param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability",
-        np.array([(pt.param, pt.T, pt.P) for pt in points]),
-        eigenvalues,
-        tail=[pt.stability for pt in points],
+        branch.param, branch.T, branch.P, eigenvalues, tail=branch.stability,
     )
 
 
 def _cmd_bifurcate(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
-    import numpy as np
-
     from . import bifurcation, within_host
 
     params = cfg.within
@@ -215,17 +216,19 @@ def _cmd_bifurcate(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
         "analytic_fold_clearance": loci.Gamma_fold,
         "analytic_hopf_clearance": list(loci.hopf),
     }
+    # a period is NaN where there is none, written as an empty cell
+    flags = (cycles.period, cycles.n_maxima, cycles.oscillatory, cycles.collapsed,
+             cycles.homoclinic_flag)
     files = {
         "branches.csv": _branch_csv(result.fold_path),
         "trivial.csv": _branch_csv(result.trivial),
         "cycles.csv": _csv_lines(
             "param,p_min,p_max,period,n_maxima,oscillatory,collapsed,homoclinic_flag",
-            np.array([(s.param, s.p_min, s.p_max) for s in cycles]),
-            tail=[
-                f"{'' if s.period is None else repr(s.period)},{s.n_maxima},"
-                f"{int(s.oscillatory)},{int(s.collapsed)},{int(s.homoclinic_flag)}"
-                for s in cycles
-            ],
+            cycles.param, cycles.p_min, cycles.p_max,
+            tail=(
+                f"{'' if math.isnan(period) else repr(period)},{n},{o:d},{c:d},{h:d}"
+                for period, n, o, c, h in zip(*(flag.tolist() for flag in flags))
+            ),
         ),
         "events.json": [_json_text("events.json", events)],
     }

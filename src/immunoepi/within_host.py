@@ -10,8 +10,10 @@ at a rate proportional to ``epsilon``:
 
 Freezing W gives a planar fast subsystem whose nontrivial equilibria come in
 a lower/upper pair that collides in a fold as the effective clearance rate
-Gamma = gamma + delta*W grows. The fold and Hopf loci of that subsystem, the
-slow manifold, and event-based infection runs (recovery when the pathogen is
+Gamma = gamma + delta*W grows. delta and W enter the fast subsystem only
+through Gamma, so its equilibria and Jacobian take Gamma, elementwise over
+a scalar or an array. The fold and Hopf loci of that subsystem, the slow
+manifold, and event-based infection runs (recovery when the pathogen is
 cleared after the fold) are all computed here.
 """
 
@@ -134,7 +136,7 @@ def rhs_full(state: Sequence[float], params: WithinHostParams) -> tuple[float, f
 
 @dataclass(frozen=True)
 class FastEquilibria:
-    """Equilibria of the fast subsystem at frozen W.
+    """Equilibria of the fast subsystem at a frozen clearance rate Gamma.
 
     ``trivial`` is the infection-free state (Lambda/mu, 0). The nontrivial
     pair exists when Lambda > 2*Gamma*sqrt(mu/alpha); at equality the pair
@@ -142,54 +144,57 @@ class FastEquilibria:
     """
 
     trivial: tuple[float, float]
-    exists: bool
-    lower: tuple[float, float] | None
-    upper: tuple[float, float] | None
+    exists: bool | np.ndarray
+    lower: tuple | None
+    upper: tuple | None
 
 
-def _nontrivial_pair(params: WithinHostParams, W):
-    """Closed form of the nontrivial pair at immune status W, elementwise.
+def _nontrivial_pair(params: WithinHostParams, Gamma):
+    """Closed form of the nontrivial pair at clearance rate Gamma, elementwise.
 
-    Returns (disc, P_lo, P_hi) with the shape of W. The pair solves
+    Returns (disc, P_lo, P_hi) with the shape of Gamma. The pair solves
     alpha*Gamma*P^2 - alpha*Lambda*P + mu*Gamma = 0; a discriminant within
     rounding of zero is clamped to the double root, and where it stays
     negative no pair exists and both loads are NaN. Rates past the float
-    range overflow here unwarned, and the inf or NaN reaches the callers'
-    checks.
+    range overflow here; the callers evaluate it under one errstate scope,
+    so the inf or NaN reaches their checks unwarned.
     """
     a, mu, lam = params.alpha, params.mu, params.Lambda
-    with np.errstate(over="ignore", invalid="ignore"):
-        Gamma = params.gamma_eff(W)
-        disc = a * a * lam * lam - 4.0 * a * mu * Gamma * Gamma
-        # double root lost to rounding exactly at the threshold
-        disc = np.where((-1e-13 * max(a * a * lam * lam, 1.0) < disc) & (disc < 0.0), 0.0, disc)
-        root = np.sqrt(np.where(disc < 0.0, np.nan, disc))
-        P_hi = (a * lam + root) / (2.0 * Gamma * a)
-        P_lo = (a * lam - root) / (2.0 * Gamma * a)
+    disc = a * a * lam * lam - 4.0 * a * mu * Gamma * Gamma
+    # double root lost to rounding exactly at the threshold
+    disc = np.where((-1e-13 * max(a * a * lam * lam, 1.0) < disc) & (disc < 0.0), 0.0, disc)
+    root = np.sqrt(np.where(disc < 0.0, np.nan, disc))
+    P_hi = (a * lam + root) / (2.0 * Gamma * a)
+    P_lo = (a * lam - root) / (2.0 * Gamma * a)
     return disc, P_lo, P_hi
 
 
-def equilibria_fast(params: WithinHostParams, W: float) -> FastEquilibria:
-    """All fast-subsystem equilibria at immune status W >= 0."""
-    if W < 0:
-        raise ValueError(f"immune status must be nonnegative, got {W}")
+def equilibria_fast(params: WithinHostParams, Gamma) -> FastEquilibria:
+    """All fast-subsystem equilibria at clearance rate Gamma = gamma + delta*W.
+
+    Elementwise over a scalar or an array Gamma: ``exists`` and the (T, P)
+    of ``lower`` and ``upper`` take its shape, NaN where no pair exists. A
+    scalar Gamma without a pair gives None for both.
+    """
     a, mu, lam = params.alpha, params.mu, params.Lambda
     trivial = (lam / mu, 0.0)
-    disc, P_lo, P_hi = _nontrivial_pair(params, W)
-    if disc < 0:
-        return FastEquilibria(trivial=trivial, exists=False, lower=None, upper=None)
-    # an overflowing load gives T = 0, or NaN, unwarned as in _nontrivial_pair
+    # rates past the float range overflow unwarned, and an overflowing load
+    # gives T = 0 or NaN
     with np.errstate(over="ignore", invalid="ignore"):
+        disc, P_lo, P_hi = _nontrivial_pair(params, Gamma)
         lower = (lam / (mu + a * P_lo * P_lo), P_lo)
         upper = (lam / (mu + a * P_hi * P_hi), P_hi)
-    return FastEquilibria(trivial=trivial, exists=True, lower=lower, upper=upper)
+    exists = ~(disc < 0.0)
+    if np.ndim(exists) == 0 and not exists:
+        return FastEquilibria(trivial=trivial, exists=False, lower=None, upper=None)
+    return FastEquilibria(trivial=trivial, exists=exists, lower=lower, upper=upper)
 
 
-def jacobian_fast(tp: Sequence[float], params: WithinHostParams, W: float) -> np.ndarray:
-    """Jacobian of the fast subsystem at a point (T, P)."""
+def jacobian_fast(tp: Sequence, params: WithinHostParams, Gamma) -> np.ndarray:
+    """Jacobian of the fast subsystem at a point (T, P) and clearance rate
+    Gamma; T, P and Gamma arrays of one shape give a (2, 2, ...) array."""
     T, P = tp
     a = params.alpha
-    Gamma = params.gamma_eff(W)
     return np.array(
         [
             [-params.mu - a * P * P, -2.0 * a * P * T],
@@ -299,7 +304,9 @@ def upper_branch_P(W, params: WithinHostParams):
     ValueError naming the first such node.
     """
     W_arr = np.asarray(W, dtype=float)
-    disc, _, P_hi = _nontrivial_pair(params, W_arr)
+    # only the loads: no T arrays on a coefficient table's nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc, _, P_hi = _nontrivial_pair(params, params.gamma_eff(W_arr))
     _, W_max = manifold_tip(params)
     missing = disc < 0.0
     negative = W_arr < 0.0

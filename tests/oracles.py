@@ -6,8 +6,8 @@ snapshots by ``boundary_history``. ``reduced_endemic_residual`` is the
 paper's reduced endemic characteristic equation, and ``dfe_char_G`` the
 infection-free characteristic function whose unit level ``dfe_lambda_hat``
 solves for. ``integrate_slow_reduced`` is the
-singular limit of a full within-host run, and ``fast_rhs`` the frozen-W
-fast vector field. ``trace_roots_np`` solves the trace condition of the
+singular limit of a full within-host run, and ``fast_rhs`` the fast
+vector field at a frozen clearance rate. ``trace_roots_np`` solves the trace condition of the
 critical loci as a polynomial. ``infected_mass`` is the trapezoid mass of a
 density. ``hopf_point`` and ``leading_eigenvalue`` give the Hopf point of a
 sweep and the linearisation on its upper branch, and
@@ -120,14 +120,14 @@ def reduced_endemic_residual(lam: float, params: bh.BetweenHostParams, eq: bh.En
     return (lam + params.mu1 + K) / (lam + params.mu1) - eq.S * params.beta_h * j_p
 
 
-def fast_rhs(tp: Sequence[float], params: wh.WithinHostParams, W: float) -> np.ndarray:
-    """Planar fast subsystem at frozen immune status W."""
+def fast_rhs(tp: Sequence[float], params: wh.WithinHostParams, Gamma: float) -> np.ndarray:
+    """Planar fast subsystem at a frozen clearance rate Gamma = gamma + delta*W."""
     T, P = tp
     infection = params.alpha * P * P * T
     return np.array(
         [
             params.Lambda - params.mu * T - infection,
-            infection - params.gamma_eff(W) * P,
+            infection - Gamma * P,
         ]
     )
 
@@ -201,8 +201,8 @@ def leading_eigenvalue(params: wh.WithinHostParams, spec, value: float) -> compl
     """The eigenvalue of ``within_host.jacobian_fast`` at the upper equilibrium
     at one sweep value with the largest real part (of a complex pair, the
     one with a positive imaginary part)."""
-    p, W = spec.resolve(params, value)
-    J = wh.jacobian_fast(wh.equilibria_fast(p, W).upper, p, W)
+    Gamma = spec.to_gamma(params, value)
+    J = wh.jacobian_fast(wh.equilibria_fast(params, Gamma).upper, params, Gamma)
     return complex(max(np.linalg.eigvals(J), key=lambda z: (z.real, z.imag)))
 
 
@@ -232,9 +232,9 @@ def lyapunov_coefficient(params: wh.WithinHostParams, spec) -> tuple[float, np.n
     derivatives are 2*alpha*P in (T, P), 2*alpha*T in (P, P) and 2*alpha in
     (T, P, P). l1 < 0 makes the Hopf point supercritical.
     """
-    p, W = spec.resolve(params, hopf_point(params, spec))
-    T, P = wh.equilibria_fast(p, W).upper
-    A = wh.jacobian_fast((T, P), p, W)
+    Gamma = spec.to_gamma(params, hopf_point(params, spec))
+    T, P = wh.equilibria_fast(params, Gamma).upper
+    A = wh.jacobian_fast((T, P), params, Gamma)
     values, vectors = np.linalg.eig(A)
     k = int(np.argmax(values.imag))
     omega = values[k].imag
@@ -242,7 +242,7 @@ def lyapunov_coefficient(params: wh.WithinHostParams, spec) -> tuple[float, np.n
     values, vectors = np.linalg.eig(A.T)
     adjoint = vectors[:, int(np.argmin(values.imag))]
     adjoint = adjoint / np.conj(np.vdot(adjoint, q))
-    a = p.alpha
+    a = params.alpha
 
     def B(x, y):
         b = 2.0 * a * P * (x[0] * y[1] + x[1] * y[0]) + 2.0 * a * T * x[1] * y[1]

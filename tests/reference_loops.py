@@ -19,6 +19,12 @@ the strict-maximum bookkeeping with a dozen numpy calls. The package's
 sampler reduces each block of CYCLE_CHECK_STEPS window loads at once with
 the same comparisons, and must return the same samples bit for bit.
 
+``sweep_branch_loop`` is the earlier branch sweep: one Python-float
+clearance rate at a time through within_host's closed forms, and the
+eigenvalue pair and stability tag of each point from the trace and
+determinant of its Jacobian. The package evaluates the whole sweep as
+arrays and must return the same columns bit for bit.
+
 ``write_rows_table`` is the earlier whole-table CSV writer; the package's
 block-streamed writer must produce the same bytes.
 
@@ -30,6 +36,8 @@ returns a new ndarray. The package's integrator carries the state as a
 tuple of Python floats with the same operations in the same order, and
 must return the same trajectory, event time and event state bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -50,7 +58,7 @@ from immunoepi.bifurcation import (
     CYCLE_TRANSIENT,
     CYCLE_WINDOW,
     HOMOCLINIC_PERIOD,
-    CycleSample,
+    CycleTable,
     SweepSpec,
 )
 from immunoepi.numerics import (
@@ -233,7 +241,7 @@ def cycle_amplitude_loop(
     transient: float = CYCLE_TRANSIENT,
     window: float = CYCLE_WINDOW,
     step: float = CYCLE_STEP,
-) -> list[CycleSample]:
+) -> CycleTable:
     """Sample the frozen-W fast flow at each sweep value.
 
     Orbits start slightly off the upper equilibrium (5% in P), run past the
@@ -248,13 +256,13 @@ def cycle_amplitude_loop(
     values = spec.values()
     rows: list[tuple[float, float, float, float]] = []  # value, Gamma, T0, P0
     for value in values:
-        p, W = spec.resolve(params, max(value, 1e-12) if spec.which == "delta" else value)
-        eq = wh.equilibria_fast(p, W)
+        Gamma = spec.to_gamma(params, float(value))
+        eq = wh.equilibria_fast(params, Gamma)
         if eq.exists:
             T0, P0 = eq.upper[0], eq.upper[1] * 1.05
         else:
             T0, P0 = 0.5 * params.Lambda / params.mu, 2.0 * np.sqrt(params.mu / params.alpha)
-        rows.append((float(value), p.gamma_eff(W), T0, P0))
+        rows.append((float(value), Gamma, T0, P0))
 
     Gam = np.array([r[1] for r in rows])
     state = np.array([[r[2] for r in rows], [r[3] for r in rows]])
@@ -301,7 +309,7 @@ def cycle_amplitude_loop(
             prev2, prev1 = prev1, P
 
     refuse_non_finite(np.isfinite(p_min) & np.isfinite(p_max))
-    samples: list[CycleSample] = []
+    samples = []
     for j, (value, _, _, _) in enumerate(rows):
         amp = p_max[j] - p_min[j]
         oscillatory = bool(
@@ -315,19 +323,46 @@ def cycle_amplitude_loop(
             (period is not None and period > HOMOCLINIC_PERIOD)
             or (not oscillatory and not collapsed and amp > CYCLE_AMPLITUDE_TOL and max_count[j] < 3)
         )
-        samples.append(
-            CycleSample(
-                param=value,
-                p_min=float(p_min[j]),
-                p_max=float(p_max[j]),
-                period=period,
-                n_maxima=int(max_count[j]),
-                oscillatory=oscillatory,
-                collapsed=collapsed,
-                homoclinic_flag=homoclinic,
-            )
-        )
-    return samples
+        samples.append((
+            value, float(p_min[j]), float(p_max[j]), math.nan if period is None else period,
+            int(max_count[j]), oscillatory, collapsed, homoclinic,
+        ))
+    return CycleTable(*(np.array(column) for column in zip(*samples)))
+
+
+def sweep_branch_loop(params: wh.WithinHostParams, spec: SweepSpec) -> dict[str, list[tuple]]:
+    """The branches of a sweep point by point: {"upper", "lower",
+    "trivial"} lists of (param, T, P, ev1, ev2, stability) rows, the
+    eigenvalues complex."""
+
+    def point(value, T, P, Gamma):
+        J = wh.jacobian_fast((T, P), params, Gamma)
+        trace = float(J[0, 0] + J[1, 1])
+        det = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
+        disc = trace * trace - 4.0 * det
+        if disc >= 0:
+            r = np.sqrt(disc)
+            ev = (complex(0.5 * (trace - r)), complex(0.5 * (trace + r)))
+        else:
+            r = np.sqrt(-disc)
+            ev = (complex(0.5 * trace, -0.5 * r), complex(0.5 * trace, 0.5 * r))
+        if det < -1e-9:
+            stability = "saddle"
+        elif abs(trace) <= 1e-9:
+            stability = "marginal"
+        else:
+            stability = ("stable-" if trace < 0 else "unstable-") + ("focus" if disc < 0 else "node")
+        return (value, T, P, *ev, stability)
+
+    rows: dict[str, list[tuple]] = {"upper": [], "lower": [], "trivial": []}
+    for value in spec.values().tolist():
+        Gamma = spec.to_gamma(params, value)
+        eq = wh.equilibria_fast(params, Gamma)
+        rows["trivial"].append(point(value, *eq.trivial, Gamma))
+        if eq.exists:
+            rows["upper"].append(point(value, *eq.upper, Gamma))
+            rows["lower"].append(point(value, *eq.lower, Gamma))
+    return rows
 
 
 def write_rows_table(path, header, table):

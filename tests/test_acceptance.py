@@ -6,7 +6,6 @@ tolerance and prints the measured values on a single [PASS] line; run with
 assert their wall-clock ceiling.
 """
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -90,19 +89,18 @@ def test_critical_loci_satisfy_their_analytic_identities():
         for Gamma in loci.hopf:
             p_star = Gamma**2 / (p.alpha * p.Lambda)
             t_star = Gamma / (p.alpha * p_star)
-            # realize the effective clearance rate Gamma through gamma at W = 0
-            at_root = dataclasses.replace(p, gamma=Gamma)
-            jac = wh.jacobian_fast((t_star, p_star), at_root, W=0.0)
+            jac = wh.jacobian_fast((t_star, p_star), p, Gamma)
             worst_trace = max(worst_trace, abs(jac[0, 0] + jac[1, 1]))
             assert jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0] > 0
             hopf_checked += 1
         w_fold = (loci.Gamma_fold - p.gamma) / p.delta
         if w_fold > 0:
-            eq = wh.equilibria_fast(p, 0.5 * w_fold)
+            Gamma = p.gamma_eff(0.5 * w_fold)
+            eq = wh.equilibria_fast(p, Gamma)
             if eq.exists:
                 for state in (eq.upper, eq.lower):
                     worst_resid = max(
-                        worst_resid, float(np.max(np.abs(fast_rhs(state, p, 0.5 * w_fold))))
+                        worst_resid, float(np.max(np.abs(fast_rhs(state, p, Gamma))))
                     )
                 eq_checked += 1
     assert worst_tip < 1e-10

@@ -26,7 +26,7 @@ from oracles import (
     leading_eigenvalue,
     lyapunov_coefficient,
 )
-from reference_loops import cycle_amplitude_loop
+from reference_loops import cycle_amplitude_loop, sweep_branch_loop
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -48,10 +48,7 @@ def analytic_events(params, spec):
     """The fold and the one valid Hopf locus, mapped to the sweep parameter."""
     loci = wh.critical_loci(params)
     (hopf,) = loci.hopf
-    return (
-        bif._param_from_gamma(params, spec, loci.Gamma_fold),
-        bif._param_from_gamma(params, spec, hopf),
-    )
+    return spec.from_gamma(params, loci.Gamma_fold), spec.from_gamma(params, hopf)
 
 
 class TestSweepSpec:
@@ -77,60 +74,64 @@ class TestSweepSpec:
         assert len(v) == 21
         assert v[0] == 0.5 and v[-1] == 2.5
 
-    def test_resolve_substitutes_the_swept_quantity(self, paper_within):
+    def test_clearance_rate_substitutes_the_swept_quantity(self, paper_within):
+        p = paper_within
         dspec = delta_sweep()
-        p, W = dspec.resolve(paper_within, 0.7)
-        assert p.delta == 0.7 and W == 0.9
+        assert dspec.to_gamma(p, 0.7) == p.gamma + 0.7 * 0.9
+        assert dspec.from_gamma(p, p.gamma + 0.7 * 0.9) == pytest.approx(0.7, abs=1e-15)
         wspec = bif.SweepSpec(which="W", lo=0.0, hi=4.0)
-        p, W = wspec.resolve(paper_within, 1.3)
-        assert p.delta == paper_within.delta and W == 1.3
+        assert wspec.to_gamma(p, 1.3) == p.gamma + p.delta * 1.3
+        assert wspec.from_gamma(p, p.gamma + p.delta * 1.3) == pytest.approx(1.3, abs=1e-15)
+        values = dspec.values()
+        scalars = [dspec.to_gamma(p, v) for v in values.tolist()]
+        assert np.array_equal(dspec.to_gamma(p, values), scalars)
 
 
 class TestSweepBranch:
     def test_branch_counts_and_extent(self, paper_within):
         spec = delta_sweep()
         res = bif.sweep_branch(paper_within, spec)
-        assert len(res.trivial) == spec.n
-        assert len(res.upper) == len(res.lower) < spec.n
+        assert res.trivial.param.size == spec.n
+        assert res.upper.param.size == res.lower.param.size < spec.n
         step = (spec.hi - spec.lo) / (spec.n - 1)
         # the pair exists up to the fold and no further
-        assert res.upper[-1].param <= DELTA_FOLD_REF < res.upper[-1].param + step
+        assert res.upper.param[-1] <= DELTA_FOLD_REF < res.upper.param[-1] + step
 
     def test_points_match_the_equilibrium_solver(self, paper_within):
         spec = delta_sweep(n=10, lo=0.2, hi=0.4)
         res = bif.sweep_branch(paper_within, spec)
-        pt = res.upper[4]
-        p, W = spec.resolve(paper_within, pt.param)
-        eq = wh.equilibria_fast(p, W)
-        assert pt.T == pytest.approx(eq.upper[0], rel=1e-12)
-        assert pt.P == pytest.approx(eq.upper[1], rel=1e-12)
-        assert res.lower[4].P == pytest.approx(eq.lower[1], rel=1e-12)
-        assert res.trivial[4].T == pytest.approx(paper_within.Lambda / paper_within.mu)
+        eq = wh.equilibria_fast(paper_within, spec.to_gamma(paper_within, res.upper.param[4]))
+        assert res.upper.T[4] == pytest.approx(eq.upper[0], rel=1e-12)
+        assert res.upper.P[4] == pytest.approx(eq.upper[1], rel=1e-12)
+        assert res.lower.P[4] == pytest.approx(eq.lower[1], rel=1e-12)
+        assert res.trivial.T[4] == pytest.approx(paper_within.Lambda / paper_within.mu)
 
     def test_trivial_branch_is_a_stable_node_throughout(self, paper_within):
         res = bif.sweep_branch(paper_within, delta_sweep())
-        assert all(pt.stability == "stable-node" for pt in res.trivial)
+        assert all(stability == "stable-node" for stability in res.trivial.stability)
 
     def test_lower_branch_is_a_saddle_throughout(self, paper_within):
         res = bif.sweep_branch(paper_within, delta_sweep())
-        assert all(pt.stability == "saddle" for pt in res.lower)
+        assert all(stability == "saddle" for stability in res.lower.stability)
         # real eigenvalues of opposite sign: a negative determinant
-        assert all((pt.eigenvalues[0] * pt.eigenvalues[1]).real < 0 for pt in res.lower)
+        assert all((e1 * e2).real < 0 for e1, e2 in res.lower.eigenvalues)
 
     def test_upper_branch_loses_stability_at_the_trace_root(self, paper_within):
         res = bif.sweep_branch(paper_within, delta_sweep())
-        for pt in res.upper:
-            if pt.param < DELTA_HOPF_REF - 0.01:
-                assert pt.stability.startswith("stable")
-            elif pt.param > DELTA_HOPF_REF + 0.01:
-                assert pt.stability.startswith("unstable")
+        for param, stability in zip(res.upper.param, res.upper.stability):
+            if param < DELTA_HOPF_REF - 0.01:
+                assert stability.startswith("stable")
+            elif param > DELTA_HOPF_REF + 0.01:
+                assert stability.startswith("unstable")
 
     def test_eigenvalues_reproduce_trace_and_det(self, paper_within):
         spec = delta_sweep(n=40)
         res = bif.sweep_branch(paper_within, spec)
-        for pt in res.upper[::7]:
-            J = wh.jacobian_fast((pt.T, pt.P), *spec.resolve(paper_within, pt.param))
-            e1, e2 = pt.eigenvalues
+        up = res.upper
+        for j in range(0, up.param.size, 7):
+            Gamma = spec.to_gamma(paper_within, up.param[j])
+            J = wh.jacobian_fast((up.T[j], up.P[j]), paper_within, Gamma)
+            e1, e2 = up.eigenvalues[j]
             assert (e1 + e2).real == pytest.approx(np.trace(J), abs=1e-10)
             assert (e1 * e2).real == pytest.approx(np.linalg.det(J), abs=1e-10)
             assert abs((e1 + e2).imag) < 1e-12
@@ -143,14 +144,82 @@ class TestSweepBranch:
     def test_fold_path_walks_up_then_back(self, paper_within):
         res = bif.sweep_branch(paper_within, delta_sweep())
         path = res.fold_path
-        assert len(path) == len(res.upper) + len(res.lower)
-        params = [pt.param for pt in path]
-        k = len(res.upper)
+        assert path.param.size == res.upper.param.size + res.lower.param.size
+        params = path.param.tolist()
+        k = res.upper.param.size
         assert params[:k] == sorted(params[:k])
         assert params[k:] == sorted(params[k:], reverse=True)
         # P decreases monotonically along the whole path through the fold
-        ps = [pt.P for pt in path]
+        ps = path.P.tolist()
         assert all(a > b for a, b in zip(ps[:-1], ps[1:]))
+
+
+def hexed_rows(rows):
+    """Branch rows (param, T, P, ev1, ev2, stability) with every float as
+    float.hex and each complex eigenvalue split into real and imaginary
+    parts."""
+    return [
+        tuple(
+            part.hex()
+            for value in row[:5]
+            for part in ((value.real, value.imag) if isinstance(value, complex) else (value,))
+        )
+        + (row[5],)
+        for row in rows
+    ]
+
+
+def branch_rows(branch):
+    """The rows of a branch's columns, in hexed_rows form."""
+    return hexed_rows(
+        zip(
+            branch.param.tolist(),
+            branch.T.tolist(),
+            branch.P.tolist(),
+            branch.eigenvalues[:, 0].tolist(),
+            branch.eigenvalues[:, 1].tolist(),
+            branch.stability.tolist(),
+        )
+    )
+
+
+class TestBranchColumns:
+    """sweep_branch evaluates a sweep in one vectorized pass; its columns
+    are the scalar closed forms at one Python-float clearance rate at a
+    time (reference_loops.sweep_branch_loop), bit for bit."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        which=st.sampled_from(["delta", "W"]),
+        lo=st.sampled_from([0.0, 0.3]),
+        span=st.floats(min_value=0.5, max_value=3.0),
+        n=st.integers(min_value=2, max_value=80),
+    )
+    def test_columns_equal_the_scalar_closed_forms_bit_for_bit(self, seed, which, lo, span, n):
+        rng = np.random.default_rng(seed)
+        params = random_within(rng)
+        W = float(rng.uniform(0.2, 2.0)) if which == "delta" else None
+        spec = bif.SweepSpec(which=which, lo=0.0, hi=1.0, n=2, W=W)
+        fold_at = spec.from_gamma(params, wh.critical_loci(params).Gamma_fold)
+        assume(fold_at > 0.05)
+        # a range from lo, or lo times the fold, to span times the fold
+        spec = bif.SweepSpec(which=which, lo=lo * fold_at, hi=span * fold_at, n=n, W=W)
+        assume(spec.values()[0] < fold_at)
+        res = bif.sweep_branch(params, spec)
+        ref = sweep_branch_loop(params, spec)
+        for name in ("upper", "lower", "trivial"):
+            assert branch_rows(getattr(res, name)) == hexed_rows(ref[name])
+        assert branch_rows(res.fold_path) == hexed_rows(ref["upper"] + ref["lower"][::-1])
+
+    def test_delta_sweep_from_zero_starts_at_the_bare_clearance_rate(self, paper_within):
+        spec = delta_sweep(n=9, lo=0.0)
+        assert spec.to_gamma(paper_within, spec.values())[0] == paper_within.gamma
+        res = bif.sweep_branch(paper_within, spec)
+        eq = wh.equilibria_fast(paper_within, paper_within.gamma)
+        assert (res.upper.T[0], res.upper.P[0]) == eq.upper
+        assert (res.lower.T[0], res.lower.P[0]) == eq.lower
+        reference = sweep_branch_loop(paper_within, spec)
+        assert branch_rows(res.trivial) == hexed_rows(reference["trivial"])
 
 
 class TestDetectEvents:
@@ -175,8 +244,7 @@ class TestDetectEvents:
     def test_hopf_event_state_sits_on_the_upper_branch(self, paper_within):
         spec = delta_sweep()
         hopf = next(e for e in bif.detect_all_events(paper_within, spec) if e.kind == "hopf")
-        p, W = spec.resolve(paper_within, hopf.param)
-        eq = wh.equilibria_fast(p, W)
+        eq = wh.equilibria_fast(paper_within, spec.to_gamma(paper_within, hopf.param))
         assert hopf.T == pytest.approx(eq.upper[0], rel=1e-9)
         assert hopf.P == pytest.approx(eq.upper[1], rel=1e-9)
 
@@ -221,7 +289,7 @@ class TestDetectEvents:
         lo = hopf_at - step / 3.0
         spec = bif.SweepSpec(which="W", lo=lo, hi=lo + 2.0 * step, n=3)
         res = bif.sweep_branch(paper_within, spec)
-        assert [pt.param for pt in res.upper] == [lo]
+        assert res.upper.param.tolist() == [lo]
         events = bif.detect_all_events(paper_within, spec)
         assert [(e.kind, e.param) for e in events] == [("hopf", hopf_at), ("fold", fold_at)]
 
@@ -244,18 +312,20 @@ class TestStabilityAgainstFlow:
     def test_tags_predict_perturbation_fate(self, paper_within):
         spec = delta_sweep()
         res = bif.sweep_branch(paper_within, spec)
-        picks = res.upper[::24] + [res.lower[40], res.lower[120], res.trivial[100]]
+        picks = [(res.upper, j) for j in range(0, res.upper.param.size, 24)]
+        picks += [(res.lower, 40), (res.lower, 120), (res.trivial, 100)]
         assert len(picks) >= 10
-        for pt in picks:
-            p, W = spec.resolve(paper_within, pt.param)
-            eq = np.array([pt.T, pt.P])
+        for branch, j in picks:
+            pt = (branch.param[j], branch.stability[j])
+            Gamma = spec.to_gamma(paper_within, branch.param[j])
+            eq = np.array([branch.T[j], branch.P[j]])
             traj = integrate_ode(
-                lambda t, y: fast_rhs(y, p, W).tolist(),
+                lambda t, y: fast_rhs(y, paper_within, Gamma).tolist(),
                 eq + 1e-3,
                 (0.0, 300.0),
             )
             dist = np.linalg.norm(traj.y - eq, axis=1)
-            if pt.stability.startswith("stable"):
+            if branch.stability[j].startswith("stable"):
                 assert dist[-1] < 1e-8, pt
             else:
                 assert dist.max() > 0.1, pt
@@ -264,24 +334,24 @@ class TestStabilityAgainstFlow:
 class TestCycleAmplitude:
     def test_quiet_below_the_oscillation_threshold(self, paper_within):
         spec = delta_sweep(n=4, lo=0.1, hi=0.45)
-        for s in bif.cycle_amplitude(paper_within, spec):
-            assert not s.oscillatory
-            assert not s.collapsed
-            # the orbit has settled back onto the upper equilibrium
-            p, W = spec.resolve(paper_within, s.param)
-            assert s.p_max == pytest.approx(wh.upper_branch_P(W, p), abs=1e-3)
-            assert s.p_max - s.p_min < 1e-6
+        s = bif.cycle_amplitude(paper_within, spec)
+        assert not s.oscillatory.any()
+        assert not s.collapsed.any()
+        # the orbit has settled back onto the upper equilibrium
+        upper_P = wh.equilibria_fast(paper_within, spec.to_gamma(paper_within, s.param)).upper[1]
+        assert s.p_max == pytest.approx(upper_P, abs=1e-3)
+        assert (s.p_max - s.p_min < 1e-6).all()
 
     def test_oscillation_window_has_growing_amplitude(self, paper_within):
         spec = delta_sweep(n=4, lo=0.52, hi=0.55)
         samples = bif.cycle_amplitude(paper_within, spec)
-        amps = [s.p_max - s.p_min for s in samples]
-        periods = [s.period for s in samples]
-        assert all(s.oscillatory for s in samples)
-        assert all(not s.collapsed for s in samples)
+        amps = (samples.p_max - samples.p_min).tolist()
+        periods = samples.period.tolist()
+        assert samples.oscillatory.all()
+        assert not samples.collapsed.any()
         assert all(a > 0.1 for a in amps)
         assert amps == sorted(amps)
-        assert all(p is not None and 5.0 < p < 20.0 for p in periods)
+        assert all(not math.isnan(p) and 5.0 < p < 20.0 for p in periods)
         assert periods == sorted(periods)
 
     def test_overflowing_orbit_ends_at_the_first_check(self, paper_within, monkeypatch):
@@ -307,17 +377,17 @@ class TestCycleAmplitude:
 
     def test_collapse_beyond_the_cycle_window(self, paper_within):
         spec = delta_sweep(n=4, lo=0.7, hi=1.35)
-        for s in bif.cycle_amplitude(paper_within, spec):
-            assert s.collapsed
-            assert not s.oscillatory
-            assert s.p_max < 1e-6
+        s = bif.cycle_amplitude(paper_within, spec)
+        assert s.collapsed.all()
+        assert not s.oscillatory.any()
+        assert (s.p_max < 1e-6).all()
 
     def test_zero_status_sample_sits_on_the_branch(self, paper_within):
         spec = bif.SweepSpec(which="W", lo=0.0, hi=1.0, n=3)
-        s0 = bif.cycle_amplitude(paper_within, spec)[0]
-        assert s0.param == 0.0
-        assert not s0.oscillatory and not s0.collapsed
-        assert s0.p_max == pytest.approx(wh.upper_branch_P(0.0, paper_within), abs=1e-3)
+        s = bif.cycle_amplitude(paper_within, spec)
+        assert s.param[0] == 0.0
+        assert not s.oscillatory[0] and not s.collapsed[0]
+        assert s.p_max[0] == pytest.approx(wh.upper_branch_P(0.0, paper_within), abs=1e-3)
 
 
 def reference_orbit_extremes(params, spec, transient, window, step):
@@ -325,13 +395,13 @@ def reference_orbit_extremes(params, spec, transient, window, step):
     maximum counts and first/last maximum times per sweep value."""
     rows = []
     for value in spec.values():
-        p, W = spec.resolve(params, max(value, 1e-12) if spec.which == "delta" else value)
-        eq = wh.equilibria_fast(p, W)
+        Gamma = spec.to_gamma(params, float(value))
+        eq = wh.equilibria_fast(params, Gamma)
         if eq.exists:
             T0, P0 = eq.upper[0], eq.upper[1] * 1.05
         else:
             T0, P0 = 0.5 * params.Lambda / params.mu, 2.0 * np.sqrt(params.mu / params.alpha)
-        rows.append((p.gamma_eff(W), T0, P0))
+        rows.append((Gamma, T0, P0))
     Gam = np.array([r[0] for r in rows])
     y = np.array([[r[1], r[2]] for r in rows])
     lam, mu, a = params.Lambda, params.mu, params.alpha
@@ -375,21 +445,23 @@ class TestCycleStepper:
     )
     def test_split_state_matches_the_stacked_state_bit_for_bit(self, paper_within, spec):
         kwargs = dict(transient=60.0, window=120.0, step=0.04)
-        samples = bif.cycle_amplitude(paper_within, spec, **kwargs)
+        s = bif.cycle_amplitude(paper_within, spec, **kwargs)
         p_min, p_max, count, first, last = reference_orbit_extremes(paper_within, spec, **kwargs)
-        assert any(s.oscillatory for s in samples)
-        for j, s in enumerate(samples):
-            assert (s.p_min, s.p_max, s.n_maxima) == (p_min[j], p_max[j], count[j])
-            if s.period is not None:
-                assert s.period == (last[j] - first[j]) / (count[j] - 1)
+        assert s.oscillatory.any()
+        for j in range(s.param.size):
+            assert (s.p_min[j], s.p_max[j], s.n_maxima[j]) == (p_min[j], p_max[j], count[j])
+            if not np.isnan(s.period[j]):
+                assert s.period[j] == (last[j] - first[j]) / (count[j] - 1)
 
 
-def hexed(samples):
-    """Every CycleSample field, each float as float.hex."""
-    return [
-        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(s))
-        for s in samples
-    ]
+def hexed(table):
+    """Every CycleTable column, each float as float.hex."""
+    return {
+        field.name: [
+            v.hex() if isinstance(v, float) else v for v in getattr(table, field.name).tolist()
+        ]
+        for field in dataclasses.fields(table)
+    }
 
 
 class TestCycleReference:
@@ -404,7 +476,7 @@ class TestCycleReference:
         samples = bif.cycle_amplitude(cfg.within, spec)
         assert hexed(samples) == hexed(cycle_amplitude_loop(cfg.within, spec))
         if cycle_n == 40:
-            assert any(s.oscillatory for s in samples) and any(s.collapsed for s in samples)
+            assert samples.oscillatory.any() and samples.collapsed.any()
 
     # the window's last strict maximum sits at load CYCLE_CHECK_STEPS - 1 +
     # edge: the first block's last candidate, whose right neighbour ends the
@@ -435,7 +507,7 @@ class TestCycleReference:
         step = bif.CYCLE_STEP
         kwargs = dict(transient=2000 * step, window=n_window * step, step=step)
         samples = bif.cycle_amplitude(paper_within, spec, **kwargs)
-        assert any(s.n_maxima >= 2 for s in samples)
+        assert (samples.n_maxima >= 2).any()
         assert hexed(samples) == hexed(cycle_amplitude_loop(paper_within, spec, **kwargs))
 
 
@@ -483,19 +555,19 @@ class TestHopfOracle:
         # at W = 1.5385, just below W_H = 1.5472)
         settled = -self.RELAXATION_TIMES / bif.CYCLE_TRANSIENT
         stable_checked = past_hopf = 0
-        for s in samples:
-            p, W = spec.resolve(cfg.within, s.param)
-            if not wh.equilibria_fast(p, W).exists:
-                assert not s.oscillatory, s
+        for param, oscillatory in zip(samples.param.tolist(), samples.oscillatory.tolist()):
+            s = (param, oscillatory)
+            if not wh.equilibria_fast(cfg.within, spec.to_gamma(cfg.within, param)).exists:
+                assert not oscillatory, s
                 continue
-            growth = leading_eigenvalue(cfg.within, spec, s.param).real
-            assert (growth > 0.0) == (s.param > hopf_at), s
+            growth = leading_eigenvalue(cfg.within, spec, param).real
+            assert (growth > 0.0) == (param > hopf_at), s
             if growth <= settled:
-                assert not s.oscillatory, s
+                assert not oscillatory, s
                 stable_checked += 1
             # a supercritical Hopf point: cycles lie past it, where the
             # upper equilibrium is unstable
-            past_hopf += s.oscillatory and growth > 0.0
+            past_hopf += oscillatory and growth > 0.0
         assert stable_checked > 0 and past_hopf > 0
 
     def test_periods_tend_to_the_linear_period_at_the_hopf_point(self):
@@ -504,8 +576,8 @@ class TestHopfOracle:
         hopf_at = hopf_point(params, spec)
         period_h = 2.0 * math.pi / leading_eigenvalue(params, spec, hopf_at).imag
         assert period_h == pytest.approx(7.32, abs=5e-3)
-        assert all(s.oscillatory for s in samples)
-        t1, t2, _, t4 = (s.period for s in samples)
+        assert samples.oscillatory.all()
+        t1, t2, _, t4 = samples.period.tolist()
         # the period grows smoothly with the distance past the Hopf point
         assert period_h < t1 < t2 < t4
         # each maximum of the sampled load sits on the step grid, within h/2
@@ -513,7 +585,7 @@ class TestHopfOracle:
         # by at most h/(n - 1); the quadratic Richardson extrapolation to
         # d = 0 weighs the three periods by 8/3, -6/3 and 1/3, so its bound
         # is 5h/(n - 1), with the O(d^3) remainder left out
-        quantum = h / (min(s.n_maxima for s in samples) - 1)
+        quantum = h / (samples.n_maxima.min() - 1)
         extrapolated = (8.0 * t1 - 6.0 * t2 + t4) / 3.0
         assert abs(extrapolated - period_h) <= 5.0 * quantum
 
@@ -524,14 +596,14 @@ class TestHopfOracle:
         hopf_at = hopf_point(params, spec)
         omega = leading_eigenvalue(params, spec, hopf_at).imag
         slope = hopf_amplitude_slope(params, spec)
-        assert all(s.oscillatory for s in samples)
+        assert samples.oscillatory.all()
         # s(D) = (p_max - p_min)^2 / D = slope + c1*D + c2*D^2 + O(D^3) at the
         # distance D past the Hopf point. The quadratic Richardson
         # extrapolation of s(d), s(2d), s(4d) to D = 0 removes the c1 and c2
         # terms; its step past the linear one, 2 s(d) - s(2d), is the c2 term
         # that the linear one leaves, and bounds what is left while the
         # terms fall
-        s1, s2, _, s4 = ((s.p_max - s.p_min) ** 2 / (s.param - hopf_at) for s in samples)
+        s1, s2, _, s4 = ((samples.p_max - samples.p_min) ** 2 / (samples.param - hopf_at)).tolist()
         linear = 2.0 * s1 - s2
         extrapolated = (8.0 * s1 - 6.0 * s2 + s4) / 3.0
         # each extremum on the step grid lies within h/2 of the orbit's own,
@@ -569,16 +641,17 @@ class TestExports:
 
     def test_branch_csv_shape_and_round_trip(self, exported):
         out, result, _, _ = exported
-        for name, points in (("branches.csv", result.fold_path), ("trivial.csv", result.trivial)):
+        for name, branch in (("branches.csv", result.fold_path), ("trivial.csv", result.trivial)):
             lines = (out / name).read_text().splitlines()
             assert lines[0] == "param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability"
-            assert len(lines) == 1 + len(points)
-            for line, pt in zip(lines[1:], points):
+            assert len(lines) == 1 + branch.param.size
+            for j, line in enumerate(lines[1:]):
                 cells = line.split(",")
-                e1, e2 = pt.eigenvalues
-                expected = [pt.param, pt.T, pt.P, e1.real, e1.imag, e2.real, e2.imag]
+                e1, e2 = branch.eigenvalues[j]
+                expected = [branch.param[j], branch.T[j], branch.P[j]]
+                expected += [e1.real, e1.imag, e2.real, e2.imag]
                 assert [float(c) for c in cells[:7]] == expected
-                assert cells[7] == pt.stability
+                assert cells[7] == branch.stability[j]
                 assert "np.float64" not in line
 
     def test_cycles_csv_uses_integer_flags(self, exported):
@@ -587,17 +660,19 @@ class TestExports:
         assert lines[0] == (
             "param,p_min,p_max,period,n_maxima,oscillatory,collapsed,homoclinic_flag"
         )
-        assert len(lines) == 1 + len(samples)
-        for line, sample in zip(lines[1:], samples):
+        assert len(lines) == 1 + samples.param.size
+        for j, line in enumerate(lines[1:]):
             row = line.split(",")
-            assert [float(c) for c in row[:3]] == [sample.param, sample.p_min, sample.p_max]
-            assert row[3] == ("" if sample.period is None else repr(sample.period))
-            assert int(row[4]) == sample.n_maxima
-            flags = (sample.oscillatory, sample.collapsed, sample.homoclinic_flag)
+            expected = [samples.param[j], samples.p_min[j], samples.p_max[j]]
+            assert [float(c) for c in row[:3]] == expected
+            period = float(samples.period[j])
+            assert row[3] == ("" if math.isnan(period) else repr(period))
+            assert int(row[4]) == samples.n_maxima[j]
+            flags = (samples.oscillatory[j], samples.collapsed[j], samples.homoclinic_flag[j])
             assert row[5:] == [str(int(flag)) for flag in flags]
         # both forms of the period cell and both values of each flag occur
-        assert [s.period is None for s in samples] == [True, False, True, True]
-        assert [s.collapsed for s in samples] == [False, False, True, True]
+        assert np.isnan(samples.period).tolist() == [True, False, True, True]
+        assert samples.collapsed.tolist() == [False, False, True, True]
 
     def test_events_serialize_to_plain_dicts(self, exported):
         out, _, _, cfg = exported

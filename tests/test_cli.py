@@ -345,6 +345,39 @@ class TestExitCodes:
         assert capsys.readouterr().err == "numerical failure: cycle orbit at W=0.0 is not finite\n"
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_default_start_past_the_float_range_returns_two(self, tmp_path, capsys):
+        # without within_host.initial the run starts at T = Lambda/mu, which
+        # overflowed to inf and exited 1 from the state's own check
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+        del doc["within_host"]["initial"]
+        doc["within_host"].update(Lambda=1e300, mu=1e-300)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["within-sim", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: within_host.initial is required: the default start "
+            "T = Lambda/mu = inf is not finite\n"
+        )
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("command", ["equilibria", "spectral"])
+    @pytest.mark.parametrize("mu2", [0.0, 1e-300])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_return_flow_far_above_the_recovered_loss_keeps_the_contract(self, tmp_path,
+                                                                         command, mu2):
+        # at rho = 1e300 the returning share rho*g*pi/(rho + mu3) rounded to
+        # 1, and the endemic boundary density divided by 1 - 1 (exit 1)
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        doc["between_host"]["rho"] = 1e300
+        doc["functions"]["mu2"]["value"] = mu2
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        code = cli.main([command, "--config", config, "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert not (tmp_path / "nested").exists()
+
     def test_transport_without_an_initial_state_returns_two(self, tmp_path, capsys):
         doc = sim_doc()
         doc["run"] = {"t_max": 2.0}

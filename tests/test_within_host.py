@@ -40,7 +40,7 @@ class TestRhsFull:
 
 class TestFastEquilibria:
     def test_reference_pair_at_frozen_status(self, paper_within):
-        eq = wh.equilibria_fast(paper_within, 0.9)
+        eq = wh.equilibria_fast(paper_within, paper_within.gamma_eff(0.9))
         assert eq.exists
         T_hi, P_hi = eq.upper
         _, P_lo = eq.lower
@@ -49,7 +49,7 @@ class TestFastEquilibria:
         assert T_hi == pytest.approx(0.632964392176313, abs=1e-12)
 
     def test_pair_disappears_at_high_status(self, paper_within):
-        eq = wh.equilibria_fast(paper_within, 50.0)
+        eq = wh.equilibria_fast(paper_within, paper_within.gamma_eff(50.0))
         assert not eq.exists
         assert eq.lower is None and eq.upper is None
         assert eq.trivial == (10.0, 0.0)
@@ -57,35 +57,32 @@ class TestFastEquilibria:
     def test_double_root_at_exact_threshold(self, paper_within):
         # Lambda = 2*Gamma*sqrt(mu/alpha) makes the discriminant vanish
         W_star = (GAMMA_FOLD_REF - paper_within.gamma) / paper_within.delta
-        eq = wh.equilibria_fast(paper_within, W_star)
+        eq = wh.equilibria_fast(paper_within, paper_within.gamma_eff(W_star))
         assert eq.exists
         assert eq.lower[1] == pytest.approx(eq.upper[1], abs=1e-7)
 
-    def test_negative_status_rejected(self, paper_within):
-        with pytest.raises(ValueError):
-            wh.equilibria_fast(paper_within, -0.1)
-
     @given(W=st.floats(min_value=0.0, max_value=10.0))
     def test_returned_equilibria_are_stationary(self, paper_within, W):
-        eq = wh.equilibria_fast(paper_within, W)
-        assert np.allclose(fast_rhs(eq.trivial, paper_within, W), 0.0, atol=1e-10)
+        Gamma = paper_within.gamma_eff(W)
+        eq = wh.equilibria_fast(paper_within, Gamma)
+        assert np.allclose(fast_rhs(eq.trivial, paper_within, Gamma), 0.0, atol=1e-10)
         if eq.exists:
             for point in (eq.lower, eq.upper):
-                res = fast_rhs(point, paper_within, W)
+                res = fast_rhs(point, paper_within, Gamma)
                 assert np.max(np.abs(res)) < 1e-10
 
 
 class TestJacobianFast:
     def test_diagonal_at_infection_free_state(self, paper_within):
         p = paper_within
-        J = wh.jacobian_fast((p.Lambda / p.mu, 0.0), p, 0.9)
+        J = wh.jacobian_fast((p.Lambda / p.mu, 0.0), p, p.gamma_eff(0.9))
         assert J[0, 1] == 0.0 and J[1, 0] == 0.0
         assert J[0, 0] == pytest.approx(-p.mu)
         assert J[1, 1] == pytest.approx(-(p.gamma + p.delta * 0.9))
         assert np.all(np.linalg.eigvals(J) < 0.0)
 
     def test_zero_load_column_structure(self, paper_within):
-        J = wh.jacobian_fast((1.0, 0.0), paper_within, 0.0)
+        J = wh.jacobian_fast((1.0, 0.0), paper_within, paper_within.gamma_eff(0.0))
         assert np.allclose(J, np.diag([-0.1, -0.5]))
 
     def test_matches_finite_differences(self, paper_within):
@@ -93,12 +90,13 @@ class TestJacobianFast:
         for _ in range(50):
             T, P = rng.uniform(0.05, 3.0, size=2)
             W = rng.uniform(0.0, 3.0)
-            J = wh.jacobian_fast((T, P), paper_within, W)
+            Gamma = paper_within.gamma_eff(W)
+            J = wh.jacobian_fast((T, P), paper_within, Gamma)
             h = 1e-6
             fd = np.empty((2, 2))
             for j, dv in enumerate(((h, 0.0), (0.0, h))):
-                up = fast_rhs((T + dv[0], P + dv[1]), paper_within, W)
-                dn = fast_rhs((T - dv[0], P - dv[1]), paper_within, W)
+                up = fast_rhs((T + dv[0], P + dv[1]), paper_within, Gamma)
+                dn = fast_rhs((T - dv[0], P - dv[1]), paper_within, Gamma)
                 fd[:, j] = (up - dn) / (2 * h)
             assert np.allclose(J, fd, rtol=1e-5, atol=1e-7)
 
@@ -127,7 +125,7 @@ class TestCriticalLoci:
             W = (Gamma - p.gamma) / p.delta
             if W <= 0:
                 continue
-            J = wh.jacobian_fast((T_star, P_star), p, W)
+            J = wh.jacobian_fast((T_star, P_star), p, p.gamma_eff(W))
             assert abs(np.trace(J)) < 1e-8
             assert np.linalg.det(J) > 0.0
 
@@ -222,7 +220,7 @@ class TestImmuneGrowth:
 def scalar_branch_load(params, W):
     """The branch load node by node: the upper fast equilibrium, or the
     tip load where the pair is lost to rounding at the fold."""
-    eq = wh.equilibria_fast(params, W)
+    eq = wh.equilibria_fast(params, params.gamma_eff(W))
     return eq.upper[1] if eq.exists else float(np.sqrt(params.mu / params.alpha))
 
 
