@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import Coefficient
-from .errors import BracketError, PoleError, TransportBlowupError
+from .errors import BracketError, NonFiniteError, PoleError, TransportBlowupError
 from .numerics import find_root, quadrature
 
 __all__ = [
@@ -430,19 +430,21 @@ def simulate_epidemic(
     output_stride: int = 1,
     snapshot_stride: int = 0,
 ) -> EpidemicRun:
-    """March the structured system with conservative first-order upwind
-    transport and positivity-preserving removal.
+    """March the structured system: first-order upwind transport, exact removal.
 
-    The status flux g*I is differenced one-sidedly (flow is rightward since
-    g > 0) under the CFL condition dt*max(g) <= domega; removal acts as an
-    exact per-step decay factor so densities stay nonnegative. The scalar
-    pools (S, V, B) advance by the classic RK4 tableau, written out over
-    three Python floats in numerics.rk4_stepper's operation order, with the
-    coupling integrals frozen over the step; the nonlocal boundary value is
-    filled explicitly afterwards. The step's array work runs in fixed
-    buffers and views, and the clip to zero only runs when some density is
-    at or below zero. A state below the negativity tolerance or a
-    non-finite one aborts with TransportBlowupError.
+    With c = dt/domega, the upwind step of the rightward flux g*I and the
+    exact removal decay form the bidiagonal map I_j <- keep_j*I_j +
+    take_j*I_{j-1} on nodes 1..n, keep = (1 - c*g_j)*decay_j and take =
+    c*g_{j-1}*decay_j, nonnegative under the CFL bound dt*max(g) <= domega.
+    One product of a (3, n) trapezoid table (rows w*P, w*P*xi, w) with
+    nodes 1..n gives the direct and shedding integrals and the mass, node 0
+    added as a float; a table that cannot be finite raises NonFiniteError.
+    The pools (S, V, B) advance by numerics.rk4_stepper's RK4 written out
+    over three floats, with the coupling frozen over the step; the nonlocal
+    boundary value follows explicitly. The array work runs in fixed buffers
+    and views; the clip to zero runs only when some density is at or below
+    zero, and a state below the negativity tolerance or a non-finite one
+    aborts with TransportBlowupError.
     """
     if initial.I.size != n_omega + 1:
         raise ValueError(f"initial.I must have n_omega+1 = {n_omega + 1} nodes")
@@ -461,14 +463,22 @@ def simulate_epidemic(
         raise ValueError(
             f"CFL violation: dt*max(g) = {cfl:.6g} exceeds domega = {step_w:.6g}"
         )
-    mu2_vals = params.mu2(omega)
     p_vals = params.P(omega)
-    shed_weight = params.xi(omega) * p_vals
-    decay_factor = np.exp(-mu2_vals * dt)
-    trap = np.full(n_omega + 1, step_w)
-    trap[0] = trap[-1] = 0.5 * step_w
-    g0 = float(g_vals[0])
-    g_end = float(g_vals[-1])
+    xi_vals = params.xi(omega)
+    # bounds every table entry, with the table's own rounding order
+    weight_bound = step_w * float(np.max(np.abs(p_vals))) * float(np.max(np.abs(xi_vals)))
+    if not math.isfinite(weight_bound):
+        raise NonFiniteError("transport: the trapezoid weights of P and xi*P are not finite")
+    decay_factor = np.exp(-params.mu2(omega) * dt)
+    speed = (dt / step_w) * g_vals
+    keep = (1.0 - speed[1:]) * decay_factor[1:]
+    take = speed[:-1] * decay_factor[1:]
+    weights = np.full(n_omega, step_w)  # trapezoid weights of nodes 1..n
+    weights[-1] = mass0 = 0.5 * step_w  # and of node 0, applied as floats
+    table = np.array([weights * p_vals[1:], weights * p_vals[1:] * xi_vals[1:], weights])
+    direct0 = mass0 * float(p_vals[0])
+    shed0 = direct0 * float(xi_vals[0])
+    g0, g_end = float(g_vals[0]), float(g_vals[-1])
 
     n_steps = int(round(t_max / dt))
     density = initial.I.copy()
@@ -485,22 +495,18 @@ def simulate_epidemic(
     snap_t = np.empty(n_snap)
     snaps = np.empty((n_snap, n_omega + 1))
     n_recorded = n_snapped = 0
-    # per-step temporaries: p*I, xi*P*I and the g*I flux with its difference,
-    # plus the fixed views of the buffers that the upwind step reads and writes
-    weighted = np.empty_like(density)
-    flux = np.empty_like(density)
-    flux_diff = np.empty(n_omega)
-    flux_hi, flux_lo = flux[1:], flux[:-1]
-    interior, decay_interior = density[1:], decay_factor[1:]
-    multiply, subtract, dot = np.multiply, np.subtract, np.dot
+    # the upwind inflow take*I[:-1], and the fixed views the step reads and writes
+    inflow = np.empty(n_omega)
+    interior, upstream = density[1:], density[:-1]
+    multiply, add, dot = np.multiply, np.add, np.dot
     maximum, min_reduce = np.maximum, np.minimum.reduce
 
-    def record(t_now, direct):
+    def record(t_now, direct, mass):
         nonlocal n_recorded
         k = n_recorded
         t_rec[k] = t_now
         s_rec[k] = s_now
-        mass_rec[k] = dot(trap, density)
+        mass_rec[k] = mass
         v_rec[k] = v_now
         b_rec[k] = b_now
         f_rec[k] = beta_h * direct + beta_e * b_now
@@ -512,20 +518,19 @@ def simulate_epidemic(
         snaps[n_snapped] = density
         n_snapped += 1
 
-    multiply(p_vals, density, out=weighted)
-    direct_now = float(dot(trap, weighted))
-    record(0.0, direct_now)
+    direct_in, shed_in, mass_in = dot(table, interior).tolist()
+    boundary = float(density[0])
+    direct_now = direct_in + direct0 * boundary
+    record(0.0, direct_now, mass_in + mass0 * boundary)
     if snapshot_stride:
         snapshot(0.0)
 
-    courant = dt / step_w
     # the classic RK4 tableau of numerics.rk4_stepper, written out over the
     # three pool floats in the same operation order
     half, sixth = 0.5 * dt, dt / 6.0
     v_loss = rho + mu3
     for n in range(n_steps):
-        multiply(shed_weight, density, out=weighted)
-        shed_now = float(dot(trap, weighted))
+        shed_now = shed_in + shed0 * boundary
         outflux = g_end * float(density[-1])
 
         # scalar pools: RK4 with the I-coupling frozen over the step
@@ -550,18 +555,16 @@ def simulate_epidemic(
         v_new = v1 + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
         b_new = b1 + sixth * (db1 + 2.0 * db2 + 2.0 * db3 + db4)
 
-        # upwind transport then exact removal decay
-        multiply(g_vals, density, out=flux)
-        subtract(flux_hi, flux_lo, out=flux_diff)
-        multiply(flux_diff, courant, out=flux_diff)
-        subtract(interior, flux_diff, out=interior)
-        multiply(interior, decay_interior, out=interior)
+        # upwind transport with exact removal: the bidiagonal map on nodes 1..n
+        multiply(take, upstream, out=inflow)
+        multiply(interior, keep, out=interior)
+        add(interior, inflow, out=interior)
 
-        # nonlocal boundary, explicit: fresh interior and pools; slot 0 still
-        # holds the lagged previous boundary value inside the quadrature
-        multiply(p_vals, density, out=weighted)
-        direct_mix = float(dot(trap, weighted))
-        density[0] = s_new * (beta_h * direct_mix + beta_e * b_new) / g0
+        # nonlocal boundary, explicit: fresh interior and pools, with the
+        # lagged previous boundary value in the direct integral
+        direct_in, shed_in, mass_in = dot(table, interior).tolist()
+        direct_mix = direct_in + direct0 * boundary
+        density[0] = boundary = s_new * (beta_h * direct_mix + beta_e * b_new) / g0
 
         # NaN fails this test; a NaN pool reaches density[0] within a step
         density_low = float(min_reduce(density))
@@ -573,14 +576,15 @@ def simulate_epidemic(
         # max(x, +0.0) is x for every x > 0: the clip only matters at or below 0
         if density_low <= 0.0:
             maximum(density, 0.0, out=density)
+            direct_in, shed_in, mass_in = dot(table, interior).tolist()
+            boundary = float(density[0])
         s_now, v_now, b_now = max(s_new, 0.0), max(v_new, 0.0), max(b_new, 0.0)
         # the next step's direct force and the recorded F share this integral
-        multiply(p_vals, density, out=weighted)
-        direct_now = float(dot(trap, weighted))
+        direct_now = direct_in + direct0 * boundary
 
         t_next = (n + 1) * dt
         if (n + 1) % output_stride == 0 or n + 1 == n_steps:
-            record(t_next, direct_now)
+            record(t_next, direct_now, mass_in + mass0 * boundary)
         if snapshot_stride and (n + 1) % snapshot_stride == 0:
             snapshot(t_next)
 

@@ -4,9 +4,14 @@
 implementations: the pools travel as a 3-element ndarray, the rhs builds a
 new array per stage, every step allocates its own temporaries, and records
 grow as Python lists. The package's single-state RK4, the transport loop's
-written-out pool RK4, buffered upwind step and preallocated records keep
-the same operation order, so the tests hold them to these references bit
-for bit.
+written-out pool RK4, buffered bidiagonal upwind map, one product for the
+coupling integrals and preallocated records keep the same operation order,
+so the tests hold them to these references bit for bit.
+
+``simulate_epidemic_flux_form`` is the transport loop before that: the
+flux-form upwind update, and each coupling integral and the mass as a
+trapezoid dot over all nodes. It rounds in a different order, so the tests
+hold the package within a rounding bound of it.
 
 ``simulate_renewal_array`` is the earlier renewal loop: it re-reads the
 state from the record arrays as numpy scalars each step and solves for F
@@ -84,7 +89,119 @@ def rk4_step_array(rhs, t, y, h):
 def simulate_epidemic_array(
     params, initial, t_max, n_omega, dt, output_stride=1, snapshot_stride=0
 ):
-    """The transport loop with ndarray pools and per-step temporaries."""
+    """The transport loop with ndarray pools and per-step temporaries: the
+    bidiagonal upwind map, and the coupling integrals from one product of
+    the (3, n) weights table with nodes 1..n plus node 0 as a float."""
+    omega = np.linspace(0.0, params.omega0, n_omega + 1)
+    step_w = params.omega0 / n_omega
+    g_vals = params.g(omega)
+    p_vals = params.P(omega)
+    xi_vals = params.xi(omega)
+    decay_factor = np.exp(-params.mu2(omega) * dt)
+    speed = (dt / step_w) * g_vals
+    keep = (1.0 - speed[1:]) * decay_factor[1:]
+    take = speed[:-1] * decay_factor[1:]
+    trap = np.full(n_omega, step_w)
+    trap[-1] = 0.5 * step_w
+    table = np.array([trap * p_vals[1:], trap * p_vals[1:] * xi_vals[1:], trap])
+    mass0 = 0.5 * step_w
+    direct0 = mass0 * float(p_vals[0])
+    shed0 = direct0 * float(xi_vals[0])
+    g0 = float(g_vals[0])
+    g_end = float(g_vals[-1])
+
+    n_steps = int(round(t_max / dt))
+    density = initial.I.copy()
+    s_now, v_now, b_now = float(initial.S), float(initial.V), float(initial.B)
+
+    rec_t, rec_s, rec_mass, rec_v, rec_b, rec_f = [], [], [], [], [], []
+    snap_t, snap_rows = [], []
+
+    def integrals(density_row):
+        """Direct and shedding integrals and the mass of one density row."""
+        direct_in, shed_in, mass_in = np.dot(table, density_row[1:])
+        node0 = float(density_row[0])
+        return (
+            float(direct_in) + direct0 * node0,
+            float(shed_in) + shed0 * node0,
+            float(mass_in) + mass0 * node0,
+        )
+
+    def record(t_now, direct, mass):
+        rec_t.append(t_now)
+        rec_s.append(s_now)
+        rec_mass.append(mass)
+        rec_v.append(v_now)
+        rec_b.append(b_now)
+        rec_f.append(params.beta_h * direct + params.beta_e * b_now)
+
+    def snapshot(t_now):
+        snap_t.append(t_now)
+        snap_rows.append(density.copy())
+
+    direct_now, shed_now, mass_now = integrals(density)
+    record(0.0, direct_now, mass_now)
+    if snapshot_stride:
+        snapshot(0.0)
+
+    for n in range(n_steps):
+        t_now = n * dt
+        outflux = g_end * density[-1]
+
+        def scalar_rhs(t, y):
+            s, v, b = y
+            ds = (
+                params.r - params.mu1 * s
+                - s * (params.beta_h * direct_now + params.beta_e * b)
+                + params.rho * v
+            )
+            dv = outflux - (params.rho + params.mu3) * v
+            db = shed_now - params.sigma * b
+            return np.array([ds, dv, db])
+
+        y = np.array([s_now, v_now, b_now])
+        s_new, v_new, b_new = rk4_step_array(scalar_rhs, t_now, y, dt)
+
+        inflow = take * density[:-1]
+        density[1:] *= keep
+        density[1:] += inflow
+
+        direct_mix, _, _ = integrals(density)
+        density[0] = s_new * (params.beta_h * direct_mix + params.beta_e * b_new) / g0
+
+        low = min(float(density.min()), s_new, v_new, b_new)
+        if low < NEGATIVITY_ABORT:
+            raise TransportBlowupError(f"negative density {low:.3e}")
+        np.clip(density, 0.0, None, out=density)
+        s_now, v_now, b_now = max(s_new, 0.0), max(v_new, 0.0), max(b_new, 0.0)
+        direct_now, shed_now, mass_now = integrals(density)
+
+        t_next = (n + 1) * dt
+        if (n + 1) % output_stride == 0 or n + 1 == n_steps:
+            record(t_next, direct_now, mass_now)
+        if snapshot_stride and (n + 1) % snapshot_stride == 0:
+            snapshot(t_next)
+
+    final = StructuredState(S=s_now, I=density.copy(), V=v_now, B=b_now)
+    return EpidemicRun(
+        omega=omega,
+        t=np.asarray(rec_t),
+        S=np.asarray(rec_s),
+        I_total=np.asarray(rec_mass),
+        V=np.asarray(rec_v),
+        B=np.asarray(rec_b),
+        F=np.asarray(rec_f),
+        snapshot_t=np.asarray(snap_t),
+        snapshots=np.asarray(snap_rows) if snap_rows else np.empty((0, n_omega + 1)),
+        final=final,
+    )
+
+
+def simulate_epidemic_flux_form(
+    params, initial, t_max, n_omega, dt, output_stride=1, snapshot_stride=0
+):
+    """The earlier transport loop: the flux-form upwind update, and each
+    coupling integral as a trapezoid dot over all nodes."""
     omega = np.linspace(0.0, params.omega0, n_omega + 1)
     step_w = params.omega0 / n_omega
     g_vals = params.g(omega)

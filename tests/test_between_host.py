@@ -26,7 +26,11 @@ from oracles import (
     infected_mass,
     reduced_endemic_residual,
 )
-from reference_loops import simulate_epidemic_array, simulate_renewal_array
+from reference_loops import (
+    simulate_epidemic_array,
+    simulate_epidemic_flux_form,
+    simulate_renewal_array,
+)
 
 J_REF = (1.0 - np.exp(-0.5)) / 0.1  # 3.9346934028736658
 R0_DIRECT_REF = 7.8693868057473315  # (r beta_h / mu1) * J
@@ -439,8 +443,9 @@ def reference_cases():
 
 
 class TestArrayReference:
-    """The float-pool RK4 and buffered upwind step reproduce the array-form
-    loop bit for bit; a reordered product would show on table and linked
+    """The float-pool RK4, the buffered bidiagonal upwind map and the one
+    product for the coupling integrals reproduce the array-form loop bit
+    for bit; a reordered product would show on table and linked
     coefficients, where P and g vary with status."""
 
     # 400 steps: stride 7 leaves a trailing record of the last step
@@ -460,6 +465,37 @@ class TestArrayReference:
             got, want = getattr(run.final, pool), getattr(ref.final, pool)
             assert float(got).hex() == float(want).hex(), pool
         assert run.I_total[-1] > 0.0
+
+
+class TestFluxFormReference:
+    """The bidiagonal map with the one-product integrals stays within
+    rounding of the earlier flux-form loop, which sums each integral as a
+    trapezoid dot over all nodes. Each step rounds every node and integral
+    a few times, in a different order, so after n steps the two may drift
+    apart by about n*2^-52 of each series' maximum. That is the bound; the
+    largest drift measured is 0.085 of it (V on bh_env, 7.5e-15 of its
+    maximum after 400 steps)."""
+
+    @pytest.mark.parametrize("stride", [1, 7, 80])
+    @pytest.mark.parametrize("case", ["bh_env", "table", "linked"])
+    def test_runs_stay_within_rounding_of_the_flux_form_loop(self, case, stride):
+        params, init, n_omega, dt = reference_cases()[case]
+        n_steps = 400
+        kwargs = dict(output_stride=stride, snapshot_stride=stride)
+        run = bh.simulate_epidemic(params, init, n_steps * dt, n_omega, dt, **kwargs)
+        ref = simulate_epidemic_flux_form(params, init, n_steps * dt, n_omega, dt, **kwargs)
+        bound = n_steps * 2.0**-52
+        assert run.t.tobytes() == ref.t.tobytes()
+        assert run.snapshot_t.tobytes() == ref.snapshot_t.tobytes()
+        for name in ("S", "I_total", "V", "B", "F", "snapshots"):
+            got, want = getattr(run, name), getattr(ref, name)
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), name
+        got, want = run.final.I, ref.final.I
+        assert np.max(np.abs(got - want)) <= bound * np.max(want)
+        for pool in ("S", "V", "B"):
+            got, want = getattr(run.final, pool), getattr(ref.final, pool)
+            assert abs(got - want) <= bound * np.max(getattr(ref, pool)), pool
 
 
 def decaying_history(params, s0):

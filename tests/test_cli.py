@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -231,6 +232,34 @@ class TestExitCodes:
             assert cli.main([command, "--config", config, "--out", str(out)]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
+    @pytest.mark.parametrize(
+        "leaves",
+        [
+            (("between_host", "omega0"), ("functions", "xi")),
+            (("between_host", "omega0"), ("functions", "P")),
+            (("functions", "xi"), ("functions", "P")),
+        ],
+        ids=["omega0-xi", "omega0-P", "xi-P"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_transport_weights_return_three(self, tmp_path, capsys, command,
+                                                         leaves):
+        # the trapezoid weights domega*P*xi overflow: the transport run
+        # used to warn at xi*P or at its integrals, then exit 3 on a NaN
+        # state; the weights are refused before the run
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        doc["run"]["t_max"] = 1.0
+        for leaf in leaves:
+            set_leaf(doc, leaf, 1e300)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: transport: the trapezoid weights of P and xi*P are not finite\n"
+        )
+        assert not (tmp_path / "nested").exists()
 
     @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
     def test_state_overflow_during_the_run_returns_three(self, tmp_path, capsys, command):
@@ -959,6 +988,31 @@ class TestDeterminism:
         assert cli.main(["epi-sim", "--config", config, "--out", str(out_b)]) == 0
         for name in ("summary.json", "manifest.json", "timeseries.csv", "snapshots.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_transport_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the transport's one product per step multiplies a (3, n_omega)
+        # table; at n_omega 3 200 it has 9 600 entries, above OpenBLAS's
+        # 9 216-entry threshold for splitting a matrix-vector product
+        # across threads
+        doc = sim_doc()
+        doc["grid"] = {"n_omega": 3200, "dt": 0.00125}
+        doc["run"].update(t_max=0.25, output_stride=20, snapshot_stride=100)
+        config = write_config(tmp_path, doc)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "immunoepi",
+                 "epi-sim", "--config", config, "--out", str(out)],
+                capture_output=True, text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outs[0]) == [
+            "manifest.json", "snapshots.csv", "summary.json", "timeseries.csv",
+        ]
+        assert outs[0] == outs[1]
 
 
 class TestEpiSimOutputs:
