@@ -23,7 +23,8 @@ G, M and the survival density pi = exp(-M)/g from one StatusClock per
 parameter set, `BetweenHostParams.clock`, and sum their status integrals
 with the guarded Simpson rule `numerics.quadrature` on a fixed panel
 count (TABLE_PANELS, and KERNEL_TOTAL_PANELS for the kernel's total
-integral), so a non-finite integral raises NonFiniteError.
+integral, one row over the travel time), so a non-finite integral raises
+NonFiniteError.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ POLE_GUARD = 1e-8
 CLOCK_NODES = 16384
 # Simpson panels of the status integrals J_P, J_xi and of each kernel row
 TABLE_PANELS = 64
-# Simpson panels of each smooth piece of the kernel's total integral
+# Simpson panels of the kernel's total integral over the travel time
 KERNEL_TOTAL_PANELS = 256
 # delays per block of renewal-kernel Simpson rows
 KERNEL_BLOCK = 1024
@@ -278,7 +279,8 @@ def _characteristic(params: BetweenHostParams) -> Callable[[float], tuple[float,
         weight = p_over_g * np.exp(-decay - lam * elapsed)
         j_p, j_xi = quadrature(weight, params.omega0), quadrature(weight * xi, params.omega0)
         direct = s0 * params.beta_h * j_p
-        environmental = s0 * params.beta_e / (lam + params.sigma) * j_xi if params.beta_e > 0 else 0.0
+        shed = params.beta_e > 0 and j_xi != 0  # without shedding, no pole at -sigma
+        environmental = s0 * params.beta_e / (lam + params.sigma) * j_xi if shed else 0.0
         return direct, environmental, j_p, j_xi
 
     return routes
@@ -301,8 +303,8 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
 
     G is strictly decreasing with limit 0, so the root is unique when it
     exists; its sign matches the sign of r0 - 1. Raises BracketError when
-    G stays above 1 up to LAMBDA_HAT_MAX or below 1 on the admissible
-    interval (lam > -sigma).
+    G stays above 1 up to LAMBDA_HAT_MAX, or below 1 above the pole at
+    -sigma (environmental route) or the overflow floor (no such route).
     """
     characteristic = _characteristic(params)
 
@@ -310,18 +312,19 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
         direct, environmental, _, _ = characteristic(lam)
         return direct + environmental - 1.0
 
-    at_zero = f(0.0)
+    direct, environmental, _, _ = characteristic(0.0)
+    at_zero = direct + environmental - 1.0
     if at_zero == 0.0:
         return 0.0
+    hi = 0.0
     if at_zero > 0:
         lo, hi = 0.0, 1.0
         while f(hi) > 0:
             hi *= 2.0
             if hi > LAMBDA_HAT_MAX:
                 raise BracketError("characteristic function stays above 1")
-    else:
-        hi = 0.0
-        # approach the admissible edge -sigma geometrically
+    elif environmental > 0:
+        # approach the pole at -sigma geometrically
         gap = 0.5 * params.sigma
         lo = -params.sigma + gap
         while f(lo) < 0:
@@ -329,6 +332,18 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
             lo = -params.sigma + gap
             if gap < 1e-12 * params.sigma:
                 raise BracketError("characteristic function stays below 1 on (-sigma, 0]")
+    else:
+        # no pole: double lo down to where a weight (<= peak*e^{-lam*total}) or a sum could overflow
+        nodes = np.linspace(0.0, params.omega0, TABLE_PANELS + 1)
+        peak = float(np.max(params.P(nodes) / params.g(nodes))) * max(1.0, float(params.xi(nodes).max()))
+        margin = math.log(np.finfo(float).max / 3.0) - math.log(max(1.0, 3.0 * TABLE_PANELS * peak))
+        total = params.clock.total_time
+        floor = max(-margin / total, -np.finfo(float).max) if margin > 0 and total > 0 else 0.0
+        lo = max(-1.0, floor)
+        while f(lo) < 0:
+            if lo == floor:
+                raise BracketError(f"characteristic function stays below 1 on [{floor:.6g}, 0]")
+            lo = max(2.0 * lo, floor)
     return find_root(f, lo, hi)
 
 
@@ -348,7 +363,6 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
     if basic <= 1.0:
         return None
     g0 = params.g(0.0)
-    pi_end = survival_pi(params.omega0, params)
     # the share of recovered-pool entrants that leave it for good: 1 minus
     # rho*g*pi/(rho + mu3) with g*pi = exp(-M(omega0)), written without the
     # cancellation that rounds it to 0 for rho >> mu3; exactly 1 at rho = 0
@@ -357,7 +371,7 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
     omega = np.linspace(0.0, params.omega0, n_omega + 1)
     profile = i0 * g0 * survival_pi(omega, params)
     b_star = i0 * g0 * j_xi / params.sigma
-    v_star = params.g(params.omega0) * i0 * g0 * pi_end / (params.rho + params.mu3)
+    v_star = i0 * g0 * float(np.exp(-params.clock.decay[-1])) / (params.rho + params.mu3)
     # S* = 1/(beta_h*J_P + beta_e*J_xi/sigma) = (r/mu1)/R0
     s_star = params.r / params.mu1 / basic
     return EndemicEquilibrium(
@@ -636,25 +650,19 @@ def renewal_kernel_A(omega, params: BetweenHostParams):
     out = np.zeros_like(omega_arr)
     direct = omega_arr <= total
     if params.beta_h > 0 and np.any(direct):
-        out[direct] = _kernel_direct(omega_arr[direct], params)
+        w = params.clock.status_at(omega_arr[direct])
+        out[direct] = params.beta_h * params.P(w) * np.exp(-params.clock.decay_at(w))
     if params.beta_e > 0:
-        out += _kernel_env(omega_arr, params, TABLE_PANELS)
+        out += _kernel_env(omega_arr, params)
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
-def _kernel_direct(theta, params: BetweenHostParams) -> np.ndarray:
-    """Direct-route kernel values; callers restrict theta to [0, total_time]."""
-    clock = params.clock
-    w_here = clock.status_at(np.asarray(theta, dtype=float))
-    return params.beta_h * params.P(w_here) * np.exp(-clock.decay_at(w_here))
-
-
-def _kernel_env(theta: np.ndarray, params: BetweenHostParams, panels: int) -> np.ndarray:
+def _kernel_env(theta: np.ndarray, params: BetweenHostParams) -> np.ndarray:
     """Environmental-route kernel values at a 1-d array of delays theta.
 
-    Each delay is one Simpson row of `panels` panels over its age interval;
-    rows go through the rule in blocks of KERNEL_BLOCK delays to bound the
-    temporaries.
+    Each delay is one Simpson row of TABLE_PANELS panels over its age
+    interval; rows go through the rule in blocks of KERNEL_BLOCK delays to
+    bound the temporaries.
     """
     clock = params.clock
     lo = np.maximum(0.0, theta - clock.total_time)
@@ -663,7 +671,7 @@ def _kernel_env(theta: np.ndarray, params: BetweenHostParams, panels: int) -> np
     rows = np.flatnonzero(hi > lo)
     for start in range(0, rows.size, KERNEL_BLOCK):
         block = rows[start : start + KERNEL_BLOCK]
-        ages = np.linspace(lo[block], hi[block], panels + 1, axis=1)
+        ages = np.linspace(lo[block], hi[block], TABLE_PANELS + 1, axis=1)
         w = clock.status_at(theta[block, None] - ages)
         values = (
             params.beta_e
@@ -677,28 +685,21 @@ def _kernel_env(theta: np.ndarray, params: BetweenHostParams, panels: int) -> np
 
 
 def kernel_total_integral(params: BetweenHostParams) -> float:
-    """Integral of the renewal kernel over its full support.
+    """Integral of the renewal kernel over its support [0, a_bar + T0].
 
-    Split at the kernel's corner points (travel time to recovery and the
-    bacterial age cap) so the piecewise-smooth integrand keeps full
-    quadrature order; every piece, and each kernel row inside the
-    environmental pieces, is a Simpson sum on KERNEL_TOTAL_PANELS panels.
-    At the endemic state S* times this integral is 1, up to the
-    exponential age-cap truncation.
+    Integrated over the bacterial age first, the environmental route keeps
+    the closed-form age factor (1 - e^{-sigma*a_bar})/sigma, so the total is
+    one Simpson row of KERNEL_TOTAL_PANELS panels over the travel time,
+    int_0^T0 (beta_h + beta_e*age_factor*xi(w))*P(w)*exp(-M(w)) dtheta with
+    w = w(theta). At the endemic state S* times this integral is 1, up to
+    the exponential age-cap truncation.
     """
-    total = params.clock.total_time
-    nodes = KERNEL_TOTAL_PANELS + 1
-    value = 0.0
-    if params.beta_h > 0:
-        value += quadrature(_kernel_direct(np.linspace(0.0, total, nodes), params), total)
-    if params.beta_e > 0:
-        # the environmental part is continuous but kinked where its
-        # integration limits switch; integrate each smooth piece separately
-        cuts = sorted({0.0, total, params.a_bar, params.a_bar + total})
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            theta = np.linspace(lo, hi, nodes)
-            value += quadrature(_kernel_env(theta, params, KERNEL_TOTAL_PANELS), hi - lo)
-    return value
+    clock = params.clock
+    total = clock.total_time
+    w = clock.status_at(np.linspace(0.0, total, KERNEL_TOTAL_PANELS + 1))
+    age_factor = -math.expm1(-params.sigma * params.a_bar) / params.sigma
+    route = params.beta_h + params.beta_e * age_factor * params.xi(w)
+    return quadrature(route * params.P(w) * np.exp(-clock.decay_at(w)), total)
 
 
 @dataclass
@@ -804,7 +805,7 @@ def endemic_char_residual(params: BetweenHostParams, eq: EndemicEquilibrium) -> 
     K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
     characteristic = _characteristic(params)
     direct = eq.S * params.beta_h
-    recovery = params.rho * params.g(params.omega0) * survival_pi(params.omega0, params)
+    recovery = params.rho * float(np.exp(-params.clock.decay[-1]))
     total = params.clock.total_time
 
     def residual(lam):

@@ -64,12 +64,12 @@ BRENT_MAXITER = 200
 
 @dataclass
 class Trajectory:
-    """Accepted integration samples, plus the event hit if one was requested."""
+    """Accepted integration samples; when an event fired, event_time is its
+    time and the last row of y its state."""
 
     t: np.ndarray
     y: np.ndarray
     event_time: float | None = None
-    event_state: np.ndarray | None = None
 
 
 def rk4_stepper(rhs_into, y, h):
@@ -254,9 +254,7 @@ def integrate_ode(
                     t_ev, y_ev = _locate_event(rhs, event, t, y, t_new, y_new)
                     ts.append(t_ev)
                     ys.extend(y_ev)
-                    return Trajectory(
-                        np.array(ts), np.array(ys).reshape(-1, n), t_ev, np.array(y_ev)
-                    )
+                    return Trajectory(np.array(ts), np.array(ys).reshape(-1, n), t_ev)
                 e_prev = e_new
             t, y = t_new, y_new
             ts.append(t)

@@ -411,7 +411,7 @@ def simulate_infection(
         )
         t, states = traj.t, traj.y
         t_rec = t_clear = traj.event_time
-        state_clear = traj.event_state
+        state_clear = traj.y[-1]
     if t_clear is not None and t_clear < t_max:
         tail_t, tail_y = _cleared_branch(params, t_clear, state_clear, t_max)
         t = np.concatenate([t, tail_t])

@@ -194,7 +194,7 @@ def integrate_slow_reduced(
             ws.extend(piece.y[1:, 0].tolist())
             if piece.event_time is not None:
                 break
-    return Trajectory(np.array(ts), np.array(ws)[:, None], piece.event_time, piece.event_state)
+    return Trajectory(np.array(ts), np.array(ws)[:, None], piece.event_time)
 
 
 def leading_eigenvalue(params: wh.WithinHostParams, spec, value: float) -> complex:

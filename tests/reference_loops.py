@@ -604,7 +604,7 @@ def integrate_ode_array(rhs, y0, t_span, event=None):
                     t_ev, y_ev = locate_event_array(rhs, event, t, y, t_new, y_new)
                     ts.append(t_ev)
                     ys.append(y_ev)
-                    return Trajectory(np.array(ts), np.array(ys), t_ev, y_ev)
+                    return Trajectory(np.array(ts), np.array(ys), t_ev)
                 e_prev = e_new
             t, y = t_new, y_new
             ts.append(t)

@@ -7,6 +7,7 @@ every status integral collapses to elementary functions:
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from immunoepi import between_host as bh
 from immunoepi import coefficients as coef
 from immunoepi.errors import BracketError, NumericsError, TransportBlowupError
-from immunoepi.numerics import quadrature
+from immunoepi.numerics import find_root, quadrature
 
 from conftest import linked_params, make_between
 from oracles import (
@@ -232,6 +233,26 @@ class TestGrowthRate:
     def test_no_transmission_has_no_root(self):
         with pytest.raises(BracketError):
             bh.dfe_lambda_hat(make_between(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            make_between(0.005, 0.0),
+            make_between(0.005, 0.05, xi=coef.constant(0.0)),
+            make_between(0.005, 0.05, xi=coef.constant(0.0), sigma=1.0),
+        ],
+        ids=["beta_e=0", "xi=0", "xi=0,sigma=1"],
+    )
+    def test_root_below_minus_sigma_without_an_environmental_route(self, params):
+        # no environmental route, so no pole at -sigma: the direct route's
+        # G(lam) = (r beta_h/mu1) (1 - e^{-5(0.1+lam)})/(0.1+lam) crosses 1
+        # near -0.5673, below sigma = 0.5's pole; at sigma = 1 the search
+        # evaluates G at lam = -sigma itself
+        def closed_form(lam):
+            return 10.0 * 0.005 * -np.expm1(-5.0 * (0.1 + lam)) / (0.1 + lam) - 1.0
+
+        exact = find_root(closed_form, -2.0, 0.0)
+        assert bh.dfe_lambda_hat(params) == pytest.approx(exact, abs=1e-7)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=15)
@@ -558,6 +579,13 @@ class TestRenewalForm:
         with pytest.raises(ValueError, match="a_bar"):
             bh.renewal_kernel_A(35.1, direct_params)
 
+    def test_total_integral_matches_its_closed_form(self, env_params):
+        # each route integrates P e^{-M} = e^{-0.1 theta} over the travel
+        # time to J; bacteria add their age factor (1 - e^{-sigma a_bar})/sigma
+        age_factor = (1.0 - np.exp(-0.5 * 30.0)) / 0.5
+        exact = 0.2 * J_REF + 0.05 * age_factor * 0.4 * J_REF
+        assert bh.kernel_total_integral(env_params) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_stationary_kernel_identity(self, direct_params, env_params):
         # S* times the lifetime transmission integral is 1, up to the
         # exponential age-cap truncation e^{-sigma a_bar}
@@ -719,13 +747,13 @@ class TestBatchedKernel:
         corners = [0.0, total, params.a_bar, params.a_bar + total]
         # more delays than one block, so block edges are crossed
         delays = np.concatenate([corners, np.linspace(0.0, params.a_bar + total, 2 * bh.KERNEL_BLOCK + 7)])
-        batched = bh._kernel_env(delays, params, bh.TABLE_PANELS)
+        batched = bh._kernel_env(delays, params)
         reference = np.array([per_delay_kernel_env(x, params) for x in delays])
         np.testing.assert_allclose(batched, reference, rtol=1e-14, atol=0.0)
         assert batched[0] == 0.0 and batched[3] == 0.0
         assert batched[1] > 0.0 and batched[2] > 0.0
 
-        direct = np.where(delays <= total, bh._kernel_direct(np.minimum(delays, total), params), 0.0)
+        direct = bh.renewal_kernel_A(delays, replace(params, beta_e=0.0))
         kernel = bh.renewal_kernel_A(delays, params)
         np.testing.assert_allclose(kernel, direct + reference, rtol=1e-14, atol=0.0)
         scalar = bh.renewal_kernel_A(float(delays[5]), params)

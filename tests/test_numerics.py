@@ -50,7 +50,7 @@ class TestIntegrateOde:
         # y = e^{-t} crosses 1/2 at t = ln 2
         run = integrate_ode(decay, [1.0], (0.0, 5.0), event=lambda t, y: y[0] - 0.5)
         assert run.event_time == pytest.approx(math.log(2.0), abs=1e-8)
-        assert run.event_state[0] == pytest.approx(0.5, abs=1e-8)
+        assert run.y[-1, 0] == pytest.approx(0.5, abs=1e-8)
         assert run.t[-1] == pytest.approx(run.event_time)
 
     def test_no_event_crossing_returns_none(self):
@@ -255,11 +255,10 @@ def assert_same_run(got, want, got_calls, want_calls):
     # the same trial steps, rejected ones and event root iterations included
     assert np.array(got_calls).tobytes() == np.array(want_calls).tobytes()
     if want.event_time is None:
-        assert got.event_time is None and got.event_state is None
+        assert got.event_time is None
     else:
         assert got.event_time.hex() == want.event_time.hex()
-        assert isinstance(got.event_state, np.ndarray)
-        assert got.event_state.tobytes() == want.event_state.tobytes()
+        assert got.y[-1].tobytes() == want.y[-1].tobytes()
 
 
 class TestIntegratorReference:
