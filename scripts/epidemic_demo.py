@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Walk the between-host analysis chain on the bundled scenarios.
 
-Direct-transmission and mixed-route constant-coefficient scenarios:
-reproduction number, endemic equilibrium, a long transport run toward it,
-the infection-free growth rate with the endemic residual scan, and the
-renewal-equation cross-check on the boundary-matched scenario. Prints a
-compact report and leaves the full outputs on disk.
+Direct-transmission and mixed-route constant-coefficient scenarios, and
+the linked scenario whose P and g come from the within-host model up to
+the fold: reproduction number, endemic equilibrium, the infection-free
+growth rate with the endemic residual scan; then a long transport run
+toward the mixed-route endemic state, and the renewal-equation
+cross-check on the boundary-matched scenario. Prints a compact report and
+leaves the full outputs on disk.
 """
 
 import argparse
@@ -36,7 +38,7 @@ def main() -> int:
     args = parser.parse_args()
     root = Path(args.out_root)
 
-    for scenario in ("bh_direct", "bh_env"):
+    for scenario in ("bh_direct", "bh_env", "bh_linked"):
         config = scenario + ".json"
         summary = run("r0", config, root / scenario / "r0")
         print(f"{scenario}: R0 = {summary['r0']:.6f} "

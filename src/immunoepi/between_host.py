@@ -70,7 +70,7 @@ CLOCK_NODES = 16384
 TABLE_PANELS = 64
 # Simpson panels of the kernel's total integral over the travel time
 KERNEL_TOTAL_PANELS = 256
-# delays per block of renewal-kernel Simpson rows
+# Simpson rows per block: distinct renewal-kernel intervals, or endemic scan rates
 KERNEL_BLOCK = 1024
 # the infection-free growth rate is sought below this bound
 LAMBDA_HAT_MAX = 1e6
@@ -255,29 +255,44 @@ def survival_pi(omega, params: BetweenHostParams):
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
-def _characteristic(params: BetweenHostParams) -> Callable[[float], tuple[float, float, float, float]]:
-    """The infection-free characteristic function by route, with the two
-    weighted status integrals behind every spectral quantity, as a function
-    of lam:
+def _status_integrals(params: BetweenHostParams) -> Callable:
+    """The two weighted status integrals behind every spectral quantity, as
+    a function of lam:
 
       J_P  = int_0^omega0 P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
       J_xi = int_0^omega0 xi(w)*P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
-      G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)]
 
     with G, M the clock integrals, by Simpson's rule on TABLE_PANELS
-    panels. Returns lam -> (direct, environmental, J_P, J_xi); G is direct
-    + environmental. The lam-independent node values (P/g, M, G, xi) are
-    tabulated once.
+    panels. Returns lam -> (J_P, J_xi): two floats for a scalar lam, two
+    arrays for a 1-d array of rates, one Simpson row per rate. The
+    lam-independent node values (P/g, M, G, xi) are tabulated once.
     """
     nodes = np.linspace(0.0, params.omega0, TABLE_PANELS + 1)
     p_over_g = params.P(nodes) / params.g(nodes)
     clock = params.clock
     decay, elapsed, xi = clock.decay_at(nodes), clock.time_of(nodes), params.xi(nodes)
+
+    def integrals(lam):
+        weight = p_over_g * np.exp(-decay - np.multiply.outer(lam, elapsed))
+        return quadrature(weight, params.omega0), quadrature(weight * xi, params.omega0)
+
+    return integrals
+
+
+def _characteristic(params: BetweenHostParams) -> Callable[[float], tuple[float, float, float, float]]:
+    """The infection-free characteristic function by route, as a function
+    of a scalar lam:
+
+      G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)]
+
+    with J_P, J_xi from _status_integrals. Returns lam -> (direct,
+    environmental, J_P, J_xi); G is direct + environmental.
+    """
+    integrals = _status_integrals(params)
     s0 = params.r / params.mu1
 
     def routes(lam):
-        weight = p_over_g * np.exp(-decay - lam * elapsed)
-        j_p, j_xi = quadrature(weight, params.omega0), quadrature(weight * xi, params.omega0)
+        j_p, j_xi = integrals(lam)
         direct = s0 * params.beta_h * j_p
         shed = params.beta_e > 0 and j_xi != 0  # without shedding, no pole at -sigma
         environmental = s0 * params.beta_e / (lam + params.sigma) * j_xi if shed else 0.0
@@ -448,17 +463,21 @@ def simulate_epidemic(
 
     With c = dt/domega, the upwind step of the rightward flux g*I and the
     exact removal decay form the bidiagonal map I_j <- keep_j*I_j +
-    take_j*I_{j-1} on nodes 1..n, keep = (1 - c*g_j)*decay_j and take =
-    c*g_{j-1}*decay_j, nonnegative under the CFL bound dt*max(g) <= domega.
-    One product of a (3, n) trapezoid table (rows w*P, w*P*xi, w) with
-    nodes 1..n gives the direct and shedding integrals and the mass, node 0
-    added as a float; a table that cannot be finite raises NonFiniteError.
+    take_j*I_{j-1} on nodes 1..n, keep = max(1 - c*g_j, 0)*decay_j and take
+    = c*g_{j-1}*decay_j: nonnegative by construction, so a nonnegative
+    density stays nonnegative. The clamp acts only in the 1e-12 relative
+    slack of the CFL bound dt*max(g) <= domega. One product of a (3, n)
+    trapezoid table (rows w*P, w*P*xi, w) with nodes 1..n gives the direct
+    and shedding integrals and the mass, node 0 added as a float; a table
+    that cannot be finite raises NonFiniteError.
     The pools (S, V, B) advance by numerics.rk4_stepper's RK4 written out
     over three floats, with the coupling frozen over the step; the nonlocal
     boundary value follows explicitly. The array work runs in fixed buffers
-    and views; the clip to zero runs only when some density is at or below
-    zero, and a state below the negativity tolerance or a non-finite one
-    aborts with TransportBlowupError.
+    and views. Each step checks floats only: the new boundary value, the
+    three pools and the interior mass, which a NaN anywhere in the interior
+    reaches, since its trapezoid row is all positive. A value below the
+    negativity tolerance or NaN aborts with TransportBlowupError; a
+    boundary value in [NEGATIVITY_ABORT, 0] is set to +0.0.
     """
     if initial.I.size != n_omega + 1:
         raise ValueError(f"initial.I must have n_omega+1 = {n_omega + 1} nodes")
@@ -485,7 +504,7 @@ def simulate_epidemic(
         raise NonFiniteError("transport: the trapezoid weights of P and xi*P are not finite")
     decay_factor = np.exp(-params.mu2(omega) * dt)
     speed = (dt / step_w) * g_vals
-    keep = (1.0 - speed[1:]) * decay_factor[1:]
+    keep = np.maximum(1.0 - speed[1:], 0.0) * decay_factor[1:]
     take = speed[:-1] * decay_factor[1:]
     weights = np.full(n_omega, step_w)  # trapezoid weights of nodes 1..n
     weights[-1] = mass0 = 0.5 * step_w  # and of node 0, applied as floats
@@ -513,7 +532,7 @@ def simulate_epidemic(
     inflow = np.empty(n_omega)
     interior, upstream = density[1:], density[:-1]
     multiply, add, dot = np.multiply, np.add, np.dot
-    maximum, min_reduce = np.maximum, np.minimum.reduce
+    floor = NEGATIVITY_ABORT
 
     def record(t_now, direct, mass):
         nonlocal n_recorded
@@ -578,20 +597,18 @@ def simulate_epidemic(
         # lagged previous boundary value in the direct integral
         direct_in, shed_in, mass_in = dot(table, interior).tolist()
         direct_mix = direct_in + direct0 * boundary
-        density[0] = boundary = s_new * (beta_h * direct_mix + beta_e * b_new) / g0
+        boundary = s_new * (beta_h * direct_mix + beta_e * b_new) / g0
 
-        # NaN fails this test; a NaN pool reaches density[0] within a step
-        density_low = float(min_reduce(density))
-        low = min(density_low, s_new, v_new, b_new)
-        if not low >= NEGATIVITY_ABORT:
+        # NaN fails these tests; a NaN in the interior reaches mass_in
+        if not (boundary >= floor and s_new >= floor and v_new >= floor
+                and b_new >= floor and mass_in >= floor):
+            low = next(x for x in (boundary, s_new, v_new, b_new, mass_in) if not x >= floor)
             raise TransportBlowupError(
                 f"negative or non-finite state {low:.3e} at t = {n * dt + dt:.6g}"
             )
-        # max(x, +0.0) is x for every x > 0: the clip only matters at or below 0
-        if density_low <= 0.0:
-            maximum(density, 0.0, out=density)
-            direct_in, shed_in, mass_in = dot(table, interior).tolist()
-            boundary = float(density[0])
+        if boundary <= 0.0:
+            boundary = 0.0
+        density[0] = boundary
         s_now, v_now, b_now = max(s_new, 0.0), max(v_new, 0.0), max(b_new, 0.0)
         # the next step's direct force and the recorded F share this integral
         direct_now = direct_in + direct0 * boundary
@@ -605,7 +622,8 @@ def simulate_epidemic(
     try:
         final = StructuredState(S=s_now, I=density.copy(), V=v_now, B=b_now)
     except ValueError as exc:
-        # the clip leaves every value nonnegative: only a non-finite one is left
+        # the map and the boundary keep every value nonnegative: only a
+        # non-finite one is left
         raise TransportBlowupError(f"non-finite state at t = {n_steps * dt:.6g}: {exc}") from exc
     return EpidemicRun(
         omega=omega,
@@ -660,27 +678,41 @@ def renewal_kernel_A(omega, params: BetweenHostParams):
 def _kernel_env(theta: np.ndarray, params: BetweenHostParams) -> np.ndarray:
     """Environmental-route kernel values at a 1-d array of delays theta.
 
-    Each delay is one Simpson row of TABLE_PANELS panels over its age
-    interval; rows go through the rule in blocks of KERNEL_BLOCK delays to
-    bound the temporaries.
+    In the travel time u = theta - a at shedding, the integral runs over
+    [u_lo, u_hi] = [max(0, theta - a_bar), min(T0, theta)], and the age
+    factor splits as e^{-sigma*(theta-u)} = e^{-sigma*(theta-u_hi)} *
+    e^{-sigma*(u_hi-u)}, both factors at most 1. So K_e(theta) = beta_e *
+    e^{-sigma*(theta-u_hi)} * Q(u_lo, u_hi), where Q is one Simpson row of
+    TABLE_PANELS panels per distinct interval: consecutive delays with the
+    same interval share it (sorted delays in [T0, a_bar] all read [0, T0]),
+    so a delay costs one exponential. Rows go through the rule in blocks of
+    KERNEL_BLOCK to bound the temporaries. A delay whose interval is empty,
+    at or past the ends of the support, gives exactly 0.
     """
     clock = params.clock
-    lo = np.maximum(0.0, theta - clock.total_time)
-    hi = np.minimum(params.a_bar, theta)
+    total = clock.total_time
+    u_lo = np.maximum(0.0, theta - params.a_bar)
+    u_hi = np.minimum(total, theta)
     out = np.zeros_like(theta)
-    rows = np.flatnonzero(hi > lo)
-    for start in range(0, rows.size, KERNEL_BLOCK):
-        block = rows[start : start + KERNEL_BLOCK]
-        ages = np.linspace(lo[block], hi[block], TABLE_PANELS + 1, axis=1)
-        w = clock.status_at(theta[block, None] - ages)
+    # theta - a_bar may round below T0 at theta = a_bar + T0: the end is explicit
+    rows = np.flatnonzero((u_hi > u_lo) & (theta < params.a_bar + total))
+    lo, hi = u_lo[rows], u_hi[rows]
+    fresh = np.ones(rows.size, dtype=bool)
+    fresh[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    starts = np.flatnonzero(fresh)
+    q = np.empty(starts.size)
+    for start in range(0, starts.size, KERNEL_BLOCK):
+        block = starts[start : start + KERNEL_BLOCK]
+        u = np.linspace(lo[block], hi[block], TABLE_PANELS + 1, axis=1)
+        w = clock.status_at(u)
         values = (
-            params.beta_e
-            * np.exp(-params.sigma * ages)
+            np.exp(-params.sigma * (hi[block, None] - u))
             * params.xi(w)
             * params.P(w)
             * np.exp(-clock.decay_at(w))
         )
-        out[block] = quadrature(values, hi[block] - lo[block])
+        q[start : start + KERNEL_BLOCK] = quadrature(values, hi[block] - lo[block])
+    out[rows] = params.beta_e * np.exp(-params.sigma * (theta[rows] - hi)) * q[np.cumsum(fresh) - 1]
     return out
 
 
@@ -788,34 +820,36 @@ def simulate_renewal(
 # endemic spectral residuals
 
 
-def endemic_char_residual(params: BetweenHostParams, eq: EndemicEquilibrium) -> Callable[[float], float]:
+def endemic_char_residual(params: BetweenHostParams, eq: EndemicEquilibrium) -> Callable:
     """The endemic-linearization characteristic residual at eq, as a
     function of a real trial rate lam; a root means a mode growing like
     e^{lam*t}.
 
     The equation reads 1 = RHS(lam) and the residual is RHS - 1, with the
     boundary-sourced exponential factors evaluated at the recovery status
-    (the only status where the recovered pool is fed). K, the
-    characteristic's node table and the recovery survival factor are
-    computed once, so a trial rate costs one exponential and two Simpson
-    sums. Rates within POLE_GUARD of a pole (-mu1, -sigma, -(rho+mu3))
-    raise PoleError.
+    (the only status where the recovered pool is fed). K, the status
+    integrals' node table and the recovery survival factor are computed
+    once, so a trial rate costs one exponential and the two Simpson sums
+    J_P and J_xi. lam may also be a 1-d array of rates: the residual is
+    then one array pass, each entry equal bit for bit to the scalar call at
+    that rate. Rates within POLE_GUARD of a pole (-mu1, -sigma,
+    -(rho+mu3)) raise PoleError.
     """
     step = eq.omega[1] - eq.omega[0]
     K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
-    characteristic = _characteristic(params)
+    integrals = _status_integrals(params)
     direct = eq.S * params.beta_h
     recovery = params.rho * float(np.exp(-params.clock.decay[-1]))
     total = params.clock.total_time
 
     def residual(lam):
-        if abs(lam + params.mu1) < POLE_GUARD:
+        if np.any(np.abs(lam + params.mu1) < POLE_GUARD):
             raise PoleError("lam too close to the pole at -mu1")
-        if params.beta_e > 0 and abs(lam + params.sigma) < POLE_GUARD:
+        if params.beta_e > 0 and np.any(np.abs(lam + params.sigma) < POLE_GUARD):
             raise PoleError("lam too close to the pole at -sigma")
-        if abs(lam + params.rho + params.mu3) < POLE_GUARD:
+        if np.any(np.abs(lam + params.rho + params.mu3) < POLE_GUARD):
             raise PoleError("lam too close to the pole at -(rho+mu3)")
-        _, _, j_p, j_xi = characteristic(lam)
+        j_p, j_xi = integrals(lam)
         returned = recovery * np.exp(-lam * total) / (lam + params.rho + params.mu3)
         bracket = (returned - 1.0) / (lam + params.mu1)
         rhs = direct * j_p + bracket * K
@@ -839,23 +873,29 @@ class ResidualScan:
 
 def endemic_spectrum_scan(params: BetweenHostParams) -> ResidualScan:
     """Real-axis root scan of the endemic characteristic residual on
-    [0, SPECTRUM_SCAN_MAX] at SPECTRUM_SCAN_STEP: neighbours of opposite
-    sign bracket a root, which is refined. Only the signs of the values are
-    multiplied, so no product overflows. An empty root list is the
-    numerical witness that no real nonnegative growth rate exists; complex
-    roots are outside this check's scope.
+    [0, SPECTRUM_SCAN_MAX] at SPECTRUM_SCAN_STEP: the grid goes through the
+    array form of the residual in blocks of KERNEL_BLOCK rates, and
+    neighbours of opposite sign bracket a root, which is refined by scalar
+    calls of the same residual. Only the signs of the values are
+    multiplied, so no product overflows; a non-finite residual raises
+    NonFiniteError. An empty root list is the numerical witness that no
+    real nonnegative growth rate exists; complex roots are outside this
+    check's scope.
     """
     eq = endemic_equilibrium(params)
     if eq is None:
         raise ValueError("spectrum scan needs a reproduction number above 1")
     residual = endemic_char_residual(params, eq)
     grid = np.arange(0.0, SPECTRUM_SCAN_MAX + 0.5 * SPECTRUM_SCAN_STEP, SPECTRUM_SCAN_STEP)
-    values = np.array([residual(lam) for lam in grid])
-    signs = np.sign(values)
-    roots = []
-    for i in range(len(grid)):
-        if values[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif i + 1 < len(grid) and signs[i] * signs[i + 1] < 0:
-            roots.append(find_root(residual, float(grid[i]), float(grid[i + 1])))
+    values = np.concatenate(
+        [residual(grid[start : start + KERNEL_BLOCK]) for start in range(0, grid.size, KERNEL_BLOCK)]
+    )
+    if not np.isfinite(values).all():
+        raise NonFiniteError("endemic spectrum scan: the characteristic residual is not finite")
+    zero = values == 0.0
+    change = np.append(np.sign(values[:-1]) * np.sign(values[1:]) < 0, False)
+    roots = [
+        float(grid[i]) if zero[i] else find_root(residual, float(grid[i]), float(grid[i + 1]))
+        for i in np.flatnonzero(zero | change)
+    ]
     return ResidualScan(lam=grid, residual=values, roots=roots)

@@ -294,10 +294,13 @@ def quadrature(values, length):
     The last axis holds the n + 1 values of n panels (n even). A 1-D row
     gives one scalar (a Python float or complex for a Python length); a
     2-D block gives one sum per row, with one length per row or one for
-    all. A complex dtype is kept. Raises NonFiniteError on a non-finite sum.
+    all. A complex dtype is kept. Each row is summed by ``np.einsum``, not
+    a BLAS product, so a row of a block sums bit for bit as it does alone,
+    whatever the block's shape or the BLAS thread count. Raises
+    NonFiniteError on a non-finite sum.
     """
     n = np.shape(values)[-1] - 1
-    sums = np.dot(values, simpson_coefficients(n))
+    sums = np.einsum("...j,j->...", values, simpson_coefficients(n))
     if isinstance(sums, np.ndarray):
         sums = sums * length / (3.0 * n)
         if not np.isfinite(sums).all():

@@ -99,7 +99,7 @@ def simulate_epidemic_array(
     xi_vals = params.xi(omega)
     decay_factor = np.exp(-params.mu2(omega) * dt)
     speed = (dt / step_w) * g_vals
-    keep = (1.0 - speed[1:]) * decay_factor[1:]
+    keep = np.maximum(1.0 - speed[1:], 0.0) * decay_factor[1:]
     take = speed[:-1] * decay_factor[1:]
     trap = np.full(n_omega, step_w)
     trap[-1] = 0.5 * step_w

@@ -33,6 +33,7 @@ from reference_loops import (
     simulate_renewal_array,
 )
 
+EPS = float(np.finfo(float).eps)
 J_REF = (1.0 - np.exp(-0.5)) / 0.1  # 3.9346934028736658
 R0_DIRECT_REF = 7.8693868057473315  # (r beta_h / mu1) * J
 R0_ENV_REF = 9.443264166896798  # adds (r beta_e / (mu1 sigma)) * xi * J
@@ -749,13 +750,22 @@ class TestBatchedKernel:
         delays = np.concatenate([corners, np.linspace(0.0, params.a_bar + total, 2 * bh.KERNEL_BLOCK + 7)])
         batched = bh._kernel_env(delays, params)
         reference = np.array([per_delay_kernel_env(x, params) for x in delays])
-        np.testing.assert_allclose(batched, reference, rtol=1e-14, atol=0.0)
-        assert batched[0] == 0.0 and batched[3] == 0.0
+        # near the far end of the support the reference's interval length
+        # a_bar - (theta - T0) carries one rounding of theta - T0, at most
+        # eps*(a_bar + T0)/2, where the batched T0 - (theta - a_bar) is exact
+        # (Sterbenz); there the kernel grows with that length at a rate of at
+        # most beta_e*e^{-sigma*a_bar}*max(xi*P*e^{-M})
+        shed = params.xi(clock.omega) * params.P(clock.omega) * np.exp(-clock.decay)
+        slope = params.beta_e * np.exp(-params.sigma * params.a_bar) * shed.max()
+        atol = EPS * (params.a_bar + total) * slope
+        assert atol <= 8 * EPS * reference.max()
+        np.testing.assert_allclose(batched, reference, rtol=1e-14, atol=atol)
+        assert batched[0] == 0.0 and batched[3] == 0.0 and batched[-1] == 0.0
         assert batched[1] > 0.0 and batched[2] > 0.0
 
         direct = bh.renewal_kernel_A(delays, replace(params, beta_e=0.0))
         kernel = bh.renewal_kernel_A(delays, params)
-        np.testing.assert_allclose(kernel, direct + reference, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(kernel, direct + reference, rtol=1e-14, atol=atol)
         scalar = bh.renewal_kernel_A(float(delays[5]), params)
         assert scalar == pytest.approx(kernel[5], rel=1e-14)
 

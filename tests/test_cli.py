@@ -65,19 +65,11 @@ BETWEEN_HOST_COMMANDS = ("r0", "equilibria", "spectral", "epi-sim", "renewal-che
 
 
 def linked_doc():
-    """The benchmark's linked document: within_sim.json's rates with kappa
-    10, and bh_env.json with the fold as recovery status, beta_h 0.4, and P
-    and g derived from the within-host model, on a 60-node grid at dt
-    0.0025."""
-    within = json.loads((CONFIGS / "within_sim.json").read_text())["within_host"]
-    del within["initial"]
-    doc = json.loads((CONFIGS / "bh_env.json").read_text())
-    doc["within_host"] = dict(within, kappa=10.0)
-    doc["between_host"].update(omega0="fold", beta_h=0.4)
-    doc["functions"]["P"] = {"family": "within_host", "kind": "pathogen_load"}
-    doc["functions"]["g"] = {"family": "within_host", "kind": "immune_growth"}
-    doc["grid"] = {"n_omega": 60, "dt": 0.0025}
-    return doc
+    """The benchmark's linked document, shipped as configs/bh_linked.json:
+    within_sim.json's rates with kappa 10, and bh_env.json with the fold as
+    recovery status, beta_h 0.4, and P and g derived from the within-host
+    model, on a 60-node grid at dt 0.0025."""
+    return json.loads((CONFIGS / "bh_linked.json").read_text())
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -258,6 +250,32 @@ class TestExitCodes:
         assert cli.main([command, "--config", config, "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
             "numerical failure: transport: the trapezoid weights of P and xi*P are not finite\n"
+        )
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize(
+        "leaf, value",
+        [
+            (("functions", "xi"), 1e300),
+            (("functions", "P"), 1e300),
+            (("between_host", "omega0"), 1e300),
+            (("functions", "g"), 1e-300),
+        ],
+        ids=["xi", "P", "omega0", "g"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_endemic_scan_returns_three(self, tmp_path, capsys, leaf, value):
+        # with beta_e at 1e300 the endemic residual is not finite: the scan
+        # used to warn in numpy-scalar arithmetic on the environmental route
+        # term it never read, and is now refused before the summary
+        doc = json.loads((CONFIGS / "bh_direct.json").read_text())
+        doc["between_host"]["beta_e"] = 1e300
+        set_leaf(doc, leaf, value)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["spectral", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: endemic spectrum scan: the characteristic residual is not finite\n"
         )
         assert not (tmp_path / "nested").exists()
 
@@ -597,8 +615,10 @@ CONFIG_COMMANDS = [name for name, (_, sections) in cli._COMMANDS.items() if sect
 
 
 def shipped_config_for(command):
-    """The first shipped config holding every section the subcommand requires."""
-    for path in sorted(CONFIGS.glob("*.json")):
+    """The shipped config with the fewest sections, the first by name among
+    equals, that holds every section the subcommand requires; a linked
+    document's between_host section needs its within_host section."""
+    for path in sorted(CONFIGS.glob("*.json"), key=lambda p: (len(json.loads(p.read_text())), p.name)):
         try:
             load_scenario(path).require(*cli._COMMANDS[command][1])
         except ConfigError:
@@ -997,22 +1017,34 @@ class TestDeterminism:
         doc = sim_doc()
         doc["grid"] = {"n_omega": 3200, "dt": 0.00125}
         doc["run"].update(t_max=0.25, output_stride=20, snapshot_stride=100)
-        config = write_config(tmp_path, doc)
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads-{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "immunoepi",
-                 "epi-sim", "--config", config, "--out", str(out)],
-                capture_output=True, text=True,
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        outs = outputs_at_each_thread_count(tmp_path, "epi-sim", write_config(tmp_path, doc))
         assert sorted(outs[0]) == [
             "manifest.json", "snapshots.csv", "summary.json", "timeseries.csv",
         ]
         assert outs[0] == outs[1]
+
+    def test_linked_scan_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the scan sums blocks of Simpson rows, which a BLAS matrix-vector
+        # product could order by thread count; quadrature uses none
+        outs = outputs_at_each_thread_count(tmp_path, "spectral", str(CONFIGS / "bh_linked.json"))
+        assert sorted(outs[0]) == ["manifest.json", "scan.csv", "summary.json"]
+        assert outs[0] == outs[1]
+
+
+def outputs_at_each_thread_count(tmp_path, command, config):
+    """The output files of one run in a child process per OpenBLAS thread
+    count, 1 and 2, by name."""
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "immunoepi", command, "--config", config, "--out", str(out)],
+            capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    return outs
 
 
 class TestEpiSimOutputs:

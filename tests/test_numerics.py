@@ -433,6 +433,17 @@ class TestQuadrature:
         with pytest.raises(NonFiniteError):
             quadrature(values[row], lengths[row])
 
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 1024), half=st.integers(1, 128))
+    def test_a_row_of_a_block_sums_bit_for_bit_as_it_does_alone(self, seed, rows, half):
+        # a BLAS matrix-vector product may sum a row in another order than a
+        # dot product of that row alone, and its order may follow the thread
+        # count; the endemic scan's blocks rely on equal bits
+        rng = np.random.default_rng(seed)
+        values = rng.random((rows, 2 * half + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+        lengths = rng.uniform(0.1, 10.0, rows)
+        alone = [quadrature(row, float(length)) for row, length in zip(values, lengths)]
+        assert quadrature(values, lengths).tolist() == alone
+
 
 class TestFindRoot:
     def test_sqrt_two(self):
