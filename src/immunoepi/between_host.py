@@ -470,7 +470,7 @@ def simulate_epidemic(
     trapezoid table (rows w*P, w*P*xi, w) with nodes 1..n gives the direct
     and shedding integrals and the mass, node 0 added as a float; a table
     that cannot be finite raises NonFiniteError.
-    The pools (S, V, B) advance by numerics.rk4_stepper's RK4 written out
+    The pools (S, V, B) advance by the classic RK4 tableau written out
     over three floats, with the coupling frozen over the step; the nonlocal
     boundary value follows explicitly. The array work runs in fixed buffers
     and views. Each step checks floats only: the new boundary value, the
@@ -558,8 +558,8 @@ def simulate_epidemic(
     if snapshot_stride:
         snapshot(0.0)
 
-    # the classic RK4 tableau of numerics.rk4_stepper, written out over the
-    # three pool floats in the same operation order
+    # the classic RK4 tableau, written out over the three pool floats in
+    # the operation order of an array step
     half, sixth = 0.5 * dt, dt / 6.0
     v_loss = rho + mu3
     for n in range(n_steps):

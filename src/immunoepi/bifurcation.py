@@ -1,24 +1,28 @@
-"""Equilibrium branches, fold/Hopf events, and limit-cycle sampling.
+"""Equilibrium branches, fold/Hopf events, and limit cycles.
 
 Both sweep parameters, delta at a frozen immune status and W, enter the
 fast subsystem only through the effective clearance rate Gamma =
 gamma + delta*W, so a sweep is one array of clearance rates: the branches
 are within_host's closed forms evaluated on it in one vectorized pass, as
 columns, and the fold and Hopf events are the closed-form critical loci
-mapped back to the sweep parameter. Cycle amplitudes come from batched
-fixed-step integration of the frozen-W fast system past a transient,
-stepped in place by numerics.rk4_stepper.
+mapped back to the sweep parameter. A cycle is a fixed point of the
+Poincare return map on the section {T = T_eq, P > P_eq} of the upper
+equilibrium: each column follows its frozen-W fast orbit as two Python
+floats through the classic RK4 tableau for a few returns, and solves
+R(x) = x by numerics.find_root on a bracket.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import within_host as wh
-from .errors import NonFiniteError
-from .numerics import rk4_stepper
+from .errors import ConvergenceError, NonFiniteError
+from .numerics import find_root
 
 __all__ = [
     "SweepSpec",
@@ -31,18 +35,23 @@ __all__ = [
     "cycle_amplitude",
 ]
 
-# A sampled orbit counts as oscillatory only above this relative amplitude.
+# A cycle counts as oscillatory only above this relative amplitude.
 CYCLE_AMPLITUDE_TOL = 1e-4
-# Orbits whose load stays below this count as collapsed.
+# Orbits whose load falls below this count as collapsed.
 CYCLE_COLLAPSE_LEVEL = 1e-6
-# Periods beyond this flag an approach to the homoclinic collision.
-HOMOCLINIC_PERIOD = 1e3
-# Cycle sampling: transient and sampling-window lengths and the RK4 step.
+# Cycle solve defaults: (transient + window)/step is a column's RK4 step
+# budget, window caps one return time, and step is the RK4 step.
 CYCLE_TRANSIENT = 400.0
 CYCLE_WINDOW = 400.0
 CYCLE_STEP = 0.02
-# Transient steps between two finiteness checks of the cycle orbits.
-CYCLE_CHECK_STEPS = 1000
+# An orbit within this relative distance of a stable equilibrium, in T and
+# in P, has settled; a near-Hopf cycle is bracketed from P_eq*(1 + offset);
+# find_root's width on a section load, relative to P_eq, and on the
+# fraction of a step at a crossing or an extreme.
+CYCLE_SETTLE_TOL = 1e-3
+CYCLE_BRACKET_OFFSET = 1e-6
+CYCLE_ROOT_TOL = 1e-10
+HERMITE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,20 +120,20 @@ class BifurcationEvent:
 
 @dataclass(frozen=True)
 class CycleTable:
-    """Amplitude records of the frozen-W fast flow, one entry per sweep value.
+    """The attractor of the frozen-W fast flow, one entry per sweep value.
 
-    ``oscillatory`` requires at least three strict local maxima of P with
-    relative amplitude above CYCLE_AMPLITUDE_TOL in the sampling window;
-    ``period`` is NaN where it does not hold. ``collapsed`` marks orbits
-    that fell to the infection-free state, where amplitude is undefined.
-    ``homoclinic_flag`` marks diverging periods.
+    ``oscillatory`` marks a cycle whose load amplitude p_max - p_min is
+    above CYCLE_AMPLITUDE_TOL relative to max(1, p_max); ``period`` is its
+    return time, NaN elsewhere. ``collapsed`` marks orbits that fell to the
+    infection-free state. ``homoclinic_flag`` marks a return longer than
+    the window. ``returns`` counts the column's return-map evaluations.
     """
 
     param: np.ndarray
     p_min: np.ndarray
     p_max: np.ndarray
     period: np.ndarray
-    n_maxima: np.ndarray
+    returns: np.ndarray
     oscillatory: np.ndarray
     collapsed: np.ndarray
     homoclinic_flag: np.ndarray
@@ -226,119 +235,194 @@ def detect_all_events(params: wh.WithinHostParams, spec: SweepSpec) -> list[Bifu
 
 
 # ---------------------------------------------------------------------------
-# cycle sampling
+# cycles as fixed points of the return map
 # ---------------------------------------------------------------------------
+
+# one _first_return: how it ended ("returned", "collapsed", "settled",
+# "stopped" or "not finite"), its steps, the time and load of the return
+# (NaN without one), the load extremes on the way, and the last state
+Orbit = namedtuple("Orbit", "kind steps time load p_min p_max T P")
+
+
+def _hermite(y0, y1, m0, m1, s, slope=False):
+    """The cubic Hermite interpolant at s in [0, 1] of a step from y0 to y1
+    with end slopes m0 and m1 per unit s, or its s-derivative."""
+    if slope:
+        return (6.0 * (s * s - s) * (y0 - y1) + (3.0 * s - 1.0) * (s - 1.0) * m0
+                + (3.0 * s - 2.0) * s * m1)
+    return y0 + s * s * (3.0 - 2.0 * s) * (y1 - y0) + s * (s - 1.0) * ((s - 1.0) * m0 + s * m1)
+
+
+def _first_return(field, T, P, h, limit, T_eq, P_eq, settle=None) -> Orbit:
+    """The fast orbit from (T, P), field (Lambda, mu, alpha, Gamma), by at
+    most ``limit`` RK4 steps of h to its next downward crossing of T = T_eq.
+
+    The RK4 tableau is written out over two floats in the operation order
+    of an array step. A step's end slope is the next step's first stage, so
+    the crossing and the extremes of P are located on the step's cubic
+    Hermite interpolant for free. The orbit also ends "collapsed" in [0,
+    CYCLE_COLLAPSE_LEVEL), "not finite" at a negative (unstable steps) or
+    non-finite load, and "settled" within ``settle`` = (tol_T, tol_P) of
+    (T_eq, P_eq).
+    """
+    lam, mu, a, G = field
+    half, sixth, inf = 0.5 * h, h / 6.0, math.inf
+    tol_T, tol_P = settle or (-1.0, -1.0)
+    infection = a * P * P * T
+    dT, dP = lam - mu * T - infection, infection - G * P
+    p_min = p_max = P
+    above = False
+    for n in range(limit):
+        T2, P2 = T + half * dT, P + half * dP
+        infection = a * P2 * P2 * T2
+        dT2, dP2 = lam - mu * T2 - infection, infection - G * P2
+        T3, P3 = T + half * dT2, P + half * dP2
+        infection = a * P3 * P3 * T3
+        dT3, dP3 = lam - mu * T3 - infection, infection - G * P3
+        T4, P4 = T + h * dT3, P + h * dP3
+        infection = a * P4 * P4 * T4
+        dT4, dP4 = lam - mu * T4 - infection, infection - G * P4
+        T_new = T + sixth * (dT + 2.0 * dT2 + 2.0 * dT3 + dT4)
+        P_new = P + sixth * (dP + 2.0 * dP2 + 2.0 * dP3 + dP4)
+        infection = a * P_new * P_new * T_new
+        dT_new, dP_new = lam - mu * T_new - infection, infection - G * P_new
+        # a finite dT_new needs a finite state, so NaN fails both tests
+        if not (CYCLE_COLLAPSE_LEVEL <= P_new < inf and -inf < dT_new < inf):
+            kind = "collapsed" if 0.0 <= P_new < inf and -inf < dT_new < inf else "not finite"
+            return Orbit(kind, n + 1, math.nan, math.nan, p_min, p_max, T_new, P_new)
+        if (dP > 0.0) != (dP_new > 0.0):
+            ends = (P, P_new, h * dP, h * dP_new)
+            s = find_root(lambda s: _hermite(*ends, s, slope=True), 0.0, 1.0, tol=HERMITE_TOL)
+            extreme = _hermite(*ends, s)
+            p_min, p_max = min(p_min, extreme), max(p_max, extreme)
+        if T_new > T_eq:
+            above = True
+        elif above:
+            ends = (T - T_eq, T_new - T_eq, h * dT, h * dT_new)
+            s = find_root(lambda s: _hermite(*ends, s), 0.0, 1.0, tol=HERMITE_TOL)
+            load = _hermite(P, P_new, h * dP, h * dP_new, s)
+            return Orbit("returned", n + 1, n * h + s * h, load, p_min, p_max, T_new, P_new)
+        if abs(P_new - P_eq) <= tol_P and abs(T_new - T_eq) <= tol_T:
+            return Orbit("settled", n + 1, math.nan, math.nan, p_min, p_max, T_new, P_new)
+        T, P, dT, dP = T_new, P_new, dT_new, dP_new
+    return Orbit("stopped", limit, math.nan, math.nan, p_min, p_max, T, P)
+
+
+class _LongReturn(Exception):
+    """A return longer than the window, with its Orbit."""
+
+
+def _cycle_column(field, T_eq, P_eq, stable, h, budget, window_steps, where) -> tuple:
+    """The CycleTable entries of a sweep value with the nontrivial pair, and
+    its cycle's section load x*: the root of g(x) = (R(x) - x)/(x - P_eq),
+    R the return map on {T = T_eq, P > P_eq}.
+
+    From x0 = 1.05*P_eq: an orbit that collapses before its return makes
+    the column collapsed, and one that settles (watched only at a stable
+    equilibrium) leaves no cycle. g(x0) < 0 means no cycle at a stable
+    equilibrium, and at an unstable one a small cycle, bracketed from
+    P_eq*(1 + CYCLE_BRACKET_OFFSET). g(x0) > 0 marches outward until g
+    changes sign: to the return R(x) of the last x, or by a secant step on g
+    when that goes further, below the bound Lambda/min(mu, Gamma) - T_eq of
+    any cycle (T + P falls above Lambda/min(mu, Gamma)). When the return's
+    own orbit collapses or settles, so does the column; when a secant
+    step's does, it lowers the bound. find_root then solves g = 0. The
+    evaluations spend from ``budget`` steps, and one longer than
+    ``window_steps`` flags the column homoclinic.
+    """
+    settle = (CYCLE_SETTLE_TOL * T_eq, CYCLE_SETTLE_TOL * P_eq) if stable else None
+    spent = returns = 0
+    memo: dict[float, Orbit] = {}
+
+    def first_return(x: float) -> str:
+        nonlocal spent, returns
+        if x not in memo:
+            limit = min(window_steps, budget - spent)
+            orbit = memo[x] = _first_return(field, T_eq, x, h, limit, T_eq, P_eq, settle)
+            spent, returns = spent + orbit.steps, returns + 1
+            if orbit.kind == "not finite":
+                raise NonFiniteError(f"cycle orbit at {where} is not finite")
+            if orbit.kind == "stopped" and orbit.steps >= window_steps:
+                raise _LongReturn(orbit)
+            if orbit.kind == "stopped":
+                raise ConvergenceError(f"cycle solve at {where} ran out of its {budget} steps")
+        return memo[x].kind
+
+    def excess(x: float) -> float:
+        if first_return(x) != "returned":
+            raise ConvergenceError(f"cycle orbit at {where} from P={x!r} did not return")
+        return (memo[x].load - x) / (x - P_eq)
+
+    def no_cycle(kind="settled") -> tuple:
+        load = 0.0 if kind == "collapsed" else P_eq
+        return load, load, math.nan, returns, False, kind == "collapsed", False, math.nan
+
+    x = lo = 1.05 * P_eq
+    try:
+        if first_return(x) != "returned":
+            return no_cycle(memo[x].kind)
+        g = excess(x)
+        if g < 0.0:
+            lo = P_eq * (1.0 + CYCLE_BRACKET_OFFSET)
+            if stable or first_return(lo) != "returned" or excess(lo) <= 0.0:
+                return no_cycle()
+        cap, x_b, g_b = field[0] / min(field[1], field[3]) - T_eq, None, None
+        while g > 0.0 and g * (x - P_eq) > CYCLE_ROOT_TOL * P_eq:
+            plain = x + g * (x - P_eq)
+            trial = plain if x_b is None or g == g_b else x - g * (x - x_b) / (g - g_b)
+            trial = trial if plain < trial < cap else plain
+            if first_return(trial) != "returned":
+                if trial == plain:
+                    return no_cycle(memo[trial].kind)
+                cap, x_b = trial, None
+                continue
+            x_b, g_b, x, g = x, g, trial, excess(trial)
+            lo = x_b if g <= 0.0 else x
+        if lo != x:
+            x = find_root(excess, lo, x, tol=CYCLE_ROOT_TOL * P_eq)
+    except _LongReturn as exc:
+        long = exc.args[0]
+        return long.p_min, long.p_max, math.nan, returns, False, False, True, math.nan
+    cycle = memo[x]
+    oscillatory = cycle.p_max - cycle.p_min > CYCLE_AMPLITUDE_TOL * max(1.0, abs(cycle.p_max))
+    period = cycle.time if oscillatory else math.nan
+    return cycle.p_min, cycle.p_max, period, returns, oscillatory, False, False, x
 
 
 def cycle_amplitude(
-    params: wh.WithinHostParams,
-    spec: SweepSpec,
-    *,
-    transient: float = CYCLE_TRANSIENT,
-    window: float = CYCLE_WINDOW,
-    step: float = CYCLE_STEP,
+    params: wh.WithinHostParams, spec: SweepSpec, *, transient: float = CYCLE_TRANSIENT,
+    window: float = CYCLE_WINDOW, step: float = CYCLE_STEP,
 ) -> CycleTable:
-    """Sample the frozen-W fast flow at each sweep value.
+    """The attractor of the frozen-W fast flow at each sweep value.
 
-    Orbits start slightly off the upper equilibrium (5% in P), run past the
-    transient window, then min/max P, strict local maxima, and the mean
-    maximum-to-maximum period are recorded over the sampling window. All
-    sweep values are integrated together as one (2, m) state of (T, P)
-    rows, advanced in place by fixed RK4 steps (numerics.rk4_stepper)
-    whose derivative writes into the stepper's buffers through row views
-    made once per buffer pair. Raises NonFiniteError when an
-    orbit is not finite at one of the checks every CYCLE_CHECK_STEPS
-    transient steps (before the window is sampled) or its sampled load is
-    not finite.
+    A column without the nontrivial pair is collapsed with no integration:
+    its one equilibrium lies on the invariant axis P = 0, so no cycle lies
+    in P > 0 (Poincare-Bendixson). A column with the pair solves R(x) = x
+    (_cycle_column) on the section T = T_eq, transversal as T' = alpha*T_eq*
+    (P_eq^2 - P^2) < 0 there. ``step`` is the RK4 step; ``window`` caps a
+    return time (a longer one sets homoclinic_flag); (transient + window)/
+    step is a column's step budget, past which ConvergenceError names it.
+    Raises NonFiniteError naming a column not finite in its clearance
+    rate, start or orbit.
     """
     values = spec.values()
-    m = values.size
-
-    def refuse_non_finite(finite: np.ndarray) -> None:
-        if not finite.all():
-            value = float(values[np.argmin(finite)])
-            raise NonFiniteError(f"cycle orbit at {spec.which}={value!r} is not finite")
-
-    # overflow is checked explicitly rather than warned about: every
-    # CYCLE_CHECK_STEPS transient steps, so a lost orbit ends the run early
-    # and is never sampled, and once after the window
+    budget, window_steps = int(round((transient + window) / step)), int(round(window / step))
+    # rates past the float range give infinite clearance rates and
+    # equilibria here, unwarned, and are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         Gamma = spec.to_gamma(params, values)
         eq = wh.equilibria_fast(params, Gamma)
-        # without a pair, the orbit starts below the fold load
-        state = np.array([
-            np.where(eq.exists, eq.upper[0], 0.5 * params.Lambda / params.mu),
-            np.where(eq.exists, eq.upper[1] * 1.05, 2.0 * np.sqrt(params.mu / params.alpha)),
-        ])
-        # (2, m) blocks: rates * (T, P) is (mu*T, Gam*P), and source holds
-        # (Lambda, infection), so the derivative is source - rates * (T, P)
-        # with the infection subtracted once more from the T row
-        rates = np.array([np.full(m, params.mu), Gamma])
-        source = np.full((2, m), params.Lambda)
-        infection = source[1]
-        a, multiply, subtract = np.array(params.alpha), np.multiply, np.subtract
-
-        def rhs_into(y, k):
-            # row views made once per buffer pair, none inside a step
-            T, P, dT = y[0], y[1], k[0]
-
-            def rhs():
-                multiply(a, P, infection)
-                multiply(infection, P, infection)
-                multiply(infection, T, infection)
-                multiply(rates, y, k)
-                subtract(source, k, k)
-                subtract(dT, infection, dT)
-
-            return rhs
-
-        advance = rk4_stepper(rhs_into, state, step)
-        loads_now = state[1]
-
-        n_transient = int(round(transient / step))
-        for start in range(0, n_transient, CYCLE_CHECK_STEPS):
-            for _ in range(min(CYCLE_CHECK_STEPS, n_transient - start)):
-                advance()
-            refuse_non_finite(np.isfinite(state).all(axis=0))
-
-        # window loads go into rows 2.. of one block and are reduced once it
-        # is full; rows 0 and 1 carry the two loads before the block (+inf
-        # before the window: its first load is never a strict maximum)
-        n_steps = int(round(window / step))
-        loads = np.empty((CYCLE_CHECK_STEPS + 2, m))
-        loads[:2] = np.inf
-        p_min = p_max = loads_now.copy()
-        max_count = np.zeros(m, dtype=int)
-        first_max = np.full(m, -1)
-        last_max = np.full(m, -1)
-        for start in range(0, n_steps, CYCLE_CHECK_STEPS):
-            size = min(CYCLE_CHECK_STEPS, n_steps - start)
-            for k in range(2, size + 2):
-                advance()
-                loads[k] = loads_now
-            block = loads[2:size + 2]
-            p_min = np.minimum(p_min, block.min(axis=0))
-            p_max = np.maximum(p_max, block.max(axis=0))
-            # row i of is_max is the load with index start - 1 + i
-            middle = loads[1:size + 1]
-            is_max = (middle > loads[:size]) & (middle > block)
-            hits = is_max.sum(axis=0)
-            found = hits > 0
-            first = start - 1 + is_max.argmax(axis=0)
-            first_max = np.where(found & (first_max < 0), first, first_max)
-            last = start + size - 2 - is_max[::-1].argmax(axis=0)
-            last_max = np.where(found, last, last_max)
-            max_count += hits
-            loads[:2] = loads[size:size + 2]
-
-    refuse_non_finite(np.isfinite(p_min) & np.isfinite(p_max))
-    amp = p_max - p_min
-    oscillatory = (max_count >= 3) & (amp > CYCLE_AMPLITUDE_TOL * np.maximum(1.0, np.abs(p_max)))
-    collapsed = p_max < CYCLE_COLLAPSE_LEVEL
-    period = np.full(m, np.nan)
-    cycles = max_count[oscillatory] - 1
-    period[oscillatory] = (last_max[oscillatory] * step - first_max[oscillatory] * step) / cycles
-    homoclinic = (period > HOMOCLINIC_PERIOD) | (
-        ~oscillatory & ~collapsed & (amp > CYCLE_AMPLITUDE_TOL) & (max_count < 3)
-    )
-    return CycleTable(values, p_min, p_max, period, max_count, oscillatory, collapsed, homoclinic)
+        upper = _branch(values, eq.upper[0], eq.upper[1], params, Gamma)
+    columns = []
+    for value, G, exists, T_eq, P_eq, tag in zip(
+        values.tolist(), Gamma.tolist(), eq.exists.tolist(),
+        upper.T.tolist(), upper.P.tolist(), upper.stability.tolist(),
+    ):
+        where = f"{spec.which}={value!r}"
+        if not math.isfinite(G) or exists and not math.isfinite(T_eq + 1.05 * P_eq):
+            raise NonFiniteError(f"cycle orbit at {where} is not finite")
+        columns.append(_cycle_column(
+            (params.Lambda, params.mu, params.alpha, G), T_eq, P_eq, tag.startswith("stable"),
+            step, budget, window_steps, where,
+        ) if exists else (0.0, 0.0, math.nan, 0, False, True, False, math.nan))
+    return CycleTable(values, *map(np.array, list(zip(*columns))[:-1]))

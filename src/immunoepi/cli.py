@@ -192,38 +192,50 @@ def _branch_csv(branch: bifurcation.Branch) -> Iterator[str]:
 
 
 def _cmd_bifurcate(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
+    import numpy as np
+
     from . import bifurcation, within_host
 
     params = cfg.within
-    spec = replace(cfg.sweep, n=cfg.sweep.n * args.grid_refine)
+    refine = args.grid_refine
+    spec = replace(cfg.sweep, n=cfg.sweep.n * refine)
     try:
         result = bifurcation.sweep_branch(params, spec)
     except ValueError as exc:
         # a sweep range with no infected equilibrium is a configuration error
         raise ConfigError(f"sweep: {exc}") from exc
     events = [asdict(event) for event in bifurcation.detect_all_events(params, spec)]
-    cycles = bifurcation.cycle_amplitude(params, replace(spec, n=cfg.cycle_n))
+    # refining samples K times the cycle columns at a K times finer step
+    cycle_n, cycle_step = cfg.cycle_n * refine, bifurcation.CYCLE_STEP / refine
+    cycles = bifurcation.cycle_amplitude(params, replace(spec, n=cycle_n), step=cycle_step)
+    # a rate past the float range can leave a column non-finite where no
+    # cycle orbit was followed
+    for name, branch in (("branches.csv", result.fold_path), ("trivial.csv", result.trivial)):
+        bad = ~(np.isfinite(branch.T) & np.isfinite(branch.P) & np.isfinite(branch.eigenvalues).all(1))
+        if bad.any():
+            value = float(branch.param[bad][0])
+            raise NonFiniteError(f"{name}: the equilibrium at {spec.which}={value!r} is not finite")
     loci = within_host.critical_loci(params)
     summary = {
         "sweep": asdict(spec),
         "defaults": {
-            "cycle_n": cfg.cycle_n,
+            "cycle_n": cycle_n,
             "cycle_transient": bifurcation.CYCLE_TRANSIENT,
             "cycle_window": bifurcation.CYCLE_WINDOW,
-            "cycle_step": bifurcation.CYCLE_STEP,
+            "cycle_step": cycle_step,
         },
         "events": events,
         "analytic_fold_clearance": loci.Gamma_fold,
         "analytic_hopf_clearance": list(loci.hopf),
     }
     # a period is NaN where there is none, written as an empty cell
-    flags = (cycles.period, cycles.n_maxima, cycles.oscillatory, cycles.collapsed,
+    flags = (cycles.period, cycles.returns, cycles.oscillatory, cycles.collapsed,
              cycles.homoclinic_flag)
     files = {
         "branches.csv": _branch_csv(result.fold_path),
         "trivial.csv": _branch_csv(result.trivial),
         "cycles.csv": _csv_lines(
-            "param,p_min,p_max,period,n_maxima,oscillatory,collapsed,homoclinic_flag",
+            "param,p_min,p_max,period,returns,oscillatory,collapsed,homoclinic_flag",
             cycles.param, cycles.p_min, cycles.p_max,
             tail=(
                 f"{'' if math.isnan(period) else repr(period)},{n},{o:d},{c:d},{h:d}"

@@ -8,10 +8,6 @@ structured epidemic solver) is built on the operations in this module:
   a sequence of floats), with optional scalar event location:
   ``find_root`` on the event along one Dormand-Prince step from the left
   end of the bracketing step. The returned Trajectory holds arrays.
-* ``rk4_stepper`` -- classic RK4 steps in place on an ndarray state, over
-  stage buffers allocated once; the batched cycle sampler steps its (2, m)
-  block of orbits with it. The epidemic solver's three scalar pools run
-  the same tableau written out over Python floats.
 * ``quadrature`` -- the package's one composite Simpson rule: a guarded
   sum of evenly spaced node values over [0, length], one per row.
 * ``find_root`` -- bracketed scalar root solve by Brent's method, in the
@@ -38,7 +34,6 @@ from .errors import BracketError, ConvergenceError, NonFiniteError, StepLimitErr
 __all__ = [
     "Trajectory",
     "integrate_ode",
-    "rk4_stepper",
     "quadrature",
     "simpson_coefficients",
     "find_root",
@@ -70,47 +65,6 @@ class Trajectory:
     t: np.ndarray
     y: np.ndarray
     event_time: float | None = None
-
-
-def rk4_stepper(rhs_into, y, h):
-    """Classic RK4 steps of the autonomous ``y' = f(y)``, in place on ``y``.
-
-    ``y`` is a float ndarray; every operation is elementwise, so one array
-    may stack a batch of independent orbits. ``rhs_into(x, k)`` is called
-    once per (input, output) buffer pair and returns a no-argument callable
-    that writes f(x) into k. Returns ``step()``, which advances ``y`` by h.
-    The buffers are allocated here once. Each ufunc gets its output
-    positionally and the step coefficients as 0-d arrays, because keyword
-    outputs and Python-float operands cost numpy more per call. ``2.0 * k``
-    is summed as ``k + k``, which is exact, so a step equals
-    ``y + (h/6)*(k1 + 2*k2 + 2*k3 + k4)`` with stage inputs
-    ``y + (h/2)*k1``, ``y + (h/2)*k2``, ``y + h*k3`` bit for bit.
-    """
-    k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
-    f1, f2, f3, f4 = rhs_into(y, k1), rhs_into(stage, k2), rhs_into(stage, k3), rhs_into(stage, k4)
-    half, whole, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
-    add, multiply = np.add, np.multiply
-
-    def step():
-        f1()
-        multiply(half, k1, stage)
-        add(y, stage, stage)
-        f2()
-        multiply(half, k2, stage)
-        add(y, stage, stage)
-        f3()
-        multiply(whole, k3, stage)
-        add(y, stage, stage)
-        f4()
-        add(k2, k2, k2)
-        add(k1, k2, k1)
-        add(k3, k3, k3)
-        add(k1, k3, k1)
-        add(k1, k4, k1)
-        multiply(sixth, k1, k1)
-        add(y, k1, y)
-
-    return step
 
 
 # Dormand-Prince 5(4) tableau as Python floats: _A<i><j> weights stage j in

@@ -178,9 +178,10 @@ def equilibria_fast(params: WithinHostParams, Gamma) -> FastEquilibria:
     """
     a, mu, lam = params.alpha, params.mu, params.Lambda
     trivial = (lam / mu, 0.0)
-    # rates past the float range overflow unwarned, and an overflowing load
-    # gives T = 0 or NaN
-    with np.errstate(over="ignore", invalid="ignore"):
+    # rates past the float range overflow unwarned, a product Gamma*alpha
+    # that underflows to zero divides by it unwarned, and an infinite load
+    # gives T = 0 or NaN: the caller refuses what is not finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         disc, P_lo, P_hi = _nontrivial_pair(params, Gamma)
         lower = (lam / (mu + a * P_lo * P_lo), P_lo)
         upper = (lam / (mu + a * P_hi * P_hi), P_hi)
@@ -231,10 +232,14 @@ def critical_loci(params: WithinHostParams) -> CriticalLoci:
     h(0) = -mu, its peak at (k/4)^(1/3) and h(2*k^(1/3)) < 0, so it has
     roots iff the peak value is positive, one on each side of the peak.
     The root below the peak always lies below 2*mu (a neutral saddle), so
-    only the root above it can be a Hopf point.
+    only the root above it can be a Hopf point. Raises NonFiniteError when
+    Gamma_fold is past the float range.
     """
     a, mu, lam = params.alpha, params.mu, params.Lambda
-    Gamma_fold = 0.5 * lam * np.sqrt(a / mu)
+    # Python floats: an overflow gives inf unwarned, refused here
+    Gamma_fold = 0.5 * lam * math.sqrt(a / mu)
+    if not math.isfinite(Gamma_fold):
+        raise NonFiniteError(f"fold clearance rate Gamma_fold = {Gamma_fold!r} is not finite")
     # k^(1/3), and Gamma^4/k as Gamma*(Gamma/k^(1/3))^3, stay finite for
     # any finite rates
     k3 = float(np.cbrt(a) * np.cbrt(lam) ** 2)
@@ -247,7 +252,7 @@ def critical_loci(params: WithinHostParams) -> CriticalLoci:
     if trace_condition(peak) > 0.0:
         G = find_root(trace_condition, peak, 2.0 * k3, tol=1e-14)
         hopf = (G,) if G > 2.0 * mu else ()
-    return CriticalLoci(Gamma_fold=float(Gamma_fold), hopf=hopf)
+    return CriticalLoci(Gamma_fold=Gamma_fold, hopf=hopf)
 
 
 # ---------------------------------------------------------------------------

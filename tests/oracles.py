@@ -12,7 +12,7 @@ critical loci as a polynomial. ``infected_mass`` is the trapezoid mass of a
 density. ``hopf_point`` and ``leading_eigenvalue`` give the Hopf point of a
 sweep and the linearisation on its upper branch, and
 ``lyapunov_coefficient`` and ``hopf_amplitude_slope`` the Hopf normal form
-there: oracles of the cycle sampler independent of its orbits.
+there: oracles of the cycle solve independent of its orbits.
 """
 
 from typing import Callable, Sequence

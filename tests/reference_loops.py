@@ -3,10 +3,11 @@
 ``rk4_step_array`` and ``simulate_epidemic_array`` are the earlier array
 implementations: the pools travel as a 3-element ndarray, the rhs builds a
 new array per stage, every step allocates its own temporaries, and records
-grow as Python lists. The package's single-state RK4, the transport loop's
-written-out pool RK4, buffered bidiagonal upwind map, one product for the
-coupling integrals and preallocated records keep the same operation order,
-so the tests hold them to these references bit for bit.
+grow as Python lists. The RK4 written out over the two floats of a cycle
+orbit, and the transport loop's written-out pool RK4, buffered bidiagonal
+upwind map, one product for the coupling integrals and preallocated
+records keep the same operation order, so the tests hold them to these
+references bit for bit.
 
 ``simulate_epidemic_flux_form`` is the transport loop before that: the
 flux-form upwind update, and each coupling integral and the mass as a
@@ -17,12 +18,6 @@ hold the package within a rounding bound of it.
 state from the record arrays as numpy scalars each step and solves for F
 through a per-step closure. The package's loop carries the state as Python
 floats with the same operations in the same order.
-
-``cycle_amplitude_loop`` is the earlier cycle sampler: the rhs stacks a
-new (2, m) array per stage, and every window step updates the extremes and
-the strict-maximum bookkeeping with a dozen numpy calls. The package's
-sampler reduces each block of CYCLE_CHECK_STEPS window loads at once with
-the same comparisons, and must return the same samples bit for bit.
 
 ``sweep_branch_loop`` is the earlier branch sweep: one Python-float
 clearance rate at a time through within_host's closed forms, and the
@@ -42,8 +37,6 @@ tuple of Python floats with the same operations in the same order, and
 must return the same trajectory, event time and event state bit for bit.
 """
 
-import math
-
 import numpy as np
 
 from immunoepi import numerics
@@ -55,17 +48,7 @@ from immunoepi.between_host import (
     StructuredState,
     renewal_kernel_A,
 )
-from immunoepi.bifurcation import (
-    CYCLE_AMPLITUDE_TOL,
-    CYCLE_CHECK_STEPS,
-    CYCLE_COLLAPSE_LEVEL,
-    CYCLE_STEP,
-    CYCLE_TRANSIENT,
-    CYCLE_WINDOW,
-    HOMOCLINIC_PERIOD,
-    CycleTable,
-    SweepSpec,
-)
+from immunoepi.bifurcation import SweepSpec
 from immunoepi.numerics import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63,
     _A64, _A65, _A71, _A72, _A73, _A74, _A75, _A76, _B1, _B3, _B4, _B5, _B6, _B7,
@@ -349,102 +332,6 @@ def simulate_renewal_array(params, history, S0, t_max, dt):
 
     t = dt * np.arange(n_steps + 1)
     return RenewalRun(t=t, S=s_arr[m:], F=f_arr[m:])
-
-
-def cycle_amplitude_loop(
-    params: wh.WithinHostParams,
-    spec: SweepSpec,
-    *,
-    transient: float = CYCLE_TRANSIENT,
-    window: float = CYCLE_WINDOW,
-    step: float = CYCLE_STEP,
-) -> CycleTable:
-    """Sample the frozen-W fast flow at each sweep value.
-
-    Orbits start slightly off the upper equilibrium (5% in P), run past the
-    transient window, then min/max P, strict local maxima, and the mean
-    maximum-to-maximum period are recorded over the sampling window. All
-    sweep values are integrated together as one (2, m) state of (T, P)
-    rows, advanced by fixed RK4 steps. Raises NonFiniteError when an
-    orbit is not finite at one of the checks every CYCLE_CHECK_STEPS
-    transient steps (before the window is sampled) or its sampled load is
-    not finite.
-    """
-    values = spec.values()
-    rows: list[tuple[float, float, float, float]] = []  # value, Gamma, T0, P0
-    for value in values:
-        Gamma = spec.to_gamma(params, float(value))
-        eq = wh.equilibria_fast(params, Gamma)
-        if eq.exists:
-            T0, P0 = eq.upper[0], eq.upper[1] * 1.05
-        else:
-            T0, P0 = 0.5 * params.Lambda / params.mu, 2.0 * np.sqrt(params.mu / params.alpha)
-        rows.append((float(value), Gamma, T0, P0))
-
-    Gam = np.array([r[1] for r in rows])
-    state = np.array([[r[2] for r in rows], [r[3] for r in rows]])
-    lam, mu, a = params.Lambda, params.mu, params.alpha
-
-    def rhs(t, y):
-        T, P = y[0], y[1]
-        infection = a * P * P * T
-        return np.array((lam - mu * T - infection, infection - Gam * P))
-
-    def refuse_non_finite(finite: np.ndarray) -> None:
-        if not finite.all():
-            value = rows[int(np.argmin(finite))][0]
-            raise NonFiniteError(f"cycle orbit at {spec.which}={value!r} is not finite")
-
-    # overflow is checked explicitly rather than warned about: every
-    # CYCLE_CHECK_STEPS transient steps, so a lost orbit ends the run early
-    # and is never sampled, and once after the window
-    with np.errstate(over="ignore", invalid="ignore"):
-        n_transient = int(round(transient / step))
-        for start in range(0, n_transient, CYCLE_CHECK_STEPS):
-            for _ in range(min(CYCLE_CHECK_STEPS, n_transient - start)):
-                state = rk4_step_array(rhs, 0.0, state, step)
-            refuse_non_finite(np.isfinite(state).all(axis=0))
-
-        n_steps = int(round(window / step))
-        m = len(rows)
-        p_min = p_max = prev2 = prev1 = state[1]
-        max_count = np.zeros(m, dtype=int)
-        first_max_t = np.full(m, np.nan)
-        last_max_t = np.full(m, np.nan)
-        for i in range(n_steps):
-            state = rk4_step_array(rhs, 0.0, state, step)
-            P = state[1]
-            p_min = np.minimum(p_min, P)
-            p_max = np.maximum(p_max, P)
-            if i >= 2:
-                is_max = (prev1 > prev2) & (prev1 > P)
-                t_here = (i - 1) * step
-                fresh = is_max & np.isnan(first_max_t)
-                first_max_t[fresh] = t_here
-                last_max_t[is_max] = t_here
-                max_count += is_max.astype(int)
-            prev2, prev1 = prev1, P
-
-    refuse_non_finite(np.isfinite(p_min) & np.isfinite(p_max))
-    samples = []
-    for j, (value, _, _, _) in enumerate(rows):
-        amp = p_max[j] - p_min[j]
-        oscillatory = bool(
-            max_count[j] >= 3 and amp > CYCLE_AMPLITUDE_TOL * max(1.0, abs(p_max[j]))
-        )
-        collapsed = bool(p_max[j] < CYCLE_COLLAPSE_LEVEL)
-        period = None
-        if oscillatory and max_count[j] >= 2:
-            period = float((last_max_t[j] - first_max_t[j]) / (max_count[j] - 1))
-        homoclinic = bool(
-            (period is not None and period > HOMOCLINIC_PERIOD)
-            or (not oscillatory and not collapsed and amp > CYCLE_AMPLITUDE_TOL and max_count[j] < 3)
-        )
-        samples.append((
-            value, float(p_min[j]), float(p_max[j]), math.nan if period is None else period,
-            int(max_count[j]), oscillatory, collapsed, homoclinic,
-        ))
-    return CycleTable(*(np.array(column) for column in zip(*samples)))
 
 
 def sweep_branch_loop(params: wh.WithinHostParams, spec: SweepSpec) -> dict[str, list[tuple]]:

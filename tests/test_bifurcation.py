@@ -1,10 +1,11 @@
-"""Branch sweeps, event detection, and cycle sampling of the frozen-W fast flow."""
+"""Branch sweeps, event detection, and the cycles of the frozen-W fast flow."""
 
 import dataclasses
 import functools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from immunoepi import bifurcation as bif
 from immunoepi import cli
 from immunoepi import within_host as wh
 from immunoepi.config import load_scenario
-from immunoepi.errors import NonFiniteError
+from immunoepi import numerics
+from immunoepi.errors import ConvergenceError, NonFiniteError
 from immunoepi.numerics import integrate_ode
 
 from conftest import random_within
@@ -26,7 +28,7 @@ from oracles import (
     leading_eigenvalue,
     lyapunov_coefficient,
 )
-from reference_loops import cycle_amplitude_loop, sweep_branch_loop
+from reference_loops import rk4_step_array, sweep_branch_loop
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -337,10 +339,11 @@ class TestCycleAmplitude:
         s = bif.cycle_amplitude(paper_within, spec)
         assert not s.oscillatory.any()
         assert not s.collapsed.any()
-        # the orbit has settled back onto the upper equilibrium
+        # the column's attractor is the upper equilibrium, its load written
+        # for both extremes
         upper_P = wh.equilibria_fast(paper_within, spec.to_gamma(paper_within, s.param)).upper[1]
-        assert s.p_max == pytest.approx(upper_P, abs=1e-3)
-        assert (s.p_max - s.p_min < 1e-6).all()
+        assert s.p_max.tolist() == s.p_min.tolist() == upper_P.tolist()
+        assert s.returns.tolist() == [1, 1, 1, 1]
 
     def test_oscillation_window_has_growing_amplitude(self, paper_within):
         spec = delta_sweep(n=4, lo=0.52, hi=0.55)
@@ -354,171 +357,219 @@ class TestCycleAmplitude:
         assert all(not math.isnan(p) and 5.0 < p < 20.0 for p in periods)
         assert periods == sorted(periods)
 
-    def test_overflowing_orbit_ends_at_the_first_check(self, paper_within, monkeypatch):
-        # at Lambda 1e100 the orbits overflow within the first steps; the
-        # sampler stops at the first finiteness check, not after the transient
-        steps = []
-        stepper = bif.rk4_stepper
+    def test_overflowing_orbit_stops_within_its_first_return_attempt(self, paper_within,
+                                                                      monkeypatch):
+        # at Lambda 1e100 the first column's orbit overflows on its first
+        # step; the solve stops there, in its first map evaluation
+        orbits = []
+        first_return = bif._first_return
 
-        def counting(rhs_into, y, h):
-            step = stepper(rhs_into, y, h)
+        def recorded(*args):
+            orbits.append(first_return(*args))
+            return orbits[-1]
 
-            def counted():
-                steps.append(h)
-                step()
-
-            return counted
-
-        monkeypatch.setattr(bif, "rk4_stepper", counting)
+        monkeypatch.setattr(bif, "_first_return", recorded)
         params = dataclasses.replace(paper_within, Lambda=1e100)
-        with pytest.raises(NonFiniteError, match="delta=0.1"):
+        with pytest.raises(NonFiniteError, match=r"^cycle orbit at delta=0.1 is not finite$"):
             bif.cycle_amplitude(params, delta_sweep(n=2, lo=0.1, hi=0.45))
-        assert len(steps) == bif.CYCLE_CHECK_STEPS
+        assert [(orbit.kind, orbit.steps) for orbit in orbits] == [("not finite", 1)]
 
     def test_collapse_beyond_the_cycle_window(self, paper_within):
         spec = delta_sweep(n=4, lo=0.7, hi=1.35)
         s = bif.cycle_amplitude(paper_within, spec)
         assert s.collapsed.all()
         assert not s.oscillatory.any()
-        assert (s.p_max < 1e-6).all()
+        assert s.p_max.tolist() == s.p_min.tolist() == [0.0] * 4
+        # delta = 1.35 lies past the fold: no pair, so no orbit is followed
+        assert s.returns[-1] == 0 and (s.returns[:-1] > 0).all()
 
     def test_zero_status_sample_sits_on_the_branch(self, paper_within):
         spec = bif.SweepSpec(which="W", lo=0.0, hi=1.0, n=3)
         s = bif.cycle_amplitude(paper_within, spec)
         assert s.param[0] == 0.0
         assert not s.oscillatory[0] and not s.collapsed[0]
-        assert s.p_max[0] == pytest.approx(wh.upper_branch_P(0.0, paper_within), abs=1e-3)
+        assert s.p_max[0] == wh.upper_branch_P(0.0, paper_within)
+
+    def test_a_stable_node_settles_without_a_return(self, paper_within, monkeypatch):
+        # the upper equilibrium is a stable node for delta below 0.063 at
+        # W = 0.9: the orbit from 1.05*P_eq settles there in its first
+        # evaluation, with no return to the section
+        orbits = []
+        first_return = bif._first_return
+
+        def recorded(*args):
+            orbits.append(first_return(*args))
+            return orbits[-1]
+
+        monkeypatch.setattr(bif, "_first_return", recorded)
+        spec = delta_sweep(n=2, lo=0.01, hi=0.02)
+        assert (bif.sweep_branch(paper_within, spec).upper.stability == "stable-node").all()
+        s = bif.cycle_amplitude(paper_within, spec)
+        assert [orbit.kind for orbit in orbits] == ["settled", "settled"]
+        upper_P = wh.equilibria_fast(paper_within, spec.to_gamma(paper_within, s.param)).upper[1]
+        assert s.p_max.tolist() == s.p_min.tolist() == upper_P.tolist()
+        assert s.returns.tolist() == [1, 1] and not (s.oscillatory.any() or s.collapsed.any())
+
+    def test_a_small_cycle_inside_the_start_is_bracketed_from_the_equilibrium(
+        self, paper_within, monkeypatch
+    ):
+        # 1e-4 past the Hopf point the cycle crosses the section below the
+        # start 1.05*P_eq: the bracket is [P_eq*(1 + offset), 1.05*P_eq],
+        # and every later evaluation lies inside it
+        starts = []
+        first_return = bif._first_return
+
+        def recorded(field, T, P, *args):
+            starts.append(P)
+            return first_return(field, T, P, *args)
+
+        monkeypatch.setattr(bif, "_first_return", recorded)
+        hopf_at = hopf_point(paper_within, delta_sweep())
+        spec = delta_sweep(n=2, lo=hopf_at + 1e-4, hi=hopf_at + 2e-4)
+        s = bif.cycle_amplitude(paper_within, spec)
+        P_eq = wh.equilibria_fast(paper_within, spec.to_gamma(paper_within, spec.lo)).upper[1]
+        lo, x0 = P_eq * (1.0 + bif.CYCLE_BRACKET_OFFSET), 1.05 * P_eq
+        first = starts[:s.returns[0]]
+        assert first[:2] == [x0, lo] and all(lo < x < x0 for x in first[2:])
+        assert s.oscillatory[0]
+
+    def test_returns_count_the_map_evaluations(self, paper_within, monkeypatch):
+        calls = []
+        first_return = bif._first_return
+
+        def counted(*args):
+            calls.append(args[2])
+            return first_return(*args)
+
+        monkeypatch.setattr(bif, "_first_return", counted)
+        s = bif.cycle_amplitude(paper_within, delta_sweep(n=12, lo=0.05, hi=1.4))
+        assert s.returns.sum() == len(calls)
+        assert s.oscillatory.any() and s.collapsed.any()
+
+    def test_a_return_longer_than_the_window_flags_the_column(self, paper_within):
+        # the cycles here have periods near 8 > window = 5
+        s = bif.cycle_amplitude(paper_within, delta_sweep(n=2, lo=0.52, hi=0.55), window=5.0)
+        assert s.homoclinic_flag.all() and s.returns.tolist() == [1, 1]
+        assert not (s.oscillatory.any() or s.collapsed.any())
+        assert (s.p_max - s.p_min > 0.1).all()
+
+    def test_an_exhausted_step_budget_names_the_column(self, paper_within):
+        # 1000 steps: two returns of about 370 steps, then the budget ends
+        with pytest.raises(
+            ConvergenceError, match=r"^cycle solve at delta=0.52 ran out of its 1000 steps$"
+        ):
+            bif.cycle_amplitude(
+                paper_within, delta_sweep(n=2, lo=0.52, hi=0.55), transient=10.0, window=10.0
+            )
 
 
-def reference_orbit_extremes(params, spec, transient, window, step):
-    """Cycle sampling as it was with a stacked (T, P) state: P extremes,
-    maximum counts and first/last maximum times per sweep value."""
-    rows = []
-    for value in spec.values():
-        Gamma = spec.to_gamma(params, float(value))
-        eq = wh.equilibria_fast(params, Gamma)
-        if eq.exists:
-            T0, P0 = eq.upper[0], eq.upper[1] * 1.05
-        else:
-            T0, P0 = 0.5 * params.Lambda / params.mu, 2.0 * np.sqrt(params.mu / params.alpha)
-        rows.append((Gamma, T0, P0))
-    Gam = np.array([r[0] for r in rows])
-    y = np.array([[r[1], r[2]] for r in rows])
-    lam, mu, a = params.Lambda, params.mu, params.alpha
-
-    def rhs(state):
-        T, P = state[:, 0], state[:, 1]
-        infection = a * P * P * T
-        return np.stack([lam - mu * T - infection, infection - Gam * P], axis=1)
-
-    def rk4(y):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * step * k1)
-        k3 = rhs(y + 0.5 * step * k2)
-        k4 = rhs(y + step * k3)
-        return y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    for _ in range(int(round(transient / step))):
-        y = rk4(y)
-    m = len(rows)
-    p_min, p_max = y[:, 1].copy(), y[:, 1].copy()
-    count = np.zeros(m, dtype=int)
-    first, last = np.full(m, np.nan), np.full(m, np.nan)
-    prev2, prev1 = y[:, 1].copy(), y[:, 1].copy()
-    for i in range(int(round(window / step))):
-        y = rk4(y)
-        P = y[:, 1]
-        p_min, p_max = np.minimum(p_min, P), np.maximum(p_max, P)
-        if i >= 2:
-            is_max = (prev1 > prev2) & (prev1 > P)
-            first[is_max & np.isnan(first)] = (i - 1) * step
-            last[is_max] = (i - 1) * step
-            count += is_max.astype(int)
-        prev2, prev1 = prev1, P.copy()
-    return p_min, p_max, count, first, last
+def fast_field(params, Gamma):
+    """The (Lambda, mu, alpha, Gamma) tuple a cycle orbit is stepped with."""
+    return (params.Lambda, params.mu, params.alpha, Gamma)
 
 
-class TestCycleStepper:
-    @pytest.mark.parametrize(
-        "spec",
-        [delta_sweep(n=9, lo=0.3, hi=1.3), bif.SweepSpec(which="W", lo=0.0, hi=3.5, n=8)],
+class TestCycleOrbit:
+    """The written-out RK4 of a cycle orbit and the return map it gives."""
+
+    @given(
+        coeffs=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
+        s=st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_split_state_matches_the_stacked_state_bit_for_bit(self, paper_within, spec):
-        kwargs = dict(transient=60.0, window=120.0, step=0.04)
-        s = bif.cycle_amplitude(paper_within, spec, **kwargs)
-        p_min, p_max, count, first, last = reference_orbit_extremes(paper_within, spec, **kwargs)
-        assert s.oscillatory.any()
-        for j in range(s.param.size):
-            assert (s.p_min[j], s.p_max[j], s.n_maxima[j]) == (p_min[j], p_max[j], count[j])
-            if not np.isnan(s.period[j]):
-                assert s.period[j] == (last[j] - first[j]) / (count[j] - 1)
+    def test_hermite_interpolant_reproduces_a_cubic(self, coeffs, s):
+        # a cubic is its own cubic Hermite interpolant, and so is its slope
+        c0, c1, c2, c3 = coeffs
+        ends = (c0, c0 + c1 + c2 + c3, c1, c1 + 2.0 * c2 + 3.0 * c3)
+        scale = 20.0 * max(1.0, *map(abs, coeffs))
+        value = c0 + s * (c1 + s * (c2 + s * c3))
+        slope = c1 + s * (2.0 * c2 + s * 3.0 * c3)
+        assert bif._hermite(*ends, s) == pytest.approx(value, abs=1e-13 * scale)
+        assert bif._hermite(*ends, s, slope=True) == pytest.approx(slope, abs=1e-13 * scale)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        h=st.floats(min_value=1e-3, max_value=0.02),
+        n=st.integers(min_value=1, max_value=8),
+    )
+    def test_float_steps_match_the_array_step_bit_for_bit(self, seed, h, n):
+        # states and steps where the orbit stays finite and above collapse
+        rng = np.random.default_rng(seed)
+        params = random_within(rng)
+        Gamma = float(rng.uniform(0.1, 2.0))
+        y = rng.uniform(0.2, 2.0, size=2)
+        # a section at T = inf is never crossed: the orbit stops after n steps
+        orbit = bif._first_return(fast_field(params, Gamma), *y.tolist(), h, n, math.inf, 1.0)
+        want = y
+        for _ in range(n):
+            want = rk4_step_array(lambda t, x: fast_rhs(x, params, Gamma), 0.0, want, h)
+        assert (orbit.kind, orbit.steps) == ("stopped", n)
+        assert (orbit.T.hex(), orbit.P.hex()) == (float(want[0]).hex(), float(want[1]).hex())
 
-def hexed(table):
-    """Every CycleTable column, each float as float.hex."""
-    return {
-        field.name: [
-            v.hex() if isinstance(v, float) else v for v in getattr(table, field.name).tolist()
-        ]
-        for field in dataclasses.fields(table)
-    }
+    @pytest.fixture(scope="class")
+    def figure_cycles(self):
+        """(field, T_eq, P_eq, step, column) of every oscillatory column of
+        the two figure configs at their shipped cycle_n; a column is
+        (p_min, p_max, period, returns, oscillatory, collapsed,
+        homoclinic_flag, section load x*)."""
+        found = []
+        solve = bif._cycle_column
 
+        def recorded(field, T_eq, P_eq, stable, h, *args):
+            column = solve(field, T_eq, P_eq, stable, h, *args)
+            if column[4]:
+                found.append((field, T_eq, P_eq, h, column))
+            return column
 
-class TestCycleReference:
-    """The block-reduced sampler returns the per-step loop's samples bit for
-    bit (reference_loops.cycle_amplitude_loop)."""
+        with mock.patch.object(bif, "_cycle_column", recorded):
+            for config in ("within_fig1.json", "within_fig2.json"):
+                cfg = load_scenario(CONFIGS / config)
+                bif.cycle_amplitude(cfg.within, dataclasses.replace(cfg.sweep, n=cfg.cycle_n))
+        assert len(found) == 2
+        return found
 
-    @pytest.mark.parametrize("cycle_n", [4, 40])
-    @pytest.mark.parametrize("config", ["within_fig1.json", "within_fig2.json"])
-    def test_figure_sweeps_match_the_loop(self, config, cycle_n):
-        cfg = load_scenario(CONFIGS / config)
-        spec = dataclasses.replace(cfg.sweep, n=cycle_n)
-        samples = bif.cycle_amplitude(cfg.within, spec)
-        assert hexed(samples) == hexed(cycle_amplitude_loop(cfg.within, spec))
-        if cycle_n == 40:
-            assert samples.oscillatory.any() and samples.collapsed.any()
+    def test_cycles_are_fixed_points_of_the_return_map(self, figure_cycles):
+        # find_root stops once x* is within CYCLE_ROOT_TOL*P_eq + 4*eps*x*
+        # of the root, and |R'(x) - 1| < 1 about a stable cycle
+        eps = np.finfo(float).eps
+        for field, T_eq, P_eq, h, (p_min, p_max, period, *_, x) in figure_cycles:
+            orbit = bif._first_return(field, T_eq, x, h, 40000, T_eq, P_eq)
+            assert orbit.kind == "returned"
+            assert abs(orbit.load - x) <= bif.CYCLE_ROOT_TOL * P_eq + 4.0 * eps * x
+            assert (orbit.time, orbit.p_min, orbit.p_max) == (period, p_min, p_max)
 
-    # the window's last strict maximum sits at load CYCLE_CHECK_STEPS - 1 +
-    # edge: the first block's last candidate, whose right neighbour ends the
-    # block; the second block's first candidate, itself a carried load; or
-    # the next, whose left neighbour is carried. Windows of 1000, 1001 and
-    # 1002 steps make it the window's last candidate.
-    @pytest.mark.parametrize("edge", [-1, 0, 1])
-    def test_maximum_on_a_block_edge(self, paper_within, edge):
-        spec = delta_sweep(n=3, lo=0.52, hi=0.55)
-        step = bif.CYCLE_STEP
-        n_transient = 3000
-        kwargs = dict(transient=n_transient * step, window=2000 * step, step=step)
-        first = reference_orbit_extremes(paper_within, spec, **kwargs)[3]
-        target = bif.CYCLE_CHECK_STEPS - 1 + edge
-        # the flow is autonomous: a transient shorter by first - target steps
-        # moves column 0's first maximum to load index target
-        n_transient += round(first[0] / step) - target
-        kwargs = dict(transient=n_transient * step, window=(target + 2) * step, step=step)
-        last = reference_orbit_extremes(paper_within, spec, **kwargs)[4]
-        assert last[0] == target * step
-        samples = bif.cycle_amplitude(paper_within, spec, **kwargs)
-        assert hexed(samples) == hexed(cycle_amplitude_loop(paper_within, spec, **kwargs))
+    def test_cycles_close_under_dormand_prince(self, figure_cycles):
+        # an independent integrator at tolerances 1e-12/1e-14 returns to the
+        # section within the RK4 error at h = 0.02, 1e-6 of the load
+        for field, T_eq, _, _, (_, _, period, *_, x) in figure_cycles:
+            lam, mu, a, G = field
 
-    # a partial last block of 525 loads, and a window shorter than one block
-    @pytest.mark.parametrize("n_window", [1525, 999])
-    def test_partial_blocks_match_the_loop(self, paper_within, n_window):
-        spec = delta_sweep(n=5, lo=0.45, hi=1.3)
-        step = bif.CYCLE_STEP
-        kwargs = dict(transient=2000 * step, window=n_window * step, step=step)
-        samples = bif.cycle_amplitude(paper_within, spec, **kwargs)
-        assert (samples.n_maxima >= 2).any()
-        assert hexed(samples) == hexed(cycle_amplitude_loop(paper_within, spec, **kwargs))
+            def rhs(t, y):
+                infection = a * y[1] * y[1] * y[0]
+                return (lam - mu * y[0] - infection, infection - G * y[1])
+
+            with mock.patch.multiple(numerics, RTOL=1e-12, ATOL=1e-14):
+                run = integrate_ode(
+                    rhs, [T_eq, x], (0.0, 2.0 * period), event=lambda t, y: y[0] - T_eq
+                )
+            assert run.y[-1, 1] == pytest.approx(x, rel=1e-6)
+            assert run.event_time == pytest.approx(period, rel=1e-6)
+
+    def test_the_return_map_converges_at_fourth_order(self, figure_cycles):
+        # R_h(x) at h = 0.08, 0.04, 0.02 and 0.01: successive differences
+        # fall by 2^4 = 16 at fourth order; by 8 to 32 here
+        for field, T_eq, P_eq, _, (*_, x) in figure_cycles:
+            loads = [
+                bif._first_return(field, T_eq, x, 0.08 / k, 10**5, T_eq, P_eq).load
+                for k in (1, 2, 4, 8)
+            ]
+            diffs = np.diff(loads)
+            ratios = diffs[:-1] / diffs[1:]
+            assert ((8.0 <= ratios) & (ratios <= 32.0)).all(), ratios
 
 
 class TestHopfOracle:
-    """The sampler against the linearisation at the closed-form Hopf point,
-    computed from within_host.jacobian_fast and not from any orbit."""
+    """The cycle solve against the linearisation at the closed-form Hopf
+    point, computed from within_host.jacobian_fast and not from any orbit."""
 
-    # relaxation times 1/|Re lambda| a transient must cover before a column's
-    # fate is read: the distance to the equilibrium or to the cycle then
-    # falls by e^-5 or more
-    RELAXATION_TIMES = 5.0
     # the distance d of the first column past the Hopf point: the same step
     # 0.0018 in Gamma = gamma + delta*W on both sweeps (W = 0.9 on fig1,
     # delta = 0.3 on fig2)
@@ -527,16 +578,12 @@ class TestHopfOracle:
     @classmethod
     @functools.cache
     def past_hopf(cls, config):
-        """The sweep of a figure config and its cycle samples at d, 2d, 3d
-        and 4d past the Hopf point, with a transient of RELAXATION_TIMES
-        growth times of the slowest column."""
+        """The sweep of a figure config and its cycles at d, 2d, 3d and 4d
+        past the Hopf point."""
         cfg = load_scenario(CONFIGS / config)
         hopf_at, d = hopf_point(cfg.within, cfg.sweep), cls.HOPF_OFFSET[config]
         spec = dataclasses.replace(cfg.sweep, lo=hopf_at + d, hi=hopf_at + 4.0 * d, n=4)
-        growth = leading_eigenvalue(cfg.within, spec, hopf_at + d).real
-        h = bif.CYCLE_STEP
-        transient = math.ceil(cls.RELAXATION_TIMES / growth / h) * h
-        return cfg.within, spec, bif.cycle_amplitude(cfg.within, spec, transient=transient)
+        return cfg.within, spec, bif.cycle_amplitude(cfg.within, spec)
 
     @pytest.mark.parametrize("config", ["within_fig1.json", "within_fig2.json"])
     def test_cycles_appear_only_on_the_unstable_side(self, config):
@@ -549,11 +596,6 @@ class TestHopfOracle:
         # same point Gamma_H of the same rates
         l1, _ = lyapunov_coefficient(cfg.within, spec)
         assert l1 == pytest.approx(-0.133, abs=5e-4)
-        # a stable column whose transient spans RELAXATION_TIMES decay times
-        # has settled on its equilibrium; closer to the Hopf point a
-        # decaying spiral may still oscillate in the window (fig2 has one
-        # at W = 1.5385, just below W_H = 1.5472)
-        settled = -self.RELAXATION_TIMES / bif.CYCLE_TRANSIENT
         stable_checked = past_hopf = 0
         for param, oscillatory in zip(samples.param.tolist(), samples.oscillatory.tolist()):
             s = (param, oscillatory)
@@ -562,17 +604,19 @@ class TestHopfOracle:
                 continue
             growth = leading_eigenvalue(cfg.within, spec, param).real
             assert (growth > 0.0) == (param > hopf_at), s
-            if growth <= settled:
-                assert not oscillatory, s
-                stable_checked += 1
-            # a supercritical Hopf point: cycles lie past it, where the
-            # upper equilibrium is unstable
-            past_hopf += oscillatory and growth > 0.0
+            # every column with a pair: a cycle only where the upper
+            # equilibrium is unstable
+            assert not oscillatory or growth > 0.0, s
+            stable_checked += growth < 0.0
+            past_hopf += oscillatory
         assert stable_checked > 0 and past_hopf > 0
+        if config == "within_fig2.json":
+            # a decaying spiral just below W_H = 1.5472
+            j = int(np.argmin(np.abs(samples.param - 1.5385)))
+            assert samples.param[j] < hopf_at and not samples.oscillatory[j]
 
     def test_periods_tend_to_the_linear_period_at_the_hopf_point(self):
         params, spec, samples = self.past_hopf("within_fig1.json")
-        h = bif.CYCLE_STEP
         hopf_at = hopf_point(params, spec)
         period_h = 2.0 * math.pi / leading_eigenvalue(params, spec, hopf_at).imag
         assert period_h == pytest.approx(7.32, abs=5e-3)
@@ -580,14 +624,17 @@ class TestHopfOracle:
         t1, t2, _, t4 = samples.period.tolist()
         # the period grows smoothly with the distance past the Hopf point
         assert period_h < t1 < t2 < t4
-        # each maximum of the sampled load sits on the step grid, within h/2
-        # of the orbit's own, so a period averaged over n - 1 cycles is off
-        # by at most h/(n - 1); the quadratic Richardson extrapolation to
-        # d = 0 weighs the three periods by 8/3, -6/3 and 1/3, so its bound
-        # is 5h/(n - 1), with the O(d^3) remainder left out
-        quantum = h / (samples.n_maxima.min() - 1)
+        # T(D) = period_h + c1*D + c2*D^2 + O(D^3): the quadratic Richardson
+        # extrapolation of T(d), T(2d), T(4d) to D = 0 removes the c1 and c2
+        # terms, and its step past the linear one, 2 T(d) - T(2d), bounds
+        # what is left while the terms fall. Each period is a located
+        # return time, off by the RK4 error alone (within 1e-6 relative, see
+        # test_cycles_close_under_dormand_prince), carried through the
+        # weights 8/3, 6/3 and 1/3
+        linear = 2.0 * t1 - t2
         extrapolated = (8.0 * t1 - 6.0 * t2 + t4) / 3.0
-        assert abs(extrapolated - period_h) <= 5.0 * quantum
+        located = 1e-6 * (8.0 * t1 + 6.0 * t2 + t4) / 3.0
+        assert abs(extrapolated - period_h) <= abs(extrapolated - linear) + located
 
     @pytest.mark.parametrize("config", ["within_fig1.json", "within_fig2.json"])
     def test_amplitudes_grow_at_the_normal_form_slope(self, config):
@@ -606,12 +653,12 @@ class TestHopfOracle:
         s1, s2, _, s4 = ((samples.p_max - samples.p_min) ** 2 / (samples.param - hopf_at)).tolist()
         linear = 2.0 * s1 - s2
         extrapolated = (8.0 * s1 - 6.0 * s2 + s4) / 3.0
-        # each extremum on the step grid lies within h/2 of the orbit's own,
-        # low by at most omega^2*a*h^2/8 on a near-harmonic orbit of half
-        # amplitude a, so each s is low by a relative omega^2*h^2/4 at most,
-        # carried through the weights 8/3, 6/3 and 1/3
-        sampling = omega**2 * h**2 / 4.0 * (8.0 * s1 + 6.0 * s2 + s4) / 3.0
-        assert abs(extrapolated - slope) <= abs(extrapolated - linear) + sampling
+        # each extremum is read on the cubic Hermite interpolant of its
+        # step, off by at most h^4/384 max|P^(4)| = a*omega^4*h^4/384 on a
+        # near-harmonic orbit of half amplitude a: each s is off by a
+        # relative omega^4*h^4/192 at most, carried through the weights
+        located = omega**4 * h**4 / 192.0 * (8.0 * s1 + 6.0 * s2 + s4) / 3.0
+        assert abs(extrapolated - slope) <= abs(extrapolated - linear) + located
 
 
 # a delta sweep holding the fold and the Hopf point; its four cycle columns
@@ -658,7 +705,7 @@ class TestExports:
         out, _, samples, _ = exported
         lines = (out / "cycles.csv").read_text().splitlines()
         assert lines[0] == (
-            "param,p_min,p_max,period,n_maxima,oscillatory,collapsed,homoclinic_flag"
+            "param,p_min,p_max,period,returns,oscillatory,collapsed,homoclinic_flag"
         )
         assert len(lines) == 1 + samples.param.size
         for j, line in enumerate(lines[1:]):
@@ -667,7 +714,7 @@ class TestExports:
             assert [float(c) for c in row[:3]] == expected
             period = float(samples.period[j])
             assert row[3] == ("" if math.isnan(period) else repr(period))
-            assert int(row[4]) == samples.n_maxima[j]
+            assert int(row[4]) == samples.returns[j]
             flags = (samples.oscillatory[j], samples.collapsed[j], samples.homoclinic_flag[j])
             assert row[5:] == [str(int(flag)) for flag in flags]
         # both forms of the period cell and both values of each flag occur

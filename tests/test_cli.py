@@ -392,6 +392,41 @@ class TestExitCodes:
         assert capsys.readouterr().err == "numerical failure: cycle orbit at W=0.0 is not finite\n"
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("rates, message", [
+        ({"Lambda": 1e300, "mu": 1e-300}, "fold clearance rate Gamma_fold = inf is not finite"),
+        ({"Lambda": 1e300, "alpha": 1e300}, "fold clearance rate Gamma_fold = inf is not finite"),
+        ({"alpha": 1e-300, "gamma": 1e-300}, "cycle orbit at W=0.0 is not finite"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_two_extreme_rates_return_three(self, tmp_path, capsys, rates, message):
+        # these pairs exited 1 on a numpy warning: an overflow in the fold
+        # locus, and a division by Gamma*alpha underflowed to zero in the
+        # fast equilibria at W = 0
+        doc = json.loads((CONFIGS / "within_fig2.json").read_text())
+        doc["within_host"].update(rates)
+        doc["sweep"].update(n=20, cycle_n=2)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["bifurcate", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_branch_past_the_float_range_returns_three(self, tmp_path, capsys):
+        # W up to 1e300 gives clearance rates near 3e299 and no pair there:
+        # those cycle columns collapse without an orbit, and the trivial
+        # branch's eigenvalues overflow; refused before anything is written
+        doc = json.loads((CONFIGS / "within_fig2.json").read_text())
+        doc["sweep"].update(hi=1e300, n=20, cycle_n=2)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["bifurcate", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: trivial.csv: the equilibrium at W=5.263157894736842e+298 "
+            "is not finite\n"
+        )
+        assert not (tmp_path / "nested").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_default_start_past_the_float_range_returns_two(self, tmp_path, capsys):
         # without within_host.initial the run starts at T = Lambda/mu, which
@@ -884,6 +919,26 @@ class TestSummaryAndManifest:
         assert echoed == constants == (400.0, 400.0, 0.02)
         signature = inspect.signature(bifurcation.cycle_amplitude).parameters
         assert tuple(signature[k].default for k in ("transient", "window", "step")) == constants
+
+    def test_grid_refine_refines_the_cycle_columns(self, tmp_path):
+        # K times the cycle columns at a K times finer step, as the sweep
+        doc = json.loads((CONFIGS / "within_fig1.json").read_text())
+        doc["sweep"].update(n=17, cycle_n=3)
+        config = write_config(tmp_path, doc)
+        for k in (1, 2):
+            out = tmp_path / f"refine{k}"
+            assert cli.main(["bifurcate", "--config", config, "--out", str(out),
+                             "--grid-refine", str(k)]) == 0
+            summary = read_summary(out)
+            assert summary["sweep"]["n"] == 17 * k
+            assert (summary["defaults"]["cycle_n"], summary["defaults"]["cycle_step"]) == (
+                3 * k, 0.02 / k
+            )
+            rows = (out / "cycles.csv").read_text().splitlines()[1:]
+            assert len(rows) == 3 * k
+            assert [float(row.split(",")[0]) for row in rows] == np.linspace(
+                0.05, 1.4, 3 * k
+            ).tolist()
 
     def test_arguments_are_echoed(self, tmp_path):
         config = write_config(tmp_path, bh_doc())

@@ -13,14 +13,13 @@ from immunoepi.numerics import (
     find_root,
     integrate_ode,
     quadrature,
-    rk4_stepper,
     simpson_coefficients,
 )
 from immunoepi.numerics import _dp45_step
 from immunoepi.within_host import WithinHostParams, WithinHostState, rhs_full
 
 from conftest import random_within
-from reference_loops import integrate_ode_array, rhs_full_array, rk4_step_array
+from reference_loops import integrate_ode_array, rhs_full_array
 
 
 def decay(t, y):
@@ -35,16 +34,6 @@ class TestIntegrateOde:
     def test_constant_field_is_identity(self):
         run = integrate_ode(lambda t, y: (0.0 * y[0],), [7.0], (0.0, 3.0))
         assert np.all(run.y == 7.0)
-
-    def test_fixed_step_fourth_order_convergence(self):
-        errors = []
-        for n in (10, 20):
-            y = np.array([1.0])
-            step = rk4_stepper(lambda x, k: lambda: np.negative(x, k), y, 1.0 / n)
-            for _ in range(n):
-                step()
-            errors.append(abs(y[0] - math.exp(-1.0)))
-        assert errors[0] / errors[1] >= 8.0
 
     def test_event_time_bisection(self):
         # y = e^{-t} crosses 1/2 at t = ln 2
@@ -104,85 +93,6 @@ def reference_dp45_step(rhs, t, y, h, k1=None):
         y5 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
         y4 = y + h * sum(b * k[i] for i, b in enumerate(_DP_B4) if b != 0.0)
         return y5, y5 - y4, k[6]
-
-
-def rk4_steps_array(field, y, h, n):
-    """n steps of the earlier array RK4 on the autonomous field(y)."""
-    for _ in range(n):
-        y = rk4_step_array(lambda t, x: field(x), 0.0, y, h)
-    return y
-
-
-class TestRk4Step:
-    @given(
-        y=st.floats(min_value=-20.0, max_value=20.0),
-        rate=st.floats(min_value=-5.0, max_value=5.0),
-        source=st.floats(min_value=-5.0, max_value=5.0),
-        h=st.floats(min_value=1e-4, max_value=0.5),
-        n=st.integers(min_value=1, max_value=4),
-    )
-    def test_float_state_matches_the_array_step_bit_for_bit(self, y, rate, source, h, n):
-        # one float, in the stepper's one-element buffer
-        def field_into(x, k):
-            def rhs():
-                np.multiply(rate, x, k)
-                np.multiply(k, x, k)
-                np.subtract(source, k, k)
-
-            return rhs
-
-        # several steps may overflow; the sampler steps under this errstate too
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = np.array([y])
-            step = rk4_stepper(field_into, state, h)
-            for _ in range(n):
-                step()
-            want = rk4_steps_array(lambda x: source - rate * x * x, np.array([y]), h, n)
-        assert float(state[0]).hex() == float(want[0]).hex()
-
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 4))
-    def test_one_block_component_matches_the_array_step_bit_for_bit(self, seed, n):
-        # the cycle sampler's (2, m) block of (T, P) rows as the state,
-        # stepped n times through the same buffers
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 40))
-        gam = rng.uniform(0.1, 2.0, size=m)
-        lam, mu, a = rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.5), rng.uniform(0.5, 2.0)
-
-        def field(y):
-            T, P = y
-            infection = a * P * P * T
-            return np.array((lam - mu * T - infection, infection - gam * P))
-
-        def field_into(x, k):
-            def rhs():
-                k[...] = field(x)
-
-            return rhs
-
-        y = rng.uniform(0.0, 5.0, size=(2, m))
-        h = float(rng.uniform(0.001, 0.1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = y.copy()
-            step = rk4_stepper(field_into, state, h)
-            for _ in range(n):
-                step()
-            want = rk4_steps_array(field, y, h, n)
-        assert state.shape == (2, m)
-        assert state.tobytes() == want.tobytes()
-
-    def test_overflow_lands_as_in_the_array_step(self):
-        # a field that overflows within the step: inf and nan must land alike
-        def field_into(x, k):
-            return lambda: np.multiply(x, x, k)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = np.array([1e100, -1e200, 3.0, 0.0])
-            step = rk4_stepper(field_into, state, 0.5)
-            step()
-            want = rk4_step_array(lambda t, x: x * x, 0.0, np.array([1e100, -1e200, 3.0, 0.0]), 0.5)
-        assert not np.all(np.isfinite(state))
-        assert state.tobytes() == want.tobytes()
 
 
 def as_array_field(field):
