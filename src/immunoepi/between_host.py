@@ -18,7 +18,10 @@ nonlocal boundary condition, driven by direct (beta_h) and environmental
 This module provides the transport solver, the reproduction number and its
 spectral refinement, the endemic equilibrium with residual checks,
 stability residuals of the endemic linearization, and an equivalent
-renewal-equation formulation used for cross-checking. All of them read
+renewal-equation formulation used for cross-checking. The endemic
+residual is the infection-free characteristic function over R0 plus the
+return through the recovered pool, so R0, its growth rate, the endemic
+state and the residual read one characteristic table. All of them read
 G, M and the survival density pi = exp(-M)/g from one StatusClock per
 parameter set, `BetweenHostParams.clock`, and sum their status integrals
 with the guarded Simpson rule `numerics.quadrature` on a fixed panel
@@ -255,48 +258,34 @@ def survival_pi(omega, params: BetweenHostParams):
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
-def _status_integrals(params: BetweenHostParams) -> Callable:
-    """The two weighted status integrals behind every spectral quantity, as
-    a function of lam:
+def _characteristic(params: BetweenHostParams) -> Callable:
+    """The infection-free characteristic function by route, as a function
+    of lam:
 
+      G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)]
       J_P  = int_0^omega0 P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
       J_xi = int_0^omega0 xi(w)*P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
 
     with G, M the clock integrals, by Simpson's rule on TABLE_PANELS
-    panels. Returns lam -> (J_P, J_xi): two floats for a scalar lam, two
-    arrays for a 1-d array of rates, one Simpson row per rate. The
-    lam-independent node values (P/g, M, G, xi) are tabulated once.
+    panels. The lam-independent node values (P/g, M, G, xi) are tabulated
+    once. Returns lam -> (direct, environmental, J_xi); G is direct +
+    environmental. lam may be a scalar (real or complex) or a 1-d array of
+    rates, one Simpson row per rate, each entry equal bit for bit to the
+    scalar call.
     """
     nodes = np.linspace(0.0, params.omega0, TABLE_PANELS + 1)
     p_over_g = params.P(nodes) / params.g(nodes)
     clock = params.clock
     decay, elapsed, xi = clock.decay_at(nodes), clock.time_of(nodes), params.xi(nodes)
-
-    def integrals(lam):
-        weight = p_over_g * np.exp(-decay - np.multiply.outer(lam, elapsed))
-        return quadrature(weight, params.omega0), quadrature(weight * xi, params.omega0)
-
-    return integrals
-
-
-def _characteristic(params: BetweenHostParams) -> Callable[[float], tuple[float, float, float, float]]:
-    """The infection-free characteristic function by route, as a function
-    of a scalar lam:
-
-      G(lam) = (r/mu1) * [beta_h*J_P(lam) + beta_e/(lam+sigma)*J_xi(lam)]
-
-    with J_P, J_xi from _status_integrals. Returns lam -> (direct,
-    environmental, J_P, J_xi); G is direct + environmental.
-    """
-    integrals = _status_integrals(params)
     s0 = params.r / params.mu1
 
     def routes(lam):
-        j_p, j_xi = integrals(lam)
+        weight = p_over_g * np.exp(-decay - np.multiply.outer(lam, elapsed))
+        j_p, j_xi = quadrature(weight, params.omega0), quadrature(weight * xi, params.omega0)
         direct = s0 * params.beta_h * j_p
-        shed = params.beta_e > 0 and j_xi != 0  # without shedding, no pole at -sigma
+        shed = params.beta_e > 0 and np.any(j_xi != 0)  # without shedding, no pole at -sigma
         environmental = s0 * params.beta_e / (lam + params.sigma) * j_xi if shed else 0.0
-        return direct, environmental, j_p, j_xi
+        return direct, environmental, j_xi
 
     return routes
 
@@ -309,7 +298,7 @@ def r0(params: BetweenHostParams) -> float:
 
 def r0_terms(params: BetweenHostParams) -> tuple[float, float]:
     """(direct, environmental) additive parts of the reproduction number."""
-    direct, environmental, _, _ = _characteristic(params)(0.0)
+    direct, environmental, _ = _characteristic(params)(0.0)
     return direct, environmental
 
 
@@ -324,10 +313,10 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
     characteristic = _characteristic(params)
 
     def f(lam):
-        direct, environmental, _, _ = characteristic(lam)
+        direct, environmental, _ = characteristic(lam)
         return direct + environmental - 1.0
 
-    direct, environmental, _, _ = characteristic(0.0)
+    direct, environmental, _ = characteristic(0.0)
     at_zero = direct + environmental - 1.0
     if at_zero == 0.0:
         return 0.0
@@ -366,6 +355,14 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
 # endemic equilibrium
 
 
+def _lost_share(params: BetweenHostParams) -> float:
+    """The share of recovered-pool entrants that leave it for good: 1 minus
+    rho*g*pi/(rho + mu3) with g*pi = exp(-M(omega0)), written without the
+    cancellation that rounds it to 0 for rho >> mu3; exactly 1 at rho = 0."""
+    lost = params.mu3 + params.rho * -math.expm1(-float(params.clock.decay[-1]))
+    return lost / (params.rho + params.mu3)
+
+
 def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> EndemicEquilibrium | None:
     """Closed-form stationary state with disease present.
 
@@ -373,16 +370,12 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
     infected profile is I*(omega) = I*(0)*g(0)*pi(omega) on a uniform
     grid of n_omega+1 nodes.
     """
-    direct, environmental, _, j_xi = _characteristic(params)(0.0)
+    direct, environmental, j_xi = _characteristic(params)(0.0)
     basic = direct + environmental
     if basic <= 1.0:
         return None
     g0 = params.g(0.0)
-    # the share of recovered-pool entrants that leave it for good: 1 minus
-    # rho*g*pi/(rho + mu3) with g*pi = exp(-M(omega0)), written without the
-    # cancellation that rounds it to 0 for rho >> mu3; exactly 1 at rho = 0
-    lost = params.mu3 + params.rho * -math.expm1(-float(params.clock.decay[-1]))
-    i0 = params.r * (1.0 - 1.0 / basic) / (g0 * (lost / (params.rho + params.mu3)))
+    i0 = params.r * (1.0 - 1.0 / basic) / (g0 * _lost_share(params))
     omega = np.linspace(0.0, params.omega0, n_omega + 1)
     profile = i0 * g0 * survival_pi(omega, params)
     b_star = i0 * g0 * j_xi / params.sigma
@@ -820,43 +813,46 @@ def simulate_renewal(
 # endemic spectral residuals
 
 
-def endemic_char_residual(params: BetweenHostParams, eq: EndemicEquilibrium) -> Callable:
-    """The endemic-linearization characteristic residual at eq, as a
-    function of a real trial rate lam; a root means a mode growing like
-    e^{lam*t}.
+def endemic_char_residual(params: BetweenHostParams) -> Callable:
+    """The endemic-linearization characteristic residual as a function of a
+    trial rate lam; a root means a mode growing like e^{lam*t}:
 
-    The equation reads 1 = RHS(lam) and the residual is RHS - 1, with the
-    boundary-sourced exponential factors evaluated at the recovery status
-    (the only status where the recovered pool is fed). K, the status
-    integrals' node table and the recovery survival factor are computed
-    once, so a trial rate costs one exponential and the two Simpson sums
-    J_P and J_xi. lam may also be a 1-d array of rates: the residual is
-    then one array pass, each entry equal bit for bit to the scalar call at
-    that rate. Rates within POLE_GUARD of a pole (-mu1, -sigma,
-    -(rho+mu3)) raise PoleError.
+      G(lam)/R0 + F* * (R(lam) - 1)/(lam + mu1) - 1,
+
+    with G the infection-free characteristic function, F* = g(0)*I*(0)/S*
+    = mu1*(R0 - 1)/_lost_share the endemic force of infection, and R(lam) =
+    rho*exp(-M(omega0) - lam*T0)/(lam + rho + mu3) the return through the
+    recovered pool. R0, F* and G read the one node table of
+    _characteristic. lam may be a scalar (real or complex) or a 1-d array
+    of rates, each entry equal bit for bit to the scalar call. A rate within
+    min(POLE_GUARD, p/2) of a pole at -p (-mu1, -sigma, -(rho+mu3)) raises
+    PoleError, so no rate lam >= 0 is refused. At or below threshold there
+    is no endemic state: ValueError.
     """
-    step = eq.omega[1] - eq.omega[0]
-    K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
-    integrals = _status_integrals(params)
-    direct = eq.S * params.beta_h
+    characteristic = _characteristic(params)
+    direct, environmental, _ = characteristic(0.0)
+    basic = direct + environmental
+    if basic <= 1.0:
+        raise ValueError("spectrum scan needs a reproduction number above 1")
+    if not math.isfinite(basic):
+        # G/R0 has no finite value at any rate
+        raise NonFiniteError("endemic spectrum scan: the characteristic residual is not finite")
+    # F* in closed form: no division by an S* that can underflow
+    force = params.mu1 * (basic - 1.0) / _lost_share(params)
     recovery = params.rho * float(np.exp(-params.clock.decay[-1]))
     total = params.clock.total_time
+    poles = [("-mu1", params.mu1), ("-sigma", params.sigma), ("-(rho+mu3)", params.rho + params.mu3)]
+    if params.beta_e == 0:
+        del poles[1]  # no environmental route, no pole at -sigma
+    guards = [(name, pole, min(POLE_GUARD, 0.5 * pole)) for name, pole in poles]
 
     def residual(lam):
-        if np.any(np.abs(lam + params.mu1) < POLE_GUARD):
-            raise PoleError("lam too close to the pole at -mu1")
-        if params.beta_e > 0 and np.any(np.abs(lam + params.sigma) < POLE_GUARD):
-            raise PoleError("lam too close to the pole at -sigma")
-        if np.any(np.abs(lam + params.rho + params.mu3) < POLE_GUARD):
-            raise PoleError("lam too close to the pole at -(rho+mu3)")
-        j_p, j_xi = integrals(lam)
+        for name, pole, guard in guards:
+            if np.any(np.abs(lam + pole) < guard):
+                raise PoleError(f"lam too close to the pole at {name}")
+        direct, environmental, _ = characteristic(lam)
         returned = recovery * np.exp(-lam * total) / (lam + params.rho + params.mu3)
-        bracket = (returned - 1.0) / (lam + params.mu1)
-        rhs = direct * j_p + bracket * K
-        if params.beta_e > 0:
-            rhs += params.beta_e * eq.S * j_xi / (lam + params.sigma)
-            rhs += params.beta_e * eq.B * bracket
-        return rhs - 1.0
+        return (direct + environmental) / basic + force * (returned - 1.0) / (lam + params.mu1) - 1.0
 
     return residual
 
@@ -882,10 +878,7 @@ def endemic_spectrum_scan(params: BetweenHostParams) -> ResidualScan:
     real nonnegative growth rate exists; complex roots are outside this
     check's scope.
     """
-    eq = endemic_equilibrium(params)
-    if eq is None:
-        raise ValueError("spectrum scan needs a reproduction number above 1")
-    residual = endemic_char_residual(params, eq)
+    residual = endemic_char_residual(params)
     grid = np.arange(0.0, SPECTRUM_SCAN_MAX + 0.5 * SPECTRUM_SCAN_STEP, SPECTRUM_SCAN_STEP)
     values = np.concatenate(
         [residual(grid[start : start + KERNEL_BLOCK]) for start in range(0, grid.size, KERNEL_BLOCK)]

@@ -48,4 +48,4 @@ class TransportBlowupError(NumericsError):
 
 
 class PoleError(NumericsError, ValueError):
-    """A trial rate lies within POLE_GUARD of a characteristic pole."""
+    """A trial rate lies within min(POLE_GUARD, p/2) of a characteristic pole at -p."""

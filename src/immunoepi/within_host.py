@@ -310,7 +310,7 @@ def upper_branch_P(W, params: WithinHostParams):
     """
     W_arr = np.asarray(W, dtype=float)
     # only the loads: no T arrays on a coefficient table's nodes
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         disc, _, P_hi = _nontrivial_pair(params, params.gamma_eff(W_arr))
     _, W_max = manifold_tip(params)
     missing = disc < 0.0

@@ -95,7 +95,7 @@ def dfe_char_G(lam: float, params: bh.BetweenHostParams) -> float:
     """
     if lam <= -params.sigma:
         raise ValueError(f"lam must exceed -sigma = {-params.sigma}")
-    direct, environmental, _, _ = bh._characteristic(params)(lam)
+    direct, environmental, _ = bh._characteristic(params)(lam)
     return direct + environmental
 
 
@@ -107,17 +107,22 @@ def reduced_endemic_residual(lam: float, params: bh.BetweenHostParams, eq: bh.En
 
         (lam + mu1 + K)/(lam + mu1) = S* int beta_h P e^{-M} e^{-lam w} dw
 
-    and this is LHS - RHS, with K the direct transmission integral against
-    the endemic profile and the status integral read off the package's
-    characteristic function.
+    and this is LHS - RHS, with K = beta_h*I*(0)*g(0)*J_P(0) the direct
+    transmission integral against the endemic profile I* = I*(0)*g(0)*pi,
+    and the status integral J_P read off the package's characteristic
+    function.
     """
     unit_speed = params.g.family == "constant" and params.g.describe["value"] == 1.0
     if params.rho != 0.0 or params.beta_e != 0.0 or not unit_speed:
         raise ValueError("the reduced form needs rho = 0, beta_e = 0 and g = 1")
-    step = eq.omega[1] - eq.omega[0]
-    K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
-    _, _, j_p, _ = bh._characteristic(params)(lam)
-    return (lam + params.mu1 + K) / (lam + params.mu1) - eq.S * params.beta_h * j_p
+    characteristic = bh._characteristic(params)
+    scale = params.r / params.mu1 * params.beta_h  # the direct route is scale*J_P
+
+    def j_p(rate):
+        return characteristic(rate)[0] / scale
+
+    K = params.beta_h * eq.I0 * params.g(0.0) * j_p(0.0)
+    return (lam + params.mu1 + K) / (lam + params.mu1) - eq.S * params.beta_h * j_p(lam)
 
 
 def fast_rhs(tp: Sequence[float], params: wh.WithinHostParams, Gamma: float) -> np.ndarray:

@@ -6,6 +6,7 @@ every status integral collapses to elementary functions:
     J = int_0^5 e^{-0.1 w} dw = (1 - e^{-0.5}) / 0.1
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -45,7 +46,7 @@ B_STAR_ENV_REF = 2.8144213889655996  # I0 g0 (xi J) / sigma
 A_AT_2_REF = 0.16374615061559637  # beta_h e^{-0.2}
 LAMBDA_DIRECT_REF = 1.8999157640175564
 LAMBDA_ENV_REF = 1.9805714871787894
-K_DIRECT_REF = 0.6869387700219411  # beta_h int P I* = beta_h I0 g0 J
+K_DIRECT_REF = 0.6869386805747332  # beta_h int P I* = beta_h I0 g0 J = mu1 (R0 - 1)
 
 
 def zero_history(s):
@@ -620,7 +621,7 @@ class TestRenewalForm:
 
 class TestEndemicSpectrum:
     def test_residual_at_zero_is_the_force_ratio(self, direct_params):
-        got = bh.endemic_char_residual(direct_params, bh.endemic_equilibrium(direct_params))(0.0)
+        got = bh.endemic_char_residual(direct_params)(0.0)
         assert got == pytest.approx(-K_DIRECT_REF / 0.1, abs=1e-8)
 
     @pytest.mark.parametrize("beta_h", [0.2, 0.050829881649683994], ids=["direct", "matched"])
@@ -628,18 +629,38 @@ class TestEndemicSpectrum:
         # rho = 0, beta_e = 0, g = 1: the paper's reduced equation, LHS - RHS
         params = make_between(beta_h, 0.0)
         eq = bh.endemic_equilibrium(params)
-        residual = bh.endemic_char_residual(params, eq)
+        residual = bh.endemic_char_residual(params)
         for lam in np.linspace(0.0, 50.0, 201):
             general = residual(lam)
             reduced = reduced_endemic_residual(lam, params, eq)
             assert general == pytest.approx(-reduced, rel=1e-13, abs=1e-15)
 
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_residual_at_zero_is_the_force_through_the_recovered_pool(self, rng, recycling):
+        # G(0)/R0 is exactly 1, so residual(0) = F*(R(0) - 1)/mu1 with F* =
+        # g(0)I*(0)/S* from the endemic state and R(0) = rho e^{-M}/(rho +
+        # mu3): -F*/mu1 at rho = 0. The two forms of F* differ by about 12
+        # roundings, and by the cancellation in I*(0)'s 1 - 1/R0, which
+        # grows like 1/(R0 - 1); the residual adds one rounding of 1 + x
+        p = random_between(rng)
+        if not recycling:
+            p = replace(p, rho=0.0)
+        eq = bh.endemic_equilibrium(p)
+        assume(eq is not None)
+        force = p.g(0.0) * eq.I0 / eq.S
+        returned = p.rho * float(np.exp(-p.clock.decay[-1])) / (p.rho + p.mu3)
+        expected = force * (returned - 1.0) / p.mu1
+        if not recycling:
+            assert expected == -force / p.mu1
+        bound = EPS * (2.0 + abs(expected) * (16.0 + 1.0 / (bh.r0(p) - 1.0)))
+        assert abs(bh.endemic_char_residual(p)(0.0) - expected) <= bound
+
     def test_residual_settles_at_minus_one_for_fast_rates(self, env_params):
-        residual = bh.endemic_char_residual(env_params, bh.endemic_equilibrium(env_params))
+        residual = bh.endemic_char_residual(env_params)
         assert residual(50.0) == pytest.approx(-1.0, abs=0.05)
 
     def test_pole_guards(self, env_params):
-        residual = bh.endemic_char_residual(env_params, bh.endemic_equilibrium(env_params))
+        residual = bh.endemic_char_residual(env_params)
         for lam in (-0.1, -0.5, -0.2):
             with pytest.raises(ValueError, match="pole"):
                 residual(lam)
@@ -647,9 +668,22 @@ class TestEndemicSpectrum:
             with pytest.raises(NumericsError, match="pole"):
                 residual(lam + 0.5 * bh.POLE_GUARD)
 
+    def test_a_pole_below_the_guard_refuses_no_nonnegative_rate(self, monkeypatch):
+        # mu1 < POLE_GUARD: the guard shrinks to mu1/2 around -mu1, so the
+        # scan starts at lam = 0 and only rates near the pole are refused
+        params = make_between(0.2, 0.0, mu1=1e-9)
+        residual = bh.endemic_char_residual(params)
+        assert residual(0.0) == pytest.approx(1.0 - bh.r0(params), rel=1e-12)
+        assert math.isfinite(residual(-0.4e-9))
+        with pytest.raises(NumericsError, match="pole at -mu1"):
+            residual(-0.6e-9)
+        monkeypatch.setattr(bh, "SPECTRUM_SCAN_MAX", 10.0)
+        monkeypatch.setattr(bh, "SPECTRUM_SCAN_STEP", 0.05)
+        assert bh.endemic_spectrum_scan(params).roots == []
+
     def test_residual_accepts_complex_rates(self, env_params):
         # the Simpson sums keep a complex dtype: no cast, no ComplexWarning
-        residual = bh.endemic_char_residual(env_params, bh.endemic_equilibrium(env_params))
+        residual = bh.endemic_char_residual(env_params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             upper, lower = residual(0.5 + 0.1j), residual(0.5 - 0.1j)
@@ -670,29 +704,32 @@ class TestEndemicSpectrum:
 
 
 def unhoisted_residual(lam, params):
-    """The endemic residual with every factor evaluated at lam, in the same
+    """The endemic residual G(lam)/R0 + F*(R(lam) - 1)/(lam + mu1) - 1 with
+    every factor, R0 and F* included, evaluated at lam, in the same
     operation order as the scan's hoisted form."""
     clock = bh.build_clock(params)
-    eq = bh.endemic_equilibrium(params)
-    step = eq.omega[1] - eq.omega[0]
-    K = params.beta_h * float(np.trapezoid(params.P(eq.omega) * eq.I, dx=step))
     nodes = np.linspace(0.0, params.omega0, bh.TABLE_PANELS + 1)
-    weight = params.P(nodes) / params.g(nodes) * np.exp(
-        -clock.decay_at(nodes) - lam * clock.time_of(nodes)
-    )
-    j_p = quadrature(weight, params.omega0)
-    j_xi = quadrature(weight * params.xi(nodes), params.omega0)
+    s0 = params.r / params.mu1
+
+    def characteristic(rate):
+        weight = params.P(nodes) / params.g(nodes) * np.exp(
+            -clock.decay_at(nodes) - rate * clock.time_of(nodes)
+        )
+        direct = s0 * params.beta_h * quadrature(weight, params.omega0)
+        if params.beta_e == 0:
+            return direct
+        j_xi = quadrature(weight * params.xi(nodes), params.omega0)
+        return direct + s0 * params.beta_e / (rate + params.sigma) * j_xi
+
+    basic = characteristic(0.0)
+    lost = params.mu3 + params.rho * -math.expm1(-float(clock.decay[-1]))
+    force = params.mu1 * (basic - 1.0) / (lost / (params.rho + params.mu3))
     pi_end = bh.survival_pi(params.omega0, params)
-    boundary_factor = (
+    returned = (
         params.rho * params.g(params.omega0) * pi_end
         * np.exp(-lam * clock.total_time) / (lam + params.rho + params.mu3)
     )
-    bracket = (boundary_factor - 1.0) / (lam + params.mu1)
-    rhs = eq.S * params.beta_h * j_p + bracket * K
-    if params.beta_e > 0:
-        rhs += params.beta_e * eq.S * j_xi / (lam + params.sigma)
-        rhs += params.beta_e * eq.B * bracket
-    return rhs - 1.0
+    return characteristic(lam) / basic + force * (returned - 1.0) / (lam + params.mu1) - 1.0
 
 
 class TestHoistedResidual:
@@ -712,7 +749,7 @@ class TestHoistedResidual:
         monkeypatch.setattr(bh, "SPECTRUM_SCAN_STEP", 0.125)
         scan = bh.endemic_spectrum_scan(params)
         assert scan.lam.size == 41
-        residual = bh.endemic_char_residual(params, bh.endemic_equilibrium(params))
+        residual = bh.endemic_char_residual(params)
         for lam, value in zip(scan.lam, scan.residual):
             assert value == residual(lam)
             assert value == unhoisted_residual(lam, params)

@@ -279,6 +279,20 @@ class TestExitCodes:
         )
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("command", ["r0", "spectral", "equilibria"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_linked_load_past_an_underflowed_clearance_returns_two(self, tmp_path, capsys, command):
+        # alpha = gamma = 1e-300 underflows 2*Gamma*alpha to zero in the
+        # upper-branch load: an infinite P, refused by the coefficient check
+        # instead of a division warning
+        doc = linked_doc()
+        doc["within_host"].update(alpha=1e-300, gamma=1e-300)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: between_host: P(omega) is not finite on [0, omega0]\n"
+        assert not (tmp_path / "nested").exists()
+
     @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
     def test_state_overflow_during_the_run_returns_three(self, tmp_path, capsys, command):
         # the grid is valid; the state overflows during the run
