@@ -308,7 +308,8 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
     G is strictly decreasing with limit 0, so the root is unique when it
     exists; its sign matches the sign of r0 - 1. Raises BracketError when
     G stays above 1 up to LAMBDA_HAT_MAX, or below 1 above the pole at
-    -sigma (environmental route) or the overflow floor (no such route).
+    -sigma (environmental route) or the overflow floor, which bounds the
+    approach to the pole too.
     """
     characteristic = _characteristic(params)
 
@@ -327,27 +328,24 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
             hi *= 2.0
             if hi > LAMBDA_HAT_MAX:
                 raise BracketError("characteristic function stays above 1")
-    elif environmental > 0:
-        # approach the pole at -sigma geometrically
-        gap = 0.5 * params.sigma
-        lo = -params.sigma + gap
-        while f(lo) < 0:
-            gap *= 0.5
-            lo = -params.sigma + gap
-            if gap < 1e-12 * params.sigma:
-                raise BracketError("characteristic function stays below 1 on (-sigma, 0]")
     else:
-        # no pole: double lo down to where a weight (<= peak*e^{-lam*total}) or a sum could overflow
+        # approach the pole at -sigma geometrically (environmental route), or
+        # double lo down (no pole), no lower than where a weight
+        # (<= peak*e^{-lam*total}) or a sum could overflow
         nodes = np.linspace(0.0, params.omega0, TABLE_PANELS + 1)
         peak = float(np.max(params.P(nodes) / params.g(nodes))) * max(1.0, float(params.xi(nodes).max()))
         margin = math.log(np.finfo(float).max / 3.0) - math.log(max(1.0, 3.0 * TABLE_PANELS * peak))
         total = params.clock.total_time
         floor = max(-margin / total, -np.finfo(float).max) if margin > 0 and total > 0 else 0.0
-        lo = max(-1.0, floor)
+        pole, gap = environmental > 0, 0.5 * params.sigma
+        lo = max(-params.sigma + gap if pole else -1.0, floor)
         while f(lo) < 0:
+            gap *= 0.5
             if lo == floor:
                 raise BracketError(f"characteristic function stays below 1 on [{floor:.6g}, 0]")
-            lo = max(2.0 * lo, floor)
+            if pole and gap < 1e-12 * params.sigma:
+                raise BracketError("characteristic function stays below 1 on (-sigma, 0]")
+            lo = max(-params.sigma + gap if pole else 2.0 * lo, floor)
     return find_root(f, lo, hi)
 
 
@@ -651,13 +649,14 @@ def renewal_kernel_A(omega, params: BetweenHostParams):
         w = w(theta - a),  a in [max(0, theta - T0), min(a_bar, theta)],
 
     where T0 is the travel time to recovery. The kernel is K_h + K_e,
-    supported on [0, a_bar + T0]. Accepts scalar or array omega; each K_e
-    value is a Simpson sum on TABLE_PANELS panels.
+    supported on [0, a_bar + T0]: it is exactly 0 at and past a_bar + T0,
+    and a negative omega raises ValueError. Accepts scalar or array omega;
+    each K_e value is a Simpson sum on TABLE_PANELS panels.
     """
     total = params.clock.total_time
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(omega_arr < 0) or np.any(omega_arr > (params.a_bar + total) * (1 + 1e-12)):
-        raise ValueError("omega must lie in [0, a_bar + travel time to recovery]")
+    if np.any(omega_arr < 0):
+        raise ValueError("omega must be nonnegative")
     out = np.zeros_like(omega_arr)
     direct = omega_arr <= total
     if params.beta_h > 0 and np.any(direct):
@@ -746,21 +745,22 @@ def simulate_renewal(
     """Advance the renewal pair S' = r - mu1*S - S*F,
     F(t) = int_0^Theta A(w) S(t-w) F(t-w) dw.
 
-    Theta = a_bar + travel time to recovery; it must be an integer number
-    of steps (the memory window is a fixed trapezoid stencil). `history`
-    supplies F on [-Theta, 0]; S is held at S0 before time zero. The new
-    F value appears inside its own convolution through the w = 0 node, a
-    scalar linear equation solved in closed form each step; S advances by
-    a Heun predictor-corrector. The state travels as Python floats and the
-    arrays only record it. A lost diagonal dominance or a negative or
-    non-finite state aborts with TransportBlowupError.
+    Theta = a_bar + travel time to recovery. The memory window, a fixed
+    trapezoid stencil, is padded past Theta, where A is 0, to m =
+    max(ceil(Theta/dt), 1) steps, so the run takes round(t_max/dt) steps
+    of any dt, on the transport solver's clock; a window of more steps
+    than an array can hold raises ValueError. `history` supplies F on
+    [-m*dt, 0]; S is held at S0 before time zero.
+    The new F value appears inside its own convolution through the w = 0
+    node, a scalar linear equation solved in closed form each step; S
+    advances by a Heun predictor-corrector. The state travels as Python
+    floats and the arrays only record it. A lost diagonal dominance or a
+    negative or non-finite state aborts with TransportBlowupError.
     """
-    window = params.a_bar + params.clock.total_time
-    m = int(round(window / dt))
-    if m < 2 or abs(m * dt - window) > 1e-9 * max(1.0, window):
-        raise ValueError(
-            f"memory window {window:.12g} is not an integer multiple of dt = {dt:.12g}"
-        )
+    window_steps = (params.a_bar + params.clock.total_time) / dt
+    if not math.isfinite(window_steps):
+        raise ValueError(f"{window_steps!r} steps of dt = {dt!r} are more than an array can hold")
+    m = max(math.ceil(window_steps), 1)
     n_steps = int(round(t_max / dt))
     ages = dt * np.arange(m + 1)
     kernel = renewal_kernel_A(ages, params)
@@ -774,7 +774,7 @@ def simulate_renewal(
     size = m + 1 + n_steps
     f_arr = np.empty(size)
     s_arr = np.empty(size)
-    f_arr[: m + 1] = history(-window + dt * np.arange(m + 1))
+    f_arr[: m + 1] = history(ages - m * dt)
     s_arr[: m + 1] = S0
     sf = s_arr[: m + 1] * f_arr[: m + 1]
     sf_arr = np.empty(size)

@@ -16,7 +16,8 @@ hold the package within a rounding bound of it.
 
 ``simulate_renewal_array`` is the earlier renewal loop: it re-reads the
 state from the record arrays as numpy scalars each step and solves for F
-through a per-step closure. The package's loop carries the state as Python
+through a per-step closure. Its memory window is padded to whole steps as
+the package's is. The package's loop carries the state as Python
 floats with the same operations in the same order.
 
 ``sweep_branch_loop`` is the earlier branch sweep: one Python-float
@@ -36,6 +37,8 @@ returns a new ndarray. The package's integrator carries the state as a
 tuple of Python floats with the same operations in the same order, and
 must return the same trajectory, event time and event state bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -286,11 +289,7 @@ def simulate_renewal_array(params, history, S0, t_max, dt):
     """The renewal loop that re-reads numpy scalars and solves each F
     through a per-step closure."""
     window = params.a_bar + params.clock.total_time
-    m = int(round(window / dt))
-    if m < 2 or abs(m * dt - window) > 1e-9 * max(1.0, window):
-        raise ValueError(
-            f"memory window {window:.12g} is not an integer multiple of dt = {dt:.12g}"
-        )
+    m = max(math.ceil(window / dt), 1)  # padded past the window, where A is 0
     n_steps = int(round(t_max / dt))
     ages = dt * np.arange(m + 1)
     kernel = renewal_kernel_A(ages, params)
@@ -302,7 +301,7 @@ def simulate_renewal_array(params, history, S0, t_max, dt):
     size = m + 1 + n_steps
     f_arr = np.empty(size)
     s_arr = np.empty(size)
-    f_arr[: m + 1] = history(-window + dt * np.arange(m + 1))
+    f_arr[: m + 1] = history(-m * dt + dt * np.arange(m + 1))
     s_arr[: m + 1] = S0
     sf = s_arr[: m + 1] * f_arr[: m + 1]
     sf_arr = np.empty(size)

@@ -577,9 +577,15 @@ class TestRenewalForm:
         assert bh.renewal_kernel_A(6.0, env_params) > 0.0
         assert bh.renewal_kernel_A(34.999, env_params) < 1e-9
 
-    def test_kernel_support_is_bounded(self, direct_params):
-        with pytest.raises(ValueError, match="a_bar"):
-            bh.renewal_kernel_A(35.1, direct_params)
+    def test_kernel_support_is_bounded(self, direct_params, env_params):
+        # a_bar + travel time = 35: the kernel is exactly 0 at and past it
+        past = np.array([35.0, 35.0 + 1e-12, 35.1, 1e300, np.inf])
+        for p in (direct_params, env_params):
+            assert bh.renewal_kernel_A(past, p).tolist() == [0.0] * past.size
+            assert bh.renewal_kernel_A(35.0, p) == 0.0
+            with pytest.raises(ValueError, match="nonnegative"):
+                bh.renewal_kernel_A(-1e-12, p)
+        assert bh.renewal_kernel_A(34.9, env_params) > 0.0
 
     def test_total_integral_matches_its_closed_form(self, env_params):
         # each route integrates P e^{-M} = e^{-0.1 theta} over the travel
@@ -613,10 +619,19 @@ class TestRenewalForm:
         with pytest.raises(TransportBlowupError, match="non-finite"):
             bh.simulate_renewal(direct_params, nan_history, S0=10.0, t_max=1.0, dt=0.5)
 
-    def test_rejects_misaligned_memory_window(self, direct_params):
-        # window = a_bar + travel time = 35, not a multiple of 0.3
-        with pytest.raises(ValueError, match="memory window"):
-            bh.simulate_renewal(direct_params, zero_history, S0=10.0, t_max=1.0, dt=0.3)
+    @pytest.mark.parametrize("route", ["direct", "env"])
+    def test_misaligned_memory_window_is_padded(self, route, direct_params, env_params):
+        # window = a_bar + travel time = 35 is 116.67 steps of 0.3: padded to
+        # 117, where the kernel is 0, in both loops
+        params = direct_params if route == "direct" else env_params
+        history = decaying_history(params, 10.0)
+        run = bh.simulate_renewal(params, history, S0=10.0, t_max=30.0, dt=0.3)
+        ref = simulate_renewal_array(params, history, S0=10.0, t_max=30.0, dt=0.3)
+        assert run.t.size == 101
+        for name in ("t", "S", "F"):
+            got, want = getattr(run, name), getattr(ref, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert run.F.min() > 0.0
 
 
 class TestEndemicSpectrum:

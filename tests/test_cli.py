@@ -497,6 +497,44 @@ class TestExitCodes:
         assert "error: renewal: memory window 1e+300: " in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
+    def test_renewal_window_past_float_range_returns_two(self, tmp_path, capsys):
+        # a_bar / dt = 1e310 overflows to inf: the window's step count is
+        # refused as too long to allocate, not raised as an OverflowError;
+        # the one transport step meets the Courant bound
+        doc = json.loads((CONFIGS / "bh_matched.json").read_text())
+        doc["between_host"]["a_bar"] = 1e300
+        doc["grid"]["dt"] = doc["run"]["t_max"] = 1e-10
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["renewal-check", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: renewal: memory window 1e+300: inf steps of dt = 1e-10 are more than "
+            "an array can hold\n"
+        )
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("rates, root", [
+        ({"beta_h": 0.0}, True),
+        ({"beta_h": 1e-300}, True),
+        ({"beta_h": 0.0, "beta_e": 1e-10}, False),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pole_approach_stops_at_the_overflow_floor(self, tmp_path, rates, root):
+        # sigma = 1e300 puts the pole far below the overflow floor: the
+        # approach used to start at -sigma/2 and overflow e^{-lam*G}; it now
+        # stops at the floor, above which G crosses 1 or stays below it
+        doc = linked_doc()
+        doc["between_host"].update(rates, sigma=1e300)
+        out = tmp_path / "out"
+        assert cli.main(["spectral", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        if root:
+            assert -1200.0 < summary["lambda_hat"] < -1100.0
+            assert "lambda_hat_note" not in summary
+        else:
+            assert summary["lambda_hat"] is None
+            assert summary["lambda_hat_note"].startswith("characteristic function stays below 1 on [-1")
+
     @pytest.mark.parametrize("rate", ["Lambda", "alpha"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_manifold_returns_three(self, tmp_path, capsys, rate):
@@ -1167,6 +1205,25 @@ class TestEpiSimOutputs:
         summary = read_summary(out)
         assert summary["grid"]["n_omega"] == 100
         assert summary["grid"]["dt"] == 0.02
+
+
+class TestRenewalCheckOutputs:
+    def test_transport_columns_are_the_epi_sim_rows(self, tmp_path):
+        # one clock for both solvers: at output_stride 1 the renewal check's
+        # transport columns are epi-sim's S and F, value for value, on the
+        # linked document, where the window is not a whole number of steps
+        doc = linked_doc()
+        doc["run"].update(t_max=0.05, output_stride=1)
+        config = write_config(tmp_path, doc)
+        for command, out in (("epi-sim", "sim"), ("renewal-check", "renewal")):
+            assert cli.main([command, "--config", config, "--out", str(tmp_path / out)]) == 0
+        sim = [line.split(",") for line in (tmp_path / "sim" / "timeseries.csv").read_text().splitlines()]
+        renewal = [line.split(",") for line in (tmp_path / "renewal" / "renewal.csv").read_text().splitlines()]
+        assert renewal[0] == ["t", "S_pde", "F_pde", "S_renewal", "F_renewal"]
+        assert len(renewal) == len(sim) == 22
+        assert [row[:3] for row in renewal[1:]] == [[t, s, f] for t, s, _, _, _, f in sim[1:]]
+        summary = read_summary(tmp_path / "renewal")
+        assert summary["grid"] == {"n_omega": 60, "dt": 0.0025}
 
 
 class TestWithinSimClearance:

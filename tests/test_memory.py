@@ -1,10 +1,13 @@
-"""Peak memory of the transport records, the CSV lines drawn through the
-writer and the manifest hash, traced with tracemalloc (numpy reports its
-allocations to it), so the bounds do not depend on the allocator or the
-machine."""
+"""Peak memory of the transport records, the renewal check, the CSV lines
+drawn through the writer and the manifest hash, traced with tracemalloc
+(numpy reports its allocations to it), so the bounds do not depend on the
+allocator or the machine."""
 
+import argparse
 import hashlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +17,7 @@ from immunoepi import cli
 from conftest import make_between
 
 MIB = 1 << 20
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -42,6 +46,29 @@ def test_transport_records_cost_about_the_returned_arrays():
         for name in ("omega", "t", "S", "I_total", "V", "B", "F", "snapshot_t", "snapshots")
     ) + run.final.I.nbytes
     assert peak < 1.5 * returned
+
+
+def test_renewal_check_keeps_two_transport_rows(tmp_path):
+    # bh_env.json at its own horizon: n = 80 000 steps of dt = 0.0125, over
+    # 28 memory windows of m = 2 800 steps. The six-row transport record is
+    # freed once its S and F rows are copied out, so the peak is that record
+    # and the two rows, with slack
+    doc = json.loads((CONFIGS / "bh_env.json").read_text())
+    args = argparse.Namespace(grid_refine=1)
+
+    def check(t_max):
+        doc["run"]["t_max"] = t_max
+        path = tmp_path / f"bh_env_{t_max}.json"
+        path.write_text(json.dumps(doc))
+        summary, files = cli._cmd_renewal_check(cli.load_scenario(path), args)
+        return summary, sum(1 for _ in files["renewal.csv"])
+
+    check(1.0)  # warm-up: imports and first-call caches are not the check's cost
+    (summary, n_lines), peak = traced_peak(check, 1000.0)
+    n = 80_000
+    assert summary["memory_window"] / summary["grid"]["dt"] == 2_800
+    assert n_lines == n + 2
+    assert peak < 9 * 8 * (n + 1)
 
 
 def test_manifest_hash_reads_in_chunks(tmp_path):
