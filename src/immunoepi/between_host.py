@@ -18,16 +18,17 @@ nonlocal boundary condition, driven by direct (beta_h) and environmental
 This module provides the transport solver, the reproduction number and its
 spectral refinement, the endemic equilibrium with residual checks,
 stability residuals of the endemic linearization, and an equivalent
-renewal-equation formulation used for cross-checking. The endemic
-residual is the infection-free characteristic function over R0 plus the
-return through the recovered pool, so R0, its growth rate, the endemic
-state and the residual read one characteristic table. All of them read
-G, M and the survival density pi = exp(-M)/g from one StatusClock per
-parameter set, `BetweenHostParams.clock`, and sum their status integrals
-with the guarded Simpson rule `numerics.quadrature` on a fixed panel
-count (TABLE_PANELS, and KERNEL_TOTAL_PANELS for the kernel's total
-integral, one row over the travel time), so a non-finite integral raises
-NonFiniteError.
+renewal-equation formulation used for cross-checking; it starts from the
+transport solver's initial density and S and builds the matching force of
+infection history itself. The endemic residual is the infection-free
+characteristic function over R0 plus the return through the recovered
+pool, so R0, its growth rate, the endemic state and the residual read one
+characteristic table. All of them read G, M and the survival density pi =
+exp(-M)/g from one StatusClock per parameter set, `BetweenHostParams.clock`,
+and sum their status integrals with the guarded Simpson rule
+`numerics.quadrature` on a fixed panel count (TABLE_PANELS, and
+KERNEL_TOTAL_PANELS for the kernel's total integral, one row over the
+travel time), so a non-finite integral raises NonFiniteError.
 """
 
 from __future__ import annotations
@@ -737,27 +738,36 @@ class RenewalRun:
 
 def simulate_renewal(
     params: BetweenHostParams,
-    history: Callable[[np.ndarray], np.ndarray],
+    initial_I: Coefficient,
     S0: float,
     t_max: float,
     dt: float,
 ) -> RenewalRun:
     """Advance the renewal pair S' = r - mu1*S - S*F,
-    F(t) = int_0^Theta A(w) S(t-w) F(t-w) dw.
+    F(t) = int_0^Theta A(w) S(t-w) F(t-w) dw, from the infected density
+    initial_I and S0 at t = 0.
 
-    Theta = a_bar + travel time to recovery. The memory window, a fixed
+    Theta = a_bar + travel time T0 to recovery. The memory window, a fixed
     trapezoid stencil, is padded past Theta, where A is 0, to m =
     max(ceil(Theta/dt), 1) steps, so the run takes round(t_max/dt) steps
-    of any dt, on the transport solver's clock; a window of more steps
-    than an array can hold raises ValueError. `history` supplies F on
-    [-m*dt, 0]; S is held at S0 before time zero.
+    of any dt, on the transport solver's clock. The density enters as the
+    matched history F(-theta) = initial_I(w(theta)) / (pi(w(theta)) * S0)
+    for theta <= T0, zero earlier: entrants at -theta that survived to
+    status w(theta), with S held at S0. A history that is not finite (an
+    underflowed survival factor) raises NonFiniteError; a window of more
+    steps than an array can hold, and rho > 0 (no return flow from the
+    recovered pool), raise ValueError.
     The new F value appears inside its own convolution through the w = 0
     node, a scalar linear equation solved in closed form each step; S
     advances by a Heun predictor-corrector. The state travels as Python
     floats and the arrays only record it. A lost diagonal dominance or a
     negative or non-finite state aborts with TransportBlowupError.
     """
-    window_steps = (params.a_bar + params.clock.total_time) / dt
+    if params.rho > 0:
+        raise ValueError(f"rho = {params.rho!r}: the renewal pair has no return from the recovered pool")
+    clock = params.clock
+    total = clock.total_time
+    window_steps = (params.a_bar + total) / dt
     if not math.isfinite(window_steps):
         raise ValueError(f"{window_steps!r} steps of dt = {dt!r} are more than an array can hold")
     m = max(math.ceil(window_steps), 1)
@@ -774,7 +784,12 @@ def simulate_renewal(
     size = m + 1 + n_steps
     f_arr = np.empty(size)
     s_arr = np.empty(size)
-    f_arr[: m + 1] = history(ages - m * dt)
+    theta = m * dt - ages
+    w = clock.status_at(np.minimum(theta, total))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f_arr[: m + 1] = np.where(theta <= total, initial_I(w) / (survival_pi(w, params) * S0), 0.0)
+    if not np.isfinite(f_arr[: m + 1]).all():
+        raise NonFiniteError("renewal: the history matched to run.initial.I is not finite")
     s_arr[: m + 1] = S0
     sf = s_arr[: m + 1] * f_arr[: m + 1]
     sf_arr = np.empty(size)
@@ -874,8 +889,10 @@ def endemic_spectrum_scan(params: BetweenHostParams) -> ResidualScan:
     neighbours of opposite sign bracket a root, which is refined by scalar
     calls of the same residual. Only the signs of the values are
     multiplied, so no product overflows; a non-finite residual raises
-    NonFiniteError. An empty root list is the numerical witness that no
-    real nonnegative growth rate exists; complex roots are outside this
+    NonFiniteError. The root list is empty for every parameter set: for
+    real lam >= 0 every weight of G falls as lam grows, so G/R0 <= 1, and
+    R(lam) <= rho/(rho + mu3) < 1, so the residual is at most F*(R(lam) -
+    1)/(lam + mu1) < 0. An unstable mode can only be complex, outside this
     check's scope.
     """
     residual = endemic_char_residual(params)

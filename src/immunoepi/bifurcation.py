@@ -155,6 +155,9 @@ class SweepResult:
         ))
 
 
+_Sweep = namedtuple("_Sweep", "values Gamma exists trivial upper lower")
+
+
 def _branch(param, T, P, params: wh.WithinHostParams, Gamma) -> Branch:
     """The points (T, P) at clearance rates Gamma with the eigenvalues and
     stability tag of the fast Jacobian there (trace and determinant within
@@ -179,6 +182,23 @@ def _branch(param, T, P, params: wh.WithinHostParams, Gamma) -> Branch:
     return Branch(param, T, P, eigenvalues, stability)
 
 
+def _sweep(params: wh.WithinHostParams, spec: SweepSpec) -> _Sweep:
+    """The sweep grid's values, clearance rates and pair mask, and its
+    trivial, upper and lower branches on every value (NaN where no pair
+    exists), in one guarded pass. Rates past the float range give infinite
+    rates, equilibria and NaN linearisations here, unwarned; the callers
+    refuse what is not finite."""
+    values = spec.values()
+    with np.errstate(over="ignore", invalid="ignore"):
+        Gamma = spec.to_gamma(params, values)
+        eq = wh.equilibria_fast(params, Gamma)
+        trivial = _branch(
+            values, np.full_like(values, eq.trivial[0]), np.zeros_like(values), params, Gamma
+        )
+        upper, lower = (_branch(values, T, P, params, Gamma) for T, P in (eq.upper, eq.lower))
+    return _Sweep(values, Gamma, eq.exists, trivial, upper, lower)
+
+
 def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
     """Trace the equilibrium branches over the sweep range.
 
@@ -187,27 +207,18 @@ def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
     Raises ValueError if no point of the range admits a
     nontrivial equilibrium.
     """
-    values = spec.values()
-    # rates past the float range give infinite clearance rates, equilibria
-    # and NaN linearisations here, unwarned: cycle_amplitude starts its
-    # orbits on the same branch and refuses them with NonFiniteError
-    with np.errstate(over="ignore", invalid="ignore"):
-        Gamma = spec.to_gamma(params, values)
-        eq = wh.equilibria_fast(params, Gamma)
-        trivial = _branch(
-            values, np.full_like(values, eq.trivial[0]), np.zeros_like(values), params, Gamma
-        )
-        pair = eq.exists
-        upper, lower = (
-            _branch(values[pair], T[pair], P[pair], params, Gamma[pair])
-            for T, P in (eq.upper, eq.lower)
-        )
+    sweep = _sweep(params, spec)
+    pair = sweep.exists
     if not pair.any():
         raise ValueError(
             "no nontrivial equilibrium anywhere on the sweep range "
             f"({spec.which} in [{spec.lo}, {spec.hi}])"
         )
-    return SweepResult(upper=upper, lower=lower, trivial=trivial)
+    upper, lower = (
+        Branch(*(getattr(branch, f.name)[pair] for f in fields(Branch)))
+        for branch in (sweep.upper, sweep.lower)
+    )
+    return SweepResult(upper=upper, lower=lower, trivial=sweep.trivial)
 
 
 def detect_all_events(params: wh.WithinHostParams, spec: SweepSpec) -> list[BifurcationEvent]:
@@ -405,17 +416,12 @@ def cycle_amplitude(
     Raises NonFiniteError naming a column not finite in its clearance
     rate, start or orbit.
     """
-    values = spec.values()
     budget, window_steps = int(round((transient + window) / step)), int(round(window / step))
-    # rates past the float range give infinite clearance rates and
-    # equilibria here, unwarned, and are refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        Gamma = spec.to_gamma(params, values)
-        eq = wh.equilibria_fast(params, Gamma)
-        upper = _branch(values, eq.upper[0], eq.upper[1], params, Gamma)
+    sweep = _sweep(params, spec)
+    upper = sweep.upper
     columns = []
     for value, G, exists, T_eq, P_eq, tag in zip(
-        values.tolist(), Gamma.tolist(), eq.exists.tolist(),
+        sweep.values.tolist(), sweep.Gamma.tolist(), sweep.exists.tolist(),
         upper.T.tolist(), upper.P.tolist(), upper.stability.tolist(),
     ):
         where = f"{spec.which}={value!r}"
@@ -425,4 +431,4 @@ def cycle_amplitude(
             (params.Lambda, params.mu, params.alpha, G), T_eq, P_eq, tag.startswith("stable"),
             step, budget, window_steps, where,
         ) if exists else (0.0, 0.0, math.nan, 0, False, True, False, math.nan))
-    return CycleTable(values, *map(np.array, list(zip(*columns))[:-1]))
+    return CycleTable(sweep.values, *map(np.array, list(zip(*columns))[:-1]))

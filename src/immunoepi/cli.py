@@ -10,7 +10,8 @@ deterministic CSV/JSON outputs:
 * ``r0``             reproduction number with its route breakdown
 * ``equilibria``     endemic equilibrium values and stationarity residuals
 * ``epi-sim``        structured transport simulation
-* ``renewal-check``  renewal reformulation vs. the transport solver
+* ``renewal-check``  renewal reformulation vs. the transport solver, both
+                     from run.initial on the transport's clock
 * ``spectral``       infection-free growth rate and endemic residual scan
 * ``plot-data``      gnuplot-ready data blocks from earlier runs
 
@@ -24,7 +25,8 @@ full-precision numbers) and ``manifest.json`` (sha256 of every other file
 in ``--out``, an upstream run's included; the manifest itself is not
 self-listed). A run that fails has written nothing. Identical configs
 produce byte-identical outputs. The ``IMMUNOEPI_LOG`` environment
-variable sets log verbosity.
+variable sets the log level; the one message is the info line naming the
+number of files written.
 Exit codes: 0 success, 2 invalid config or arguments, 3 numerical failure.
 
 At module level this imports only the standard library and ``errors``;
@@ -382,40 +384,6 @@ def _cmd_epi_sim(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     return summary, files
 
 
-def _matched_history(cfg: ScenarioConfig):
-    """Force-of-infection history encoding the initial infected density.
-
-    The renewal form carries I(0, omega) as past boundary input: entrants
-    at time -G(omega) that survived to status omega. Inverting the survival
-    factor and holding S at its initial value before time zero gives
-    F(-theta) = phi(w(theta)) / (pi(w(theta)) * S0) for theta within the
-    travel time to recovery, zero earlier. Where the survival factor has
-    underflowed to zero the history is not finite, and NonFiniteError
-    refuses it before the renewal loop starts.
-    """
-    import numpy as np
-
-    from . import between_host
-
-    params = cfg.between
-    clock = params.clock
-    s0 = cfg.initial_S
-    phi = cfg.initial_I
-    total = clock.total_time
-
-    def history(s):
-        s = np.asarray(s, dtype=float)
-        theta = np.clip(-s, 0.0, None)
-        w = clock.status_at(np.minimum(theta, total))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals = np.where(theta <= total, phi(w) / (between_host.survival_pi(w, params) * s0), 0.0)
-        if not np.isfinite(vals).all():
-            raise NonFiniteError("renewal: the history matched to run.initial.I is not finite")
-        return vals
-
-    return history
-
-
 def _cmd_renewal_check(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     import numpy as np
 
@@ -442,7 +410,7 @@ def _cmd_renewal_check(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     del pde
     try:
         renewal = between_host.simulate_renewal(
-            params, _matched_history(cfg), cfg.initial_S, cfg.t_max, dt
+            params, cfg.initial_I, cfg.initial_S, cfg.t_max, dt
         )
     except ValueError as exc:
         # a memory window too long to allocate is refused in the set-up
@@ -457,9 +425,8 @@ def _cmd_renewal_check(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
         "r0": basic,
     }
     if basic > 1:
-        eq = between_host.endemic_equilibrium(params)
-        total_kernel = between_host.kernel_total_integral(params)
-        summary["stationary_kernel_identity"] = eq.S * total_kernel
+        s_star = params.r / params.mu1 / basic
+        summary["stationary_kernel_identity"] = s_star * between_host.kernel_total_integral(params)
     lines = _csv_lines(
         "t,S_pde,F_pde,S_renewal,F_renewal", renewal.t, s_pde, f_pde, renewal.S, renewal.F
     )

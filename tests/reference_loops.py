@@ -17,7 +17,10 @@ hold the package within a rounding bound of it.
 ``simulate_renewal_array`` is the earlier renewal loop: it re-reads the
 state from the record arrays as numpy scalars each step and solves for F
 through a per-step closure. Its memory window is padded to whole steps as
-the package's is. The package's loop carries the state as Python
+the package's is. It reads F before time zero from a history callable,
+where the package builds that history from the initial density; the tests
+pass the history matched to the same density, so the comparison also pins
+the package's history. The package's loop carries the state as Python
 floats with the same operations in the same order.
 
 ``sweep_branch_loop`` is the earlier branch sweep: one Python-float

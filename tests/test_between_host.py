@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from immunoepi import between_host as bh
 from immunoepi import coefficients as coef
-from immunoepi.errors import BracketError, NumericsError, TransportBlowupError
+from immunoepi.errors import BracketError, NonFiniteError, NumericsError, TransportBlowupError
 from immunoepi.numerics import find_root, quadrature
 
 from conftest import linked_params, make_between
@@ -47,6 +47,10 @@ A_AT_2_REF = 0.16374615061559637  # beta_h e^{-0.2}
 LAMBDA_DIRECT_REF = 1.8999157640175564
 LAMBDA_ENV_REF = 1.9805714871787894
 K_DIRECT_REF = 0.6869386805747332  # beta_h int P I* = beta_h I0 g0 J = mu1 (R0 - 1)
+
+
+# the initial infected density of the renewal runs
+DECAYING = coef.exponential(0.5, -1.0)
 
 
 def zero_history(s):
@@ -152,7 +156,7 @@ class TestStatusClock:
         monkeypatch.setattr(bh, "SPECTRUM_SCAN_STEP", 0.25)
         bh.endemic_spectrum_scan(p)
         # memory window a_bar + travel time = 35 is 70 steps of 0.5
-        bh.simulate_renewal(p, lambda s: np.full_like(s, 0.01), 10.0, 1.0, 0.5)
+        bh.simulate_renewal(p, DECAYING, 10.0, 1.0, 0.5)
         assert calls == [p]
         assert p.clock is p.clock
 
@@ -521,50 +525,59 @@ class TestFluxFormReference:
             assert abs(got - want) <= bound * np.max(getattr(ref, pool)), pool
 
 
-def decaying_history(params, s0):
-    """F history that encodes the initial density 0.5*e^{-w}: entrants at
-    -theta that survived to status w(theta), zero before the travel time."""
+def matched_history(params, initial_I, s0):
+    """F history that encodes an initial density: entrants at -theta that
+    survived to status w(theta), with S held at s0, zero before the travel
+    time. The reference loop reads it; the package builds its own."""
     clock = params.clock
     total = clock.total_time
 
     def history(s):
         theta = np.clip(-np.asarray(s, dtype=float), 0.0, None)
         w = clock.status_at(np.minimum(theta, total))
-        vals = 0.5 * np.exp(-w) / (bh.survival_pi(w, params) * s0)
+        vals = initial_I(w) / (bh.survival_pi(w, params) * s0)
         return np.where(theta <= total, vals, 0.0)
 
     return history
 
 
 class TestRenewalReference:
-    """The float-state renewal loop reproduces the numpy-scalar loop with
-    its per-step closure bit for bit, and fails on the same inputs."""
+    """The float-state renewal loop, from an initial density, reproduces the
+    numpy-scalar loop with its per-step closure, from the history matched to
+    that density, bit for bit, and fails on the same inputs."""
 
     @pytest.mark.parametrize("route", ["direct", "env"])
     @pytest.mark.parametrize("s0", [3.0, 10.0])
     def test_runs_match_the_array_loop_bit_for_bit(self, route, s0, direct_params, env_params):
         params = direct_params if route == "direct" else env_params
-        history = decaying_history(params, s0)
+        history = matched_history(params, DECAYING, s0)
         assert history(np.array([-1.0]))[0] > 0.0
-        run = bh.simulate_renewal(params, history, S0=s0, t_max=20.0, dt=0.05)
+        run = bh.simulate_renewal(params, DECAYING, S0=s0, t_max=20.0, dt=0.05)
         ref = simulate_renewal_array(params, history, S0=s0, t_max=20.0, dt=0.05)
         for name in ("t", "S", "F"):
             got, want = getattr(run, name), getattr(ref, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         assert run.F.max() > 0.0
 
-    def test_non_finite_history_fails_in_both_loops(self, direct_params):
+    def test_negative_history_fails_in_both_loops(self, direct_params):
+        # a negative density gives a negative history, and the first step's
+        # F falls below the negativity tolerance: the loops' own guard
+        negative = coef.exponential(-0.5, -1.0)
+        history = matched_history(direct_params, negative, 10.0)
+        with pytest.raises(TransportBlowupError, match="non-finite"):
+            bh.simulate_renewal(direct_params, negative, S0=10.0, t_max=1.0, dt=0.5)
         nan_history = lambda s: np.full_like(np.asarray(s, dtype=float), np.nan)
-        for loop in (bh.simulate_renewal, simulate_renewal_array):
+        for past in (history, nan_history):
             with pytest.raises(TransportBlowupError, match="non-finite"):
-                loop(direct_params, nan_history, S0=10.0, t_max=1.0, dt=0.5)
+                simulate_renewal_array(direct_params, past, S0=10.0, t_max=1.0, dt=0.5)
 
     def test_lost_diagonal_dominance_fails_in_both_loops(self, direct_params):
         # anchor = 0.5*dt*A(0) = 0.05: S near 100 makes 1 - anchor*S negative
-        history = decaying_history(direct_params, 100.0)
-        for loop in (bh.simulate_renewal, simulate_renewal_array):
-            with pytest.raises(TransportBlowupError, match="diagonal dominance"):
-                loop(direct_params, history, S0=100.0, t_max=1.0, dt=0.5)
+        history = matched_history(direct_params, DECAYING, 100.0)
+        with pytest.raises(TransportBlowupError, match="diagonal dominance"):
+            bh.simulate_renewal(direct_params, DECAYING, S0=100.0, t_max=1.0, dt=0.5)
+        with pytest.raises(TransportBlowupError, match="diagonal dominance"):
+            simulate_renewal_array(direct_params, history, S0=100.0, t_max=1.0, dt=0.5)
 
 
 class TestRenewalForm:
@@ -602,30 +615,49 @@ class TestRenewalForm:
             assert eq.S * bh.kernel_total_integral(p) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_history_stays_infection_free(self, direct_params):
-        run = bh.simulate_renewal(direct_params, zero_history, S0=5.0, t_max=20.0, dt=0.25)
+        # a zero initial density is a zero history
+        run = bh.simulate_renewal(direct_params, coef.constant(0.0), S0=5.0, t_max=20.0, dt=0.25)
         assert run.F.max() == 0.0
         assert run.S[-1] == pytest.approx(10.0 - 5.0 * np.exp(-2.0), abs=1e-3)
 
     def test_endemic_state_is_stationary(self, direct_params):
+        # without the environmental route the kernel is zero past T0, so the
+        # history matched to the endemic profile is the constant F* in the
+        # window, up to the profile's interpolation
         eq = bh.endemic_equilibrium(direct_params)
         force = K_DIRECT_REF
-        history = lambda s: np.full_like(np.asarray(s, dtype=float), force)
-        run = bh.simulate_renewal(direct_params, history, S0=eq.S, t_max=30.0, dt=0.025)
+        profile = coef.table(eq.omega.tolist(), eq.I.tolist())
+        history = matched_history(direct_params, profile, eq.S)
+        theta = np.linspace(0.0, direct_params.clock.total_time, 41)
+        np.testing.assert_allclose(history(-theta), force, rtol=1e-6)
+        run = bh.simulate_renewal(direct_params, profile, S0=eq.S, t_max=30.0, dt=0.025)
         assert abs(run.F[-1] - force) / force < 5e-3
         assert abs(run.S[-1] - eq.S) / eq.S < 5e-3
 
-    def test_non_finite_history_is_a_blowup(self, direct_params):
-        nan_history = lambda s: np.full_like(np.asarray(s, dtype=float), np.nan)
-        with pytest.raises(TransportBlowupError, match="non-finite"):
-            bh.simulate_renewal(direct_params, nan_history, S0=10.0, t_max=1.0, dt=0.5)
+    def test_non_finite_history_is_refused(self, direct_params):
+        # a non-finite density, or one over a survival factor that has
+        # underflowed to zero, gives a history that is not finite: refused
+        # before the loop, without a warning
+        underflowed = replace(direct_params, mu2=coef.constant(1e300))
+        for params, density in ((direct_params, coef.constant(np.nan)), (underflowed, DECAYING)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError, match="run.initial.I is not finite"):
+                    bh.simulate_renewal(params, density, S0=10.0, t_max=1.0, dt=0.5)
+
+    def test_recovered_return_is_refused(self, direct_params):
+        # the renewal pair has no return flow from the recovered pool
+        recycling = replace(direct_params, rho=0.1)
+        with pytest.raises(ValueError, match="rho = 0.1"):
+            bh.simulate_renewal(recycling, DECAYING, S0=10.0, t_max=1.0, dt=0.5)
 
     @pytest.mark.parametrize("route", ["direct", "env"])
     def test_misaligned_memory_window_is_padded(self, route, direct_params, env_params):
         # window = a_bar + travel time = 35 is 116.67 steps of 0.3: padded to
         # 117, where the kernel is 0, in both loops
         params = direct_params if route == "direct" else env_params
-        history = decaying_history(params, 10.0)
-        run = bh.simulate_renewal(params, history, S0=10.0, t_max=30.0, dt=0.3)
+        history = matched_history(params, DECAYING, 10.0)
+        run = bh.simulate_renewal(params, DECAYING, S0=10.0, t_max=30.0, dt=0.3)
         ref = simulate_renewal_array(params, history, S0=10.0, t_max=30.0, dt=0.3)
         assert run.t.size == 101
         for name in ("t", "S", "F"):
@@ -716,6 +748,25 @@ class TestEndemicSpectrum:
         monkeypatch.setattr(bh, "SPECTRUM_SCAN_STEP", 0.05)
         assert bh.endemic_spectrum_scan(direct_params).roots == []
         assert bh.endemic_spectrum_scan(env_params).roots == []
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_real_axis_residual_is_negative(self, rng, recycling):
+        # for real lam >= 0 every weight of G falls as lam grows, so G/R0 <= 1,
+        # and R(lam) <= rho/(rho + mu3) < 1: the residual is at most
+        # F*(R(lam) - 1)/(lam + mu1) < 0, so no real rate lam >= 0 is a root
+        p = random_between(rng)
+        if not recycling:
+            p = replace(p, rho=0.0)
+        basic = bh.r0(p)
+        assume(basic > 1.0)
+        lam = np.linspace(0.0, 50.0, 201)
+        survived = float(np.exp(-p.clock.decay[-1]))
+        force = p.mu1 * (basic - 1.0) / (1.0 - p.rho * survived / (p.rho + p.mu3))
+        returned = p.rho * survived * np.exp(-lam * p.clock.total_time) / (lam + p.rho + p.mu3)
+        bound = force * (returned - 1.0) / (lam + p.mu1)
+        assert (bound < 0.0).all()
+        residual = bh.endemic_char_residual(p)(lam)
+        assert (residual <= bound + 64.0 * EPS * (1.0 + np.abs(bound))).all()
 
 
 def unhoisted_residual(lam, params):

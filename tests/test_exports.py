@@ -1,12 +1,14 @@
 """Static checks of the code base. Each module's ``__all__`` names only what
 the module itself defines, so a re-export (an exception from ``errors``
 listed again in ``numerics``, say) cannot come back unnoticed. Every Python
-file parses with the oldest supported grammar, and every dataclass field
-has a reader."""
+file parses with the oldest supported grammar, every dataclass field has a
+reader, and every name and argument the benchmark tracer binds exists."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -27,6 +29,15 @@ OLDEST_PYTHON = (3, 10)
 # every field reaches an output file without an attribute read: the events
 # of events.json
 SERIALISED_WHOLE = {"BifurcationEvent"}
+# the arguments perfbench/tracer.py reads for each extra counter of a timed
+# layer; "nodes" reads the first positional argument and "ode_steps" the result
+COUNTER_ARGUMENTS = {
+    "transport_steps": ("t_max", "dt", "n_omega"),
+    "renewal_steps": ("t_max", "dt"),
+    "orbit_steps": ("spec", "transient", "window", "step"),
+    "nodes": (),
+    "ode_steps": (),
+}
 
 
 def python_files(*directories):
@@ -71,3 +82,24 @@ def test_every_dataclass_field_has_a_reader():
                 if field.name not in read
             ]
     assert unread == []
+
+
+def test_every_name_the_tracer_binds_exists():
+    """The benchmark tracer wraps functions by module and attribute name and
+    reads some of their arguments by name; a rename breaks it at run time."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bound = {}
+    for module_name, attr, layer, extra in tracer.TIMED:
+        obj = importlib.import_module(f"immunoepi.{module_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        bound[layer] = obj
+        if extra is not None:
+            missing = set(COUNTER_ARGUMENTS[extra]) - set(inspect.signature(obj).parameters)
+            assert not missing, f"{module_name}.{attr} lacks {sorted(missing)}"
+    for module_name, attr, _ in tracer.COUNTED:
+        assert callable(getattr(importlib.import_module(f"immunoepi.{module_name}"), attr))
+    for layer, (argument, _) in tracer.CALLBACKS.items():
+        assert argument in inspect.signature(bound[layer]).parameters, layer
