@@ -23,9 +23,10 @@ transport solver's initial density and S and builds the matching force of
 infection history itself. The endemic residual is the infection-free
 characteristic function over R0 plus the return through the recovered
 pool, so R0, its growth rate, the endemic state and the residual read one
-characteristic table. All of them read G, M and the survival density pi =
-exp(-M)/g from one StatusClock per parameter set, `BetweenHostParams.clock`,
-and sum their status integrals with the guarded Simpson rule
+characteristic table, every TABLE_STRIDE-th node of the one StatusClock
+built with each parameter set, `BetweenHostParams.clock`. That clock
+evaluates and checks each coefficient once and holds G, M and the survival
+density pi = exp(-M)/g. Status integrals use the guarded Simpson rule
 `numerics.quadrature` on a fixed panel count (TABLE_PANELS, and
 KERNEL_TOTAL_PANELS for the kernel's total integral, one row over the
 travel time), so a non-finite integral raises NonFiniteError.
@@ -33,7 +34,6 @@ travel time), so a non-finite integral raises NonFiniteError.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -72,6 +72,8 @@ POLE_GUARD = 1e-8
 CLOCK_NODES = 16384
 # Simpson panels of the status integrals J_P, J_xi and of each kernel row
 TABLE_PANELS = 64
+# the characteristic's nodes are every TABLE_STRIDE-th clock node
+TABLE_STRIDE = CLOCK_NODES // TABLE_PANELS
 # Simpson panels of the kernel's total integral over the travel time
 KERNEL_TOTAL_PANELS = 256
 # Simpson rows per block: distinct renewal-kernel intervals, or endemic scan rates
@@ -96,9 +98,9 @@ class BetweenHostParams:
     coefficients are `Coefficient` instances over [0, omega0]: mu2 (extra
     removal of infecteds), xi (environmental shedding), P (infectiousness
     weight), and g (status growth speed, strictly positive). a_bar caps the
-    age of environmental bacteria in the renewal formulation. The set is
-    frozen, so its status clock is built once, on first use, and every
-    between-host quantity reads that one clock.
+    age of environmental bacteria in the renewal formulation. The frozen set
+    builds its status clock, `clock`, after the scalar and type checks; the
+    clock checks the coefficients, and every between-host quantity reads it.
     """
 
     r: float
@@ -124,29 +126,12 @@ class BetweenHostParams:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-        probe = np.linspace(0.0, self.omega0, 65)
         for name in COEFFICIENT_FIELDS:
             fn = getattr(self, name)
             if not isinstance(fn, Coefficient):
                 raise TypeError(f"{name} must be a Coefficient, got {type(fn).__name__}")
-            nodes = probe
-            if fn.family == "table":
-                # piecewise linear: its knots inside [0, omega0] decide the sign exactly
-                knots = np.asarray(fn.describe["omega"])
-                nodes = np.union1d(probe, knots[(knots >= 0.0) & (knots <= self.omega0)])
-            vals = fn(nodes)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"{name}(omega) is not finite on [0, omega0]")
-            if name == "g":
-                if np.any(vals <= 0):
-                    raise ValueError("g(omega) must be strictly positive on [0, omega0]")
-            elif np.any(vals < 0):
-                raise ValueError(f"{name}(omega) must be nonnegative on [0, omega0]")
-
-    @functools.cached_property
-    def clock(self) -> StatusClock:
-        """The status clock of this parameter set."""
-        return build_clock(self)
+        # an attribute, not a field: no config key, echo or comparison reads it
+        object.__setattr__(self, "clock", build_clock(self))
 
 
 # the functional coefficients, read off the field annotations
@@ -201,20 +186,20 @@ class StatusClock:
     the survival density pi = exp(-M)/g: the reproduction number, both
     characteristic equations, the endemic profile and the renewal kernel
     all read them from `BetweenHostParams.clock`, the one clock of each
-    parameter set.
+    parameter set. p_over_g and xi hold P/g and xi on every TABLE_STRIDE-th
+    node, the characteristic's TABLE_PANELS+1 Simpson nodes.
     """
 
     omega: np.ndarray
     elapsed: np.ndarray
     decay: np.ndarray
+    p_over_g: np.ndarray
+    xi: np.ndarray
 
     @property
     def total_time(self) -> float:
         """Travel time from status 0 to omega0."""
         return float(self.elapsed[-1])
-
-    def time_of(self, omega):
-        return np.interp(omega, self.omega, self.elapsed)
 
     def status_at(self, theta):
         return np.interp(theta, self.elapsed, self.omega)
@@ -224,21 +209,36 @@ class StatusClock:
 
 
 def build_clock(params: BetweenHostParams) -> StatusClock:
-    """Tabulate the travel-time and removal-exposure integrals on [0, omega0].
-
-    Cumulative trapezoid on CLOCK_NODES+1 uniform nodes; exact for constant
-    ratios.
+    """The one place that places status nodes and evaluates and checks the
+    coefficients: g and mu2 on CLOCK_NODES+1 uniform nodes of [0, omega0],
+    P and xi on every TABLE_STRIDE-th one. Each must be finite there and on
+    a table coefficient's knots in [0, omega0], which decide its sign
+    exactly; g positive, the others nonnegative, or ValueError. G and M are
+    cumulative trapezoids on the clock nodes, exact for constant ratios.
     """
     nodes = np.linspace(0.0, params.omega0, CLOCK_NODES + 1)
-    g_vals = params.g(nodes)
-    if np.any(g_vals <= 0):
-        raise ValueError("g(omega) must be strictly positive on [0, omega0]")
+    table_nodes = nodes[::TABLE_STRIDE].copy()
+    values = {}
+    for name in COEFFICIENT_FIELDS:
+        fn = getattr(params, name)
+        values[name] = vals = fn(nodes if name in ("mu2", "g") else table_nodes)
+        if fn.family == "table":
+            knots = np.asarray(fn.describe["omega"])
+            vals = np.append(vals, fn(knots[(knots >= 0.0) & (knots <= params.omega0)]))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{name}(omega) is not finite on [0, omega0]")
+        if name == "g":
+            if np.any(vals <= 0):
+                raise ValueError("g(omega) must be strictly positive on [0, omega0]")
+        elif np.any(vals < 0):
+            raise ValueError(f"{name}(omega) must be nonnegative on [0, omega0]")
     step = params.omega0 / CLOCK_NODES
-    inv_g = 1.0 / g_vals
-    ratio = params.mu2(nodes) * inv_g
+    inv_g = 1.0 / values["g"]
+    ratio = values["mu2"] * inv_g
     elapsed = np.concatenate([[0.0], np.cumsum(0.5 * (inv_g[1:] + inv_g[:-1]) * step)])
     decay = np.concatenate([[0.0], np.cumsum(0.5 * (ratio[1:] + ratio[:-1]) * step)])
-    return StatusClock(omega=nodes, elapsed=elapsed, decay=decay)
+    p_over_g = values["P"] / values["g"][::TABLE_STRIDE]
+    return StatusClock(omega=nodes, elapsed=elapsed, decay=decay, p_over_g=p_over_g, xi=values["xi"])
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +268,16 @@ def _characteristic(params: BetweenHostParams) -> Callable:
       J_xi = int_0^omega0 xi(w)*P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
 
     with G, M the clock integrals, by Simpson's rule on TABLE_PANELS
-    panels. The lam-independent node values (P/g, M, G, xi) are tabulated
-    once. Returns lam -> (direct, environmental, J_xi); G is direct +
-    environmental. lam may be a scalar (real or complex) or a 1-d array of
-    rates, one Simpson row per rate, each entry equal bit for bit to the
-    scalar call.
+    panels. The lam-independent node values (P/g, M, G, xi) are the
+    clock's, on every TABLE_STRIDE-th clock node, so no coefficient is
+    evaluated and nothing is interpolated here. Returns lam -> (direct,
+    environmental, J_xi); G is direct + environmental. lam may be a scalar
+    (real or complex) or a 1-d array of rates, one Simpson row per rate,
+    each entry equal bit for bit to the scalar call.
     """
-    nodes = np.linspace(0.0, params.omega0, TABLE_PANELS + 1)
-    p_over_g = params.P(nodes) / params.g(nodes)
     clock = params.clock
-    decay, elapsed, xi = clock.decay_at(nodes), clock.time_of(nodes), params.xi(nodes)
+    p_over_g, xi = clock.p_over_g, clock.xi
+    decay, elapsed = clock.decay[::TABLE_STRIDE], clock.elapsed[::TABLE_STRIDE]
     s0 = params.r / params.mu1
 
     def routes(lam):
@@ -333,10 +333,10 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
         # approach the pole at -sigma geometrically (environmental route), or
         # double lo down (no pole), no lower than where a weight
         # (<= peak*e^{-lam*total}) or a sum could overflow
-        nodes = np.linspace(0.0, params.omega0, TABLE_PANELS + 1)
-        peak = float(np.max(params.P(nodes) / params.g(nodes))) * max(1.0, float(params.xi(nodes).max()))
+        clock = params.clock
+        peak = float(np.max(clock.p_over_g)) * max(1.0, float(clock.xi.max()))
         margin = math.log(np.finfo(float).max / 3.0) - math.log(max(1.0, 3.0 * TABLE_PANELS * peak))
-        total = params.clock.total_time
+        total = clock.total_time
         floor = max(-margin / total, -np.finfo(float).max) if margin > 0 and total > 0 else 0.0
         pole, gap = environmental > 0, 0.5 * params.sigma
         lo = max(-params.sigma + gap if pole else -1.0, floor)

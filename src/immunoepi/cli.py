@@ -27,7 +27,8 @@ self-listed). A run that fails has written nothing. Identical configs
 produce byte-identical outputs. The ``IMMUNOEPI_LOG`` environment
 variable sets the log level; the one message is the info line naming the
 number of files written.
-Exit codes: 0 success, 2 invalid config or arguments, 3 numerical failure.
+Exit codes: 0 success, 2 invalid config or arguments (a run too large for
+memory among them), 3 numerical failure.
 
 At module level this imports only the standard library and ``errors``;
 each handler imports the numeric modules it uses, so ``plot-data``, which
@@ -590,7 +591,8 @@ def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> 
     output is serialised, and a NaN or infinite value refused, before
     --out is created, so a run that fails writes nothing: only the CSV
     float formatting is left to the writer. The data files go first, then
-    summary.json, then manifest.json over every other file in --out.
+    summary.json, then manifest.json over every other file in --out. A
+    MemoryError in the handler becomes a ConfigError quoting the request.
     """
     handler, sections = _COMMANDS[subcommand]
     if args.grid_refine < 1:
@@ -601,7 +603,11 @@ def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> 
             raise ConfigError(f"{subcommand}: --config is required")
         cfg = load_scenario(config_path)
         cfg.require(*sections)
-    summary, files = handler(cfg, args)
+    try:
+        summary, files = handler(cfg, args)
+    except MemoryError as exc:
+        # a grid, horizon or sweep too large to allocate; --out does not exist yet
+        raise ConfigError(f"{subcommand}: the run is too large for memory: {exc}") from exc
     if cfg is not None:
         summary.update(
             subcommand=subcommand,

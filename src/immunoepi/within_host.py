@@ -70,6 +70,8 @@ class WithinHostParams:
     epsilon time-scale separation of the immune response (dimensionless, slow when small)
     kappa   antibody production coefficient per unit pathogen (status/(load time))
     c       antibody decay rate on the slow scale (1/time)
+
+    Each rate is stored as a Python float, so numpy scalars are accepted.
     """
 
     Lambda: float
@@ -86,6 +88,8 @@ class WithinHostParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+            # a numpy scalar would warn where a Python float overflows silently
+            object.__setattr__(self, name, float(value))
         if self.epsilon > 1.0:
             raise ValueError(f"epsilon must be <= 1, got {self.epsilon}")
         if self.epsilon > 0.1:

@@ -65,7 +65,7 @@ def characteristics_eval(
     """
     clock = params.clock
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    travel = clock.time_of(omega_arr)
+    travel = np.interp(omega_arr, clock.omega, clock.elapsed)
     g_here = params.g(omega_arr)
     decay_here = clock.decay_at(omega_arr)
     out = np.empty_like(omega_arr)

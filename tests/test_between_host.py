@@ -57,6 +57,16 @@ def zero_history(s):
     return np.zeros_like(np.asarray(s, dtype=float))
 
 
+def counting(coefficient, calls):
+    """The same coefficient, recording the node count of each call."""
+
+    def fn(w):
+        calls.append(np.size(w))
+        return coefficient.fn(w)
+
+    return coef.Coefficient(coefficient.family, coefficient.describe, fn)
+
+
 def random_between(rng):
     """Admissible constant-coefficient parameter set from a seeded Random."""
     return make_between(
@@ -95,6 +105,17 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="strictly positive"):
             make_between(0.2, 0.0, g=g)
 
+    def test_rejects_a_speed_that_vanishes_between_table_nodes(self):
+        # positive on the 65 table nodes; negative on clock node 128 only,
+        # midway between the first two
+        def fn(w):
+            return np.where(np.abs(w - 5.0 / 128) < 5.0 / bh.CLOCK_NODES, -1.0, 1.0)
+
+        g = coef.Coefficient("custom", {}, fn)
+        assert (g(np.linspace(0.0, 5.0, bh.TABLE_PANELS + 1)) > 0).all()
+        with pytest.raises(ValueError, match="strictly positive"):
+            make_between(0.2, 0.0, g=g)
+
     def test_rejects_negative_coefficient_values(self):
         with pytest.raises(ValueError, match="xi"):
             make_between(0.2, 0.0, xi=coef.linear(0.1, -0.1))
@@ -125,20 +146,20 @@ class TestStatusClock:
         p = make_between(0.2, 0.0, g=coef.constant(2.0))
         clock = bh.build_clock(p)
         assert clock.total_time == pytest.approx(2.5, abs=1e-12)
-        assert clock.time_of(1.0) == pytest.approx(0.5, abs=1e-12)
+        assert np.interp(1.0, clock.omega, clock.elapsed) == pytest.approx(0.5, abs=1e-12)
         assert clock.decay_at(2.0) == pytest.approx(0.1, abs=1e-12)  # mu2/g = 0.05
 
     def test_time_and_status_invert_each_other(self):
         p = make_between(0.2, 0.0, g=coef.linear(0.5, 0.3))
         clock = bh.build_clock(p)
         w = np.linspace(0.0, 5.0, 11)
-        np.testing.assert_allclose(clock.status_at(clock.time_of(w)), w, atol=1e-9)
+        np.testing.assert_allclose(clock.status_at(np.interp(w, clock.omega, clock.elapsed)), w, atol=1e-9)
 
     def test_nonconstant_speed_matches_the_log_formula(self):
         # g = 1 + 0.2 w gives G(w) = 5 ln(1 + 0.2 w)
         p = make_between(0.2, 0.0, mu2=coef.constant(0.0), g=coef.linear(1.0, 0.2))
         clock = bh.build_clock(p)
-        assert clock.time_of(3.0) == pytest.approx(5.0 * np.log(1.6), rel=1e-8)
+        assert np.interp(3.0, clock.omega, clock.elapsed) == pytest.approx(5.0 * np.log(1.6), rel=1e-8)
 
     def test_one_clock_per_parameter_set(self, monkeypatch):
         calls = []
@@ -159,6 +180,30 @@ class TestStatusClock:
         bh.simulate_renewal(p, DECAYING, 10.0, 1.0, 0.5)
         assert calls == [p]
         assert p.clock is p.clock
+
+    @given(omega0=st.floats(min_value=1e-300, max_value=1e300))
+    def test_table_nodes_are_every_stride_th_clock_node(self, omega0):
+        assert bh.CLOCK_NODES % bh.TABLE_PANELS == 0
+        clock = make_between(0.2, 0.05, omega0=omega0).clock
+        table = np.linspace(0.0, omega0, bh.TABLE_PANELS + 1)
+        assert clock.omega[:: bh.TABLE_STRIDE].tobytes() == table.tobytes()
+
+    def test_threshold_quantities_evaluate_no_coefficient(self):
+        calls = []
+        functions = dict(mu2=coef.constant(0.1), xi=coef.constant(0.4),
+                         P=coef.constant(1.0), g=coef.constant(1.0))
+        counted = {name: counting(fn, calls) for name, fn in functions.items()}
+        above = make_between(0.2, 0.05, **counted)
+        below = make_between(0.01, 0.005, **counted)
+        # mu2 and g on the clock nodes, xi and P on the table nodes, once per set
+        clock, table = bh.CLOCK_NODES + 1, bh.TABLE_PANELS + 1
+        assert calls == [clock, table, table, clock] * 2
+        calls.clear()
+        assert bh.r0(above) > 1.0 > bh.r0(below)
+        assert bh.dfe_lambda_hat(above) > 0.0 > bh.dfe_lambda_hat(below)
+        bh.endemic_char_residual(above)(0.5)
+        bh.endemic_spectrum_scan(above)
+        assert calls == []
 
     def test_parameter_sets_are_frozen(self, direct_params):
         with pytest.raises(AttributeError):
@@ -779,7 +824,7 @@ def unhoisted_residual(lam, params):
 
     def characteristic(rate):
         weight = params.P(nodes) / params.g(nodes) * np.exp(
-            -clock.decay_at(nodes) - rate * clock.time_of(nodes)
+            -clock.decay_at(nodes) - rate * np.interp(nodes, clock.omega, clock.elapsed)
         )
         direct = s0 * params.beta_h * quadrature(weight, params.omega0)
         if params.beta_e == 0:

@@ -151,6 +151,30 @@ class TestExitCodes:
         assert "no nontrivial equilibrium" in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize(
+        ("command", "config", "section", "key", "value"),
+        [
+            ("bifurcate", "within_fig1.json", "sweep", "n", 10**17),
+            ("epi-sim", "bh_env.json", "run", "t_max", 1e15),
+            ("renewal-check", "bh_env.json", "run", "t_max", 1e15),
+            ("epi-sim", "bh_env.json", "grid", "n_omega", 10**17),
+            ("renewal-check", "bh_env.json", "grid", "n_omega", 10**17),
+        ],
+    )
+    def test_a_run_too_large_for_memory_returns_two(
+        self, tmp_path, capsys, command, config, section, key, value
+    ):
+        # each request is above 2**57 bytes: refused before any page is mapped
+        doc = json.loads((CONFIGS / config).read_text())
+        doc[section][key] = value
+        if section == "run":
+            doc["run"]["output_stride"] = 1
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "too large for memory" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["epi-sim", "renewal-check"])
     def test_horizon_shorter_than_one_step_returns_two(self, tmp_path, capsys, command):
         doc = sim_doc()

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -316,6 +317,22 @@ class TestSimulateInfection:
         # clearance follows within a few fast time units of crossing the fold
         near_fold = run.t[run.states[:, 2] >= 0.99 * run.w_fold]
         assert run.recovery_time - near_fold[0] < 50.0
+
+    def test_numpy_scalar_rates_run_as_python_floats(self):
+        # rejected trial steps overflow; as numpy scalars they would warn
+        rates = dict(Lambda=4.0, mu=2.0, alpha=4.0, gamma=1.2, delta=1.2,
+                     epsilon=1e-2, kappa=1.0, c=0.3)
+        numpy_params = wh.WithinHostParams(**{k: np.float64(v) for k, v in rates.items()})
+        assert all(type(getattr(numpy_params, k)) is float for k in rates)
+        start = wh.WithinHostState(1.0, 1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run = wh.simulate_infection(numpy_params, start, 300.0)
+        reference = wh.simulate_infection(wh.WithinHostParams(**rates), start, 300.0)
+        assert np.array_equal(run.t, reference.t)
+        assert np.array_equal(run.states, reference.states)
+        assert (run.recovery_time, run.fold_crossed, run.w_fold) == (
+            reference.recovery_time, reference.fold_crossed, reference.w_fold)
 
     def test_zero_load_never_infects(self, paper_within):
         run = wh.simulate_infection(
