@@ -27,9 +27,10 @@ characteristic table, every TABLE_STRIDE-th node of the one StatusClock
 built with each parameter set, `BetweenHostParams.clock`. That clock
 evaluates and checks each coefficient once and holds G, M and the survival
 density pi = exp(-M)/g. Status integrals use the guarded Simpson rule
-`numerics.quadrature` on a fixed panel count (TABLE_PANELS, and
-KERNEL_TOTAL_PANELS for the kernel's total integral, one row over the
-travel time), so a non-finite integral raises NonFiniteError.
+`numerics.quadrature`, so a non-finite integral raises NonFiniteError: the
+characteristic on TABLE_PANELS panels, the renewal kernel's total on every
+clock node, and its environmental route reads a shedding load tabulated on
+the clock's nodes.
 """
 
 from __future__ import annotations
@@ -70,13 +71,11 @@ __all__ = [
 NEGATIVITY_ABORT = -1e-8
 POLE_GUARD = 1e-8
 CLOCK_NODES = 16384
-# Simpson panels of the status integrals J_P, J_xi and of each kernel row
+# Simpson panels of the characteristic's status integrals J_P, J_xi
 TABLE_PANELS = 64
 # the characteristic's nodes are every TABLE_STRIDE-th clock node
 TABLE_STRIDE = CLOCK_NODES // TABLE_PANELS
-# Simpson panels of the kernel's total integral over the travel time
-KERNEL_TOTAL_PANELS = 256
-# Simpson rows per block: distinct renewal-kernel intervals, or endemic scan rates
+# Simpson rows per block of the endemic scan's rates
 KERNEL_BLOCK = 1024
 # the infection-free growth rate is sought below this bound
 LAMBDA_HAT_MAX = 1e6
@@ -635,77 +634,79 @@ def simulate_epidemic(
 # renewal-equation reformulation
 
 
-def renewal_kernel_A(omega, params: BetweenHostParams):
-    """Infectivity kernel of the renewal form, at time-since-infection omega.
+def _clock_weights(params: BetweenHostParams) -> tuple[np.ndarray, np.ndarray]:
+    """P/g * exp(-M) and xi on every clock node, evaluated per call: the
+    clock keeps only the characteristic's strided columns."""
+    clock = params.clock
+    return params.P(clock.omega) / params.g(clock.omega) * np.exp(-clock.decay), params.xi(clock.omega)
 
-    Direct part: transmission weight of a host infected omega time units
+
+def renewal_kernel_A(theta, params: BetweenHostParams):
+    """Infectivity kernel of the renewal form, at time-since-infection theta.
+
+    Direct part: transmission weight of a host infected theta time units
     ago, still below recovery status,
 
         K_h(theta) = beta_h * P(w(theta)) * exp(-M(w(theta))),
 
     with w(theta) the status reached after travel time theta. Environmental
-    part: contribution through bacteria of age a shed at theta - a,
+    part (_kernel_env): contribution through bacteria of age a shed at
+    theta - a,
 
         K_e(theta) = int beta_e * e^{-sigma*a} * xi(w)*P(w)*exp(-M(w)) da,
         w = w(theta - a),  a in [max(0, theta - T0), min(a_bar, theta)],
 
     where T0 is the travel time to recovery. The kernel is K_h + K_e,
-    supported on [0, a_bar + T0]: it is exactly 0 at and past a_bar + T0,
-    and a negative omega raises ValueError. Accepts scalar or array omega;
-    each K_e value is a Simpson sum on TABLE_PANELS panels.
+    exactly 0 at and past a_bar + T0; a negative theta raises ValueError.
+    Accepts scalar or array theta.
     """
     total = params.clock.total_time
-    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(omega_arr < 0):
-        raise ValueError("omega must be nonnegative")
-    out = np.zeros_like(omega_arr)
-    direct = omega_arr <= total
+    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    if np.any(theta_arr < 0):
+        raise ValueError("theta must be nonnegative")
+    out = np.zeros_like(theta_arr)
+    direct = theta_arr <= total
     if params.beta_h > 0 and np.any(direct):
-        w = params.clock.status_at(omega_arr[direct])
+        w = params.clock.status_at(theta_arr[direct])
         out[direct] = params.beta_h * params.P(w) * np.exp(-params.clock.decay_at(w))
     if params.beta_e > 0:
-        out += _kernel_env(omega_arr, params)
-    return float(out[0]) if np.ndim(omega) == 0 else out
+        out += _kernel_env(theta_arr, params)
+    return float(out[0]) if np.ndim(theta) == 0 else out
 
 
 def _kernel_env(theta: np.ndarray, params: BetweenHostParams) -> np.ndarray:
     """Environmental-route kernel values at a 1-d array of delays theta.
 
-    In the travel time u = theta - a at shedding, the integral runs over
-    [u_lo, u_hi] = [max(0, theta - a_bar), min(T0, theta)], and the age
-    factor splits as e^{-sigma*(theta-u)} = e^{-sigma*(theta-u_hi)} *
-    e^{-sigma*(u_hi-u)}, both factors at most 1. So K_e(theta) = beta_e *
-    e^{-sigma*(theta-u_hi)} * Q(u_lo, u_hi), where Q is one Simpson row of
-    TABLE_PANELS panels per distinct interval: consecutive delays with the
-    same interval share it (sorted delays in [T0, a_bar] all read [0, T0]),
-    so a delay costs one exponential. Rows go through the rule in blocks of
-    KERNEL_BLOCK to bound the temporaries. A delay whose interval is empty,
-    at or past the ends of the support, gives exactly 0.
+    With the shedding load Y(u) = int_0^u e^{-sigma*(u-v)} xi*P*exp(-M) dv,
+    the bacteria alive at travel time u, K_e(theta) = beta_e *
+    [e^{-sigma*(theta-u_hi)}*Y(u_hi) - e^{-sigma*(theta-u_lo)}*Y(u_lo)] over
+    the shedding times [u_lo, u_hi] = [clip(theta - a_bar, 0, T0), min(T0,
+    theta)]. Y is tabulated on the clock nodes, Y_j = e^{-sigma*dG_j} *
+    Y_{j-1} + the panel's trapezoid of e^{-sigma*(G_j-G)}*xi*P/g*exp(-M) in
+    status, and read between them by interpolation in G. A non-finite load
+    raises NonFiniteError.
     """
     clock = params.clock
     total = clock.total_time
-    u_lo = np.maximum(0.0, theta - params.a_bar)
-    u_hi = np.minimum(total, theta)
-    out = np.zeros_like(theta)
+    weight, xi = _clock_weights(params)
+    half = xi * weight * (0.5 * params.omega0 / CLOCK_NODES)
+    fade = np.exp(-params.sigma * np.diff(clock.elapsed))
+    y, load = 0.0, [0.0]
+    for f, a, b in zip(fade.tolist(), half[:-1].tolist(), half[1:].tolist()):
+        y = f * (y + a) + b
+        load.append(y)
+    load = np.array(load)
+    if not np.isfinite(load).all():
+        raise NonFiniteError("renewal kernel: the shedding load is not finite")
     # theta - a_bar may round below T0 at theta = a_bar + T0: the end is explicit
-    rows = np.flatnonzero((u_hi > u_lo) & (theta < params.a_bar + total))
-    lo, hi = u_lo[rows], u_hi[rows]
-    fresh = np.ones(rows.size, dtype=bool)
-    fresh[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    starts = np.flatnonzero(fresh)
-    q = np.empty(starts.size)
-    for start in range(0, starts.size, KERNEL_BLOCK):
-        block = starts[start : start + KERNEL_BLOCK]
-        u = np.linspace(lo[block], hi[block], TABLE_PANELS + 1, axis=1)
-        w = clock.status_at(u)
-        values = (
-            np.exp(-params.sigma * (hi[block, None] - u))
-            * params.xi(w)
-            * params.P(w)
-            * np.exp(-clock.decay_at(w))
-        )
-        q[start : start + KERNEL_BLOCK] = quadrature(values, hi[block] - lo[block])
-    out[rows] = params.beta_e * np.exp(-params.sigma * (theta[rows] - hi)) * q[np.cumsum(fresh) - 1]
+    inside = theta < params.a_bar + total
+    delay = theta[inside]
+    hi, lo = (
+        np.exp(-params.sigma * (delay - u)) * np.interp(u, clock.elapsed, load)
+        for u in (np.minimum(total, delay), np.clip(delay - params.a_bar, 0.0, total))
+    )
+    out = np.zeros_like(theta)
+    out[inside] = params.beta_e * (hi - lo)
     return out
 
 
@@ -713,18 +714,15 @@ def kernel_total_integral(params: BetweenHostParams) -> float:
     """Integral of the renewal kernel over its support [0, a_bar + T0].
 
     Integrated over the bacterial age first, the environmental route keeps
-    the closed-form age factor (1 - e^{-sigma*a_bar})/sigma, so the total is
-    one Simpson row of KERNEL_TOTAL_PANELS panels over the travel time,
-    int_0^T0 (beta_h + beta_e*age_factor*xi(w))*P(w)*exp(-M(w)) dtheta with
-    w = w(theta). At the endemic state S* times this integral is 1, up to
-    the exponential age-cap truncation.
+    the closed-form age factor (1 - e^{-sigma*a_bar})/sigma; in status,
+    dtheta = domega/g. So the total is one Simpson sum on every clock node,
+    int_0^omega0 (beta_h + beta_e*age_factor*xi)*P/g*exp(-M) domega. At the
+    endemic state S* times it is 1, up to the characteristic table's error
+    and the exponential age-cap truncation.
     """
-    clock = params.clock
-    total = clock.total_time
-    w = clock.status_at(np.linspace(0.0, total, KERNEL_TOTAL_PANELS + 1))
+    weight, xi = _clock_weights(params)
     age_factor = -math.expm1(-params.sigma * params.a_bar) / params.sigma
-    route = params.beta_h + params.beta_e * age_factor * params.xi(w)
-    return quadrature(route * params.P(w) * np.exp(-clock.decay_at(w)), total)
+    return quadrature((params.beta_h + params.beta_e * age_factor * xi) * weight, params.omega0)
 
 
 @dataclass

@@ -205,6 +205,22 @@ class TestStatusClock:
         bh.endemic_spectrum_scan(above)
         assert calls == []
 
+    def test_renewal_quantities_read_the_clock_nodes(self):
+        calls = []
+        functions = dict(mu2=coef.constant(0.1), xi=coef.constant(0.4),
+                         P=coef.constant(1.0), g=coef.constant(1.0))
+        counted = {name: counting(fn, calls) for name, fn in functions.items()}
+        shedding = make_between(0.2, 0.05, **counted)
+        environmental = make_between(0.0, 0.05, **counted)
+        # P, g and xi once each per call, on the clock's own nodes
+        nodes = [bh.CLOCK_NODES + 1] * 3
+        calls.clear()
+        bh.kernel_total_integral(shedding)
+        assert calls == nodes
+        calls.clear()
+        bh.renewal_kernel_A(np.linspace(0.0, 40.0, 81), environmental)
+        assert calls == nodes
+
     def test_parameter_sets_are_frozen(self, direct_params):
         with pytest.raises(AttributeError):
             direct_params.beta_h = 0.3
@@ -659,6 +675,25 @@ class TestRenewalForm:
             eq = bh.endemic_equilibrium(p)
             assert eq.S * bh.kernel_total_integral(p) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "params", [linked_params(), make_between(0.2, 0.05)], ids=["linked", "bh_env"]
+    )
+    def test_identity_isolates_the_table_error(self, params):
+        # R0 as a Simpson sum on every clock node (at lam = 0 the travel
+        # time G drops out of the weight): against it the kernel total, on
+        # the same nodes, leaves only the age cap e^{-sigma a_bar} on the
+        # environmental share; S* carries the 64-panel table's R0
+        clock, s0 = params.clock, params.r / params.mu1
+        weight = params.P(clock.omega) / params.g(clock.omega) * np.exp(-clock.decay)
+        direct = s0 * params.beta_h * quadrature(weight, params.omega0)
+        shed = quadrature(weight * params.xi(clock.omega), params.omega0)
+        environmental = s0 * params.beta_e / params.sigma * shed
+        basic_clock = direct + environmental
+        basic = bh.r0(params)
+        identity = params.r / params.mu1 / basic * bh.kernel_total_integral(params)
+        expected = 1.0 - environmental / basic_clock * math.exp(-params.sigma * params.a_bar)
+        assert identity * basic / basic_clock == pytest.approx(expected, rel=0.0, abs=1e-12)
+
     def test_zero_history_stays_infection_free(self, direct_params):
         # a zero initial density is a zero history
         run = bh.simulate_renewal(direct_params, coef.constant(0.0), S0=5.0, t_max=20.0, dt=0.25)
@@ -866,15 +901,16 @@ class TestHoistedResidual:
             assert value == unhoisted_residual(lam, params)
 
 
-def per_delay_kernel_env(theta, params):
-    """The environmental kernel at one delay, one quadrature call per delay:
-    the reference for the batched rows of _kernel_env."""
+def per_delay_kernel_env(theta, params, panels):
+    """The environmental kernel at one delay, one Simpson row of `panels`
+    panels in the bacterial age, the clock read by interpolation: a
+    reference for _kernel_env's shedding load on the clock's nodes."""
     clock = params.clock
     lo = max(0.0, theta - clock.total_time)
     hi = min(params.a_bar, theta)
     if hi <= lo:
         return 0.0
-    ages = np.linspace(lo, hi, bh.TABLE_PANELS + 1)
+    ages = np.linspace(lo, hi, panels + 1)
     w = clock.status_at(theta - ages)
     values = (
         params.beta_e
@@ -886,36 +922,60 @@ def per_delay_kernel_env(theta, params):
     return quadrature(values, hi - lo)
 
 
-class TestBatchedKernel:
+def kernel_delays(params):
+    """Delays in every regime of the environmental kernel, the corners 0,
+    T0, a_bar, a_bar + T0 first, then past the support, then a sweep."""
+    total = params.clock.total_time
+    end = params.a_bar + total
+    corners = [0.0, total, params.a_bar, end, end + 1e-12, 1e300, np.inf]
+    return np.concatenate([corners, np.linspace(0.0, end + 1.0, 401)])
+
+
+class TestEnvironmentalKernel:
+    @pytest.mark.parametrize(
+        "params, bound",
+        [
+            (make_between(0.2, 0.05), 1e-8),
+            (make_between(0.2, 0.05, a_bar=1.0), 1e-8),
+            (make_between(0.2, 0.05, sigma=50.0), 1e-4),
+        ],
+        ids=["bh_env", "short_memory", "fast_decay"],
+    )
+    def test_closed_form(self, params, bound):
+        # constant coefficients, g = 1: K_e(theta) = beta_e*xi*P/(sigma - mu2)
+        # * [e^{-sigma*(theta-u) - mu2*u}] from u_lo to u_hi
+        total, sigma = params.clock.total_time, params.sigma
+        delays = kernel_delays(params)
+        inside = delays < params.a_bar + total
+        theta = delays[inside]
+        edge = [np.exp(-sigma * (theta - u) - 0.1 * u) for u in
+                (np.minimum(theta, total), np.clip(theta - params.a_bar, 0.0, total))]
+        exact = np.zeros_like(delays)
+        exact[inside] = 0.05 * 0.4 / (sigma - 0.1) * (edge[0] - edge[1])
+        kernel = bh._kernel_env(delays, params)
+        assert np.max(np.abs(kernel - exact)) <= bound * exact.max()
+        assert kernel[0] == 0.0 and (kernel[delays >= params.a_bar + total] == 0.0).all()
+
+    def test_linked_matches_the_per_delay_quadrature(self):
+        # the fold tip: the load on the clock against 8 192 age panels per delay
+        params = linked_params()
+        delays = kernel_delays(params)
+        kernel = bh._kernel_env(delays, params)
+        reference = np.array([per_delay_kernel_env(x, params, 8192) for x in delays])
+        assert np.max(np.abs(kernel - reference)) <= 1e-6 * reference.max()
+
     @pytest.mark.parametrize(
         "params", [make_between(0.2, 0.05), linked_params()], ids=["bh_env", "linked"]
     )
-    def test_rows_match_the_per_delay_quadrature(self, params):
-        clock = params.clock
-        total = clock.total_time
-        corners = [0.0, total, params.a_bar, params.a_bar + total]
-        # more delays than one block, so block edges are crossed
-        delays = np.concatenate([corners, np.linspace(0.0, params.a_bar + total, 2 * bh.KERNEL_BLOCK + 7)])
-        batched = bh._kernel_env(delays, params)
-        reference = np.array([per_delay_kernel_env(x, params) for x in delays])
-        # near the far end of the support the reference's interval length
-        # a_bar - (theta - T0) carries one rounding of theta - T0, at most
-        # eps*(a_bar + T0)/2, where the batched T0 - (theta - a_bar) is exact
-        # (Sterbenz); there the kernel grows with that length at a rate of at
-        # most beta_e*e^{-sigma*a_bar}*max(xi*P*e^{-M})
-        shed = params.xi(clock.omega) * params.P(clock.omega) * np.exp(-clock.decay)
-        slope = params.beta_e * np.exp(-params.sigma * params.a_bar) * shed.max()
-        atol = EPS * (params.a_bar + total) * slope
-        assert atol <= 8 * EPS * reference.max()
-        np.testing.assert_allclose(batched, reference, rtol=1e-14, atol=atol)
-        assert batched[0] == 0.0 and batched[3] == 0.0 and batched[-1] == 0.0
-        assert batched[1] > 0.0 and batched[2] > 0.0
-
+    def test_support_and_routes(self, params):
+        delays = kernel_delays(params)
+        env = bh._kernel_env(delays, params)
+        assert env[0] == 0.0 and (env[3:7] == 0.0).all()
+        assert env[1] > 0.0 and env[2] > 0.0
         direct = bh.renewal_kernel_A(delays, replace(params, beta_e=0.0))
         kernel = bh.renewal_kernel_A(delays, params)
-        np.testing.assert_allclose(kernel, direct + reference, rtol=1e-14, atol=atol)
-        scalar = bh.renewal_kernel_A(float(delays[5]), params)
-        assert scalar == pytest.approx(kernel[5], rel=1e-14)
+        assert kernel.tolist() == (direct + env).tolist()
+        assert bh.renewal_kernel_A(float(delays[9]), params) == kernel[9]
 
 
 class TestLinkedEndemicProfile:
