@@ -2,10 +2,11 @@
 
 Both sweep parameters, delta at a frozen immune status and W, enter the
 fast subsystem only through the effective clearance rate Gamma =
-gamma + delta*W, so a sweep is one array of clearance rates: the branches
-are within_host's closed forms evaluated on it in one vectorized pass, as
-columns, and the fold and Hopf events are the closed-form critical loci
-mapped back to the sweep parameter. A cycle is a fixed point of the
+gamma + delta*W, so a sweep is a list of clearance rates: the branches are
+within_host's float closed forms evaluated column by column, and the fold
+and Hopf events are the closed-form critical loci mapped back to the sweep
+parameter. Sweeps, branches and cycle tables hold Python floats in lists,
+so no sweep loads numpy. A cycle is a fixed point of the
 Poincare return map on the section {T = T_eq, P > P_eq} of the upper
 equilibrium: each column follows its frozen-W fast orbit as two Python
 floats through the classic RK4 tableau for a few returns, and solves
@@ -18,11 +19,9 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import within_host as wh
 from .errors import ConvergenceError, NonFiniteError
-from .numerics import find_root
+from .numerics import find_root, linspace
 
 __all__ = [
     "SweepSpec",
@@ -81,11 +80,13 @@ class SweepSpec:
         if self.lo < 0:
             raise ValueError("sweep values must be nonnegative")
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n)
+    def values(self) -> list[float]:
+        """The n sweep values, np.linspace(lo, hi, n)'s bit for bit."""
+        return linspace(self.lo, self.hi, self.n)
 
     def to_gamma(self, params: wh.WithinHostParams, value):
-        """Clearance rate Gamma = gamma + delta*W at sweep values, elementwise."""
+        """Clearance rate Gamma = gamma + delta*W at a sweep value (elementwise
+        on an array)."""
         if self.which == "delta":
             return params.gamma + value * self.W
         return params.gamma_eff(value)
@@ -100,14 +101,14 @@ class SweepSpec:
 @dataclass(frozen=True)
 class Branch:
     """Equilibria along a sweep with their linearisation, one entry per
-    point; ``eigenvalues`` is the (n, 2) complex array of the fast
-    Jacobian's eigenvalue pairs."""
+    point in each list; ``eigenvalues`` holds the fast Jacobian's
+    eigenvalue pair of each point as two complex numbers."""
 
-    param: np.ndarray
-    T: np.ndarray
-    P: np.ndarray
-    eigenvalues: np.ndarray
-    stability: np.ndarray
+    param: list[float]
+    T: list[float]
+    P: list[float]
+    eigenvalues: list[tuple[complex, complex]]
+    stability: list[str]
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class BifurcationEvent:
 
 @dataclass(frozen=True)
 class CycleTable:
-    """The attractor of the frozen-W fast flow, one entry per sweep value.
+    """The attractor of the frozen-W fast flow, one list entry per sweep value.
 
     ``oscillatory`` marks a cycle whose load amplitude p_max - p_min is
     above CYCLE_AMPLITUDE_TOL relative to max(1, p_max); ``period`` is its
@@ -129,14 +130,14 @@ class CycleTable:
     the window. ``returns`` counts the column's return-map evaluations.
     """
 
-    param: np.ndarray
-    p_min: np.ndarray
-    p_max: np.ndarray
-    period: np.ndarray
-    returns: np.ndarray
-    oscillatory: np.ndarray
-    collapsed: np.ndarray
-    homoclinic_flag: np.ndarray
+    param: list[float]
+    p_min: list[float]
+    p_max: list[float]
+    period: list[float]
+    returns: list[int]
+    oscillatory: list[bool]
+    collapsed: list[bool]
+    homoclinic_flag: list[bool]
 
 
 @dataclass
@@ -150,53 +151,55 @@ class SweepResult:
         """Upper branch then lower branch reversed: ordered along the curve,
         so the fold sits between the two halves."""
         return Branch(*(
-            np.concatenate([getattr(self.upper, f.name), getattr(self.lower, f.name)[::-1]])
-            for f in fields(Branch)
+            getattr(self.upper, f.name) + getattr(self.lower, f.name)[::-1] for f in fields(Branch)
         ))
 
 
-_Sweep = namedtuple("_Sweep", "values Gamma exists trivial upper lower")
+# one sweep value: its clearance rate and its trivial, upper and lower
+# points as (param, T, P, eigenvalues, stability), the last two None
+# where the nontrivial pair does not exist
+_Column = namedtuple("_Column", "value Gamma trivial upper lower")
 
 
-def _branch(param, T, P, params: wh.WithinHostParams, Gamma) -> Branch:
-    """The points (T, P) at clearance rates Gamma with the eigenvalues and
-    stability tag of the fast Jacobian there (trace and determinant within
-    1e-9 of zero count as zero)."""
-    J = wh.jacobian_fast((T, P), params, Gamma)
-    trace = J[0, 0] + J[1, 1]
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+def _point(value: float, state: tuple, params: wh.WithinHostParams, Gamma: float) -> tuple:
+    """The point state = (T, P) at clearance rate Gamma with the eigenvalues
+    and stability tag of the fast Jacobian there (trace and determinant
+    within 1e-9 of zero count as zero)."""
+    (j00, j01), (j10, j11) = wh.jacobian_fast(state, params, Gamma)
+    trace = j00 + j11
+    det = j00 * j11 - j01 * j10
     disc = trace * trace - 4.0 * det
-    real = disc >= 0.0
-    root = np.sqrt(np.abs(disc))
-    eigenvalues = np.column_stack([
-        np.where(real, 0.5 * (trace - root), 0.5 * trace),
-        np.where(real, 0.0, -0.5 * root),
-        np.where(real, 0.5 * (trace + root), 0.5 * trace),
-        np.where(real, 0.0, 0.5 * root),
-    ]).view(complex)
-    stability = np.select(
-        [det < -1e-9, np.abs(trace) <= 1e-9, (trace < 0.0) & (disc < 0.0), trace < 0.0, disc < 0.0],
-        ["saddle", "marginal", "stable-focus", "stable-node", "unstable-focus"],
-        "unstable-node",
-    )
-    return Branch(param, T, P, eigenvalues, stability)
+    root = math.sqrt(abs(disc))
+    if disc >= 0.0:
+        eigenvalues = (complex(0.5 * (trace - root), 0.0), complex(0.5 * (trace + root), 0.0))
+    else:
+        eigenvalues = (complex(0.5 * trace, -0.5 * root), complex(0.5 * trace, 0.5 * root))
+    if det < -1e-9:
+        stability = "saddle"
+    elif abs(trace) <= 1e-9:
+        stability = "marginal"
+    else:
+        stability = ("stable-" if trace < 0.0 else "unstable-") + ("focus" if disc < 0.0 else "node")
+    return value, *state, eigenvalues, stability
 
 
-def _sweep(params: wh.WithinHostParams, spec: SweepSpec) -> _Sweep:
-    """The sweep grid's values, clearance rates and pair mask, and its
-    trivial, upper and lower branches on every value (NaN where no pair
-    exists), in one guarded pass. Rates past the float range give infinite
-    rates, equilibria and NaN linearisations here, unwarned; the callers
-    refuse what is not finite."""
-    values = spec.values()
-    with np.errstate(over="ignore", invalid="ignore"):
-        Gamma = spec.to_gamma(params, values)
+def _branch(points: list[tuple]) -> Branch:
+    """The Branch through a non-empty list of points."""
+    return Branch(*(list(column) for column in zip(*points)))
+
+
+def _sweep(params: wh.WithinHostParams, spec: SweepSpec) -> list[_Column]:
+    """The sweep's columns, one per value. Rates past the float range give
+    infinite rates, equilibria and NaN linearisations here, unwarned; the
+    callers refuse what is not finite."""
+    columns = []
+    for value in spec.values():
+        Gamma = spec.to_gamma(params, value)
         eq = wh.equilibria_fast(params, Gamma)
-        trivial = _branch(
-            values, np.full_like(values, eq.trivial[0]), np.zeros_like(values), params, Gamma
-        )
-        upper, lower = (_branch(values, T, P, params, Gamma) for T, P in (eq.upper, eq.lower))
-    return _Sweep(values, Gamma, eq.exists, trivial, upper, lower)
+        pair = (eq.upper, eq.lower) if eq.exists else ()
+        upper, lower = [_point(value, state, params, Gamma) for state in pair] or (None, None)
+        columns.append(_Column(value, Gamma, _point(value, eq.trivial, params, Gamma), upper, lower))
+    return columns
 
 
 def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
@@ -207,18 +210,18 @@ def sweep_branch(params: wh.WithinHostParams, spec: SweepSpec) -> SweepResult:
     Raises ValueError if no point of the range admits a
     nontrivial equilibrium.
     """
-    sweep = _sweep(params, spec)
-    pair = sweep.exists
-    if not pair.any():
+    columns = _sweep(params, spec)
+    paired = [column for column in columns if column.upper is not None]
+    if not paired:
         raise ValueError(
             "no nontrivial equilibrium anywhere on the sweep range "
             f"({spec.which} in [{spec.lo}, {spec.hi}])"
         )
-    upper, lower = (
-        Branch(*(getattr(branch, f.name)[pair] for f in fields(Branch)))
-        for branch in (sweep.upper, sweep.lower)
+    return SweepResult(
+        upper=_branch([column.upper for column in paired]),
+        lower=_branch([column.lower for column in paired]),
+        trivial=_branch([column.trivial for column in columns]),
     )
-    return SweepResult(upper=upper, lower=lower, trivial=sweep.trivial)
 
 
 def detect_all_events(params: wh.WithinHostParams, spec: SweepSpec) -> list[BifurcationEvent]:
@@ -233,14 +236,14 @@ def detect_all_events(params: wh.WithinHostParams, spec: SweepSpec) -> list[Bifu
     events: list[BifurcationEvent] = []
     fold_at = spec.from_gamma(params, loci.Gamma_fold)
     if spec.lo <= fold_at <= spec.hi:
-        P_fold = float(np.sqrt(params.mu / params.alpha))
-        T_fold = float(params.Lambda / (2.0 * params.mu))
+        P_fold = math.sqrt(params.mu / params.alpha)
+        T_fold = params.Lambda / (2.0 * params.mu)
         events.append(BifurcationEvent(kind="fold", param=fold_at, T=T_fold, P=P_fold))
     for Gamma in loci.hopf:
         hopf_at = spec.from_gamma(params, Gamma)
         if spec.lo <= hopf_at <= spec.hi:
             T, P = wh.equilibria_fast(params, spec.to_gamma(params, hopf_at)).upper
-            events.append(BifurcationEvent(kind="hopf", param=hopf_at, T=float(T), P=float(P)))
+            events.append(BifurcationEvent(kind="hopf", param=hopf_at, T=T, P=P))
     events.sort(key=lambda e: e.param)
     return events
 
@@ -417,18 +420,19 @@ def cycle_amplitude(
     rate, start or orbit.
     """
     budget, window_steps = int(round((transient + window) / step)), int(round(window / step))
-    sweep = _sweep(params, spec)
-    upper = sweep.upper
-    columns = []
-    for value, G, exists, T_eq, P_eq, tag in zip(
-        sweep.values.tolist(), sweep.Gamma.tolist(), sweep.exists.tolist(),
-        upper.T.tolist(), upper.P.tolist(), upper.stability.tolist(),
-    ):
+    rows = []
+    for value, G, _, upper, _ in _sweep(params, spec):
         where = f"{spec.which}={value!r}"
-        if not math.isfinite(G) or exists and not math.isfinite(T_eq + 1.05 * P_eq):
+        # a column without the pair has only its clearance rate to check
+        _, T_eq, P_eq, _, tag = upper or (value, 0.0, 0.0, (), "")
+        if not (math.isfinite(G) and math.isfinite(T_eq + 1.05 * P_eq)):
             raise NonFiniteError(f"cycle orbit at {where} is not finite")
-        columns.append(_cycle_column(
+        if upper is None:
+            rows.append((value, 0.0, 0.0, math.nan, 0, False, True, False))
+            continue
+        entries = _cycle_column(
             (params.Lambda, params.mu, params.alpha, G), T_eq, P_eq, tag.startswith("stable"),
             step, budget, window_steps, where,
-        ) if exists else (0.0, 0.0, math.nan, 0, False, True, False, math.nan))
-    return CycleTable(sweep.values, *map(np.array, list(zip(*columns))[:-1]))
+        )
+        rows.append((value, *entries[:-1]))
+    return CycleTable(*(list(entries) for entries in zip(*rows)))

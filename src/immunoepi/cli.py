@@ -31,20 +31,22 @@ Exit codes: 0 success, 2 invalid config or arguments (a run too large for
 memory among them), 3 numerical failure.
 
 At module level this imports only the standard library and ``errors``;
-each handler imports the numeric modules it uses, so ``plot-data``, which
-reads upstream text files, never loads numpy.
+each handler imports the numeric modules it uses. Only the between-host
+handlers load numpy: ``within-sim``, ``manifold`` and ``bifurcate`` run on
+Python floats and lists, and ``plot-data`` reads upstream text files.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -53,8 +55,6 @@ from . import __version__
 from .errors import ConfigError, NonFiniteError, NumericsError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from . import between_host, bifurcation
     from .config import ScenarioConfig
 
@@ -72,28 +72,42 @@ HASH_CHUNK = 1 << 20
 # deterministic output text and the one writer
 
 
-def _csv_lines(
-    header: str, *columns: np.ndarray, tail: Sequence[str] | None = None
-) -> Iterator[str]:
+def _width(column) -> int:
+    """Values per row of a CSV column: 0 for a 1-D column, the block width
+    for a 2-D array or a list of row sequences."""
+    if hasattr(column, "ndim"):
+        return column.shape[1] if column.ndim == 2 else 0
+    return len(column[0]) if column and isinstance(column[0], (list, tuple)) else 0
+
+
+def _csv_lines(header: str, *columns, tail: Sequence[str] | None = None) -> Iterator[str]:
     """CSV lines of float columns side by side, one shortest round-trip repr
     per value, each row ending in its text ``tail`` cells when given.
 
-    Each column is a 1-D array or a 2-D block of columns, all with the same
-    number of rows. Blocks of at most CSV_BLOCK values (at least one row)
-    are stacked as the lines are drawn and converted one row at a time, so
-    no whole-table array or list is built, however wide the table.
+    Each column is a 1-D array or list of floats, or a 2-D block of columns
+    (a 2-D array, or a list of equal-length rows), all with the same number
+    of rows. Blocks of at most CSV_BLOCK values (at least one row) are
+    sliced as the lines are drawn, an array's slice converted by
+    ``tolist``, so no whole-table list is built, however wide the table,
+    and numpy is never imported here.
     """
-    import numpy as np
-
     yield header + "\n"
-    n_rows = len(columns[0])
-    width = sum(1 if np.ndim(col) == 1 else np.shape(col)[1] for col in columns)
-    rows = max(1, CSV_BLOCK // width)
+    widths = [_width(col) for col in columns]
+    rows = max(1, CSV_BLOCK // sum(width or 1 for width in widths))
     ends = repeat("\n") if tail is None else (f",{text}\n" for text in tail)
-    for start in range(0, n_rows, rows):
-        block = np.column_stack([col[start:start + rows] for col in columns])
-        for row, end in zip(block, ends):
-            yield ",".join(map(repr, row.tolist())) + end
+    for start in range(0, len(columns[0]), rows):
+        blocks = [col[start:start + rows] for col in columns]
+        blocks = [block.tolist() if hasattr(block, "tolist") else block for block in blocks]
+        for cells, end in zip(zip(*blocks), ends):
+            if any(widths):
+                row = []
+                for cell, width in zip(cells, widths):
+                    if width:
+                        row.extend(cell)
+                    else:
+                        row.append(cell)
+                cells = row
+            yield ",".join(map(repr, cells)) + end
 
 
 def _sha256(path: Path) -> str:
@@ -108,20 +122,10 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _json_default(obj):
-    """An ndarray as a list, a numpy scalar as its Python number (np.float64
-    is a float subclass and never reaches this hook)."""
-    import numpy as np
-
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _json_text(name: str, obj) -> str:
     """The text of one JSON output file; a NaN or infinite value is refused."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteError(f"{name}: {exc}") from exc
     return text + "\n"
@@ -173,21 +177,20 @@ def _cmd_within_sim(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     run_rec = within_host.simulate_infection(params, initial, t_max, p_clear=cfg.p_clear)
     t_rec = run_rec.recovery_time
     summary = {
-        "defaults": {"t_max": t_max, "initial": list(initial.as_array()), "p_clear": cfg.p_clear},
+        "defaults": {"t_max": t_max, "initial": list(astuple(initial)), "p_clear": cfg.p_clear},
         "p_clear": cfg.p_clear,
         "w_fold": run_rec.w_fold,
         "recovery_time": t_rec,
         "recovery_time_slow": None if t_rec is None else t_rec * params.epsilon,
         "fold_crossed": run_rec.fold_crossed,
-        "t_end": float(run_rec.t[-1]),
-        "n_samples": int(run_rec.t.size),
+        "t_end": run_rec.t[-1],
+        "n_samples": len(run_rec.t),
     }
     return summary, {"trajectory.csv": _csv_lines("t,T,P,W", run_rec.t, run_rec.states)}
 
 
 def _branch_csv(branch: bifurcation.Branch) -> Iterator[str]:
-    # a complex (n, 2) array viewed as floats is re_ev1, im_ev1, re_ev2, im_ev2
-    eigenvalues = branch.eigenvalues.view(float)
+    eigenvalues = [(e1.real, e1.imag, e2.real, e2.imag) for e1, e2 in branch.eigenvalues]
     return _csv_lines(
         "param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability",
         branch.param, branch.T, branch.P, eigenvalues, tail=branch.stability,
@@ -195,8 +198,6 @@ def _branch_csv(branch: bifurcation.Branch) -> Iterator[str]:
 
 
 def _cmd_bifurcate(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
-    import numpy as np
-
     from . import bifurcation, within_host
 
     params = cfg.within
@@ -214,10 +215,11 @@ def _cmd_bifurcate(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     # a rate past the float range can leave a column non-finite where no
     # cycle orbit was followed
     for name, branch in (("branches.csv", result.fold_path), ("trivial.csv", result.trivial)):
-        bad = ~(np.isfinite(branch.T) & np.isfinite(branch.P) & np.isfinite(branch.eigenvalues).all(1))
-        if bad.any():
-            value = float(branch.param[bad][0])
-            raise NonFiniteError(f"{name}: the equilibrium at {spec.which}={value!r} is not finite")
+        for value, T, P, pair in zip(branch.param, branch.T, branch.P, branch.eigenvalues):
+            if not all(map(cmath.isfinite, (T, P, *pair))):
+                raise NonFiniteError(
+                    f"{name}: the equilibrium at {spec.which}={value!r} is not finite"
+                )
     loci = within_host.critical_loci(params)
     summary = {
         "sweep": asdict(spec),
@@ -242,7 +244,7 @@ def _cmd_bifurcate(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
             cycles.param, cycles.p_min, cycles.p_max,
             tail=(
                 f"{'' if math.isnan(period) else repr(period)},{n},{o:d},{c:d},{h:d}"
-                for period, n, o, c, h in zip(*(flag.tolist() for flag in flags))
+                for period, n, o, c, h in zip(*flags)
             ),
         ),
         "events.json": [_json_text("events.json", events)],
@@ -251,24 +253,22 @@ def _cmd_bifurcate(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
 
 
 def _cmd_manifold(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
-    import numpy as np
-
     from . import within_host
+    from .numerics import linspace
 
     params = cfg.within
     tip_P, tip_W = within_host.manifold_tip(params)
     n = 400 * args.grid_refine
-    # rates past the float range are refused below rather than warned about
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            p_max = within_host.upper_branch_P(0.0, params) * 1.2
-        except ValueError as exc:
-            # the fold lies below W = 0: no infected branch to draw
-            raise ConfigError(f"within_host: {exc}") from exc
-        p_grid = np.linspace(1e-6, p_max, n)
-        phi = within_host.slow_manifold_W(p_grid, params)
-        null = within_host.w_nullcline(p_grid, params)
-    if not (np.isfinite(p_max) and np.isfinite(phi).all() and np.isfinite(null).all()):
+    try:
+        p_max = within_host.upper_branch_P(0.0, params) * 1.2
+    except ValueError as exc:
+        # the fold lies below W = 0: no infected branch to draw
+        raise ConfigError(f"within_host: {exc}") from exc
+    # rates past the float range give inf or NaN here, refused below
+    p_grid = linspace(1e-6, p_max, n)
+    phi = [within_host.slow_manifold_W(P, params) for P in p_grid]
+    null = [within_host.w_nullcline(P, params) for P in p_grid]
+    if not all(map(math.isfinite, [p_max, *phi, *null])):
         raise NonFiniteError(f"manifold: the curve up to P = {p_max!r} is not finite")
     summary = {
         "defaults": {"n_points": n, "p_max": p_max},
@@ -417,6 +417,10 @@ def _cmd_renewal_check(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
         # a memory window too long to allocate is refused in the set-up
         raise ConfigError(f"renewal: memory window {window!r}: {exc}") from exc
     basic = between_host.r0(params)
+    # the gaps read every step; the rows written are epi-sim's: every
+    # output_stride-th step and the last
+    last = renewal.t.size - 1
+    rows = [*range(0, last, cfg.output_stride), last]
     summary = {
         "grid": {"n_omega": n_omega, "dt": dt},
         "memory_window": window,
@@ -429,7 +433,8 @@ def _cmd_renewal_check(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
         s_star = params.r / params.mu1 / basic
         summary["stationary_kernel_identity"] = s_star * between_host.kernel_total_integral(params)
     lines = _csv_lines(
-        "t,S_pde,F_pde,S_renewal,F_renewal", renewal.t, s_pde, f_pde, renewal.S, renewal.F
+        "t,S_pde,F_pde,S_renewal,F_renewal",
+        *(column[rows] for column in (renewal.t, s_pde, f_pde, renewal.S, renewal.F)),
     )
     return summary, {"renewal.csv": lines}
 

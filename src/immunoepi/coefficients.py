@@ -92,6 +92,7 @@ def from_within_host(kind: str, params: wh.WithinHostParams) -> Coefficient:
     "pathogen_load" gives P_plus(omega); "immune_growth" gives
     kappa*P_plus(omega) - c*omega. Both are defined up to the within-host
     fold value W_fold, the natural status ceiling for the linked model.
+    An array of nodes gets within_host's float closed form at each node.
     """
     if kind == "pathogen_load":
         def fn(w):

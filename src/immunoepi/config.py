@@ -13,6 +13,9 @@ A scenario document is a JSON object with up to six sections:
 
 Unknown keys are rejected at every level so typos fail loudly instead of
 silently falling back to defaults.
+A ``sweep`` section imports ``bifurcation``, and a ``between_host`` or
+``functions`` section the numpy-based ``between_host`` and ``coefficients``,
+so a within-host document loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,11 +24,15 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bifurcation, coefficients, within_host
-from .between_host import COEFFICIENT_FIELDS, BetweenHostParams
-from .coefficients import Coefficient
+from . import within_host
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .between_host import BetweenHostParams
+    from .bifurcation import SweepSpec
+    from .coefficients import Coefficient
 
 __all__ = ["ScenarioConfig", "load_scenario", "resolve_coefficient"]
 
@@ -36,8 +43,6 @@ _WITHIN_KEYS = {
     "initial", "p_clear",
 }
 _SWEEP_KEYS = {"which", "lo", "hi", "n", "W", "cycle_n"}
-_FUNCTION_KEYS = set(COEFFICIENT_FIELDS)
-_BETWEEN_KEYS = {f.name for f in fields(BetweenHostParams)} - _FUNCTION_KEYS
 _GRID_KEYS = {"n_omega", "dt"}
 _RUN_KEYS = {"t_max", "output_stride", "snapshot_stride", "initial"}
 _INITIAL_KEYS = {"S", "I", "V", "B"}
@@ -101,6 +106,8 @@ def resolve_coefficient(
     within: within_host.WithinHostParams | None = None,
 ) -> Coefficient:
     """Build a Coefficient from a named-family descriptor."""
+    from . import coefficients
+
     node = _require_mapping(descriptor, path)
     family = node.get("family")
     if family not in _FAMILY_KEYS:
@@ -145,7 +152,7 @@ class ScenarioConfig:
     within: within_host.WithinHostParams | None = None
     within_initial: within_host.WithinHostState | None = None
     p_clear: float = within_host.P_CLEAR_DEFAULT
-    sweep: bifurcation.SweepSpec | None = None
+    sweep: SweepSpec | None = None
     cycle_n: int = 40
     between: BetweenHostParams | None = None
     n_omega: int | None = None
@@ -199,6 +206,8 @@ def _parse_within(node: dict, cfg: ScenarioConfig) -> None:
 
 
 def _parse_sweep(node: dict, cfg: ScenarioConfig) -> None:
+    from . import bifurcation
+
     _reject_unknown(node, _SWEEP_KEYS, "sweep")
     which = node.get("which")
     if which not in ("delta", "W"):
@@ -224,11 +233,16 @@ def _parse_sweep(node: dict, cfg: ScenarioConfig) -> None:
 
 
 def _parse_between(raw: dict, cfg: ScenarioConfig) -> None:
+    from .between_host import COEFFICIENT_FIELDS, BetweenHostParams
+
+    function_keys = set(COEFFICIENT_FIELDS)
+    # the scalar fields of BetweenHostParams
+    between_keys = {f.name for f in fields(BetweenHostParams)} - function_keys
     node = _require_mapping(raw.get("between_host"), "between_host")
-    _reject_unknown(node, _BETWEEN_KEYS, "between_host")
+    _reject_unknown(node, between_keys, "between_host")
     functions = _require_mapping(raw.get("functions"), "functions")
-    _reject_unknown(functions, _FUNCTION_KEYS, "functions")
-    missing = _FUNCTION_KEYS - set(functions)
+    _reject_unknown(functions, function_keys, "functions")
+    missing = function_keys - set(functions)
     if missing:
         raise ConfigError(f"functions.{sorted(missing)[0]}: descriptor is missing")
     resolved = {
@@ -248,7 +262,7 @@ def _parse_between(raw: dict, cfg: ScenarioConfig) -> None:
     kwargs = {
         f.name: _number(node, f.name, "between_host")
         for f in fields(BetweenHostParams)
-        if f.name in _BETWEEN_KEYS and f.name != "omega0" and (f.default is MISSING or f.name in node)
+        if f.name in between_keys and f.name != "omega0" and (f.default is MISSING or f.name in node)
     }
     try:
         cfg.between = BetweenHostParams(**kwargs, omega0=omega0, **resolved)

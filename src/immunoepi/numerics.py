@@ -7,9 +7,11 @@ structured epidemic solver) is built on the operations in this module:
   state carried as a tuple of Python floats (the rhs takes one and returns
   a sequence of floats), with optional scalar event location:
   ``find_root`` on the event along one Dormand-Prince step from the left
-  end of the bracketing step. The returned Trajectory holds arrays.
+  end of the bracketing step. The returned Trajectory holds lists.
+* ``linspace`` -- evenly spaced Python floats, np.linspace's bit for bit.
 * ``quadrature`` -- the package's one composite Simpson rule: a guarded
-  sum of evenly spaced node values over [0, length], one per row.
+  sum of evenly spaced node values over [0, length], one per row; the one
+  user of numpy here, imported by its calls.
 * ``find_root`` -- bracketed scalar root solve by Brent's method, in the
   form and with the stopping rule of scipy's ``brentq``, plus explicit
   bracket validation. The package needs numpy only.
@@ -24,16 +26,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import BracketError, ConvergenceError, NonFiniteError, StepLimitError
 
 __all__ = [
     "Trajectory",
     "integrate_ode",
+    "linspace",
     "quadrature",
     "simpson_coefficients",
     "find_root",
@@ -48,7 +50,7 @@ EVENT_RELATIVE_TOL = 1e-10
 MAX_STEPS = 1_000_000
 # Brent's stopping width is xtol plus this relative part (scipy's brentq
 # default), and a solve may take this many iterations.
-BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 200
 
 
@@ -59,11 +61,11 @@ BRENT_MAXITER = 200
 
 @dataclass
 class Trajectory:
-    """Accepted integration samples; when an event fired, event_time is its
-    time and the last row of y its state."""
+    """Accepted integration samples, one state tuple per time; when an event
+    fired, event_time is its time and the last row of y its state."""
 
-    t: np.ndarray
-    y: np.ndarray
+    t: list[float]
+    y: list[tuple[float, ...]]
     event_time: float | None = None
 
 
@@ -142,7 +144,7 @@ def _locate_event(rhs, event, t_lo, y_lo, t_hi, y_hi):
 
 def integrate_ode(
     rhs: Callable[[float, tuple[float, ...]], Sequence[float]],
-    y0: Sequence[float] | np.ndarray,
+    y0: Sequence[float],
     t_span: tuple[float, float],
     event: Callable[[float, tuple[float, ...]], float] | None = None,
 ) -> Trajectory:
@@ -153,24 +155,25 @@ def integrate_ode(
     the event, when given, is a scalar function of (t, y); integration
     stops where it first falls from positive to zero or below, located by
     find_root on the bracketing step. Steps are accepted to the tolerances
-    RTOL and ATOL, read at call time. The returned Trajectory holds arrays.
+    RTOL and ATOL, read at call time. The returned Trajectory holds lists.
     Raises NonFiniteError if the state leaves the finite range and
     StepLimitError after MAX_STEPS steps.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t_end > t_start")
-    y_arr = np.asarray(y0, dtype=float)
-    if y_arr.ndim != 1 or y_arr.size == 0:
+    try:
+        y = tuple(map(float, y0))
+    except TypeError:
+        y = ()
+    if not y:
         raise ValueError("y0 must be one-dimensional and non-empty")
-    y = tuple(y_arr.tolist())
     n = len(y)
     abs_tol, rel_tol = ATOL, RTOL
     isfinite = math.isfinite
 
-    # accepted states, flattened: no tuple is kept per sample
     ts = [t0]
-    ys = list(y)
+    ys = [y]
     e_prev = event(t0, y) if event is not None else None
 
     t = t0
@@ -207,18 +210,34 @@ def integrate_ode(
                 if e_prev > 0.0 and e_new <= 0.0:
                     t_ev, y_ev = _locate_event(rhs, event, t, y, t_new, y_new)
                     ts.append(t_ev)
-                    ys.extend(y_ev)
-                    return Trajectory(np.array(ts), np.array(ys).reshape(-1, n), t_ev)
+                    ys.append(y_ev)
+                    return Trajectory(ts, ys, t_ev)
                 e_prev = e_new
             t, y = t_new, y_new
             ts.append(t)
-            ys.extend(y)
+            ys.append(y)
             k_carry = k_last
         else:
             k_carry = None
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-    return Trajectory(np.array(ts), np.array(ys).reshape(-1, n))
+    return Trajectory(ts, ys)
+
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """The n >= 2 values of np.linspace(lo, hi, n) bit for bit, as a list.
+    The list is requested whole first: a length past memory is refused
+    before any value is built."""
+    try:
+        values = [hi] * n
+    except MemoryError:
+        raise MemoryError(f"Unable to allocate a list of {n} floats") from None
+    div, delta = n - 1, hi - lo
+    step = delta / div
+    for i in range(div):
+        # a step lost to underflow: numpy scales each index first
+        values[i] = (i / div * delta if step == 0.0 else i * step) + lo
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +246,14 @@ def integrate_ode(
 
 
 @functools.lru_cache(maxsize=16)
-def simpson_coefficients(n: int) -> np.ndarray:
+def simpson_coefficients(n: int):
     """Composite Simpson coefficients 1, 4, 2, ..., 2, 4, 1 on n panels.
 
     The weights on a panel of width h are these times h/3. The array is
     cached per n and shared, so it is read-only. n must be even.
     """
+    import numpy as np
+
     if n < 2 or n % 2 != 0:
         raise ValueError(f"Simpson rule requires an even panel count >= 2, got {n}")
     coeff = np.ones(n + 1)
@@ -253,6 +274,8 @@ def quadrature(values, length):
     whatever the block's shape or the BLAS thread count. Raises
     NonFiniteError on a non-finite sum.
     """
+    import numpy as np
+
     n = np.shape(values)[-1] - 1
     sums = np.einsum("...j,j->...", values, simpson_coefficients(n))
     if isinstance(sums, np.ndarray):
@@ -282,7 +305,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
     if not lo < hi:
         raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
-    if not (np.isfinite(flo) and np.isfinite(fhi)):
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
         raise NonFiniteError("non-finite endpoint evaluation")
     if flo == 0.0:
         return lo

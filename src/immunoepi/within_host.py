@@ -11,10 +11,12 @@ at a rate proportional to ``epsilon``:
 Freezing W gives a planar fast subsystem whose nontrivial equilibria come in
 a lower/upper pair that collides in a fold as the effective clearance rate
 Gamma = gamma + delta*W grows. delta and W enter the fast subsystem only
-through Gamma, so its equilibria and Jacobian take Gamma, elementwise over
-a scalar or an array. The fold and Hopf loci of that subsystem, the slow
-manifold, and event-based infection runs (recovery when the pathogen is
-cleared after the fold) are all computed here.
+through Gamma, so its equilibria and Jacobian take Gamma. The fold and Hopf
+loci of that subsystem, the slow manifold, and event-based infection runs
+(recovery when the pathogen is cleared after the fold) are all computed
+here, each closed form once over Python floats, without numpy. An array
+given to ``equilibria_fast``, ``upper_branch_P`` or ``immune_growth_g`` is
+mapped through the float form, numpy imported by that call.
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import NonFiniteError
-from .numerics import find_root, integrate_ode
+from .numerics import _div, find_root, integrate_ode, linspace
 
 __all__ = [
     "WithinHostParams",
@@ -86,7 +86,7 @@ class WithinHostParams:
     def __post_init__(self) -> None:
         for name in ("Lambda", "mu", "alpha", "gamma", "delta", "epsilon", "kappa", "c"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
             # a numpy scalar would warn where a Python float overflows silently
             object.__setattr__(self, name, float(value))
@@ -115,10 +115,14 @@ class WithinHostState:
     def __post_init__(self) -> None:
         for name in ("T", "P", "W"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+            object.__setattr__(self, name, float(value))
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        """The state as an ndarray; numpy is imported by this call."""
+        import numpy as np
+
         return np.array([self.T, self.P, self.W], dtype=float)
 
 
@@ -148,63 +152,86 @@ class FastEquilibria:
     """
 
     trivial: tuple[float, float]
-    exists: bool | np.ndarray
+    exists: bool  # or a bool array, for an array of rates
     lower: tuple | None
     upper: tuple | None
 
 
-def _nontrivial_pair(params: WithinHostParams, Gamma):
-    """Closed form of the nontrivial pair at clearance rate Gamma, elementwise.
+def _nodes(x):
+    """None for a number, else x as a float ndarray (numpy imported here)."""
+    if isinstance(x, (int, float)):
+        return None
+    import numpy as np
 
-    Returns (disc, P_lo, P_hi) with the shape of Gamma. The pair solves
+    return np.asarray(x, dtype=float)
+
+
+def _nontrivial_pair(params: WithinHostParams, Gamma: float) -> tuple[float, float, float]:
+    """Closed form of the nontrivial pair at clearance rate Gamma.
+
+    Returns (disc, P_lo, P_hi). The pair solves
     alpha*Gamma*P^2 - alpha*Lambda*P + mu*Gamma = 0; a discriminant within
     rounding of zero is clamped to the double root, and where it stays
     negative no pair exists and both loads are NaN. Rates past the float
-    range overflow here; the callers evaluate it under one errstate scope,
-    so the inf or NaN reaches their checks unwarned.
+    range give inf or NaN here, unwarned (a division by zero as numpy's),
+    for the callers' checks.
     """
     a, mu, lam = params.alpha, params.mu, params.Lambda
-    disc = a * a * lam * lam - 4.0 * a * mu * Gamma * Gamma
-    # double root lost to rounding exactly at the threshold
-    disc = np.where((-1e-13 * max(a * a * lam * lam, 1.0) < disc) & (disc < 0.0), 0.0, disc)
-    root = np.sqrt(np.where(disc < 0.0, np.nan, disc))
-    P_hi = (a * lam + root) / (2.0 * Gamma * a)
-    P_lo = (a * lam - root) / (2.0 * Gamma * a)
-    return disc, P_lo, P_hi
+    square = a * a * lam * lam
+    disc = square - 4.0 * a * mu * Gamma * Gamma
+    # double root lost to rounding exactly at the threshold (the scale is
+    # max(square, 1.0), written out: this runs once per coefficient node)
+    if disc < 0.0 and -1e-13 * (1.0 if square < 1.0 else square) < disc:
+        disc = 0.0
+    if not disc >= 0.0:
+        return disc, math.nan, math.nan
+    root = math.sqrt(disc)
+    den = 2.0 * Gamma * a
+    try:
+        return disc, (a * lam - root) / den, (a * lam + root) / den
+    except ZeroDivisionError:
+        return disc, _div(a * lam - root, den), _div(a * lam + root, den)
 
 
 def equilibria_fast(params: WithinHostParams, Gamma) -> FastEquilibria:
     """All fast-subsystem equilibria at clearance rate Gamma = gamma + delta*W.
 
-    Elementwise over a scalar or an array Gamma: ``exists`` and the (T, P)
-    of ``lower`` and ``upper`` take its shape, NaN where no pair exists. A
-    scalar Gamma without a pair gives None for both.
+    At a number Gamma, ``lower`` and ``upper`` are (T, P) floats, or None
+    when no pair exists. At an array, ``exists`` and the (T, P) of
+    ``lower`` and ``upper`` are arrays of its shape, NaN where no pair
+    exists: the float form at each rate.
     """
     a, mu, lam = params.alpha, params.mu, params.Lambda
-    trivial = (lam / mu, 0.0)
-    # rates past the float range overflow unwarned, a product Gamma*alpha
-    # that underflows to zero divides by it unwarned, and an infinite load
-    # gives T = 0 or NaN: the caller refuses what is not finite
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        disc, P_lo, P_hi = _nontrivial_pair(params, Gamma)
-        lower = (lam / (mu + a * P_lo * P_lo), P_lo)
-        upper = (lam / (mu + a * P_hi * P_hi), P_hi)
-    exists = ~(disc < 0.0)
-    if np.ndim(exists) == 0 and not exists:
-        return FastEquilibria(trivial=trivial, exists=False, lower=None, upper=None)
-    return FastEquilibria(trivial=trivial, exists=exists, lower=lower, upper=upper)
+
+    def states(G):
+        disc, P_lo, P_hi = _nontrivial_pair(params, G)
+        # mu + alpha*P^2 > 0: T divides by no zero, and is NaN at a NaN load
+        return not disc < 0.0, lam / (mu + a * P_lo * P_lo), P_lo, lam / (mu + a * P_hi * P_hi), P_hi
+
+    rates = _nodes(Gamma)
+    if rates is None:
+        exists, T_lo, P_lo, T_hi, P_hi = states(float(Gamma))
+        if not exists:
+            return FastEquilibria(trivial=(lam / mu, 0.0), exists=False, lower=None, upper=None)
+    else:
+        import numpy as np
+
+        columns = zip(*map(states, rates.ravel().tolist()))
+        exists, T_lo, P_lo, T_hi, P_hi = (np.array(c).reshape(rates.shape) for c in columns)
+    return FastEquilibria(
+        trivial=(lam / mu, 0.0), exists=exists, lower=(T_lo, P_lo), upper=(T_hi, P_hi)
+    )
 
 
-def jacobian_fast(tp: Sequence, params: WithinHostParams, Gamma) -> np.ndarray:
+def jacobian_fast(tp: Sequence, params: WithinHostParams, Gamma) -> tuple:
     """Jacobian of the fast subsystem at a point (T, P) and clearance rate
-    Gamma; T, P and Gamma arrays of one shape give a (2, 2, ...) array."""
+    Gamma, as its two rows; T, P and Gamma arrays of one shape give rows of
+    arrays (``np.asarray`` of either is the matrix)."""
     T, P = tp
     a = params.alpha
-    return np.array(
-        [
-            [-params.mu - a * P * P, -2.0 * a * P * T],
-            [a * P * P, 2.0 * a * P * T - Gamma],
-        ]
+    return (
+        (-params.mu - a * P * P, -2.0 * a * P * T),
+        (a * P * P, 2.0 * a * P * T - Gamma),
     )
 
 
@@ -244,14 +271,22 @@ def critical_loci(params: WithinHostParams) -> CriticalLoci:
     Gamma_fold = 0.5 * lam * math.sqrt(a / mu)
     if not math.isfinite(Gamma_fold):
         raise NonFiniteError(f"fold clearance rate Gamma_fold = {Gamma_fold!r} is not finite")
+
+    def cbrt(x):
+        # within an ulp by one rule on every Python version (math.cbrt is
+        # 3.11+): x = m*2^(3q) with m in [0.5, 4), and m^(1/3) by pow
+        m, e = math.frexp(x)
+        q, r = divmod(e, 3)
+        return math.ldexp(math.ldexp(m, r) ** (1.0 / 3.0), q)
+
     # k^(1/3), and Gamma^4/k as Gamma*(Gamma/k^(1/3))^3, stay finite for
     # any finite rates
-    k3 = float(np.cbrt(a) * np.cbrt(lam) ** 2)
+    k3 = cbrt(a) * cbrt(lam) ** 2
 
     def trace_condition(G):
         return G - G * (G / k3) ** 3 - mu
 
-    peak = k3 / float(np.cbrt(4.0))
+    peak = k3 / cbrt(4.0)
     hopf: tuple[float, ...] = ()
     if trace_condition(peak) > 0.0:
         G = find_root(trace_condition, peak, 2.0 * k3, tol=1e-14)
@@ -264,72 +299,66 @@ def critical_loci(params: WithinHostParams) -> CriticalLoci:
 # ---------------------------------------------------------------------------
 
 
-def slow_manifold_W(P, params: WithinHostParams):
+def slow_manifold_W(P: float, params: WithinHostParams) -> float:
     """Immune status on the critical manifold, W = phi(P).
 
     Solving the fast equilibrium conditions for W gives
     phi(P) = -gamma/delta + alpha*Lambda*P / (delta*(alpha*P^2 + mu)).
-    Accepts scalars or arrays.
+    A denominator that underflows to zero gives inf or NaN.
     """
-    P = np.asarray(P, dtype=float)
     a, mu, lam, d = params.alpha, params.mu, params.Lambda, params.delta
-    out = -params.gamma / d + a * lam * P / (d * (a * P * P + mu))
-    return float(out) if out.ndim == 0 else out
+    return -params.gamma / d + _div(a * lam * P, d * (a * P * P + mu))
 
 
 def manifold_tip(params: WithinHostParams) -> tuple[float, float]:
     """Fold point of the manifold: (P_tip, W_max) with P_tip = sqrt(mu/alpha)
-    and W_max = phi(P_tip), in slow_manifold_W's operation order.
+    and W_max = phi(P_tip).
 
-    Python floats overflow to inf without a warning. W_max = -inf, a fold
-    below every status, is returned as it is; a tip load that is not finite
-    or a W_max that is NaN or +inf raises NonFiniteError.
+    W_max = -inf, a fold below every status, is returned as it is; a tip
+    load that is not finite or a W_max that is NaN or +inf raises
+    NonFiniteError.
     """
-    a, mu, d = params.alpha, params.mu, params.delta
-    P_tip = math.sqrt(mu / a)
-    try:
-        W_max = -params.gamma / d + a * params.Lambda * P_tip / (d * (a * P_tip * P_tip + mu))
-    except ZeroDivisionError:
-        # the denominator underflowed to zero under a positive numerator
-        W_max = math.inf
+    P_tip = math.sqrt(params.mu / params.alpha)
+    W_max = slow_manifold_W(P_tip, params)
     if not (math.isfinite(P_tip) and W_max < math.inf):
         raise NonFiniteError(f"manifold tip (P, W) = ({P_tip!r}, {W_max!r}) is not finite")
     return P_tip, W_max
 
 
-def w_nullcline(P, params: WithinHostParams):
+def w_nullcline(P: float, params: WithinHostParams) -> float:
     """The W' = 0 locus, W = kappa*P/c."""
-    P = np.asarray(P, dtype=float)
-    out = params.kappa * P / params.c
-    return float(out) if out.ndim == 0 else out
+    return params.kappa * P / params.c
 
 
 def upper_branch_P(W, params: WithinHostParams):
     """Pathogen load on the upper (infected) manifold branch at status W.
 
-    Accepts a scalar or an array of statuses. Defined for W in [0, W_fold];
+    Accepts a number or an array of statuses; an array gives an array of
+    its shape, the float form at each node. Defined for W in [0, W_fold];
     a hair of rounding slack is allowed at the tip itself, where the load
     is sqrt(mu/alpha). A negative status or one past the fold raises
     ValueError naming the first such node.
     """
-    W_arr = np.asarray(W, dtype=float)
-    # only the loads: no T arrays on a coefficient table's nodes
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        disc, _, P_hi = _nontrivial_pair(params, params.gamma_eff(W_arr))
-    _, W_max = manifold_tip(params)
-    missing = disc < 0.0
-    negative = W_arr < 0.0
-    # discriminant lost to rounding exactly at the tip
-    beyond = missing & ~(W_arr <= W_max * (1.0 + 1e-12) + 1e-12)
-    bad = np.flatnonzero(negative | beyond)
-    if bad.size:
-        first = bad[0]
-        w = W_arr.flat[first]
-        if negative.flat[first]:
+    W_max = manifold_tip(params)[1]
+    limit, tip = W_max * (1.0 + 1e-12) + 1e-12, math.sqrt(params.mu / params.alpha)
+
+    def load(w):
+        if w < 0.0:
             raise ValueError(f"immune status must be nonnegative, got {w}")
-        raise ValueError(f"no infected branch at W={w} (fold at W={W_max})")
-    out = np.where(missing, np.sqrt(params.mu / params.alpha), P_hi)
-    return float(out) if out.ndim == 0 else out
+        disc, _, P_hi = _nontrivial_pair(params, params.gamma + params.delta * w)
+        if not disc < 0.0:
+            return P_hi
+        # discriminant lost to rounding exactly at the tip
+        if not w <= limit:
+            raise ValueError(f"no infected branch at W={w} (fold at W={W_max})")
+        return tip
+
+    nodes = _nodes(W)
+    if nodes is None:
+        return load(float(W))
+    import numpy as np
+
+    return np.array([load(w) for w in nodes.ravel().tolist()], dtype=float).reshape(nodes.shape)
 
 
 def immune_growth_g(omega, params: WithinHostParams):
@@ -338,11 +367,9 @@ def immune_growth_g(omega, params: WithinHostParams):
     g(omega) = kappa*P_plus(omega) - c*omega, the slow W dynamics restricted
     to the upper manifold branch. Defined on [0, W_fold]. g(0) > 0 always;
     positivity further along the branch depends on kappa/c. Accepts a
-    scalar or an array of statuses.
+    number or an array of statuses, as upper_branch_P does.
     """
-    omega_arr = np.asarray(omega, dtype=float)
-    out = params.kappa * upper_branch_P(omega_arr, params) - params.c * omega_arr
-    return float(out) if np.ndim(out) == 0 else out
+    return params.kappa * upper_branch_P(omega, params) - params.c * omega
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +381,8 @@ def immune_growth_g(omega, params: WithinHostParams):
 class InfectionRun:
     """A full within-host trajectory with clearance bookkeeping.
 
-    ``states`` holds one (T, P, W) row per time in ``t``.
+    ``t`` lists the sample times and ``states`` one (T, P, W) tuple per
+    time, all Python floats (``np.asarray`` makes arrays of them).
     ``recovery_time`` is the first time the pathogen load falls through
     the clearance level (None if it never does within t_max, or if the run
     starts cleared); the state then is the row of ``states`` at that time.
@@ -363,32 +391,35 @@ class InfectionRun:
     jump rather than a subthreshold fizzle.
     """
 
-    t: np.ndarray
-    states: np.ndarray
+    t: list[float]
+    states: list[tuple[float, float, float]]
     recovery_time: float | None
     fold_crossed: bool
     w_fold: float
 
 
 def _cleared_branch(
-    params: WithinHostParams, t0: float, state0: np.ndarray, t_end: float
-) -> tuple[np.ndarray, np.ndarray]:
+    params: WithinHostParams, t0: float, state0: Sequence[float], t_end: float
+) -> tuple[list[float], list[tuple[float, float, float]]]:
     """Exact solution on the P = 0 branch from (t0, state0) up to t_end.
 
     With no pathogen the system is linear: T relaxes to Lambda/mu at rate mu
     and W decays at rate epsilon*c. Returns CLEARED_BRANCH_SAMPLES times
     after t0, the last one exactly t_end, and the states (T, 0, W) there.
+    The elapsed times are np.geomspace's: powers of ten at evenly spaced
+    logarithms, with both ends exact.
     """
     span = t_end - t0
     rate = max(params.mu, params.epsilon * params.c)
     first = min(CLEARED_BRANCH_FIRST / rate, span / CLEARED_BRANCH_SAMPLES)
-    s = np.geomspace(first, span, CLEARED_BRANCH_SAMPLES)
-    t = t0 + s
+    logs = linspace(math.log10(first), math.log10(span), CLEARED_BRANCH_SAMPLES)
+    s = [first, *(10.0 ** e for e in logs[1:-1]), span]
+    t = [t0 + x for x in s]
     t[-1] = t_end
     T_inf = params.Lambda / params.mu
-    states = np.zeros((CLEARED_BRANCH_SAMPLES, 3))
-    states[:, 0] = T_inf + (state0[0] - T_inf) * np.exp(-params.mu * s)
-    states[:, 2] = state0[2] * np.exp(-params.epsilon * params.c * s)
+    T0, W0 = state0[0], state0[2]
+    mu, decay = params.mu, params.epsilon * params.c
+    states = [(T_inf + (T0 - T_inf) * math.exp(-mu * x), 0.0, W0 * math.exp(-decay * x)) for x in s]
     return t, states
 
 
@@ -409,9 +440,9 @@ def simulate_infection(
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     w_fold = manifold_tip(params)[1]
-    y0 = initial.as_array()
+    y0 = (initial.T, initial.P, initial.W)
     # a cleared start skips the infected phase and clears at t = 0
-    t, states, t_rec = np.zeros(1), y0[np.newaxis], None
+    t, states, t_rec = [0.0], [y0], None
     t_clear, state_clear = 0.0, y0
     if initial.P > 0.0:
         traj = integrate_ode(
@@ -423,13 +454,12 @@ def simulate_infection(
         state_clear = traj.y[-1]
     if t_clear is not None and t_clear < t_max:
         tail_t, tail_y = _cleared_branch(params, t_clear, state_clear, t_max)
-        t = np.concatenate([t, tail_t])
-        states = np.vstack([states, tail_y])
+        t, states = t + tail_t, states + tail_y
     return InfectionRun(
         t=t,
         states=states,
         recovery_time=t_rec,
         # the cleared branch only lowers W
-        fold_crossed=bool(np.max(states[:, 2]) >= w_fold),
+        fold_crossed=max(state[2] for state in states) >= w_fold,
         w_fold=w_fold,
     )

@@ -195,8 +195,8 @@ def integrate_slow_reduced(
     with mock.patch.multiple(numerics, RTOL=1e-10, ATOL=1e-12):
         for start, end in zip(ends[:-1], ends[1:]):
             piece = integrate_ode(f, [ws[-1]], (start, end), event=at_fold)
-            ts.extend(piece.t[1:].tolist())
-            ws.extend(piece.y[1:, 0].tolist())
+            ts.extend(np.asarray(piece.t)[1:].tolist())
+            ws.extend(np.asarray(piece.y)[1:, 0].tolist())
             if piece.event_time is not None:
                 break
     return Trajectory(np.array(ts), np.array(ws)[:, None], piece.event_time)
@@ -239,7 +239,7 @@ def lyapunov_coefficient(params: wh.WithinHostParams, spec) -> tuple[float, np.n
     """
     Gamma = spec.to_gamma(params, hopf_point(params, spec))
     T, P = wh.equilibria_fast(params, Gamma).upper
-    A = wh.jacobian_fast((T, P), params, Gamma)
+    A = np.asarray(wh.jacobian_fast((T, P), params, Gamma))
     values, vectors = np.linalg.eig(A)
     k = int(np.argmax(values.imag))
     omega = values[k].imag

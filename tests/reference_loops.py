@@ -26,8 +26,16 @@ floats with the same operations in the same order.
 ``sweep_branch_loop`` is the earlier branch sweep: one Python-float
 clearance rate at a time through within_host's closed forms, and the
 eigenvalue pair and stability tag of each point from the trace and
-determinant of its Jacobian. The package evaluates the whole sweep as
-arrays and must return the same columns bit for bit.
+determinant of its Jacobian.
+
+``nontrivial_pair_array``, ``equilibria_fast_array``,
+``jacobian_fast_array``, ``upper_branch_P_array``,
+``immune_growth_g_array``, ``branch_array`` and ``sweep_array`` are the
+earlier array forms of the within-host closed forms and of the sweep: one
+numpy pass over every rate, status or sweep value, the sweep's values from
+``np.linspace``. The package writes each closed form once over Python
+floats, maps it over an array, and sweeps column by column; it must return
+the same values bit for bit.
 
 ``write_rows_table`` is the earlier whole-table CSV writer; the package's
 block-streamed writer must produce the same bytes.
@@ -54,7 +62,7 @@ from immunoepi.between_host import (
     StructuredState,
     renewal_kernel_A,
 )
-from immunoepi.bifurcation import SweepSpec
+from immunoepi.bifurcation import Branch, SweepSpec
 from immunoepi.numerics import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63,
     _A64, _A65, _A71, _A72, _A73, _A74, _A75, _A76, _B1, _B3, _B4, _B5, _B6, _B7,
@@ -342,7 +350,7 @@ def sweep_branch_loop(params: wh.WithinHostParams, spec: SweepSpec) -> dict[str,
     eigenvalues complex."""
 
     def point(value, T, P, Gamma):
-        J = wh.jacobian_fast((T, P), params, Gamma)
+        J = np.asarray(wh.jacobian_fast((T, P), params, Gamma))
         trace = float(J[0, 0] + J[1, 1])
         det = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
         disc = trace * trace - 4.0 * det
@@ -361,7 +369,7 @@ def sweep_branch_loop(params: wh.WithinHostParams, spec: SweepSpec) -> dict[str,
         return (value, T, P, *ev, stability)
 
     rows: dict[str, list[tuple]] = {"upper": [], "lower": [], "trivial": []}
-    for value in spec.values().tolist():
+    for value in np.asarray(spec.values()).tolist():
         Gamma = spec.to_gamma(params, value)
         eq = wh.equilibria_fast(params, Gamma)
         rows["trivial"].append(point(value, *eq.trivial, Gamma))
@@ -369,6 +377,126 @@ def sweep_branch_loop(params: wh.WithinHostParams, spec: SweepSpec) -> dict[str,
             rows["upper"].append(point(value, *eq.upper, Gamma))
             rows["lower"].append(point(value, *eq.lower, Gamma))
     return rows
+
+
+def nontrivial_pair_array(params, Gamma):
+    """Closed form of the nontrivial pair at clearance rate Gamma, elementwise.
+
+    Returns (disc, P_lo, P_hi) with the shape of Gamma. The pair solves
+    alpha*Gamma*P^2 - alpha*Lambda*P + mu*Gamma = 0; a discriminant within
+    rounding of zero is clamped to the double root, and where it stays
+    negative no pair exists and both loads are NaN. Rates past the float
+    range overflow here; the callers evaluate it under one errstate scope,
+    so the inf or NaN reaches their checks unwarned.
+    """
+    a, mu, lam = params.alpha, params.mu, params.Lambda
+    disc = a * a * lam * lam - 4.0 * a * mu * Gamma * Gamma
+    # double root lost to rounding exactly at the threshold
+    disc = np.where((-1e-13 * max(a * a * lam * lam, 1.0) < disc) & (disc < 0.0), 0.0, disc)
+    root = np.sqrt(np.where(disc < 0.0, np.nan, disc))
+    P_hi = (a * lam + root) / (2.0 * Gamma * a)
+    P_lo = (a * lam - root) / (2.0 * Gamma * a)
+    return disc, P_lo, P_hi
+
+
+def equilibria_fast_array(params, Gamma):
+    """(exists, lower, upper) of the fast subsystem at an array of clearance
+    rates, NaN where no pair exists."""
+    a, mu, lam = params.alpha, params.mu, params.Lambda
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        disc, P_lo, P_hi = nontrivial_pair_array(params, Gamma)
+        lower = (lam / (mu + a * P_lo * P_lo), P_lo)
+        upper = (lam / (mu + a * P_hi * P_hi), P_hi)
+    exists = ~(disc < 0.0)
+    return exists, lower, upper
+
+
+def jacobian_fast_array(tp, params, Gamma):
+    """Jacobian of the fast subsystem at a point (T, P) and clearance rate
+    Gamma; T, P and Gamma arrays of one shape give a (2, 2, ...) array."""
+    T, P = tp
+    a = params.alpha
+    return np.array(
+        [
+            [-params.mu - a * P * P, -2.0 * a * P * T],
+            [a * P * P, 2.0 * a * P * T - Gamma],
+        ]
+    )
+
+
+def upper_branch_P_array(W, params):
+    """Pathogen load on the upper (infected) manifold branch at status W.
+
+    Accepts a scalar or an array of statuses. Defined for W in [0, W_fold];
+    a hair of rounding slack is allowed at the tip itself, where the load
+    is sqrt(mu/alpha). A negative status or one past the fold raises
+    ValueError naming the first such node.
+    """
+    W_arr = np.asarray(W, dtype=float)
+    # only the loads: no T arrays on a coefficient table's nodes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        disc, _, P_hi = nontrivial_pair_array(params, params.gamma_eff(W_arr))
+    _, W_max = wh.manifold_tip(params)
+    missing = disc < 0.0
+    negative = W_arr < 0.0
+    # discriminant lost to rounding exactly at the tip
+    beyond = missing & ~(W_arr <= W_max * (1.0 + 1e-12) + 1e-12)
+    bad = np.flatnonzero(negative | beyond)
+    if bad.size:
+        first = bad[0]
+        w = W_arr.flat[first]
+        if negative.flat[first]:
+            raise ValueError(f"immune status must be nonnegative, got {w}")
+        raise ValueError(f"no infected branch at W={w} (fold at W={W_max})")
+    out = np.where(missing, np.sqrt(params.mu / params.alpha), P_hi)
+    return float(out) if out.ndim == 0 else out
+
+
+def immune_growth_g_array(omega, params):
+    """g(omega) = kappa*P_plus(omega) - c*omega on a scalar or an array."""
+    omega_arr = np.asarray(omega, dtype=float)
+    out = params.kappa * upper_branch_P_array(omega_arr, params) - params.c * omega_arr
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def branch_array(param, T, P, params, Gamma):
+    """The points (T, P) at clearance rates Gamma with the eigenvalues and
+    stability tag of the fast Jacobian there (trace and determinant within
+    1e-9 of zero count as zero)."""
+    J = jacobian_fast_array((T, P), params, Gamma)
+    trace = J[0, 0] + J[1, 1]
+    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    disc = trace * trace - 4.0 * det
+    real = disc >= 0.0
+    root = np.sqrt(np.abs(disc))
+    eigenvalues = np.column_stack([
+        np.where(real, 0.5 * (trace - root), 0.5 * trace),
+        np.where(real, 0.0, -0.5 * root),
+        np.where(real, 0.5 * (trace + root), 0.5 * trace),
+        np.where(real, 0.0, 0.5 * root),
+    ]).view(complex)
+    stability = np.select(
+        [det < -1e-9, np.abs(trace) <= 1e-9, (trace < 0.0) & (disc < 0.0), trace < 0.0, disc < 0.0],
+        ["saddle", "marginal", "stable-focus", "stable-node", "unstable-focus"],
+        "unstable-node",
+    )
+    return Branch(param, T, P, eigenvalues, stability)
+
+
+def sweep_array(params, spec):
+    """The sweep grid's values (np.linspace), clearance rates and pair mask,
+    and its trivial, upper and lower branches of arrays on every value (NaN
+    where no pair exists), in one guarded pass."""
+    values = np.linspace(spec.lo, spec.hi, spec.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Gamma = spec.to_gamma(params, values)
+        exists, lower, upper = equilibria_fast_array(params, Gamma)
+        trivial = branch_array(
+            values, np.full_like(values, params.Lambda / params.mu), np.zeros_like(values),
+            params, Gamma,
+        )
+        upper, lower = (branch_array(values, T, P, params, Gamma) for T, P in (upper, lower))
+    return values, Gamma, exists, trivial, upper, lower
 
 
 def write_rows_table(path, header, table):

@@ -89,7 +89,7 @@ def test_critical_loci_satisfy_their_analytic_identities():
         for Gamma in loci.hopf:
             p_star = Gamma**2 / (p.alpha * p.Lambda)
             t_star = Gamma / (p.alpha * p_star)
-            jac = wh.jacobian_fast((t_star, p_star), p, Gamma)
+            jac = np.asarray(wh.jacobian_fast((t_star, p_star), p, Gamma))
             worst_trace = max(worst_trace, abs(jac[0, 0] + jac[1, 1]))
             assert jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0] > 0
             hopf_checked += 1
@@ -132,13 +132,13 @@ def test_infection_courses_stay_bounded_and_nonnegative():
         run = wh.simulate_infection(p, initial, t_max=200.0)
         n_bound = p.Lambda / min(p.mu, p.gamma) + 1.0
         w_bound = (p.kappa / p.c) * n_bound + 1.0
-        tail = run.states[3 * len(run.t) // 4:]
+        tail = np.asarray(run.states)[3 * len(run.t) // 4:]
         worst_excess = max(
             worst_excess,
             float((tail[:, 0] + tail[:, 1] - n_bound).max()),
             float((tail[:, 2] - w_bound).max()),
         )
-        worst_component = min(worst_component, float(run.states.min()))
+        worst_component = min(worst_component, float(np.asarray(run.states).min()))
     assert worst_excess <= 0.0
     assert worst_component >= -1e-10
     print(f"[PASS] 20 random courses: absorbing-set excess {worst_excess:.2e} "

@@ -28,7 +28,7 @@ from oracles import (
     leading_eigenvalue,
     lyapunov_coefficient,
 )
-from reference_loops import rk4_step_array, sweep_branch_loop
+from reference_loops import rk4_step_array, sweep_array, sweep_branch_loop
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -84,7 +84,7 @@ class TestSweepSpec:
         wspec = bif.SweepSpec(which="W", lo=0.0, hi=4.0)
         assert wspec.to_gamma(p, 1.3) == p.gamma + p.delta * 1.3
         assert wspec.from_gamma(p, p.gamma + p.delta * 1.3) == pytest.approx(1.3, abs=1e-15)
-        values = dspec.values()
+        values = np.asarray(dspec.values())
         scalars = [dspec.to_gamma(p, v) for v in values.tolist()]
         assert np.array_equal(dspec.to_gamma(p, values), scalars)
 
@@ -93,8 +93,8 @@ class TestSweepBranch:
     def test_branch_counts_and_extent(self, paper_within):
         spec = delta_sweep()
         res = bif.sweep_branch(paper_within, spec)
-        assert res.trivial.param.size == spec.n
-        assert res.upper.param.size == res.lower.param.size < spec.n
+        assert np.asarray(res.trivial.param).size == spec.n
+        assert np.asarray(res.upper.param).size == np.asarray(res.lower.param).size < spec.n
         step = (spec.hi - spec.lo) / (spec.n - 1)
         # the pair exists up to the fold and no further
         assert res.upper.param[-1] <= DELTA_FOLD_REF < res.upper.param[-1] + step
@@ -130,7 +130,7 @@ class TestSweepBranch:
         spec = delta_sweep(n=40)
         res = bif.sweep_branch(paper_within, spec)
         up = res.upper
-        for j in range(0, up.param.size, 7):
+        for j in range(0, np.asarray(up.param).size, 7):
             Gamma = spec.to_gamma(paper_within, up.param[j])
             J = wh.jacobian_fast((up.T[j], up.P[j]), paper_within, Gamma)
             e1, e2 = up.eigenvalues[j]
@@ -146,13 +146,15 @@ class TestSweepBranch:
     def test_fold_path_walks_up_then_back(self, paper_within):
         res = bif.sweep_branch(paper_within, delta_sweep())
         path = res.fold_path
-        assert path.param.size == res.upper.param.size + res.lower.param.size
-        params = path.param.tolist()
-        k = res.upper.param.size
+        assert np.asarray(path.param).size == (
+            np.asarray(res.upper.param).size + np.asarray(res.lower.param).size
+        )
+        params = np.asarray(path.param).tolist()
+        k = np.asarray(res.upper.param).size
         assert params[:k] == sorted(params[:k])
         assert params[k:] == sorted(params[k:], reverse=True)
         # P decreases monotonically along the whole path through the fold
-        ps = path.P.tolist()
+        ps = np.asarray(path.P).tolist()
         assert all(a > b for a, b in zip(ps[:-1], ps[1:]))
 
 
@@ -175,12 +177,12 @@ def branch_rows(branch):
     """The rows of a branch's columns, in hexed_rows form."""
     return hexed_rows(
         zip(
-            branch.param.tolist(),
-            branch.T.tolist(),
-            branch.P.tolist(),
-            branch.eigenvalues[:, 0].tolist(),
-            branch.eigenvalues[:, 1].tolist(),
-            branch.stability.tolist(),
+            np.asarray(branch.param).tolist(),
+            np.asarray(branch.T).tolist(),
+            np.asarray(branch.P).tolist(),
+            np.asarray(branch.eigenvalues)[:, 0].tolist(),
+            np.asarray(branch.eigenvalues)[:, 1].tolist(),
+            np.asarray(branch.stability).tolist(),
         )
     )
 
@@ -215,13 +217,38 @@ class TestBranchColumns:
 
     def test_delta_sweep_from_zero_starts_at_the_bare_clearance_rate(self, paper_within):
         spec = delta_sweep(n=9, lo=0.0)
-        assert spec.to_gamma(paper_within, spec.values())[0] == paper_within.gamma
+        assert spec.to_gamma(paper_within, np.asarray(spec.values()))[0] == paper_within.gamma
         res = bif.sweep_branch(paper_within, spec)
         eq = wh.equilibria_fast(paper_within, paper_within.gamma)
         assert (res.upper.T[0], res.upper.P[0]) == eq.upper
         assert (res.lower.T[0], res.lower.P[0]) == eq.lower
         reference = sweep_branch_loop(paper_within, spec)
         assert branch_rows(res.trivial) == hexed_rows(reference["trivial"])
+
+
+class TestFigureSweepColumns:
+    """Every column of the figure sweeps, at refinement 1 and 2, equals the
+    earlier array sweep over np.linspace (reference_loops.sweep_array) bit
+    for bit."""
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("config", ["within_fig1.json", "within_fig2.json"])
+    def test_columns_equal_the_array_sweep(self, config, refine):
+        cfg = load_scenario(CONFIGS / config)
+        for n in (cfg.sweep.n * refine, cfg.cycle_n * refine):
+            spec = dataclasses.replace(cfg.sweep, n=n)
+            values, Gamma, exists, trivial, upper, lower = sweep_array(cfg.within, spec)
+            assert [v.hex() for v in spec.values()] == [v.hex() for v in values.tolist()]
+            columns = bif._sweep(cfg.within, spec)
+            assert [c.Gamma.hex() for c in columns] == [G.hex() for G in Gamma.tolist()]
+            assert [c.upper is not None for c in columns] == exists.tolist()
+            res = bif.sweep_branch(cfg.within, spec)
+            assert branch_rows(res.trivial) == branch_rows(trivial)
+            for got, want in ((res.upper, upper), (res.lower, lower)):
+                kept = bif.Branch(*(
+                    getattr(want, f.name)[exists] for f in dataclasses.fields(bif.Branch)
+                ))
+                assert branch_rows(got) == branch_rows(kept)
 
 
 class TestDetectEvents:
@@ -291,7 +318,7 @@ class TestDetectEvents:
         lo = hopf_at - step / 3.0
         spec = bif.SweepSpec(which="W", lo=lo, hi=lo + 2.0 * step, n=3)
         res = bif.sweep_branch(paper_within, spec)
-        assert res.upper.param.tolist() == [lo]
+        assert np.asarray(res.upper.param).tolist() == [lo]
         events = bif.detect_all_events(paper_within, spec)
         assert [(e.kind, e.param) for e in events] == [("hopf", hopf_at), ("fold", fold_at)]
 
@@ -314,7 +341,7 @@ class TestStabilityAgainstFlow:
     def test_tags_predict_perturbation_fate(self, paper_within):
         spec = delta_sweep()
         res = bif.sweep_branch(paper_within, spec)
-        picks = [(res.upper, j) for j in range(0, res.upper.param.size, 24)]
+        picks = [(res.upper, j) for j in range(0, np.asarray(res.upper.param).size, 24)]
         picks += [(res.lower, 40), (res.lower, 120), (res.trivial, 100)]
         assert len(picks) >= 10
         for branch, j in picks:
@@ -337,21 +364,23 @@ class TestCycleAmplitude:
     def test_quiet_below_the_oscillation_threshold(self, paper_within):
         spec = delta_sweep(n=4, lo=0.1, hi=0.45)
         s = bif.cycle_amplitude(paper_within, spec)
-        assert not s.oscillatory.any()
-        assert not s.collapsed.any()
+        assert not np.asarray(s.oscillatory).any()
+        assert not np.asarray(s.collapsed).any()
         # the column's attractor is the upper equilibrium, its load written
         # for both extremes
-        upper_P = wh.equilibria_fast(paper_within, spec.to_gamma(paper_within, s.param)).upper[1]
-        assert s.p_max.tolist() == s.p_min.tolist() == upper_P.tolist()
-        assert s.returns.tolist() == [1, 1, 1, 1]
+        upper_P = wh.equilibria_fast(
+            paper_within, spec.to_gamma(paper_within, np.asarray(s.param))
+        ).upper[1]
+        assert np.asarray(s.p_max).tolist() == np.asarray(s.p_min).tolist() == upper_P.tolist()
+        assert np.asarray(s.returns).tolist() == [1, 1, 1, 1]
 
     def test_oscillation_window_has_growing_amplitude(self, paper_within):
         spec = delta_sweep(n=4, lo=0.52, hi=0.55)
         samples = bif.cycle_amplitude(paper_within, spec)
-        amps = (samples.p_max - samples.p_min).tolist()
-        periods = samples.period.tolist()
-        assert samples.oscillatory.all()
-        assert not samples.collapsed.any()
+        amps = (np.asarray(samples.p_max) - np.asarray(samples.p_min)).tolist()
+        periods = np.asarray(samples.period).tolist()
+        assert np.asarray(samples.oscillatory).all()
+        assert not np.asarray(samples.collapsed).any()
         assert all(a > 0.1 for a in amps)
         assert amps == sorted(amps)
         assert all(not math.isnan(p) and 5.0 < p < 20.0 for p in periods)
@@ -377,11 +406,11 @@ class TestCycleAmplitude:
     def test_collapse_beyond_the_cycle_window(self, paper_within):
         spec = delta_sweep(n=4, lo=0.7, hi=1.35)
         s = bif.cycle_amplitude(paper_within, spec)
-        assert s.collapsed.all()
-        assert not s.oscillatory.any()
-        assert s.p_max.tolist() == s.p_min.tolist() == [0.0] * 4
+        assert np.asarray(s.collapsed).all()
+        assert not np.asarray(s.oscillatory).any()
+        assert np.asarray(s.p_max).tolist() == np.asarray(s.p_min).tolist() == [0.0] * 4
         # delta = 1.35 lies past the fold: no pair, so no orbit is followed
-        assert s.returns[-1] == 0 and (s.returns[:-1] > 0).all()
+        assert s.returns[-1] == 0 and (np.asarray(s.returns)[:-1] > 0).all()
 
     def test_zero_status_sample_sits_on_the_branch(self, paper_within):
         spec = bif.SweepSpec(which="W", lo=0.0, hi=1.0, n=3)
@@ -403,12 +432,17 @@ class TestCycleAmplitude:
 
         monkeypatch.setattr(bif, "_first_return", recorded)
         spec = delta_sweep(n=2, lo=0.01, hi=0.02)
-        assert (bif.sweep_branch(paper_within, spec).upper.stability == "stable-node").all()
+        stability = bif.sweep_branch(paper_within, spec).upper.stability
+        assert (np.asarray(stability) == "stable-node").all()
         s = bif.cycle_amplitude(paper_within, spec)
         assert [orbit.kind for orbit in orbits] == ["settled", "settled"]
-        upper_P = wh.equilibria_fast(paper_within, spec.to_gamma(paper_within, s.param)).upper[1]
-        assert s.p_max.tolist() == s.p_min.tolist() == upper_P.tolist()
-        assert s.returns.tolist() == [1, 1] and not (s.oscillatory.any() or s.collapsed.any())
+        upper_P = wh.equilibria_fast(
+            paper_within, spec.to_gamma(paper_within, np.asarray(s.param))
+        ).upper[1]
+        assert np.asarray(s.p_max).tolist() == np.asarray(s.p_min).tolist() == upper_P.tolist()
+        assert np.asarray(s.returns).tolist() == [1, 1] and not (
+            np.asarray(s.oscillatory).any() or np.asarray(s.collapsed).any()
+        )
 
     def test_a_small_cycle_inside_the_start_is_bracketed_from_the_equilibrium(
         self, paper_within, monkeypatch
@@ -443,15 +477,15 @@ class TestCycleAmplitude:
 
         monkeypatch.setattr(bif, "_first_return", counted)
         s = bif.cycle_amplitude(paper_within, delta_sweep(n=12, lo=0.05, hi=1.4))
-        assert s.returns.sum() == len(calls)
-        assert s.oscillatory.any() and s.collapsed.any()
+        assert np.asarray(s.returns).sum() == len(calls)
+        assert np.asarray(s.oscillatory).any() and np.asarray(s.collapsed).any()
 
     def test_a_return_longer_than_the_window_flags_the_column(self, paper_within):
         # the cycles here have periods near 8 > window = 5
         s = bif.cycle_amplitude(paper_within, delta_sweep(n=2, lo=0.52, hi=0.55), window=5.0)
-        assert s.homoclinic_flag.all() and s.returns.tolist() == [1, 1]
-        assert not (s.oscillatory.any() or s.collapsed.any())
-        assert (s.p_max - s.p_min > 0.1).all()
+        assert np.asarray(s.homoclinic_flag).all() and np.asarray(s.returns).tolist() == [1, 1]
+        assert not (np.asarray(s.oscillatory).any() or np.asarray(s.collapsed).any())
+        assert (np.asarray(s.p_max) - np.asarray(s.p_min) > 0.1).all()
 
     def test_an_exhausted_step_budget_names_the_column(self, paper_within):
         # 1000 steps: two returns of about 370 steps, then the budget ends
@@ -550,7 +584,7 @@ class TestCycleOrbit:
                 run = integrate_ode(
                     rhs, [T_eq, x], (0.0, 2.0 * period), event=lambda t, y: y[0] - T_eq
                 )
-            assert run.y[-1, 1] == pytest.approx(x, rel=1e-6)
+            assert np.asarray(run.y)[-1, 1] == pytest.approx(x, rel=1e-6)
             assert run.event_time == pytest.approx(period, rel=1e-6)
 
     def test_the_return_map_converges_at_fourth_order(self, figure_cycles):
@@ -597,7 +631,9 @@ class TestHopfOracle:
         l1, _ = lyapunov_coefficient(cfg.within, spec)
         assert l1 == pytest.approx(-0.133, abs=5e-4)
         stable_checked = past_hopf = 0
-        for param, oscillatory in zip(samples.param.tolist(), samples.oscillatory.tolist()):
+        for param, oscillatory in zip(
+            np.asarray(samples.param).tolist(), np.asarray(samples.oscillatory).tolist()
+        ):
             s = (param, oscillatory)
             if not wh.equilibria_fast(cfg.within, spec.to_gamma(cfg.within, param)).exists:
                 assert not oscillatory, s
@@ -612,7 +648,7 @@ class TestHopfOracle:
         assert stable_checked > 0 and past_hopf > 0
         if config == "within_fig2.json":
             # a decaying spiral just below W_H = 1.5472
-            j = int(np.argmin(np.abs(samples.param - 1.5385)))
+            j = int(np.argmin(np.abs(np.asarray(samples.param) - 1.5385)))
             assert samples.param[j] < hopf_at and not samples.oscillatory[j]
 
     def test_periods_tend_to_the_linear_period_at_the_hopf_point(self):
@@ -620,8 +656,8 @@ class TestHopfOracle:
         hopf_at = hopf_point(params, spec)
         period_h = 2.0 * math.pi / leading_eigenvalue(params, spec, hopf_at).imag
         assert period_h == pytest.approx(7.32, abs=5e-3)
-        assert samples.oscillatory.all()
-        t1, t2, _, t4 = samples.period.tolist()
+        assert np.asarray(samples.oscillatory).all()
+        t1, t2, _, t4 = np.asarray(samples.period).tolist()
         # the period grows smoothly with the distance past the Hopf point
         assert period_h < t1 < t2 < t4
         # T(D) = period_h + c1*D + c2*D^2 + O(D^3): the quadratic Richardson
@@ -643,14 +679,17 @@ class TestHopfOracle:
         hopf_at = hopf_point(params, spec)
         omega = leading_eigenvalue(params, spec, hopf_at).imag
         slope = hopf_amplitude_slope(params, spec)
-        assert samples.oscillatory.all()
+        assert np.asarray(samples.oscillatory).all()
         # s(D) = (p_max - p_min)^2 / D = slope + c1*D + c2*D^2 + O(D^3) at the
         # distance D past the Hopf point. The quadratic Richardson
         # extrapolation of s(d), s(2d), s(4d) to D = 0 removes the c1 and c2
         # terms; its step past the linear one, 2 s(d) - s(2d), is the c2 term
         # that the linear one leaves, and bounds what is left while the
         # terms fall
-        s1, s2, _, s4 = ((samples.p_max - samples.p_min) ** 2 / (samples.param - hopf_at)).tolist()
+        s1, s2, _, s4 = (
+            (np.asarray(samples.p_max) - np.asarray(samples.p_min)) ** 2
+            / (np.asarray(samples.param) - hopf_at)
+        ).tolist()
         linear = 2.0 * s1 - s2
         extrapolated = (8.0 * s1 - 6.0 * s2 + s4) / 3.0
         # each extremum is read on the cubic Hermite interpolant of its
@@ -691,7 +730,7 @@ class TestExports:
         for name, branch in (("branches.csv", result.fold_path), ("trivial.csv", result.trivial)):
             lines = (out / name).read_text().splitlines()
             assert lines[0] == "param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability"
-            assert len(lines) == 1 + branch.param.size
+            assert len(lines) == 1 + np.asarray(branch.param).size
             for j, line in enumerate(lines[1:]):
                 cells = line.split(",")
                 e1, e2 = branch.eigenvalues[j]
@@ -707,7 +746,7 @@ class TestExports:
         assert lines[0] == (
             "param,p_min,p_max,period,returns,oscillatory,collapsed,homoclinic_flag"
         )
-        assert len(lines) == 1 + samples.param.size
+        assert len(lines) == 1 + np.asarray(samples.param).size
         for j, line in enumerate(lines[1:]):
             row = line.split(",")
             expected = [samples.param[j], samples.p_min[j], samples.p_max[j]]
@@ -719,7 +758,7 @@ class TestExports:
             assert row[5:] == [str(int(flag)) for flag in flags]
         # both forms of the period cell and both values of each flag occur
         assert np.isnan(samples.period).tolist() == [True, False, True, True]
-        assert samples.collapsed.tolist() == [False, False, True, True]
+        assert np.asarray(samples.collapsed).tolist() == [False, False, True, True]
 
     def test_events_serialize_to_plain_dicts(self, exported):
         out, _, _, cfg = exported

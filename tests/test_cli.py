@@ -1122,6 +1122,28 @@ class TestImportCost:
         assert read_summary(tmp_path / "spectral")["lambda_hat"] is not None
         assert read_summary(tmp_path / "bifurcate")["analytic_hopf_clearance"]
 
+    def test_within_host_runs_never_load_numpy(self, tmp_path):
+        # the within-host subcommands and documents run on Python floats
+        doc = json.loads((CONFIGS / "within_fig1.json").read_text())
+        doc["sweep"].update(n=20, cycle_n=4)
+        runs = [
+            ["within-sim", "--config", str(CONFIGS / "within_sim.json")],
+            ["manifold", "--config", str(CONFIGS / "within_sim.json")],
+            ["bifurcate", "--config", write_config(tmp_path, doc)],
+        ]
+        runs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]
+        script = (
+            "import sys\n"
+            "from immunoepi import cli\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            f"for name in ('within_fig1', 'within_fig2', 'within_sim'):\n"
+            f"    cli.load_scenario({str(CONFIGS)!r} + '/' + name + '.json')\n"
+            "print(codes, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] False"
+
     def test_unconverged_root_solve_exits_three(self, tmp_path, monkeypatch, capsys):
         doc = json.loads((CONFIGS / "within_fig1.json").read_text())
         doc["sweep"].update(n=10, cycle_n=2)
@@ -1248,6 +1270,36 @@ class TestRenewalCheckOutputs:
         assert [row[:3] for row in renewal[1:]] == [[t, s, f] for t, s, _, _, _, f in sim[1:]]
         summary = read_summary(tmp_path / "renewal")
         assert summary["grid"] == {"n_omega": 60, "dt": 0.0025}
+
+
+    @pytest.mark.parametrize("stride", [80, 7])
+    def test_rows_are_every_output_stride_th_step_and_the_last(self, tmp_path, stride):
+        # n = 800 steps of bh_env.json; 7 does not divide n. The rows are
+        # those of a stride-1 run at steps 0, stride, 2*stride, ... and n,
+        # as epi-sim records them, and the summary does not change
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        doc["run"]["t_max"] = 10.0
+        runs = {
+            "full": ("renewal-check", 1),
+            "strided": ("renewal-check", stride),
+            "sim": ("epi-sim", stride),
+        }
+        files = {}
+        for name, (command, k) in runs.items():
+            doc["run"]["output_stride"] = k
+            config = write_config(tmp_path, doc, f"{name}.json")
+            assert cli.main([command, "--config", config, "--out", str(tmp_path / name)]) == 0
+            csv = "timeseries.csv" if command == "epi-sim" else "renewal.csv"
+            files[name] = (tmp_path / name / csv).read_text().splitlines()
+        n = 800
+        full, strided = files["full"], files["strided"]
+        assert len(full) == n + 2
+        assert len(strided) == math.ceil(n / stride) + 2
+        assert strided == [full[0], *(full[1 + k] for k in (*range(0, n, stride), n))]
+        sim = [line.split(",") for line in files["sim"][1:]]
+        transport = [[t, s, f] for t, s, _, _, _, f in sim]
+        assert [row.split(",")[:3] for row in strided[1:]] == transport
+        assert read_summary(tmp_path / "full") == read_summary(tmp_path / "strided")
 
 
 class TestWithinSimClearance:

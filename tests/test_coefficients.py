@@ -1,5 +1,7 @@
 """Named coefficient families: values, shapes, validation, and metadata."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,11 @@ from hypothesis import strategies as st
 
 from immunoepi import coefficients as coef
 from immunoepi import within_host as wh
+from immunoepi.config import load_scenario
+
+from reference_loops import immune_growth_g_array, upper_branch_P_array
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestScalarAndArrayCalls:
@@ -101,6 +108,18 @@ class TestWithinHostDerived:
         f = coef.from_within_host("pathogen_load", paper_within)
         assert isinstance(f(1.0), float)
         assert f(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_linked_clock_values_match_the_array_forms(self):
+        # P and g of configs/bh_linked.json on its status clock's nodes, up
+        # to the fold: the float closed form at each node gives the earlier
+        # array forms' values bit for bit
+        cfg = load_scenario(CONFIGS / "bh_linked.json")
+        nodes = cfg.between.clock.omega
+        assert nodes.size == 16_385 and nodes[-1] == wh.manifold_tip(cfg.within)[1]
+        for f, reference in (
+            (cfg.between.P, upper_branch_P_array), (cfg.between.g, immune_growth_g_array)
+        ):
+            assert f(nodes).tobytes() == reference(nodes, cfg.within).tobytes()
 
     def test_unknown_kind_raises(self, paper_within):
         with pytest.raises(ValueError, match="kind"):

@@ -67,7 +67,10 @@ def test_renewal_check_keeps_two_transport_rows(tmp_path):
     (summary, n_lines), peak = traced_peak(check, 1000.0)
     n = 80_000
     assert summary["memory_window"] / summary["grid"]["dt"] == 2_800
-    assert n_lines == n + 2
+    # a header, then the rows at every output_stride = 80th step (the last
+    # among them)
+    assert doc["run"]["output_stride"] == 80
+    assert n_lines == 1_002
     assert peak < 9 * 8 * (n + 1)
 
 

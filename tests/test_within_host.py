@@ -12,6 +12,12 @@ from immunoepi.numerics import find_root, integrate_ode
 
 from conftest import REFERENCE_WITHIN, random_within
 from oracles import fast_rhs, integrate_slow_reduced, trace_roots_np
+from reference_loops import (
+    equilibria_fast_array,
+    immune_growth_g_array,
+    nontrivial_pair_array,
+    upper_branch_P_array,
+)
 
 GAMMA_FOLD_REF = 1.5811388300841898
 GAMMA_HOPF_REF = 0.9641582450344705
@@ -76,7 +82,7 @@ class TestFastEquilibria:
 class TestJacobianFast:
     def test_diagonal_at_infection_free_state(self, paper_within):
         p = paper_within
-        J = wh.jacobian_fast((p.Lambda / p.mu, 0.0), p, p.gamma_eff(0.9))
+        J = np.asarray(wh.jacobian_fast((p.Lambda / p.mu, 0.0), p, p.gamma_eff(0.9)))
         assert J[0, 1] == 0.0 and J[1, 0] == 0.0
         assert J[0, 0] == pytest.approx(-p.mu)
         assert J[1, 1] == pytest.approx(-(p.gamma + p.delta * 0.9))
@@ -227,7 +233,7 @@ def scalar_branch_load(params, W):
 
 def recovery_state(run):
     """The state of a run at its recovery time, which is one of its samples."""
-    (k,) = np.flatnonzero(run.t == run.recovery_time)
+    (k,) = np.flatnonzero(np.asarray(run.t) == run.recovery_time)
     return run.states[k]
 
 
@@ -278,6 +284,69 @@ class TestVectorizedBranch:
             wh.upper_branch_P(np.array([0.5, -1.0, 4.0]), paper_within)
 
 
+def hexes(values):
+    """float.hex of every value, NaN included."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestFloatClosedForms:
+    """Each closed form is written once over Python floats and mapped over
+    an array; both return the earlier array forms' values
+    (reference_loops) bit for bit."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+    )
+    def test_branch_load_and_growth_match_the_array_forms(self, seed, fractions):
+        p = random_within(np.random.default_rng(seed))
+        w_fold = wh.manifold_tip(p)[1]
+        assume(w_fold > 0.0)
+        # up to the end of the tip's rounding slack, where the lost
+        # discriminant is clamped to the tip load
+        top = w_fold * (1.0 + 1e-12) + 1e-12
+        W = np.array([*(f * top for f in fractions), 0.0, w_fold, np.nextafter(w_fold, np.inf), top])
+        loads, growth = upper_branch_P_array(W, p), immune_growth_g_array(W, p)
+        assert hexes([wh.upper_branch_P(w, p) for w in W.tolist()]) == hexes(loads)
+        assert hexes([wh.immune_growth_g(w, p) for w in W.tolist()]) == hexes(growth)
+        assert hexes(wh.upper_branch_P(W, p)) == hexes(loads)
+        assert hexes(wh.immune_growth_g(W, p)) == hexes(growth)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=40),
+    )
+    def test_pair_and_equilibria_match_the_array_forms(self, seed, fractions):
+        # rates up to twice the fold's: the pair, its double root and the
+        # columns without a pair, whose loads are NaN
+        p = random_within(np.random.default_rng(seed))
+        fold = wh.critical_loci(p).Gamma_fold
+        Gamma = np.array([*(f * fold for f in fractions), fold, np.nextafter(fold, 0.0)])
+        # its callers' scope: at Gamma = 0, or nearly, the loads divide by
+        # zero or overflow
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            disc, P_lo, P_hi = nontrivial_pair_array(p, Gamma)
+        pairs = [wh._nontrivial_pair(p, G) for G in Gamma.tolist()]
+        assert [hexes(column) for column in zip(*pairs)] == [hexes(disc), hexes(P_lo), hexes(P_hi)]
+        exists, lower, upper = equilibria_fast_array(p, Gamma)
+        eq = wh.equilibria_fast(p, Gamma)
+        assert np.array_equal(eq.exists, exists)
+        assert [hexes(x) for x in (*eq.lower, *eq.upper)] == [hexes(x) for x in (*lower, *upper)]
+
+    @pytest.mark.parametrize(
+        "W",
+        [[0.0, 1.0, -0.25, -0.5], [0.0, 1.0, 4.0, 5.0], [0.5, 4.0, -1.0], [0.5, -1.0, 4.0],
+         [[0.5, 1.0], [4.5, -2.0]], -0.25, 4.0],
+    )
+    def test_refusals_name_the_node_the_array_form_names(self, paper_within, W):
+        with pytest.raises(ValueError) as want:
+            upper_branch_P_array(np.array(W), paper_within)
+        for fn in (wh.upper_branch_P, wh.immune_growth_g):
+            with pytest.raises(ValueError) as got:
+                fn(np.array(W), paper_within)
+            assert str(got.value) == str(want.value)
+
+
 class TestSimulateInfection:
     def test_high_initial_immunity_clears_fast(self, paper_within):
         # above the fold no infected equilibrium exists, so clearance is forced
@@ -299,7 +368,7 @@ class TestSimulateInfection:
         assert not run.fold_crossed
         assert recovery_state(run)[2] < run.w_fold
         # after clearance the immune status decays on the recovered branch
-        assert run.states[-1, 2] < recovery_state(run)[2]
+        assert np.asarray(run.states)[-1, 2] < recovery_state(run)[2]
 
     def test_branch_riding_course_reaches_the_fold(self):
         # No oscillation onset exists for this set (the trace balance has no
@@ -315,7 +384,7 @@ class TestSimulateInfection:
         assert run.fold_crossed
         assert recovery_state(run)[2] == pytest.approx(run.w_fold, rel=0.05)
         # clearance follows within a few fast time units of crossing the fold
-        near_fold = run.t[run.states[:, 2] >= 0.99 * run.w_fold]
+        near_fold = np.asarray(run.t)[np.asarray(run.states)[:, 2] >= 0.99 * run.w_fold]
         assert run.recovery_time - near_fold[0] < 50.0
 
     def test_numpy_scalar_rates_run_as_python_floats(self):
@@ -339,9 +408,9 @@ class TestSimulateInfection:
             paper_within, wh.WithinHostState(2.0, 0.0, 1.0), 400.0
         )
         assert run.recovery_time is None
-        assert np.all(run.states[:, 1] == 0.0)
-        assert run.states[-1, 2] < 1.0
-        assert run.states[-1, 0] == pytest.approx(10.0, rel=1e-3)
+        assert np.all(np.asarray(run.states)[:, 1] == 0.0)
+        assert np.asarray(run.states)[-1, 2] < 1.0
+        assert np.asarray(run.states)[-1, 0] == pytest.approx(10.0, rel=1e-3)
 
     def test_a_start_at_the_fold_has_crossed_it(self, paper_within):
         # fold_crossed is max W >= w_fold, for a cleared start as for an
@@ -354,7 +423,7 @@ class TestSimulateInfection:
         below = np.nextafter(w_fold, 0.0)
         run = wh.simulate_infection(paper_within, wh.WithinHostState(1.0, 0.0, below), 50.0)
         assert not run.fold_crossed
-        assert run.states[:, 2].max() == below
+        assert np.asarray(run.states)[:, 2].max() == below
 
     def test_trajectories_stay_nonnegative(self):
         rng = np.random.default_rng(11)
@@ -398,13 +467,13 @@ class TestClearedBranch:
         run = wh.simulate_infection(
             paper_within, wh.WithinHostState(1.0, 0.5, W_FOLD_REF + 0.5), t_max
         )
-        tail = run.t > run.recovery_time
+        tail = np.asarray(run.t) > run.recovery_time
         assert np.count_nonzero(tail) == wh.CLEARED_BRANCH_SAMPLES
         assert run.t[-1] == t_max
         assert np.all(np.diff(run.t) > 0.0)
-        assert np.all(run.states[tail, 1] == 0.0)
+        assert np.all(np.asarray(run.states)[tail, 1] == 0.0)
         # the infected phase ends on the event sample itself
-        assert run.t[~tail][-1] == run.recovery_time
+        assert np.asarray(run.t)[~tail][-1] == run.recovery_time
 
     def test_clearing_run_integrates_the_infected_phase_only(self, paper_within, monkeypatch):
         calls = []
@@ -436,7 +505,7 @@ class TestClearedBranch:
         monkeypatch.setattr(wh, "integrate_ode", no_integration)
         run = wh.simulate_infection(paper_within, wh.WithinHostState(2.0, 0.0, 1.0), 400.0)
         assert calls == [(0.0, (2.0, 0.0, 1.0), 400.0)]
-        assert run.t.size == wh.CLEARED_BRANCH_SAMPLES + 1
+        assert np.asarray(run.t).size == wh.CLEARED_BRANCH_SAMPLES + 1
         assert run.t[0] == 0.0 and run.t[-1] == 400.0
         assert list(run.states[0]) == [2.0, 0.0, 1.0]
 
@@ -451,9 +520,9 @@ class TestSlowFastConsistency:
         with mock.patch.multiple(numerics, RTOL=1e-10, ATOL=1e-12):
             full = wh.simulate_infection(params, wh.WithinHostState(T0, P0, W0), tau_end / eps)
         reduced = integrate_slow_reduced(params, W0, (0.0, tau_end))
-        w_red = np.interp(full.t * eps, reduced.t, reduced.y[:, 0])
-        mask = full.t * eps <= reduced.t[-1]
-        return float(np.max(np.abs(full.states[mask, 2] - w_red[mask])))
+        w_red = np.interp(np.asarray(full.t) * eps, reduced.t, reduced.y[:, 0])
+        mask = np.asarray(full.t) * eps <= reduced.t[-1]
+        return float(np.max(np.abs(np.asarray(full.states)[mask, 2] - w_red[mask])))
 
     def test_reduced_flow_error_scales_with_epsilon(self):
         err_01 = self.slow_time_error(0.01)
