@@ -25,12 +25,12 @@ characteristic function over R0 plus the return through the recovered
 pool, so R0, its growth rate, the endemic state and the residual read one
 characteristic table, every TABLE_STRIDE-th node of the one StatusClock
 built with each parameter set, `BetweenHostParams.clock`. That clock
-evaluates and checks each coefficient once and holds G, M and the survival
-density pi = exp(-M)/g. Status integrals use the guarded Simpson rule
-`numerics.quadrature`, so a non-finite integral raises NonFiniteError: the
-characteristic on TABLE_PANELS panels, the renewal kernel's total on every
-clock node, and its environmental route reads a shedding load tabulated on
-the clock's nodes.
+evaluates and checks each coefficient once, on its own nodes, and holds G,
+M, P/g and xi on every one of them. Status integrals use the guarded
+Simpson rule `numerics.quadrature`, so a non-finite integral raises
+NonFiniteError: the characteristic on TABLE_PANELS panels, the renewal
+kernel's total on every clock node, and its environmental route reads a
+shedding load tabulated on the clock's nodes.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ class BetweenHostParams:
     weight), and g (status growth speed, strictly positive). a_bar caps the
     age of environmental bacteria in the renewal formulation. The frozen set
     builds its status clock, `clock`, after the scalar and type checks; the
-    clock checks the coefficients, and every between-host quantity reads it.
+    clock checks the coefficients and its tables, and every between-host
+    quantity reads it.
     """
 
     r: float
@@ -181,19 +182,22 @@ class StatusClock:
 
     g > 0 makes G strictly increasing, so status <-> elapsed-time conversion
     is a monotone interpolation both ways. M is the accumulated removal
-    exposure along the same path. The clock is the one source of G, M and
-    the survival density pi = exp(-M)/g: the reproduction number, both
-    characteristic equations, the endemic profile and the renewal kernel
-    all read them from `BetweenHostParams.clock`, the one clock of each
-    parameter set. p_over_g and xi hold P/g and xi on every TABLE_STRIDE-th
-    node, the characteristic's TABLE_PANELS+1 Simpson nodes.
+    exposure along the same path. The clock is the one source of G, M, P/g,
+    xi and the survival density pi = exp(-M)/g: the reproduction number,
+    both characteristic equations, the endemic profile and the renewal
+    kernel all read them from `BetweenHostParams.clock`, the one clock of
+    each parameter set, on its CLOCK_NODES+1 nodes `omega`, regenerated.
     """
 
-    omega: np.ndarray
+    omega0: float
     elapsed: np.ndarray
     decay: np.ndarray
     p_over_g: np.ndarray
     xi: np.ndarray
+
+    @property
+    def omega(self) -> np.ndarray:
+        return np.linspace(0.0, self.omega0, CLOCK_NODES + 1)
 
     @property
     def total_time(self) -> float:
@@ -209,18 +213,19 @@ class StatusClock:
 
 def build_clock(params: BetweenHostParams) -> StatusClock:
     """The one place that places status nodes and evaluates and checks the
-    coefficients: g and mu2 on CLOCK_NODES+1 uniform nodes of [0, omega0],
-    P and xi on every TABLE_STRIDE-th one. Each must be finite there and on
-    a table coefficient's knots in [0, omega0], which decide its sign
-    exactly; g positive, the others nonnegative, or ValueError. G and M are
-    cumulative trapezoids on the clock nodes, exact for constant ratios.
+    coefficients: mu2, xi, P and g once each, on CLOCK_NODES+1 uniform
+    nodes of [0, omega0]. Each must be finite there and on a table
+    coefficient's knots in [0, omega0], which decide its sign exactly; g
+    positive, the others nonnegative, or ValueError. G and M are
+    cumulative trapezoids on the nodes, exact for constant ratios. A G, M
+    or P/g table whose Python-float bound (twice the largest ratio times
+    omega0, or the largest P/g) is not finite raises NonFiniteError first.
     """
     nodes = np.linspace(0.0, params.omega0, CLOCK_NODES + 1)
-    table_nodes = nodes[::TABLE_STRIDE].copy()
     values = {}
     for name in COEFFICIENT_FIELDS:
         fn = getattr(params, name)
-        values[name] = vals = fn(nodes if name in ("mu2", "g") else table_nodes)
+        values[name] = vals = fn(nodes)
         if fn.family == "table":
             knots = np.asarray(fn.describe["omega"])
             vals = np.append(vals, fn(knots[(knots >= 0.0) & (knots <= params.omega0)]))
@@ -231,13 +236,21 @@ def build_clock(params: BetweenHostParams) -> StatusClock:
                 raise ValueError("g(omega) must be strictly positive on [0, omega0]")
         elif np.any(vals < 0):
             raise ValueError(f"{name}(omega) must be nonnegative on [0, omega0]")
+    g, g_min = values["g"], float(values["g"].min())
+    # Python floats overflow to inf unwarned; the trapezoid's pair sums reach twice a ratio
+    for table, bound in (
+        ("G = int 1/g", 2.0 / g_min * params.omega0),
+        ("M = int mu2/g", float(values["mu2"].max()) / g_min * 2.0 * params.omega0),
+        ("P/g", float(values["P"].max()) / g_min),
+    ):
+        if not math.isfinite(bound):
+            raise NonFiniteError(f"status clock: the {table} table is not finite on [0, omega0]")
     step = params.omega0 / CLOCK_NODES
-    inv_g = 1.0 / values["g"]
+    inv_g = 1.0 / g
     ratio = values["mu2"] * inv_g
     elapsed = np.concatenate([[0.0], np.cumsum(0.5 * (inv_g[1:] + inv_g[:-1]) * step)])
     decay = np.concatenate([[0.0], np.cumsum(0.5 * (ratio[1:] + ratio[:-1]) * step)])
-    p_over_g = values["P"] / values["g"][::TABLE_STRIDE]
-    return StatusClock(omega=nodes, elapsed=elapsed, decay=decay, p_over_g=p_over_g, xi=values["xi"])
+    return StatusClock(params.omega0, elapsed, decay, p_over_g=values["P"] / g, xi=values["xi"])
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +280,17 @@ def _characteristic(params: BetweenHostParams) -> Callable:
       J_xi = int_0^omega0 xi(w)*P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
 
     with G, M the clock integrals, by Simpson's rule on TABLE_PANELS
-    panels. The lam-independent node values (P/g, M, G, xi) are the
-    clock's, on every TABLE_STRIDE-th clock node, so no coefficient is
+    panels. The lam-independent node values (P/g, M, G, xi) are every
+    TABLE_STRIDE-th entry of the clock's columns, so no coefficient is
     evaluated and nothing is interpolated here. Returns lam -> (direct,
     environmental, J_xi); G is direct + environmental. lam may be a scalar
     (real or complex) or a 1-d array of rates, one Simpson row per rate,
     each entry equal bit for bit to the scalar call.
     """
     clock = params.clock
-    p_over_g, xi = clock.p_over_g, clock.xi
-    decay, elapsed = clock.decay[::TABLE_STRIDE], clock.elapsed[::TABLE_STRIDE]
+    p_over_g, xi, decay, elapsed = (
+        column[::TABLE_STRIDE] for column in (clock.p_over_g, clock.xi, clock.decay, clock.elapsed)
+    )
     s0 = params.r / params.mu1
 
     def routes(lam):
@@ -333,7 +347,8 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
         # double lo down (no pole), no lower than where a weight
         # (<= peak*e^{-lam*total}) or a sum could overflow
         clock = params.clock
-        peak = float(np.max(clock.p_over_g)) * max(1.0, float(clock.xi.max()))
+        p_over_g, xi = clock.p_over_g[::TABLE_STRIDE], clock.xi[::TABLE_STRIDE]
+        peak = float(np.max(p_over_g)) * max(1.0, float(xi.max()))
         margin = math.log(np.finfo(float).max / 3.0) - math.log(max(1.0, 3.0 * TABLE_PANELS * peak))
         total = clock.total_time
         floor = max(-margin / total, -np.finfo(float).max) if margin > 0 and total > 0 else 0.0
@@ -634,13 +649,6 @@ def simulate_epidemic(
 # renewal-equation reformulation
 
 
-def _clock_weights(params: BetweenHostParams) -> tuple[np.ndarray, np.ndarray]:
-    """P/g * exp(-M) and xi on every clock node, evaluated per call: the
-    clock keeps only the characteristic's strided columns."""
-    clock = params.clock
-    return params.P(clock.omega) / params.g(clock.omega) * np.exp(-clock.decay), params.xi(clock.omega)
-
-
 def renewal_kernel_A(theta, params: BetweenHostParams):
     """Infectivity kernel of the renewal form, at time-since-infection theta.
 
@@ -683,13 +691,13 @@ def _kernel_env(theta: np.ndarray, params: BetweenHostParams) -> np.ndarray:
     the shedding times [u_lo, u_hi] = [clip(theta - a_bar, 0, T0), min(T0,
     theta)]. Y is tabulated on the clock nodes, Y_j = e^{-sigma*dG_j} *
     Y_{j-1} + the panel's trapezoid of e^{-sigma*(G_j-G)}*xi*P/g*exp(-M) in
-    status, and read between them by interpolation in G. A non-finite load
-    raises NonFiniteError.
+    status from the clock's columns, and read between them by interpolation
+    in G. A non-finite load raises NonFiniteError.
     """
     clock = params.clock
     total = clock.total_time
-    weight, xi = _clock_weights(params)
-    half = xi * weight * (0.5 * params.omega0 / CLOCK_NODES)
+    weight = clock.p_over_g * np.exp(-clock.decay)
+    half = clock.xi * weight * (0.5 * params.omega0 / CLOCK_NODES)
     fade = np.exp(-params.sigma * np.diff(clock.elapsed))
     y, load = 0.0, [0.0]
     for f, a, b in zip(fade.tolist(), half[:-1].tolist(), half[1:].tolist()):
@@ -716,13 +724,13 @@ def kernel_total_integral(params: BetweenHostParams) -> float:
     Integrated over the bacterial age first, the environmental route keeps
     the closed-form age factor (1 - e^{-sigma*a_bar})/sigma; in status,
     dtheta = domega/g. So the total is one Simpson sum on every clock node,
-    int_0^omega0 (beta_h + beta_e*age_factor*xi)*P/g*exp(-M) domega. At the
-    endemic state S* times it is 1, up to the characteristic table's error
-    and the exponential age-cap truncation.
+    int_0^omega0 (beta_h + beta_e*age_factor*xi)*P/g*exp(-M) domega, on the
+    clock's columns. At the endemic state S* times it is 1, up to the
+    characteristic table's error and the exponential age-cap truncation.
     """
-    weight, xi = _clock_weights(params)
+    weight = params.clock.p_over_g * np.exp(-params.clock.decay)
     age_factor = -math.expm1(-params.sigma * params.a_bar) / params.sigma
-    return quadrature((params.beta_h + params.beta_e * age_factor * xi) * weight, params.omega0)
+    return quadrature((params.beta_h + params.beta_e * age_factor * params.clock.xi) * weight, params.omega0)
 
 
 @dataclass
@@ -751,10 +759,10 @@ def simulate_renewal(
     of any dt, on the transport solver's clock. The density enters as the
     matched history F(-theta) = initial_I(w(theta)) / (pi(w(theta)) * S0)
     for theta <= T0, zero earlier: entrants at -theta that survived to
-    status w(theta), with S held at S0. A history that is not finite (an
-    underflowed survival factor) raises NonFiniteError; a window of more
-    steps than an array can hold, and rho > 0 (no return flow from the
-    recovered pool), raise ValueError.
+    status w(theta), with S held at S0, evaluated on those nodes only. A
+    history that is not finite (an underflowed survival factor) raises
+    NonFiniteError; a window of more steps than an array can hold, and rho
+    > 0 (no return flow from the recovered pool), raise ValueError.
     The new F value appears inside its own convolution through the w = 0
     node, a scalar linear equation solved in closed form each step; S
     advances by a Heun predictor-corrector. The state travels as Python
@@ -782,10 +790,12 @@ def simulate_renewal(
     size = m + 1 + n_steps
     f_arr = np.empty(size)
     s_arr = np.empty(size)
-    theta = m * dt - ages
-    w = clock.status_at(np.minimum(theta, total))
+    theta = m * dt - ages  # falling: its nodes at or below T0 are the last
+    first = int(np.count_nonzero(theta > total))
+    f_arr[:first] = 0.0
+    w = clock.status_at(theta[first:])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f_arr[: m + 1] = np.where(theta <= total, initial_I(w) / (survival_pi(w, params) * S0), 0.0)
+        f_arr[first : m + 1] = initial_I(w) / (survival_pi(w, params) * S0)
     if not np.isfinite(f_arr[: m + 1]).all():
         raise NonFiniteError("renewal: the history matched to run.initial.I is not finite")
     s_arr[: m + 1] = S0

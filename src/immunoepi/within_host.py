@@ -15,8 +15,8 @@ through Gamma, so its equilibria and Jacobian take Gamma. The fold and Hopf
 loci of that subsystem, the slow manifold, and event-based infection runs
 (recovery when the pathogen is cleared after the fold) are all computed
 here, each closed form once over Python floats, without numpy. An array
-given to ``equilibria_fast``, ``upper_branch_P`` or ``immune_growth_g`` is
-mapped through the float form, numpy imported by that call.
+given to ``upper_branch_P`` or ``immune_growth_g`` (a coefficient's nodes)
+is mapped through the float form, numpy imported by that call.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class FastEquilibria:
     """
 
     trivial: tuple[float, float]
-    exists: bool  # or a bool array, for an array of rates
+    exists: bool
     lower: tuple | None
     upper: tuple | None
 
@@ -193,33 +193,21 @@ def _nontrivial_pair(params: WithinHostParams, Gamma: float) -> tuple[float, flo
         return disc, _div(a * lam - root, den), _div(a * lam + root, den)
 
 
-def equilibria_fast(params: WithinHostParams, Gamma) -> FastEquilibria:
+def equilibria_fast(params: WithinHostParams, Gamma: float) -> FastEquilibria:
     """All fast-subsystem equilibria at clearance rate Gamma = gamma + delta*W.
 
-    At a number Gamma, ``lower`` and ``upper`` are (T, P) floats, or None
-    when no pair exists. At an array, ``exists`` and the (T, P) of
-    ``lower`` and ``upper`` are arrays of its shape, NaN where no pair
-    exists: the float form at each rate.
+    ``lower`` and ``upper`` are (T, P) floats, or None when no pair exists.
     """
     a, mu, lam = params.alpha, params.mu, params.Lambda
-
-    def states(G):
-        disc, P_lo, P_hi = _nontrivial_pair(params, G)
-        # mu + alpha*P^2 > 0: T divides by no zero, and is NaN at a NaN load
-        return not disc < 0.0, lam / (mu + a * P_lo * P_lo), P_lo, lam / (mu + a * P_hi * P_hi), P_hi
-
-    rates = _nodes(Gamma)
-    if rates is None:
-        exists, T_lo, P_lo, T_hi, P_hi = states(float(Gamma))
-        if not exists:
-            return FastEquilibria(trivial=(lam / mu, 0.0), exists=False, lower=None, upper=None)
-    else:
-        import numpy as np
-
-        columns = zip(*map(states, rates.ravel().tolist()))
-        exists, T_lo, P_lo, T_hi, P_hi = (np.array(c).reshape(rates.shape) for c in columns)
+    disc, P_lo, P_hi = _nontrivial_pair(params, float(Gamma))
+    if disc < 0.0:
+        return FastEquilibria(trivial=(lam / mu, 0.0), exists=False, lower=None, upper=None)
+    # mu + alpha*P^2 > 0: T divides by no zero
     return FastEquilibria(
-        trivial=(lam / mu, 0.0), exists=exists, lower=(T_lo, P_lo), upper=(T_hi, P_hi)
+        trivial=(lam / mu, 0.0),
+        exists=True,
+        lower=(lam / (mu + a * P_lo * P_lo), P_lo),
+        upper=(lam / (mu + a * P_hi * P_hi), P_hi),
     )
 
 

@@ -195,9 +195,8 @@ class TestStatusClock:
         counted = {name: counting(fn, calls) for name, fn in functions.items()}
         above = make_between(0.2, 0.05, **counted)
         below = make_between(0.01, 0.005, **counted)
-        # mu2 and g on the clock nodes, xi and P on the table nodes, once per set
-        clock, table = bh.CLOCK_NODES + 1, bh.TABLE_PANELS + 1
-        assert calls == [clock, table, table, clock] * 2
+        # mu2, xi, P and g on the clock nodes, once per set
+        assert calls == [bh.CLOCK_NODES + 1] * 4 * 2
         calls.clear()
         assert bh.r0(above) > 1.0 > bh.r0(below)
         assert bh.dfe_lambda_hat(above) > 0.0 > bh.dfe_lambda_hat(below)
@@ -212,14 +211,12 @@ class TestStatusClock:
         counted = {name: counting(fn, calls) for name, fn in functions.items()}
         shedding = make_between(0.2, 0.05, **counted)
         environmental = make_between(0.0, 0.05, **counted)
-        # P, g and xi once each per call, on the clock's own nodes
-        nodes = [bh.CLOCK_NODES + 1] * 3
+        # the clock's columns: no coefficient is evaluated past its build
         calls.clear()
         bh.kernel_total_integral(shedding)
-        assert calls == nodes
-        calls.clear()
+        assert calls == []
         bh.renewal_kernel_A(np.linspace(0.0, 40.0, 81), environmental)
-        assert calls == nodes
+        assert calls == []
 
     def test_parameter_sets_are_frozen(self, direct_params):
         with pytest.raises(AttributeError):
@@ -724,6 +721,17 @@ class TestRenewalForm:
                 warnings.simplefilter("error")
                 with pytest.raises(NonFiniteError, match="run.initial.I is not finite"):
                     bh.simulate_renewal(params, density, S0=10.0, t_max=1.0, dt=0.5)
+
+    def test_history_is_matched_only_where_it_is_read(self):
+        # window = a_bar + T0 = 35 is m = 70 steps of 0.5, theta = 35 - 0.5*k:
+        # the history is matched on theta <= T0 = 5, the last 11 nodes, and
+        # the density and g are evaluated there only
+        density_calls, g_calls = [], []
+        params = make_between(0.2, 0.0, g=counting(coef.constant(1.0), g_calls))
+        g_calls.clear()
+        run = bh.simulate_renewal(params, counting(DECAYING, density_calls), S0=10.0, t_max=1.0, dt=0.5)
+        assert density_calls == g_calls == [11]
+        assert run.F[0] > 0.0
 
     def test_recovered_return_is_refused(self, direct_params):
         # the renewal pair has no return flow from the recovered pool

@@ -368,10 +368,11 @@ class TestCycleAmplitude:
         assert not np.asarray(s.collapsed).any()
         # the column's attractor is the upper equilibrium, its load written
         # for both extremes
-        upper_P = wh.equilibria_fast(
-            paper_within, spec.to_gamma(paper_within, np.asarray(s.param))
-        ).upper[1]
-        assert np.asarray(s.p_max).tolist() == np.asarray(s.p_min).tolist() == upper_P.tolist()
+        upper_P = [
+            wh.equilibria_fast(paper_within, spec.to_gamma(paper_within, param)).upper[1]
+            for param in s.param
+        ]
+        assert np.asarray(s.p_max).tolist() == np.asarray(s.p_min).tolist() == upper_P
         assert np.asarray(s.returns).tolist() == [1, 1, 1, 1]
 
     def test_oscillation_window_has_growing_amplitude(self, paper_within):
@@ -436,10 +437,11 @@ class TestCycleAmplitude:
         assert (np.asarray(stability) == "stable-node").all()
         s = bif.cycle_amplitude(paper_within, spec)
         assert [orbit.kind for orbit in orbits] == ["settled", "settled"]
-        upper_P = wh.equilibria_fast(
-            paper_within, spec.to_gamma(paper_within, np.asarray(s.param))
-        ).upper[1]
-        assert np.asarray(s.p_max).tolist() == np.asarray(s.p_min).tolist() == upper_P.tolist()
+        upper_P = [
+            wh.equilibria_fast(paper_within, spec.to_gamma(paper_within, param)).upper[1]
+            for param in s.param
+        ]
+        assert np.asarray(s.p_max).tolist() == np.asarray(s.p_min).tolist() == upper_P
         assert np.asarray(s.returns).tolist() == [1, 1] and not (
             np.asarray(s.oscillatory).any() or np.asarray(s.collapsed).any()
         )

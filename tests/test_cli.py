@@ -396,8 +396,34 @@ class TestExitCodes:
         assert cli.main([command, "--config", config, "--out", str(out)]) == 2
         message = "P(omega) is not finite on [0, omega0]"
         if key == "omega0":
-            message = "no infected branch at W=1.5625e+298 (fold at W=3.6037961002806327)"
+            # clock node 1, omega0/CLOCK_NODES
+            message = "no infected branch at W=6.103515625e+295 (fold at W=3.6037961002806327)"
         assert capsys.readouterr().err == f"error: between_host: {message}\n"
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("command", BETWEEN_HOST_COMMANDS)
+    @pytest.mark.parametrize("leaves, table", [
+        ((("functions", "mu2"), ("functions", "g")), "M = int mu2/g"),
+        ((("between_host", "omega0"), ("functions", "mu2")), "M = int mu2/g"),
+        ((("between_host", "omega0"), ("functions", "g")), "G = int 1/g"),
+        ((("functions", "P"), ("functions", "g")), "P/g"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_status_clock_past_the_float_range_returns_three(self, tmp_path, capsys, command,
+                                                              leaves, table):
+        # a large leaf set to 1e300 and g to 1e-300: the clock's table
+        # overflowed with a numpy warning, and (mu2, g) and (omega0, mu2)
+        # gave an R0 far off its closed form with exit 0
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        doc["run"]["t_max"] = CONTRACT_BH_T_MAX_CAP
+        for leaf in leaves:
+            set_leaf(doc, leaf, 1e-300 if leaf[1] == "g" else 1e300)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: status clock: the {table} table is not finite on [0, omega0]\n"
+        )
         assert not (tmp_path / "nested").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

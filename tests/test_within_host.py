@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -290,9 +291,9 @@ def hexes(values):
 
 
 class TestFloatClosedForms:
-    """Each closed form is written once over Python floats and mapped over
-    an array; both return the earlier array forms' values
-    (reference_loops) bit for bit."""
+    """Each closed form is written once over Python floats, and the branch
+    load and growth are mapped over an array; both return the earlier array
+    forms' values (reference_loops) bit for bit."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -329,9 +330,12 @@ class TestFloatClosedForms:
         pairs = [wh._nontrivial_pair(p, G) for G in Gamma.tolist()]
         assert [hexes(column) for column in zip(*pairs)] == [hexes(disc), hexes(P_lo), hexes(P_hi)]
         exists, lower, upper = equilibria_fast_array(p, Gamma)
-        eq = wh.equilibria_fast(p, Gamma)
-        assert np.array_equal(eq.exists, exists)
-        assert [hexes(x) for x in (*eq.lower, *eq.upper)] == [hexes(x) for x in (*lower, *upper)]
+        eqs = [wh.equilibria_fast(p, G) for G in Gamma.tolist()]
+        assert [eq.exists for eq in eqs] == exists.tolist()
+        # where no pair exists, the array form's columns are NaN
+        nan = (math.nan, math.nan)
+        columns = zip(*((*(eq.lower or nan), *(eq.upper or nan)) for eq in eqs))
+        assert [hexes(x) for x in columns] == [hexes(x) for x in (*lower, *upper)]
 
     @pytest.mark.parametrize(
         "W",
