@@ -26,11 +26,11 @@ pool, so R0, its growth rate, the endemic state and the residual read one
 characteristic table, every TABLE_STRIDE-th node of the one StatusClock
 built with each parameter set, `BetweenHostParams.clock`. That clock
 evaluates and checks each coefficient once, on its own nodes, and holds G,
-M, P/g and xi on every one of them. Status integrals use the guarded
-Simpson rule `numerics.quadrature`, so a non-finite integral raises
-NonFiniteError: the characteristic on TABLE_PANELS panels, the renewal
-kernel's total on every clock node, and its environmental route reads a
-shedding load tabulated on the clock's nodes.
+M, P/g and xi*P/g on every one of them. Every status integral, int
+f*e^{-phi} domega, is the guarded rule `numerics.quadrature`, exact in
+phi's chord, and a non-finite one raises NonFiniteError: the
+characteristic (phi = M + lam*G, TABLE_PANELS panels), the renewal
+kernel's total (phi = M, every clock node) and its shedding load.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ CLOCK_NODES = 16384
 TABLE_PANELS = 64
 # the characteristic's nodes are every TABLE_STRIDE-th clock node
 TABLE_STRIDE = CLOCK_NODES // TABLE_PANELS
-# Simpson rows per block of the endemic scan's rates
-KERNEL_BLOCK = 1024
+# rates per block of the endemic scan: the rule's temporaries of a block stay in cache
+KERNEL_BLOCK = 256
 # the infection-free growth rate is sought below this bound
 LAMBDA_HAT_MAX = 1e6
 # real-axis endemic residual scan: rates on [0, SPECTRUM_SCAN_MAX], this far apart
@@ -183,7 +183,7 @@ class StatusClock:
     g > 0 makes G strictly increasing, so status <-> elapsed-time conversion
     is a monotone interpolation both ways. M is the accumulated removal
     exposure along the same path. The clock is the one source of G, M, P/g,
-    xi and the survival density pi = exp(-M)/g: the reproduction number,
+    xi*P/g and the survival density pi = exp(-M)/g: the reproduction number,
     both characteristic equations, the endemic profile and the renewal
     kernel all read them from `BetweenHostParams.clock`, the one clock of
     each parameter set, on its CLOCK_NODES+1 nodes `omega`, regenerated.
@@ -193,7 +193,7 @@ class StatusClock:
     elapsed: np.ndarray
     decay: np.ndarray
     p_over_g: np.ndarray
-    xi: np.ndarray
+    xi_p_over_g: np.ndarray
 
     @property
     def omega(self) -> np.ndarray:
@@ -217,9 +217,10 @@ def build_clock(params: BetweenHostParams) -> StatusClock:
     nodes of [0, omega0]. Each must be finite there and on a table
     coefficient's knots in [0, omega0], which decide its sign exactly; g
     positive, the others nonnegative, or ValueError. G and M are
-    cumulative trapezoids on the nodes, exact for constant ratios. A G, M
-    or P/g table whose Python-float bound (twice the largest ratio times
-    omega0, or the largest P/g) is not finite raises NonFiniteError first.
+    cumulative trapezoids, exact for constant ratios. A G, M, P/g or xi*P/g
+    table whose Python-float bound (twice the largest ratio times omega0,
+    the largest P over the least g, the largest xi times the largest P/g)
+    is not finite raises NonFiniteError before the table is built.
     """
     nodes = np.linspace(0.0, params.omega0, CLOCK_NODES + 1)
     values = {}
@@ -237,20 +238,24 @@ def build_clock(params: BetweenHostParams) -> StatusClock:
         elif np.any(vals < 0):
             raise ValueError(f"{name}(omega) must be nonnegative on [0, omega0]")
     g, g_min = values["g"], float(values["g"].min())
-    # Python floats overflow to inf unwarned; the trapezoid's pair sums reach twice a ratio
-    for table, bound in (
-        ("G = int 1/g", 2.0 / g_min * params.omega0),
-        ("M = int mu2/g", float(values["mu2"].max()) / g_min * 2.0 * params.omega0),
-        ("P/g", float(values["P"].max()) / g_min),
-    ):
-        if not math.isfinite(bound):
+
+    def bound(table, value):
+        # Python floats overflow to inf unwarned
+        if not math.isfinite(value):
             raise NonFiniteError(f"status clock: the {table} table is not finite on [0, omega0]")
+
+    # the trapezoid's pair sums reach twice a ratio
+    bound("G = int 1/g", 2.0 / g_min * params.omega0)
+    bound("M = int mu2/g", float(values["mu2"].max()) / g_min * 2.0 * params.omega0)
+    bound("P/g", float(values["P"].max()) / g_min)
+    p_over_g = values["P"] / g
+    bound("xi*P/g", float(values["xi"].max()) * float(p_over_g.max()))
     step = params.omega0 / CLOCK_NODES
     inv_g = 1.0 / g
     ratio = values["mu2"] * inv_g
     elapsed = np.concatenate([[0.0], np.cumsum(0.5 * (inv_g[1:] + inv_g[:-1]) * step)])
     decay = np.concatenate([[0.0], np.cumsum(0.5 * (ratio[1:] + ratio[:-1]) * step)])
-    return StatusClock(params.omega0, elapsed, decay, p_over_g=values["P"] / g, xi=values["xi"])
+    return StatusClock(params.omega0, elapsed, decay, p_over_g, xi_p_over_g=values["xi"] * p_over_g)
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +284,26 @@ def _characteristic(params: BetweenHostParams) -> Callable:
       J_P  = int_0^omega0 P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
       J_xi = int_0^omega0 xi(w)*P(w)/g(w) * exp(-M(w) - lam*G(w)) dw
 
-    with G, M the clock integrals, by Simpson's rule on TABLE_PANELS
-    panels. The lam-independent node values (P/g, M, G, xi) are every
-    TABLE_STRIDE-th entry of the clock's columns, so no coefficient is
-    evaluated and nothing is interpolated here. Returns lam -> (direct,
-    environmental, J_xi); G is direct + environmental. lam may be a scalar
-    (real or complex) or a 1-d array of rates, one Simpson row per rate,
-    each entry equal bit for bit to the scalar call.
+    with G, M the clock integrals, by the rule on TABLE_PANELS panels with
+    the exponent M + lam*G. The lam-independent node values (P/g, xi*P/g,
+    M, G) are every TABLE_STRIDE-th entry of the clock's columns, so no
+    coefficient is evaluated and nothing is interpolated here. Returns lam
+    -> (direct, environmental, J_xi); G is direct + environmental. lam may
+    be a scalar (real or complex) or a 1-d array of rates, both routes of
+    a rate on one exponent row, each entry equal bit for bit to the scalar
+    call.
     """
     clock = params.clock
-    p_over_g, xi, decay, elapsed = (
-        column[::TABLE_STRIDE] for column in (clock.p_over_g, clock.xi, clock.decay, clock.elapsed)
-    )
+    # one sum per route (first axis) and rate (second axis)
+    columns = np.stack([clock.p_over_g[::TABLE_STRIDE], clock.xi_p_over_g[::TABLE_STRIDE]])[:, None]
+    decay, elapsed = clock.decay[::TABLE_STRIDE], clock.elapsed[::TABLE_STRIDE]
     s0 = params.r / params.mu1
 
     def routes(lam):
-        weight = p_over_g * np.exp(-decay - np.multiply.outer(lam, elapsed))
-        j_p, j_xi = quadrature(weight, params.omega0), quadrature(weight * xi, params.omega0)
+        exponent = np.multiply.outer(lam, elapsed)
+        exponent += decay
+        sums = quadrature(columns, exponent, params.omega0)
+        j_p, j_xi = sums if np.ndim(lam) else sums[:, 0].tolist()
         direct = s0 * params.beta_h * j_p
         shed = params.beta_e > 0 and np.any(j_xi != 0)  # without shedding, no pole at -sigma
         environmental = s0 * params.beta_e / (lam + params.sigma) * j_xi if shed else 0.0
@@ -344,11 +352,10 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
                 raise BracketError("characteristic function stays above 1")
     else:
         # approach the pole at -sigma geometrically (environmental route), or
-        # double lo down (no pole), no lower than where a weight
-        # (<= peak*e^{-lam*total}) or a sum could overflow
+        # double lo down (no pole), no lower than where a node's
+        # peak*e^{-lam*total} or a sum could overflow
         clock = params.clock
-        p_over_g, xi = clock.p_over_g[::TABLE_STRIDE], clock.xi[::TABLE_STRIDE]
-        peak = float(np.max(p_over_g)) * max(1.0, float(xi.max()))
+        peak = max(float(column[::TABLE_STRIDE].max()) for column in (clock.p_over_g, clock.xi_p_over_g))
         margin = math.log(np.finfo(float).max / 3.0) - math.log(max(1.0, 3.0 * TABLE_PANELS * peak))
         total = clock.total_time
         floor = max(-margin / total, -np.finfo(float).max) if margin > 0 and total > 0 else 0.0
@@ -689,32 +696,50 @@ def _kernel_env(theta: np.ndarray, params: BetweenHostParams) -> np.ndarray:
     the bacteria alive at travel time u, K_e(theta) = beta_e *
     [e^{-sigma*(theta-u_hi)}*Y(u_hi) - e^{-sigma*(theta-u_lo)}*Y(u_lo)] over
     the shedding times [u_lo, u_hi] = [clip(theta - a_bar, 0, T0), min(T0,
-    theta)]. Y is tabulated on the clock nodes, Y_j = e^{-sigma*dG_j} *
-    Y_{j-1} + the panel's trapezoid of e^{-sigma*(G_j-G)}*xi*P/g*exp(-M) in
-    status from the clock's columns, and read between them by interpolation
-    in G. A non-finite load raises NonFiniteError.
+    theta)]. Y on clock node j is node j-1's faded by e^{-sigma*dG_j} plus
+    its panel's; at u between nodes, the node's below plus the partial
+    panel. Each panel is the rule's with xi*P/g, M and G linear on it, so
+    exact in sigma. A non-finite load raises NonFiniteError.
     """
     clock = params.clock
-    total = clock.total_time
-    weight = clock.p_over_g * np.exp(-clock.decay)
-    half = clock.xi * weight * (0.5 * params.omega0 / CLOCK_NODES)
-    fade = np.exp(-params.sigma * np.diff(clock.elapsed))
+    total, sigma = clock.total_time, params.sigma
+    shed, decay, elapsed = clock.xi_p_over_g, clock.decay, clock.elapsed
+    step = params.omega0 / CLOCK_NODES
+
+    def panels(f_a, f_b, phi_a, phi_b, length):
+        # int f*e^{-phi} over one interval per row, f and phi linear on it
+        values, exponent = (
+            np.stack([a, a + 0.5 * (b - a), b], axis=-1) for a, b in ((f_a, f_b), (phi_a, phi_b))
+        )
+        return quadrature(values, exponent, length)
+
+    # the load on each clock node: the node's below, faded, and its own panel's
+    rise = np.diff(elapsed)
+    own = panels(shed[:-1], shed[1:], decay[:-1] + sigma * rise, decay[1:], step)
     y, load = 0.0, [0.0]
-    for f, a, b in zip(fade.tolist(), half[:-1].tolist(), half[1:].tolist()):
-        y = f * (y + a) + b
+    for f, a in zip(np.exp(-sigma * rise).tolist(), own.tolist()):
+        y = f * y + a
         load.append(y)
     load = np.array(load)
     if not np.isfinite(load).all():
         raise NonFiniteError("renewal kernel: the shedding load is not finite")
     # theta - a_bar may round below T0 at theta = a_bar + T0: the end is explicit
     inside = theta < params.a_bar + total
-    delay = theta[inside]
-    hi, lo = (
-        np.exp(-params.sigma * (delay - u)) * np.interp(u, clock.elapsed, load)
-        for u in (np.minimum(total, delay), np.clip(delay - params.a_bar, 0.0, total))
+    delay = np.tile(theta[inside], 2)
+    # the shedding times u_hi, then u_lo; the load at u, faded to the delay,
+    # is the load on the node below u, faded, and the partial panel up to u
+    u = np.concatenate([np.minimum(total, theta[inside]), np.clip(theta[inside] - params.a_bar, 0.0, total)])
+    lo = np.searchsorted(elapsed, u, side="right") - 1
+    faded = np.exp(-sigma * (delay - elapsed[lo])) * load[lo]
+    part = np.flatnonzero(u > elapsed[lo])  # never past the last node
+    j, u, delay = lo[part], u[part], delay[part]
+    s = (u - elapsed[j]) / (elapsed[j + 1] - elapsed[j])
+    faded[part] += panels(
+        shed[j], shed[j] + s * (shed[j + 1] - shed[j]), decay[j] + sigma * (delay - elapsed[j]),
+        decay[j] + s * (decay[j + 1] - decay[j]) + sigma * (delay - u), s * step,
     )
     out = np.zeros_like(theta)
-    out[inside] = params.beta_e * (hi - lo)
+    out[inside] = params.beta_e * np.subtract(*np.split(faded, 2))
     return out
 
 
@@ -723,14 +748,16 @@ def kernel_total_integral(params: BetweenHostParams) -> float:
 
     Integrated over the bacterial age first, the environmental route keeps
     the closed-form age factor (1 - e^{-sigma*a_bar})/sigma; in status,
-    dtheta = domega/g. So the total is one Simpson sum on every clock node,
-    int_0^omega0 (beta_h + beta_e*age_factor*xi)*P/g*exp(-M) domega, on the
-    clock's columns. At the endemic state S* times it is 1, up to the
-    characteristic table's error and the exponential age-cap truncation.
+    dtheta = domega/g. So the total is one sum of the rule on every clock
+    node, int_0^omega0 (beta_h*P/g + beta_e*age_factor*xi*P/g)*e^{-M}
+    domega, on the clock's columns. At the endemic state S* times it is 1,
+    up to the characteristic table's error and the exponential age-cap
+    truncation.
     """
-    weight = params.clock.p_over_g * np.exp(-params.clock.decay)
+    clock = params.clock
     age_factor = -math.expm1(-params.sigma * params.a_bar) / params.sigma
-    return quadrature((params.beta_h + params.beta_e * age_factor * params.clock.xi) * weight, params.omega0)
+    values = params.beta_h * clock.p_over_g + params.beta_e * age_factor * clock.xi_p_over_g
+    return quadrature(values, clock.decay, params.omega0)
 
 
 @dataclass
@@ -898,10 +925,10 @@ def endemic_spectrum_scan(params: BetweenHostParams) -> ResidualScan:
     calls of the same residual. Only the signs of the values are
     multiplied, so no product overflows; a non-finite residual raises
     NonFiniteError. The root list is empty for every parameter set: for
-    real lam >= 0 every weight of G falls as lam grows, so G/R0 <= 1, and
-    R(lam) <= rho/(rho + mu3) < 1, so the residual is at most F*(R(lam) -
-    1)/(lam + mu1) < 0. An unstable mode can only be complex, outside this
-    check's scope.
+    real lam >= 0 every integrand of G falls as lam grows, so G/R0 <= 1 up
+    to the rule's error, and R(lam) <= rho/(rho + mu3) < 1, so the residual
+    is at most F*(R(lam) - 1)/(lam + mu1) < 0. An unstable mode can only be
+    complex, outside this check's scope.
     """
     residual = endemic_char_residual(params)
     grid = np.arange(0.0, SPECTRUM_SCAN_MAX + 0.5 * SPECTRUM_SCAN_STEP, SPECTRUM_SCAN_STEP)

@@ -152,7 +152,7 @@ def _between_echo(cfg: ScenarioConfig) -> dict:
     echo["functions"] = {
         name: {"family": fn.family, **fn.describe} for name, fn in functions.items()
     }
-    echo["quadrature"] = {"rule": "simpson", "n": between_host.TABLE_PANELS}
+    echo["quadrature"] = {"rule": "filon_simpson", "n": between_host.TABLE_PANELS}
     return echo
 
 

@@ -92,15 +92,17 @@ def from_within_host(kind: str, params: wh.WithinHostParams) -> Coefficient:
     "pathogen_load" gives P_plus(omega); "immune_growth" gives
     kappa*P_plus(omega) - c*omega. Both are defined up to the within-host
     fold value W_fold, the natural status ceiling for the linked model.
-    An array of nodes gets within_host's float closed form at each node.
+    Each node goes through within_host's float closed form; a fold past
+    the float range is refused before the first node.
     """
-    if kind == "pathogen_load":
-        def fn(w):
-            return wh.upper_branch_P(w, params)
-    elif kind == "immune_growth":
-        def fn(w):
-            return wh.immune_growth_g(w, params)
-    else:
+    forms = {"pathogen_load": "upper_branch_P", "immune_growth": "immune_growth_g"}
+    if kind not in forms:
         raise ValueError(f"unknown within-host coefficient kind {kind!r}")
+
+    def fn(w):
+        form = getattr(wh, forms[kind])
+        wh.manifold_tip(params)
+        return np.array([form(x, params) for x in w.ravel().tolist()], dtype=float).reshape(w.shape)
+
     describe = {"kind": kind, "within_host": asdict(params)}
     return Coefficient(family="within_host", describe=describe, fn=fn)

@@ -9,9 +9,9 @@ structured epidemic solver) is built on the operations in this module:
   ``find_root`` on the event along one Dormand-Prince step from the left
   end of the bracketing step. The returned Trajectory holds lists.
 * ``linspace`` -- evenly spaced Python floats, np.linspace's bit for bit.
-* ``quadrature`` -- the package's one composite Simpson rule: a guarded
-  sum of evenly spaced node values over [0, length], one per row; the one
-  user of numpy here, imported by its calls.
+* ``quadrature`` -- the package's one rule for status integrals of
+  f*e^{-phi}, exact in phi's chord, one guarded sum per row; the one user
+  of numpy here, imported by its calls.
 * ``find_root`` -- bracketed scalar root solve by Brent's method, in the
   form and with the stopping rule of scipy's ``brentq``, plus explicit
   bracket validation. The package needs numpy only.
@@ -23,8 +23,6 @@ exceptions raised here are defined in ``errors``.
 
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -37,7 +35,6 @@ __all__ = [
     "integrate_ode",
     "linspace",
     "quadrature",
-    "simpson_coefficients",
     "find_root",
 ]
 
@@ -52,6 +49,9 @@ MAX_STEPS = 1_000_000
 # default), and a solve may take this many iterations.
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 200
+# quadrature: m_2(D) = sum_j (-D)^j/(j! (j + 3)) below |D| = SERIES_RADIUS, to an ulp
+SERIES_RADIUS = 0.5
+_M2_SERIES = tuple((-1) ** j / (math.factorial(j) * (j + 3)) for j in range(13, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -245,46 +245,62 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def simpson_coefficients(n: int):
-    """Composite Simpson coefficients 1, 4, 2, ..., 2, 4, 1 on n panels.
-
-    The weights on a panel of width h are these times h/3. The array is
-    cached per n and shared, so it is read-only. n must be even.
+def quadrature(values, exponent, length):
+    """Integral of f*e^{-phi} over [0, length] from f and phi on n + 1 even
+    nodes (n even), the last axis; leading axes broadcast to one sum per
+    row (a Python number for one row), with one length per row or for all.
+    On each double panel the quadratic through f is integrated exactly
+    against phi's chord (a rule of Filon type) from its end with the
+    smaller real exponent, by the moments m_k(D) = int_0^1 t^k e^{-Dt} dt
+    of the chord's rise D. The midpoint value of f carries phi's bend off
+    the chord, e^{-bend}, its real part clipped at -1 (unresolved there) so
+    it cannot overflow. At phi = 0 this is Simpson's rule. Rows are summed
+    by ``np.einsum``, not BLAS: a real row of a block sums bit for bit as
+    alone. Raises ValueError on an odd n, NonFiniteError on a non-finite sum.
     """
     import numpy as np
 
+    phi = np.asarray(exponent)
+    n = phi.shape[-1] - 1
     if n < 2 or n % 2 != 0:
-        raise ValueError(f"Simpson rule requires an even panel count >= 2, got {n}")
-    coeff = np.ones(n + 1)
-    coeff[1:-1:2] = 4.0
-    coeff[2:-1:2] = 2.0
-    coeff.flags.writeable = False
-    return coeff
-
-
-def quadrature(values, length):
-    """Composite Simpson sum of node values spread evenly over [0, length].
-
-    The last axis holds the n + 1 values of n panels (n even). A 1-D row
-    gives one scalar (a Python float or complex for a Python length); a
-    2-D block gives one sum per row, with one length per row or one for
-    all. A complex dtype is kept. Each row is summed by ``np.einsum``, not
-    a BLAS product, so a row of a block sums bit for bit as it does alone,
-    whatever the block's shape or the BLAS thread count. Raises
-    NonFiniteError on a non-finite sum.
-    """
-    import numpy as np
-
-    n = np.shape(values)[-1] - 1
-    sums = np.einsum("...j,j->...", values, simpson_coefficients(n))
-    if isinstance(sums, np.ndarray):
-        sums = sums * length / (3.0 * n)
-        if not np.isfinite(sums).all():
-            raise NonFiniteError("non-finite quadrature sum")
-        return sums
-    total = sums.item() * length / (3.0 * n)
-    if not cmath.isfinite(total):
+        raise ValueError(f"the rule requires an even panel count >= 2, got {n}")
+    left, right = phi[..., 0:-1:2], phi[..., 2::2]
+    rise = right - left
+    bend = phi[..., 1::2] - (left + 0.5 * rise)
+    flip = rise.real < 0.0
+    flipped = flip.any()
+    if flipped:
+        rise, left = np.where(flip, -rise, rise), np.where(flip, right, left)
+    # m_2 by its series, then m_{k-1} = (D*m_k + e^{-D})/k down; far from 0,
+    # m_0 = -expm1(-D)/D and m_k = (k*m_{k-1} - e^{-D})/D up, each stable there
+    big = np.abs(rise) >= SERIES_RADIUS
+    d = np.where(big, 0.0, rise)
+    m2 = np.zeros_like(d)
+    for coefficient in _M2_SERIES:
+        m2 *= d
+        m2 += coefficient
+    fade = np.exp(-d)
+    m1 = 0.5 * (d * m2 + fade)
+    m0 = d * m1 + fade
+    d = rise[big]
+    drop, inverse = np.expm1(-d), 1.0 / d
+    m0[big] = low = -drop * inverse
+    m1[big] = one = (low - (drop + 1.0)) * inverse
+    m2[big] = (2.0 * one - (drop + 1.0)) * inverse
+    lift = np.exp(np.minimum(-bend.real, 1.0))
+    lift = lift * np.exp(-1j * bend.imag) if np.iscomplexobj(bend) else lift
+    # the weights of the anchored end, the midpoint and the far end
+    fade = np.exp(-left)
+    near, far = fade * (m0 - 3.0 * m1 + 2.0 * m2), fade * (2.0 * m2 - m1)
+    mid = fade * lift * (4.0 * (m1 - m2))
+    if flipped:
+        near, far = np.where(flip, far, near), np.where(flip, near, far)
+    sums = sum(
+        np.einsum("...j,...j->...", values[..., k : n + k - 1 : 2], w) for k, w in enumerate((near, mid, far))
+    )
+    # a single row's sum is a Python number
+    total = sums * (2.0 * np.asarray(length) / n) if np.ndim(sums) else sums.item() * (2.0 * length / n)
+    if not np.isfinite(total).all():
         raise NonFiniteError("non-finite quadrature sum")
     return total
 

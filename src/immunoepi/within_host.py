@@ -14,9 +14,7 @@ Gamma = gamma + delta*W grows. delta and W enter the fast subsystem only
 through Gamma, so its equilibria and Jacobian take Gamma. The fold and Hopf
 loci of that subsystem, the slow manifold, and event-based infection runs
 (recovery when the pathogen is cleared after the fold) are all computed
-here, each closed form once over Python floats, without numpy. An array
-given to ``upper_branch_P`` or ``immune_growth_g`` (a coefficient's nodes)
-is mapped through the float form, numpy imported by that call.
+here, each closed form once over Python floats, without numpy.
 """
 
 from __future__ import annotations
@@ -119,12 +117,6 @@ class WithinHostState:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
             object.__setattr__(self, name, float(value))
 
-    def as_array(self):
-        """The state as an ndarray; numpy is imported by this call."""
-        import numpy as np
-
-        return np.array([self.T, self.P, self.W], dtype=float)
-
 
 def rhs_full(state: Sequence[float], params: WithinHostParams) -> tuple[float, float, float]:
     """Time derivative of (T, P, W), as a tuple of floats: the state form of
@@ -155,15 +147,6 @@ class FastEquilibria:
     exists: bool
     lower: tuple | None
     upper: tuple | None
-
-
-def _nodes(x):
-    """None for a number, else x as a float ndarray (numpy imported here)."""
-    if isinstance(x, (int, float)):
-        return None
-    import numpy as np
-
-    return np.asarray(x, dtype=float)
 
 
 def _nontrivial_pair(params: WithinHostParams, Gamma: float) -> tuple[float, float, float]:
@@ -318,45 +301,36 @@ def w_nullcline(P: float, params: WithinHostParams) -> float:
     return params.kappa * P / params.c
 
 
-def upper_branch_P(W, params: WithinHostParams):
+def upper_branch_P(W: float, params: WithinHostParams) -> float:
     """Pathogen load on the upper (infected) manifold branch at status W.
 
-    Accepts a number or an array of statuses; an array gives an array of
-    its shape, the float form at each node. Defined for W in [0, W_fold];
-    a hair of rounding slack is allowed at the tip itself, where the load
-    is sqrt(mu/alpha). A negative status or one past the fold raises
-    ValueError naming the first such node.
+    Defined for W in [0, W_fold]; a hair of rounding slack is allowed at
+    the tip itself, where the load is sqrt(mu/alpha). A negative status or
+    one past the fold raises ValueError. The fold is located, by
+    manifold_tip, only there, so a caller refuses a fold past the float
+    range first.
     """
+    W = float(W)
+    if W < 0.0:
+        raise ValueError(f"immune status must be nonnegative, got {W}")
+    disc, _, P_hi = _nontrivial_pair(params, params.gamma + params.delta * W)
+    if not disc < 0.0:
+        return P_hi
+    # discriminant lost to rounding exactly at the tip
     W_max = manifold_tip(params)[1]
-    limit, tip = W_max * (1.0 + 1e-12) + 1e-12, math.sqrt(params.mu / params.alpha)
-
-    def load(w):
-        if w < 0.0:
-            raise ValueError(f"immune status must be nonnegative, got {w}")
-        disc, _, P_hi = _nontrivial_pair(params, params.gamma + params.delta * w)
-        if not disc < 0.0:
-            return P_hi
-        # discriminant lost to rounding exactly at the tip
-        if not w <= limit:
-            raise ValueError(f"no infected branch at W={w} (fold at W={W_max})")
-        return tip
-
-    nodes = _nodes(W)
-    if nodes is None:
-        return load(float(W))
-    import numpy as np
-
-    return np.array([load(w) for w in nodes.ravel().tolist()], dtype=float).reshape(nodes.shape)
+    if not W <= W_max * (1.0 + 1e-12) + 1e-12:
+        raise ValueError(f"no infected branch at W={W} (fold at W={W_max})")
+    return math.sqrt(params.mu / params.alpha)
 
 
-def immune_growth_g(omega, params: WithinHostParams):
+def immune_growth_g(omega: float, params: WithinHostParams) -> float:
     """Immune-status growth rate along the infected branch.
 
     g(omega) = kappa*P_plus(omega) - c*omega, the slow W dynamics restricted
     to the upper manifold branch. Defined on [0, W_fold]. g(0) > 0 always;
-    positivity further along the branch depends on kappa/c. Accepts a
-    number or an array of statuses, as upper_branch_P does.
+    positivity further along the branch depends on kappa/c.
     """
+    omega = float(omega)
     return params.kappa * upper_branch_P(omega, params) - params.c * omega
 
 

@@ -44,9 +44,19 @@ I0_ENV_REF = 0.8941044132276335
 S_STAR_ENV_REF = 1.058955867723666  # r / (mu1 R0)
 B_STAR_ENV_REF = 2.8144213889655996  # I0 g0 (xi J) / sigma
 A_AT_2_REF = 0.16374615061559637  # beta_h e^{-0.2}
-LAMBDA_DIRECT_REF = 1.8999157640175564
-LAMBDA_ENV_REF = 1.9805714871787894
 K_DIRECT_REF = 0.6869386805747332  # beta_h int P I* = beta_h I0 g0 J = mu1 (R0 - 1)
+
+
+def closed_form_lambda_hat(beta_h, beta_e):
+    """The root of G(lam) = 1 at the constant sets: G(lam) = (r/mu1)
+    (beta_h + beta_e xi/(lam + sigma)) (1 - e^{-5(0.1 + lam)})/(0.1 + lam),
+    1.899909158889307 for the direct set and 1.9805636946834315 with the
+    environmental route."""
+
+    def excess(lam):
+        return 10.0 * (beta_h + beta_e * 0.4 / (lam + 0.5)) * -math.expm1(-5.0 * (0.1 + lam)) / (0.1 + lam) - 1.0
+
+    return find_root(excess, 0.0, 10.0, tol=1e-15)
 
 
 # the initial infected density of the renewal runs
@@ -161,6 +171,15 @@ class TestStatusClock:
         clock = bh.build_clock(p)
         assert np.interp(3.0, clock.omega, clock.elapsed) == pytest.approx(5.0 * np.log(1.6), rel=1e-8)
 
+    def test_shedding_column_is_bounded_by_the_largest_p_over_g(self):
+        # P = g rising to 1e300: max P/min g is 1e300, and xi = 1e10 times
+        # that is past the float range, but xi*P/g is 1e10 on every node
+        rise = coef.exponential(1.0, math.log(1e300) / 5.0)
+        clock = make_between(0.2, 0.05, xi=coef.constant(1e10), P=rise, g=rise).clock
+        assert clock.xi_p_over_g.tolist() == [1e10] * (bh.CLOCK_NODES + 1)
+        with pytest.raises(NonFiniteError, match="the xi\\*P/g table"):
+            make_between(0.2, 0.05, xi=coef.constant(1e300), P=coef.constant(1e300))
+
     def test_one_clock_per_parameter_set(self, monkeypatch):
         calls = []
         build = bh.build_clock
@@ -260,6 +279,15 @@ class TestReproductionNumber:
         assert environmental == pytest.approx(R0_ENV_REF - R0_DIRECT_REF, abs=1e-8)
         assert bh.r0_terms(direct_params)[1] == 0.0
 
+    @pytest.mark.parametrize("mu2, g", [(10.0, 0.01), (1.0, 0.01), (1.0, 0.1)])
+    def test_steep_removal_exposure_closed_form(self, mu2, g):
+        # M = mu2*omega/g rises by up to 78 across a double panel of the
+        # 64-panel table: R0 = (r/mu1)(beta_h + beta_e xi/sigma) P/mu2
+        # (1 - e^{-mu2 omega0/g}), 0.240 at (10, 0.01), below threshold
+        params = make_between(0.2, 0.05, mu2=coef.constant(mu2), g=coef.constant(g))
+        exact = 10.0 * (0.2 + 0.05 * 0.4 / 0.5) / mu2 * -math.expm1(-mu2 * 5.0 / g)
+        assert bh.r0(params) == pytest.approx(exact, rel=0.0, abs=1e-12)
+
     def test_characteristic_function_at_zero_is_the_reproduction_number(self, env_params):
         assert dfe_char_G(0.0, env_params) == pytest.approx(bh.r0(env_params), abs=1e-10)
 
@@ -281,8 +309,8 @@ class TestReproductionNumber:
 
 class TestGrowthRate:
     def test_supercritical_root_values(self, direct_params, env_params):
-        assert bh.dfe_lambda_hat(direct_params) == pytest.approx(LAMBDA_DIRECT_REF, abs=1e-9)
-        assert bh.dfe_lambda_hat(env_params) == pytest.approx(LAMBDA_ENV_REF, abs=1e-9)
+        assert bh.dfe_lambda_hat(direct_params) == pytest.approx(closed_form_lambda_hat(0.2, 0.0), abs=1e-12)
+        assert bh.dfe_lambda_hat(env_params) == pytest.approx(closed_form_lambda_hat(0.2, 0.05), abs=1e-12)
 
     def test_root_satisfies_the_characteristic_equation(self, env_params):
         lam = bh.dfe_lambda_hat(env_params)
@@ -676,14 +704,14 @@ class TestRenewalForm:
         "params", [linked_params(), make_between(0.2, 0.05)], ids=["linked", "bh_env"]
     )
     def test_identity_isolates_the_table_error(self, params):
-        # R0 as a Simpson sum on every clock node (at lam = 0 the travel
-        # time G drops out of the weight): against it the kernel total, on
-        # the same nodes, leaves only the age cap e^{-sigma a_bar} on the
+        # R0 as one sum on every clock node (at lam = 0 the travel time G
+        # drops out of the exponent): against it the kernel total, on the
+        # same nodes, leaves only the age cap e^{-sigma a_bar} on the
         # environmental share; S* carries the 64-panel table's R0
         clock, s0 = params.clock, params.r / params.mu1
-        weight = params.P(clock.omega) / params.g(clock.omega) * np.exp(-clock.decay)
-        direct = s0 * params.beta_h * quadrature(weight, params.omega0)
-        shed = quadrature(weight * params.xi(clock.omega), params.omega0)
+        p_over_g = params.P(clock.omega) / params.g(clock.omega)
+        direct = s0 * params.beta_h * quadrature(p_over_g, clock.decay, params.omega0)
+        shed = quadrature(p_over_g * params.xi(clock.omega), clock.decay, params.omega0)
         environmental = s0 * params.beta_e / params.sigma * shed
         basic_clock = direct + environmental
         basic = bh.r0(params)
@@ -866,13 +894,12 @@ def unhoisted_residual(lam, params):
     s0 = params.r / params.mu1
 
     def characteristic(rate):
-        weight = params.P(nodes) / params.g(nodes) * np.exp(
-            -clock.decay_at(nodes) - rate * np.interp(nodes, clock.omega, clock.elapsed)
-        )
-        direct = s0 * params.beta_h * quadrature(weight, params.omega0)
+        p_over_g = params.P(nodes) / params.g(nodes)
+        exponent = rate * np.interp(nodes, clock.omega, clock.elapsed) + clock.decay_at(nodes)
+        direct = s0 * params.beta_h * quadrature(p_over_g, exponent, params.omega0)
         if params.beta_e == 0:
             return direct
-        j_xi = quadrature(weight * params.xi(nodes), params.omega0)
+        j_xi = quadrature(params.xi(nodes) * p_over_g, exponent, params.omega0)
         return direct + s0 * params.beta_e / (rate + params.sigma) * j_xi
 
     basic = characteristic(0.0)
@@ -910,9 +937,9 @@ class TestHoistedResidual:
 
 
 def per_delay_kernel_env(theta, params, panels):
-    """The environmental kernel at one delay, one Simpson row of `panels`
-    panels in the bacterial age, the clock read by interpolation: a
-    reference for _kernel_env's shedding load on the clock's nodes."""
+    """The environmental kernel at one delay, one row of `panels` panels in
+    the bacterial age, the clock read by interpolation: a reference for
+    _kernel_env's shedding load on the clock's nodes."""
     clock = params.clock
     lo = max(0.0, theta - clock.total_time)
     hi = min(params.a_bar, theta)
@@ -920,14 +947,8 @@ def per_delay_kernel_env(theta, params, panels):
         return 0.0
     ages = np.linspace(lo, hi, panels + 1)
     w = clock.status_at(theta - ages)
-    values = (
-        params.beta_e
-        * np.exp(-params.sigma * ages)
-        * params.xi(w)
-        * params.P(w)
-        * np.exp(-clock.decay_at(w))
-    )
-    return quadrature(values, hi - lo)
+    values = params.beta_e * params.xi(w) * params.P(w)
+    return quadrature(values, params.sigma * ages + clock.decay_at(w), hi - lo)
 
 
 def kernel_delays(params):
@@ -945,9 +966,11 @@ class TestEnvironmentalKernel:
         [
             (make_between(0.2, 0.05), 1e-8),
             (make_between(0.2, 0.05, a_bar=1.0), 1e-8),
-            (make_between(0.2, 0.05, sigma=50.0), 1e-4),
+            (make_between(0.2, 0.05, sigma=50.0), 1e-10),
+            (make_between(0.2, 0.05, sigma=500.0), 1e-10),
+            (make_between(0.2, 0.05, sigma=5000.0), 1e-10),
         ],
-        ids=["bh_env", "short_memory", "fast_decay"],
+        ids=["bh_env", "short_memory", "fast_decay", "faster_decay", "fastest_decay"],
     )
     def test_closed_form(self, params, bound):
         # constant coefficients, g = 1: K_e(theta) = beta_e*xi*P/(sigma - mu2)

@@ -26,7 +26,8 @@ from reference_loops import write_rows_table
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
-R0_DIRECT_QUAD = 7.869386805910196  # Simpson n=64 value at the direct set
+# the direct set's closed form (r beta_h/mu1) P/mu2 (1 - e^{-mu2 omega0/g})
+R0_DIRECT = 20.0 * -math.expm1(-0.5)
 
 
 def bh_doc(**grid_run):
@@ -264,7 +265,8 @@ class TestExitCodes:
                                                          leaves):
         # the trapezoid weights domega*P*xi overflow: the transport run
         # used to warn at xi*P or at its integrals, then exit 3 on a NaN
-        # state; the weights are refused before the run
+        # state; the weights are refused before the run, and xi*P/g = 1e600
+        # by the status clock before that
         doc = json.loads((CONFIGS / "bh_env.json").read_text())
         doc["run"]["t_max"] = 1.0
         for leaf in leaves:
@@ -272,20 +274,16 @@ class TestExitCodes:
         config = write_config(tmp_path, doc)
         out = tmp_path / "nested" / "out"
         assert cli.main([command, "--config", config, "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: transport: the trapezoid weights of P and xi*P are not finite\n"
-        )
+        failure = "transport: the trapezoid weights of P and xi*P are not finite"
+        if ("between_host", "omega0") not in leaves:
+            failure = "status clock: the xi*P/g table is not finite on [0, omega0]"
+        assert capsys.readouterr().err == f"numerical failure: {failure}\n"
         assert not (tmp_path / "nested").exists()
 
     @pytest.mark.parametrize(
         "leaf, value",
-        [
-            (("functions", "xi"), 1e300),
-            (("functions", "P"), 1e300),
-            (("between_host", "omega0"), 1e300),
-            (("functions", "g"), 1e-300),
-        ],
-        ids=["xi", "P", "omega0", "g"],
+        [(("functions", "xi"), 1e300), (("functions", "P"), 1e300)],
+        ids=["xi", "P"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_endemic_scan_returns_three(self, tmp_path, capsys, leaf, value):
@@ -302,6 +300,24 @@ class TestExitCodes:
             "numerical failure: endemic spectrum scan: the characteristic residual is not finite\n"
         )
         assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize(
+        "leaf, value", [(("between_host", "omega0"), 1e300), (("functions", "g"), 1e-300)], ids=["omega0", "g"]
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_environmental_route_scan_returns_zero(self, tmp_path, leaf, value):
+        # beta_e = 1e300 with M = mu2*omega/g past 1e298 at omega0: the rule
+        # integrates e^{-M} exactly, so R0 takes its closed form (r/mu1)
+        # (beta_h + beta_e xi/sigma) P/mu2 (1 - e^{-mu2 omega0/g}) = 8e301;
+        # the Simpson table read inf and the scan exited 3
+        doc = json.loads((CONFIGS / "bh_direct.json").read_text())
+        doc["between_host"]["beta_e"] = 1e300
+        set_leaf(doc, leaf, value)
+        out = tmp_path / "out"
+        assert cli.main(["spectral", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["r0"] == pytest.approx(10.0 * (0.2 + 1e300 * 0.4 / 0.5) / 0.1, rel=1e-12)
+        assert summary["endemic_scan_roots"] == []
 
     @pytest.mark.parametrize("command", ["r0", "spectral", "equilibria"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -402,18 +418,37 @@ class TestExitCodes:
         assert not (tmp_path / "nested").exists()
 
     @pytest.mark.parametrize("command", BETWEEN_HOST_COMMANDS)
+    @pytest.mark.parametrize("small, large", [("mu", "c"), ("gamma", "kappa"), ("delta", "c")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_derived_growth_returns_two(self, tmp_path, capsys, command, small, large):
+        # kappa*P_plus - c*omega past the float range: an array product
+        # warned in immune_growth_g; the float form gives inf, which the
+        # status clock's coefficient check refuses
+        doc = linked_doc()
+        doc["run"]["t_max"] = CONTRACT_LINKED_T_MAX_CAP
+        doc["within_host"].update({small: 1e-300, large: 1e300})
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: between_host: g(omega) is not finite on [0, omega0]\n"
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("command", BETWEEN_HOST_COMMANDS)
     @pytest.mark.parametrize("leaves, table", [
         ((("functions", "mu2"), ("functions", "g")), "M = int mu2/g"),
         ((("between_host", "omega0"), ("functions", "mu2")), "M = int mu2/g"),
         ((("between_host", "omega0"), ("functions", "g")), "G = int 1/g"),
         ((("functions", "P"), ("functions", "g")), "P/g"),
+        ((("functions", "xi"), ("functions", "P")), "xi*P/g"),
+        ((("functions", "xi"), ("functions", "g")), "xi*P/g"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_status_clock_past_the_float_range_returns_three(self, tmp_path, capsys, command,
                                                               leaves, table):
         # a large leaf set to 1e300 and g to 1e-300: the clock's table
         # overflowed with a numpy warning, and (mu2, g) and (omega0, mu2)
-        # gave an R0 far off its closed form with exit 0
+        # gave an R0 far off its closed form with exit 0; xi*P/g past the
+        # float range warned in the characteristic
         doc = json.loads((CONFIGS / "bh_env.json").read_text())
         doc["run"]["t_max"] = CONTRACT_BH_T_MAX_CAP
         for leaf in leaves:
@@ -645,14 +680,26 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_spectral_scan_of_huge_residuals_returns_zero(self, tmp_path, leaf, value):
         # residuals near -1e300 used to overflow the product of neighbours
-        # in the scan's sign test; only their signs are multiplied now
+        # in the scan's sign test; only their signs are multiplied now. At
+        # g = 1e-300, M = 0.1*omega/g: R0 is exactly 24, which the Simpson
+        # table read as 6.25e298
         doc = json.loads((CONFIGS / "bh_env.json").read_text())
         set_leaf(doc, leaf, value)
         out = tmp_path / "out"
         assert cli.main(["spectral", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         summary = read_summary(out)
         assert summary["endemic_scan_roots"] == []
-        assert summary["endemic_residual_at_zero_plus"] < -1e297
+        s0, g = doc["between_host"]["r"] / 0.1, doc["functions"]["g"]["value"]
+
+        def characteristic(lam):
+            # (r/mu1)(beta_h + beta_e xi/(lam + sigma)) int_0^5 e^{-(mu2 + lam) omega/g} domega/g
+            return s0 * (0.2 + 0.05 * 0.4 / (lam + 0.5)) * -math.expm1(-(0.1 + lam) * 5.0 / g) / (0.1 + lam)
+
+        basic = characteristic(0.0)
+        assert summary["r0"] == pytest.approx(basic, rel=1e-12)
+        # G/R0 + F*(R - 1)/(lam + mu1) - 1 with rho = 0: F* = mu1 (R0 - 1), R = 0
+        residual = characteristic(0.01) / basic - 0.1 * (basic - 1.0) / 0.11 - 1.0
+        assert summary["endemic_residual_at_zero_plus"] == pytest.approx(residual, rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_renewal_history_past_an_underflowed_survival_returns_three(self, tmp_path, capsys):
@@ -1002,12 +1049,12 @@ class TestSummaryAndManifest:
         cli.main(["r0", "--config", config, "--out", str(out)])
         summary = read_summary(out)
         assert summary["subcommand"] == "r0"
-        assert summary["r0"] == pytest.approx(R0_DIRECT_QUAD, abs=1e-12)
+        assert summary["r0"] == pytest.approx(R0_DIRECT, abs=1e-12)
         assert summary["environmental_term"] == 0.0
         assert summary["r0"] == summary["direct_term"] + summary["environmental_term"]
         assert summary["parameters"]["beta_h"] == 0.2
         assert summary["parameters"]["functions"]["g"]["family"] == "constant"
-        assert summary["parameters"]["quadrature"] == {"rule": "simpson", "n": 64}
+        assert summary["parameters"]["quadrature"] == {"rule": "filon_simpson", "n": 64}
 
     def test_cycle_defaults_echo_the_sampler_constants(self, tmp_path):
         doc = json.loads((CONFIGS / "within_fig1.json").read_text())
@@ -1472,4 +1519,4 @@ class TestModuleEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert read_summary(out)["r0"] == pytest.approx(R0_DIRECT_QUAD, abs=1e-12)
+        assert read_summary(out)["r0"] == pytest.approx(R0_DIRECT, abs=1e-12)

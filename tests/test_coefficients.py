@@ -99,9 +99,8 @@ class TestWithinHostDerived:
     def test_immune_growth_matches_the_slow_field(self, paper_within):
         f = coef.from_within_host("immune_growth", paper_within)
         w = np.linspace(0.0, 3.0, 5)
-        np.testing.assert_allclose(
-            f(w), wh.immune_growth_g(w, paper_within), rtol=1e-13
-        )
+        expect = [wh.immune_growth_g(x, paper_within) for x in w]
+        np.testing.assert_allclose(f(w), expect, rtol=1e-13)
         assert f(0.0) == pytest.approx(1.9486832980505138, abs=1e-12)
 
     def test_derived_shapes_follow_the_input(self, paper_within):

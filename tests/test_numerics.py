@@ -1,20 +1,17 @@
+import cmath
 import math
 import warnings
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from immunoepi import numerics
 from immunoepi.errors import BracketError, ConvergenceError, NonFiniteError, StepLimitError
-from immunoepi.numerics import (
-    find_root,
-    integrate_ode,
-    quadrature,
-    simpson_coefficients,
-)
+from immunoepi.numerics import find_root, integrate_ode, quadrature
 from immunoepi.numerics import _dp45_step
 from immunoepi.within_host import WithinHostParams, WithinHostState, rhs_full
 
@@ -233,7 +230,7 @@ class TestIntegratorReference:
     @pytest.mark.parametrize("rate", ["Lambda", "alpha"])
     def test_overflowing_rates_raise_as_the_array_integrator_does(self, rate):
         params = WithinHostParams(**{**SLOW_CLEARANCE, rate: 1e300})
-        y0 = WithinHostState(10.0, 0.5, 0.0).as_array()
+        y0 = np.array(astuple(WithinHostState(10.0, 0.5, 0.0)))
         with pytest.raises(NonFiniteError) as want:
             integrate_ode_array(lambda t, y: rhs_full_array(y, params), y0, (0.0, 300.0))
         with warnings.catch_warnings():
@@ -263,48 +260,120 @@ def cubic_rows(coeffs, lengths, n):
     return values, exact, scale
 
 
+def flat(values):
+    """A zero exponent with the node layout of values: the rule is Simpson's."""
+    return np.zeros(np.shape(values)[-1])
+
+
+def exponential_quadratic(coeffs, slope, length):
+    """int_0^length (c0 + c1 x + c2 x^2) e^{-slope x} dx, by the series of
+    e^{-slope x} in Python complex arithmetic where |slope*length| < 1 and
+    in closed form beyond."""
+    z = slope * length
+    if abs(z) < 1.0:
+        # int_0^1 t^k e^{-z t} dt = sum_j (-z)^j / (j! (k + j + 1))
+        moments = [sum((-z) ** j / (math.factorial(j) * (k + j + 1)) for j in range(40)) for k in range(3)]
+    else:
+        fade = cmath.exp(-z)
+        m0 = (1.0 - fade) / z
+        m1 = (m0 - fade) / z
+        moments = [m0, m1, (2.0 * m1 - fade) / z]
+    return sum(c * length ** (k + 1) * m for k, (c, m) in enumerate(zip(coeffs, moments)))
+
+
 class TestQuadrature:
     def test_rule_weights_are_the_explicit_simpson_weights(self):
-        # one unit vector per row reads off the rule's weight at each node
+        # at phi = 0 one unit vector per row reads off the rule's weight at
+        # each node: Simpson's
         rng = np.random.default_rng(7)
         for n in [2, 4, 6, 8, 64, 256, *(2 * int(k) for k in rng.integers(1, 300, 20))]:
             length = float(10.0 ** rng.uniform(-6.0, 3.0))
-            weights = quadrature(np.eye(n + 1), length)
+            weights = quadrature(np.eye(n + 1), np.zeros(n + 1), length)
             np.testing.assert_allclose(
                 weights, reference_simpson_weights(0.0, length, n), rtol=1e-15, atol=0.0
             )
-        # the cached coefficients are shared between callers
-        assert not simpson_coefficients(64).flags.writeable
 
     def test_exponential_closed_form(self):
-        val = quadrature(np.exp(-0.1 * np.linspace(0.0, 5.0, 65)), 5.0)
+        # e^{-0.1 x} as node values at phi = 0, and as the exponent of f = 1
+        nodes = np.linspace(0.0, 5.0, 65)
+        exact = 10.0 * (1.0 - math.exp(-0.5))
+        val = quadrature(np.exp(-0.1 * nodes), flat(nodes), 5.0)
         assert type(val) is float
-        assert val == pytest.approx(10.0 * (1.0 - math.exp(-0.5)), abs=1e-9)
+        assert val == pytest.approx(exact, abs=1e-9)
+        assert quadrature(np.ones(65), 0.1 * nodes, 5.0) == pytest.approx(exact, rel=1e-15)
 
     def test_degenerate_interval(self):
-        assert quadrature(np.full(65, math.e**2), 0.0) == 0.0
+        assert quadrature(np.full(65, math.e**2), np.zeros(65), 0.0) == 0.0
 
     def test_simpson_fourth_order_convergence(self):
         exact = 10.0 * (1.0 - math.exp(-0.5))
         errs = []
         for n in (4, 8):
             values = np.exp(-0.1 * np.linspace(0.0, 5.0, n + 1))
-            errs.append(abs(quadrature(values, 5.0) - exact))
+            errs.append(abs(quadrature(values, flat(values), 5.0) - exact))
         assert errs[0] / errs[1] >= 8.0
+
+    def test_fourth_order_convergence_in_a_curved_exponent(self):
+        # int_0^1 e^{-x^2} dx with f = 1: the bend carries phi's curvature
+        exact = 0.5 * math.sqrt(math.pi) * math.erf(1.0)
+        errs = []
+        for n in (8, 16, 32):
+            x = np.linspace(0.0, 1.0, n + 1)
+            errs.append(abs(quadrature(np.ones(n + 1), x * x, 1.0) - exact))
+        assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0
 
     def test_simpson_requires_even_panels(self):
         with pytest.raises(ValueError, match="even"):
-            quadrature(np.ones(4), 1.0)
+            quadrature(np.ones(4), np.zeros(4), 1.0)
         with pytest.raises(ValueError, match="even"):
-            quadrature(np.ones(1), 1.0)
+            quadrature(np.ones(1), np.zeros(1), 1.0)
 
     def test_nonfinite_integrand(self):
         with pytest.raises(NonFiniteError), np.errstate(divide="ignore"):
-            quadrature(1.0 / np.linspace(0.0, 1.0, 65), 1.0)
+            quadrature(1.0 / np.linspace(0.0, 1.0, 65), np.zeros(65), 1.0)
 
     def test_negative_length_gives_the_oriented_integral(self):
         # nodes run from 0 down to -1: the integral of x from 0 to -1 is 1/2
-        assert quadrature(np.linspace(0.0, -1.0, 65), -1.0) == pytest.approx(0.5, rel=1e-15)
+        assert quadrature(np.linspace(0.0, -1.0, 65), np.zeros(65), -1.0) == pytest.approx(0.5, rel=1e-15)
+
+    @given(
+        half=st.integers(1, 40),
+        coeffs=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        log_slope=st.floats(-6.0, 4.0),
+        angle=st.floats(-math.pi, math.pi),
+        offset=st.floats(-5.0, 50.0),
+        log_length=st.floats(-3.0, 2.0),
+    )
+    def test_exact_for_a_quadratic_times_the_exponential_of_a_linear_exponent(
+        self, half, coeffs, log_slope, angle, offset, log_length
+    ):
+        # phi = offset + slope*x of any slope, rising or falling, real or
+        # complex: the chord is phi itself, its bend 0, and the rule exact
+        n, length = 2 * half, 10.0 ** log_length
+        x = np.linspace(0.0, length, n + 1)
+        values = coeffs[0] + coeffs[1] * x + coeffs[2] * x * x
+        scale = sum(abs(c) * length ** (k + 1) for k, c in enumerate(coeffs))
+        for slope in (10.0 ** log_slope, -(10.0 ** log_slope), 10.0 ** log_slope * cmath.exp(1j * angle)):
+            # no e^{-phi} below the float range on [0, length]
+            assume(abs(offset) + abs(slope) * length < 600.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = quadrature(values, offset + slope * x, length)
+            exact = cmath.exp(-offset) * exponential_quadratic(coeffs, slope, length)
+            peak = max(1.0, math.exp(-offset - min(0.0, (slope * length).real)))
+            assert abs(got - exact) <= 1e-13 * scale * peak
+
+    def test_a_bend_past_the_float_range_is_clipped(self):
+        # the midpoint exponent far below the chord, by 1e6 or by rounding
+        # noise at 1e300: its factor is clipped at e, with no overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadrature(np.ones(3), np.array([0.0, -1e6, 0.0]), 2.0)
+            assert got == pytest.approx((2.0 + 4.0 * math.e) / 3.0, rel=1e-15)
+            assert quadrature(np.ones(3), np.array([1e300, 1e300 - 2e284, 1e300]), 1.0) == 0.0
+            # a steep chord from 0 to 1.6e300: the integral is 1/1.6e300
+            steep = quadrature(np.ones(5), np.linspace(0.0, 1.6e300, 5), 1.0)
+            assert steep == pytest.approx(1.0 / 1.6e300, rel=1e-14)
 
     @given(
         half=st.integers(1, 40),
@@ -320,39 +389,56 @@ class TestQuadrature:
         coeffs = np.array(coeffs)
         lengths = 10.0 ** np.array(log_lengths[: len(coeffs)])
         values, exact, scale = cubic_rows(coeffs, lengths, n)
+        zero = np.zeros(n + 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # even n: exact on cubics up to rounding, one length per row
-            sums = quadrature(values, lengths)
+            # even n, phi = 0: exact on cubics up to rounding, one length per row
+            sums = quadrature(values, zero, lengths)
             assert sums.shape == (len(coeffs),)
             assert np.all(np.abs(sums - exact) <= 1e-12 * scale + 1e-300)
             # one row alone gives the same sum as a Python float
-            first = quadrature(values[0], float(lengths[0]))
+            first = quadrature(values[0], zero, float(lengths[0]))
             assert type(first) is float
             assert abs(first - exact[0]) <= 1e-12 * scale[0] + 1e-300
             # a complex dtype is kept, with no cast and no ComplexWarning
-            rotated = quadrature(values * (1.0 - 2.0j), lengths)
+            rotated = quadrature(values * (1.0 - 2.0j), zero, lengths)
             assert rotated.dtype == np.complex128
             np.testing.assert_allclose(rotated, exact * (1.0 - 2.0j), rtol=0.0, atol=3e-12 * scale.max())
-            assert type(quadrature(values[0] * 1j, float(lengths[0]))) is complex
+            assert type(quadrature(values[0] * 1j, zero, float(lengths[0]))) is complex
+            assert type(quadrature(values[0], zero + 0.5j, float(lengths[0]))) is complex
         # one non-finite node poisons its row's sum
         row, node = divmod(where % values.size, n + 1)
         values[row, node] = bad
         with pytest.raises(NonFiniteError):
-            quadrature(values, lengths)
+            quadrature(values, zero, lengths)
         with pytest.raises(NonFiniteError):
-            quadrature(values[row], lengths[row])
+            quadrature(values[row], zero, lengths[row])
 
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 1024), half=st.integers(1, 128))
-    def test_a_row_of_a_block_sums_bit_for_bit_as_it_does_alone(self, seed, rows, half):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 1024),
+        half=st.integers(1, 128),
+        stacked=st.booleans(),
+    )
+    def test_a_row_of_a_block_sums_bit_for_bit_as_it_does_alone(self, seed, rows, half, stacked):
         # a BLAS matrix-vector product may sum a row in another order than a
         # dot product of that row alone, and its order may follow the thread
-        # count; the endemic scan's blocks rely on equal bits
+        # count; the endemic scan's blocks rely on equal bits. Exponents
+        # rise and fall, with spans on both sides of the series radius
         rng = np.random.default_rng(seed)
-        values = rng.random((rows, 2 * half + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+        n = 2 * half
+        exponent = np.cumsum(rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 1.0, (rows, 1)), (rows, n + 1)), axis=1)
         lengths = rng.uniform(0.1, 10.0, rows)
-        alone = [quadrature(row, float(length)) for row, length in zip(values, lengths)]
-        assert quadrature(values, lengths).tolist() == alone
+        if stacked:
+            # two value rows against each exponent row, as the characteristic's routes
+            values = rng.random((2, 1, n + 1))
+            alone = [quadrature(values[:, 0], row, 3.0).tolist() for row in exponent]
+            assert quadrature(values, exponent, 3.0).T.tolist() == alone
+            assert [quadrature(values[0, 0], row, 3.0) for row in exponent] == [a[0] for a in alone]
+            return
+        values = rng.random((rows, n + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+        alone = [quadrature(v, e, float(length)) for v, e, length in zip(values, exponent, lengths)]
+        assert quadrature(values, exponent, lengths).tolist() == alone
 
 
 class TestFindRoot:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import immunoepi.within_host as wh
 from immunoepi import cli, numerics
+from immunoepi.coefficients import from_within_host
 from immunoepi.numerics import find_root, integrate_ode
 
 from conftest import REFERENCE_WITHIN, random_within
@@ -220,9 +221,15 @@ class TestImmuneGrowth:
 
     def test_vector_evaluation(self, paper_within):
         omega = np.array([0.0, 1.0, 2.0])
-        vals = wh.immune_growth_g(omega, paper_within)
+        vals = from_within_host("immune_growth", paper_within)(omega)
         assert vals.shape == omega.shape
         assert vals[0] == pytest.approx(wh.immune_growth_g(0.0, paper_within))
+
+
+def branch_coefficients(params):
+    """The branch load and growth as coefficients, which map an array of
+    statuses through the float closed forms."""
+    return from_within_host("pathogen_load", params), from_within_host("immune_growth", params)
 
 
 def scalar_branch_load(params, W):
@@ -249,10 +256,9 @@ class TestVectorizedBranch:
         assume(w_fold > 0.0)
         W = np.array([*(f * w_fold for f in fractions), 0.0, w_fold, w_fold * (1.0 + 1e-13)])
         expected = np.array([scalar_branch_load(p, float(w)) for w in W])
-        loads = wh.upper_branch_P(W, p)
-        assert np.array_equal(loads, expected)
-        growth = wh.immune_growth_g(W, p)
-        assert np.array_equal(growth, p.kappa * expected - p.c * W)
+        load, speed = branch_coefficients(p)
+        assert np.array_equal(load(W), expected)
+        assert np.array_equal(speed(W), p.kappa * expected - p.c * W)
         assert wh.upper_branch_P(float(W[0]), p) == expected[0]
 
     def test_scalar_in_gives_float_out(self, paper_within):
@@ -261,28 +267,27 @@ class TestVectorizedBranch:
 
     def test_shape_follows_the_input(self, paper_within):
         W = np.linspace(0.0, 3.0, 6).reshape(2, 3)
-        assert wh.upper_branch_P(W, paper_within).shape == (2, 3)
-        assert wh.immune_growth_g(W, paper_within).shape == (2, 3)
+        for fn in branch_coefficients(paper_within):
+            assert fn(W).shape == (2, 3)
 
     def test_negative_node_rejected(self, paper_within):
         W = np.array([0.0, 1.0, -0.25, -0.5])
-        with pytest.raises(ValueError, match="nonnegative, got -0.25"):
-            wh.upper_branch_P(W, paper_within)
-        with pytest.raises(ValueError, match="nonnegative, got -0.25"):
-            wh.immune_growth_g(W, paper_within)
+        for fn in branch_coefficients(paper_within):
+            with pytest.raises(ValueError, match="nonnegative, got -0.25"):
+                fn(W)
 
     def test_node_past_the_fold_rejected(self, paper_within):
         W = np.array([0.0, 1.0, 4.0, 5.0])
-        with pytest.raises(ValueError, match="no infected branch at W=4.0"):
-            wh.upper_branch_P(W, paper_within)
-        with pytest.raises(ValueError, match="no infected branch at W=4.0"):
-            wh.immune_growth_g(W, paper_within)
+        for fn in branch_coefficients(paper_within):
+            with pytest.raises(ValueError, match="no infected branch at W=4.0"):
+                fn(W)
 
     def test_first_offending_node_is_reported(self, paper_within):
+        load, _ = branch_coefficients(paper_within)
         with pytest.raises(ValueError, match="no infected branch at W=4.0"):
-            wh.upper_branch_P(np.array([0.5, 4.0, -1.0]), paper_within)
+            load(np.array([0.5, 4.0, -1.0]))
         with pytest.raises(ValueError, match="nonnegative, got -1.0"):
-            wh.upper_branch_P(np.array([0.5, -1.0, 4.0]), paper_within)
+            load(np.array([0.5, -1.0, 4.0]))
 
 
 def hexes(values):
@@ -291,9 +296,9 @@ def hexes(values):
 
 
 class TestFloatClosedForms:
-    """Each closed form is written once over Python floats, and the branch
-    load and growth are mapped over an array; both return the earlier array
-    forms' values (reference_loops) bit for bit."""
+    """Each closed form is written once over Python floats, and a
+    coefficient maps the branch load and growth over an array; both return
+    the earlier array forms' values (reference_loops) bit for bit."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -310,8 +315,9 @@ class TestFloatClosedForms:
         loads, growth = upper_branch_P_array(W, p), immune_growth_g_array(W, p)
         assert hexes([wh.upper_branch_P(w, p) for w in W.tolist()]) == hexes(loads)
         assert hexes([wh.immune_growth_g(w, p) for w in W.tolist()]) == hexes(growth)
-        assert hexes(wh.upper_branch_P(W, p)) == hexes(loads)
-        assert hexes(wh.immune_growth_g(W, p)) == hexes(growth)
+        load, speed = branch_coefficients(p)
+        assert hexes(load(W)) == hexes(loads)
+        assert hexes(speed(W)) == hexes(growth)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -345,9 +351,9 @@ class TestFloatClosedForms:
     def test_refusals_name_the_node_the_array_form_names(self, paper_within, W):
         with pytest.raises(ValueError) as want:
             upper_branch_P_array(np.array(W), paper_within)
-        for fn in (wh.upper_branch_P, wh.immune_growth_g):
+        for fn in branch_coefficients(paper_within):
             with pytest.raises(ValueError) as got:
-                fn(np.array(W), paper_within)
+                fn(np.array(W))
             assert str(got.value) == str(want.value)
 
 
