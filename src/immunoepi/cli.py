@@ -74,19 +74,16 @@ HASH_CHUNK = 1 << 20
 
 def _width(column) -> int:
     """Values per row of a CSV column: 0 for a 1-D column, the block width
-    for a 2-D array or a list of row sequences."""
-    if hasattr(column, "ndim"):
-        return column.shape[1] if column.ndim == 2 else 0
-    return len(column[0]) if column and isinstance(column[0], (list, tuple)) else 0
+    for a 2-D array."""
+    return column.shape[1] if getattr(column, "ndim", 1) == 2 else 0
 
 
 def _csv_lines(header: str, *columns, tail: Sequence[str] | None = None) -> Iterator[str]:
     """CSV lines of float columns side by side, one shortest round-trip repr
     per value, each row ending in its text ``tail`` cells when given.
 
-    Each column is a 1-D array or list of floats, or a 2-D block of columns
-    (a 2-D array, or a list of equal-length rows), all with the same number
-    of rows. Blocks of at most CSV_BLOCK values (at least one row) are
+    Each column is a 1-D array or sequence of floats, or a 2-D array whose
+    columns are written side by side, all with the same number of rows. Blocks of at most CSV_BLOCK values (at least one row) are
     sliced as the lines are drawn, an array's slice converted by
     ``tolist``, so no whole-table list is built, however wide the table,
     and numpy is never imported here.
@@ -186,14 +183,15 @@ def _cmd_within_sim(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
         "t_end": run_rec.t[-1],
         "n_samples": len(run_rec.t),
     }
-    return summary, {"trajectory.csv": _csv_lines("t,T,P,W", run_rec.t, run_rec.states)}
+    return summary, {"trajectory.csv": _csv_lines("t,T,P,W", run_rec.t, *zip(*run_rec.states))}
 
 
 def _branch_csv(branch: bifurcation.Branch) -> Iterator[str]:
-    eigenvalues = [(e1.real, e1.imag, e2.real, e2.imag) for e1, e2 in branch.eigenvalues]
+    ev = branch.eigenvalues
+    parts = [z.real for z, _ in ev], [z.imag for z, _ in ev], [z.real for _, z in ev], [z.imag for _, z in ev]
     return _csv_lines(
         "param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability",
-        branch.param, branch.T, branch.P, eigenvalues, tail=branch.stability,
+        branch.param, branch.T, branch.P, *parts, tail=branch.stability,
     )
 
 

@@ -38,20 +38,16 @@ __all__ = ["ScenarioConfig", "load_scenario", "resolve_coefficient"]
 
 
 _SECTIONS = {"within_host", "sweep", "between_host", "functions", "grid", "run"}
-_WITHIN_KEYS = {
-    "Lambda", "mu", "alpha", "gamma", "delta", "epsilon", "kappa", "c",
-    "initial", "p_clear",
-}
-_SWEEP_KEYS = {"which", "lo", "hi", "n", "W", "cycle_n"}
 _GRID_KEYS = {"n_omega", "dt"}
 _RUN_KEYS = {"t_max", "output_stride", "snapshot_stride", "initial"}
 _INITIAL_KEYS = {"S", "I", "V", "B"}
+# each family's keys, in the order its constructor takes them
 _FAMILY_KEYS = {
-    "constant": {"value"},
-    "linear": {"intercept", "slope"},
-    "exponential": {"amplitude", "rate"},
-    "table": {"omega", "value"},
-    "within_host": {"kind"},
+    "constant": ("value",),
+    "linear": ("intercept", "slope"),
+    "exponential": ("amplitude", "rate"),
+    "table": ("omega", "value"),
+    "within_host": ("kind",),
 }
 
 
@@ -114,23 +110,13 @@ def resolve_coefficient(
         raise ConfigError(
             f"{path}.family: expected one of {sorted(_FAMILY_KEYS)}, got {family!r}"
         )
-    _reject_unknown(node, _FAMILY_KEYS[family] | {"family"}, path)
+    keys = _FAMILY_KEYS[family]
+    _reject_unknown(node, {*keys, "family"}, path)
     try:
-        if family == "constant":
-            return coefficients.constant(_number(node, "value", path))
-        if family == "linear":
-            return coefficients.linear(
-                _number(node, "intercept", path), _number(node, "slope", path)
-            )
-        if family == "exponential":
-            return coefficients.exponential(
-                _number(node, "amplitude", path), _number(node, "rate", path)
-            )
         if family == "table":
-            return coefficients.table(
-                _number_list(node.get("omega"), f"{path}.omega"),
-                _number_list(node.get("value"), f"{path}.value"),
-            )
+            return coefficients.table(*(_number_list(node.get(key), f"{path}.{key}") for key in keys))
+        if family != "within_host":
+            return getattr(coefficients, family)(*(_number(node, key, path) for key in keys))
         kind = node.get("kind")
         if within is None:
             raise ConfigError(
@@ -179,16 +165,21 @@ class ScenarioConfig:
                 raise ConfigError(f"section {name!r} is required for this subcommand")
 
 
-def _parse_within(node: dict, cfg: ScenarioConfig) -> None:
-    _reject_unknown(node, _WITHIN_KEYS, "within_host")
-    # a rate without a dataclass default is required
-    kwargs = {
-        f.name: _number(node, f.name, "within_host")
-        for f in fields(within_host.WithinHostParams)
+def _field_values(node: dict, spec: tuple, path: str) -> dict:
+    """The node's values of the dataclass fields ``spec``: a field without a
+    default is required, an absent optional one keeps its default."""
+    return {
+        f.name: (_integer if f.type == "int" else _number)(node, f.name, path)
+        for f in spec
         if f.default is MISSING or f.name in node
     }
+
+
+def _parse_within(node: dict, cfg: ScenarioConfig) -> None:
+    spec = fields(within_host.WithinHostParams)
+    _reject_unknown(node, {f.name for f in spec} | {"initial", "p_clear"}, "within_host")
     try:
-        cfg.within = within_host.WithinHostParams(**kwargs)
+        cfg.within = within_host.WithinHostParams(**_field_values(node, spec, "within_host"))
     except ValueError as exc:
         raise ConfigError(f"within_host: {exc}") from exc
     if "initial" in node:
@@ -208,22 +199,13 @@ def _parse_within(node: dict, cfg: ScenarioConfig) -> None:
 def _parse_sweep(node: dict, cfg: ScenarioConfig) -> None:
     from . import bifurcation
 
-    _reject_unknown(node, _SWEEP_KEYS, "sweep")
+    spec = fields(bifurcation.SweepSpec)
+    _reject_unknown(node, {f.name for f in spec} | {"cycle_n"}, "sweep")
     which = node.get("which")
     if which not in ("delta", "W"):
         raise ConfigError(f"sweep.which: expected 'delta' or 'W', got {which!r}")
-    kwargs = dict(
-        which=which,
-        lo=_number(node, "lo", "sweep"),
-        hi=_number(node, "hi", "sweep"),
-    )
-    # absent optional keys keep the SweepSpec defaults
-    if "n" in node:
-        kwargs["n"] = _integer(node, "n", "sweep")
-    if "W" in node:
-        kwargs["W"] = _number(node, "W", "sweep")
     try:
-        cfg.sweep = bifurcation.SweepSpec(**kwargs)
+        cfg.sweep = bifurcation.SweepSpec(which, **_field_values(node, spec[1:], "sweep"))
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     if "cycle_n" in node:
@@ -258,12 +240,8 @@ def _parse_between(raw: dict, cfg: ScenarioConfig) -> None:
         omega0 = within_host.manifold_tip(cfg.within)[1]
     else:
         omega0 = _number(node, "omega0", "between_host")
-    # a rate without a dataclass default is required
-    kwargs = {
-        f.name: _number(node, f.name, "between_host")
-        for f in fields(BetweenHostParams)
-        if f.name in between_keys and f.name != "omega0" and (f.default is MISSING or f.name in node)
-    }
+    spec = [f for f in fields(BetweenHostParams) if f.name in between_keys and f.name != "omega0"]
+    kwargs = _field_values(node, spec, "between_host")
     try:
         cfg.between = BetweenHostParams(**kwargs, omega0=omega0, **resolved)
     except (TypeError, ValueError) as exc:

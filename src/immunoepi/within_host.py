@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import NonFiniteError
@@ -82,12 +82,12 @@ class WithinHostParams:
     c: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("Lambda", "mu", "alpha", "gamma", "delta", "epsilon", "kappa", "c"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise ValueError(f"{f.name} must be positive and finite, got {value}")
             # a numpy scalar would warn where a Python float overflows silently
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, f.name, float(value))
         if self.epsilon > 1.0:
             raise ValueError(f"epsilon must be <= 1, got {self.epsilon}")
         if self.epsilon > 0.1:

@@ -448,7 +448,7 @@ class TestSimulateInfection:
         run = wh.simulate_infection(
             paper_within, wh.WithinHostState(0.5, 0.9, 0.0), 50.0
         )
-        lines = "".join(cli._csv_lines("t,T,P,W", run.t, run.states)).splitlines()
+        lines = "".join(cli._csv_lines("t,T,P,W", run.t, *zip(*run.states))).splitlines()
         assert lines[0] == "t,T,P,W"
         first = [float(x) for x in lines[1].split(",")]
         assert first == [0.0, 0.5, 0.9, 0.0]
