@@ -186,10 +186,14 @@ class StatusClock:
     xi*P/g and the survival density pi = exp(-M)/g: the reproduction number,
     both characteristic equations, the endemic profile and the renewal
     kernel all read them from `BetweenHostParams.clock`, the one clock of
-    each parameter set, on its CLOCK_NODES+1 nodes `omega`, regenerated.
+    each parameter set, on its CLOCK_NODES+1 nodes `omega`, regenerated
+    from omega0 and `graded`. The columns are read on uniform panels of x
+    = k*omega0/CLOCK_NODES: build_clock folds the node map's slope into
+    P/g, xi*P/g, G and M.
     """
 
     omega0: float
+    graded: bool
     elapsed: np.ndarray
     decay: np.ndarray
     p_over_g: np.ndarray
@@ -197,7 +201,7 @@ class StatusClock:
 
     @property
     def omega(self) -> np.ndarray:
-        return np.linspace(0.0, self.omega0, CLOCK_NODES + 1)
+        return _clock_nodes(self.omega0, self.graded)
 
     @property
     def total_time(self) -> float:
@@ -211,18 +215,36 @@ class StatusClock:
         return np.interp(omega, self.omega, self.decay)
 
 
+def _clock_nodes(omega0: float, graded: bool) -> np.ndarray:
+    """The clock's nodes: uniform on [0, omega0], or graded, node k at
+    omega0*(1 - (1 - k/CLOCK_NODES)^2), uniform in sqrt(omega0 - omega)."""
+    if not graded:
+        return np.linspace(0.0, omega0, CLOCK_NODES + 1)
+    u = np.linspace(1.0, 0.0, CLOCK_NODES + 1)
+    return omega0 * (1.0 - u * u)
+
+
 def build_clock(params: BetweenHostParams) -> StatusClock:
     """The one place that places status nodes and evaluates and checks the
-    coefficients: mu2, xi, P and g once each, on CLOCK_NODES+1 uniform
-    nodes of [0, omega0]. Each must be finite there and on a table
-    coefficient's knots in [0, omega0], which decide its sign exactly; g
-    positive, the others nonnegative, or ValueError. G and M are
-    cumulative trapezoids, exact for constant ratios. A G, M, P/g or xi*P/g
-    table whose Python-float bound (twice the largest ratio times omega0,
-    the largest P over the least g, the largest xi times the largest P/g)
-    is not finite raises NonFiniteError before the table is built.
+    coefficients: mu2, xi, P and g once each, on CLOCK_NODES+1 nodes of
+    [0, omega0], graded where a coefficient comes from the within-host
+    model (P_plus and g are smooth in sqrt(omega0 - omega), not at the
+    fold). Each must be finite there and on a table coefficient's knots in
+    [0, omega0], which decide its sign exactly; g positive, the others
+    nonnegative, or ValueError. With w = d omega/dx <= 2 the node map's
+    slope over x = k*omega0/CLOCK_NODES (1 on uniform nodes), P/g and
+    xi*P/g are stored times w, and G and M are cumulative trapezoids in x
+    of w/g and w*mu2/g, exact for constant ratios on uniform nodes. A G,
+    M, P/g or xi*P/g table whose Python-float bound (twice the largest
+    ratio times w_max*omega0, the largest P over the least g times w_max,
+    the largest xi times the largest w*P/g; w_max = 2 on graded nodes) is
+    not finite raises NonFiniteError before the table is built.
     """
-    nodes = np.linspace(0.0, params.omega0, CLOCK_NODES + 1)
+    graded = any(getattr(params, name).family == "within_host" for name in COEFFICIENT_FIELDS)
+    nodes = _clock_nodes(params.omega0, graded)
+    # the node map's slope d omega/dx, x = k*omega0/CLOCK_NODES, and its largest value
+    w = 2.0 * np.linspace(1.0, 0.0, CLOCK_NODES + 1) if graded else 1.0
+    w_max = 2.0 if graded else 1.0
     values = {}
     for name in COEFFICIENT_FIELDS:
         fn = getattr(params, name)
@@ -244,18 +266,18 @@ def build_clock(params: BetweenHostParams) -> StatusClock:
         if not math.isfinite(value):
             raise NonFiniteError(f"status clock: the {table} table is not finite on [0, omega0]")
 
-    # the trapezoid's pair sums reach twice a ratio
-    bound("G = int 1/g", 2.0 / g_min * params.omega0)
-    bound("M = int mu2/g", float(values["mu2"].max()) / g_min * 2.0 * params.omega0)
-    bound("P/g", float(values["P"].max()) / g_min)
-    p_over_g = values["P"] / g
+    # the trapezoid's pair sums reach twice a ratio, each times w <= w_max
+    bound("G = int 1/g", 2.0 / g_min * w_max * params.omega0)
+    bound("M = int mu2/g", float(values["mu2"].max()) / g_min * 2.0 * w_max * params.omega0)
+    bound("P/g", float(values["P"].max()) / g_min * w_max)
+    p_over_g = values["P"] / g * w
     bound("xi*P/g", float(values["xi"].max()) * float(p_over_g.max()))
     step = params.omega0 / CLOCK_NODES
-    inv_g = 1.0 / g
+    inv_g = w / g
     ratio = values["mu2"] * inv_g
     elapsed = np.concatenate([[0.0], np.cumsum(0.5 * (inv_g[1:] + inv_g[:-1]) * step)])
     decay = np.concatenate([[0.0], np.cumsum(0.5 * (ratio[1:] + ratio[:-1]) * step)])
-    return StatusClock(params.omega0, elapsed, decay, p_over_g, xi_p_over_g=values["xi"] * p_over_g)
+    return StatusClock(params.omega0, graded, elapsed, decay, p_over_g, xi_p_over_g=values["xi"] * p_over_g)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +410,7 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
 
     Returns None when the reproduction number is at or below 1. The
     infected profile is I*(omega) = I*(0)*g(0)*pi(omega) on a uniform
-    grid of n_omega+1 nodes.
+    grid of n_omega+1 nodes; one past the float range raises NonFiniteError.
     """
     direct, environmental, j_xi = _characteristic(params)(0.0)
     basic = direct + environmental
@@ -397,7 +419,10 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
     g0 = params.g(0.0)
     i0 = params.r * (1.0 - 1.0 / basic) / (g0 * _lost_share(params))
     omega = np.linspace(0.0, params.omega0, n_omega + 1)
-    profile = i0 * g0 * survival_pi(omega, params)
+    pi = survival_pi(omega, params)
+    if not math.isfinite(i0 * g0 * float(pi.max())):
+        raise NonFiniteError("endemic equilibrium: the profile I*(0)*g(0)*pi is not finite")
+    profile = i0 * g0 * pi
     b_star = i0 * g0 * j_xi / params.sigma
     v_star = i0 * g0 * float(np.exp(-params.clock.decay[-1])) / (params.rho + params.mu3)
     # S* = 1/(beta_h*J_P + beta_e*J_xi/sigma) = (r/mu1)/R0
@@ -412,22 +437,44 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
     )
 
 
+def _largest_product(*columns: np.ndarray) -> float:
+    """The largest node-by-node product of nonnegative columns, in numpy's
+    left-to-right order over Python floats: inf where numpy's would overflow."""
+    return max(math.prod(row) for row in zip(*(column.tolist() for column in columns)))
+
+
 def endemic_residuals(eq: EndemicEquilibrium, params: BetweenHostParams) -> dict[str, float]:
     """Residuals of the five stationarity equations at an equilibrium.
 
     Integrals use the trapezoid rule on the equilibrium's own grid and the
     transport equation is checked by central differences, so residuals are
-    grid-order small rather than machine-zero.
+    grid-order small rather than machine-zero. The direct force, the
+    shedding integral and the transport residual are first bounded over
+    Python floats, which overflow unwarned; a bound past the float range
+    raises NonFiniteError naming the quantity.
     """
     omega, profile = eq.omega, eq.I
     step = omega[1] - omega[0]
-    p_vals = params.P(omega)
+    p_vals, xi_vals, g_vals, mu2_vals = (getattr(params, name)(omega) for name in ("P", "xi", "g", "mu2"))
+    # a trapezoid's pair sums, steps and total reach 2*max(1, omega0) times
+    # its largest value, a gradient's max(1, 4/step) times the largest flux
+    reach = 2.0 * max(1.0, params.omega0)
+    slope = max(1.0, 4.0 / float(step)) if step > 0 else math.inf
+    for bound, quantity in (
+        (_largest_product(p_vals, profile) * reach, "the direct force int P*I*"),
+        # xi*P is a product of its own
+        (max(_largest_product(xi_vals, p_vals), _largest_product(xi_vals, p_vals, profile) * reach),
+         "the shedding int xi*P*I*"),
+        (_largest_product(g_vals, profile) * slope + _largest_product(mu2_vals, profile),
+         "the transport residual"),
+    ):
+        if not math.isfinite(bound):
+            raise NonFiniteError(f"endemic residuals: {quantity} is not finite")
     force_direct = float(np.trapezoid(p_vals * profile, dx=step))
-    shed = float(np.trapezoid(params.xi(omega) * p_vals * profile, dx=step))
+    shed = float(np.trapezoid(xi_vals * p_vals * profile, dx=step))
     infection = params.beta_h * eq.S * force_direct + params.beta_e * eq.S * eq.B
-    g_vals = params.g(omega)
     flux = g_vals * profile
-    transport = np.gradient(flux, step, edge_order=2) + params.mu2(omega) * profile
+    transport = np.gradient(flux, step, edge_order=2) + mu2_vals * profile
     return {
         "susceptible": params.r - params.mu1 * eq.S - infection + params.rho * eq.V,
         "transport": float(np.max(np.abs(transport))),

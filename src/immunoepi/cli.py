@@ -83,8 +83,9 @@ def _csv_lines(header: str, *columns, tail: Sequence[str] | None = None) -> Iter
     per value, each row ending in its text ``tail`` cells when given.
 
     Each column is a 1-D array or sequence of floats, or a 2-D array whose
-    columns are written side by side, all with the same number of rows. Blocks of at most CSV_BLOCK values (at least one row) are
-    sliced as the lines are drawn, an array's slice converted by
+    columns are written side by side, all with the same number of rows.
+    Blocks of at most CSV_BLOCK values (at least one row) are sliced as
+    the lines are drawn, an array's slice converted by
     ``tolist``, so no whole-table list is built, however wide the table,
     and numpy is never imported here.
     """
@@ -187,11 +188,12 @@ def _cmd_within_sim(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
 
 
 def _branch_csv(branch: bifurcation.Branch) -> Iterator[str]:
-    ev = branch.eigenvalues
-    parts = [z.real for z, _ in ev], [z.imag for z, _ in ev], [z.real for _, z in ev], [z.imag for _, z in ev]
+    ev1, ev2 = ([pair[k] for pair in branch.eigenvalues] for k in (0, 1))
     return _csv_lines(
         "param,T,P,re_ev1,im_ev1,re_ev2,im_ev2,stability",
-        branch.param, branch.T, branch.P, *parts, tail=branch.stability,
+        branch.param, branch.T, branch.P,
+        [z.real for z in ev1], [z.imag for z in ev1], [z.real for z in ev2], [z.imag for z in ev2],
+        tail=branch.stability,
     )
 
 

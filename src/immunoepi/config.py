@@ -12,7 +12,11 @@ A scenario document is a JSON object with up to six sections:
 * ``run``           horizon, output strides, and the initial population state
 
 Unknown keys are rejected at every level so typos fail loudly instead of
-silently falling back to defaults.
+silently falling back to defaults. A section's keys are read off the
+record it builds: the fields of WithinHostParams (with ``initial`` and
+``p_clear``), of SweepSpec (with ``cycle_n``) and the scalar fields of
+BetweenHostParams; a field without a default is required. A coefficient
+family's keys are its constructor's arguments, in their order.
 A ``sweep`` section imports ``bifurcation``, and a ``between_host`` or
 ``functions`` section the numpy-based ``between_host`` and ``coefficients``,
 so a within-host document loads no numpy.

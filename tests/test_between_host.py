@@ -45,6 +45,9 @@ S_STAR_ENV_REF = 1.058955867723666  # r / (mu1 R0)
 B_STAR_ENV_REF = 2.8144213889655996  # I0 g0 (xi J) / sigma
 A_AT_2_REF = 0.16374615061559637  # beta_h e^{-0.2}
 K_DIRECT_REF = 0.6869386805747332  # beta_h int P I* = beta_h I0 g0 J = mu1 (R0 - 1)
+# linked_params(): scipy's quad at rtol 1e-13 in u = sqrt(omega0 - omega), where
+# P and g, smooth in u, have a square root at the fold omega0
+R0_LINKED_REF = 1.86978022388277
 
 
 def closed_form_lambda_hat(beta_h, beta_e):
@@ -88,6 +91,13 @@ def random_between(rng):
         mu2=coef.constant(rng.uniform(0.02, 0.3)),
         g=coef.constant(rng.uniform(0.5, 2.0)),
     )
+
+
+def clock_slope(clock):
+    """The slope d omega/dx of the clock's node map over x = k*omega0/N on
+    its N = CLOCK_NODES panels: 1 on uniform nodes, 2*(1 - k/N) on graded
+    ones, omega_k = omega0*(1 - (1 - k/N)^2)."""
+    return 2.0 * np.linspace(1.0, 0.0, bh.CLOCK_NODES + 1) if clock.graded else np.ones(bh.CLOCK_NODES + 1)
 
 
 class TestParamsValidation:
@@ -287,6 +297,10 @@ class TestReproductionNumber:
         params = make_between(0.2, 0.05, mu2=coef.constant(mu2), g=coef.constant(g))
         exact = 10.0 * (0.2 + 0.05 * 0.4 / 0.5) / mu2 * -math.expm1(-mu2 * 5.0 / g)
         assert bh.r0(params) == pytest.approx(exact, rel=0.0, abs=1e-12)
+
+    def test_linked_reference(self):
+        # the graded clock is uniform in u; on uniform nodes R0 was 4.5e-4 off
+        assert bh.r0(linked_params()) == pytest.approx(R0_LINKED_REF, rel=2e-8, abs=0.0)
 
     def test_characteristic_function_at_zero_is_the_reproduction_number(self, env_params):
         assert dfe_char_G(0.0, env_params) == pytest.approx(bh.r0(env_params), abs=1e-10)
@@ -709,7 +723,7 @@ class TestRenewalForm:
         # same nodes, leaves only the age cap e^{-sigma a_bar} on the
         # environmental share; S* carries the 64-panel table's R0
         clock, s0 = params.clock, params.r / params.mu1
-        p_over_g = params.P(clock.omega) / params.g(clock.omega)
+        p_over_g = params.P(clock.omega) / params.g(clock.omega) * clock_slope(clock)
         direct = s0 * params.beta_h * quadrature(p_over_g, clock.decay, params.omega0)
         shed = quadrature(p_over_g * params.xi(clock.omega), clock.decay, params.omega0)
         environmental = s0 * params.beta_e / params.sigma * shed
@@ -890,11 +904,11 @@ def unhoisted_residual(lam, params):
     every factor, R0 and F* included, evaluated at lam, in the same
     operation order as the scan's hoisted form."""
     clock = bh.build_clock(params)
-    nodes = np.linspace(0.0, params.omega0, bh.TABLE_PANELS + 1)
+    nodes = clock.omega[:: bh.TABLE_STRIDE]
     s0 = params.r / params.mu1
 
     def characteristic(rate):
-        p_over_g = params.P(nodes) / params.g(nodes)
+        p_over_g = params.P(nodes) / params.g(nodes) * clock_slope(clock)[:: bh.TABLE_STRIDE]
         exponent = rate * np.interp(nodes, clock.omega, clock.elapsed) + clock.decay_at(nodes)
         direct = s0 * params.beta_h * quadrature(p_over_g, exponent, params.omega0)
         if params.beta_e == 0:

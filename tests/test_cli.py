@@ -412,8 +412,8 @@ class TestExitCodes:
         assert cli.main([command, "--config", config, "--out", str(out)]) == 2
         message = "P(omega) is not finite on [0, omega0]"
         if key == "omega0":
-            # clock node 1, omega0/CLOCK_NODES
-            message = "no infected branch at W=6.103515625e+295 (fold at W=3.6037961002806327)"
+            # graded clock node 1, omega0*(1 - (1 - 1/CLOCK_NODES)^2)
+            message = "no infected branch at W=1.2206658720970154e+296 (fold at W=3.6037961002806327)"
         assert capsys.readouterr().err == f"error: between_host: {message}\n"
         assert not (tmp_path / "nested").exists()
 
@@ -459,6 +459,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"numerical failure: status clock: the {table} table is not finite on [0, omega0]\n"
         )
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("leaves, quantity", [
+        ({"r": 1e300, "omega0": 1e300}, "endemic residuals: the direct force int P*I*"),
+        ({"r": 1e300, "omega0": 1e-300}, "endemic residuals: the transport residual"),
+        ({"r": 1e300, "mu2": 1e300}, "endemic residuals: the transport residual"),
+        ({"r": 1e300, "xi": 1e300}, "endemic residuals: the shedding int xi*P*I*"),
+        ({"r": 1e300, "P": 1e300}, "endemic residuals: the direct force int P*I*"),
+        ({"r": 1e300, "g": 1e-300}, "endemic equilibrium: the profile I*(0)*g(0)*pi"),
+        ({"omega0": 1e300, "xi": 1e300}, "endemic residuals: the shedding int xi*P*I*"),
+        ({"omega0": 1e300, "P": 1e300}, "endemic residuals: the direct force int P*I*"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_endemic_state_past_the_float_range_returns_three(self, tmp_path, capsys, leaves, quantity):
+        # a finite R0 with an endemic profile or residual term past the float
+        # range: the trapezoids, the gradient or the profile's product warned
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        for key, value in leaves.items():
+            set_leaf(doc, ("functions" if key in doc["functions"] else "between_host", key), value)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["equilibria", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {quantity} is not finite\n"
         assert not (tmp_path / "nested").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
