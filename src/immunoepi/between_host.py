@@ -31,19 +31,28 @@ f*e^{-phi} domega, is the guarded rule `numerics.quadrature`, exact in
 phi's chord, and a non-finite one raises NonFiniteError: the
 characteristic (phi = M + lam*G, TABLE_PANELS panels), the renewal
 kernel's total (phi = M, every clock node) and its shedding load.
+
+The threshold path runs on Python floats and loads no numpy: the clock,
+the characteristic at a real rate (the rule's one-row float form), R0,
+the growth rate, the endemic state and its residuals. numpy is imported
+inside the array solvers only: the transport and renewal runs, the
+renewal kernel, the endemic scan and the characteristic at an array or a
+complex rate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable
-
-import numpy as np
 
 from .coefficients import Coefficient
 from .errors import BracketError, NonFiniteError, PoleError, TransportBlowupError
-from .numerics import find_root, quadrature
+from .numerics import _div, _exp, find_root, interp, linspace, pairwise_sum, quadrature, quadrature_row
 
 __all__ = [
     "BetweenHostParams",
@@ -70,7 +79,7 @@ __all__ = [
 
 NEGATIVITY_ABORT = -1e-8
 POLE_GUARD = 1e-8
-CLOCK_NODES = 16384
+CLOCK_NODES = 4096
 # Simpson panels of the characteristic's status integrals J_P, J_xi
 TABLE_PANELS = 64
 # the characteristic's nodes are every TABLE_STRIDE-th clock node
@@ -120,11 +129,11 @@ class BetweenHostParams:
     def __post_init__(self):
         for name in ("r", "mu1", "mu3", "sigma", "omega0", "a_bar"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0:
+            if not math.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("beta_h", "beta_e", "rho"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
         for name in COEFFICIENT_FIELDS:
             fn = getattr(self, name)
@@ -149,6 +158,8 @@ class StructuredState:
     B: float
 
     def __post_init__(self):
+        import numpy as np
+
         self.I = np.asarray(self.I, dtype=float)
         if self.I.ndim != 1 or self.I.size < 2:
             raise ValueError("I must be a 1-d density array with at least 2 nodes")
@@ -162,11 +173,12 @@ class StructuredState:
 
 @dataclass(frozen=True)
 class EndemicEquilibrium:
-    """Stationary state with disease present; exists only above threshold."""
+    """Stationary state with disease present; exists only above threshold.
+    The profile I on the nodes omega is two array('d') columns."""
 
     S: float
-    omega: np.ndarray
-    I: np.ndarray
+    omega: array
+    I: array
     V: float
     B: float
     I0: float
@@ -187,41 +199,49 @@ class StatusClock:
     both characteristic equations, the endemic profile and the renewal
     kernel all read them from `BetweenHostParams.clock`, the one clock of
     each parameter set, on its CLOCK_NODES+1 nodes `omega`, regenerated
-    from omega0 and `graded`. The columns are read on uniform panels of x
-    = k*omega0/CLOCK_NODES: build_clock folds the node map's slope into
-    P/g, xi*P/g, G and M.
+    from omega0 and `graded` on first use. The columns are read on uniform
+    panels of x = k*omega0/CLOCK_NODES: build_clock folds the node map's
+    slope into P/g, xi*P/g, G and M. Each column is an array('d'), which
+    the array solvers view with np.frombuffer, without a copy.
     """
 
     omega0: float
     graded: bool
-    elapsed: np.ndarray
-    decay: np.ndarray
-    p_over_g: np.ndarray
-    xi_p_over_g: np.ndarray
+    elapsed: array
+    decay: array
+    p_over_g: array
+    xi_p_over_g: array
 
-    @property
-    def omega(self) -> np.ndarray:
-        return _clock_nodes(self.omega0, self.graded)
+    @cached_property
+    def omega(self) -> array:
+        return array("d", _clock_nodes(self.omega0, self.graded))
 
     @property
     def total_time(self) -> float:
         """Travel time from status 0 to omega0."""
-        return float(self.elapsed[-1])
+        return self.elapsed[-1]
 
     def status_at(self, theta):
-        return np.interp(theta, self.elapsed, self.omega)
+        import numpy as np
+
+        return np.interp(theta, np.frombuffer(self.elapsed), np.frombuffer(self.omega))
 
     def decay_at(self, omega):
-        return np.interp(omega, self.omega, self.decay)
+        """M at status omega, np.interp's value: over Python floats at a
+        Python number, by numpy at an array."""
+        if isinstance(omega, (int, float)):
+            return interp(omega, self.omega, self.decay)
+        import numpy as np
+
+        return np.interp(omega, np.frombuffer(self.omega), np.frombuffer(self.decay))
 
 
-def _clock_nodes(omega0: float, graded: bool) -> np.ndarray:
+def _clock_nodes(omega0: float, graded: bool) -> list[float]:
     """The clock's nodes: uniform on [0, omega0], or graded, node k at
     omega0*(1 - (1 - k/CLOCK_NODES)^2), uniform in sqrt(omega0 - omega)."""
     if not graded:
-        return np.linspace(0.0, omega0, CLOCK_NODES + 1)
-    u = np.linspace(1.0, 0.0, CLOCK_NODES + 1)
-    return omega0 * (1.0 - u * u)
+        return linspace(0.0, omega0, CLOCK_NODES + 1)
+    return [omega0 * (1.0 - u * u) for u in linspace(1.0, 0.0, CLOCK_NODES + 1)]
 
 
 def build_clock(params: BetweenHostParams) -> StatusClock:
@@ -234,50 +254,46 @@ def build_clock(params: BetweenHostParams) -> StatusClock:
     nonnegative, or ValueError. With w = d omega/dx <= 2 the node map's
     slope over x = k*omega0/CLOCK_NODES (1 on uniform nodes), P/g and
     xi*P/g are stored times w, and G and M are cumulative trapezoids in x
-    of w/g and w*mu2/g, exact for constant ratios on uniform nodes. A G,
-    M, P/g or xi*P/g table whose Python-float bound (twice the largest
-    ratio times w_max*omega0, the largest P over the least g times w_max,
-    the largest xi times the largest w*P/g; w_max = 2 on graded nodes) is
-    not finite raises NonFiniteError before the table is built.
+    of w/g and w*mu2/g, exact for constant ratios on uniform nodes. All of
+    it runs over Python floats, in the operation order of the array forms,
+    which overflow to inf unwarned: a G, M, P/g or xi*P/g table that is
+    not finite raises NonFiniteError naming it, in that order.
     """
     graded = any(getattr(params, name).family == "within_host" for name in COEFFICIENT_FIELDS)
     nodes = _clock_nodes(params.omega0, graded)
-    # the node map's slope d omega/dx, x = k*omega0/CLOCK_NODES, and its largest value
-    w = 2.0 * np.linspace(1.0, 0.0, CLOCK_NODES + 1) if graded else 1.0
-    w_max = 2.0 if graded else 1.0
+    # the node map's slope d omega/dx, x = k*omega0/CLOCK_NODES
+    w = [2.0 * u for u in linspace(1.0, 0.0, CLOCK_NODES + 1)] if graded else [1.0] * (CLOCK_NODES + 1)
     values = {}
     for name in COEFFICIENT_FIELDS:
         fn = getattr(params, name)
         values[name] = vals = fn(nodes)
         if fn.family == "table":
-            knots = np.asarray(fn.describe["omega"])
-            vals = np.append(vals, fn(knots[(knots >= 0.0) & (knots <= params.omega0)]))
-        if not np.all(np.isfinite(vals)):
+            vals = vals + fn([x for x in fn.describe["omega"] if 0.0 <= x <= params.omega0])
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"{name}(omega) is not finite on [0, omega0]")
         if name == "g":
-            if np.any(vals <= 0):
+            if not all(v > 0 for v in vals):
                 raise ValueError("g(omega) must be strictly positive on [0, omega0]")
-        elif np.any(vals < 0):
+        elif not all(v >= 0 for v in vals):
             raise ValueError(f"{name}(omega) must be nonnegative on [0, omega0]")
-    g, g_min = values["g"], float(values["g"].min())
-
-    def bound(table, value):
-        # Python floats overflow to inf unwarned
-        if not math.isfinite(value):
-            raise NonFiniteError(f"status clock: the {table} table is not finite on [0, omega0]")
-
-    # the trapezoid's pair sums reach twice a ratio, each times w <= w_max
-    bound("G = int 1/g", 2.0 / g_min * w_max * params.omega0)
-    bound("M = int mu2/g", float(values["mu2"].max()) / g_min * 2.0 * w_max * params.omega0)
-    bound("P/g", float(values["P"].max()) / g_min * w_max)
-    p_over_g = values["P"] / g * w
-    bound("xi*P/g", float(values["xi"].max()) * float(p_over_g.max()))
     step = params.omega0 / CLOCK_NODES
-    inv_g = w / g
-    ratio = values["mu2"] * inv_g
-    elapsed = np.concatenate([[0.0], np.cumsum(0.5 * (inv_g[1:] + inv_g[:-1]) * step)])
-    decay = np.concatenate([[0.0], np.cumsum(0.5 * (ratio[1:] + ratio[:-1]) * step)])
-    return StatusClock(params.omega0, graded, elapsed, decay, p_over_g, xi_p_over_g=values["xi"] * p_over_g)
+    inv_g = [s / g for s, g in zip(w, values["g"])]
+    ratio = [mu2 * x for mu2, x in zip(values["mu2"], inv_g)]
+
+    def cumulative(column):
+        # the trapezoid's panels in x, summed left to right as np.cumsum does
+        return list(accumulate([0.5 * (b + a) * step for a, b in zip(column, column[1:])], initial=0.0))
+
+    def table(name, column):
+        if not all(map(math.isfinite, column)):
+            raise NonFiniteError(f"status clock: the {name} table is not finite on [0, omega0]")
+        return array("d", column)
+
+    elapsed = table("G = int 1/g", cumulative(inv_g))
+    decay = table("M = int mu2/g", cumulative(ratio))
+    p_over_g = table("P/g", [p / g * s for p, g, s in zip(values["P"], values["g"], w)])
+    xi_p_over_g = table("xi*P/g", [xi * q for xi, q in zip(values["xi"], p_over_g)])
+    return StatusClock(params.omega0, graded, elapsed, decay, p_over_g, xi_p_over_g)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +307,8 @@ def survival_pi(omega, params: BetweenHostParams):
     passing status omega, weighted by the time spent there. Accepts scalar
     or array omega in [0, omega0].
     """
+    import numpy as np
+
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr < 0) or np.any(omega_arr > params.omega0 * (1 + 1e-12)):
         raise ValueError("omega must lie in [0, omega0]")
@@ -310,25 +328,46 @@ def _characteristic(params: BetweenHostParams) -> Callable:
     the exponent M + lam*G. The lam-independent node values (P/g, xi*P/g,
     M, G) are every TABLE_STRIDE-th entry of the clock's columns, so no
     coefficient is evaluated and nothing is interpolated here. Returns lam
-    -> (direct, environmental, J_xi); G is direct + environmental. lam may
-    be a scalar (real or complex) or a 1-d array of rates, both routes of
-    a rate on one exponent row, each entry equal bit for bit to the scalar
-    call.
+    -> (direct, environmental, J_xi); G is direct + environmental. A real
+    Python number lam goes through the rule's one-row float form,
+    `quadrature_row`, without numpy, and a term past the float range
+    raises NonFiniteError naming it (the R0 term at lam = 0). lam may also
+    be a complex scalar or a 1-d array of rates, both routes of a rate on
+    one exponent row of the array rule, each entry equal bit for bit to
+    that rule's scalar call and within a few ulp of the float form.
     """
     clock = params.clock
-    # one sum per route (first axis) and rate (second axis)
-    columns = np.stack([clock.p_over_g[::TABLE_STRIDE], clock.xi_p_over_g[::TABLE_STRIDE]])[:, None]
+    rows = (clock.p_over_g[::TABLE_STRIDE], clock.xi_p_over_g[::TABLE_STRIDE])
     decay, elapsed = clock.decay[::TABLE_STRIDE], clock.elapsed[::TABLE_STRIDE]
     s0 = params.r / params.mu1
+    columns = None  # the array rule's value block, built on its first call
 
     def routes(lam):
-        exponent = np.multiply.outer(lam, elapsed)
-        exponent += decay
-        sums = quadrature(columns, exponent, params.omega0)
-        j_p, j_xi = sums if np.ndim(lam) else sums[:, 0].tolist()
+        nonlocal columns
+        real = isinstance(lam, (int, float))
+        if real:
+            exponent = [lam * e + d for e, d in zip(elapsed, decay)]
+            j_p, j_xi = quadrature_row(rows, exponent, params.omega0)
+            shed = j_xi != 0.0
+        else:
+            import numpy as np
+
+            if columns is None:
+                # one sum per route (first axis) and rate (second axis)
+                columns = np.stack([np.frombuffer(row) for row in rows])[:, None]
+            exponent = np.multiply.outer(lam, np.frombuffer(elapsed))
+            exponent += np.frombuffer(decay)
+            sums = quadrature(columns, exponent, params.omega0)
+            j_p, j_xi = sums if np.ndim(lam) else sums[:, 0].tolist()
+            shed = np.any(j_xi != 0)
         direct = s0 * params.beta_h * j_p
-        shed = params.beta_e > 0 and np.any(j_xi != 0)  # without shedding, no pole at -sigma
-        environmental = s0 * params.beta_e / (lam + params.sigma) * j_xi if shed else 0.0
+        # without shedding, no pole at -sigma
+        environmental = s0 * params.beta_e / (lam + params.sigma) * j_xi if params.beta_e > 0 and shed else 0.0
+        if real:
+            for route, term in (("direct", direct), ("environmental", environmental)):
+                if not math.isfinite(term):
+                    where = "reproduction number" if lam == 0.0 else f"characteristic function at lam = {lam!r}"
+                    raise NonFiniteError(f"{where}: the {route} term is not finite")
         return direct, environmental, j_xi
 
     return routes
@@ -341,7 +380,8 @@ def r0(params: BetweenHostParams) -> float:
 
 
 def r0_terms(params: BetweenHostParams) -> tuple[float, float]:
-    """(direct, environmental) additive parts of the reproduction number."""
+    """(direct, environmental) additive parts of the reproduction number;
+    a part past the float range raises NonFiniteError naming it."""
     direct, environmental, _ = _characteristic(params)(0.0)
     return direct, environmental
 
@@ -353,7 +393,7 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
     exists; its sign matches the sign of r0 - 1. Raises BracketError when
     G stays above 1 up to LAMBDA_HAT_MAX, or below 1 above the pole at
     -sigma (environmental route) or the overflow floor, which bounds the
-    approach to the pole too.
+    approach to the pole too. Every evaluation is the float form.
     """
     characteristic = _characteristic(params)
 
@@ -377,10 +417,11 @@ def dfe_lambda_hat(params: BetweenHostParams) -> float:
         # double lo down (no pole), no lower than where a node's
         # peak*e^{-lam*total} or a sum could overflow
         clock = params.clock
-        peak = max(float(column[::TABLE_STRIDE].max()) for column in (clock.p_over_g, clock.xi_p_over_g))
-        margin = math.log(np.finfo(float).max / 3.0) - math.log(max(1.0, 3.0 * TABLE_PANELS * peak))
+        peak = max(max(column[::TABLE_STRIDE]) for column in (clock.p_over_g, clock.xi_p_over_g))
+        largest = sys.float_info.max
+        margin = math.log(largest / 3.0) - math.log(max(1.0, 3.0 * TABLE_PANELS * peak))
         total = clock.total_time
-        floor = max(-margin / total, -np.finfo(float).max) if margin > 0 and total > 0 else 0.0
+        floor = max(-margin / total, -largest) if margin > 0 and total > 0 else 0.0
         pole, gap = environmental > 0, 0.5 * params.sigma
         lo = max(-params.sigma + gap if pole else -1.0, floor)
         while f(lo) < 0:
@@ -401,7 +442,7 @@ def _lost_share(params: BetweenHostParams) -> float:
     """The share of recovered-pool entrants that leave it for good: 1 minus
     rho*g*pi/(rho + mu3) with g*pi = exp(-M(omega0)), written without the
     cancellation that rounds it to 0 for rho >> mu3; exactly 1 at rho = 0."""
-    lost = params.mu3 + params.rho * -math.expm1(-float(params.clock.decay[-1]))
+    lost = params.mu3 + params.rho * -math.expm1(-params.clock.decay[-1])
     return lost / (params.rho + params.mu3)
 
 
@@ -410,7 +451,8 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
 
     Returns None when the reproduction number is at or below 1. The
     infected profile is I*(omega) = I*(0)*g(0)*pi(omega) on a uniform
-    grid of n_omega+1 nodes; one past the float range raises NonFiniteError.
+    grid of n_omega+1 nodes, over Python floats; one past the float range
+    raises NonFiniteError.
     """
     direct, environmental, j_xi = _characteristic(params)(0.0)
     basic = direct + environmental
@@ -418,66 +460,66 @@ def endemic_equilibrium(params: BetweenHostParams, n_omega: int = 400) -> Endemi
         return None
     g0 = params.g(0.0)
     i0 = params.r * (1.0 - 1.0 / basic) / (g0 * _lost_share(params))
-    omega = np.linspace(0.0, params.omega0, n_omega + 1)
-    pi = survival_pi(omega, params)
-    if not math.isfinite(i0 * g0 * float(pi.max())):
+    omega = linspace(0.0, params.omega0, n_omega + 1)
+    scale = i0 * g0
+    decay_at = params.clock.decay_at
+    profile = [scale * (math.exp(-decay_at(w)) / g) for w, g in zip(omega, params.g(omega))]
+    if not all(map(math.isfinite, profile)):
         raise NonFiniteError("endemic equilibrium: the profile I*(0)*g(0)*pi is not finite")
-    profile = i0 * g0 * pi
     b_star = i0 * g0 * j_xi / params.sigma
-    v_star = i0 * g0 * float(np.exp(-params.clock.decay[-1])) / (params.rho + params.mu3)
+    v_star = i0 * g0 * math.exp(-params.clock.decay[-1]) / (params.rho + params.mu3)
     # S* = 1/(beta_h*J_P + beta_e*J_xi/sigma) = (r/mu1)/R0
     s_star = params.r / params.mu1 / basic
     return EndemicEquilibrium(
         S=s_star,
-        omega=omega,
-        I=profile,
+        omega=array("d", omega),
+        I=array("d", profile),
         V=v_star,
         B=b_star,
         I0=i0,
     )
 
 
-def _largest_product(*columns: np.ndarray) -> float:
-    """The largest node-by-node product of nonnegative columns, in numpy's
-    left-to-right order over Python floats: inf where numpy's would overflow."""
-    return max(math.prod(row) for row in zip(*(column.tolist() for column in columns)))
-
-
 def endemic_residuals(eq: EndemicEquilibrium, params: BetweenHostParams) -> dict[str, float]:
     """Residuals of the five stationarity equations at an equilibrium.
 
     Integrals use the trapezoid rule on the equilibrium's own grid and the
-    transport equation is checked by central differences, so residuals are
-    grid-order small rather than machine-zero. The direct force, the
-    shedding integral and the transport residual are first bounded over
-    Python floats, which overflow unwarned; a bound past the float range
-    raises NonFiniteError naming the quantity.
+    transport equation is checked by np.gradient's second-order central
+    and one-sided differences, so residuals are grid-order small rather
+    than machine-zero. All of it runs over Python floats, which overflow
+    to inf unwarned: a direct force, shedding integral or transport
+    residual that is not finite raises NonFiniteError naming it.
     """
     omega, profile = eq.omega, eq.I
+    nodes = omega.tolist()
     step = omega[1] - omega[0]
-    p_vals, xi_vals, g_vals, mu2_vals = (getattr(params, name)(omega) for name in ("P", "xi", "g", "mu2"))
-    # a trapezoid's pair sums, steps and total reach 2*max(1, omega0) times
-    # its largest value, a gradient's max(1, 4/step) times the largest flux
-    reach = 2.0 * max(1.0, params.omega0)
-    slope = max(1.0, 4.0 / float(step)) if step > 0 else math.inf
-    for bound, quantity in (
-        (_largest_product(p_vals, profile) * reach, "the direct force int P*I*"),
-        # xi*P is a product of its own
-        (max(_largest_product(xi_vals, p_vals), _largest_product(xi_vals, p_vals, profile) * reach),
-         "the shedding int xi*P*I*"),
-        (_largest_product(g_vals, profile) * slope + _largest_product(mu2_vals, profile),
-         "the transport residual"),
-    ):
-        if not math.isfinite(bound):
+    p_vals, xi_vals, g_vals, mu2_vals = (getattr(params, name)(nodes) for name in ("P", "xi", "g", "mu2"))
+
+    def trapezoid(values, quantity):
+        # np.trapezoid(values, dx=step)
+        total = pairwise_sum([step * (b + a) / 2.0 for a, b in zip(values, values[1:])])
+        if not math.isfinite(total):
             raise NonFiniteError(f"endemic residuals: {quantity} is not finite")
-    force_direct = float(np.trapezoid(p_vals * profile, dx=step))
-    shed = float(np.trapezoid(xi_vals * p_vals * profile, dx=step))
+        return total
+
+    force_direct = trapezoid([p * y for p, y in zip(p_vals, profile)], "the direct force int P*I*")
+    shed = trapezoid(
+        [xi * p * y for xi, p, y in zip(xi_vals, p_vals, profile)], "the shedding int xi*P*I*"
+    )
     infection = params.beta_h * eq.S * force_direct + params.beta_e * eq.S * eq.B
-    flux = g_vals * profile
-    transport = np.gradient(flux, step, edge_order=2) + mu2_vals * profile
+    flux = [g * y for g, y in zip(g_vals, profile)]
+    # np.gradient(flux, step, edge_order=2), division by zero as IEEE's
+    gradient = [
+        _div(-1.5, step) * flux[0] + _div(2.0, step) * flux[1] + _div(-0.5, step) * flux[2],
+        *(_div(c - a, 2.0 * step) for a, c in zip(flux, flux[2:])),
+        _div(0.5, step) * flux[-3] + _div(-2.0, step) * flux[-2] + _div(1.5, step) * flux[-1],
+    ]
+    transport = [d + mu2 * y for d, mu2, y in zip(gradient, mu2_vals, profile)]
+    if not all(map(math.isfinite, transport)):
+        raise NonFiniteError("endemic residuals: the transport residual is not finite")
     return {
         "susceptible": params.r - params.mu1 * eq.S - infection + params.rho * eq.V,
-        "transport": float(np.max(np.abs(transport))),
+        "transport": max(map(abs, transport)),
         "boundary": g_vals[0] * profile[0] - infection,
         "recovered": g_vals[-1] * profile[-1] - (params.rho + params.mu3) * eq.V,
         "environment": shed - params.sigma * eq.B,
@@ -539,6 +581,8 @@ def simulate_epidemic(
     negativity tolerance or NaN aborts with TransportBlowupError; a
     boundary value in [NEGATIVITY_ABORT, 0] is set to +0.0.
     """
+    import numpy as np
+
     if initial.I.size != n_omega + 1:
         raise ValueError(f"initial.I must have n_omega+1 = {n_omega + 1} nodes")
     if dt <= 0 or t_max <= 0:
@@ -722,6 +766,8 @@ def renewal_kernel_A(theta, params: BetweenHostParams):
     exactly 0 at and past a_bar + T0; a negative theta raises ValueError.
     Accepts scalar or array theta.
     """
+    import numpy as np
+
     total = params.clock.total_time
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     if np.any(theta_arr < 0):
@@ -736,7 +782,7 @@ def renewal_kernel_A(theta, params: BetweenHostParams):
     return float(out[0]) if np.ndim(theta) == 0 else out
 
 
-def _kernel_env(theta: np.ndarray, params: BetweenHostParams) -> np.ndarray:
+def _kernel_env(theta, params: BetweenHostParams):
     """Environmental-route kernel values at a 1-d array of delays theta.
 
     With the shedding load Y(u) = int_0^u e^{-sigma*(u-v)} xi*P*exp(-M) dv,
@@ -748,9 +794,11 @@ def _kernel_env(theta: np.ndarray, params: BetweenHostParams) -> np.ndarray:
     panel. Each panel is the rule's with xi*P/g, M and G linear on it, so
     exact in sigma. A non-finite load raises NonFiniteError.
     """
+    import numpy as np
+
     clock = params.clock
     total, sigma = clock.total_time, params.sigma
-    shed, decay, elapsed = clock.xi_p_over_g, clock.decay, clock.elapsed
+    shed, decay, elapsed = map(np.frombuffer, (clock.xi_p_over_g, clock.decay, clock.elapsed))
     step = params.omega0 / CLOCK_NODES
 
     def panels(f_a, f_b, phi_a, phi_b, length):
@@ -801,10 +849,13 @@ def kernel_total_integral(params: BetweenHostParams) -> float:
     up to the characteristic table's error and the exponential age-cap
     truncation.
     """
+    import numpy as np
+
     clock = params.clock
+    p_over_g, xi_p_over_g, decay = map(np.frombuffer, (clock.p_over_g, clock.xi_p_over_g, clock.decay))
     age_factor = -math.expm1(-params.sigma * params.a_bar) / params.sigma
-    values = params.beta_h * clock.p_over_g + params.beta_e * age_factor * clock.xi_p_over_g
-    return quadrature(values, clock.decay, params.omega0)
+    values = params.beta_h * p_over_g + params.beta_e * age_factor * xi_p_over_g
+    return quadrature(values, decay, params.omega0)
 
 
 @dataclass
@@ -843,6 +894,8 @@ def simulate_renewal(
     floats and the arrays only record it. A lost diagonal dominance or a
     negative or non-finite state aborts with TransportBlowupError.
     """
+    import numpy as np
+
     if params.rho > 0:
         raise ValueError(f"rho = {params.rho!r}: the renewal pair has no return from the recovered pool")
     clock = params.clock
@@ -936,7 +989,7 @@ def endemic_char_residual(params: BetweenHostParams) -> Callable:
         raise NonFiniteError("endemic spectrum scan: the characteristic residual is not finite")
     # F* in closed form: no division by an S* that can underflow
     force = params.mu1 * (basic - 1.0) / _lost_share(params)
-    recovery = params.rho * float(np.exp(-params.clock.decay[-1]))
+    recovery = params.rho * math.exp(-params.clock.decay[-1])
     total = params.clock.total_time
     poles = [("-mu1", params.mu1), ("-sigma", params.sigma), ("-(rho+mu3)", params.rho + params.mu3)]
     if params.beta_e == 0:
@@ -944,12 +997,17 @@ def endemic_char_residual(params: BetweenHostParams) -> Callable:
     guards = [(name, pole, min(POLE_GUARD, 0.5 * pole)) for name, pole in poles]
 
     def residual(lam):
+        scalar = isinstance(lam, (int, float))
+        if not scalar:
+            import numpy as np
         for name, pole, guard in guards:
-            if np.any(np.abs(lam + pole) < guard):
+            if abs(lam + pole) < guard if scalar else np.any(np.abs(lam + pole) < guard):
                 raise PoleError(f"lam too close to the pole at {name}")
         direct, environmental, _ = characteristic(lam)
-        returned = recovery * np.exp(-lam * total) / (lam + params.rho + params.mu3)
-        return (direct + environmental) / basic + force * (returned - 1.0) / (lam + params.mu1) - 1.0
+        # over Python floats, inf past the range and a division by zero as numpy's
+        exp, div = (_exp, _div) if scalar else (np.exp, np.divide)
+        returned = div(recovery * exp(-lam * total), lam + params.rho + params.mu3)
+        return (direct + environmental) / basic + div(force * (returned - 1.0), lam + params.mu1) - 1.0
 
     return residual
 
@@ -977,6 +1035,8 @@ def endemic_spectrum_scan(params: BetweenHostParams) -> ResidualScan:
     is at most F*(R(lam) - 1)/(lam + mu1) < 0. An unstable mode can only be
     complex, outside this check's scope.
     """
+    import numpy as np
+
     residual = endemic_char_residual(params)
     grid = np.arange(0.0, SPECTRUM_SCAN_MAX + 0.5 * SPECTRUM_SCAN_STEP, SPECTRUM_SCAN_STEP)
     values = np.concatenate(

@@ -31,9 +31,10 @@ Exit codes: 0 success, 2 invalid config or arguments (a run too large for
 memory among them), 3 numerical failure.
 
 At module level this imports only the standard library and ``errors``;
-each handler imports the numeric modules it uses. Only the between-host
-handlers load numpy: ``within-sim``, ``manifold`` and ``bifurcate`` run on
-Python floats and lists, and ``plot-data`` reads upstream text files.
+each handler imports the numeric modules it uses. Only ``spectral``,
+``epi-sim`` and ``renewal-check`` load numpy: ``within-sim``,
+``manifold``, ``bifurcate``, ``r0`` and ``equilibria`` run on Python
+floats and lists, and ``plot-data`` reads upstream text files.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ record it builds: the fields of WithinHostParams (with ``initial`` and
 BetweenHostParams; a field without a default is required. A coefficient
 family's keys are its constructor's arguments, in their order.
 A ``sweep`` section imports ``bifurcation``, and a ``between_host`` or
-``functions`` section the numpy-based ``between_host`` and ``coefficients``,
-so a within-host document loads no numpy.
+``functions`` section ``between_host`` and ``coefficients``; none of them
+loads numpy, so loading no document does.
 """
 
 from __future__ import annotations

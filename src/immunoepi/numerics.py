@@ -8,10 +8,14 @@ structured epidemic solver) is built on the operations in this module:
   a sequence of floats), with optional scalar event location:
   ``find_root`` on the event along one Dormand-Prince step from the left
   end of the bracketing step. The returned Trajectory holds lists.
-* ``linspace`` -- evenly spaced Python floats, np.linspace's bit for bit.
+* ``linspace`` -- evenly spaced Python floats, np.linspace's bit for bit;
+  ``pairwise_sum`` -- a sum of Python floats, np.sum's bit for bit;
+  ``interp`` -- linear interpolation at one point, np.interp's bit for bit.
 * ``quadrature`` -- the package's one rule for status integrals of
   f*e^{-phi}, exact in phi's chord, one guarded sum per row; the one user
-  of numpy here, imported by its calls.
+  of numpy here, imported by its calls. ``quadrature_row`` is the same
+  rule over Python floats for one real exponent row shared by a few value
+  rows; the two differ only where math's and numpy's exponentials do.
 * ``find_root`` -- bracketed scalar root solve by Brent's method, in the
   form and with the stopping rule of scipy's ``brentq``, plus explicit
   bracket validation. The package needs numpy only.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +39,10 @@ __all__ = [
     "Trajectory",
     "integrate_ode",
     "linspace",
+    "pairwise_sum",
+    "interp",
     "quadrature",
+    "quadrature_row",
     "find_root",
 ]
 
@@ -240,6 +248,54 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
     return values
 
 
+def pairwise_sum(values: Sequence[float], start: int = 0, n: int | None = None) -> float:
+    """The sum of n values from ``start`` (all of them by default) in the
+    order of np.sum over float64, so bit for bit: halves, each a multiple
+    of eight long, down to blocks of at most 128, and each block summed in
+    eight interleaved partial sums, combined pairwise, then its remainder.
+    """
+    if n is None:
+        n = len(values) - start
+    if n < 8:
+        total = 0.0
+        for k in range(start, start + n):
+            total += values[k]
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return pairwise_sum(values, start, half) + pairwise_sum(values, start + half, n - half)
+    r = list(values[start:start + 8])
+    end = start + n - n % 8
+    for k in range(start + 8, end, 8):
+        for j in range(8):
+            r[j] += values[k + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for k in range(end, start + n):
+        total += values[k]
+    return total
+
+
+def interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """np.interp(x, xp, fp) at one point x over Python floats, bit for bit:
+    NaN at NaN, the end values outside xp, the value on a node, and between
+    nodes from the panel's right end where the left end's form is NaN."""
+    if x != x:
+        return x
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    out = slope * (x - xp[j]) + fp[j]
+    if out != out:
+        out = slope * (x - xp[j + 1]) + fp[j + 1]
+        if out != out and fp[j] == fp[j + 1]:
+            out = fp[j]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -303,6 +359,69 @@ def quadrature(values, exponent, length):
     if not np.isfinite(total).all():
         raise NonFiniteError("non-finite quadrature sum")
     return total
+
+
+def quadrature_row(rows, exponent, length) -> list[float]:
+    """`quadrature` over Python floats for one real exponent row: the
+    integral of f*e^{-phi} over [0, length] for each value row f of
+    ``rows``, all sharing phi on the same n + 1 even nodes (n even), as a
+    list. Each double panel's three weights are computed once, in the
+    array rule's operation order, and each row sums its near, midpoint and
+    far terms left to right, as the array rule's einsum does: with numpy's
+    exp and expm1 in place of math's the two agree bit for bit. The two
+    libraries differ in the last bit on a few percent of inputs, which the
+    moment recurrences just above SERIES_RADIUS amplify to tens of ulp at
+    most. Raises ValueError on an odd n, NonFiniteError on a non-finite sum.
+    """
+    n = len(exponent) - 1
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"the rule requires an even panel count >= 2, got {n}")
+    weights = []
+    for k in range(0, n, 2):
+        left, right = exponent[k], exponent[k + 2]
+        rise = right - left
+        bend = exponent[k + 1] - (left + 0.5 * rise)
+        flip = rise < 0.0
+        if flip:
+            rise, left = -rise, right
+        if abs(rise) >= SERIES_RADIUS:
+            drop, inverse = math.expm1(-rise), 1.0 / rise
+            m0 = -drop * inverse
+            m1 = (m0 - (drop + 1.0)) * inverse
+            m2 = (2.0 * m1 - (drop + 1.0)) * inverse
+        else:
+            m2 = 0.0
+            for coefficient in _M2_SERIES:
+                m2 = m2 * rise + coefficient
+            fade = math.exp(-rise)
+            m1 = 0.5 * (rise * m2 + fade)
+            m0 = rise * m1 + fade
+        fade = _exp(-left)
+        near, far = fade * (m0 - 3.0 * m1 + 2.0 * m2), fade * (2.0 * m2 - m1)
+        mid = fade * math.exp(min(-bend, 1.0)) * (4.0 * (m1 - m2))
+        weights.append((far, mid, near) if flip else (near, mid, far))
+    columns, scale = list(zip(*weights)), 2.0 * length / n
+    totals = []
+    for values in rows:
+        total = 0.0
+        for start, column in enumerate(columns):
+            part = 0.0
+            for value, weight in zip(values[start::2], column):
+                part += value * weight
+            total += part
+        total *= scale
+        if not math.isfinite(total):
+            raise NonFiniteError("non-finite quadrature sum")
+        totals.append(total)
+    return totals
+
+
+def _exp(x: float) -> float:
+    """``math.exp`` with numpy's inf where the float range is passed."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

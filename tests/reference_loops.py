@@ -40,6 +40,14 @@ the same values bit for bit.
 ``write_rows_table`` is the earlier whole-table CSV writer; the package's
 block-streamed writer must produce the same bytes.
 
+``build_clock_array`` is the earlier status clock over numpy arrays, its
+coefficients on the nodes by each family's earlier numpy form
+(``coefficient_array``): np.full_like, the linear form, np.exp, np.interp
+and the within-host array forms. The package builds the clock over Python
+floats in the same operation order, its cumulative sums left to right as
+np.cumsum's, and must return the same columns bit for bit on every family
+but the exponential one, where math.exp and numpy's differ in the last bit.
+
 ``integrate_ode_array`` (with ``dp45_step_array`` and its event locator)
 is the earlier Dormand-Prince integrator: the state is a 3-element
 ndarray, every stage runs a few ufuncs on it, and the error norm is numpy's
@@ -56,6 +64,8 @@ import numpy as np
 from immunoepi import numerics
 from immunoepi import within_host as wh
 from immunoepi.between_host import (
+    CLOCK_NODES,
+    COEFFICIENT_FIELDS,
     NEGATIVITY_ABORT,
     EpidemicRun,
     RenewalRun,
@@ -632,3 +642,43 @@ def integrate_ode_array(rhs, y0, t_span, event=None):
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
     return Trajectory(np.array(ts), np.array(ys))
+
+
+def coefficient_array(coefficient, w):
+    """A coefficient's values on an ndarray of statuses by its family's
+    earlier numpy form."""
+    d, family = coefficient.describe, coefficient.family
+    if family == "constant":
+        return np.full_like(w, d["value"])
+    if family == "linear":
+        return d["intercept"] + d["slope"] * w
+    if family == "exponential":
+        return d["amplitude"] * np.exp(d["rate"] * w)
+    if family == "table":
+        return np.interp(w, np.asarray(d["omega"]), np.asarray(d["value"]))
+    form = upper_branch_P_array if d["kind"] == "pathogen_load" else immune_growth_g_array
+    return form(w, wh.WithinHostParams(**d["within_host"]))
+
+
+def build_clock_array(params):
+    """The status clock's nodes and columns over numpy arrays, by name, for
+    coefficients that are finite and admissible on them."""
+    graded = any(getattr(params, name).family == "within_host" for name in COEFFICIENT_FIELDS)
+    if graded:
+        u = np.linspace(1.0, 0.0, CLOCK_NODES + 1)
+        nodes = params.omega0 * (1.0 - u * u)
+    else:
+        nodes = np.linspace(0.0, params.omega0, CLOCK_NODES + 1)
+    w = 2.0 * np.linspace(1.0, 0.0, CLOCK_NODES + 1) if graded else 1.0
+    values = {name: coefficient_array(getattr(params, name), nodes) for name in COEFFICIENT_FIELDS}
+    p_over_g = values["P"] / values["g"] * w
+    step = params.omega0 / CLOCK_NODES
+    inv_g = w / values["g"]
+    ratio = values["mu2"] * inv_g
+    return {
+        "omega": nodes,
+        "elapsed": np.concatenate([[0.0], np.cumsum(0.5 * (inv_g[1:] + inv_g[:-1]) * step)]),
+        "decay": np.concatenate([[0.0], np.cumsum(0.5 * (ratio[1:] + ratio[:-1]) * step)]),
+        "p_over_g": p_over_g,
+        "xi_p_over_g": values["xi"] * p_over_g,
+    }

@@ -287,9 +287,10 @@ class TestExitCodes:
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_endemic_scan_returns_three(self, tmp_path, capsys, leaf, value):
-        # with beta_e at 1e300 the endemic residual is not finite: the scan
-        # used to warn in numpy-scalar arithmetic on the environmental route
-        # term it never read, and is now refused before the summary
+        # with beta_e at 1e300 R0's environmental term is not finite: the
+        # scan used to warn in numpy-scalar arithmetic on the environmental
+        # route term it never read, then refused its residual; R0 is now
+        # refused first, naming the term
         doc = json.loads((CONFIGS / "bh_direct.json").read_text())
         doc["between_host"]["beta_e"] = 1e300
         set_leaf(doc, leaf, value)
@@ -297,7 +298,7 @@ class TestExitCodes:
         out = tmp_path / "nested" / "out"
         assert cli.main(["spectral", "--config", config, "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: endemic spectrum scan: the characteristic residual is not finite\n"
+            "numerical failure: reproduction number: the environmental term is not finite\n"
         )
         assert not (tmp_path / "nested").exists()
 
@@ -413,7 +414,7 @@ class TestExitCodes:
         message = "P(omega) is not finite on [0, omega0]"
         if key == "omega0":
             # graded clock node 1, omega0*(1 - (1 - 1/CLOCK_NODES)^2)
-            message = "no infected branch at W=1.2206658720970154e+296 (fold at W=3.6037961002806327)"
+            message = "no infected branch at W=4.882216453552246e+296 (fold at W=3.6037961002806327)"
         assert capsys.readouterr().err == f"error: between_host: {message}\n"
         assert not (tmp_path / "nested").exists()
 
@@ -465,8 +466,9 @@ class TestExitCodes:
         ({"r": 1e300, "omega0": 1e300}, "endemic residuals: the direct force int P*I*"),
         ({"r": 1e300, "omega0": 1e-300}, "endemic residuals: the transport residual"),
         ({"r": 1e300, "mu2": 1e300}, "endemic residuals: the transport residual"),
-        ({"r": 1e300, "xi": 1e300}, "endemic residuals: the shedding int xi*P*I*"),
-        ({"r": 1e300, "P": 1e300}, "endemic residuals: the direct force int P*I*"),
+        # an R0 term past the float range: refused before the state
+        ({"r": 1e300, "xi": 1e300}, "reproduction number: the environmental term"),
+        ({"r": 1e300, "P": 1e300}, "reproduction number: the direct term"),
         ({"r": 1e300, "g": 1e-300}, "endemic equilibrium: the profile I*(0)*g(0)*pi"),
         ({"omega0": 1e300, "xi": 1e300}, "endemic residuals: the shedding int xi*P*I*"),
         ({"omega0": 1e300, "P": 1e300}, "endemic residuals: the direct force int P*I*"),
@@ -482,6 +484,24 @@ class TestExitCodes:
         out = tmp_path / "nested" / "out"
         assert cli.main(["equilibria", "--config", config, "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"numerical failure: {quantity} is not finite\n"
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("leaves, term", [
+        ({"r": 1e300, "xi": 1e300}, "environmental"),
+        ({"r": 1e300, "P": 1e300}, "direct"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reproduction_number_past_the_float_range_returns_three(self, tmp_path, capsys, leaves, term):
+        # an R0 term past the float range used to reach the summary, refused
+        # there as "summary.json: Out of range float values"; the float
+        # characteristic now names the term
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        for key, value in leaves.items():
+            set_leaf(doc, ("functions" if key in doc["functions"] else "between_host", key), value)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nested" / "out"
+        assert cli.main(["r0", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: reproduction number: the {term} term is not finite\n"
         assert not (tmp_path / "nested").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1239,6 +1259,27 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 0] False"
+
+    def test_threshold_runs_and_document_loads_never_load_numpy(self, tmp_path):
+        # r0 and equilibria on every shipped between-host document run on
+        # Python floats, and no shipped document loads numpy
+        runs = [
+            [command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path / f"{command}-{name}")]
+            for name in ("bh_env", "bh_direct", "bh_matched", "bh_linked")
+            for command in ("r0", "equilibria")
+        ]
+        script = (
+            "import sys\n"
+            "from immunoepi import cli\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            f"for path in {sorted(map(str, CONFIGS.glob('*.json')))!r}:\n"
+            "    cli.load_scenario(path)\n"
+            "print(codes, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{[0] * len(runs)} False"
+        assert read_summary(tmp_path / "equilibria-bh_linked")["endemic_exists"]
 
     def test_unconverged_root_solve_exits_three(self, tmp_path, monkeypatch, capsys):
         doc = json.loads((CONFIGS / "within_fig1.json").read_text())

@@ -69,6 +69,26 @@ class TestFamilies:
         # interp holds endpoint values outside the knot range
         assert f(5.0) == 0.0
 
+    @given(
+        knots=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=12, unique=True).map(sorted),
+        data=st.data(),
+    )
+    def test_table_is_np_interp_bit_for_bit(self, knots, data):
+        values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(knots), max_size=len(knots)))
+        f = coef.table(knots, values)
+        # at the knots, outside their range and between them, a point alone
+        # or in a list
+        inside = [a + t * (b - a) for a, b in zip(knots, knots[1:]) for t in (0.1, 0.5, 0.9)]
+        points = [*knots, knots[0] - 1.0, knots[-1] + 1.0, -1e300, 1e300, *inside]
+        assert [f(x) for x in points] == [float(np.interp(x, knots, values)) for x in points]
+        assert f(points) == np.interp(points, knots, values).tolist()
+
+    def test_exponential_is_within_an_ulp_of_numpys(self):
+        # math.exp against numpy's SIMD exp; amplitude 0.5 scales exactly
+        w = np.linspace(-30.0, 30.0, 4097)
+        got, reference = coef.exponential(0.5, -1.3)(w), 0.5 * np.exp(-1.3 * w)
+        assert np.all(np.abs(got - reference) <= np.spacing(reference))
+
     def test_table_rejects_mismatched_or_short_lists(self):
         with pytest.raises(ValueError, match="knots"):
             coef.table([0.0, 1.0], [1.0])
@@ -114,7 +134,7 @@ class TestWithinHostDerived:
         # array forms' values bit for bit
         cfg = load_scenario(CONFIGS / "bh_linked.json")
         nodes = cfg.between.clock.omega
-        assert nodes.size == 16_385 and nodes[-1] == wh.manifold_tip(cfg.within)[1]
+        assert len(nodes) == 4_097 and nodes[-1] == wh.manifold_tip(cfg.within)[1]
         for f, reference in (
             (cfg.between.P, upper_branch_P_array), (cfg.between.g, immune_growth_g_array)
         ):

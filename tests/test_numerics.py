@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 from dataclasses import astuple
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from immunoepi import numerics
 from immunoepi.errors import BracketError, ConvergenceError, NonFiniteError, StepLimitError
-from immunoepi.numerics import find_root, integrate_ode, quadrature
+from immunoepi.numerics import find_root, integrate_ode, pairwise_sum, quadrature, quadrature_row
 from immunoepi.numerics import _dp45_step
 from immunoepi.within_host import WithinHostParams, WithinHostState, rhs_full
 
@@ -443,6 +444,77 @@ class TestQuadrature:
         values = rng.random((rows, n + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
         alone = [quadrature(v, e, float(length)) for v, e, length in zip(values, exponent, lengths)]
         assert quadrature(values, exponent, lengths).tolist() == alone
+
+
+def rule_rows(seed, half, offset):
+    """Two nonnegative value rows sharing one exponent row, as the
+    characteristic's routes do: each double panel's rise has a random sign
+    and a size on either side of the series radius (exactly at it too),
+    with a bend off the chord."""
+    rng = np.random.default_rng(seed)
+    rise = rng.choice([-1.0, 1.0], half) * 10.0 ** rng.uniform(-3.0, 1.5, half)
+    rise[rng.random(half) < 0.1] = numerics.SERIES_RADIUS * rng.choice([-1.0, 1.0])
+    exponent = np.empty(2 * half + 1)
+    exponent[0::2] = offset + np.concatenate([[0.0], np.cumsum(rise)])
+    exponent[1::2] = exponent[0:-1:2] + 0.5 * rise + rng.normal(0.0, 0.1, half) * np.abs(rise)
+    values = rng.random((2, 2 * half + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 1))
+    return values, exponent, float(rng.uniform(0.1, 10.0))
+
+
+# numpy's exponentials on one-element arrays, the loops the array rule runs
+NUMPY_EXPONENTIALS = SimpleNamespace(
+    exp=lambda x: float(np.exp(np.array([x]))[0]),
+    expm1=lambda x: float(np.expm1(np.array([x]))[0]),
+    isfinite=math.isfinite,
+)
+
+
+class TestQuadratureRow:
+    @given(seed=st.integers(0, 2**32 - 1), half=st.integers(1, 64), offset=st.floats(-50.0, 50.0))
+    def test_float_row_is_the_array_rule_bit_for_bit_on_numpys_exponentials(
+        self, seed, half, offset, monkeypatch
+    ):
+        # the float form repeats the array rule's arithmetic step for step,
+        # and its sums run in einsum's order: with numpy's exp and expm1 in
+        # place of math's, every bit agrees
+        values, exponent, length = rule_rows(seed, half, offset)
+        assume(np.all(np.abs(exponent) < 600.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "math", NUMPY_EXPONENTIALS)
+            rows = quadrature_row([v.tolist() for v in values], exponent.tolist(), length)
+        assert rows == [quadrature(row, exponent, length) for row in values]
+
+    @given(seed=st.integers(0, 2**32 - 1), half=st.integers(1, 64), offset=st.floats(-50.0, 50.0))
+    @example(seed=118956382, half=1, offset=7.0)
+    def test_float_row_is_within_the_rules_rounding_of_the_array_rule(self, seed, half, offset):
+        # math.exp and math.expm1 differ from numpy's SIMD loops in the last
+        # bit on a few percent of inputs, and the moment recurrences just
+        # above the series radius amplify a last bit by up to about 50: 39
+        # ulp was the largest difference over 3 000 seeds
+        values, exponent, length = rule_rows(seed, half, offset)
+        assume(np.all(np.abs(exponent) < 600.0))
+        rows = quadrature_row([v.tolist() for v in values], exponent.tolist(), length)
+        for got, row in zip(rows, values):
+            expected = quadrature(row, exponent, length)
+            assert type(got) is float
+            assert abs(got - expected) <= 256.0 * math.ulp(expected)
+
+    def test_refuses_what_the_array_rule_refuses(self):
+        with pytest.raises(ValueError, match="even panel count"):
+            quadrature_row([[1.0] * 4], [0.0] * 4, 1.0)
+        with pytest.raises(NonFiniteError):
+            quadrature_row([[1.0, math.nan, 1.0]], [0.0] * 3, 1.0)
+        # e^{-phi} past the float range is inf, as numpy's, not an OverflowError
+        with pytest.raises(NonFiniteError):
+            quadrature_row([[1.0] * 3], [-1000.0] * 3, 1.0)
+
+
+class TestPairwiseSum:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 1100))
+    def test_equals_numpy_sum_bit_for_bit(self, seed, n):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+        assert pairwise_sum(values.tolist()) == float(values.sum())
 
 
 class TestFindRoot:
