@@ -52,7 +52,7 @@ from typing import Callable
 
 from .coefficients import Coefficient
 from .errors import BracketError, NonFiniteError, PoleError, TransportBlowupError
-from .numerics import _div, _exp, find_root, interp, linspace, pairwise_sum, quadrature, quadrature_row
+from .numerics import _div, find_root, interp, linspace, quadrature, quadrature_row
 
 __all__ = [
     "BetweenHostParams",
@@ -496,8 +496,8 @@ def endemic_residuals(eq: EndemicEquilibrium, params: BetweenHostParams) -> dict
     p_vals, xi_vals, g_vals, mu2_vals = (getattr(params, name)(nodes) for name in ("P", "xi", "g", "mu2"))
 
     def trapezoid(values, quantity):
-        # np.trapezoid(values, dx=step)
-        total = pairwise_sum([step * (b + a) / 2.0 for a, b in zip(values, values[1:])])
+        # np.trapezoid(values, dx=step)'s panels, summed in order
+        total = sum(step * (b + a) / 2.0 for a, b in zip(values, values[1:]))
         if not math.isfinite(total):
             raise NonFiniteError(f"endemic residuals: {quantity} is not finite")
         return total
@@ -979,6 +979,8 @@ def endemic_char_residual(params: BetweenHostParams) -> Callable:
     PoleError, so no rate lam >= 0 is refused. At or below threshold there
     is no endemic state: ValueError.
     """
+    import numpy as np
+
     characteristic = _characteristic(params)
     direct, environmental, _ = characteristic(0.0)
     basic = direct + environmental
@@ -989,7 +991,7 @@ def endemic_char_residual(params: BetweenHostParams) -> Callable:
         raise NonFiniteError("endemic spectrum scan: the characteristic residual is not finite")
     # F* in closed form: no division by an S* that can underflow
     force = params.mu1 * (basic - 1.0) / _lost_share(params)
-    recovery = params.rho * math.exp(-params.clock.decay[-1])
+    recovery = params.rho * float(np.exp(-params.clock.decay[-1]))
     total = params.clock.total_time
     poles = [("-mu1", params.mu1), ("-sigma", params.sigma), ("-(rho+mu3)", params.rho + params.mu3)]
     if params.beta_e == 0:
@@ -997,17 +999,12 @@ def endemic_char_residual(params: BetweenHostParams) -> Callable:
     guards = [(name, pole, min(POLE_GUARD, 0.5 * pole)) for name, pole in poles]
 
     def residual(lam):
-        scalar = isinstance(lam, (int, float))
-        if not scalar:
-            import numpy as np
         for name, pole, guard in guards:
-            if abs(lam + pole) < guard if scalar else np.any(np.abs(lam + pole) < guard):
+            if np.any(np.abs(lam + pole) < guard):
                 raise PoleError(f"lam too close to the pole at {name}")
         direct, environmental, _ = characteristic(lam)
-        # over Python floats, inf past the range and a division by zero as numpy's
-        exp, div = (_exp, _div) if scalar else (np.exp, np.divide)
-        returned = div(recovery * exp(-lam * total), lam + params.rho + params.mu3)
-        return (direct + environmental) / basic + div(force * (returned - 1.0), lam + params.mu1) - 1.0
+        returned = recovery * np.exp(-lam * total) / (lam + params.rho + params.mu3)
+        return (direct + environmental) / basic + force * (returned - 1.0) / (lam + params.mu1) - 1.0
 
     return residual
 

@@ -9,7 +9,6 @@ structured epidemic solver) is built on the operations in this module:
   ``find_root`` on the event along one Dormand-Prince step from the left
   end of the bracketing step. The returned Trajectory holds lists.
 * ``linspace`` -- evenly spaced Python floats, np.linspace's bit for bit;
-  ``pairwise_sum`` -- a sum of Python floats, np.sum's bit for bit;
   ``interp`` -- linear interpolation at one point, np.interp's bit for bit.
 * ``quadrature`` -- the package's one rule for status integrals of
   f*e^{-phi}, exact in phi's chord, one guarded sum per row; the one user
@@ -39,7 +38,6 @@ __all__ = [
     "Trajectory",
     "integrate_ode",
     "linspace",
-    "pairwise_sum",
     "interp",
     "quadrature",
     "quadrature_row",
@@ -246,34 +244,6 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
         # a step lost to underflow: numpy scales each index first
         values[i] = (i / div * delta if step == 0.0 else i * step) + lo
     return values
-
-
-def pairwise_sum(values: Sequence[float], start: int = 0, n: int | None = None) -> float:
-    """The sum of n values from ``start`` (all of them by default) in the
-    order of np.sum over float64, so bit for bit: halves, each a multiple
-    of eight long, down to blocks of at most 128, and each block summed in
-    eight interleaved partial sums, combined pairwise, then its remainder.
-    """
-    if n is None:
-        n = len(values) - start
-    if n < 8:
-        total = 0.0
-        for k in range(start, start + n):
-            total += values[k]
-        return total
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return pairwise_sum(values, start, half) + pairwise_sum(values, start + half, n - half)
-    r = list(values[start:start + 8])
-    end = start + n - n % 8
-    for k in range(start + 8, end, 8):
-        for j in range(8):
-            r[j] += values[k + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for k in range(end, start + n):
-        total += values[k]
-    return total
 
 
 def interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:

@@ -462,19 +462,24 @@ class TestExitCodes:
         )
         assert not (tmp_path / "nested").exists()
 
-    @pytest.mark.parametrize("leaves, quantity", [
-        ({"r": 1e300, "omega0": 1e300}, "endemic residuals: the direct force int P*I*"),
-        ({"r": 1e300, "omega0": 1e-300}, "endemic residuals: the transport residual"),
-        ({"r": 1e300, "mu2": 1e300}, "endemic residuals: the transport residual"),
-        # an R0 term past the float range: refused before the state
-        ({"r": 1e300, "xi": 1e300}, "reproduction number: the environmental term"),
-        ({"r": 1e300, "P": 1e300}, "reproduction number: the direct term"),
-        ({"r": 1e300, "g": 1e-300}, "endemic equilibrium: the profile I*(0)*g(0)*pi"),
-        ({"omega0": 1e300, "xi": 1e300}, "endemic residuals: the shedding int xi*P*I*"),
-        ({"omega0": 1e300, "P": 1e300}, "endemic residuals: the direct force int P*I*"),
+    @pytest.mark.parametrize("command, leaves, quantity", [
+        ("equilibria", {"r": 1e300, "omega0": 1e300}, "endemic residuals: the direct force int P*I*"),
+        ("equilibria", {"r": 1e300, "omega0": 1e-300}, "endemic residuals: the transport residual"),
+        ("equilibria", {"r": 1e300, "mu2": 1e300}, "endemic residuals: the transport residual"),
+        # an R0 term past the float range: refused before the state, and by
+        # r0 itself, which used to reach the summary writer and fail there
+        # as "summary.json: Out of range float values"
+        *(
+            (command, leaves, f"reproduction number: the {term} term")
+            for leaves, term in [({"r": 1e300, "xi": 1e300}, "environmental"), ({"r": 1e300, "P": 1e300}, "direct")]
+            for command in ("equilibria", "r0")
+        ),
+        ("equilibria", {"r": 1e300, "g": 1e-300}, "endemic equilibrium: the profile I*(0)*g(0)*pi"),
+        ("equilibria", {"omega0": 1e300, "xi": 1e300}, "endemic residuals: the shedding int xi*P*I*"),
+        ("equilibria", {"omega0": 1e300, "P": 1e300}, "endemic residuals: the direct force int P*I*"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_endemic_state_past_the_float_range_returns_three(self, tmp_path, capsys, leaves, quantity):
+    def test_endemic_state_past_the_float_range_returns_three(self, tmp_path, capsys, command, leaves, quantity):
         # a finite R0 with an endemic profile or residual term past the float
         # range: the trapezoids, the gradient or the profile's product warned
         doc = json.loads((CONFIGS / "bh_env.json").read_text())
@@ -482,26 +487,8 @@ class TestExitCodes:
             set_leaf(doc, ("functions" if key in doc["functions"] else "between_host", key), value)
         config = write_config(tmp_path, doc)
         out = tmp_path / "nested" / "out"
-        assert cli.main(["equilibria", "--config", config, "--out", str(out)]) == 3
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"numerical failure: {quantity} is not finite\n"
-        assert not (tmp_path / "nested").exists()
-
-    @pytest.mark.parametrize("leaves, term", [
-        ({"r": 1e300, "xi": 1e300}, "environmental"),
-        ({"r": 1e300, "P": 1e300}, "direct"),
-    ])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_reproduction_number_past_the_float_range_returns_three(self, tmp_path, capsys, leaves, term):
-        # an R0 term past the float range used to reach the summary, refused
-        # there as "summary.json: Out of range float values"; the float
-        # characteristic now names the term
-        doc = json.loads((CONFIGS / "bh_env.json").read_text())
-        for key, value in leaves.items():
-            set_leaf(doc, ("functions" if key in doc["functions"] else "between_host", key), value)
-        config = write_config(tmp_path, doc)
-        out = tmp_path / "nested" / "out"
-        assert cli.main(["r0", "--config", config, "--out", str(out)]) == 3
-        assert capsys.readouterr().err == f"numerical failure: reproduction number: the {term} term is not finite\n"
         assert not (tmp_path / "nested").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1239,35 +1226,22 @@ class TestImportCost:
         assert read_summary(tmp_path / "bifurcate")["analytic_hopf_clearance"]
 
     def test_within_host_runs_never_load_numpy(self, tmp_path):
-        # the within-host subcommands and documents run on Python floats
+        # the within-host subcommands, r0 and equilibria on every shipped
+        # between-host document, and the load of every shipped document run
+        # on Python floats
         doc = json.loads((CONFIGS / "within_fig1.json").read_text())
         doc["sweep"].update(n=20, cycle_n=4)
         runs = [
             ["within-sim", "--config", str(CONFIGS / "within_sim.json")],
             ["manifold", "--config", str(CONFIGS / "within_sim.json")],
             ["bifurcate", "--config", write_config(tmp_path, doc)],
+            *(
+                [command, "--config", str(CONFIGS / f"{name}.json")]
+                for name in ("bh_env", "bh_direct", "bh_matched", "bh_linked")
+                for command in ("r0", "equilibria")
+            ),
         ]
-        runs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]
-        script = (
-            "import sys\n"
-            "from immunoepi import cli\n"
-            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
-            f"for name in ('within_fig1', 'within_fig2', 'within_sim'):\n"
-            f"    cli.load_scenario({str(CONFIGS)!r} + '/' + name + '.json')\n"
-            "print(codes, 'numpy' in sys.modules)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0] False"
-
-    def test_threshold_runs_and_document_loads_never_load_numpy(self, tmp_path):
-        # r0 and equilibria on every shipped between-host document run on
-        # Python floats, and no shipped document loads numpy
-        runs = [
-            [command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path / f"{command}-{name}")]
-            for name in ("bh_env", "bh_direct", "bh_matched", "bh_linked")
-            for command in ("r0", "equilibria")
-        ]
+        runs = [[*argv, "--out", str(tmp_path / f"{argv[0]}-{Path(argv[2]).stem}")] for argv in runs]
         script = (
             "import sys\n"
             "from immunoepi import cli\n"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from immunoepi import numerics
 from immunoepi.errors import BracketError, ConvergenceError, NonFiniteError, StepLimitError
-from immunoepi.numerics import find_root, integrate_ode, pairwise_sum, quadrature, quadrature_row
+from immunoepi.numerics import find_root, integrate_ode, quadrature, quadrature_row
 from immunoepi.numerics import _dp45_step
 from immunoepi.within_host import WithinHostParams, WithinHostState, rhs_full
 
@@ -507,14 +507,6 @@ class TestQuadratureRow:
         # e^{-phi} past the float range is inf, as numpy's, not an OverflowError
         with pytest.raises(NonFiniteError):
             quadrature_row([[1.0] * 3], [-1000.0] * 3, 1.0)
-
-
-class TestPairwiseSum:
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 1100))
-    def test_equals_numpy_sum_bit_for_bit(self, seed, n):
-        rng = np.random.default_rng(seed)
-        values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
-        assert pairwise_sum(values.tolist()) == float(values.sum())
 
 
 class TestFindRoot:
