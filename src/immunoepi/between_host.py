@@ -91,6 +91,8 @@ LAMBDA_HAT_MAX = 1e6
 # real-axis endemic residual scan: rates on [0, SPECTRUM_SCAN_MAX], this far apart
 SPECTRUM_SCAN_MAX = 50.0
 SPECTRUM_SCAN_STEP = 1e-2
+# the scalar time series a transport run can record, in EpidemicRun's order
+SERIES = ("t", "S", "I_total", "V", "B", "F")
 
 
 # ---------------------------------------------------------------------------
@@ -535,18 +537,19 @@ class EpidemicRun:
     """Recorded output of simulate_epidemic.
 
     t, S, I_total, V, B, F sample the scalar time series at the output
-    stride (and at the last step); they are the rows of one preallocated
-    (6, n_rec) block. snapshots hold full I rows, one preallocated block,
-    when a snapshot stride was requested.
+    stride (and at the last step); the series the run was asked to record
+    are the rows of one preallocated block, and the others are None.
+    snapshots hold full I rows, one preallocated block, when a snapshot
+    stride was requested.
     """
 
     omega: np.ndarray
-    t: np.ndarray
-    S: np.ndarray
-    I_total: np.ndarray
-    V: np.ndarray
-    B: np.ndarray
-    F: np.ndarray
+    t: np.ndarray | None
+    S: np.ndarray | None
+    I_total: np.ndarray | None
+    V: np.ndarray | None
+    B: np.ndarray | None
+    F: np.ndarray | None
     snapshot_t: np.ndarray
     snapshots: np.ndarray
     final: StructuredState = field(repr=False)
@@ -560,6 +563,7 @@ def simulate_epidemic(
     dt: float,
     output_stride: int = 1,
     snapshot_stride: int = 0,
+    series: tuple[str, ...] = SERIES,
 ) -> EpidemicRun:
     """March the structured system: first-order upwind transport, exact removal.
 
@@ -579,7 +583,9 @@ def simulate_epidemic(
     three pools and the interior mass, which a NaN anywhere in the interior
     reaches, since its trapezoid row is all positive. A value below the
     negativity tolerance or NaN aborts with TransportBlowupError; a
-    boundary value in [NEGATIVITY_ABORT, 0] is set to +0.0.
+    boundary value in [NEGATIVITY_ABORT, 0] is set to +0.0. Only the
+    time series named in ``series`` (some of SERIES) are recorded; the
+    run returns None for the others.
     """
     import numpy as np
 
@@ -592,6 +598,8 @@ def simulate_epidemic(
             f"output_stride must be >= 1 and snapshot_stride >= 0, "
             f"got {output_stride!r} and {snapshot_stride!r}"
         )
+    if not set(series) <= set(SERIES):
+        raise ValueError(f"series must name some of {SERIES}, got {series!r}")
     omega = np.linspace(0.0, params.omega0, n_omega + 1)
     step_w = params.omega0 / n_omega
     g_vals = params.g(omega)
@@ -623,11 +631,13 @@ def simulate_epidemic(
     r, mu1, rho, mu3, sigma = params.r, params.mu1, params.rho, params.mu3, params.sigma
     beta_h, beta_e = params.beta_h, params.beta_e
 
-    # one column per recorded step: t, S, I_total, V, B, F; the last step is
-    # recorded even when the stride does not divide n_steps
+    # one row per recorded series, one column per recorded step; the last
+    # step is recorded even when the stride does not divide n_steps
     n_rec = n_steps // output_stride + 1 + (n_steps % output_stride != 0)
-    series = np.empty((6, n_rec))
-    t_rec, s_rec, mass_rec, v_rec, b_rec, f_rec = series
+    kept = [name for name in SERIES if name in series]
+    rows = dict(zip(kept, np.empty((len(kept), n_rec))))
+    # (position in record's values, row) for each recorded series
+    sinks = [(SERIES.index(name), row) for name, row in rows.items()]
     n_snap = n_steps // snapshot_stride + 1 if snapshot_stride else 0
     snap_t = np.empty(n_snap)
     snaps = np.empty((n_snap, n_omega + 1))
@@ -640,13 +650,9 @@ def simulate_epidemic(
 
     def record(t_now, direct, mass):
         nonlocal n_recorded
-        k = n_recorded
-        t_rec[k] = t_now
-        s_rec[k] = s_now
-        mass_rec[k] = mass
-        v_rec[k] = v_now
-        b_rec[k] = b_now
-        f_rec[k] = beta_h * direct + beta_e * b_now
+        values = (t_now, s_now, mass, v_now, b_now, beta_h * direct + beta_e * b_now)
+        for position, row in sinks:
+            row[n_recorded] = values[position]
         n_recorded += 1
 
     def snapshot(t_now):
@@ -731,12 +737,7 @@ def simulate_epidemic(
         raise TransportBlowupError(f"non-finite state at t = {n_steps * dt:.6g}: {exc}") from exc
     return EpidemicRun(
         omega=omega,
-        t=t_rec,
-        S=s_rec,
-        I_total=mass_rec,
-        V=v_rec,
-        B=b_rec,
-        F=f_rec,
+        **{name: rows.get(name) for name in SERIES},
         snapshot_t=snap_t,
         snapshots=snaps,
         final=final,
@@ -860,9 +861,9 @@ def kernel_total_integral(params: BetweenHostParams) -> float:
 
 @dataclass
 class RenewalRun:
-    """Force-of-infection and susceptible traces from the renewal solver."""
+    """Force-of-infection and susceptible traces from the renewal solver, at
+    every step t = dt*k, k = 0..round(t_max/dt); no time column is stored."""
 
-    t: np.ndarray
     S: np.ndarray
     F: np.ndarray
 
@@ -892,7 +893,9 @@ def simulate_renewal(
     node, a scalar linear equation solved in closed form each step; S
     advances by a Heun predictor-corrector. The state travels as Python
     floats and the arrays only record it. A lost diagonal dominance or a
-    negative or non-finite state aborts with TransportBlowupError.
+    negative or non-finite state aborts with TransportBlowupError. The run
+    returns S and F at every step, views of the arrays the loop wrote;
+    step k is at t = dt*k.
     """
     import numpy as np
 
@@ -955,8 +958,7 @@ def simulate_renewal(
         f_arr[j + 1] = f_j
         sf_arr[j + 1] = s_j * f_j
 
-    t = dt * np.arange(n_steps + 1)
-    return RenewalRun(t=t, S=s_arr[m:], F=f_arr[m:])
+    return RenewalRun(S=s_arr[m:], F=f_arr[m:])
 
 
 # ---------------------------------------------------------------------------

@@ -31,23 +31,24 @@ Exit codes: 0 success, 2 invalid config or arguments (a run too large for
 memory among them), 3 numerical failure.
 
 At module level this imports only the standard library and ``errors``;
-each handler imports the numeric modules it uses. Only ``spectral``,
-``epi-sim`` and ``renewal-check`` load numpy: ``within-sim``,
-``manifold``, ``bifurcate``, ``r0`` and ``equilibria`` run on Python
-floats and lists, and ``plot-data`` reads upstream text files.
+each handler imports the numeric modules it uses, and ``dataclasses``
+where it reads a record's fields. ``hashlib`` (with OpenSSL) is imported
+when the manifest is hashed, after the handler's arrays are released.
+Only ``spectral``, ``epi-sim`` and ``renewal-check`` load numpy:
+``within-sim``, ``manifold``, ``bifurcate``, ``r0`` and ``equilibria`` run
+on Python floats and lists, and ``plot-data`` reads upstream text files
+and loads neither numpy nor ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import hashlib
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -111,7 +112,10 @@ def _csv_lines(header: str, *columns, tail: Sequence[str] | None = None) -> Iter
 
 def _sha256(path: Path) -> str:
     """sha256 of a file, read through one buffer of at most HASH_CHUNK bytes
-    (a small file gets a buffer of its own size)."""
+    (a small file gets a buffer of its own size). hashlib, and the OpenSSL
+    it loads, is imported here: after the handler's arrays are released."""
+    import hashlib
+
     digest = hashlib.sha256()
     buf = bytearray(min(HASH_CHUNK, path.stat().st_size))
     view = memoryview(buf)
@@ -144,6 +148,8 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def _between_echo(cfg: ScenarioConfig) -> dict:
+    from dataclasses import fields
+
     from . import between_host
 
     echo = {f.name: getattr(cfg.between, f.name) for f in fields(cfg.between)}
@@ -160,6 +166,8 @@ def _between_echo(cfg: ScenarioConfig) -> dict:
 
 
 def _cmd_within_sim(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
+    from dataclasses import astuple
+
     from . import within_host
 
     params = cfg.within
@@ -199,6 +207,8 @@ def _branch_csv(branch: bifurcation.Branch) -> Iterator[str]:
 
 
 def _cmd_bifurcate(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
+    from dataclasses import asdict, replace
+
     from . import bifurcation, within_host
 
     params = cfg.within
@@ -319,8 +329,9 @@ def _apply_refine(cfg: ScenarioConfig, k: int) -> tuple[int, float]:
     return n_omega, dt
 
 
-def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **strides) -> between_host.EpidemicRun:
-    """Transport run on the refined grid from run.initial on its nodes; a
+def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **options) -> between_host.EpidemicRun:
+    """Transport run on the refined grid from run.initial on its nodes,
+    with simulate_epidemic's recording keywords (strides, series); a
     missing run.initial, an initial density the state refuses (negative,
     or undefined past a derived coefficient's fold) and a grid the solver
     refuses up front (the CFL bound on its own nodes, the strides, dt and
@@ -341,7 +352,7 @@ def _transport(cfg: ScenarioConfig, n_omega: int, dt: float, **strides) -> betwe
         raise ConfigError(f"run.initial: {exc}") from exc
     try:
         return between_host.simulate_epidemic(
-            cfg.between, initial, cfg.t_max, n_omega, dt, **strides
+            cfg.between, initial, cfg.t_max, n_omega, dt, **options
         )
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
@@ -405,11 +416,9 @@ def _cmd_renewal_check(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
     n_omega, dt = _apply_refine(cfg, args.grid_refine)
     window = params.a_bar + params.clock.total_time
 
-    # one clock for both solvers; the compared rows are copied out and the
-    # six-row record freed before the renewal arrays are allocated
-    pde = _transport(cfg, n_omega, dt, output_stride=1)
-    s_pde, f_pde = pde.S.copy(), pde.F.copy()
-    del pde
+    # one clock for both solvers; the transport records the two compared
+    # rows only
+    pde = _transport(cfg, n_omega, dt, output_stride=1, series=("S", "F"))
     try:
         renewal = between_host.simulate_renewal(
             params, cfg.initial_I, cfg.initial_S, cfg.t_max, dt
@@ -418,26 +427,27 @@ def _cmd_renewal_check(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
         # a memory window too long to allocate is refused in the set-up
         raise ConfigError(f"renewal: memory window {window!r}: {exc}") from exc
     basic = between_host.r0(params)
-    # the gaps read every step; the rows written are epi-sim's: every
-    # output_stride-th step and the last
-    last = renewal.t.size - 1
+    # the rows written are epi-sim's: every output_stride-th step and the
+    # last, step k at t = dt*k
+    last = renewal.S.size - 1
     rows = [*range(0, last, cfg.output_stride), last]
+    columns = [[dt * k for k in rows], *(c[rows] for c in (pde.S, pde.F, renewal.S, renewal.F))]
+    # the gaps read every step: |pde - renewal| in place over the transport
+    # rows, whose written rows are copied out above
+    for row, other in ((pde.S, renewal.S), (pde.F, renewal.F)):
+        np.abs(np.subtract(row, other, out=row), out=row)
     summary = {
         "grid": {"n_omega": n_omega, "dt": dt},
         "memory_window": window,
         "t_max": cfg.t_max,
-        "max_abs_dF": float(np.max(np.abs(f_pde - renewal.F))),
-        "max_abs_dS": float(np.max(np.abs(s_pde - renewal.S))),
+        "max_abs_dF": float(np.max(pde.F)),
+        "max_abs_dS": float(np.max(pde.S)),
         "r0": basic,
     }
     if basic > 1:
         s_star = params.r / params.mu1 / basic
         summary["stationary_kernel_identity"] = s_star * between_host.kernel_total_integral(params)
-    lines = _csv_lines(
-        "t,S_pde,F_pde,S_renewal,F_renewal",
-        *(column[rows] for column in (renewal.t, s_pde, f_pde, renewal.S, renewal.F)),
-    )
-    return summary, {"renewal.csv": lines}
+    return summary, {"renewal.csv": _csv_lines("t,S_pde,F_pde,S_renewal,F_renewal", *columns)}
 
 
 def _cmd_spectral(cfg: ScenarioConfig, args) -> tuple[dict, dict]:
@@ -615,6 +625,8 @@ def run(subcommand: str, config_path: str | None, out_dir: str | Path, args) -> 
         # a grid, horizon or sweep too large to allocate; --out does not exist yet
         raise ConfigError(f"{subcommand}: the run is too large for memory: {exc}") from exc
     if cfg is not None:
+        from dataclasses import asdict
+
         summary.update(
             subcommand=subcommand,
             seed=args.seed,

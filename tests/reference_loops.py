@@ -350,8 +350,7 @@ def simulate_renewal_array(params, history, S0, t_max, dt):
         f_arr[j + 1] = max(f_next, 0.0)
         sf_arr[j + 1] = s_arr[j + 1] * f_arr[j + 1]
 
-    t = dt * np.arange(n_steps + 1)
-    return RenewalRun(t=t, S=s_arr[m:], F=f_arr[m:])
+    return RenewalRun(S=s_arr[m:], F=f_arr[m:])
 
 
 def sweep_branch_loop(params: wh.WithinHostParams, spec: SweepSpec) -> dict[str, list[tuple]]:

@@ -9,6 +9,7 @@ every status integral collapses to elementary functions:
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from immunoepi import between_host as bh
 from immunoepi import coefficients as coef
+from immunoepi.config import load_scenario
 from immunoepi.errors import BracketError, NonFiniteError, NumericsError, TransportBlowupError
 from immunoepi.numerics import find_root, quadrature
 
@@ -35,6 +37,7 @@ from reference_loops import (
     simulate_renewal_array,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EPS = float(np.finfo(float).eps)
 J_REF = (1.0 - np.exp(-0.5)) / 0.1  # 3.9346934028736658
 R0_DIRECT_REF = 7.8693868057473315  # (r beta_h / mu1) * J
@@ -390,6 +393,31 @@ class TestGrowthRate:
             return
         assert (lam > 0) == (basic > 1.0)
 
+    @pytest.mark.parametrize("name", ["bh_env", "bh_linked"])
+    def test_transport_invades_at_the_growth_rate(self, name):
+        # seeded near the infection-free state (S = r/mu1, I = 1e-14 e^{-w},
+        # V = B = 0), the transport's F grows at lam-hat up to its
+        # first-order error: the log-slope over t in [4, 8] at refine 1, 2
+        # and 4 halves its error per doubling, and a Richardson step from
+        # refine 2 and 4 lands within 1e-4 of lam-hat, relative (3.2e-5 on
+        # bh_env, 3.4e-5 on bh_linked)
+        cfg = load_scenario(CONFIGS / f"{name}.json")
+        params = cfg.between
+        s0 = params.r / params.mu1
+        rates = []
+        for refine in (1, 2, 4):
+            n_omega, dt = cfg.n_omega * refine, cfg.dt / refine
+            w = np.linspace(0.0, params.omega0, n_omega + 1)
+            init = bh.StructuredState(S=s0, I=1e-14 * np.exp(-w), V=0.0, B=0.0)
+            run = bh.simulate_epidemic(params, init, 8.0, n_omega, dt, series=("S", "F"))
+            assert np.max(np.abs(run.S - s0)) <= 2e-5 * s0
+            rates.append(math.log(run.F[round(8.0 / dt)] / run.F[round(4.0 / dt)]) / 4.0)
+        lam = bh.dfe_lambda_hat(params)
+        errors = [rate - lam for rate in rates]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.6 <= coarse / fine <= 2.6
+        assert abs(2.0 * rates[2] - rates[1] - lam) <= 1e-4 * lam
+
 
 class TestEndemicEquilibrium:
     def test_absent_at_or_below_threshold(self):
@@ -560,6 +588,11 @@ class TestSimulateEpidemic:
                 output_stride=output_stride, snapshot_stride=snapshot_stride,
             )
 
+    def test_rejects_an_unknown_series(self, direct_params):
+        init = bh.StructuredState(S=10.0, I=np.zeros(51), V=0.0, B=0.0)
+        with pytest.raises(ValueError, match="series must name some of"):
+            bh.simulate_epidemic(direct_params, init, t_max=1.0, n_omega=50, dt=0.05, series=("S", "R"))
+
 
 def reference_cases():
     """bh_env, table-valued g and P, and the linked set with P and g from the
@@ -607,6 +640,21 @@ class TestArrayReference:
             got, want = getattr(run.final, pool), getattr(ref.final, pool)
             assert float(got).hex() == float(want).hex(), pool
         assert run.I_total[-1] > 0.0
+
+    @pytest.mark.parametrize("series", [("S", "F"), ("F",), ("B", "t"), ()])
+    def test_named_series_alone_match_the_array_loop(self, series):
+        # the series not named are None; the named ones and the final
+        # state keep every bit
+        params, init, n_omega, dt = reference_cases()["linked"]
+        run = bh.simulate_epidemic(params, init, 400 * dt, n_omega, dt, output_stride=7, series=series)
+        ref = simulate_epidemic_array(params, init, 400 * dt, n_omega, dt, output_stride=7)
+        for name in bh.SERIES:
+            got, want = getattr(run, name), getattr(ref, name)
+            if name in series:
+                assert got.tobytes() == want.tobytes(), name
+            else:
+                assert got is None, name
+        assert run.final.I.tobytes() == ref.final.I.tobytes()
 
 
 class TestFluxFormReference:
@@ -669,7 +717,7 @@ class TestRenewalReference:
         assert history(np.array([-1.0]))[0] > 0.0
         run = bh.simulate_renewal(params, DECAYING, S0=s0, t_max=20.0, dt=0.05)
         ref = simulate_renewal_array(params, history, S0=s0, t_max=20.0, dt=0.05)
-        for name in ("t", "S", "F"):
+        for name in ("S", "F"):
             got, want = getattr(run, name), getattr(ref, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         assert run.F.max() > 0.0
@@ -804,8 +852,8 @@ class TestRenewalForm:
         history = matched_history(params, DECAYING, 10.0)
         run = bh.simulate_renewal(params, DECAYING, S0=10.0, t_max=30.0, dt=0.3)
         ref = simulate_renewal_array(params, history, S0=10.0, t_max=30.0, dt=0.3)
-        assert run.t.size == 101
-        for name in ("t", "S", "F"):
+        assert run.S.size == 101
+        for name in ("S", "F"):
             got, want = getattr(run, name), getattr(ref, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         assert run.F.min() > 0.0

@@ -959,6 +959,32 @@ LINKED_LEAVES = (
 CONTRACT_LINKED_T_MAX_CAP = 0.01
 
 
+# Two leaves at once take these values. The between-host documents keep
+# their capped horizons; manifold reads only the within-host rates.
+# within-sim is left out until a run that cannot finish ends early: ten of
+# its two-leaf cases (a stiff pair of rates at 1e-300, or t_max at 1e300
+# beside a tiny rate) spend the integrator's 10^6-step budget, 16-20 s
+# each, before they exit 3.
+TWO_LEAF_VALUES = (0.0, 1e-300, 1e300)
+TWO_LEAF_CASES = {
+    "bh_env": (BETWEEN_HOST_COMMANDS, BH_ENV_LEAVES),
+    "linked": (BETWEEN_HOST_COMMANDS, LINKED_LEAVES),
+    "within_sim": (("manifold",), tuple(("within_host", key) for key in WITHIN_RATES)),
+}
+
+
+def two_leaf_doc(document):
+    if document == "bh_env":
+        doc = json.loads((CONFIGS / "bh_env.json").read_text())
+        doc["run"]["t_max"] = CONTRACT_BH_T_MAX_CAP
+    elif document == "linked":
+        doc = linked_doc()
+        doc["run"]["t_max"] = CONTRACT_LINKED_T_MAX_CAP
+    else:
+        doc = json.loads((CONFIGS / "within_sim.json").read_text())
+    return doc
+
+
 def not_strict_json(constant):
     raise ValueError(f"{constant} is not strict JSON")
 
@@ -1015,6 +1041,17 @@ class TestContractProperty:
         doc = linked_doc()
         doc["run"]["t_max"] = CONTRACT_LINKED_T_MAX_CAP
         set_leaf(doc, leaf, value)
+        self.assert_contract(tmp_path, command, doc)
+
+    @settings(max_examples=1500)
+    @given(document=st.sampled_from(sorted(TWO_LEAF_CASES)), data=st.data())
+    def test_two_extreme_leaves_keep_the_contract(self, tmp_path, document, data):
+        commands, leaves = TWO_LEAF_CASES[document]
+        command = data.draw(st.sampled_from(commands), label="command")
+        pair = data.draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=2, unique=True), label="leaves")
+        doc = two_leaf_doc(document)
+        for leaf in pair:
+            set_leaf(doc, leaf, data.draw(st.sampled_from(TWO_LEAF_VALUES), label=f"{leaf[1]} value"))
         self.assert_contract(tmp_path, command, doc)
 
     @staticmethod
@@ -1205,6 +1242,20 @@ class TestImportCost:
              "import sys, immunoepi.cli; print('scipy.optimize' in sys.modules)"],
             capture_output=True, text=True,
         )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_config_loads_leave_hashlib_unloaded(self):
+        # hashlib, with the OpenSSL it loads, is imported when the manifest
+        # is hashed, after a handler's arrays are released
+        script = (
+            "import sys\n"
+            "from immunoepi import cli\n"
+            f"for path in {sorted(map(str, CONFIGS.glob('*.json')))!r}:\n"
+            "    cli.load_scenario(path)\n"
+            "print('_hashlib' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -1514,7 +1565,8 @@ class TestPlotData:
     )
     def test_runs_without_numpy(self, tmp_path, figure, upstream):
         # plot-data reads upstream text files only, so a fresh interpreter
-        # runs it without importing numpy
+        # runs it without importing numpy, or dataclasses and the inspect
+        # it pulls in: the handlers that use dataclasses import it
         out = tmp_path / figure
         for command, config in upstream:
             assert cli.main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
@@ -1522,11 +1574,11 @@ class TestPlotData:
             "import sys\n"
             "from immunoepi import cli\n"
             f"code = cli.main(['plot-data', '--out', {str(out)!r}, '--figure', {figure!r}])\n"
-            "print(code, 'numpy' in sys.modules)\n"
+            "print(code, [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False"]
+        assert proc.stdout.strip() == "0 []"
         assert f"{figure}.dat" in read_summary(out)["plot_data"]
 
 
